@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from .poset import (
     FenceCertificate,
-    FiniteSpace,
     SpaceMap,
     Subset,
     bits,
     fence_search,
+    validate_space,
 )
 
 GROUP_CAP = 48
@@ -234,10 +234,7 @@ class GroupAction:
                     continue
                 if any(self.space.leq(i, j) for i in oa for j in ob):
                     pairs.append((labels[a], labels[b]))
-        quotient = FiniteSpace(
-            tuple(labels),
-            _transitive(labels, pairs),
-        )
+        quotient = validate_space(labels, pairs)
         proj = SpaceMap(
             self.space,
             quotient,
@@ -247,30 +244,6 @@ class GroupAction:
             ),
         )
         return quotient, proj
-
-
-def _transitive(labels, pairs):
-    idx = {p: i for i, p in enumerate(labels)}
-    n = len(labels)
-    up = [1 << i for i in range(n)]
-    for a, b in pairs:
-        up[idx[a]] |= 1 << idx[b]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    return [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in bits(up[i])
-        if i != j
-    ]
 
 
 def validate_action(space, generators):
@@ -295,6 +268,14 @@ class HomogeneousClass:
     @classmethod
     def all_types(cls, action):
         return cls(action, action.subgroups(), kind="all")
+
+    @classmethod
+    def default(cls, action):
+        """The point class for a trivial action, every orbit type
+        otherwise."""
+        if action.is_trivial():
+            return cls.point_only(action)
+        return cls.all_types(action)
 
     @classmethod
     def point_only(cls, action):

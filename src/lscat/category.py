@@ -35,9 +35,15 @@ from .poset import (
 
 
 class HypothesisUnmet(RuntimeError):
-    def __init__(self, which, detail=""):
+    """A theorem's hypothesis fails; ``witness`` names where, if known."""
+
+    def __init__(self, which, witness=None):
         self.which = which
-        super().__init__(f"hypothesis unmet: {which}" + (f" ({detail})" if detail else ""))
+        self.witness = witness
+        super().__init__(
+            f"hypothesis unmet: {which}"
+            + ("" if witness is None else f" (witness {witness!r})")
+        )
 
 
 # -- the shared infinity token ------------------------------------------
@@ -54,10 +60,6 @@ class _Infinity:
 
 
 INFINITE = _Infinity()
-
-
-def is_infinite(v):
-    return v is INFINITE
 
 
 def value_ge(a, b):
@@ -711,10 +713,10 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
     if not is_homotopy_equivalence(phi):
         raise HypothesisUnmet("homotopy_equivalence")
     if not space.is_up_set(U_mask):
-        raise HypothesisUnmet("open", "U is not open")
+        raise HypothesisUnmet("open")
     ok, u_cert = is_categorical(U_mask, space, action, klass, node_cap)
     if not ok:
-        raise HypothesisUnmet("categorical", "U is not categorical")
+        raise HypothesisUnmet("categorical")
     pre_mask = phi.preimage_mask(U_mask)
     assert space.is_up_set(pre_mask)  # preimage of open under continuous
     if pre_mask == 0:
@@ -728,7 +730,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
     outer = fence_search(SpaceMap.identity(space), targets={psiphi.images},
                          node_cap=node_cap)
     if outer is None:  # cannot happen for a genuine equivalence
-        raise HypothesisUnmet("homotopy_equivalence", "no fence id ~ psi phi")
+        raise HypothesisUnmet("homotopy_equivalence")
     part1 = outer.compose_right(incl_pre)
     # fence 2: psi o (U's factorisation fence) o phi|
     sub_u, u_parents = space.subspace(U_mask)
@@ -761,7 +763,7 @@ def closed_category_report(A, space, action=None, klass=None, node_cap=None):
     klass = klass or HomogeneousClass.point_only(action)
     A_mask = _mask_of(A)
     if not space.is_down_set(A_mask):
-        raise HypothesisUnmet("closed", "A is not closed")
+        raise HypothesisUnmet("closed")
     sub, idx = space.subspace(A_mask)
     sub_action, sub_klass = _induced(action, klass, sub, idx)
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,11 +106,8 @@ def run_theorem_scenario(sc):
         elif theorem == "semiflow":
             rep = verify_semiflow(sc.pair, sc.action, sc.klass)
         elif theorem == "homeo_band_bound":
-            refs = [
-                parse_space(d, f"{sc.name}.reference_spaces")
-                for d in sc.raw.get("reference_spaces", [])
-            ]
-            rep = verify_homeo_band_bound(sc.pair, refs, a, b, sc.action)
+            rep = verify_homeo_band_bound(sc.pair, sc.reference_spaces, a, b,
+                                          sc.action)
         else:  # pragma: no cover - guarded by the parser
             raise ValidationError(sc.name, f"unknown theorem {theorem}")
         reports[theorem] = rep.to_dict()
@@ -120,22 +116,14 @@ def run_theorem_scenario(sc):
 
 def run_engine_scenario(sc, seed=0):
     a, b = sc.band
-    index_doc = sc.raw.get("index", {})
-    nu = make_truncated_index(
-        index_doc.get("kind", "category"),
-        int(index_doc.get("cap", 5)),
-        sc.action,
-        sc.klass,
-    )
-    rep = verify_index_bound(
-        nu, sc.pair, a, b,
-        axiom_mode=index_doc.get("axiom_mode", "exhaustive"),
-        seed=seed,
-    )
+    kind, cap, axiom_mode = sc.index
+    nu = make_truncated_index(kind, cap, sc.action, sc.klass)
+    rep = verify_index_bound(nu, sc.pair, a, b, axiom_mode=axiom_mode,
+                             seed=seed)
     return {"name": sc.name, "kind": sc.kind, "report": rep}
 
 
-def run_numeric_scenario(sc, seed=0):
+def run_numeric_scenario(sc):
     doc = sc.raw
     check = doc["check"]
     tau = float(doc.get("tau", 1.0))
@@ -182,7 +170,7 @@ def run_scenario(sc, seed=0):
         return run_theorem_scenario(sc)
     if sc.kind == "engine":
         return run_engine_scenario(sc, seed)
-    return run_numeric_scenario(sc, seed)
+    return run_numeric_scenario(sc)
 
 
 def _scenario_expect_actual(sc, outcome):
@@ -208,7 +196,7 @@ def builtin_corpus_dir():
     return os.path.join(os.path.dirname(__file__), "corpus")
 
 
-def run_corpus(directory=None, workers=1, seed=0, fmt="text", out=None):
+def run_corpus(directory=None, seed=0, fmt="text", out=None):
     out = out or sys.stdout
     directory = directory or builtin_corpus_dir()
     try:
@@ -227,25 +215,14 @@ def run_corpus(directory=None, workers=1, seed=0, fmt="text", out=None):
         except (ParseError, ValidationError) as err:
             errors.append({"file": name, "error": str(err)})
 
-    def work(sc):
+    matched = mismatched = 0
+    summary_rows = []
+    for sc in sorted(scenarios, key=lambda sc: sc.name):
         try:
             outcome = run_scenario(sc, seed=seed)
             mismatches = _scenario_expect_actual(sc, outcome)
-            return sc, outcome, mismatches, None
         except (SizeCapExceeded, FenceNotFound, ValidationError,
                 ValueError) as err:
-            return sc, None, [], err
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, scenarios))
-    else:
-        rows = [work(sc) for sc in scenarios]
-    rows.sort(key=lambda r: r[0].name)
-    matched = mismatched = 0
-    summary_rows = []
-    for sc, outcome, mismatches, err in rows:
-        if err is not None:
             errors.append({"file": sc.path, "error": str(err)})
             continue
         status = "ok" if not mismatches else "MISMATCH"
@@ -277,7 +254,7 @@ def run_corpus(directory=None, workers=1, seed=0, fmt="text", out=None):
     return 0, summary
 
 
-def _scenario_command(args, expected_kind):
+def _scenario_command(args, expected_kind, seed=0):
     try:
         sc = parse_scenario(args.file)
         if sc.kind != expected_kind:
@@ -285,12 +262,10 @@ def _scenario_command(args, expected_kind):
                 args.file, f"expected a {expected_kind} scenario, "
                            f"got {sc.kind}"
             )
-        outcome = run_scenario(sc, seed=args.seed)
+        outcome = run_scenario(sc, seed=seed)
         mismatches = _scenario_expect_actual(sc, outcome)
-    except (ParseError, ValidationError, NotAPartialOrder, EmptySpace) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except (SizeCapExceeded, FenceNotFound) as err:
+    except (ParseError, ValidationError, NotAPartialOrder, EmptySpace,
+            SizeCapExceeded, FenceNotFound) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     outcome["expectation_mismatches"] = [
@@ -315,7 +290,7 @@ def cmd_cat(args):
 
 
 def cmd_engine_verify(args):
-    return _scenario_command(args, "engine")
+    return _scenario_command(args, "engine", args.seed)
 
 
 def cmd_verify(args):
@@ -335,7 +310,7 @@ def cmd_numeric_ps_check(args):
         doc["family"] = "reciprocal"
     try:
         sc = parse_scenario(doc)
-        outcome = run_numeric_scenario(sc, seed=args.seed)
+        outcome = run_numeric_scenario(sc)
     except (ValidationError, KeyError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
@@ -344,8 +319,7 @@ def cmd_numeric_ps_check(args):
 
 
 def cmd_corpus_run(args):
-    code, _ = run_corpus(args.dir, workers=args.workers, seed=args.seed,
-                         fmt=args.format)
+    code, _ = run_corpus(args.dir, seed=args.seed, fmt=args.format)
     return code
 
 
@@ -353,11 +327,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("structured", "text"),
                         default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=None,
-                        help="override exhaustive size caps (warns)")
-    common.add_argument("--workers", type=int,
-                        default=max(1, os.cpu_count() or 1))
     parser = argparse.ArgumentParser(
         prog="lscat",
         description="Exact Lusternik-Schnirelmann category and min-max "
@@ -382,6 +351,7 @@ def build_parser():
     p_ev = engine_sub.add_parser("verify", parents=[common],
                                  help="verify the counting bound")
     p_ev.add_argument("file")
+    p_ev.add_argument("--seed", type=int, default=0)
     p_ev.set_defaults(func=cmd_engine_verify)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -404,6 +374,7 @@ def build_parser():
                                   help="run fixtures against their "
                                        "expected verdicts")
     p_run.add_argument("dir", nargs="?", default=None)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_corpus_run)
 
     return parser

@@ -24,8 +24,10 @@ from .action import (
 )
 from .category import (
     CatQuery,
+    HypothesisUnmet,
     INFINITE,
     cover_category,
+    value_add,
     value_ge,
     value_ge_diff,
     value_str,
@@ -34,6 +36,7 @@ from .category import (
 from .poset import (
     SpaceMap,
     Subset,
+    automorphism_inverse,
     bits,
     is_homotopy_equivalence,
 )
@@ -41,14 +44,6 @@ from .poset import (
 
 class FenceNotFound(RuntimeError):
     pass
-
-
-class HypothesisUnmet(RuntimeError):
-    def __init__(self, which, detail=""):
-        self.which = which
-        super().__init__(
-            f"hypothesis unmet: {which}" + (f" ({detail})" if detail else "")
-        )
 
 
 class DynamicalPair:
@@ -134,7 +129,6 @@ def check_discrete_palais_smale(pair, Y=None, exhaustive_cap=12):
         return report
     n_y = Y_mask.bit_count()
     if n_y <= exhaustive_cap:
-        fixed = pair.space.down_closure(pair.fixed_mask())
         checked = 0
         for sub in _submasks(Y_mask):
             if not sub:
@@ -272,12 +266,7 @@ def _maybe_persist(report):
 
 def _context(pair, action, klass):
     action = action or GroupAction.trivial(pair.space)
-    klass = klass or (
-        HomogeneousClass.all_types(action)
-        if not action.is_trivial()
-        else HomogeneousClass.point_only(action)
-    )
-    return action, klass
+    return action, klass or HomogeneousClass.default(action)
 
 
 def _gcat(space, mask, action, klass, mode="plain", Y=0):
@@ -292,29 +281,38 @@ def _gcat(space, mask, action, klass, mode="plain", Y=0):
     ).value
 
 
-def _slice_sum(pair, a, b, action, klass):
-    """Sum over critical levels in the band of the slice categories."""
-    levels = pair.critical_levels(a, b)
+def _slice_sum(pair, a, b, cat):
+    """Sum of ``cat(slice)`` over the fixed slices of the critical levels
+    in the band, with the per-level values."""
     total = 0
     per_level = []
-    for d in levels:
-        val = _gcat(pair.space, pair.level_slice(d), action, klass)
+    for d in pair.critical_levels(a, b):
+        val = cat(pair.level_slice(d))
         per_level.append((d, val))
-        if val is INFINITE:
-            total = INFINITE
-        elif total is not INFINITE:
-            total += val
+        total = value_add(total, val)
     return total, per_level
 
 
-def _base_hypotheses(report, pair, action, klass, band_note=""):
+def _fixed_slice_cat(pair, a, b, action, klass):
+    """Category of the fixed band slice as its own space (0 if empty)."""
+    slice_mask = action.saturate(pair.fixed_mask() & _band_mask(pair, a, b))
+    if not slice_mask:
+        return 0
+    sub, idx = pair.space.subspace(slice_mask)
+    sub_action, sub_klass = _induced(action, klass, sub, idx)
+    return cover_category(
+        CatQuery(sub, action=sub_action, klass=sub_klass)
+    ).value
+
+
+def _base_hypotheses(report, pair, action):
     ok, wit = is_lyapunov(pair)
     report.hypothesis("lyapunov", "checked", ok, witness=wit)
     dps = check_discrete_palais_smale(pair)
     report.hypothesis(
         "discrete_palais_smale", "checked", dps["holds"],
         witness=dps["witness"],
-        note="reduces to the Lyapunov property on finite spaces" + band_note,
+        note="reduces to the Lyapunov property on finite spaces",
     )
     if not action.is_trivial():
         report.hypothesis(
@@ -366,7 +364,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     action, klass = _context(pair, action, klass)
     space = pair.space
     report = TheoremReport("band_bound", space)
-    _base_hypotheses(report, pair, action, klass)
+    _base_hypotheses(report, pair, action)
     report.hypothesis(
         "homotopy_equivalence", "checked", is_homotopy_equivalence(pair.phi)
     )
@@ -383,7 +381,9 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
         "finite non-discrete models are not normal; parts b and c are "
         "report-only",
     )
-    lhs, per_level = _slice_sum(pair, a, b, action, klass)
+    lhs, per_level = _slice_sum(
+        pair, a, b, lambda m: _gcat(space, m, action, klass)
+    )
     report.values.update({
         "sublevel_cat_low": cat_fa,
         "sublevel_cat_high": cat_fb,
@@ -411,15 +411,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
         bound=_diff(cat_fb, cat_fa),
         note="orbit-class count against the category difference",
     )
-    slice_mask = action.saturate(pair.fixed_mask() & _band_mask(pair, a, b))
-    if slice_mask:
-        sub, idx = space.subspace(slice_mask)
-        sub_action, sub_klass = _induced(action, klass, sub, idx)
-        cat_slice = cover_category(
-            CatQuery(sub, action=sub_action, klass=sub_klass)
-        ).value
-    else:
-        cat_slice = 0
+    cat_slice = _fixed_slice_cat(pair, a, b, action, klass)
     report.values["fixed_slice_cat"] = cat_slice
     report.part(
         "c", cat_slice, f"{value_str(cat_fb)} - {value_str(cat_fa)}",
@@ -480,7 +472,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None,
     action, klass = _context(pair, action, klass)
     space = pair.space
     report = TheoremReport("identity_band_bound", space)
-    _base_hypotheses(report, pair, action, klass)
+    _base_hypotheses(report, pair, action)
     if fence is None:
         fence = find_identity_fence(pair, action, node_cap=node_cap)
     else:
@@ -505,7 +497,9 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None,
         note=None if normality else "parts b and c are report-only",
     )
 
-    lhs, per_level = _slice_sum(pair, a, b, action, klass)
+    lhs, per_level = _slice_sum(
+        pair, a, b, lambda m: _gcat(space, m, action, klass)
+    )
     pair_bound = _gcat(space, fb_mask, action, klass, mode="pair", Y=fa_mask)
     semi_bound = (
         _gcat(space, fb_mask, action, klass, mode="semi", Y=fa_mask)
@@ -567,15 +561,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None,
         value_ge_diff(len(classes), cat_fb, cat_fa),
         assertable=normality and core_ok, bound=_diff(cat_fb, cat_fa),
     )
-    slice_mask = action.saturate(pair.fixed_mask() & _band_mask(pair, a, b))
-    if slice_mask:
-        sub, idx = space.subspace(slice_mask)
-        sub_action, sub_klass = _induced(action, klass, sub, idx)
-        cat_slice = cover_category(
-            CatQuery(sub, action=sub_action, klass=sub_klass)
-        ).value
-    else:
-        cat_slice = 0
+    cat_slice = _fixed_slice_cat(pair, a, b, action, klass)
     report.values["fixed_slice_cat"] = cat_slice
     report.part(
         "I_slice", cat_slice, "difference",
@@ -657,7 +643,7 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None,
     space = pair.space
     ok, wit = is_lyapunov(pair)
     if not ok:
-        raise HypothesisUnmet("lyapunov", str(wit))
+        raise HypothesisUnmet("lyapunov", wit)
     if not is_homotopy_equivalence(pair.phi):
         raise HypothesisUnmet("homotopy_equivalence")
     cat_fa = _gcat(space, pair.sublevel(a), action, klass)
@@ -753,21 +739,6 @@ def verify_semiflow(pair, action=None, klass=None):
     return report
 
 
-def is_homeomorphism(phi):
-    if phi.domain != phi.codomain:
-        return False
-    if len(set(phi.images)) != len(phi.domain):
-        return False
-    inv = [0] * len(phi.domain)
-    for i, v in enumerate(phi.images):
-        inv[v] = i
-    try:
-        SpaceMap(phi.domain, phi.domain, tuple(inv))
-    except ValueError:
-        return False
-    return True
-
-
 def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     """Band bound for homeomorphisms with reference-class covers.
 
@@ -780,8 +751,8 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     action = action or GroupAction.trivial(pair.space)
     space = pair.space
     report = TheoremReport("homeo_band_bound", space)
-    _base_hypotheses(report, pair, action, None)
-    homeo = is_homeomorphism(pair.phi)
+    _base_hypotheses(report, pair, action)
+    homeo = automorphism_inverse(pair.phi) is not None
     report.hypothesis("homeomorphism", "checked", homeo)
     if not homeo:
         report.values["note"] = "phi is not invertible"
@@ -799,13 +770,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     report.hypothesis(
         "sublevel_class_count_finite", "checked", cat_fa is not INFINITE
     )
-    levels = pair.critical_levels(a, b)
-    total = 0
-    per_level = []
-    for d in levels:
-        v = bcat(pair.level_slice(d))
-        per_level.append((d, v))
-        total = INFINITE if v is INFINITE or total is INFINITE else total + v
+    total, per_level = _slice_sum(pair, a, b, bcat)
     report.values.update({
         "sublevel_count_low": cat_fa,
         "sublevel_count_high": cat_fb,

@@ -15,6 +15,7 @@ import random
 from .action import GroupAction, HomogeneousClass
 from .category import (
     CatQuery,
+    HypothesisUnmet,
     INFINITE,
     cover_category,
 )
@@ -35,6 +36,7 @@ from .poset import (
 
 AXIOM_EXHAUSTIVE_CAP = 7  # points; beyond this check_axioms samples
 INDEX_KINDS = ("category", "pair_category", "mod_category")
+AXIOM_MODES = ("exhaustive", "sampled", "assumed")
 
 
 class IndexFunction:
@@ -76,11 +78,7 @@ def make_truncated_index(kind, cap, action, klass=None):
     if cap < 1:
         raise ValueError("truncation cap must be at least 1")
     space = action.space
-    klass = klass or (
-        HomogeneousClass.point_only(action)
-        if action.is_trivial()
-        else HomogeneousClass.all_types(action)
-    )
+    klass = klass or HomogeneousClass.default(action)
 
     def evaluate(A, Y):
         GA = action.saturate(A)
@@ -268,13 +266,6 @@ def check_supervariance(nu, phi, Z, exhaustive_cap=12, sample=512, seed=0):
 # -- the sublevel escape lemmas ---------------------------------------------
 
 
-class EngineHypothesisUnmet(RuntimeError):
-    def __init__(self, which, witness=None):
-        self.which = which
-        self.witness = witness
-        super().__init__(f"hypothesis unmet: {which} (witness {witness!r})")
-
-
 def band_escape_exponent(pair, U, a, b, power_cap=None):
     """Least n with phi^n(f^b minus U) inside f^a.
 
@@ -285,15 +276,15 @@ def band_escape_exponent(pair, U, a, b, power_cap=None):
     U_mask = U.mask if isinstance(U, Subset) else U
     ok, wit = is_lyapunov(pair)
     if not ok:
-        raise EngineHypothesisUnmet("lyapunov", wit)
+        raise HypothesisUnmet("lyapunov", wit)
     fixed = pair.fixed_mask()
     for i in bits(fixed):
         if a <= pair.f[i] < b:
-            raise EngineHypothesisUnmet(
+            raise HypothesisUnmet(
                 "fixed_point_free_band", pair.space.points[i]
             )
         if pair.f[i] == b and not U_mask >> i & 1:
-            raise EngineHypothesisUnmet(
+            raise HypothesisUnmet(
                 "neighborhood_covers_top_fixed_points", pair.space.points[i]
             )
     source = pair.sublevel(b) & ~U_mask
@@ -314,19 +305,19 @@ def sublevel_entry_margin(pair, U, a, eps):
     U_mask = U.mask if isinstance(U, Subset) else U
     ok, wit = is_lyapunov(pair)
     if not ok:
-        raise EngineHypothesisUnmet("lyapunov", wit)
+        raise HypothesisUnmet("lyapunov", wit)
     if eps <= 0:
         raise ValueError("need a positive window")
     fa = pair.sublevel(a)
     if fa & ~U_mask:
-        raise EngineHypothesisUnmet(
+        raise HypothesisUnmet(
             "neighborhood_contains_sublevel",
             sorted(pair.space.labels(fa & ~U_mask)),
         )
     fixed = pair.fixed_mask()
     for i in bits(fixed):
         if a < pair.f[i] < a + eps:
-            raise EngineHypothesisUnmet(
+            raise HypothesisUnmet(
                 "fixed_point_free_window", pair.space.points[i]
             )
     above = [v for v in pair.values_sorted() if v > a]

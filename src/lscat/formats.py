@@ -9,10 +9,12 @@ round-trip floats, the infinity token rendered as "inf".
 from __future__ import annotations
 
 import json
+import math
 
 from .action import GroupAction, HomogeneousClass
 from .category import INFINITE
 from .dynamics import DynamicalPair
+from .engine import AXIOM_MODES, INDEX_KINDS
 from .poset import SpaceMap, validate_space
 
 
@@ -37,6 +39,7 @@ THEOREM_IDS = (
     "semiflow",
     "homeo_band_bound",
 )
+FINITE_BAND_THEOREMS = ("band_bound", "homeo_band_bound")
 
 
 class Scenario:
@@ -52,6 +55,8 @@ class Scenario:
         self.klass = None
         self.pair = None
         self.band = None
+        self.index = None
+        self.reference_spaces = None
         self.expect = raw.get("expect")
         self.models = raw.get("models")
         self.notes = raw.get("notes")
@@ -60,15 +65,33 @@ class Scenario:
         return f"Scenario({self.name!r}, kind={self.kind!r})"
 
 
+def _require(value, kind, location, what):
+    """Reject a value that is not of the JSON type ``kind``."""
+    types = {"object": dict, "list": (list, tuple), "string": str}[kind]
+    if not isinstance(value, types):
+        raise ParseError(location,
+                         f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _is_labels(space, labels):
+    return all(isinstance(p, str) and p in space.index for p in labels)
+
+
 def parse_space(doc, location="space"):
     try:
         points = doc["points"]
         relation = doc.get("relation", [])
     except (KeyError, TypeError) as err:
         raise ParseError(location, f"missing field: {err}")
-    for pair in relation:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ParseError(location, f"relation entries are pairs: {pair!r}")
+    _require(points, "list", location, "points")
+    if not all(isinstance(p, str) for p in points):
+        raise ParseError(location, f"point labels are strings: {points!r}")
+    for pair in _require(relation, "list", location, "relation"):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(p, str) for p in pair)):
+            raise ParseError(location, f"relation entries are label pairs: "
+                                       f"{pair!r}")
     try:
         return validate_space(points, relation)
     except ValueError as err:
@@ -78,11 +101,15 @@ def parse_space(doc, location="space"):
 def parse_action(space, doc, location="action"):
     if doc is None:
         return GroupAction.trivial(space)
-    gens = doc.get("generators", [])
+    _require(doc, "object", location, "an action")
+    gens = _require(doc.get("generators", []), "list", location, "generators")
     for g in gens:
+        _require(g, "object", location, "a generator")
         missing = [p for p in space.points if p not in g]
         if missing:
             raise ParseError(location, f"generator misses points {missing}")
+        if not _is_labels(space, g.values()):
+            raise ParseError(location, f"generator uses unknown points: {g!r}")
     try:
         return GroupAction.from_label_maps(space, gens)
     except ValueError as err:
@@ -91,11 +118,8 @@ def parse_action(space, doc, location="action"):
 
 def parse_class(action, doc, location="class"):
     if doc is None:
-        return (
-            HomogeneousClass.point_only(action)
-            if action.is_trivial()
-            else HomogeneousClass.all_types(action)
-        )
+        return HomogeneousClass.default(action)
+    _require(doc, "object", location, "an orbit class")
     kind = doc.get("kind", "point")
     if kind == "all":
         return HomogeneousClass.all_types(action)
@@ -107,12 +131,13 @@ def parse_class(action, doc, location="class"):
 
 
 def parse_map(space, doc, location="map"):
+    _require(doc, "object", location, "a map")
     missing = [p for p in space.points if p not in doc]
     if missing:
         raise ParseError(location, f"map misses points {missing}")
     unknown = [p for p in doc if p not in space.index]
-    if unknown:
-        raise ParseError(location, f"map uses unknown points {unknown}")
+    if unknown or not _is_labels(space, doc.values()):
+        raise ParseError(location, f"map uses unknown points: {doc!r}")
     try:
         return SpaceMap.from_dict(space, space, doc)
     except ValueError as err:
@@ -120,13 +145,21 @@ def parse_map(space, doc, location="map"):
 
 
 def parse_function(space, doc, location="function"):
+    _require(doc, "object", location, "a function")
     missing = [p for p in space.points if p not in doc]
     if missing:
         raise ParseError(location, f"function misses points {missing}")
+    unknown = [p for p in doc if p not in space.index]
+    if unknown:
+        raise ParseError(location, f"function uses unknown points {unknown}")
     try:
-        return {p: float(v) for p, v in doc.items()}
+        values = {p: float(v) for p, v in doc.items()}
     except (TypeError, ValueError) as err:
         raise ValidationError(location, f"non-numeric value: {err}")
+    bad = [p for p, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise ValidationError(location, f"non-finite values at {bad}")
+    return values
 
 
 def parse_band(doc, location="band"):
@@ -144,9 +177,30 @@ def parse_band(doc, location="band"):
             b = float(b)
         except (TypeError, ValueError):
             raise ParseError(location, f'upper cut must be a number or "inf"')
+    if not math.isfinite(a) or b is not INFINITE and not math.isfinite(b):
+        raise ValidationError(location, f'cuts are finite numbers (the upper '
+                                        f'cut may be "inf"), got {doc!r}')
     if b is not INFINITE and not a < b:
         raise ValidationError(location, f"need a < b, got [{a}, {b}]")
     return a, b
+
+
+def parse_index(doc, location="index"):
+    """The engine's index block as (kind, cap, axiom_mode)."""
+    _require(doc, "object", location, "an index block")
+    kind = doc.get("kind", "category")
+    cap = doc.get("cap", 5)
+    axiom_mode = doc.get("axiom_mode", "exhaustive")
+    if kind not in INDEX_KINDS:
+        raise ValidationError(location, f"unknown index kind {kind!r}; "
+                                        f"known: {INDEX_KINDS}")
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValidationError(location, f"cap must be an integer >= 1, "
+                                        f"got {cap!r}")
+    if axiom_mode not in AXIOM_MODES:
+        raise ValidationError(location, f"unknown axiom_mode {axiom_mode!r}; "
+                                        f"known: {AXIOM_MODES}")
+    return kind, cap, axiom_mode
 
 
 def parse_complex(doc, location="complex"):
@@ -171,8 +225,8 @@ def parse_subset(space, doc, location="subset"):
     if doc == "all" or doc is None:
         return space.full_mask()
     mask = 0
-    for lab in doc:
-        if lab not in space.index:
+    for lab in _require(doc, "list", location, "a subset"):
+        if not (isinstance(lab, str) and lab in space.index):
             raise ParseError(location, f"unknown point {lab!r}")
         mask |= 1 << space.index[lab]
     return mask
@@ -192,11 +246,11 @@ def parse_scenario(path_or_doc, path=None):
             raise ParseError(location, f"cannot read: {err}")
         except json.JSONDecodeError as err:
             raise ParseError(f"{location}:{err.lineno}", err.msg)
-    kind = doc.get("kind")
+    kind = _require(doc, "object", location, "a scenario").get("kind")
     if kind not in SCENARIO_KINDS:
         raise ValidationError(location, f"unknown scenario kind {kind!r}")
-    name = doc.get("name") or (path or "scenario")
-    sc = Scenario(name, kind, doc, path=path)
+    name = _require(doc.get("name", ""), "string", location, "name")
+    sc = Scenario(name or path or "scenario", kind, doc, path=path)
     if kind == "numeric":
         if "check" not in doc:
             raise ValidationError(location, "numeric scenarios need a check")
@@ -210,8 +264,16 @@ def parse_scenario(path_or_doc, path=None):
                            f"{location}.function")
         sc.pair = DynamicalPair(sc.space, phi, f)
         sc.band = parse_band(doc.get("band"), f"{location}.band")
+    if kind == "engine":
+        sc.index = parse_index(doc.get("index", {}), f"{location}.index")
     if kind == "theorem":
-        theorems = doc.get("theorems", [])
+        refs = _require(doc.get("reference_spaces", []), "list", location,
+                        "reference_spaces")
+        sc.reference_spaces = [
+            parse_space(d, f"{location}.reference_spaces") for d in refs
+        ]
+        theorems = _require(doc.get("theorems", []), "list", location,
+                            "theorems")
         bad = [t for t in theorems if t not in THEOREM_IDS]
         if bad:
             raise ValidationError(
@@ -220,6 +282,13 @@ def parse_scenario(path_or_doc, path=None):
         if not theorems:
             raise ValidationError(location, "theorem scenarios select "
                                             "at least one theorem")
+        finite_only = [t for t in FINITE_BAND_THEOREMS if t in theorems]
+        if finite_only and sc.band[1] is INFINITE:
+            raise ValidationError(location, f"{finite_only} need a finite "
+                                            "band")
+        if "homeo_band_bound" in theorems and not sc.reference_spaces:
+            raise ValidationError(location, "homeo_band_bound needs "
+                                            "reference_spaces")
     return sc
 
 

@@ -71,19 +71,17 @@ class ScalarField:
 
 
 class FlowConfig:
-    """Flow time, integrator step and tolerances."""
+    """Flow time and integrator step."""
 
-    __slots__ = ("tau", "h_step", "budget", "eps")
+    __slots__ = ("tau", "h_step")
 
-    def __init__(self, tau, h_step=None, budget=100_000, eps=1e-6):
+    def __init__(self, tau, h_step=None):
         if tau <= 0:
             raise ValueError("flow time must be positive")
         self.tau = float(tau)
         self.h_step = float(h_step) if h_step is not None else tau / 100.0
         if self.h_step > tau / 100.0 + 1e-15:
             raise ValueError("step must not exceed a hundredth of the horizon")
-        self.budget = budget
-        self.eps = eps
 
     def steps(self):
         n = int(round(self.tau / self.h_step))
@@ -446,13 +444,6 @@ def verify_prop_app(field, config, n_max=10_000, family=None,
         "rest_point_moved": moved,
         "conclusion_ok": bool(inside and fixed),
     }
-
-
-def _rk4_endpoint(field, m, config):
-    try:
-        return flow_map(field, m, config).endpoint
-    except LeftDomain:
-        return m + np.inf
 
 
 def n_schedule(n_max):

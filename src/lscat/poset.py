@@ -801,33 +801,37 @@ def is_contractible_in(A, space, node_cap=None, with_certificate=True):
     return True, full
 
 
-def is_homotopy_equivalence(phi):
-    """Finite-space criterion: the induced core self-map is an order
-    automorphism."""
+def automorphism_inverse(phi):
+    """The inverse of phi when phi is an order automorphism, else None."""
+    if phi.domain != phi.codomain or len(set(phi.images)) != len(phi.domain):
+        return None
+    inv = [0] * len(phi.domain)
+    for i, v in enumerate(phi.images):
+        inv[v] = i
+    try:
+        return SpaceMap(phi.domain, phi.domain, tuple(inv))
+    except ValueError:
+        return None
+
+
+def _core_self_map(phi):
+    """The core of phi's domain and the self-map phi induces on it."""
     if phi.domain != phi.codomain:
         raise ValueError("expected a self-map")
     c = core(phi.domain)
-    induced = c.retraction.compose(phi).compose(c.inclusion)
-    if len(set(induced.images)) != len(c.core):
-        return False
-    inv = [0] * len(c.core)
-    for i, v in enumerate(induced.images):
-        inv[v] = i
-    try:
-        SpaceMap(c.core, c.core, tuple(inv))
-    except ValueError:
-        return False
-    return True
+    return c, c.retraction.compose(phi).compose(c.inclusion)
+
+
+def is_homotopy_equivalence(phi):
+    """Finite-space criterion: the induced core self-map is an order
+    automorphism."""
+    return automorphism_inverse(_core_self_map(phi)[1]) is not None
 
 
 def homotopy_inverse(phi):
     """A homotopy inverse of a finite-space homotopy equivalence."""
-    if not is_homotopy_equivalence(phi):
+    c, induced = _core_self_map(phi)
+    core_inverse = automorphism_inverse(induced)
+    if core_inverse is None:
         raise ValueError("map is not a homotopy equivalence")
-    c = core(phi.domain)
-    induced = c.retraction.compose(phi).compose(c.inclusion)
-    inv = [0] * len(c.core)
-    for i, v in enumerate(induced.images):
-        inv[v] = i
-    core_inverse = SpaceMap(c.core, c.core, tuple(inv))
     return c.inclusion.compose(core_inverse).compose(c.retraction)

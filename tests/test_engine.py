@@ -4,7 +4,7 @@ from lscat import fixtures as fx
 from lscat.action import GroupAction
 from lscat.dynamics import DynamicalPair
 from lscat.engine import (
-    EngineHypothesisUnmet,
+    HypothesisUnmet,
     IndexFunction,
     band_escape_exponent,
     check_axioms,
@@ -98,7 +98,7 @@ def test_escape_exponent_examples(v_pair, c4):
     assert band_escape_exponent(v_pair, 0, -3.0, -2.0) == 0
     ident_pair = DynamicalPair(c4, SpaceMap.identity(c4),
                                fx.C4_CONST_HEIGHTS)
-    with pytest.raises(EngineHypothesisUnmet) as err:
+    with pytest.raises(HypothesisUnmet) as err:
         band_escape_exponent(ident_pair, 0, 0.5, 2.5)
     assert err.value.which == "fixed_point_free_band"
 
@@ -153,7 +153,7 @@ def test_entry_margin_examples(v_pair, v_space):
         v_space.subset(["c", "a"]).mask
     ) == 0
     frozen = DynamicalPair(v_space, SpaceMap.identity(v_space), fx.V_HEIGHTS)
-    with pytest.raises(EngineHypothesisUnmet):
+    with pytest.raises(HypothesisUnmet):
         sublevel_entry_margin(frozen, v_space.subset(["c"]).mask, 0.5, 1.0)
 
 

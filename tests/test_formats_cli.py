@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lscat.category import INFINITE
 from lscat.cli import (
@@ -20,6 +24,12 @@ from lscat.formats import (
 
 
 CORPUS = builtin_corpus_dir()
+
+# sha256 of `lscat corpus run --format structured` on the shipped corpus;
+# perfbench/pins.json pins the same digest
+CORPUS_DIGEST = (
+    "647fd5a70907c107b2bfb06f01418ccf9a7a0cea0100aa8f36b452ee51d3335b"
+)
 
 
 def corpus_file(name):
@@ -134,6 +144,9 @@ def test_corpus_runs_clean(tmp_path):
     buf2 = io.StringIO()
     run_corpus(fmt="structured", out=buf2)
     assert buf.getvalue() == buf2.getvalue()
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        CORPUS_DIGEST
+    )
 
 
 def test_corpus_empty_dir(tmp_path):
@@ -231,3 +244,162 @@ def test_cli_corpus_run(capsys):
 def test_cli_rejects_wrong_kind(tmp_path, capsys):
     assert main(["verify", corpus_file("v_descent_engine.json")]) == 2
     capsys.readouterr()
+
+
+def _load_fixture(name):
+    with open(corpus_file(name)) as fh:
+        return json.load(fh)
+
+
+def _run_doc(doc, command):
+    """Exit code of ``lscat <command> FILE`` on a scenario document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)  # NaN and Infinity are written as such
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(command + [path])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["function"].update(c=NAN),
+    lambda d: d["function"].update(c=INF),
+    lambda d: d.update(band=[-INF, 3.0]),
+    lambda d: d.update(band=[-1.0, INF]),
+], ids=["function-nan", "function-inf", "lower-cut-minus-inf",
+        "upper-cut-inf-number"])
+def test_cli_rejects_non_finite_numbers(edit):
+    doc = _load_fixture("v_descent_engine.json")
+    edit(doc)
+    assert _run_doc(doc, ["engine", "verify"]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cap", "abc"), ("cap", 0), ("kind", "bogus"), ("axiom_mode", "bogus"),
+])
+def test_cli_rejects_bad_index_block(field, value):
+    doc = _load_fixture("v_descent_engine.json")
+    doc["index"][field] = value
+    assert _run_doc(doc, ["engine", "verify"]) == 2
+
+
+@pytest.mark.parametrize("name", ["v_descent_bounds.json",
+                                  "homeo_two_level.json"])
+def test_cli_rejects_unbounded_band_for_finite_band_theorems(name):
+    doc = _load_fixture(name)
+    doc["band"][1] = "inf"
+    assert _run_doc(doc, ["verify"]) == 2
+
+
+# -- fuzzing malformed scenario documents -------------------------------------
+
+COMMANDS = {"theorem": ["verify"], "engine": ["engine", "verify"]}
+FUZZ_FIXTURES = sorted(
+    name for name in os.listdir(CORPUS)
+    if name.endswith(".json") and _load_fixture(name)["kind"] in COMMANDS
+)
+REQUIRED = {
+    "theorem": ("kind", "space", "map", "function", "band", "theorems"),
+    "engine": ("kind", "space", "map", "function", "band"),
+}
+# the JSON type of every field the parser reads, by path
+TYPED = {
+    ("name",): str, ("space",): dict, ("space", "points"): list,
+    ("space", "relation"): list, ("action",): dict,
+    ("action", "generators"): list, ("class",): dict, ("map",): dict,
+    ("function",): dict, ("band",): list,
+}
+TYPED_BY_KIND = {
+    "theorem": {**TYPED, ("theorems",): list, ("reference_spaces",): list},
+    "engine": {**TYPED, ("index",): dict},
+}
+WRONG_VALUES = (0, 1.5, True, "x", [], ["x"], {}, {"x": 1})
+BAD_INDEX = {"kind": ("bogus", 3), "cap": ("abc", 0, -1, 2.5, True),
+             "axiom_mode": ("bogus", 1)}
+
+
+def _drop(draw, doc, kind):
+    required = REQUIRED[kind]
+    if "homeo_band_bound" in doc.get("theorems", ()):
+        required += ("reference_spaces",)
+    where = draw(st.sampled_from(
+        [(k,) for k in required]
+        + [("space", "points")]
+        + [(block, p) for block in ("map", "function")
+           for p in doc["space"]["points"]]
+    ))
+    parent = doc
+    for k in where[:-1]:
+        parent = parent[k]
+    del parent[where[-1]]
+
+
+def _wrong_type(draw, doc, kind):
+    path, typ = draw(st.sampled_from(sorted(TYPED_BY_KIND[kind].items())))
+    value = draw(st.sampled_from(
+        [v for v in WRONG_VALUES if not isinstance(v, typ)]
+    ))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent.setdefault(k, {})
+    parent[path[-1]] = value
+
+
+def _non_finite(draw, doc, kind):
+    value = draw(st.sampled_from((NAN, INF, -INF)))
+    where = draw(st.sampled_from(["function", 0, 1]))
+    if where == "function":
+        doc["function"][draw(st.sampled_from(doc["space"]["points"]))] = value
+    else:
+        doc["band"][where] = value
+
+
+def _unknown_label(draw, doc, kind):
+    p = draw(st.sampled_from(doc["space"]["points"]))
+    where = draw(st.sampled_from(
+        ["map-image", "map-point", "function-point", "relation"]
+    ))
+    if where == "map-image":
+        doc["map"][p] = "no-such-point"
+    elif where == "relation":
+        doc["space"]["relation"].append([p, "no-such-point"])
+    else:
+        block = doc[where.split("-")[0]]
+        block["no-such-point"] = block.pop(p)
+
+
+def _not_order_preserving(draw, doc, kind):
+    # a map swapping the ends of a strict pair x < y breaks x <= y
+    x, y = draw(st.sampled_from(doc["space"]["relation"]))
+    doc["map"][x], doc["map"][y] = y, x
+
+
+def _bad_index(draw, doc, kind):
+    field = draw(st.sampled_from(sorted(BAD_INDEX)))
+    doc.setdefault("index", {})[field] = draw(
+        st.sampled_from(BAD_INDEX[field])
+    )
+
+
+MALFORMATIONS = (_drop, _wrong_type, _non_finite, _unknown_label,
+                 _not_order_preserving)
+
+
+@st.composite
+def malformed_scenarios(draw):
+    doc = _load_fixture(draw(st.sampled_from(FUZZ_FIXTURES)))
+    kind = doc["kind"]
+    edits = MALFORMATIONS + ((_bad_index,) if kind == "engine" else ())
+    draw(st.sampled_from(edits))(draw, doc, kind)
+    return doc, COMMANDS[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_scenarios())
+def test_cli_rejects_malformed_scenarios(case):
+    doc, command = case
+    assert _run_doc(doc, command) == 2
