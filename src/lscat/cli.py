@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import formats
-from .category import CatQuery, cover_category
+from .category import cover_category
 from .dynamics import (
     FenceNotFound,
     verify_band_bound,
@@ -31,9 +31,9 @@ from .formats import (
     expectation_mismatches,
     parse_scenario,
     parse_space,
-    parse_subset,
 )
 from .numeric import (
+    FixtureUnconstructible,
     FlowConfig,
     check_discrete_palais_smale_sampled,
     get_field,
@@ -69,27 +69,9 @@ def cmd_space_validate(args):
 
 
 def run_category_scenario(sc):
-    results = []
-    for k, q in enumerate(sc.raw.get("queries", [])):
-        loc = f"{sc.name}.queries[{k}]"
-        if q.get("quotient"):
-            quotient, _ = sc.action.orbit_space()
-            value = cover_category(CatQuery(quotient)).value
-            results.append({"query": q, "value": value})
-            continue
-        mode = q.get("mode", "plain")
-        A = parse_subset(sc.space, q.get("A"), loc)
-        Y = parse_subset(sc.space, q.get("Y", []), loc) if q.get("Y") else 0
-        class_b = [
-            parse_space(b, f"{loc}.class_b") for b in q.get("class_b", [])
-        ]
-        value = cover_category(
-            CatQuery(sc.space, A=A, Y=Y, mode=mode, action=sc.action,
-                     klass=sc.klass, class_b=class_b or None)
-        ).value
-        results.append({"query": q, "value": value})
-    return {"name": sc.name, "kind": sc.kind,
-            "results": results}
+    results = [{"query": raw, "value": cover_category(query).value}
+               for raw, query in sc.queries]
+    return {"name": sc.name, "kind": sc.kind, "results": results}
 
 
 def run_theorem_scenario(sc):
@@ -124,14 +106,10 @@ def run_engine_scenario(sc, seed=0):
 
 
 def run_numeric_scenario(sc):
-    doc = sc.raw
-    check = doc["check"]
-    tau = float(doc.get("tau", 1.0))
+    check, fixture, tau, n_max, family = sc.numeric
     if check == "palais-smale-chain":
-        field = get_field(doc.get("fixture", "quadratic"))
-        n_max = int(doc.get("n_max", 1000))
-        family = None
-        if doc.get("family") == "reciprocal":
+        field = get_field(fixture)
+        if family == "reciprocal":
             family = [np.array([1.0 / max(n, 2)]) for n in n_schedule(n_max)]
         rep = verify_prop_app(
             field, FlowConfig(tau, tau / 1000.0), n_max=n_max, family=family
@@ -158,7 +136,7 @@ def run_numeric_scenario(sc):
         rep["fixed_values_nondiscrete"] = bool(
             values and values[-1] - values[0] > 0.5
         )
-    else:
+    else:  # pragma: no cover - guarded by the parser
         raise ValidationError(sc.name, f"unknown numeric check {check!r}")
     return {"name": sc.name, "kind": sc.kind, "report": rep}
 
@@ -177,7 +155,7 @@ def _scenario_expect_actual(sc, outcome):
     if sc.kind != "category" and sc.expect is None:
         return []
     if sc.kind == "category":
-        expected_values = [q.get("expect") for q in sc.raw.get("queries", [])]
+        expected_values = [raw.get("expect") for raw, _ in sc.queries]
         actual = [r["value"] for r in outcome["results"]]
         mismatches = []
         for k, (e, got) in enumerate(zip(expected_values, actual)):
@@ -221,8 +199,8 @@ def run_corpus(directory=None, seed=0, fmt="text", out=None):
         try:
             outcome = run_scenario(sc, seed=seed)
             mismatches = _scenario_expect_actual(sc, outcome)
-        except (SizeCapExceeded, FenceNotFound, ValidationError,
-                ValueError) as err:
+        except (SizeCapExceeded, FenceNotFound, FixtureUnconstructible,
+                ValidationError, ValueError) as err:
             errors.append({"file": sc.path, "error": str(err)})
             continue
         status = "ok" if not mismatches else "MISMATCH"
@@ -311,7 +289,7 @@ def cmd_numeric_ps_check(args):
     try:
         sc = parse_scenario(doc)
         outcome = run_numeric_scenario(sc)
-    except (ValidationError, KeyError) as err:
+    except (ValidationError, FixtureUnconstructible) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     _print_report(outcome, args.format)

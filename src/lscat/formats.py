@@ -12,9 +12,10 @@ import json
 import math
 
 from .action import GroupAction, HomogeneousClass
-from .category import INFINITE
+from .category import INFINITE, MODES, CatQuery
 from .dynamics import DynamicalPair
 from .engine import AXIOM_MODES, INDEX_KINDS
+from .numeric import FIELD_REGISTRY
 from .poset import SpaceMap, validate_space
 
 
@@ -40,6 +41,7 @@ THEOREM_IDS = (
     "homeo_band_bound",
 )
 FINITE_BAND_THEOREMS = ("band_bound", "homeo_band_bound")
+NUMERIC_CHECKS = ("palais-smale-chain", "descent-map", "halffixed-circle")
 
 
 class Scenario:
@@ -57,6 +59,8 @@ class Scenario:
         self.band = None
         self.index = None
         self.reference_spaces = None
+        self.queries = None
+        self.numeric = None
         self.expect = raw.get("expect")
         self.models = raw.get("models")
         self.notes = raw.get("notes")
@@ -67,7 +71,8 @@ class Scenario:
 
 def _require(value, kind, location, what):
     """Reject a value that is not of the JSON type ``kind``."""
-    types = {"object": dict, "list": (list, tuple), "string": str}[kind]
+    types = {"object": dict, "list": (list, tuple), "string": str,
+             "boolean": bool}[kind]
     if not isinstance(value, types):
         raise ParseError(location,
                          f"{what} must be a JSON {kind}, got {value!r}")
@@ -203,6 +208,71 @@ def parse_index(doc, location="index"):
     return kind, cap, axiom_mode
 
 
+def _finite(value):
+    """Whether ``value`` is a JSON number that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def parse_numeric(doc, location):
+    """A numeric scenario's (check, fixture, tau, n_max, family)."""
+    check = doc.get("check")
+    if check not in NUMERIC_CHECKS:
+        raise ValidationError(location, f"numeric scenarios need a check in "
+                                        f"{NUMERIC_CHECKS}, got {check!r}")
+    fixture = doc.get("fixture", "quadratic")
+    tau = doc.get("tau", 1.0)
+    n_max = doc.get("n_max", 1000)
+    family = doc.get("family")
+    if not (isinstance(fixture, str) and fixture in FIELD_REGISTRY):
+        raise ValidationError(location, f"unknown field fixture {fixture!r}; "
+                                        f"known: {sorted(FIELD_REGISTRY)}")
+    if not (_finite(tau) and tau > 0):
+        raise ValidationError(location, f"tau must be a finite number > 0, "
+                                        f"got {tau!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise ValidationError(location, f"n_max must be an integer >= 1, "
+                                        f"got {n_max!r}")
+    if "family" in doc and family != "reciprocal":
+        raise ValidationError(location, f'family must be "reciprocal" when '
+                                        f'given, got {family!r}')
+    return check, fixture, float(tau), n_max, family
+
+
+def parse_queries(sc, doc, location):
+    """A category scenario's queries as (raw query, CatQuery) pairs."""
+    out = []
+    for k, q in enumerate(_require(doc, "list", location, "queries")):
+        loc = f"{location}[{k}]"
+        _require(q, "object", loc, "a query")
+        if _require(q.get("quotient", False), "boolean", loc, "quotient"):
+            quotient, _ = sc.action.orbit_space()
+            out.append((q, CatQuery(quotient)))
+            continue
+        mode = q.get("mode", "plain")
+        if mode not in MODES:
+            raise ValidationError(loc, f"unknown mode {mode!r}; "
+                                       f"known: {MODES}")
+        A = parse_subset(sc.space, q.get("A"), loc)
+        Y = q.get("Y")
+        Y = 0 if Y is None else parse_subset(sc.space, Y, loc)
+        class_b = [
+            parse_space(b, f"{loc}.class_b")
+            for b in _require(q.get("class_b", []), "list", loc, "class_b")
+        ]
+        try:
+            query = CatQuery(sc.space, A=A, Y=Y, mode=mode, action=sc.action,
+                             klass=sc.klass, class_b=class_b or None)
+        except ValueError as err:
+            raise ValidationError(loc, str(err))
+        out.append((q, query))
+    return out
+
+
 def parse_complex(doc, location="complex"):
     """Vertex strings plus maximal simplices; faces close automatically."""
     from .simplicial import SimplicialComplex
@@ -252,12 +322,14 @@ def parse_scenario(path_or_doc, path=None):
     name = _require(doc.get("name", ""), "string", location, "name")
     sc = Scenario(name or path or "scenario", kind, doc, path=path)
     if kind == "numeric":
-        if "check" not in doc:
-            raise ValidationError(location, "numeric scenarios need a check")
+        sc.numeric = parse_numeric(doc, location)
         return sc
     sc.space = parse_space(doc.get("space"), f"{location}.space")
     sc.action = parse_action(sc.space, doc.get("action"), f"{location}.action")
     sc.klass = parse_class(sc.action, doc.get("class"), f"{location}.class")
+    if kind == "category":
+        sc.queries = parse_queries(sc, doc.get("queries", []),
+                                   f"{location}.queries")
     if kind in ("theorem", "engine"):
         phi = parse_map(sc.space, doc.get("map", {}), f"{location}.map")
         f = parse_function(sc.space, doc.get("function", {}),

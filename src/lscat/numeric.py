@@ -10,6 +10,8 @@ suspected violation with a witness cluster, never prove the condition.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -91,6 +93,11 @@ class FlowConfig:
 def truncation_g(x):
     """Monotone interpolant: 1 below 1, the identity above 2, and a cubic
     bridge matching values and slopes (1,0) and (2,1) in between."""
+    # one float off the cubic bridge; NaN and arrays take the numpy path
+    if type(x) is float and (x <= 1.0 or x >= 2.0):
+        if x < 0:
+            raise ValueError("the truncation profile takes nonnegative input")
+        return 1.0 if x <= 1.0 else x
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("the truncation profile takes nonnegative input")
@@ -108,7 +115,7 @@ def field_V(field, m):
     if not field.domain(m):
         raise DomainViolation(f"{m!r} outside the field's domain")
     g = np.asarray(field.grad(m), dtype=float)
-    return -g / truncation_g(float(np.linalg.norm(g)))
+    return -g / truncation_g(math.sqrt(g @ g))
 
 
 def _batch_V(field, pts):
@@ -150,12 +157,16 @@ class Trajectory:
         return out
 
 
-def _rk4_step(field, m, h):
-    k1 = field_V(field, m)
-    k2 = field_V(field, m + 0.5 * h * k1)
-    k3 = field_V(field, m + 0.5 * h * k2)
-    k4 = field_V(field, m + h * k3)
-    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(V, m, h):
+    """One classical Runge-Kutta step of m' = V(m): (next state, V(m)).
+
+    ``m`` is one point or a block of points, one per row, as long as
+    ``V`` maps it to the same shape."""
+    k1 = V(m)
+    k2 = V(m + 0.5 * h * k1)
+    k3 = V(m + 0.5 * h * k2)
+    k4 = V(m + h * k3)
+    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
 def flow_map(field, m, config):
@@ -167,9 +178,10 @@ def flow_map(field, m, config):
     h = config.tau / n
     states = np.empty((n + 1, field.dim))
     states[0] = m
+    V = lambda p: field_V(field, p)  # noqa: E731
     for k in range(n):
         try:
-            states[k + 1] = _rk4_step(field, states[k], h)
+            states[k + 1] = _rk4_step(V, states[k], h)[0]
         except DomainViolation:
             raise LeftDomain((k + 1) * h)
         if not field.domain(states[k + 1]):
@@ -370,14 +382,10 @@ def verify_prop_app(field, config, n_max=10_000, family=None,
 
     live = gradnorm2(state) >= thresholds
     found_t[~live] = 0.0
+    V = lambda block: _batch_V(field, block)  # noqa: E731
     for k in range(n_steps):
-        v = _batch_V(field, state)
+        nxt, v = _rk4_step(V, state, h)
         speeds = np.linalg.norm(v, axis=1)
-        k1 = v
-        k2 = _batch_V(field, state + 0.5 * h * k1)
-        k3 = _batch_V(field, state + 0.5 * h * k2)
-        k4 = _batch_V(field, state + h * k3)
-        nxt = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         inside = np.array([field.domain(m) for m in nxt])
         step_mask = alive & inside
         lengths[live & step_mask] += speeds[live & step_mask] * h

@@ -4,10 +4,15 @@ These deliberately avoid the production code paths: contractibility is
 decided on the fully materialised hom-set with union-find components
 (no cores, no lazy search), minimal covers are found by enumerating
 subsets of the catalogue in increasing size (no branch and bound), and
-the cup-length check on the minimal circle enumerates every cochain.
+the cup-length check on the minimal circle enumerates every cochain,
+and the numeric flow is a plain RK4 loop over the original all-numpy
+truncation profile.
 """
 
 from itertools import combinations
+
+import numpy as np
+
 
 def all_order_preserving_maps(domain, codomain):
     n = len(domain)
@@ -105,3 +110,46 @@ def oracle_cuplength_minimal_circle(K):
     assert len(ones) == 4 and not K.simplices_of_dim(2)
     # one nonzero degree-1 cohomology class must exist (connected cycle)
     return 1
+
+
+def oracle_truncation_g(x):
+    """The truncation profile as numpy expressions only, for any input."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("the truncation profile takes nonnegative input")
+    t = np.clip(x - 1.0, 0.0, 1.0)
+    middle = -t**3 + 2.0 * t**2 + 1.0
+    out = np.where(x <= 1.0, 1.0, np.where(x >= 2.0, x, middle))
+    return out if out.shape else float(out)
+
+
+class _Outside(Exception):
+    pass
+
+
+def oracle_flow(field, m, tau, n):
+    """RK4 states of the capped descent flow over n steps of tau/n, and the
+    time the trajectory left the domain (None when it stayed inside)."""
+    h = tau / n
+
+    def V(p):
+        if not field.domain(p):
+            raise _Outside
+        g = np.asarray(field.grad(p), dtype=float)
+        return -g / oracle_truncation_g(float(np.linalg.norm(g)))
+
+    states = [np.asarray(m, dtype=float)]
+    for k in range(n):
+        p = states[-1]
+        try:
+            k1 = V(p)
+            k2 = V(p + 0.5 * h * k1)
+            k3 = V(p + 0.5 * h * k2)
+            k4 = V(p + h * k3)
+        except _Outside:
+            return np.array(states), (k + 1) * h
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not field.domain(p):
+            return np.array(states), (k + 1) * h
+        states.append(p)
+    return np.array(states), None

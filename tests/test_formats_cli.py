@@ -236,6 +236,54 @@ def test_cli_numeric_ps_check(capsys):
     assert out["report"]["chain_ok"] is True
 
 
+# sha256 of `lscat numeric ps-check --format structured`: the default start
+# family begins at gradient norm 2, so these runs take the truncation
+# profile's cubic bridge, which the corpus digest leaves unpinned
+NUMERIC_DIGESTS = {
+    ("quadratic", "0.5"):
+        "10198a31a4b53822985b4e0de8a4c862ad7f4dae0089d64cda709036a50c13fd",
+    ("quadratic", "1.0"):
+        "265ddd44338fac0b9b49299318dc0676b671c19171cbb09ca0cab4a720a8bd21",
+    ("quadratic", "2.0"):
+        "a72e9d11f8c44bc755e845f553641110d27425099ffe5b2251d2552c5c663fc6",
+    ("half-interval", "1.0"):
+        "1cf7a6aaa55f52cb079340d72cfd99e60ab90bb31bc3ad5383d6f026a30270f1",
+}
+
+
+@pytest.mark.parametrize("fixture, tau", sorted(NUMERIC_DIGESTS))
+def test_numeric_report_bytes_pinned(fixture, tau, capsys):
+    assert main(["numeric", "ps-check", "--fixture", fixture, "--tau", tau,
+                 "--n-max", "1000", "--format", "structured"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == NUMERIC_DIGESTS[fixture, tau]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "nan"], ["--tau", "inf"], ["--tau", "-1"], ["--tau", "0"],
+    ["--n-max", "0"], ["--n-max", "-5"], ["--fixture", "bogus"],
+], ids=["tau-nan", "tau-inf", "tau-negative", "tau-zero", "n-max-zero",
+        "n-max-negative", "unknown-fixture"])
+def test_cli_rejects_bad_numeric_inputs(flags, capsys):
+    assert main(["numeric", "ps-check", "--n-max", "10"] + flags) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("edit", [
+    {"tau": "1.0"}, {"tau": True}, {"tau": 10 ** 400}, {"n_max": 10.0},
+    {"n_max": True}, {"fixture": ["quadratic"]}, {"family": "bogus"},
+    {"family": None}, {"check": "bogus"},
+], ids=["tau-string", "tau-bool", "tau-huge-int", "n-max-float",
+        "n-max-bool", "fixture-list", "family-unknown", "family-null",
+        "check-unknown"])
+def test_parse_rejects_bad_numeric_fields(edit):
+    doc = {"kind": "numeric", "check": "palais-smale-chain"}
+    assert parse_scenario(dict(doc)).numeric == (
+        "palais-smale-chain", "quadratic", 1.0, 1000, None)
+    with pytest.raises(ValidationError):
+        parse_scenario({**doc, **edit})
+
+
 def test_cli_corpus_run(capsys):
     assert main(["corpus", "run", "--format", "structured"]) == 0
     capsys.readouterr()
@@ -297,7 +345,8 @@ def test_cli_rejects_unbounded_band_for_finite_band_theorems(name):
 
 # -- fuzzing malformed scenario documents -------------------------------------
 
-COMMANDS = {"theorem": ["verify"], "engine": ["engine", "verify"]}
+COMMANDS = {"theorem": ["verify"], "engine": ["engine", "verify"],
+            "category": ["cat"]}
 FUZZ_FIXTURES = sorted(
     name for name in os.listdir(CORPUS)
     if name.endswith(".json") and _load_fixture(name)["kind"] in COMMANDS
@@ -305,17 +354,25 @@ FUZZ_FIXTURES = sorted(
 REQUIRED = {
     "theorem": ("kind", "space", "map", "function", "band", "theorems"),
     "engine": ("kind", "space", "map", "function", "band"),
+    "category": ("kind", "space"),
 }
 # the JSON type of every field the parser reads, by path
 TYPED = {
     ("name",): str, ("space",): dict, ("space", "points"): list,
     ("space", "relation"): list, ("action",): dict,
-    ("action", "generators"): list, ("class",): dict, ("map",): dict,
-    ("function",): dict, ("band",): list,
+    ("action", "generators"): list, ("class",): dict,
 }
+PAIR_TYPED = {("map",): dict, ("function",): dict, ("band",): list}
+# queries[0] is a mode query (not a quotient one) in every category fixture
+QUERY_TYPED = {("queries",): list, ("queries", 0): dict,
+               ("queries", 0, "mode"): str, ("queries", 0, "A"): list,
+               ("queries", 0, "Y"): list, ("queries", 0, "class_b"): list,
+               ("queries", 0, "quotient"): bool}
 TYPED_BY_KIND = {
-    "theorem": {**TYPED, ("theorems",): list, ("reference_spaces",): list},
-    "engine": {**TYPED, ("index",): dict},
+    "theorem": {**TYPED, **PAIR_TYPED, ("theorems",): list,
+                ("reference_spaces",): list},
+    "engine": {**TYPED, **PAIR_TYPED, ("index",): dict},
+    "category": {**TYPED, **QUERY_TYPED},
 }
 WRONG_VALUES = (0, 1.5, True, "x", [], ["x"], {}, {"x": 1})
 BAD_INDEX = {"kind": ("bogus", 3), "cap": ("abc", 0, -1, 2.5, True),
@@ -329,7 +386,7 @@ def _drop(draw, doc, kind):
     where = draw(st.sampled_from(
         [(k,) for k in required]
         + [("space", "points")]
-        + [(block, p) for block in ("map", "function")
+        + [(block, p) for block in ("map", "function") if block in doc
            for p in doc["space"]["points"]]
     ))
     parent = doc
@@ -345,7 +402,7 @@ def _wrong_type(draw, doc, kind):
     ))
     parent = doc
     for k in path[:-1]:
-        parent = parent.setdefault(k, {})
+        parent = parent[k] if isinstance(k, int) else parent.setdefault(k, {})
     parent[path[-1]] = value
 
 
@@ -361,12 +418,15 @@ def _non_finite(draw, doc, kind):
 def _unknown_label(draw, doc, kind):
     p = draw(st.sampled_from(doc["space"]["points"]))
     where = draw(st.sampled_from(
+        ["relation", "query-A"] if kind == "category" else
         ["map-image", "map-point", "function-point", "relation"]
     ))
     if where == "map-image":
         doc["map"][p] = "no-such-point"
     elif where == "relation":
         doc["space"]["relation"].append([p, "no-such-point"])
+    elif where == "query-A":
+        doc["queries"][0]["A"] = [p, "no-such-point"]
     else:
         block = doc[where.split("-")[0]]
         block["no-such-point"] = block.pop(p)
@@ -385,16 +445,32 @@ def _bad_index(draw, doc, kind):
     )
 
 
-MALFORMATIONS = (_drop, _wrong_type, _non_finite, _unknown_label,
-                 _not_order_preserving)
+def _bad_query(draw, doc, kind):
+    query = doc["queries"][0]
+    edit = draw(st.sampled_from(["mode", "Y-without-pair", "classB-alone"]))
+    if edit == "mode":
+        query["mode"] = draw(st.sampled_from(("bogus", "Plain", "")))
+    elif edit == "Y-without-pair":  # these modes take no reference subset
+        query.update(mode=draw(st.sampled_from(("plain", "closed"))), Y="all")
+    else:  # classB needs a class_b reference list
+        query.pop("Y", None)
+        query["mode"] = "classB"
+
+
+PAIR_MALFORMATIONS = (_drop, _wrong_type, _non_finite, _unknown_label,
+                      _not_order_preserving)
+MALFORMATIONS = {
+    "theorem": PAIR_MALFORMATIONS,
+    "engine": PAIR_MALFORMATIONS + (_bad_index,),
+    "category": (_drop, _wrong_type, _unknown_label, _bad_query),
+}
 
 
 @st.composite
 def malformed_scenarios(draw):
     doc = _load_fixture(draw(st.sampled_from(FUZZ_FIXTURES)))
     kind = doc["kind"]
-    edits = MALFORMATIONS + ((_bad_index,) if kind == "engine" else ())
-    draw(st.sampled_from(edits))(draw, doc, kind)
+    draw(st.sampled_from(MALFORMATIONS[kind]))(draw, doc, kind)
     return doc, COMMANDS[kind]
 
 

@@ -1,5 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lscat.numeric import (
     FlowConfig,
@@ -20,6 +24,7 @@ from lscat.numeric import (
     truncation_g,
     verify_prop_app,
 )
+from oracles import oracle_flow, oracle_truncation_g
 
 
 def test_truncation_clauses():
@@ -35,6 +40,72 @@ def test_truncation_clauses():
     mid = (xs >= 1.0) & (xs <= 2.0)
     assert np.all(ys[mid] <= xs[mid] + 1e-12)
     assert np.all(ys[mid] >= 1.0 - 1e-12)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+_EDGES = [0.0, 1.0, 2.0, 5e-324, float("nan")] + [
+    math.nextafter(x, d) for x in (0.0, 1.0, 2.0) for d in (-1.0, 4.0)
+    if x > 0.0 or d > 0.0
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(0.0, 4.0) | st.sampled_from(_EDGES))
+def test_truncation_scalar_is_bit_exact(x):
+    # one float at a time: numpy's array path evaluates the cubic with a
+    # different pow and already differs from the 0-d path in the last bit
+    got = truncation_g(x)
+    assert type(got) is float
+    assert _bits(got) == _bits(oracle_truncation_g(x))
+
+
+def test_truncation_bridge_is_bit_exact():
+    # a Python rewrite of the cubic, -t**3 + 2.0*t*t + 1.0, differs from
+    # the numpy expression in the last bit on a few of these inputs
+    for x in np.random.default_rng(0).uniform(1.0, 2.0, 30_000).tolist():
+        assert _bits(truncation_g(x)) == _bits(oracle_truncation_g(x)), x
+
+
+def test_truncation_rejects_negative():
+    for x in (-1.0, -5e-324, -3.0, -float("inf")):
+        with pytest.raises(ValueError):
+            truncation_g(x)
+
+
+def _flow_outcome(field, m, config):
+    try:
+        return flow_map(field, m, config).states, None
+    except LeftDomain as err:
+        return None, err.t_exit
+
+
+def test_flow_map_is_bit_exact_against_plain_rk4():
+    rng = np.random.default_rng(5)
+    bridge = 0  # gradient norms inside (1, 2), where the cubic applies
+    for seed in range(40):
+        dim = 1 + seed % 4
+        field = random_quadratic_field(seed, dim=dim)
+        m = rng.uniform(-1.5, 1.5, size=dim)
+        states, t_exit = _flow_outcome(field, m, FlowConfig(0.5))
+        expect, expect_exit = oracle_flow(field, m, 0.5, 100)
+        assert t_exit is None and expect_exit is None
+        assert states.tobytes() == expect.tobytes()
+        bridge += sum(1.0 < np.linalg.norm(field.grad(s)) < 2.0
+                      for s in states)
+    assert bridge > 0
+    hi = half_interval_field()
+    for start, tau, leaves in ((0.9, 0.4, False), (0.2, 1.0, True),
+                               (0.55, 1.0, True)):
+        cfg = FlowConfig(tau, tau / 1000)
+        states, t_exit = _flow_outcome(hi, [start], cfg)
+        expect, expect_exit = oracle_flow(hi, [start], tau, 1000)
+        assert t_exit == expect_exit
+        assert (t_exit is not None) == leaves
+        if not leaves:
+            assert states.tobytes() == expect.tobytes()
 
 
 def test_field_v_examples():
