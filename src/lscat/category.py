@@ -1,10 +1,12 @@
-"""Lusternik-Schnirelmann category variants via exact cover search.
+"""Lusternik-Schnirelmann category variants via exact cover tables.
 
-All variants are computed the same way: precompute the catalogue of
-admissible subsets for each cover role (categorical opens, opens
-deformable to Y, ...), then solve an exact minimum set cover by branch
-and bound seeded with a greedy upper bound.  Every result carries a
-certificate that re-validates from scratch.
+All variants are computed the same way: build, once per space, the
+catalogue of admissible subsets for each cover role (categorical opens,
+categorical closed sets, classB opens, opens deformable to Y).  A
+covering catalogue is a ``CoverTable``, the breadth-first union closure
+of its members, so an exact minimum cover is a lookup; the pair, mod and
+semi modes take the least lookup over the deformable A0.  Every result
+carries a certificate that re-validates from scratch.
 
 The shared infinity token and its comparison conventions
 (inf >= inf, inf >= n, inf >= inf - n, 0 >= n - inf) live here and are
@@ -427,7 +429,7 @@ def categorical_open_catalog(space, action, klass, node_cap=None):
             ok, _ = _categorical_cached(space, action, klass, m, node_cap)
             if ok:
                 out.append(m)
-        return tuple(out)
+        return CoverTable(out)
 
     return _cache(action, key, build)
 
@@ -442,7 +444,7 @@ def categorical_closed_catalog(space, action, klass, node_cap=None):
                                    node_cap=node_cap, with_certificate=False)
             if ok:
                 out.append(m)
-        return tuple(out)
+        return CoverTable(out)
 
     return _cache(action, key, build)
 
@@ -476,7 +478,7 @@ def classB_catalog(space, action, class_b):
             sub, _ = space.subspace(m)
             if any(order_isomorphic(sub, ref) for ref in class_b):
                 out.append(m)
-        return tuple(out)
+        return CoverTable(out)
 
     return _cache(action, key, build)
 
@@ -524,137 +526,105 @@ def order_isomorphic(s1, s2):
 # -- exact set cover -----------------------------------------------------
 
 
-def min_cover(target_mask, candidate_masks):
-    """Exact minimum cover of target by candidates; None if impossible.
+class CoverTable:
+    """Exact minimum covers by a fixed family of member masks.
 
-    Deterministic branch and bound seeded with a greedy solution; ties
-    broken by mask value.
+    The breadth-first union closure of the members is computed once:
+    level k holds the unions first reached with k members, and each
+    union keeps the parent pointer (previous union, member) through which
+    it was first reached, with the previous level scanned in order and
+    the members in family order.  ``cover(target)`` returns the members
+    of the first union in that order containing the target, which is a
+    minimum cover, or None when no union does; answers are memoised per
+    target.
     """
-    if target_mask == 0:
-        return []
-    cands = []
-    seen = set()
-    for k, m in enumerate(candidate_masks):
-        eff = m & target_mask
-        if eff and eff not in seen:
-            seen.add(eff)
-            cands.append((eff, k))
-    union = 0
-    for eff, _ in cands:
-        union |= eff
-    if target_mask & ~union:
+
+    __slots__ = ("members", "_parent", "_memo")
+
+    def __init__(self, members):
+        self.members = tuple(members)
+        self._parent = {0: None}  # insertion order is the BFS order
+        level = [0]
+        while level:
+            reached = []
+            for u in level:
+                for m in self.members:
+                    v = u | m
+                    if v not in self._parent:
+                        self._parent[v] = (u, m)
+                        reached.append(v)
+            level = reached
+        self._memo = {}
+
+    def _search(self, target):
+        for u in self._parent:
+            if target & ~u == 0:
+                members = []
+                while self._parent[u] is not None:
+                    u, m = self._parent[u]
+                    members.append(m)
+                return tuple(reversed(members))
         return None
-    # drop dominated candidates (effective coverage contained in another's)
-    cands.sort(key=lambda t: (-t[0].bit_count(), candidate_masks[t[1]]))
-    kept = []
-    for eff, k in cands:
-        if not any(eff & ~e2 == 0 and eff != e2 for e2, _ in kept):
-            kept.append((eff, k))
-    cands = kept
 
-    greedy = []
-    remaining = target_mask
-    while remaining:
-        best = max(cands, key=lambda t: ((t[0] & remaining).bit_count(), -t[0]))
-        greedy.append(best[1])
-        remaining &= ~best[0]
-    best_solution = [greedy]
+    def cover(self, target):
+        """Members of a minimum cover of ``target``; None if impossible."""
+        if target not in self._memo:
+            self._memo[target] = self._search(target)
+        return self._memo[target]
 
-    def bnb(remaining, chosen):
-        if not remaining:
-            best_solution[0] = list(chosen)
-            return
-        if len(chosen) + 1 >= len(best_solution[0]):
-            remaining_bits = remaining.bit_count()
-            biggest = max((e & remaining).bit_count() for e, _ in cands)
-            if len(chosen) + (remaining_bits + biggest - 1) // biggest >= len(
-                best_solution[0]
-            ):
-                return
-        pivot = (remaining & -remaining).bit_length() - 1
-        options = [t for t in cands if t[0] >> pivot & 1]
-        options.sort(key=lambda t: (-(t[0] & remaining).bit_count(), t[0]))
-        for eff, k in options:
-            chosen.append(k)
-            bnb(remaining & ~eff, chosen)
-            chosen.pop()
 
-    bnb(target_mask, [])
-    return [candidate_masks[k] for k in best_solution[0]]
+def min_cover(target_mask, candidate_masks):
+    """Exact minimum cover of target by candidates; None if impossible."""
+    cover = CoverTable(candidate_masks).cover(target_mask)
+    return None if cover is None else list(cover)
 
 
 # -- the main entry point -------------------------------------------------
 
 
 def cover_category(query, node_cap=None):
-    """Compute the requested category variant with certificates."""
+    """Compute the requested category variant with certificates.
+
+    Plain, closed and classB values are one lookup in the catalogue's
+    cover table; pair, mod and semi take the least lookup over the
+    admissible deformable A0.
+    """
     space, action, klass = query.space, query.action, query.klass
     if query.mode == "classB":
-        catalog = classB_catalog(space, action, query.class_b)
-        cover = min_cover(query.A, catalog)
-        if cover is None:
+        table, role = classB_catalog(space, action, query.class_b), "iso"
+    elif query.mode == "closed":
+        table = categorical_closed_catalog(space, action, klass, node_cap)
+        role = "categorical"
+    else:
+        table = categorical_open_catalog(space, action, klass, node_cap)
+        role = "categorical"
+    entries = []
+    if query.mode in ("plain", "closed", "classB"):
+        cover = table.cover(query.A)
+    else:
+        deform = deformable_open_catalog(
+            space, action, query.Y, mod=(query.mode == "mod"),
+            node_cap=node_cap,
+        )
+        required = query.A & query.Y if query.mode in ("mod", "semi") else 0
+        best = None
+        for a0 in sorted((m for m in deform if required & ~m == 0),
+                         key=lambda m: ((query.A & ~m).bit_count(), m)):
+            rest = table.cover(query.A & ~a0)
+            if rest is not None and (best is None or len(rest) < len(best[1])):
+                best = (a0, rest)
+                if not rest:
+                    break
+        if best is None:
             return CatResult(query, INFINITE, ())
-        entries = [CoverEntry(m, "iso", None) for m in cover]
-        return CatResult(query, len(cover), entries)
-
-    if query.mode == "closed":
-        catalog = categorical_closed_catalog(space, action, klass, node_cap)
-        cover = min_cover(query.A, catalog)
-        if cover is None:
-            return CatResult(query, INFINITE, ())
-        entries = [
-            CoverEntry(m, "categorical",
-                       is_categorical(m, space, action, klass,
-                                      node_cap=node_cap)[1])
-            for m in cover
-        ]
-        return CatResult(query, len(cover), entries)
-
-    cat_catalog = categorical_open_catalog(space, action, klass, node_cap)
-
-    if query.mode == "plain":
-        cover = min_cover(query.A, cat_catalog)
-        if cover is None:
-            return CatResult(query, INFINITE, ())
-        entries = [
-            CoverEntry(m, "categorical",
-                       _categorical_cached(space, action, klass, m,
-                                           node_cap)[1])
-            for m in cover
-        ]
-        return CatResult(query, len(cover), entries)
-
-    # pair / mod / semi
-    deform = deformable_open_catalog(
-        space, action, query.Y, mod=(query.mode == "mod"), node_cap=node_cap
-    )
-    required = query.A & query.Y if query.mode in ("mod", "semi") else 0
-    best = None
-    cover_memo = {}
-    a0_candidates = sorted(
-        (m for m in deform if required & ~m == 0),
-        key=lambda m: ((query.A & ~m).bit_count(), m),
-    )
-    for a0 in a0_candidates:
-        target = query.A & ~a0
-        if target not in cover_memo:
-            cover_memo[target] = min_cover(target, cat_catalog)
-        cover = cover_memo[target]
-        if cover is None:
-            continue
-        if best is None or len(cover) < len(best[1]):
-            best = (a0, cover)
-            if len(cover) == 0:
-                break
-    if best is None:
+        a0, cover = best
+        entries.append(CoverEntry(a0, "deformable", deform[a0]))
+    if cover is None:
         return CatResult(query, INFINITE, ())
-    a0, cover = best
-    entries = [CoverEntry(a0, "deformable", deform[a0])]
-    entries.extend(
-        CoverEntry(m, "categorical",
-                   _categorical_cached(space, action, klass, m, node_cap)[1])
-        for m in cover
-    )
+    for m in cover:
+        cert = None if role == "iso" else _categorical_cached(
+            space, action, klass, m, node_cap)[1]
+        entries.append(CoverEntry(m, role, cert))
     return CatResult(query, len(cover), entries)
 
 

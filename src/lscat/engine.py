@@ -79,23 +79,25 @@ def make_truncated_index(kind, cap, action, klass=None):
         raise ValueError("truncation cap must be at least 1")
     space = action.space
     klass = klass or HomogeneousClass.default(action)
+    # The value reads only GA (and GY for the pair kinds), so it is
+    # memoised on those: many (A, Y) pairs share one cover query.
+    memo = {}
 
     def evaluate(A, Y):
         GA = action.saturate(A)
         if GA == 0:
             return 0
-        if kind == "category":
-            value = cover_category(
-                CatQuery(space, A=GA, action=action, klass=klass)
-            ).value
-        else:
-            GY = action.saturate(Y)
-            mode = "pair" if kind == "pair_category" else "mod"
-            value = cover_category(
-                CatQuery(space, A=GA, Y=GY, mode=mode, action=action,
-                         klass=klass)
-            ).value
-        return cap if value is INFINITE else min(value, cap)
+        key = (GA,) if kind == "category" else (GA, action.saturate(Y))
+        if key not in memo:
+            if kind == "category":
+                query = CatQuery(space, A=GA, action=action, klass=klass)
+            else:
+                mode = "pair" if kind == "pair_category" else "mod"
+                query = CatQuery(space, A=GA, Y=key[1], mode=mode,
+                                 action=action, klass=klass)
+            value = cover_category(query).value
+            memo[key] = cap if value is INFINITE else min(value, cap)
+        return memo[key]
 
     return IndexFunction(space, evaluate, kind=kind, cap=cap)
 

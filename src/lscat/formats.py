@@ -3,7 +3,8 @@
 One self-describing JSON dialect covers every input; docs/FORMAT.md in
 the repository root is the normative schema reference.  Structured
 report emission is byte-deterministic: keys sorted, shortest
-round-trip floats, the infinity token rendered as "inf".
+round-trip floats, the infinity token rendered as "inf" and non-finite
+floats as "inf", "-inf" or "nan", so the output is strict JSON.
 """
 
 from __future__ import annotations
@@ -370,8 +371,8 @@ def parse_scenario(path_or_doc, path=None):
 def _encode(value):
     if value is INFINITE:
         return "inf"
-    if isinstance(value, float) and value == float("inf"):
-        return "inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -386,7 +387,7 @@ def emit_report(report, fmt="structured"):
     doc = _encode(report)
     if fmt == "structured":
         return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=True) + "\n"
+                          ensure_ascii=True, allow_nan=False) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = []

@@ -62,8 +62,8 @@ class FiniteSpace:
     :class:`NotAPartialOrder` naming the violated axiom.
     """
 
-    __slots__ = ("points", "index", "up", "down", "_upsets", "_hash",
-                 "_strict_up", "_strict_down")
+    __slots__ = ("points", "index", "up", "down", "_upsets", "_core",
+                 "_hash", "_strict_up", "_strict_down")
 
     def __init__(self, points, leq_pairs):
         points = tuple(points)
@@ -101,6 +101,7 @@ class FiniteSpace:
         self.up = tuple(up)
         self.down = tuple(down)
         self._upsets = None
+        self._core = None
         self._hash = hash((points, self.up))
         self._strict_up = tuple(
             tuple(_bits(self.up[i] & ~(1 << i))) for i in range(n)
@@ -741,7 +742,10 @@ def _find_beat(space, alive_mask):
 
 
 def core(space):
-    """Iteratively remove beat points; returns a CoreResult."""
+    """Iteratively remove beat points; returns a CoreResult, computed
+    once per space and kept on it."""
+    if space._core is not None:
+        return space._core
     alive = space.full_mask()
     send = list(range(len(space)))  # composite collapse on parent indices
     stages = [SpaceMap.identity(space)]
@@ -757,8 +761,9 @@ def core(space):
     to_core = {p: k for k, p in enumerate(idx)}
     retraction = SpaceMap(space, core_space, tuple(to_core[v] for v in send))
     inclusion = SpaceMap(core_space, space, idx)
-    return CoreResult(space, core_space, retraction, inclusion,
-                      FenceCertificate(stages))
+    space._core = CoreResult(space, core_space, retraction, inclusion,
+                             FenceCertificate(stages))
+    return space._core
 
 
 def is_contractible_in(A, space, node_cap=None, with_certificate=True):

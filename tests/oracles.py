@@ -3,7 +3,7 @@
 These deliberately avoid the production code paths: contractibility is
 decided on the fully materialised hom-set with union-find components
 (no cores, no lazy search), minimal covers are found by enumerating
-subsets of the catalogue in increasing size (no branch and bound), and
+subsets of the candidates in increasing size (no union-closure table), and
 the cup-length check on the minimal circle enumerates every cochain,
 and the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile.
@@ -86,21 +86,25 @@ def oracle_catalog(space):
     ]
 
 
+def oracle_min_cover(target, candidates):
+    """Fewest candidates whose union contains target, by enumerating
+    subsets in increasing size; None when no subset does."""
+    for k in range(len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            union = 0
+            for m in combo:
+                union |= m
+            if target & ~union == 0:
+                return list(combo)
+    return None
+
+
 def oracle_cat(space, A_mask=None):
     """Minimal categorical cover by exhaustive subset enumeration."""
     if A_mask is None:
         A_mask = space.full_mask()
-    if A_mask == 0:
-        return 0
-    catalog = oracle_catalog(space)
-    for k in range(1, len(catalog) + 1):
-        for combo in combinations(catalog, k):
-            union = 0
-            for m in combo:
-                union |= m
-            if A_mask & ~union == 0:
-                return k
-    return None  # no finite cover
+    cover = oracle_min_cover(A_mask, oracle_catalog(space))
+    return None if cover is None else len(cover)  # None: no finite cover
 
 
 def oracle_cuplength_minimal_circle(K):

@@ -2,9 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lscat import fixtures as fx
-from lscat.action import HomogeneousClass
+from lscat.action import (
+    GroupAction,
+    HomogeneousClass,
+    is_G_deformable,
+    validate_action,
+)
 from lscat.category import (
     CatQuery,
+    CoverTable,
     HypothesisUnmet,
     INFINITE,
     cat,
@@ -25,7 +31,7 @@ from lscat.category import (
 )
 from lscat.poset import SpaceMap, validate_space
 
-from oracles import oracle_cat
+from oracles import oracle_cat, oracle_min_cover
 
 
 # -- infinity conventions ---------------------------------------------------
@@ -190,6 +196,109 @@ def test_ordering_chain_random(space, data):
     assert value_ge(mod, semi)
     assert value_ge(semi, pair)
     assert value_ge_diff(pair, cat(space, A), cat(space, Y))
+
+
+# -- the cover table against brute force ------------------------------------
+
+
+def _covers(cover, target, candidates):
+    union = 0
+    for m in cover:
+        assert m in candidates
+        union |= m
+    return target & ~union == 0
+
+
+@given(st.lists(st.integers(min_value=0, max_value=255), max_size=9),
+       st.lists(st.integers(min_value=0, max_value=255), min_size=1,
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_cover_table_matches_oracle(candidates, targets):
+    table = CoverTable(candidates)  # one table, its memo shared by the targets
+    for target in targets:
+        expect = oracle_min_cover(target, candidates)
+        for cover in (min_cover(target, candidates), table.cover(target)):
+            if expect is None:
+                assert cover is None
+            else:
+                assert len(cover) == len(expect)
+                assert _covers(cover, target, candidates)
+
+
+@st.composite
+def acted_spaces(draw):
+    """Three to six points with an involution whose orbits are fixed points
+    and swapped pairs (all orbit types admissible), or the trivial action.
+
+    Every relation runs from an earlier orbit to a later one and is closed
+    under the swap, so the order is antisymmetric and the swap an
+    automorphism.
+    """
+    kinds = draw(st.lists(st.sampled_from(["fixed", "pair"]), min_size=3,
+                          max_size=6).filter(
+        lambda ks: sum(1 if k == "fixed" else 2 for k in ks) <= 6))
+    orbits = [[f"f{u}"] if k == "fixed" else [f"a{u}", f"b{u}"]
+              for u, k in enumerate(kinds)]
+    pairs = []
+    for u, low in enumerate(orbits):
+        for high in orbits[u + 1:]:
+            if len(low) == len(high) == 2:
+                families = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+            else:
+                families = [[(i, j) for i in range(len(low))
+                             for j in range(len(high))]]
+            for family in families:
+                if draw(st.booleans()):
+                    pairs.extend((low[i], high[j]) for i, j in family)
+    space = validate_space([p for orbit in orbits for p in orbit], pairs)
+    swap = {p: p for orbit in orbits for p in orbit}
+    for orbit in orbits:
+        if len(orbit) == 2:
+            swap[orbit[0]], swap[orbit[1]] = orbit[1], orbit[0]
+    if "pair" in kinds and draw(st.booleans()):
+        action = validate_action(space, [swap])
+        return space, action, HomogeneousClass.all_types(action)
+    return space, GroupAction.trivial(space), None
+
+
+def brute_force_value(query):
+    """Minimum over admissible A0 of the oracle cover of A minus A0.
+
+    The members are tested one by one with ``is_categorical`` and
+    ``is_G_deformable`` (checked against the oracles elsewhere); only the
+    covering is brute force here.
+    """
+    space, action, klass, mode = (query.space, query.action, query.klass,
+                                  query.mode)
+    sets = space.down_sets() if mode == "closed" else space.up_sets()
+    members = [m for m in sets if m and action.is_invariant(m)
+               and is_categorical(m, space, action, klass,
+                                  with_certificate=False)[0]]
+    a0s = [0]
+    if mode in ("pair", "mod", "semi"):
+        required = query.A & query.Y if mode != "pair" else 0
+        a0s = [m for m in space.up_sets()
+               if action.is_invariant(m) and required & ~m == 0
+               and is_G_deformable(action, m, query.Y,
+                                   mod=mode == "mod") is not None]
+    sizes = [len(c) for c in (oracle_min_cover(query.A & ~a0, members)
+                              for a0 in a0s) if c is not None]
+    return min(sizes) if sizes else INFINITE
+
+
+@given(acted_spaces(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_mode_matches_brute_force(acted, data):
+    space, action, klass = acted
+    full = space.full_mask()
+    A = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
+    Y = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
+    for mode in ("plain", "closed", "pair", "mod", "semi"):
+        query = CatQuery(space, A=A, Y=Y if mode in ("pair", "mod", "semi")
+                         else 0, mode=mode, action=action, klass=klass)
+        result = cover_category(query)
+        assert result.value == brute_force_value(query), mode
+        assert result.verify()
 
 
 # -- structural checkers ---------------------------------------------------

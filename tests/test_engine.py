@@ -1,7 +1,8 @@
 import pytest
 
 from lscat import fixtures as fx
-from lscat.action import GroupAction
+from lscat.action import GroupAction, HomogeneousClass, validate_action
+from lscat.category import INFINITE, CatQuery, cover_category
 from lscat.dynamics import DynamicalPair
 from lscat.engine import (
     HypothesisUnmet,
@@ -41,6 +42,35 @@ def test_truncation_coherence(c4, trivial_c4):
     small = make_truncated_index("category", 3, trivial_c4)
     for A in range(c4.full_mask() + 1):
         assert min(big(A), 3) == small(A)
+
+
+def _fresh_index_value(kind, cap, space, generators, A, Y):
+    """The truncated index value from a query on a freshly built action."""
+    action = validate_action(space, generators)
+    GA, GY = action.saturate(A), action.saturate(Y)
+    mode = {"category": "plain", "pair_category": "pair",
+            "mod_category": "mod"}[kind]
+    value = cover_category(CatQuery(
+        space, A=GA, Y=GY if kind != "category" else 0, mode=mode,
+        action=action, klass=HomogeneousClass.default(action))).value
+    return cap if value is INFINITE else min(value, cap)
+
+
+@pytest.mark.parametrize("kind", ["category", "pair_category",
+                                  "mod_category"])
+@pytest.mark.parametrize("generators", [[], [fx.conjugation_generator()]],
+                         ids=["trivial", "conjugation"])
+def test_truncated_index_reads_only_saturations(c4, kind, generators):
+    action = validate_action(c4, generators)
+    nu = make_truncated_index(kind, 5, action)
+    full = c4.full_mask()
+    for A in range(full + 1):
+        by_saturation = {}  # Ys of equal saturation share one value
+        for Y in range(full + 1):
+            value = nu(A, Y)
+            GY = 0 if kind == "category" else action.saturate(Y)
+            assert by_saturation.setdefault(GY, value) == value, (A, Y)
+            assert value == _fresh_index_value(kind, 5, c4, generators, A, Y)
 
 
 def test_axioms_pass_for_all_kinds_on_v(v_space):

@@ -259,6 +259,26 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
     assert digest == NUMERIC_DIGESTS[fixture, tau]
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_emit_report_writes_non_finite_floats_as_strings():
+    report = {"values": [float("inf"), float("-inf"), float("nan"), 1.5]}
+    out = emit_report(report, "structured")
+    assert json.loads(out, parse_constant=_reject_constant) == {
+        "values": ["inf", "-inf", "nan", 1.5]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+def test_numeric_overflow_report_is_strict_json(capsys):
+    # the flow overflows at this horizon, so the energy drops are -inf
+    assert main(["numeric", "ps-check", "--tau", "1e300", "--n-max", "10",
+                 "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert [r["drop"] for r in doc["report"]["results"]] == ["-inf", "-inf"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--tau", "nan"], ["--tau", "inf"], ["--tau", "-1"], ["--tau", "0"],
     ["--n-max", "0"], ["--n-max", "-5"], ["--fixture", "bogus"],

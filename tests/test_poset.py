@@ -193,6 +193,18 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         assert ok == oracle_contractible(wedge2, mask)
 
 
+def test_core_is_computed_once_per_space(c4, wedge2):
+    for space in (c4, wedge2):
+        result = core(space)
+        assert core(space) is result
+        result.fence.validate()
+        assert result.retraction.compose(result.inclusion).is_identity()
+    # an equal space built separately keeps its own, equal core
+    again = core(fx.fix_c4())
+    assert again is not core(c4)
+    assert again.core == core(c4).core
+
+
 def test_core_v_is_point(v_space):
     result = core(v_space)
     assert len(result.core) == 1
