@@ -121,7 +121,10 @@ class GroupAction:
         raise AssertionError
 
     def saturate(self, A):
-        """GA: the union of all orbits meeting A."""
+        """GA: the union of all orbits meeting A (A itself for the
+        trivial group)."""
+        if self.is_trivial():
+            return A
         if isinstance(A, Subset):
             mask = A.mask
         else:
@@ -131,10 +134,10 @@ class GroupAction:
             out |= self.orbit_mask(i)
         return out if not isinstance(A, Subset) else Subset(self.space, out)
 
-    def is_invariant(self, mask):
-        return self.saturate(mask if isinstance(mask, int) else mask.mask) == (
-            mask if isinstance(mask, int) else mask.mask
-        )
+    def is_invariant(self, A):
+        """Is A (a mask or a Subset) a union of orbits?"""
+        mask = A.mask if isinstance(A, Subset) else A
+        return self.saturate(mask) == mask
 
     def stabilizer(self, i):
         """Point stabiliser as a frozenset of element indices."""

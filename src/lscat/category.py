@@ -8,6 +8,14 @@ of its members, so an exact minimum cover is a lookup; the pair, mod and
 semi modes take the least lookup over the deformable A0.  Every result
 carries a certificate that re-validates from scratch.
 
+The categorical and deformable families are down-closed among invariant
+sets (a member's fence restricts to any invariant sub-open, or closed
+subset), so their catalogues keep only the maximal members: a minimum
+cover, and a best A0, can always be taken among them.  These are found
+top-down, by decreasing size and then by mask, and that order, with the
+union closure's, fixes which of several equal covers is reported.  The
+classB family is not down-closed and lists every member.
+
 The shared infinity token and its comparison conventions
 (inf >= inf, inf >= n, inf >= inf - n, 0 >= n - inf) live here and are
 used by every verifier.
@@ -420,47 +428,65 @@ def invariant_down_sets(space, action):
             and full ^ m]
 
 
+def _maximal_members(candidates, test):
+    """Maximal members of a down-closed family, with their certificates.
+
+    ``test(m)`` returns m's certificate, or None when m is no member.
+    The candidates are walked by decreasing size, then by mask, and a set
+    inside a member already found is skipped untested; so every member
+    kept is maximal and, the family being down-closed, every maximal one
+    is kept.  The result is a dict in that walk order.
+    """
+    found = {}
+    for m in sorted(candidates, key=lambda m: (-m.bit_count(), m)):
+        if any(m & ~f == 0 for f in found):
+            continue
+        cert = test(m)
+        if cert is not None:
+            found[m] = cert
+    return found
+
+
 def categorical_open_catalog(space, action, klass, node_cap=None):
+    """Cover table of the maximal categorical invariant opens."""
     key = ("cat-open", klass.key())
 
     def build():
-        out = []
-        for m in invariant_up_sets(space, action):
-            ok, _ = _categorical_cached(space, action, klass, m, node_cap)
-            if ok:
-                out.append(m)
-        return CoverTable(out)
+        return CoverTable(_maximal_members(
+            invariant_up_sets(space, action),
+            lambda m: _categorical_cached(space, action, klass, m,
+                                          node_cap)[1],
+        ))
 
     return _cache(action, key, build)
 
 
 def categorical_closed_catalog(space, action, klass, node_cap=None):
+    """Cover table of the maximal categorical invariant closed sets."""
     key = ("cat-closed", klass.key())
 
     def build():
-        out = []
-        for m in invariant_down_sets(space, action):
-            ok, _ = is_categorical(m, space, action, klass,
-                                   node_cap=node_cap, with_certificate=False)
-            if ok:
-                out.append(m)
-        return CoverTable(out)
+        return CoverTable(_maximal_members(
+            invariant_down_sets(space, action),
+            lambda m: _categorical_cached(space, action, klass, m,
+                                          node_cap)[1],
+        ))
 
     return _cache(action, key, build)
 
 
 def deformable_open_catalog(space, action, Y_mask, mod, node_cap=None):
-    """Invariant opens deformable to Y (mod Y when ``mod``); includes 0."""
+    """Maximal invariant opens deformable to Y (mod Y when ``mod``), each
+    with its fence; just ``{0: _EMPTY_DEFORMATION}`` when no nonempty
+    open deforms."""
     key = ("deformable", Y_mask, mod)
 
     def build():
-        out = {0: _EMPTY_DEFORMATION}
-        for m in invariant_up_sets(space, action):
-            fence = is_G_deformable(action, m, Y_mask, mod=mod,
-                                    node_cap=node_cap)
-            if fence is not None:
-                out[m] = fence
-        return out
+        return _maximal_members(
+            invariant_up_sets(space, action),
+            lambda m: is_G_deformable(action, m, Y_mask, mod=mod,
+                                      node_cap=node_cap),
+        ) or {0: _EMPTY_DEFORMATION}
 
     return _cache(action, key, build)
 

@@ -441,7 +441,12 @@ def verify_prop_app(field, config, n_max=10_000, family=None,
                 inside = False
         except LeftDomain:
             inside = False
-    fixed = moved <= 1e-6 * (1.0 + float(np.linalg.norm(limit)))
+    scale = 1e-6 * (1.0 + float(np.linalg.norm(limit)))
+    # once the step leaves RK4's stable range a fixed point of the
+    # numerical flow map need not be critical, so the gradient must
+    # vanish there too
+    at_rest = (moved <= scale
+               and float(np.linalg.norm(field.grad(limit))) <= scale)
     return {
         "tau": tau,
         "chain_ok": bool(chain_ok),
@@ -450,7 +455,7 @@ def verify_prop_app(field, config, n_max=10_000, family=None,
         "rest_point_estimate": list(map(float, limit)),
         "rest_point_in_domain": inside,
         "rest_point_moved": moved,
-        "conclusion_ok": bool(inside and fixed),
+        "conclusion_ok": bool(inside and at_rest),
     }
 
 

@@ -262,14 +262,8 @@ class Subset:
     def __sub__(self, other):
         return Subset(self.space, self.mask & ~other.mask)
 
-    def complement(self):
-        return Subset(self.space, self.space.full_mask() ^ self.mask)
-
     def is_open(self):
         return self.space.is_up_set(self.mask)
-
-    def is_closed(self):
-        return self.space.is_down_set(self.mask)
 
     def closure(self):
         """Smallest closed (down-) set containing the subset."""

@@ -210,9 +210,6 @@ class Cochain:
     def __add__(self, other):
         return Cochain(self.complex, self.dim, self.coeffs ^ other.coeffs)
 
-    def is_zero(self):
-        return not self.coeffs.any()
-
 
 def coboundary_matrix(K, d):
     """delta: C^d -> C^{d+1} over GF(2); rows = (d+1)-simplices."""

@@ -42,6 +42,20 @@ def test_saturate_examples(conjugation, c4):
     assert trivial.saturate(mask) == mask
 
 
+def test_saturate_trivial_group_returns_its_input(conjugation, c4):
+    trivial = GroupAction.trivial(c4)
+    for mask in range(c4.full_mask() + 1):
+        assert trivial.saturate(mask) == mask
+        assert trivial.is_invariant(mask)
+    sub = c4.subset(["p", "U"])
+    assert trivial.saturate(sub) is sub
+    assert trivial.is_invariant(sub)
+    # a nontrivial action still adds the missing orbit points
+    assert conjugation.saturate(sub) == c4.subset(["p", "U", "L"])
+    assert conjugation.saturate(sub.mask) == c4.subset(["p", "U", "L"]).mask
+    assert not conjugation.is_invariant(sub)
+
+
 def test_saturate_idempotent_monotone_unions(conjugation, c4):
     full = c4.full_mask()
     for a in range(full + 1):

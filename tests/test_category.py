@@ -7,9 +7,11 @@ from lscat.action import (
     HomogeneousClass,
     is_G_deformable,
     validate_action,
+    _EMPTY_DEFORMATION,
 )
 from lscat.category import (
     CatQuery,
+    CoverEntry,
     CoverTable,
     HypothesisUnmet,
     INFINITE,
@@ -28,8 +30,14 @@ from lscat.category import (
     value_add,
     value_ge,
     value_ge_diff,
+    categorical_closed_catalog,
+    categorical_open_catalog,
+    deformable_open_catalog,
+    _categorical_cached,
+    _check_deformation_certificate,
+    _factor_targets,
 )
-from lscat.poset import SpaceMap, validate_space
+from lscat.poset import SpaceMap, bits, validate_space
 
 from oracles import oracle_cat, oracle_min_cover
 
@@ -299,6 +307,60 @@ def test_every_mode_matches_brute_force(acted, data):
         result = cover_category(query)
         assert result.value == brute_force_value(query), mode
         assert result.verify()
+
+
+@given(acted_spaces(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_catalogues_are_the_maximal_members(acted, data):
+    space, action, klass = acted
+    klass = klass or HomogeneousClass.point_only(action)
+    full = space.full_mask()
+    Y = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
+    opens = [m for m in space.up_sets() if m and action.is_invariant(m)]
+    closeds = [m for m in space.down_sets() if m and action.is_invariant(m)]
+
+    def categorical(m):
+        return is_categorical(m, space, action, klass,
+                              with_certificate=False)[0]
+
+    def deforms(mod):
+        return lambda m: is_G_deformable(action, m, Y, mod=mod) is not None
+
+    cases = [
+        ("open", opens, categorical,
+         categorical_open_catalog(space, action, klass).members),
+        ("closed", closeds, categorical,
+         categorical_closed_catalog(space, action, klass).members),
+        ("pair", opens, deforms(False),
+         deformable_open_catalog(space, action, Y, False)),
+        ("mod", opens, deforms(True),
+         deformable_open_catalog(space, action, Y, True)),
+    ]
+    for name, sets, test, members in cases:
+        family = {m for m in sets if test(m)}
+        for m in family:  # down-closed among invariant sets
+            assert all(s in family for s in sets if s & ~m == 0), name
+        maximal = [m for m in family
+                   if not any(m != f and m & ~f == 0 for f in family)]
+        if name in ("pair", "mod") and not maximal:
+            assert dict(members) == {0: _EMPTY_DEFORMATION}, name
+            continue
+        # exactly the maximal members, by decreasing size, then by mask
+        assert list(members) == sorted(
+            maximal, key=lambda m: (-m.bit_count(), m)), name
+        for m in members:
+            if name in ("open", "closed"):
+                ok, fence = _categorical_cached(space, action, klass, m)
+                assert ok
+                fence.validate()
+                assert fence.start.images == tuple(bits(m))
+                assert fence.end.images in _factor_targets(m, action, klass)
+            else:
+                # starts at the inclusion, ends in Y (mod Y for mod)
+                query = CatQuery(space, A=m, Y=Y, mode=name, action=action,
+                                 klass=klass)
+                _check_deformation_certificate(
+                    query, CoverEntry(m, "deformable", members[m]))
 
 
 # -- structural checkers ---------------------------------------------------

@@ -259,6 +259,18 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
     assert digest == NUMERIC_DIGESTS[fixture, tau]
 
 
+def test_numeric_false_rest_point_is_not_a_conclusion(capsys):
+    # at tau 1e6 the step tau/1000 leaves RK4's stable range and the
+    # iterated flow stalls at [1, 0], where the gradient is (2, 0)
+    assert main(["numeric", "ps-check", "--fixture", "quadratic",
+                 "--tau", "1e6", "--n-max", "10",
+                 "--format", "structured"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["rest_point_estimate"] == [1.0, 0.0]
+    assert report["rest_point_moved"] == 0.0
+    assert report["conclusion_ok"] is False
+
+
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
