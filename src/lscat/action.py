@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .poset import (
     FenceCertificate,
+    SizeCapExceeded,
     SpaceMap,
     Subset,
     bits,
@@ -17,7 +18,7 @@ from .poset import (
     validate_space,
 )
 
-GROUP_CAP = 48
+GROUP_CAP = 48  # elements of a group
 
 
 class NotAnAutomorphism(ValueError):
@@ -30,10 +31,6 @@ class NotAnAutomorphism(ValueError):
         )
 
 
-class GroupTooLarge(RuntimeError):
-    pass
-
-
 class GroupAction:
     """A finite group acting on a finite space by order automorphisms.
 
@@ -44,7 +41,7 @@ class GroupAction:
     __slots__ = ("space", "generators", "elements", "_orbits", "_subgroups",
                  "_caches")
 
-    def __init__(self, space, generators, cap=GROUP_CAP):
+    def __init__(self, space, generators):
         self.space = space
         n = len(space)
         gens = [tuple(g) for g in generators]
@@ -65,8 +62,11 @@ class GroupAction:
             for g in gens:
                 nxt = tuple(g[v] for v in cur)
                 if nxt not in elements:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"group exceeds cap {cap}")
+                    if len(elements) >= GROUP_CAP:
+                        raise SizeCapExceeded(
+                            f"GroupAction: the group has more elements than "
+                            f"lscat.action.GROUP_CAP = {GROUP_CAP}"
+                        )
                     elements.add(nxt)
                     frontier.append(nxt)
         self.generators = tuple(gens)
@@ -346,7 +346,7 @@ def G_fence_search(start, action, domain_parent_indices, **kw):
     return fence_search(start, orbits=orbits, act=ctx, **kw)
 
 
-def G_homotopic(g1, g2, action, node_cap=None):
+def G_homotopic(g1, g2, action):
     """Fence through equivariant maps only, or None."""
     for g in (g1, g2):
         if g.codomain != action.space:
@@ -365,9 +365,7 @@ def G_homotopic(g1, g2, action, node_cap=None):
                 raise ValueError("maps must be equivariant")
     if g1 == g2:
         return FenceCertificate([g1])
-    return G_fence_search(
-        g1, action, parents, targets={g2.images}, node_cap=node_cap
-    )
+    return G_fence_search(g1, action, parents, targets={g2.images})
 
 
 def _is_equivariant_partial(phi, action, parents):
@@ -387,7 +385,7 @@ def inclusion_map(space, mask):
     return SpaceMap(sub, space, idx), idx
 
 
-def is_G_deformable(action, W_mask, Y_mask, mod=False, node_cap=None):
+def is_G_deformable(action, W_mask, Y_mask, mod=False):
     """Is the open W G-deformable to Y (mod Y)?  Returns a fence or None.
 
     mod: every stage sends W & Y into Y and the final image lies in Y.
@@ -411,8 +409,7 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False, node_cap=None):
         return m & ~Y_mask == 0
 
     return G_fence_search(
-        incl, action, parents,
-        target_pred=target, stage_ok=stage_ok, node_cap=node_cap,
+        incl, action, parents, target_pred=target, stage_ok=stage_ok,
     )
 
 
@@ -429,7 +426,7 @@ class _EmptyDeformation:
 _EMPTY_DEFORMATION = _EmptyDeformation()
 
 
-def orbit_equivalent(action, i, j, f_values, node_cap=None):
+def orbit_equivalent(action, i, j, f_values):
     """Orbit equivalence for a function f: equal f-value, same orbit
     type, and each orbit equivariantly deformable into the other."""
     oi, oj = action.orbit_of(i), action.orbit_of(j)
@@ -444,12 +441,12 @@ def orbit_equivalent(action, i, j, f_values, node_cap=None):
     maskj = sum(1 << k for k in oj)
     maski = sum(1 << k for k in oi)
     return (
-        _orbit_deformable(action, oi, maskj, node_cap) and
-        _orbit_deformable(action, oj, maski, node_cap)
+        _orbit_deformable(action, oi, maskj) and
+        _orbit_deformable(action, oj, maski)
     )
 
 
-def _orbit_deformable(action, orbit, target_mask, node_cap):
+def _orbit_deformable(action, orbit, target_mask):
     space = action.space
     mask = sum(1 << k for k in orbit)
     incl, parents = inclusion_map(space, mask)
@@ -458,7 +455,7 @@ def _orbit_deformable(action, orbit, target_mask, node_cap):
         return all(target_mask >> v & 1 for v in images)
 
     return G_fence_search(
-        incl, action, parents, target_pred=target, node_cap=node_cap
+        incl, action, parents, target_pred=target
     ) is not None
 
 

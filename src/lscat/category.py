@@ -251,7 +251,7 @@ def _check_iso_certificate(query, entry):
 # -- categorical sets ----------------------------------------------------
 
 
-def is_categorical(mask, space, action=None, klass=None, node_cap=None,
+def is_categorical(mask, space, action=None, klass=None,
                    with_certificate=True):
     """Does the inclusion factor, up to equivariant fence, through an
     admissible homogeneous orbit?
@@ -267,16 +267,12 @@ def is_categorical(mask, space, action=None, klass=None, node_cap=None,
         return False, None
     if action.is_trivial():
         return is_contractible_in(Subset(space, mask), space,
-                                  node_cap=node_cap,
                                   with_certificate=with_certificate)
     targets = _factor_targets(mask, action, klass)
     if not targets:
         return False, None
     incl, parents = inclusion_map(space, mask)
-    fence = G_fence_search(
-        incl, action, parents,
-        targets=set(targets), node_cap=node_cap,
-    )
+    fence = G_fence_search(incl, action, parents, targets=set(targets))
     if fence is None:
         return False, None
     return True, (fence if with_certificate else None)
@@ -408,13 +404,13 @@ def _cache(action, key, builder):
     return cache[key]
 
 
-def _categorical_cached(space, action, klass, mask, node_cap=None):
+def _categorical_cached(space, action, klass, mask):
     """Memoised is_categorical with certificate (production path only;
     certificate re-validation always recomputes from scratch)."""
     return _cache(
         action,
         ("cat-cert", klass.key(), mask),
-        lambda: is_categorical(mask, space, action, klass, node_cap=node_cap),
+        lambda: is_categorical(mask, space, action, klass),
     )
 
 
@@ -447,35 +443,33 @@ def _maximal_members(candidates, test):
     return found
 
 
-def categorical_open_catalog(space, action, klass, node_cap=None):
+def categorical_open_catalog(space, action, klass):
     """Cover table of the maximal categorical invariant opens."""
     key = ("cat-open", klass.key())
 
     def build():
         return CoverTable(_maximal_members(
             invariant_up_sets(space, action),
-            lambda m: _categorical_cached(space, action, klass, m,
-                                          node_cap)[1],
+            lambda m: _categorical_cached(space, action, klass, m)[1],
         ))
 
     return _cache(action, key, build)
 
 
-def categorical_closed_catalog(space, action, klass, node_cap=None):
+def categorical_closed_catalog(space, action, klass):
     """Cover table of the maximal categorical invariant closed sets."""
     key = ("cat-closed", klass.key())
 
     def build():
         return CoverTable(_maximal_members(
             invariant_down_sets(space, action),
-            lambda m: _categorical_cached(space, action, klass, m,
-                                          node_cap)[1],
+            lambda m: _categorical_cached(space, action, klass, m)[1],
         ))
 
     return _cache(action, key, build)
 
 
-def deformable_open_catalog(space, action, Y_mask, mod, node_cap=None):
+def deformable_open_catalog(space, action, Y_mask, mod):
     """Maximal invariant opens deformable to Y (mod Y when ``mod``), each
     with its fence; just ``{0: _EMPTY_DEFORMATION}`` when no nonempty
     open deforms."""
@@ -484,8 +478,7 @@ def deformable_open_catalog(space, action, Y_mask, mod, node_cap=None):
     def build():
         return _maximal_members(
             invariant_up_sets(space, action),
-            lambda m: is_G_deformable(action, m, Y_mask, mod=mod,
-                                      node_cap=node_cap),
+            lambda m: is_G_deformable(action, m, Y_mask, mod=mod),
         ) or {0: _EMPTY_DEFORMATION}
 
     return _cache(action, key, build)
@@ -608,7 +601,7 @@ def min_cover(target_mask, candidate_masks):
 # -- the main entry point -------------------------------------------------
 
 
-def cover_category(query, node_cap=None):
+def cover_category(query):
     """Compute the requested category variant with certificates.
 
     Plain, closed and classB values are one lookup in the catalogue's
@@ -619,18 +612,17 @@ def cover_category(query, node_cap=None):
     if query.mode == "classB":
         table, role = classB_catalog(space, action, query.class_b), "iso"
     elif query.mode == "closed":
-        table = categorical_closed_catalog(space, action, klass, node_cap)
+        table = categorical_closed_catalog(space, action, klass)
         role = "categorical"
     else:
-        table = categorical_open_catalog(space, action, klass, node_cap)
+        table = categorical_open_catalog(space, action, klass)
         role = "categorical"
     entries = []
     if query.mode in ("plain", "closed", "classB"):
         cover = table.cover(query.A)
     else:
         deform = deformable_open_catalog(
-            space, action, query.Y, mod=(query.mode == "mod"),
-            node_cap=node_cap,
+            space, action, query.Y, mod=(query.mode == "mod")
         )
         required = query.A & query.Y if query.mode in ("mod", "semi") else 0
         best = None
@@ -649,7 +641,7 @@ def cover_category(query, node_cap=None):
         return CatResult(query, INFINITE, ())
     for m in cover:
         cert = None if role == "iso" else _categorical_cached(
-            space, action, klass, m, node_cap)[1]
+            space, action, klass, m)[1]
         entries.append(CoverEntry(m, role, cert))
     return CatResult(query, len(cover), entries)
 
@@ -695,7 +687,7 @@ def cat_classB(space, class_b, A=None, action=None):
 # -- structural checkers ---------------------------------------------------
 
 
-def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
+def check_preimage_categorical(phi, U, action=None, klass=None):
     """For a homotopy equivalence phi and a categorical open U, certify
     that the preimage is again an open categorical set.
 
@@ -710,7 +702,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
         raise HypothesisUnmet("homotopy_equivalence")
     if not space.is_up_set(U_mask):
         raise HypothesisUnmet("open")
-    ok, u_cert = is_categorical(U_mask, space, action, klass, node_cap)
+    ok, u_cert = is_categorical(U_mask, space, action, klass)
     if not ok:
         raise HypothesisUnmet("categorical")
     pre_mask = phi.preimage_mask(U_mask)
@@ -723,8 +715,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
     incl_pre, pre_parents = inclusion_map(space, pre_mask)
     # fence 1: incl ~ (psi o phi) o incl, restricted to the preimage
     psiphi = psi.compose(phi)
-    outer = fence_search(SpaceMap.identity(space), targets={psiphi.images},
-                         node_cap=node_cap)
+    outer = fence_search(SpaceMap.identity(space), targets={psiphi.images})
     if outer is None:  # cannot happen for a genuine equivalence
         raise HypothesisUnmet("homotopy_equivalence")
     part1 = outer.compose_right(incl_pre)
@@ -738,7 +729,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
     part2 = u_cert.compose_left(psi).compose_right(phi_restr)
     full = concat_fences(part1, part2)
     full.validate()
-    ok2, _ = is_categorical(pre_mask, space, action, klass, node_cap,
+    ok2, _ = is_categorical(pre_mask, space, action, klass,
                             with_certificate=False)
     return {
         "preimage": Subset(space, pre_mask),
@@ -748,7 +739,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None, node_cap=None):
     }
 
 
-def closed_category_report(A, space, action=None, klass=None, node_cap=None):
+def closed_category_report(A, space, action=None, klass=None):
     """Compare the four open/closed category quantities for a closed A.
 
     Asserting the full chain needs normality; finite non-discrete models
@@ -764,18 +755,16 @@ def closed_category_report(A, space, action=None, klass=None, node_cap=None):
     sub_action, sub_klass = _induced(action, klass, sub, idx)
 
     value_in_sub = cover_category(
-        CatQuery(sub, action=sub_action, klass=sub_klass), node_cap
+        CatQuery(sub, action=sub_action, klass=sub_klass)
     ).value
     closed_in_sub = cover_category(
-        CatQuery(sub, mode="closed", action=sub_action, klass=sub_klass),
-        node_cap,
+        CatQuery(sub, mode="closed", action=sub_action, klass=sub_klass)
     ).value
     closed_in_x = cover_category(
-        CatQuery(space, A=A_mask, mode="closed", action=action, klass=klass),
-        node_cap,
+        CatQuery(space, A=A_mask, mode="closed", action=action, klass=klass)
     ).value
     open_in_x = cover_category(
-        CatQuery(space, A=A_mask, action=action, klass=klass), node_cap
+        CatQuery(space, A=A_mask, action=action, klass=klass)
     ).value
 
     verdicts = {

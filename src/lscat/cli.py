@@ -54,16 +54,16 @@ def cmd_space_validate(args):
         with open(args.file) as fh:
             doc = json.load(fh)
         space = parse_space(doc.get("space", doc), args.file)
+        report = {
+            "points": list(space.points),
+            "relation": space.relation_pairs(),
+            "open_sets": len(space.up_sets()),
+            "discrete": space.is_discrete(),
+        }
     except (ParseError, ValidationError, NotAPartialOrder, EmptySpace,
-            OSError, json.JSONDecodeError) as err:
+            SizeCapExceeded, OSError, json.JSONDecodeError) as err:
         print(f"invalid: {err}", file=sys.stderr)
         return 2
-    report = {
-        "points": list(space.points),
-        "relation": space.relation_pairs(),
-        "open_sets": len(space.up_sets()),
-        "discrete": space.is_discrete(),
-    }
     _print_report(report, args.format)
     return 0
 

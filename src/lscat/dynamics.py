@@ -42,6 +42,9 @@ from .poset import (
 )
 
 
+PS_CROSSCHECK_CAP = 12  # |Y| up to which the Palais-Smale check enumerates
+
+
 class FenceNotFound(RuntimeError):
     pass
 
@@ -101,14 +104,14 @@ def is_lyapunov(pair):
     return True, None
 
 
-def check_discrete_palais_smale(pair, Y=None, exhaustive_cap=12):
+def check_discrete_palais_smale(pair, Y=None):
     """Discrete Palais-Smale condition on Y for a finite-space pair.
 
     On a finite space the infimum of the decrement f - f o phi over any
     subset is attained, so the condition reduces to the Lyapunov
     property: an attained zero decrement is a fixed point inside the
     subset, hence inside its closure.  The exhaustive cross-check
-    enumerates subsets when the space is small enough.
+    enumerates the subsets of Y when |Y| is at most PS_CROSSCHECK_CAP.
     """
     Y_mask = pair.space.full_mask() if Y is None else (
         Y.mask if isinstance(Y, Subset) else Y
@@ -128,7 +131,7 @@ def check_discrete_palais_smale(pair, Y=None, exhaustive_cap=12):
         report["analysis"] = "not a Lyapunov pair"
         return report
     n_y = Y_mask.bit_count()
-    if n_y <= exhaustive_cap:
+    if n_y <= PS_CROSSCHECK_CAP:
         checked = 0
         for sub in _submasks(Y_mask):
             if not sub:
@@ -154,11 +157,10 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
-def minimal_escape_power(pair, source_mask, target_mask, power_cap=None):
-    """Least n with phi^n(source) inside target; None if cap exceeded."""
-    cap = power_cap if power_cap is not None else 2 * len(pair.space) + len(
-        set(pair.f)
-    ) + 2
+def minimal_escape_power(pair, source_mask, target_mask):
+    """Least n with phi^n(source) inside target; None past the power cap
+    2|X| + #f(X) + 2."""
+    cap = 2 * len(pair.space) + len(set(pair.f)) + 2
     current = source_mask
     for n in range(cap + 1):
         if current & ~target_mask == 0:
@@ -440,7 +442,7 @@ def _band_mask(pair, a, b):
     )
 
 
-def find_identity_fence(pair, action, preserve_mask=None, node_cap=None):
+def find_identity_fence(pair, action, preserve_mask=None):
     """Equivariant fence from the identity to phi, optionally through
     maps preserving a sublevel mask at every stage."""
     space = pair.space
@@ -457,12 +459,11 @@ def find_identity_fence(pair, action, preserve_mask=None, node_cap=None):
 
     return G_fence_search(
         ident, action, tuple(range(len(space))),
-        targets={pair.phi.images}, stage_ok=stage_ok, node_cap=node_cap,
+        targets={pair.phi.images}, stage_ok=stage_ok,
     )
 
 
-def verify_identity_band_bound(pair, a, b, action=None, klass=None,
-                               fence=None, node_cap=None):
+def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     """Band bounds for maps homotopic to the identity.
 
     Strengthens the difference bound to the pair, semi and mod variants
@@ -473,12 +474,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None,
     space = pair.space
     report = TheoremReport("identity_band_bound", space)
     _base_hypotheses(report, pair, action)
-    if fence is None:
-        fence = find_identity_fence(pair, action, node_cap=node_cap)
-    else:
-        fence.validate()
-        if not fence.start.is_identity() or fence.end != pair.phi:
-            raise ValueError("fence must run from the identity to phi")
+    fence = find_identity_fence(pair, action)
     if fence is None:
         raise FenceNotFound("no equivariant fence from the identity to phi")
     report.hypothesis("homotopic_to_identity", "checked", True,
@@ -521,15 +517,11 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None,
         + ("" if a in fixed_levels else
            " (low cut misses the critical values)"),
     )
-    preserving = None
-    if fence is not None and all(
+    preserving = fence
+    if not all(
         fa_mask >> m.images[i] & 1 for m in fence.maps for i in bits(fa_mask)
     ):
-        preserving = fence
-    if preserving is None:
-        preserving = find_identity_fence(
-            pair, action, preserve_mask=fa_mask, node_cap=node_cap
-        )
+        preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
     report.hypothesis(
         "sublevel_preserving_homotopy", "checked", preserving is not None,
         note="a fence to the identity whose stages keep the low sublevel "
@@ -634,8 +626,7 @@ def verify_global_bound(pair, b, action=None, klass=None):
     return report
 
 
-def detect_nondeformable_slice(pair, a, b, action=None, klass=None,
-                               node_cap=None):
+def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
     """When the band has fewer critical levels than the category
     difference, exhibit a fixed slice that no equivariant fence deforms
     into a single orbit inside the band preimage."""
@@ -677,9 +668,7 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None,
             def target(images, om=omask):
                 return all(om >> v & 1 for v in images)
 
-            fence = G_fence_search(
-                incl, action, parents, target_pred=target, node_cap=node_cap
-            )
+            fence = G_fence_search(incl, action, parents, target_pred=target)
             tried.append(space.points[rep])
             if fence is not None:
                 deformable = True

@@ -35,6 +35,8 @@ from .poset import (
 )
 
 AXIOM_EXHAUSTIVE_CAP = 7  # points; beyond this check_axioms samples
+SUPERVARIANCE_EXHAUSTIVE_CAP = 12  # points; beyond this supervariance samples
+CHECK_SAMPLES = 512  # random draws of a sampled axiom or supervariance check
 INDEX_KINDS = ("category", "pair_category", "mod_category")
 AXIOM_MODES = ("exhaustive", "sampled", "assumed")
 
@@ -123,17 +125,15 @@ class AxiomReport:
         return f"AxiomReport({self.mode}, {flags})"
 
 
-def check_axioms(nu, sample=512, seed=0):
+def check_axioms(nu):
     """Monotonicity, continuity and mixed subadditivity.
 
     Exhaustive over all subset pairs up to the cap, otherwise randomised
-    sampling with the mode flagged in the report.
+    sampling (seed 0) with the mode flagged in the report.
     """
-    space = nu.space
-    n = len(space)
-    if n <= AXIOM_EXHAUSTIVE_CAP:
+    if len(nu.space) <= AXIOM_EXHAUSTIVE_CAP:
         return _check_axioms_exhaustive(nu)
-    return _check_axioms_sampled(nu, sample, seed)
+    return _check_axioms_sampled(nu, CHECK_SAMPLES, 0)
 
 
 def _check_axioms_exhaustive(nu):
@@ -241,17 +241,17 @@ def _witness(space, **kw):
     return out
 
 
-def check_supervariance(nu, phi, Z, exhaustive_cap=12, sample=512, seed=0):
+def check_supervariance(nu, phi, Z, seed=0):
     """nu(phi(A), Z) >= nu(A, Z) for all A; witness on failure."""
     space = nu.space
     Z = Z.mask if isinstance(Z, Subset) else Z
     n = len(space)
-    if n <= exhaustive_cap:
+    if n <= SUPERVARIANCE_EXHAUSTIVE_CAP:
         masks = range(1 << n)
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
-        masks = (rng.randrange(1 << n) for _ in range(sample))
+        masks = (rng.randrange(1 << n) for _ in range(CHECK_SAMPLES))
         mode = "sampled"
     for A in masks:
         img = phi.image_mask(A)
@@ -268,7 +268,7 @@ def check_supervariance(nu, phi, Z, exhaustive_cap=12, sample=512, seed=0):
 # -- the sublevel escape lemmas ---------------------------------------------
 
 
-def band_escape_exponent(pair, U, a, b, power_cap=None):
+def band_escape_exponent(pair, U, a, b):
     """Least n with phi^n(f^b minus U) inside f^a.
 
     Requires the band [a, b[ to be free of fixed points (U absorbs any
@@ -291,7 +291,7 @@ def band_escape_exponent(pair, U, a, b, power_cap=None):
             )
     source = pair.sublevel(b) & ~U_mask
     target = pair.sublevel(a)
-    n = minimal_escape_power(pair, source, target, power_cap)
+    n = minimal_escape_power(pair, source, target)
     if n is None:
         raise AssertionError("escape iteration failed to terminate")
     return n
@@ -421,8 +421,7 @@ def critical_values(nu, pair, a, b):
 # -- the main verifier ---------------------------------------------------------
 
 
-def verify_index_bound(nu, pair, a, b, axiom_mode="sampled",
-                       supervariance_mode="exhaustive", seed=0):
+def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
     """The counting inequality for a supervariant index function:
 
         nu(f^a, f^a) + sum over critical levels of nu(slice)
@@ -454,11 +453,7 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled",
             "witness": {k: v for k, v in rep.axioms.items() if not v["ok"]}
             or None,
         }
-    sup = check_supervariance(
-        nu, pair.phi, pair.sublevel(a),
-        exhaustive_cap=12 if supervariance_mode == "exhaustive" else 0,
-        seed=seed,
-    )
+    sup = check_supervariance(nu, pair.phi, pair.sublevel(a), seed=seed)
     hypotheses["supervariance"] = {"ok": sup["ok"], "mode": sup["mode"],
                                    "witness": sup["witness"]}
 
@@ -524,12 +519,12 @@ def random_space(rng, max_points=7):
     return validate_space(labels, pairs)
 
 
-def random_identity_homotopic_map(rng, space, moves=4):
-    """Compose up to ``moves`` comparable single-point mutations starting
+def random_identity_homotopic_map(rng, space):
+    """Compose up to four comparable single-point mutations starting
     from the identity; the mutation path is itself a fence, so the
     result is homotopic to the identity by construction."""
     images = list(range(len(space)))
-    for _ in range(rng.randint(1, moves)):
+    for _ in range(rng.randint(1, 4)):
         i = rng.randrange(len(space))
         cands = _mutation_candidates(space, space, tuple(images), i)
         if not cands:
@@ -551,8 +546,8 @@ def _eventually_fixed(space, phi):
     return True
 
 
-def random_instance(seed, max_points=7, cap_choices=(3, 4, 5)):
-    """A full engine instance: pair, truncated index, band.
+def random_instance(seed, max_points=7):
+    """A full engine instance: pair, truncated index (cap 3, 4 or 5), band.
 
     The map is fence-homotopic to the identity by construction and the
     value function decreases along trajectories (steps-to-fixation with
@@ -586,5 +581,5 @@ def random_instance(seed, max_points=7, cap_choices=(3, 4, 5)):
     b_opts = [v for v in values if v > a] + [values[-1] + 1.0]
     b = rng.choice(b_opts)
     action = GroupAction.trivial(space)
-    nu = make_truncated_index("category", rng.choice(cap_choices), action)
+    nu = make_truncated_index("category", rng.choice((3, 4, 5)), action)
     return pair, nu, a, b

@@ -17,7 +17,7 @@ from .category import INFINITE, MODES, CatQuery
 from .dynamics import DynamicalPair
 from .engine import AXIOM_MODES, INDEX_KINDS
 from .numeric import FIELD_REGISTRY
-from .poset import SpaceMap, validate_space
+from .poset import SizeCapExceeded, SpaceMap, validate_space
 
 
 class ParseError(ValueError):
@@ -118,7 +118,7 @@ def parse_action(space, doc, location="action"):
             raise ParseError(location, f"generator uses unknown points: {g!r}")
     try:
         return GroupAction.from_label_maps(space, gens)
-    except ValueError as err:
+    except (ValueError, SizeCapExceeded) as err:
         raise ValidationError(location, str(err))
 
 
@@ -272,24 +272,6 @@ def parse_queries(sc, doc, location):
             raise ValidationError(loc, str(err))
         out.append((q, query))
     return out
-
-
-def parse_complex(doc, location="complex"):
-    """Vertex strings plus maximal simplices; faces close automatically."""
-    from .simplicial import SimplicialComplex
-
-    try:
-        vertices = doc["vertices"]
-        maximal = doc["maximal"]
-    except (KeyError, TypeError) as err:
-        raise ParseError(location, f"missing field: {err}")
-    for s in maximal:
-        if not isinstance(s, (list, tuple)) or not s:
-            raise ParseError(location, f"simplices are nonempty lists: {s!r}")
-    try:
-        return SimplicialComplex(vertices, [tuple(s) for s in maximal])
-    except ValueError as err:
-        raise ValidationError(location, str(err))
 
 
 def parse_subset(space, doc, location="subset"):

@@ -14,6 +14,15 @@ import math
 
 import numpy as np
 
+# Thresholds of the heuristic checks.
+GRAD_TOL = 1e-2         # check_condition_C: a vanishing gradient norm
+CRIT_TOL = 1e-3         # check_condition_C: gradient norm at a critical point
+PROBE_TIME = 5.0        # check_condition_C: horizon of the descent probe
+GAP_TOL = 1e-4          # sampled Palais-Smale check: a vanishing decrement
+FIX_TOL = 1e-6          # sampled Palais-Smale check: relative fixed distance
+PROBE_ITERATIONS = 40   # sampled Palais-Smale check: orbit length
+LENGTH_TOLERANCE = 1.1  # verify_prop_app: factor on the path budget
+
 
 class DomainViolation(RuntimeError):
     pass
@@ -209,8 +218,7 @@ def check_energy_identity(field, m, config):
     return abs(drop - integral)
 
 
-def check_condition_C(field, samples, grad_tol=1e-2, crit_tol=1e-3,
-                      probe_time=5.0):
+def check_condition_C(field, samples):
     """Empirical Palais-Smale check on a finite sample set.
 
     Two heuristic triggers: samples with vanishing gradient norm must
@@ -238,21 +246,21 @@ def check_condition_C(field, samples, grad_tol=1e-2, crit_tol=1e-3,
     }
 
     def probe(start):
-        cfg = FlowConfig(probe_time, probe_time / 500.0)
+        cfg = FlowConfig(PROBE_TIME, PROBE_TIME / 500.0)
         try:
             end = flow_map(field, start, cfg).endpoint
         except LeftDomain as err:
             return None, err.t_exit
         return end, None
 
-    if smallest <= grad_tol:
+    if smallest <= GRAD_TOL:
         k = max(1, len(samples) // 10)
         cluster = [samples[i] for i in order[:k]]
         report["cluster"] = [list(map(float, c)) for c in cluster]
         end, exit_t = probe(cluster[0])
         if end is not None and float(
             np.linalg.norm(field.grad(end))
-        ) <= crit_tol:
+        ) <= CRIT_TOL:
             report["critical_estimate"] = list(map(float, end))
             report["note"] = (
                 "vanishing-gradient samples descend to an interior "
@@ -292,9 +300,7 @@ def _aitken_limit(orbit):
     return out
 
 
-def check_discrete_palais_smale_sampled(phi, f, samples, domain=None,
-                                        gap_tol=1e-4, fix_tol=1e-6,
-                                        probe_iterations=40):
+def check_discrete_palais_smale_sampled(phi, f, samples, domain=None):
     """Sampled analogue of the discrete condition for a numeric map.
 
     Finds sample subsequences whose decrement f - f o phi vanishes,
@@ -319,12 +325,12 @@ def check_discrete_palais_smale_sampled(phi, f, samples, domain=None,
         "verdict": "consistent",
         "cluster": None,
     }
-    if smallest > gap_tol:
+    if smallest > GAP_TOL:
         report["note"] = "decrement bounded away from zero on the samples"
         return report
     accumulation = samples[order[0]]
     orbit = [accumulation]
-    for _ in range(probe_iterations):
+    for _ in range(PROBE_ITERATIONS):
         orbit.append(np.asarray(phi(orbit[-1]), dtype=float))
     limit = _aitken_limit(orbit) if len(orbit) >= 3 else orbit[-1]
     inside = bool(domain(limit))
@@ -332,7 +338,7 @@ def check_discrete_palais_smale_sampled(phi, f, samples, domain=None,
         moved = float(np.linalg.norm(limit - phi(limit)))
     except Exception:
         moved = float("inf")
-    fixed = moved <= fix_tol * (1.0 + float(np.linalg.norm(limit)))
+    fixed = moved <= FIX_TOL * (1.0 + float(np.linalg.norm(limit)))
     report["cluster"] = [
         list(map(float, samples[i]))
         for i in order[: max(1, len(samples) // 10)]
@@ -349,15 +355,14 @@ def check_discrete_palais_smale_sampled(phi, f, samples, domain=None,
     return report
 
 
-def verify_prop_app(field, config, n_max=10_000, family=None,
-                    length_tolerance=1.1):
+def verify_prop_app(field, config, n_max=10_000, family=None):
     """The descent-flow chain behind the Palais-Smale bridge.
 
     For a family of start points whose drop over the horizon is below
     tau/n, verify: some intermediate time has squared gradient norm
     below 1/n, the endpoint values stay within the drop budget of the
     start values, and the path length up to that time is at most
-    tau/sqrt(n) (within the stated tolerance factor).
+    tau/sqrt(n) (within the factor LENGTH_TOLERANCE).
     """
     tau = config.tau
     ns = n_schedule(n_max)
@@ -414,7 +419,7 @@ def verify_prop_app(field, config, n_max=10_000, family=None,
             "path_length": float(lengths[idx]),
             "path_budget": float(tau / np.sqrt(n)),
             "path_ok": bool(
-                lengths[idx] <= length_tolerance * tau / np.sqrt(n)
+                lengths[idx] <= LENGTH_TOLERANCE * tau / np.sqrt(n)
             ),
             "stayed_in_domain": bool(alive[idx]),
         })

@@ -13,14 +13,14 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 
-# Exhaustive-operation guard rails.  Overridable per call, with a warning
-# when raised above the defaults.
-MAP_SPACE_CAP = 12        # |X| cap for hom-set enumeration / fence search
-SUBSET_SPACE_CAP = 16     # |X| cap for subset-exhaustive operations
-FENCE_NODE_CAP = 250_000  # explored maps per fence BFS
+# Exhaustive-operation guard rails, read at every call: an operation past
+# one raises SizeCapExceeded naming it, and raising the constant lifts it.
+MAP_SPACE_CAP = 12            # |X| cap for hom-set enumeration / homotopic
+SUBSET_SPACE_CAP = 16         # |X| cap for subset-exhaustive operations
+FENCE_NODE_CAP = 250_000      # explored maps per fence BFS
+MAP_ENUM_BUDGET = 2_000_000   # maps listed per hom-set enumeration
 
 
 class NotAPartialOrder(ValueError):
@@ -37,20 +37,8 @@ class EmptySpace(ValueError):
 
 
 class SizeCapExceeded(RuntimeError):
-    """An exhaustive operation was asked to run beyond its size cap."""
-
-
-def _check_cap(value, cap, default, what):
-    limit = default if cap is None else cap
-    if cap is not None and cap > default:
-        warnings.warn(
-            f"{what}: cap raised to {cap} (default {default}); "
-            "exhaustive operations may be slow",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if value > limit:
-        raise SizeCapExceeded(f"{what}: size {value} exceeds cap {limit}")
+    """An exhaustive operation was asked to run beyond its size cap; the
+    message names the module constant that sets the cap."""
 
 
 class FiniteSpace:
@@ -164,7 +152,11 @@ class FiniteSpace:
         """All open subsets as masks, ascending; cached."""
         if self._upsets is None:
             n = len(self)
-            _check_cap(n, None, SUBSET_SPACE_CAP, "up_sets")
+            if n > SUBSET_SPACE_CAP:
+                raise SizeCapExceeded(
+                    f"up_sets: {n} points exceed "
+                    f"lscat.poset.SUBSET_SPACE_CAP = {SUBSET_SPACE_CAP}"
+                )
             self._upsets = tuple(
                 m for m in range(1 << n) if self.is_up_set(m)
             )
@@ -470,7 +462,15 @@ def concat_fences(*fences):
 # -- map enumeration and fence search ----------------------------------
 
 
-def enumerate_maps(domain, codomain, cap=None, node_budget=2_000_000):
+def _check_map_space(what, space):
+    if len(space) > MAP_SPACE_CAP:
+        raise SizeCapExceeded(
+            f"{what}: {len(space)} points exceed "
+            f"lscat.poset.MAP_SPACE_CAP = {MAP_SPACE_CAP}"
+        )
+
+
+def enumerate_maps(domain, codomain):
     """All order-preserving maps domain -> codomain, lexicographic order.
 
     Backtracking over a linear extension; deterministic.  ``domain`` may
@@ -479,8 +479,8 @@ def enumerate_maps(domain, codomain, cap=None, node_budget=2_000_000):
     """
     if isinstance(domain, Subset):
         domain, _ = domain.space.subspace(domain.mask)
-    _check_cap(len(codomain), cap, MAP_SPACE_CAP, "enumerate_maps")
-    _check_cap(len(domain), cap, MAP_SPACE_CAP, "enumerate_maps")
+    _check_map_space("enumerate_maps", codomain)
+    _check_map_space("enumerate_maps", domain)
     n = len(domain)
     order = sorted(range(n), key=lambda i: (domain.up[i].bit_count(), i),
                    reverse=True)  # minimal points first (big up-sets)
@@ -488,8 +488,11 @@ def enumerate_maps(domain, codomain, cap=None, node_budget=2_000_000):
     out = []
 
     def assign(k):
-        if len(out) > node_budget:
-            raise SizeCapExceeded("enumerate_maps: node budget exhausted")
+        if len(out) > MAP_ENUM_BUDGET:
+            raise SizeCapExceeded(
+                f"enumerate_maps: more maps than "
+                f"lscat.poset.MAP_ENUM_BUDGET = {MAP_ENUM_BUDGET}"
+            )
         if k == n:
             out.append(SpaceMap(domain, codomain, tuple(images)))
             return
@@ -544,7 +547,6 @@ def fence_search(
     stage_ok=None,
     orbits=None,
     act=None,
-    node_cap=None,
 ):
     """BFS for a fence from ``start`` to a target map.
 
@@ -561,7 +563,7 @@ def fence_search(
     a predicate on image tuples.  Returns a FenceCertificate or None.
     """
     domain, codomain = start.domain, start.codomain
-    cap = FENCE_NODE_CAP if node_cap is None else node_cap
+    cap = FENCE_NODE_CAP
     start_images = start.images
     if stage_ok is not None and not stage_ok(start_images):
         return None
@@ -582,7 +584,10 @@ def fence_search(
         cur = queue.popleft()
         explored += 1
         if explored > cap:
-            raise SizeCapExceeded(f"fence_search: explored beyond {cap} maps")
+            raise SizeCapExceeded(
+                f"fence_search: explored more maps than "
+                f"lscat.poset.FENCE_NODE_CAP = {cap}"
+            )
         for nxt in _neighbors(domain, codomain, cur, orbits, act):
             if nxt in seen:
                 continue
@@ -688,14 +693,14 @@ def hom_components(maps):
     return list(groups.values())
 
 
-def homotopic(g1, g2, cap=None, node_cap=None):
+def homotopic(g1, g2):
     """A fence linking g1 to g2, or None if they are not homotopic."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
         raise ValueError("maps must share domain and codomain")
-    _check_cap(len(g1.codomain), cap, MAP_SPACE_CAP, "homotopic")
+    _check_map_space("homotopic", g1.codomain)
     if g1 == g2:
         return FenceCertificate([g1])
-    return fence_search(g1, targets={g2.images}, node_cap=node_cap)
+    return fence_search(g1, targets={g2.images})
 
 
 # -- cores and contractibility -----------------------------------------
@@ -760,7 +765,7 @@ def core(space):
     return space._core
 
 
-def is_contractible_in(A, space, node_cap=None, with_certificate=True):
+def is_contractible_in(A, space, with_certificate=True):
     """Is the inclusion of A fence-homotopic to a constant map into X?
 
     Runs on cores for speed: A is contractible in X iff the conjugated
@@ -776,11 +781,7 @@ def is_contractible_in(A, space, node_cap=None, with_certificate=True):
     core_x = core(space)
     core_a = core(sub)
     m0 = core_x.retraction.compose(incl).compose(core_a.inclusion)
-    fence = fence_search(
-        m0,
-        target_pred=lambda im: len(set(im)) == 1,
-        node_cap=node_cap,
-    )
+    fence = fence_search(m0, target_pred=lambda im: len(set(im)) == 1)
     if fence is None:
         return False, None
     if not with_certificate:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .poset import SizeCapExceeded, validate_space
 
-COLLAPSE_BUDGET = 50_000
-STAR_VERTEX_CAP = 12
+COLLAPSE_BUDGET = 50_000  # search nodes per collapse sequence
+STAR_VERTEX_CAP = 12      # vertices of a star-cover search
 
 
 class NotConnected(ValueError):
@@ -295,7 +295,7 @@ class CohomologyRing:
         return x[info["boundaries"].shape[0]:]
 
 
-def cuplength(K, cap=None):
+def cuplength(K):
     """Largest m with a nonzero m-fold product of positive-degree
     classes; exact via multilinearity over the chosen bases."""
     if not K.is_connected():
@@ -337,11 +337,12 @@ def cuplength(K, cap=None):
 # -- collapsibility and star covers ---------------------------------------
 
 
-def collapse_sequence(K, budget=COLLAPSE_BUDGET):
+def collapse_sequence(K):
     """A sequence of elementary collapses down to a point, or None.
 
-    Greedy free-face collapsing with backtracking up to a node budget;
-    failure to certify within the budget returns None (conservative).
+    Greedy free-face collapsing with backtracking up to COLLAPSE_BUDGET
+    search nodes; failure to certify within the budget returns None
+    (conservative).
     """
     simplices = frozenset(K.simplices)
     nodes = [0]
@@ -363,7 +364,7 @@ def collapse_sequence(K, budget=COLLAPSE_BUDGET):
 
     def rec(current, trail):
         nodes[0] += 1
-        if nodes[0] > budget:
+        if nodes[0] > COLLAPSE_BUDGET:
             return None
         if len(current) == 1:
             return list(trail)
@@ -377,7 +378,7 @@ def collapse_sequence(K, budget=COLLAPSE_BUDGET):
             if got is not None:
                 return got
             trail.pop()
-            if nodes[0] > budget:
+            if nodes[0] > COLLAPSE_BUDGET:
                 return None
         return None
 
@@ -386,11 +387,11 @@ def collapse_sequence(K, budget=COLLAPSE_BUDGET):
     return rec(simplices, [])
 
 
-def is_collapsible(K, budget=COLLAPSE_BUDGET):
-    return collapse_sequence(K, budget) is not None
+def is_collapsible(K):
+    return collapse_sequence(K) is not None
 
 
-def star_cover_upper_bound(K, cap=None, budget=COLLAPSE_BUDGET):
+def star_cover_upper_bound(K):
     """Minimal number of open vertex-star unions, each with collapsible
     induced span, covering the realisation.
 
@@ -400,13 +401,15 @@ def star_cover_upper_bound(K, cap=None, budget=COLLAPSE_BUDGET):
     to the S's jointly containing every vertex.
     """
     nv = len(K.vertices)
-    limit = STAR_VERTEX_CAP if cap is None else cap
-    if nv > limit:
-        raise SizeCapExceeded(f"star cover: {nv} vertices exceeds cap {limit}")
+    if nv > STAR_VERTEX_CAP:
+        raise SizeCapExceeded(
+            f"star_cover_upper_bound: {nv} vertices exceed "
+            f"lscat.simplicial.STAR_VERTEX_CAP = {STAR_VERTEX_CAP}"
+        )
     candidates = []
     for size in range(nv, 0, -1):
         for vs in combinations(K.vertices, size):
-            seq = collapse_sequence(K.induced(vs), budget)
+            seq = collapse_sequence(K.induced(vs))
             if seq is not None:
                 mask = 0
                 for v in vs:

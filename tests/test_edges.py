@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from lscat import action, poset, simplicial
 from lscat import fixtures as fx
-from lscat.action import GroupAction, GroupTooLarge, HomogeneousClass
+from lscat.action import GroupAction, HomogeneousClass
 from lscat.category import CatQuery, cover_category
 from lscat.dynamics import DynamicalPair, verify_band_bound
 from lscat.engine import make_truncated_index, verify_index_bound
@@ -15,16 +16,19 @@ from lscat.poset import (
     SizeCapExceeded,
     SpaceMap,
     enumerate_maps,
+    fence_search,
+    homotopic,
     validate_space,
 )
+from lscat.simplicial import SimplicialComplex, star_cover_upper_bound
 
 
-def test_enumerate_maps_cap_and_override():
+def test_enumerate_maps_cap_and_override(monkeypatch):
     big = fx.discrete(13)
     with pytest.raises(SizeCapExceeded):
         enumerate_maps(big.subset(big.full_mask()), big)
-    with pytest.warns(RuntimeWarning):
-        maps = enumerate_maps(big.subset(["d0"]), big, cap=13)
+    monkeypatch.setattr(poset, "MAP_SPACE_CAP", 13)
+    maps = enumerate_maps(big.subset(["d0"]), big)
     assert len(maps) == 13
 
 
@@ -39,7 +43,7 @@ def test_group_cap():
     space = fx.discrete(5)
     cycle = {f"d{i}": f"d{(i + 1) % 5}" for i in range(5)}
     swap = {"d0": "d1", "d1": "d0", "d2": "d2", "d3": "d3", "d4": "d4"}
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(SizeCapExceeded):
         GroupAction.from_label_maps(space, [cycle, swap])
 
 
@@ -148,17 +152,47 @@ def test_flow_config_guards():
     assert FlowConfig(2.0).steps() == 100  # default step is tau/100
 
 
-def test_fence_search_node_cap(v_space):
-    from lscat.poset import fence_search
-
-    with pytest.raises(SizeCapExceeded):
-        fence_search(
-            SpaceMap.identity(v_space),
-            target_pred=lambda im: False,
-            node_cap=2,
-        )
-
-
 def test_validate_space_rejects_unknown_points():
     with pytest.raises(ValueError):
         validate_space(["a"], [["a", "b"]])
+
+
+def _two_constants(n):
+    space = fx.discrete(n)
+    return (SpaceMap.constant(space, space, 0),
+            SpaceMap.constant(space, space, 1))
+
+
+_S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
+       {"d0": "d1", "d1": "d0", "d2": "d2"}]
+
+
+# (module, constant, a value the call exceeds, a value that lifts it, call)
+@pytest.mark.parametrize("module,constant,low,high,call", [
+    pytest.param(poset, "SUBSET_SPACE_CAP", 2, 3,
+                 lambda: fx.discrete(3).up_sets(), id="up_sets"),
+    pytest.param(poset, "MAP_SPACE_CAP", 2, 3,
+                 lambda: enumerate_maps(fx.discrete(3), fx.discrete(3)),
+                 id="enumerate_maps"),
+    pytest.param(poset, "MAP_SPACE_CAP", 2, 3,
+                 lambda: homotopic(*_two_constants(3)), id="homotopic"),
+    pytest.param(poset, "FENCE_NODE_CAP", 1, 100,
+                 lambda: fence_search(SpaceMap.identity(fx.fix_v()),
+                                      target_pred=lambda im: False),
+                 id="fence_search"),
+    pytest.param(action, "GROUP_CAP", 5, 6,
+                 lambda: GroupAction.from_label_maps(fx.discrete(3), _S3),
+                 id="GroupAction"),
+    pytest.param(simplicial, "STAR_VERTEX_CAP", 2, 3,
+                 lambda: star_cover_upper_bound(SimplicialComplex.from_maximal(
+                     [("a", "b"), ("b", "c"), ("a", "c")])),
+                 id="star_cover_upper_bound"),
+])
+def test_size_caps_name_their_override(monkeypatch, module, constant, low,
+                                       high, call):
+    monkeypatch.setattr(module, constant, low)
+    with pytest.raises(SizeCapExceeded,
+                       match=rf"{module.__name__}\.{constant} = {low}\b"):
+        call()
+    monkeypatch.setattr(module, constant, high)
+    call()

@@ -82,18 +82,6 @@ def test_parse_infinite_band():
     assert sc.band[1] is INFINITE
 
 
-def test_parse_complex():
-    from lscat.formats import parse_complex
-
-    K = parse_complex({"vertices": ["a", "b", "c"],
-                       "maximal": [["a", "b"], ["b", "c"], ["a", "c"]]})
-    assert K.f_vector() == (3, 3)
-    with pytest.raises(ParseError):
-        parse_complex({"vertices": ["a"]})
-    with pytest.raises(ValidationError):
-        parse_complex({"vertices": ["a"], "maximal": [["a", "z"]]})
-
-
 def test_parse_error_carries_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -200,6 +188,35 @@ def test_cli_space_validate(tmp_path, capsys):
                   "relation": [["a", "b"], ["b", "a"]]},
     }))
     assert main(["space", "validate", str(bad)]) == 2
+
+
+def test_cli_space_validate_past_subset_cap(tmp_path, capsys):
+    f = tmp_path / "antichain.json"
+    f.write_text(json.dumps({"points": [f"d{i}" for i in range(17)]}))
+    assert main(["space", "validate", str(f)]) == 2
+    assert "lscat.poset.SUBSET_SPACE_CAP = 16" in capsys.readouterr().err
+
+
+def test_oversized_group_is_an_input_error(tmp_path, capsys):
+    # a 5-cycle and a transposition generate S5: 120 elements
+    points = [f"d{i}" for i in range(5)]
+    cycle = {p: points[(i + 1) % 5] for i, p in enumerate(points)}
+    swap = dict(zip(points, ["d1", "d0", "d2", "d3", "d4"]))
+    doc = {"name": "s5", "kind": "category",
+           "space": {"points": points},
+           "action": {"generators": [cycle, swap]},
+           "queries": [{"mode": "plain"}]}
+    f = tmp_path / "s5.json"
+    f.write_text(json.dumps(doc))
+    assert main(["cat", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "lscat.action.GROUP_CAP = 48" in err
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert [e["file"] for e in summary["input_errors"]] == ["s5.json"]
+    assert "GROUP_CAP" in summary["input_errors"][0]["error"]
 
 
 def test_cli_cat_and_verify(capsys):
