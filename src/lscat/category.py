@@ -16,12 +16,22 @@ top-down, by decreasing size and then by mask, and that order, with the
 union closure's, fixes which of several equal covers is reported.  The
 classB family is not down-closed and lists every member.
 
+Membership in the categorical catalogues is decided without a
+certificate (for the trivial group, on masks of the space: see
+``poset.is_contractible_in``).  A categorical cover set's fence is
+assembled the first time its ``CoverEntry.certificate`` is read, by the
+same deterministic search, so it is the fence the set would have had if
+built eagerly; ``CatResult.verify`` decides membership again from
+scratch and reads no stored fence.
+
 The shared infinity token and its comparison conventions
 (inf >= inf, inf >= n, inf >= inf - n, 0 >= n - inf) live here and are
 used by every verifier.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .action import (
     G_fence_search,
@@ -32,7 +42,6 @@ from .action import (
     _EMPTY_DEFORMATION,
 )
 from .poset import (
-    SizeCapExceeded,
     SpaceMap,
     Subset,
     bits,
@@ -138,6 +147,8 @@ class CatQuery:
             raise ValueError(f"mode {mode!r} takes no reference subset Y")
         if mode == "classB" and not self.class_b:
             raise ValueError("classB mode needs a reference list")
+        if mode == "classB" and not self.action.is_trivial():
+            raise ValueError("classB mode takes no group action")
         if not self.action.is_invariant(self.A):
             raise ValueError("A must be G-invariant")
         if not self.action.is_invariant(self.Y):
@@ -151,12 +162,25 @@ def _mask_of(x):
 
 
 class CoverEntry:
-    __slots__ = ("mask", "role", "certificate")
+    """One set of a cover, in its role, with its certificate.
+
+    A categorical set may be given a function that assembles its fence
+    instead of the fence: it is called on the first read of
+    ``certificate``, and its result kept.
+    """
+
+    __slots__ = ("mask", "role", "_certificate")
 
     def __init__(self, mask, role, certificate):
         self.mask = mask
         self.role = role
-        self.certificate = certificate
+        self._certificate = certificate
+
+    @property
+    def certificate(self):
+        if callable(self._certificate):
+            self._certificate = self._certificate()
+        return self._certificate
 
 
 class CatResult:
@@ -404,6 +428,16 @@ def _cache(action, key, builder):
     return cache[key]
 
 
+def _categorical_decided(space, action, klass, mask):
+    """Memoised is_categorical, the decision alone (no certificate)."""
+    return _cache(
+        action,
+        ("cat", klass.key(), mask),
+        lambda: is_categorical(mask, space, action, klass,
+                               with_certificate=False)[0],
+    )
+
+
 def _categorical_cached(space, action, klass, mask):
     """Memoised is_categorical with certificate (production path only;
     certificate re-validation always recomputes from scratch)."""
@@ -412,6 +446,10 @@ def _categorical_cached(space, action, klass, mask):
         ("cat-cert", klass.key(), mask),
         lambda: is_categorical(mask, space, action, klass),
     )
+
+
+def _categorical_fence(space, action, klass, mask):
+    return _categorical_cached(space, action, klass, mask)[1]
 
 
 def invariant_up_sets(space, action):
@@ -425,9 +463,10 @@ def invariant_down_sets(space, action):
 
 
 def _maximal_members(candidates, test):
-    """Maximal members of a down-closed family, with their certificates.
+    """Maximal members of a down-closed family, with what ``test`` gave.
 
-    ``test(m)`` returns m's certificate, or None when m is no member.
+    ``test(m)`` returns what to keep for m (its certificate, or True),
+    or None when m is no member.
     The candidates are walked by decreasing size, then by mask, and a set
     inside a member already found is skipped untested; so every member
     kept is maximal and, the family being down-closed, every maximal one
@@ -450,7 +489,7 @@ def categorical_open_catalog(space, action, klass):
     def build():
         return CoverTable(_maximal_members(
             invariant_up_sets(space, action),
-            lambda m: _categorical_cached(space, action, klass, m)[1],
+            lambda m: _categorical_decided(space, action, klass, m) or None,
         ))
 
     return _cache(action, key, build)
@@ -463,7 +502,7 @@ def categorical_closed_catalog(space, action, klass):
     def build():
         return CoverTable(_maximal_members(
             invariant_down_sets(space, action),
-            lambda m: _categorical_cached(space, action, klass, m)[1],
+            lambda m: _categorical_decided(space, action, klass, m) or None,
         ))
 
     return _cache(action, key, build)
@@ -485,10 +524,6 @@ def deformable_open_catalog(space, action, Y_mask, mod):
 
 
 def classB_catalog(space, action, class_b):
-    if not action.is_trivial():
-        raise SizeCapExceeded(
-            "classB mode is implemented for trivial actions only"
-        )
     key = ("classB", tuple(id(b) for b in class_b))
 
     def build():
@@ -640,8 +675,8 @@ def cover_category(query):
     if cover is None:
         return CatResult(query, INFINITE, ())
     for m in cover:
-        cert = None if role == "iso" else _categorical_cached(
-            space, action, klass, m)[1]
+        cert = None if role == "iso" else functools.partial(
+            _categorical_fence, space, action, klass, m)
         entries.append(CoverEntry(m, role, cert))
     return CatResult(query, len(cover), entries)
 

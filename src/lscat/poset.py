@@ -663,36 +663,6 @@ def _neighbors(domain, codomain, images, orbits, act):
                 yield new
 
 
-def hom_components(maps):
-    """Union-find components of a materialised hom-set under comparability.
-
-    Components agree with fence components; used by tests and oracles.
-    """
-    index = {m.images: k for k, m in enumerate(maps)}
-    parent = list(range(len(maps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k, m in enumerate(maps):
-        for i in range(len(m.domain)):
-            for v in _mutation_candidates(m.domain, m.codomain, m.images, i):
-                lst = list(m.images)
-                lst[i] = v
-                k2 = index.get(tuple(lst))
-                if k2 is not None:
-                    ra, rb = find(k), find(k2)
-                    if ra != rb:
-                        parent[ra] = rb
-    groups = {}
-    for k, m in enumerate(maps):
-        groups.setdefault(find(k), []).append(m)
-    return list(groups.values())
-
-
 def homotopic(g1, g2):
     """A fence linking g1 to g2, or None if they are not homotopic."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
@@ -740,20 +710,32 @@ def _find_beat(space, alive_mask):
     return None
 
 
+def _collapse(space, mask):
+    """Collapse the subspace on ``mask`` to its core inside the space.
+
+    Removes the first beat point in label order until none is left, and
+    returns (core mask, removals) with removals the (point, partner)
+    pairs in order, all on the space's indices.  The subspace keeps the
+    label order, so this is the walk ``core`` makes on the subspace.
+    """
+    removals = []
+    while True:
+        found = _find_beat(space, mask)
+        if found is None:
+            return mask, removals
+        removals.append(found)
+        mask &= ~(1 << found[0])
+
+
 def core(space):
     """Iteratively remove beat points; returns a CoreResult, computed
     once per space and kept on it."""
     if space._core is not None:
         return space._core
-    alive = space.full_mask()
+    alive, removals = _collapse(space, space.full_mask())
     send = list(range(len(space)))  # composite collapse on parent indices
     stages = [SpaceMap.identity(space)]
-    while True:
-        found = _find_beat(space, alive)
-        if found is None:
-            break
-        i, partner = found
-        alive &= ~(1 << i)
+    for i, partner in removals:
         send = [partner if v == i else v for v in send]
         stages.append(SpaceMap(space, space, tuple(send)))
     core_space, idx = space.subspace(alive)
@@ -769,30 +751,36 @@ def is_contractible_in(A, space, with_certificate=True):
     """Is the inclusion of A fence-homotopic to a constant map into X?
 
     Runs on cores for speed: A is contractible in X iff the conjugated
-    inclusion core(A) -> core(X) is fence-connected to a constant.  The
-    returned certificate is a full fence on the original inclusion.
+    inclusion core(A) -> core(X) is fence-connected to a constant.  A is
+    collapsed on the space's masks, so deciding builds only core(A) and
+    that one map.  The certificate, when asked for, is a full fence on
+    the original inclusion.
     """
     if isinstance(A, int):
         A = Subset(space, A)
     if A.mask == 0:
         raise ValueError("contractibility of the empty subset is undefined")
-    sub, idx = space.subspace(A.mask)
-    incl = SpaceMap(sub, space, idx)
     core_x = core(space)
-    core_a = core(sub)
-    m0 = core_x.retraction.compose(incl).compose(core_a.inclusion)
+    alive, _ = _collapse(space, A.mask)
+    core_a, idx = space.subspace(alive)
+    r_x = core_x.retraction.images
+    m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))
     fence = fence_search(m0, target_pred=lambda im: len(set(im)) == 1)
     if fence is None:
         return False, None
     if not with_certificate:
         return True, None
-    # Assemble the fence on the original inclusion:
+    # Assemble the fence on the original inclusion, through A's own core
+    # (whose core space is core_a, the same walk):
     #   incl ~ incl o iA o rA ~ (iX o rX) o incl o iA o rA ~ iX o m_k o rA
-    part1 = core_a.fence.compose_left(incl)  # incl o (id ~ iA rA)
-    tail = incl.compose(core_a.inclusion).compose(core_a.retraction)
+    sub, idx = space.subspace(A.mask)
+    incl = SpaceMap(sub, space, idx)
+    core_sub = core(sub)
+    part1 = core_sub.fence.compose_left(incl)  # incl o (id ~ iA rA)
+    tail = incl.compose(core_sub.inclusion).compose(core_sub.retraction)
     part2 = core_x.fence.compose_right(tail)  # (id ~ iX rX) o tail
     part3 = fence.compose_left(core_x.inclusion).compose_right(
-        core_a.retraction
+        core_sub.retraction
     )
     full = concat_fences(part1, part2, part3)
     full.validate()

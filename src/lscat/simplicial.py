@@ -424,8 +424,7 @@ def star_cover_upper_bound(K):
     from .category import min_cover
 
     cover = min_cover((1 << nv) - 1, [m for m, _, _ in kept])
-    if cover is None:
-        raise SizeCapExceeded("no collapsible star cover found")
+    assert cover is not None  # a single vertex spans a collapsible point
     chosen = []
     for m in cover:
         for mask, vs, seq in kept:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from lscat import fixtures as fx  # noqa: E402
+import fixtures as fx  # noqa: E402
 from lscat.action import GroupAction, validate_action  # noqa: E402
 from lscat.dynamics import DynamicalPair  # noqa: E402
 

@@ -6,7 +6,7 @@ from the exhaustive brute-force oracle (tests/oracles.py) before use.
 
 from __future__ import annotations
 
-from .poset import SpaceMap, validate_space
+from lscat.poset import SpaceMap, validate_space
 
 
 def fix_v():

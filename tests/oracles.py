@@ -1,8 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the production code paths: contractibility is
-decided on the fully materialised hom-set with union-find components
-(no cores, no lazy search), minimal covers are found by enumerating
+decided on the fully materialised hom-set by the components of its
+comparability graph (no cores, no lazy search), minimal covers are found by enumerating
 subsets of the candidates in increasing size (no union-closure table), and
 the cup-length check on the minimal circle enumerates every cochain,
 and the numeric flow is a plain RK4 loop over the original all-numpy
@@ -39,8 +39,10 @@ def all_order_preserving_maps(domain, codomain):
     return out
 
 
-def comparability_components(space, maps):
-    index = {m: i for i, m in enumerate(maps)}
+def hom_components(maps):
+    """Union-find components of a materialised hom-set under single-point
+    moves to a comparable value; they agree with fence components."""
+    index = {m.images: k for k, m in enumerate(maps)}
     parent = list(range(len(maps)))
 
     def find(x):
@@ -49,34 +51,46 @@ def comparability_components(space, maps):
             x = parent[x]
         return x
 
-    def le(m1, m2):
-        return all(space.leq(a, b) for a, b in zip(m1, m2))
-
-    for i, m1 in enumerate(maps):
-        for j in range(i + 1, len(maps)):
-            m2 = maps[j]
-            if le(m1, m2) or le(m2, m1):
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    comp = {}
-    for i, m in enumerate(maps):
-        comp.setdefault(find(i), set()).add(m)
-    return {m: find(i) for i, m in enumerate(maps)}, comp
+    for k, m in enumerate(maps):
+        cod = m.codomain
+        for i, cur in enumerate(m.images):
+            for v in range(len(cod)):
+                if v == cur or not cod.comparable(v, cur):
+                    continue
+                k2 = index.get(m.images[:i] + (v,) + m.images[i + 1:])
+                if k2 is not None:
+                    ra, rb = find(k), find(k2)
+                    if ra != rb:
+                        parent[ra] = rb
+    groups = {}
+    for k, m in enumerate(maps):
+        groups.setdefault(find(k), []).append(m)
+    return list(groups.values())
 
 
 def oracle_contractible(space, mask):
-    """Inclusion of the subspace lies in a component with a constant."""
+    """Inclusion of the subspace lies in a component with a constant.
+
+    The components are those of the comparability graph on the whole
+    hom-set (maps pointwise <= one way or the other), grown from the
+    inclusion one neighbourhood at a time.
+    """
     sub, idx = space.subspace(mask)
-    maps = all_order_preserving_maps(sub, space)
-    comp_of, _ = comparability_components(space, maps)
-    incl = tuple(idx)
-    target = comp_of[incl]
-    for c in range(len(space)):
-        const = (c,) * len(sub)
-        if const in comp_of and comp_of[const] == target:
-            return True
-    return False
+    maps = np.array(all_order_preserving_maps(sub, space))
+    n = len(space)
+    leq = np.array([[space.leq(a, b) for b in range(n)] for a in range(n)])
+    le = np.ones((len(maps), len(maps)), dtype=bool)
+    for col in maps.T:
+        le &= leq[col[:, None], col[None, :]]
+    adjacent = le | le.T
+    reach = (maps == np.array(idx)).all(axis=1)
+    while True:
+        grown = reach | adjacent[reach].any(axis=0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    constant = (maps == maps[:, :1]).all(axis=1)
+    return bool((reach & constant).any())
 
 
 def oracle_catalog(space):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lscat import fixtures as fx
+import fixtures as fx
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import (
     cat,

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lscat import fixtures as fx
+import fixtures as fx
+from lscat import poset
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
@@ -361,6 +362,30 @@ def test_catalogues_are_the_maximal_members(acted, data):
                                  klass=klass)
                 _check_deformation_certificate(
                     query, CoverEntry(m, "deformable", members[m]))
+
+
+def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
+    c4 = fx.fix_c4()  # a fresh space: no catalogue or fence cached yet
+    action = GroupAction.trivial(c4)
+    klass = HomogeneousClass.point_only(action)
+    assembled = []
+    concat_fences = poset.concat_fences
+    monkeypatch.setattr(poset, "concat_fences",
+                        lambda *f: assembled.append(f) or concat_fences(*f))
+    categorical_open_catalog(c4, action, klass)
+    result = cover_category(CatQuery(c4, action=action, klass=klass))
+    assert result.value == 2
+    assert result.verify()
+    assert assembled == []
+    for entry in result.cover:
+        fence = entry.certificate
+        assert entry.certificate is fence
+    assert len(assembled) == len(result.cover) == 2
+    for entry in result.cover:
+        expected = is_categorical(entry.mask, c4, action, klass,
+                                  with_certificate=True)[1]
+        assert entry.certificate.maps == expected.maps
+        entry.certificate.validate()
 
 
 # -- structural checkers ---------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from lscat import fixtures as fx
+import fixtures as fx
 from lscat.action import GroupAction, HomogeneousClass
 from lscat.category import INFINITE
 from lscat.dynamics import (

@@ -1,6 +1,6 @@
 import pytest
 
-from lscat import fixtures as fx
+import fixtures as fx
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import INFINITE, CatQuery, cover_category
 from lscat.dynamics import DynamicalPair

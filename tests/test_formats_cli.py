@@ -219,6 +219,19 @@ def test_oversized_group_is_an_input_error(tmp_path, capsys):
     assert "GROUP_CAP" in summary["input_errors"][0]["error"]
 
 
+def test_classb_with_an_action_is_rejected_when_parsed(tmp_path, capsys):
+    doc = _load_fixture("conjugation_circle.json")
+    reference = {"points": ["c", "a", "b"],
+                 "relation": [["c", "a"], ["c", "b"]]}
+    doc["queries"] = [{"mode": "classB", "class_b": [reference]}]
+    f = tmp_path / "classb_action.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="classB mode takes no group"):
+        parse_scenario(str(f))
+    assert main(["cat", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_cli_cat_and_verify(capsys):
     assert main(["cat", corpus_file("boundary_pair_arc.json"),
                  "--format", "structured"]) == 0

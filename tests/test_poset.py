@@ -1,12 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from lscat import fixtures as fx
+import fixtures as fx
 from lscat.poset import (
     EmptySpace,
     NotAPartialOrder,
     SpaceMap,
     Subset,
+    bits,
     core,
     enumerate_maps,
     homotopic,
@@ -16,7 +17,7 @@ from lscat.poset import (
     validate_space,
 )
 
-from oracles import oracle_contractible
+from oracles import hom_components, oracle_contractible
 
 
 def test_validate_v_space():
@@ -133,8 +134,6 @@ def test_homotopic_is_equivalence_relation_small():
 
 
 def test_homotopic_agrees_with_materialised_components(c4):
-    from lscat.poset import hom_components
-
     maps = enumerate_maps(c4.subset(c4.full_mask()), c4)
     groups = hom_components(maps)
     component_of = {}
@@ -191,6 +190,68 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         ok, _ = is_contractible_in(wedge2.subset(mask), wedge2,
                                    with_certificate=False)
         assert ok == oracle_contractible(wedge2, mask)
+
+
+# The oracle compares every pair of maps in a hom-set, so spaces with a
+# larger hom-set into them (the sparse ones: 7**7 maps on 7 unrelated
+# points) are left out.
+ORACLE_HOM_SET_CAP = 2000
+
+
+def _hom_set_exceeds(space, mask, cap):
+    """Does the subspace on mask have more than cap maps into the space?"""
+    idx = bits(mask)
+    images = []
+    count = 0
+
+    def extend(k):
+        nonlocal count
+        if k == len(idx):
+            count += 1
+            return count > cap
+        i = idx[k]
+        for v in range(len(space)):
+            if all((not space.leq(j, i) or space.leq(w, v))
+                   and (not space.leq(i, j) or space.leq(v, w))
+                   for j, w in zip(idx, images)):
+                images.append(v)
+                if extend(k + 1):
+                    return True
+                images.pop()
+        return False
+
+    return extend(0)
+
+
+@st.composite
+def posets_up_to_seven(draw):
+    """Random posets on 1..7 points whose label order need not be a
+    linear extension of the order, with every hom-set into them small
+    enough for the oracle."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n)
+             if draw(st.integers(min_value=0, max_value=2))]
+    space = validate_space(sorted(labels), pairs)
+    assume(not any(_hom_set_exceeds(space, mask, ORACLE_HOM_SET_CAP)
+                   for mask in range(1, space.full_mask() + 1)))
+    return space
+
+
+@given(posets_up_to_seven())
+@settings(max_examples=30, deadline=None)
+def test_contractibility_decision_matches_oracle_on_every_subset(space):
+    for mask in range(1, space.full_mask() + 1):
+        decided, no_cert = is_contractible_in(mask, space,
+                                              with_certificate=False)
+        ok, fence = is_contractible_in(mask, space)
+        assert no_cert is None
+        assert decided == ok == oracle_contractible(space, mask), (
+            space.points, space.labels(mask))
+        if ok:
+            fence.validate()
+            assert fence.start.images == tuple(bits(mask))
+            assert len(set(fence.end.images)) == 1
 
 
 def test_core_is_computed_once_per_space(c4, wedge2):

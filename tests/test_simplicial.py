@@ -1,6 +1,6 @@
 import pytest
 
-from lscat import fixtures as fx
+import fixtures as fx
 from lscat.simplicial import (
     CohomologyRing,
     NotConnected,
