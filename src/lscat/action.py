@@ -441,22 +441,9 @@ def orbit_equivalent(action, i, j, f_values):
     maskj = sum(1 << k for k in oj)
     maski = sum(1 << k for k in oi)
     return (
-        _orbit_deformable(action, oi, maskj) and
-        _orbit_deformable(action, oj, maski)
+        is_G_deformable(action, maski, maskj) is not None and
+        is_G_deformable(action, maskj, maski) is not None
     )
-
-
-def _orbit_deformable(action, orbit, target_mask):
-    space = action.space
-    mask = sum(1 << k for k in orbit)
-    incl, parents = inclusion_map(space, mask)
-
-    def target(images):
-        return all(target_mask >> v & 1 for v in images)
-
-    return G_fence_search(
-        incl, action, parents, target_pred=target
-    ) is not None
 
 
 class Orbit:

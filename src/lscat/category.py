@@ -8,21 +8,24 @@ of its members, so an exact minimum cover is a lookup; the pair, mod and
 semi modes take the least lookup over the deformable A0.  Every result
 carries a certificate that re-validates from scratch.
 
-The categorical and deformable families are down-closed among invariant
-sets (a member's fence restricts to any invariant sub-open, or closed
-subset), so their catalogues keep only the maximal members: a minimum
-cover, and a best A0, can always be taken among them.  These are found
-top-down, by decreasing size and then by mask, and that order, with the
-union closure's, fixes which of several equal covers is reported.  The
-classB family is not down-closed and lists every member.
+Every catalogue keeps only the maximal members of its family, found by
+one top-down walk (``_maximal_members``), by decreasing size and then by
+mask; that order, with the union closure's, fixes which of several
+equal covers is reported.  Replacing each set of a cover by a maximal
+member containing it keeps the cover, so a minimum cover over the
+maximal members is a minimum cover.  The categorical and deformable
+families are moreover down-closed among invariant sets (a member's fence
+restricts to any invariant sub-open, or closed subset), so a best A0 can
+be taken among the maximal deformable opens too; the classB family need
+not be down-closed, and only its covers are read.
 
 Membership in the categorical catalogues is decided without a
-certificate (for the trivial group, on masks of the space: see
-``poset.is_contractible_in``).  A categorical cover set's fence is
-assembled the first time its ``CoverEntry.certificate`` is read, by the
-same deterministic search, so it is the fence the set would have had if
-built eagerly; ``CatResult.verify`` decides membership again from
-scratch and reads no stored fence.
+certificate (for the trivial group, by one collapse walk on masks of
+the space: see ``poset.is_contractible_in``).  A categorical cover
+set's fence is assembled the first time its ``CoverEntry.certificate``
+is read, by calling ``is_categorical`` again, so it is the fence the set
+would have had if built eagerly; ``CatResult.verify`` decides membership
+again from scratch and reads no stored fence.
 
 The shared infinity token and its comparison conventions
 (inf >= inf, inf >= n, inf >= inf - n, 0 >= n - inf) live here and are
@@ -31,7 +34,7 @@ used by every verifier.
 
 from __future__ import annotations
 
-import functools
+import itertools
 
 from .action import (
     G_fence_search,
@@ -290,7 +293,7 @@ def is_categorical(mask, space, action=None, klass=None,
     if not action.is_invariant(mask):
         return False, None
     if action.is_trivial():
-        return is_contractible_in(Subset(space, mask), space,
+        return is_contractible_in(mask, space,
                                   with_certificate=with_certificate)
     targets = _factor_targets(mask, action, klass)
     if not targets:
@@ -375,7 +378,7 @@ def _factor_targets(mask, action, klass):
                 choices.append(valid)
             if any(not v for v in choices):
                 continue
-            for assign in _product(choices):
+            for assign in itertools.product(*choices):
                 images = [None] * len(parents)
                 ok = True
                 for c, gamma in zip(orbit_reps, assign):
@@ -396,15 +399,6 @@ def _factor_targets(mask, action, klass):
                 if ok and all(v is not None for v in images):
                     targets.add(tuple(images))
     return sorted(targets)
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (head,) + rest
 
 
 def _coset_reps(action, H):
@@ -438,20 +432,6 @@ def _categorical_decided(space, action, klass, mask):
     )
 
 
-def _categorical_cached(space, action, klass, mask):
-    """Memoised is_categorical with certificate (production path only;
-    certificate re-validation always recomputes from scratch)."""
-    return _cache(
-        action,
-        ("cat-cert", klass.key(), mask),
-        lambda: is_categorical(mask, space, action, klass),
-    )
-
-
-def _categorical_fence(space, action, klass, mask):
-    return _categorical_cached(space, action, klass, mask)[1]
-
-
 def invariant_up_sets(space, action):
     return [m for m in space.up_sets() if m and action.is_invariant(m)]
 
@@ -463,14 +443,16 @@ def invariant_down_sets(space, action):
 
 
 def _maximal_members(candidates, test):
-    """Maximal members of a down-closed family, with what ``test`` gave.
+    """Maximal members of the family ``test`` picks out of the
+    candidates, with what ``test`` gave.
 
     ``test(m)`` returns what to keep for m (its certificate, or True),
     or None when m is no member.
     The candidates are walked by decreasing size, then by mask, and a set
-    inside a member already found is skipped untested; so every member
-    kept is maximal and, the family being down-closed, every maximal one
-    is kept.  The result is a dict in that walk order.
+    inside a member already found is skipped untested.  Any family works:
+    a skipped set is never maximal, and a member not skipped has no
+    larger member, since that one was walked first and is kept or lies
+    in a kept one.  The result is a dict in that walk order.
     """
     found = {}
     for m in sorted(candidates, key=lambda m: (-m.bit_count(), m)):
@@ -524,15 +506,17 @@ def deformable_open_catalog(space, action, Y_mask, mod):
 
 
 def classB_catalog(space, action, class_b):
-    key = ("classB", tuple(id(b) for b in class_b))
+    """Cover table of the maximal invariant opens isomorphic to a
+    reference space."""
+    key = ("classB", tuple(class_b))
+
+    def is_iso(m):
+        sub, _ = space.subspace(m)
+        return any(order_isomorphic(sub, ref) for ref in class_b) or None
 
     def build():
-        out = []
-        for m in invariant_up_sets(space, action):
-            sub, _ = space.subspace(m)
-            if any(order_isomorphic(sub, ref) for ref in class_b):
-                out.append(m)
-        return CoverTable(out)
+        return CoverTable(_maximal_members(
+            invariant_up_sets(space, action), is_iso))
 
     return _cache(action, key, build)
 
@@ -675,8 +659,8 @@ def cover_category(query):
     if cover is None:
         return CatResult(query, INFINITE, ())
     for m in cover:
-        cert = None if role == "iso" else functools.partial(
-            _categorical_fence, space, action, klass, m)
+        cert = None if role == "iso" else (
+            lambda m=m: is_categorical(m, space, action, klass)[1])
         entries.append(CoverEntry(m, role, cert))
     return CatResult(query, len(cover), entries)
 

@@ -18,7 +18,7 @@ from .action import (
     G_fence_search,
     GroupAction,
     HomogeneousClass,
-    inclusion_map,
+    is_G_deformable,
     is_G_map,
     orbit_equivalent,
 )
@@ -659,21 +659,13 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
                 "note": "empty fixed slice in a deficient band",
             })
             continue
-        incl, parents = inclusion_map(space, slice_mask)
-        deformable = False
         tried = []
         for rep in orbit_reps:
-            omask = action.orbit_mask(rep)
-
-            def target(images, om=omask):
-                return all(om >> v & 1 for v in images)
-
-            fence = G_fence_search(incl, action, parents, target_pred=target)
             tried.append(space.points[rep])
-            if fence is not None:
-                deformable = True
+            if is_G_deformable(action, slice_mask,
+                               action.orbit_mask(rep)) is not None:
                 break
-        if not deformable:
+        else:
             out.append({
                 "level": d,
                 "degenerate": False,

@@ -727,41 +727,48 @@ def _collapse(space, mask):
         mask &= ~(1 << found[0])
 
 
+def _collapse_stages(domain, codomain, send, removals):
+    """The beat-point fence from the map ``send`` (images on the
+    codomain): one more stage per removal, sending the removed point to
+    its partner, so the last stage lands in the collapsed core."""
+    stages = [SpaceMap(domain, codomain, send)]
+    for i, partner in removals:
+        send = tuple(partner if v == i else v for v in send)
+        stages.append(SpaceMap(domain, codomain, send))
+    return FenceCertificate(stages)
+
+
 def core(space):
     """Iteratively remove beat points; returns a CoreResult, computed
     once per space and kept on it."""
     if space._core is not None:
         return space._core
     alive, removals = _collapse(space, space.full_mask())
-    send = list(range(len(space)))  # composite collapse on parent indices
-    stages = [SpaceMap.identity(space)]
-    for i, partner in removals:
-        send = [partner if v == i else v for v in send]
-        stages.append(SpaceMap(space, space, tuple(send)))
+    fence = _collapse_stages(space, space, range(len(space)), removals)
     core_space, idx = space.subspace(alive)
     to_core = {p: k for k, p in enumerate(idx)}
-    retraction = SpaceMap(space, core_space, tuple(to_core[v] for v in send))
+    retraction = SpaceMap(space, core_space,
+                          tuple(to_core[v] for v in fence.end.images))
     inclusion = SpaceMap(core_space, space, idx)
-    space._core = CoreResult(space, core_space, retraction, inclusion,
-                             FenceCertificate(stages))
+    space._core = CoreResult(space, core_space, retraction, inclusion, fence)
     return space._core
 
 
 def is_contractible_in(A, space, with_certificate=True):
-    """Is the inclusion of A fence-homotopic to a constant map into X?
+    """Is the inclusion of A (a Subset or a mask) fence-homotopic to a
+    constant map into X?
 
     Runs on cores for speed: A is contractible in X iff the conjugated
     inclusion core(A) -> core(X) is fence-connected to a constant.  A is
     collapsed on the space's masks, so deciding builds only core(A) and
     that one map.  The certificate, when asked for, is a full fence on
-    the original inclusion.
+    the original inclusion, built from the same collapse.
     """
-    if isinstance(A, int):
-        A = Subset(space, A)
-    if A.mask == 0:
+    mask = A.mask if isinstance(A, Subset) else A
+    if mask == 0:
         raise ValueError("contractibility of the empty subset is undefined")
     core_x = core(space)
-    alive, _ = _collapse(space, A.mask)
+    alive, removals = _collapse(space, mask)
     core_a, idx = space.subspace(alive)
     r_x = core_x.retraction.images
     m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))
@@ -770,22 +777,18 @@ def is_contractible_in(A, space, with_certificate=True):
         return False, None
     if not with_certificate:
         return True, None
-    # Assemble the fence on the original inclusion, through A's own core
-    # (whose core space is core_a, the same walk):
+    # With rA: A -> core_a the collapse of A, and incl its inclusion:
     #   incl ~ incl o iA o rA ~ (iX o rX) o incl o iA o rA ~ iX o m_k o rA
-    sub, idx = space.subspace(A.mask)
-    incl = SpaceMap(sub, space, idx)
-    core_sub = core(sub)
-    part1 = core_sub.fence.compose_left(incl)  # incl o (id ~ iA rA)
-    tail = incl.compose(core_sub.inclusion).compose(core_sub.retraction)
-    part2 = core_x.fence.compose_right(tail)  # (id ~ iX rX) o tail
-    part3 = fence.compose_left(core_x.inclusion).compose_right(
-        core_sub.retraction
-    )
+    sub, parents = space.subspace(mask)
+    part1 = _collapse_stages(sub, space, parents, removals)
+    tail = part1.end  # incl o iA o rA
+    part2 = core_x.fence.compose_right(tail)
+    to_core_a = {p: k for k, p in enumerate(idx)}
+    r_a = SpaceMap(sub, core_a, tuple(to_core_a[v] for v in tail.images))
+    part3 = fence.compose_left(core_x.inclusion).compose_right(r_a)
     full = concat_fences(part1, part2, part3)
     full.validate()
-    const_lab = space.points[full.end.images[0]]
-    assert len(set(full.end.images)) == 1, const_lab
+    assert len(set(full.end.images)) == 1
     return True, full
 
 

@@ -406,29 +406,14 @@ def star_cover_upper_bound(K):
             f"star_cover_upper_bound: {nv} vertices exceed "
             f"lscat.simplicial.STAR_VERTEX_CAP = {STAR_VERTEX_CAP}"
         )
-    candidates = []
-    for size in range(nv, 0, -1):
-        for vs in combinations(K.vertices, size):
-            seq = collapse_sequence(K.induced(vs))
-            if seq is not None:
-                mask = 0
-                for v in vs:
-                    mask |= 1 << K.vertices.index(v)
-                candidates.append((mask, vs, seq))
-    # keep maximal candidates only
-    kept = []
-    for mask, vs, seq in candidates:
-        if not any(mask != m2 and mask & ~m2 == 0 for m2, _, _ in candidates):
-            kept.append((mask, vs, seq))
+    from .category import _maximal_members, min_cover
 
-    from .category import min_cover
+    def span(mask):
+        return tuple(v for k, v in enumerate(K.vertices) if mask >> k & 1)
 
-    cover = min_cover((1 << nv) - 1, [m for m, _, _ in kept])
+    kept = _maximal_members(range(1, 1 << nv),
+                            lambda m: collapse_sequence(K.induced(span(m))))
+    cover = min_cover((1 << nv) - 1, kept)
     assert cover is not None  # a single vertex spans a collapsible point
-    chosen = []
-    for m in cover:
-        for mask, vs, seq in kept:
-            if mask == m:
-                chosen.append({"vertices": vs, "collapse": seq})
-                break
-    return len(cover), chosen
+    return len(cover), [{"vertices": span(m), "collapse": kept[m]}
+                        for m in cover]

@@ -33,8 +33,8 @@ from lscat.category import (
     value_ge_diff,
     categorical_closed_catalog,
     categorical_open_catalog,
+    classB_catalog,
     deformable_open_catalog,
-    _categorical_cached,
     _check_deformation_certificate,
     _factor_targets,
 )
@@ -125,6 +125,18 @@ def test_class_monotonicity(conjugation, c4):
 
 def test_classB_v_reference(c4, v_space):
     assert cat_classB(c4, [v_space]) == 2
+
+
+def test_classB_catalogue_is_keyed_by_the_reference_spaces(v_space):
+    # Fresh reference spaces, each freed after its query: a new one often
+    # takes a freed one's address, so a cache keyed on object identity
+    # hands one reference list's catalogue to the other.
+    action = GroupAction.trivial(v_space)
+    for k in range(200):
+        ref = validate_space(["x"], []) if k % 2 else fx.fix_v()
+        value = cat_classB(v_space, [ref], action=action)
+        assert value == (INFINITE if k % 2 else 1), k
+        del ref
 
 
 def test_order_isomorphic(v_space, arc3):
@@ -270,19 +282,37 @@ def acted_spaces(draw):
     return space, GroupAction.trivial(space), None
 
 
+def _is_iso_member(space, class_b):
+    return lambda m: any(order_isomorphic(space.subspace(m)[0], ref)
+                         for ref in class_b)
+
+
+def _reference_spaces(data, space):
+    """One or two induced subspaces of the space, as classB references."""
+    masks = data.draw(st.lists(
+        st.integers(min_value=1, max_value=space.full_mask()),
+        min_size=1, max_size=2))
+    return [space.subspace(m)[0] for m in masks]
+
+
 def brute_force_value(query):
     """Minimum over admissible A0 of the oracle cover of A minus A0.
 
-    The members are tested one by one with ``is_categorical`` and
-    ``is_G_deformable`` (checked against the oracles elsewhere); only the
-    covering is brute force here.
+    The members are tested one by one with ``is_categorical``,
+    ``is_G_deformable`` or ``order_isomorphic`` (checked against the
+    oracles or fixtures elsewhere); only the covering is brute force here.
     """
     space, action, klass, mode = (query.space, query.action, query.klass,
                                   query.mode)
     sets = space.down_sets() if mode == "closed" else space.up_sets()
+    if mode == "classB":
+        member = _is_iso_member(space, query.class_b)
+    else:
+        def member(m):
+            return is_categorical(m, space, action, klass,
+                                  with_certificate=False)[0]
     members = [m for m in sets if m and action.is_invariant(m)
-               and is_categorical(m, space, action, klass,
-                                  with_certificate=False)[0]]
+               and member(m)]
     a0s = [0]
     if mode in ("pair", "mod", "semi"):
         required = query.A & query.Y if mode != "pair" else 0
@@ -302,9 +332,15 @@ def test_every_mode_matches_brute_force(acted, data):
     full = space.full_mask()
     A = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
     Y = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
-    for mode in ("plain", "closed", "pair", "mod", "semi"):
+    modes = ["plain", "closed", "pair", "mod", "semi"]
+    class_b = None
+    if action.is_trivial():
+        modes.append("classB")
+        class_b = _reference_spaces(data, space)
+    for mode in modes:
         query = CatQuery(space, A=A, Y=Y if mode in ("pair", "mod", "semi")
-                         else 0, mode=mode, action=action, klass=klass)
+                         else 0, mode=mode, action=action, klass=klass,
+                         class_b=class_b if mode == "classB" else None)
         result = cover_category(query)
         assert result.value == brute_force_value(query), mode
         assert result.verify()
@@ -337,10 +373,15 @@ def test_catalogues_are_the_maximal_members(acted, data):
         ("mod", opens, deforms(True),
          deformable_open_catalog(space, action, Y, True)),
     ]
+    if action.is_trivial():
+        class_b = _reference_spaces(data, space)
+        cases.append(("classB", opens, _is_iso_member(space, class_b),
+                      classB_catalog(space, action, class_b).members))
     for name, sets, test, members in cases:
         family = {m for m in sets if test(m)}
-        for m in family:  # down-closed among invariant sets
-            assert all(s in family for s in sets if s & ~m == 0), name
+        for m in family:  # all but classB are down-closed among invariant sets
+            assert name == "classB" or all(
+                s in family for s in sets if s & ~m == 0), name
         maximal = [m for m in family
                    if not any(m != f and m & ~f == 0 for f in family)]
         if name in ("pair", "mod") and not maximal:
@@ -351,12 +392,12 @@ def test_catalogues_are_the_maximal_members(acted, data):
             maximal, key=lambda m: (-m.bit_count(), m)), name
         for m in members:
             if name in ("open", "closed"):
-                ok, fence = _categorical_cached(space, action, klass, m)
+                ok, fence = is_categorical(m, space, action, klass)
                 assert ok
                 fence.validate()
                 assert fence.start.images == tuple(bits(m))
                 assert fence.end.images in _factor_targets(m, action, klass)
-            else:
+            elif name in ("pair", "mod"):
                 # starts at the inclusion, ends in Y (mod Y for mod)
                 query = CatQuery(space, A=m, Y=Y, mode=name, action=action,
                                  klass=klass)

@@ -129,12 +129,20 @@ def test_star_cover_values():
 
 
 def test_star_cover_certificates_are_collapsible():
-    count, cover = star_cover_upper_bound(torus())
-    assert count == 3
+    K = torus()
+    count, cover = star_cover_upper_bound(K)
+    assert count == len(cover) == 3
     seen = set()
     for entry in cover:
         seen.update(entry["vertices"])
-    assert seen == set(torus().vertices)
+        current = set(K.induced(entry["vertices"]).simplices)
+        for face, coface in entry["collapse"]:  # elementary collapses
+            assert face in current
+            assert [s for s in current
+                    if set(face) < set(s)] == [coface], (face, coface)
+            current -= {face, coface}
+        assert len(current) == 1 and len(next(iter(current))) == 1
+    assert seen == set(K.vertices)
 
 
 def test_sandwich_on_shipped_complexes():
