@@ -11,7 +11,6 @@ from .poset import (  # noqa: F401
     NotAPartialOrder,
     SizeCapExceeded,
     SpaceMap,
-    Subset,
     core,
     enumerate_maps,
     homotopic,

@@ -12,7 +12,6 @@ from .poset import (
     FenceCertificate,
     SizeCapExceeded,
     SpaceMap,
-    Subset,
     bits,
     fence_search,
     validate_space,
@@ -125,19 +124,14 @@ class GroupAction:
         trivial group)."""
         if self.is_trivial():
             return A
-        if isinstance(A, Subset):
-            mask = A.mask
-        else:
-            mask = A
         out = 0
-        for i in bits(mask):
+        for i in bits(A):
             out |= self.orbit_mask(i)
-        return out if not isinstance(A, Subset) else Subset(self.space, out)
+        return out
 
     def is_invariant(self, A):
-        """Is A (a mask or a Subset) a union of orbits?"""
-        mask = A.mask if isinstance(A, Subset) else A
-        return self.saturate(mask) == mask
+        """Is the mask A a union of orbits?"""
+        return self.saturate(A) == A
 
     def stabilizer(self, i):
         """Point stabiliser as a frozenset of element indices."""
@@ -445,16 +439,3 @@ def orbit_equivalent(action, i, j, f_values):
         is_G_deformable(action, maskj, maski) is not None
     )
 
-
-class Orbit:
-    """An orbit with its base point, as a Subset."""
-
-    __slots__ = ("action", "base", "subset")
-
-    def __init__(self, action, base_index):
-        self.action = action
-        self.base = base_index
-        self.subset = Subset(action.space, action.orbit_mask(base_index))
-
-    def __repr__(self):
-        return f"Orbit(base={self.action.space.points[self.base]})"

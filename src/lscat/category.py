@@ -46,7 +46,6 @@ from .action import (
 )
 from .poset import (
     SpaceMap,
-    Subset,
     bits,
     is_contractible_in,
     is_homotopy_equivalence,
@@ -142,8 +141,8 @@ class CatQuery:
         self.space = space
         self.action = action if action is not None else GroupAction.trivial(space)
         self.klass = klass if klass is not None else HomogeneousClass.point_only(self.action)
-        self.A = space.full_mask() if A is None else _mask_of(A)
-        self.Y = _mask_of(Y)
+        self.A = space.full_mask() if A is None else A
+        self.Y = Y
         self.mode = mode
         self.class_b = tuple(class_b or ())
         if mode in ("plain", "closed", "classB") and self.Y:
@@ -152,16 +151,12 @@ class CatQuery:
             raise ValueError("classB mode needs a reference list")
         if mode == "classB" and not self.action.is_trivial():
             raise ValueError("classB mode takes no group action")
+        if (self.A | self.Y) & ~space.full_mask():
+            raise ValueError("A and Y must be masks of points of the space")
         if not self.action.is_invariant(self.A):
             raise ValueError("A must be G-invariant")
         if not self.action.is_invariant(self.Y):
             raise ValueError("Y must be G-invariant")
-
-
-def _mask_of(x):
-    if isinstance(x, Subset):
-        return x.mask
-    return x
 
 
 class CoverEntry:
@@ -716,18 +711,17 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
     space = phi.domain
     action = action or GroupAction.trivial(space)
     klass = klass or HomogeneousClass.point_only(action)
-    U_mask = _mask_of(U)
     if not is_homotopy_equivalence(phi):
         raise HypothesisUnmet("homotopy_equivalence")
-    if not space.is_up_set(U_mask):
+    if not space.is_up_set(U):
         raise HypothesisUnmet("open")
-    ok, u_cert = is_categorical(U_mask, space, action, klass)
+    ok, u_cert = is_categorical(U, space, action, klass)
     if not ok:
         raise HypothesisUnmet("categorical")
-    pre_mask = phi.preimage_mask(U_mask)
+    pre_mask = phi.preimage_mask(U)
     assert space.is_up_set(pre_mask)  # preimage of open under continuous
     if pre_mask == 0:
-        return {"preimage": Subset(space, pre_mask), "categorical": True,
+        return {"preimage": pre_mask, "categorical": True,
                 "certificate": None, "note": "empty preimage"}
 
     psi = homotopy_inverse(phi)
@@ -739,7 +733,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
         raise HypothesisUnmet("homotopy_equivalence")
     part1 = outer.compose_right(incl_pre)
     # fence 2: psi o (U's factorisation fence) o phi|
-    sub_u, u_parents = space.subspace(U_mask)
+    sub_u, u_parents = space.subspace(U)
     u_pos = {p: k for k, p in enumerate(u_parents)}
     phi_restr = SpaceMap(
         incl_pre.domain, sub_u,
@@ -751,7 +745,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
     ok2, _ = is_categorical(pre_mask, space, action, klass,
                             with_certificate=False)
     return {
-        "preimage": Subset(space, pre_mask),
+        "preimage": pre_mask,
         "categorical": True,
         "certificate": full,
         "independent_recheck": ok2,
@@ -767,10 +761,9 @@ def closed_category_report(A, space, action=None, klass=None):
     """
     action = action or GroupAction.trivial(space)
     klass = klass or HomogeneousClass.point_only(action)
-    A_mask = _mask_of(A)
-    if not space.is_down_set(A_mask):
+    if not space.is_down_set(A):
         raise HypothesisUnmet("closed")
-    sub, idx = space.subspace(A_mask)
+    sub, idx = space.subspace(A)
     sub_action, sub_klass = _induced(action, klass, sub, idx)
 
     value_in_sub = cover_category(
@@ -780,10 +773,10 @@ def closed_category_report(A, space, action=None, klass=None):
         CatQuery(sub, mode="closed", action=sub_action, klass=sub_klass)
     ).value
     closed_in_x = cover_category(
-        CatQuery(space, A=A_mask, mode="closed", action=action, klass=klass)
+        CatQuery(space, A=A, mode="closed", action=action, klass=klass)
     ).value
     open_in_x = cover_category(
-        CatQuery(space, A=A_mask, action=action, klass=klass)
+        CatQuery(space, A=A, action=action, klass=klass)
     ).value
 
     verdicts = {

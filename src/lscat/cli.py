@@ -25,7 +25,6 @@ from .dynamics import (
 )
 from .engine import make_truncated_index, verify_index_bound
 from .formats import (
-    ParseError,
     ValidationError,
     emit_report,
     expectation_mismatches,
@@ -53,14 +52,16 @@ def cmd_space_validate(args):
     try:
         with open(args.file) as fh:
             doc = json.load(fh)
-        space = parse_space(doc.get("space", doc), args.file)
+        if isinstance(doc, dict):
+            doc = doc.get("space", doc)
+        space = parse_space(doc, args.file)
         report = {
             "points": list(space.points),
             "relation": space.relation_pairs(),
             "open_sets": len(space.up_sets()),
             "discrete": space.is_discrete(),
         }
-    except (ParseError, ValidationError, NotAPartialOrder, EmptySpace,
+    except (ValidationError, NotAPartialOrder, EmptySpace,
             SizeCapExceeded, OSError, json.JSONDecodeError) as err:
         print(f"invalid: {err}", file=sys.stderr)
         return 2
@@ -190,7 +191,7 @@ def run_corpus(directory=None, seed=0, fmt="text", out=None):
         path = os.path.join(directory, name)
         try:
             scenarios.append(parse_scenario(path))
-        except (ParseError, ValidationError) as err:
+        except ValidationError as err:
             errors.append({"file": name, "error": str(err)})
 
     matched = mismatched = 0
@@ -242,7 +243,7 @@ def _scenario_command(args, expected_kind, seed=0):
             )
         outcome = run_scenario(sc, seed=seed)
         mismatches = _scenario_expect_actual(sc, outcome)
-    except (ParseError, ValidationError, NotAPartialOrder, EmptySpace,
+    except (ValidationError, NotAPartialOrder, EmptySpace,
             SizeCapExceeded, FenceNotFound) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2

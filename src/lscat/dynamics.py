@@ -35,7 +35,6 @@ from .category import (
 )
 from .poset import (
     SpaceMap,
-    Subset,
     automorphism_inverse,
     bits,
     is_homotopy_equivalence,
@@ -113,9 +112,7 @@ def check_discrete_palais_smale(pair, Y=None):
     subset, hence inside its closure.  The exhaustive cross-check
     enumerates the subsets of Y when |Y| is at most PS_CROSSCHECK_CAP.
     """
-    Y_mask = pair.space.full_mask() if Y is None else (
-        Y.mask if isinstance(Y, Subset) else Y
-    )
+    Y_mask = pair.space.full_mask() if Y is None else Y
     ok, witness = is_lyapunov(pair)
     report = {
         "holds": ok,

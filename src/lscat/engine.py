@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .poset import (
     SpaceMap,
-    Subset,
     bits,
     validate_space,
     _mutation_candidates,
@@ -54,8 +53,6 @@ class IndexFunction:
         self._cache = {}
 
     def __call__(self, A, Y=0):
-        A = A.mask if isinstance(A, Subset) else A
-        Y = Y.mask if isinstance(Y, Subset) else Y
         key = (A, Y)
         if key not in self._cache:
             v = self.evaluate(A, Y)
@@ -244,7 +241,6 @@ def _witness(space, **kw):
 def check_supervariance(nu, phi, Z, seed=0):
     """nu(phi(A), Z) >= nu(A, Z) for all A; witness on failure."""
     space = nu.space
-    Z = Z.mask if isinstance(Z, Subset) else Z
     n = len(space)
     if n <= SUPERVARIANCE_EXHAUSTIVE_CAP:
         masks = range(1 << n)
@@ -275,7 +271,6 @@ def band_escape_exponent(pair, U, a, b):
     fixed points at the top level); the iteration terminates because the
     decrement is bounded below by the minimal positive gap on the band.
     """
-    U_mask = U.mask if isinstance(U, Subset) else U
     ok, wit = is_lyapunov(pair)
     if not ok:
         raise HypothesisUnmet("lyapunov", wit)
@@ -285,11 +280,11 @@ def band_escape_exponent(pair, U, a, b):
             raise HypothesisUnmet(
                 "fixed_point_free_band", pair.space.points[i]
             )
-        if pair.f[i] == b and not U_mask >> i & 1:
+        if pair.f[i] == b and not U >> i & 1:
             raise HypothesisUnmet(
                 "neighborhood_covers_top_fixed_points", pair.space.points[i]
             )
-    source = pair.sublevel(b) & ~U_mask
+    source = pair.sublevel(b) & ~U
     target = pair.sublevel(a)
     n = minimal_escape_power(pair, source, target)
     if n is None:
@@ -304,17 +299,16 @@ def sublevel_entry_margin(pair, U, a, eps):
     below the first value above the cut always works for Lyapunov pairs
     since the sublevel set is forward invariant.
     """
-    U_mask = U.mask if isinstance(U, Subset) else U
     ok, wit = is_lyapunov(pair)
     if not ok:
         raise HypothesisUnmet("lyapunov", wit)
     if eps <= 0:
         raise ValueError("need a positive window")
     fa = pair.sublevel(a)
-    if fa & ~U_mask:
+    if fa & ~U:
         raise HypothesisUnmet(
             "neighborhood_contains_sublevel",
-            sorted(pair.space.labels(fa & ~U_mask)),
+            sorted(pair.space.labels(fa & ~U)),
         )
     fixed = pair.fixed_mask()
     for i in bits(fixed):
@@ -331,7 +325,7 @@ def sublevel_entry_margin(pair, U, a, eps):
         candidates.append(eps / 2)
     for delta in sorted(set(candidates), reverse=True):
         moved = pair.phi.image_mask(pair.sublevel(a + delta))
-        if moved & ~U_mask == 0:
+        if moved & ~U == 0:
             return delta
     raise AssertionError("no margin worked despite the hypotheses")
 

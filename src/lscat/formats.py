@@ -20,12 +20,6 @@ from .numeric import FIELD_REGISTRY
 from .poset import SizeCapExceeded, SpaceMap, validate_space
 
 
-class ParseError(ValueError):
-    def __init__(self, location, message):
-        self.location = location
-        super().__init__(f"{location}: {message}")
-
-
 class ValidationError(ValueError):
     def __init__(self, location, message):
         self.location = location
@@ -75,8 +69,8 @@ def _require(value, kind, location, what):
     types = {"object": dict, "list": (list, tuple), "string": str,
              "boolean": bool}[kind]
     if not isinstance(value, types):
-        raise ParseError(location,
-                         f"{what} must be a JSON {kind}, got {value!r}")
+        raise ValidationError(location,
+                              f"{what} must be a JSON {kind}, got {value!r}")
     return value
 
 
@@ -85,19 +79,21 @@ def _is_labels(space, labels):
 
 
 def parse_space(doc, location="space"):
+    _require(doc, "object", location, "a space")
     try:
         points = doc["points"]
         relation = doc.get("relation", [])
-    except (KeyError, TypeError) as err:
-        raise ParseError(location, f"missing field: {err}")
+    except KeyError as err:
+        raise ValidationError(location, f"missing field: {err}")
     _require(points, "list", location, "points")
     if not all(isinstance(p, str) for p in points):
-        raise ParseError(location, f"point labels are strings: {points!r}")
+        raise ValidationError(location,
+                              f"point labels are strings: {points!r}")
     for pair in _require(relation, "list", location, "relation"):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(p, str) for p in pair)):
-            raise ParseError(location, f"relation entries are label pairs: "
-                                       f"{pair!r}")
+            raise ValidationError(location, f"relation entries are label "
+                                            f"pairs: {pair!r}")
     try:
         return validate_space(points, relation)
     except ValueError as err:
@@ -113,9 +109,11 @@ def parse_action(space, doc, location="action"):
         _require(g, "object", location, "a generator")
         missing = [p for p in space.points if p not in g]
         if missing:
-            raise ParseError(location, f"generator misses points {missing}")
+            raise ValidationError(location,
+                                  f"generator misses points {missing}")
         if not _is_labels(space, g.values()):
-            raise ParseError(location, f"generator uses unknown points: {g!r}")
+            raise ValidationError(location,
+                                  f"generator uses unknown points: {g!r}")
     try:
         return GroupAction.from_label_maps(space, gens)
     except (ValueError, SizeCapExceeded) as err:
@@ -140,10 +138,10 @@ def parse_map(space, doc, location="map"):
     _require(doc, "object", location, "a map")
     missing = [p for p in space.points if p not in doc]
     if missing:
-        raise ParseError(location, f"map misses points {missing}")
+        raise ValidationError(location, f"map misses points {missing}")
     unknown = [p for p in doc if p not in space.index]
     if unknown or not _is_labels(space, doc.values()):
-        raise ParseError(location, f"map uses unknown points: {doc!r}")
+        raise ValidationError(location, f"map uses unknown points: {doc!r}")
     try:
         return SpaceMap.from_dict(space, space, doc)
     except ValueError as err:
@@ -154,38 +152,26 @@ def parse_function(space, doc, location="function"):
     _require(doc, "object", location, "a function")
     missing = [p for p in space.points if p not in doc]
     if missing:
-        raise ParseError(location, f"function misses points {missing}")
+        raise ValidationError(location, f"function misses points {missing}")
     unknown = [p for p in doc if p not in space.index]
     if unknown:
-        raise ParseError(location, f"function uses unknown points {unknown}")
-    try:
-        values = {p: float(v) for p, v in doc.items()}
-    except (TypeError, ValueError) as err:
-        raise ValidationError(location, f"non-numeric value: {err}")
-    bad = [p for p, v in values.items() if not math.isfinite(v)]
+        raise ValidationError(location,
+                              f"function uses unknown points {unknown}")
+    bad = [p for p, v in doc.items() if not _finite(v)]
     if bad:
-        raise ValidationError(location, f"non-finite values at {bad}")
-    return values
+        raise ValidationError(location, f"values must be finite numbers, "
+                                        f"bad at {bad}")
+    return {p: float(v) for p, v in doc.items()}
 
 
 def parse_band(doc, location="band"):
     if not (isinstance(doc, (list, tuple)) and len(doc) == 2):
-        raise ParseError(location, "band must be a pair [a, b]")
+        raise ValidationError(location, "band must be a pair [a, b]")
     a, b = doc
-    try:
-        a = float(a)
-    except (TypeError, ValueError):
-        raise ParseError(location, f"lower cut must be a number, got {a!r}")
-    if b == "inf":
-        b = INFINITE
-    else:
-        try:
-            b = float(b)
-        except (TypeError, ValueError):
-            raise ParseError(location, f'upper cut must be a number or "inf"')
-    if not math.isfinite(a) or b is not INFINITE and not math.isfinite(b):
+    if not _finite(a) or b != "inf" and not _finite(b):
         raise ValidationError(location, f'cuts are finite numbers (the upper '
                                         f'cut may be "inf"), got {doc!r}')
+    a, b = float(a), INFINITE if b == "inf" else float(b)
     if b is not INFINITE and not a < b:
         raise ValidationError(location, f"need a < b, got [{a}, {b}]")
     return a, b
@@ -280,7 +266,7 @@ def parse_subset(space, doc, location="subset"):
     mask = 0
     for lab in _require(doc, "list", location, "a subset"):
         if not (isinstance(lab, str) and lab in space.index):
-            raise ParseError(location, f"unknown point {lab!r}")
+            raise ValidationError(location, f"unknown point {lab!r}")
         mask |= 1 << space.index[lab]
     return mask
 
@@ -296,9 +282,9 @@ def parse_scenario(path_or_doc, path=None):
             with open(path) as fh:
                 doc = json.load(fh)
         except OSError as err:
-            raise ParseError(location, f"cannot read: {err}")
+            raise ValidationError(location, f"cannot read: {err}")
         except json.JSONDecodeError as err:
-            raise ParseError(f"{location}:{err.lineno}", err.msg)
+            raise ValidationError(f"{location}:{err.lineno}", err.msg)
     kind = _require(doc, "object", location, "a scenario").get("kind")
     if kind not in SCENARIO_KINDS:
         raise ValidationError(location, f"unknown scenario kind {kind!r}")

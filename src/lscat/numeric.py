@@ -134,7 +134,7 @@ def _batch_V(field, pts):
 
 
 class Trajectory:
-    """Dense RK4 output: times, states, speeds and descent rates."""
+    """Dense RK4 output: times, states and descent rates."""
 
     __slots__ = ("times", "states", "field")
 
@@ -157,12 +157,6 @@ class Trajectory:
             g = np.asarray(self.field.grad(m), dtype=float)
             n = float(np.linalg.norm(g))
             out[k] = n * n / truncation_g(n)
-        return out
-
-    def speeds(self):
-        out = np.empty(len(self.states))
-        for k, m in enumerate(self.states):
-            out[k] = float(np.linalg.norm(field_V(self.field, m)))
         return out
 
 

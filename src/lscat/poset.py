@@ -7,8 +7,10 @@ of maps is modelled combinatorially: two maps are homotopic iff they are
 connected by a *fence*, a chain of continuous maps in which consecutive
 maps are pointwise comparable (the classical Stong/McCord equivalence).
 
-Subsets are bitmasks over the point list; everything here is immutable
-after construction and safe to share between threads.
+Subsets are bitmasks over the point list (bit i is ``points[i]``); the
+mask is the one subset type of the package, and ``FiniteSpace.subset``
+turns labels into it.  Everything here is immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -166,13 +168,12 @@ class FiniteSpace:
         full = self.full_mask()
         return tuple(sorted(full ^ m for m in self.up_sets()))
 
-    def subset(self, labels_or_mask):
-        if isinstance(labels_or_mask, int):
-            return Subset(self, labels_or_mask)
+    def subset(self, labels):
+        """The mask of the points named by ``labels``."""
         mask = 0
-        for lab in labels_or_mask:
+        for lab in labels:
             mask |= 1 << self.index[lab]
-        return Subset(self, mask)
+        return mask
 
     def labels(self, mask):
         return tuple(self.points[i] for i in _bits(mask))
@@ -210,59 +211,6 @@ def _bits(mask):
 def bits(mask):
     """Indices of the set bits of a mask, ascending."""
     return list(_bits(mask))
-
-
-class Subset:
-    """A subset of a finite space, stored as a bitmask."""
-
-    __slots__ = ("space", "mask")
-
-    def __init__(self, space, mask):
-        if mask < 0 or mask > space.full_mask():
-            raise ValueError("mask out of range for space")
-        self.space = space
-        self.mask = mask
-
-    def labels(self):
-        return self.space.labels(self.mask)
-
-    def indices(self):
-        return bits(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subset)
-            and self.space == other.space
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.mask))
-
-    def __repr__(self):
-        return f"Subset({sorted(self.labels())!r})"
-
-    def __or__(self, other):
-        return Subset(self.space, self.mask | other.mask)
-
-    def __and__(self, other):
-        return Subset(self.space, self.mask & other.mask)
-
-    def __sub__(self, other):
-        return Subset(self.space, self.mask & ~other.mask)
-
-    def is_open(self):
-        return self.space.is_up_set(self.mask)
-
-    def closure(self):
-        """Smallest closed (down-) set containing the subset."""
-        return Subset(self.space, self.space.down_closure(self.mask))
-
-    def up_closure(self):
-        return Subset(self.space, self.space.up_closure(self.mask))
 
 
 def validate_space(points, relation_pairs):
@@ -473,12 +421,9 @@ def _check_map_space(what, space):
 def enumerate_maps(domain, codomain):
     """All order-preserving maps domain -> codomain, lexicographic order.
 
-    Backtracking over a linear extension; deterministic.  ``domain`` may
-    be a Subset, in which case maps from the induced subspace are
-    produced.
+    Backtracking over a linear extension; deterministic.  For maps from
+    a subset, pass its induced subspace, ``space.subspace(mask)[0]``.
     """
-    if isinstance(domain, Subset):
-        domain, _ = domain.space.subspace(domain.mask)
     _check_map_space("enumerate_maps", codomain)
     _check_map_space("enumerate_maps", domain)
     n = len(domain)
@@ -755,7 +700,7 @@ def core(space):
 
 
 def is_contractible_in(A, space, with_certificate=True):
-    """Is the inclusion of A (a Subset or a mask) fence-homotopic to a
+    """Is the inclusion of the subset A (a mask) fence-homotopic to a
     constant map into X?
 
     Runs on cores for speed: A is contractible in X iff the conjugated
@@ -764,11 +709,10 @@ def is_contractible_in(A, space, with_certificate=True):
     that one map.  The certificate, when asked for, is a full fence on
     the original inclusion, built from the same collapse.
     """
-    mask = A.mask if isinstance(A, Subset) else A
-    if mask == 0:
+    if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")
     core_x = core(space)
-    alive, removals = _collapse(space, mask)
+    alive, removals = _collapse(space, A)
     core_a, idx = space.subspace(alive)
     r_x = core_x.retraction.images
     m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))
@@ -779,7 +723,7 @@ def is_contractible_in(A, space, with_certificate=True):
         return True, None
     # With rA: A -> core_a the collapse of A, and incl its inclusion:
     #   incl ~ incl o iA o rA ~ (iX o rX) o incl o iA o rA ~ iX o m_k o rA
-    sub, parents = space.subspace(mask)
+    sub, parents = space.subspace(A)
     part1 = _collapse_stages(sub, space, parents, removals)
     tail = part1.end  # incl o iA o rA
     part2 = core_x.fence.compose_right(tail)

@@ -207,9 +207,6 @@ class Cochain:
         self.dim = dim
         self.coeffs = coeffs
 
-    def __add__(self, other):
-        return Cochain(self.complex, self.dim, self.coeffs ^ other.coeffs)
-
 
 def coboundary_matrix(K, d):
     """delta: C^d -> C^{d+1} over GF(2); rows = (d+1)-simplices."""

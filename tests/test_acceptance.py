@@ -84,11 +84,11 @@ def test_criterion_01_category_oracle():
 
 def test_criterion_02_strict_relative_fixtures():
     arc = fx.fix_arc3()
-    Y = arc.subset(["l", "r"]).mask
+    Y = arc.subset(["l", "r"])
     mod_value = cat_mod(arc, arc.full_mask(), Y)
     pair_value = cat_pair(arc, arc.full_mask(), Y)
     wedge = fx.fix_2circ()
-    S = wedge.subset(["o", "q1", "U1", "L1"]).mask
+    S = wedge.subset(["o", "q1", "U1", "L1"])
     wedge_pair = cat_pair(wedge, wedge.full_mask(), S)
     diff = cat(wedge) - cat(wedge, S)
     ok = (

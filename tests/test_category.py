@@ -61,7 +61,7 @@ def test_infinity_conventions():
 
 
 def test_categorical_matches_contractible_for_trivial_group(c4):
-    good, _ = is_categorical(c4.subset(["p", "U", "L"]).mask, c4)
+    good, _ = is_categorical(c4.subset(["p", "U", "L"]), c4)
     assert good
     bad, _ = is_categorical(c4.full_mask(), c4)
     assert not bad
@@ -95,13 +95,13 @@ def test_cover_certificate_revalidates(c4):
 
 
 def test_pair_and_mod_on_arc(arc3):
-    Y = arc3.subset(["l", "r"]).mask
+    Y = arc3.subset(["l", "r"])
     assert cat_pair(arc3, arc3.full_mask(), Y) == 0
     assert cat_mod(arc3, arc3.full_mask(), Y) == 1
 
 
 def test_pair_on_two_circle_wedge(wedge2):
-    S = wedge2.subset(["o", "q1", "U1", "L1"]).mask
+    S = wedge2.subset(["o", "q1", "U1", "L1"])
     assert cat(wedge2) == 2
     assert cat(wedge2, S) == 2
     assert cat_pair(wedge2, wedge2.full_mask(), S) == 1
@@ -147,7 +147,7 @@ def test_order_isomorphic(v_space, arc3):
 
 
 def test_mod_infinite_on_pinned_minima(c4):
-    pq = c4.subset(["p", "q"]).mask
+    pq = c4.subset(["p", "q"])
     assert cat_mod(c4, pq, pq) is INFINITE
     assert cat_mod(c4, 1 << c4.index["p"], pq) == 0
     assert cat_semi(c4, c4.full_mask(), pq) is INFINITE
@@ -165,10 +165,10 @@ def test_min_cover_exactness():
 
 def test_ordering_chain_on_fixtures(arc3, c4, wedge2):
     cases = [
-        (arc3, arc3.full_mask(), arc3.subset(["l", "r"]).mask),
-        (c4, c4.full_mask(), c4.subset(["p", "U", "L"]).mask),
+        (arc3, arc3.full_mask(), arc3.subset(["l", "r"])),
+        (c4, c4.full_mask(), c4.subset(["p", "U", "L"])),
         (wedge2, wedge2.full_mask(),
-         wedge2.subset(["o", "q1", "U1", "L1"]).mask),
+         wedge2.subset(["o", "q1", "U1", "L1"])),
     ]
     for space, A, Y in cases:
         mod = cat_mod(space, A, Y)
@@ -435,14 +435,14 @@ def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
 def test_preimage_categorical_identity(c4):
     U = c4.subset(["p", "U", "L"])
     report = check_preimage_categorical(SpaceMap.identity(c4), U)
-    assert report["preimage"].mask == U.mask
+    assert report["preimage"] == U
     assert report["independent_recheck"]
 
 
 def test_preimage_categorical_swap(c4):
     U = c4.subset(["p", "U", "L"])
     report = check_preimage_categorical(fx.c4_swap_map(c4), U)
-    assert sorted(report["preimage"].labels()) == ["L", "U", "q"]
+    assert sorted(c4.labels(report["preimage"])) == ["L", "U", "q"]
     report["certificate"].validate()
     assert report["independent_recheck"]
 
@@ -471,7 +471,7 @@ def test_closed_report_circle_reports_only(c4):
 
 
 def test_closed_report_full_space(c4):
-    report = closed_category_report(c4.subset(c4.full_mask()), c4)
+    report = closed_category_report(c4.full_mask(), c4)
     assert report["cat_in_space"] == report["cat_of_subspace"] == 2
 
 

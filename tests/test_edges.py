@@ -26,9 +26,9 @@ from lscat.simplicial import SimplicialComplex, star_cover_upper_bound
 def test_enumerate_maps_cap_and_override(monkeypatch):
     big = fx.discrete(13)
     with pytest.raises(SizeCapExceeded):
-        enumerate_maps(big.subset(big.full_mask()), big)
+        enumerate_maps(big, big)
     monkeypatch.setattr(poset, "MAP_SPACE_CAP", 13)
-    maps = enumerate_maps(big.subset(["d0"]), big)
+    maps = enumerate_maps(big.subspace(big.subset(["d0"]))[0], big)
     assert len(maps) == 13
 
 
@@ -54,6 +54,22 @@ def test_invariance_validation():
         CatQuery(c4, A=1 << c4.index["U"], action=action)
 
 
+@pytest.mark.parametrize("A,Y,mode", [
+    (1 << 10, 0, "plain"),
+    (-1, 0, "plain"),
+    (None, 1 << 9, "pair"),
+    (None, -2, "mod"),
+])
+def test_query_masks_must_lie_in_the_space(A, Y, mode):
+    c4 = fx.fix_c4()
+    with pytest.raises(ValueError, match="points of the space"):
+        CatQuery(c4, A=A, Y=Y, mode=mode)
+    with pytest.raises(ValueError, match="points of the space"):
+        CatQuery(c4, A=A, Y=Y, mode=mode,
+                 action=GroupAction.from_label_maps(
+                     c4, [fx.conjugation_generator()]))
+
+
 def test_classb_requires_trivial_action(conjugation, c4, v_space):
     with pytest.raises(ValueError, match="classB mode takes no group"):
         CatQuery(c4, mode="classB", action=conjugation, class_b=[v_space])
@@ -67,7 +83,7 @@ def test_classb_requires_trivial_action(conjugation, c4, v_space):
     ("mod", ["l", "r"]),
 ])
 def test_certificates_revalidate_across_modes(arc3, mode, Y):
-    y_mask = arc3.subset(Y).mask if Y else 0
+    y_mask = arc3.subset(Y) if Y else 0
     result = cover_category(
         CatQuery(arc3, Y=y_mask, mode=mode)
     )

@@ -34,7 +34,7 @@ def test_truncated_index_values(c4_index, c4, arc3):
     tight = make_truncated_index("category", 1, GroupAction.trivial(c4))
     assert tight(c4.full_mask()) == 1
     mod = make_truncated_index("mod_category", 5, GroupAction.trivial(arc3))
-    assert mod(arc3.full_mask(), arc3.subset(["l", "r"]).mask) == 1
+    assert mod(arc3.full_mask(), arc3.subset(["l", "r"])) == 1
 
 
 def test_truncation_coherence(c4, trivial_c4):
@@ -176,15 +176,15 @@ def test_escape_exponent_minimality_on_generated_instances():
 def test_entry_margin_examples(v_pair, v_space):
     assert sublevel_entry_margin(v_pair, v_space.full_mask(), 1.0, 1.0) == 1.0
     delta = sublevel_entry_margin(
-        v_pair, v_space.subset(["c", "a"]).mask, 1.0, 0.9
+        v_pair, v_space.subset(["c", "a"]), 1.0, 0.9
     )
     assert 0 < delta <= 0.9
     assert v_pair.phi.image_mask(v_pair.sublevel(1.0 + delta)) & ~(
-        v_space.subset(["c", "a"]).mask
+        v_space.subset(["c", "a"])
     ) == 0
     frozen = DynamicalPair(v_space, SpaceMap.identity(v_space), fx.V_HEIGHTS)
     with pytest.raises(HypothesisUnmet):
-        sublevel_entry_margin(frozen, v_space.subset(["c"]).mask, 0.5, 1.0)
+        sublevel_entry_margin(frozen, v_space.subset(["c"]), 0.5, 1.0)
 
 
 def test_critical_values_negative_control(c4_const_pair, c4_index):

@@ -15,7 +15,6 @@ from lscat.cli import (
     run_corpus,
 )
 from lscat.formats import (
-    ParseError,
     ValidationError,
     emit_report,
     expectation_mismatches,
@@ -85,7 +84,7 @@ def test_parse_infinite_band():
 def test_parse_error_carries_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_scenario(str(bad))
     assert "bad.json" in str(err.value)
 
@@ -195,6 +194,14 @@ def test_cli_space_validate_past_subset_cap(tmp_path, capsys):
     f.write_text(json.dumps({"points": [f"d{i}" for i in range(17)]}))
     assert main(["space", "validate", str(f)]) == 2
     assert "lscat.poset.SUBSET_SPACE_CAP = 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "points"])
+def test_cli_space_validate_rejects_a_non_object(tmp_path, capsys, doc):
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(doc))
+    assert main(["space", "validate", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("invalid:")
 
 
 def test_oversized_group_is_an_input_error(tmp_path, capsys):
@@ -380,8 +387,16 @@ NAN, INF = float("nan"), float("inf")
     lambda d: d["function"].update(c=INF),
     lambda d: d.update(band=[-INF, 3.0]),
     lambda d: d.update(band=[-1.0, INF]),
+    lambda d: d["function"].update(c="0.0"),
+    lambda d: d["function"].update(c=True),
+    lambda d: d["function"].update(c=10 ** 400),
+    lambda d: d.update(band=["-1.0", 3.0]),
+    lambda d: d.update(band=[False, 3.0]),
+    lambda d: d.update(band=[-1.0, True]),
 ], ids=["function-nan", "function-inf", "lower-cut-minus-inf",
-        "upper-cut-inf-number"])
+        "upper-cut-inf-number", "function-string", "function-boolean",
+        "function-huge-integer", "lower-cut-string", "lower-cut-boolean",
+        "upper-cut-boolean"])
 def test_cli_rejects_non_finite_numbers(edit):
     doc = _load_fixture("v_descent_engine.json")
     edit(doc)

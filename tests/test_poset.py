@@ -6,7 +6,6 @@ from lscat.poset import (
     EmptySpace,
     NotAPartialOrder,
     SpaceMap,
-    Subset,
     bits,
     core,
     enumerate_maps,
@@ -43,21 +42,22 @@ def test_validate_transitive_closure_is_taken():
 
 
 def test_closure_examples(c4, v_space):
-    assert sorted(c4.subset(["U"]).closure().labels()) == ["U", "p", "q"]
-    assert c4.subset([]).closure().mask == 0
-    assert sorted(v_space.subset(["a"]).closure().labels()) == ["a", "c"]
+    closure = c4.down_closure(c4.subset(["U"]))
+    assert sorted(c4.labels(closure)) == ["U", "p", "q"]
+    assert c4.down_closure(c4.subset([])) == 0
+    closure = v_space.down_closure(v_space.subset(["a"]))
+    assert sorted(v_space.labels(closure)) == ["a", "c"]
 
 
 def test_is_open_examples(c4):
-    assert c4.subset(["U"]).is_open()
-    assert not c4.subset(["p"]).is_open()
-    assert c4.subset(c4.full_mask()).is_open()
+    assert c4.is_up_set(c4.subset(["U"]))
+    assert not c4.is_up_set(c4.subset(["p"]))
+    assert c4.is_up_set(c4.full_mask())
 
 
 def test_open_iff_equals_up_closure(c4):
     for mask in range(c4.full_mask() + 1):
-        sub = Subset(c4, mask)
-        assert sub.is_open() == (sub.up_closure().mask == mask)
+        assert c4.is_up_set(mask) == (c4.up_closure(mask) == mask)
 
 
 def test_closure_idempotent_and_monotone(wedge2):
@@ -70,7 +70,7 @@ def test_closure_idempotent_and_monotone(wedge2):
 
 
 def test_enumerate_maps_v_contains_identity_and_constants(v_space):
-    maps = enumerate_maps(v_space.subset(v_space.full_mask()), v_space)
+    maps = enumerate_maps(v_space, v_space)
     images = {m.images for m in maps}
     assert tuple(range(3)) in images
     for c in range(3):
@@ -78,18 +78,18 @@ def test_enumerate_maps_v_contains_identity_and_constants(v_space):
 
 
 def test_enumerate_maps_single_point(c4):
-    maps = enumerate_maps(c4.subset(["p"]), c4)
+    maps = enumerate_maps(c4.subspace(c4.subset(["p"]))[0], c4)
     assert len(maps) == len(c4)
 
 
 def test_enumerate_maps_c4_count_regression(c4):
     # hand-verified over the four image cases of the two minima
-    maps = enumerate_maps(c4.subset(c4.full_mask()), c4)
+    maps = enumerate_maps(c4, c4)
     assert len(maps) == 36
 
 
 def test_map_composition_stays_continuous(v_space):
-    maps = enumerate_maps(v_space.subset(v_space.full_mask()), v_space)
+    maps = enumerate_maps(v_space, v_space)
     for m1 in maps[:6]:
         for m2 in maps[:6]:
             m1.compose(m2)  # constructor re-validates
@@ -118,8 +118,7 @@ def test_homotopic_c4_identity_not_constant(c4):
 
 def test_homotopic_is_equivalence_relation_small():
     for space in (fx.fix_v(), fx.fix_arc3(), fx.fix_c4()):
-        sub = space.subset(space.full_mask())
-        maps = enumerate_maps(sub, space)
+        maps = enumerate_maps(space, space)
         comp = {}
         for m in maps:
             for other in maps:
@@ -134,7 +133,7 @@ def test_homotopic_is_equivalence_relation_small():
 
 
 def test_homotopic_agrees_with_materialised_components(c4):
-    maps = enumerate_maps(c4.subset(c4.full_mask()), c4)
+    maps = enumerate_maps(c4, c4)
     groups = hom_components(maps)
     component_of = {}
     for k, grp in enumerate(groups):
@@ -151,7 +150,7 @@ def test_contractible_examples(c4):
     assert ok
     cert.validate()
     assert len(set(cert.end.images)) == 1
-    ok, _ = is_contractible_in(c4.subset(c4.full_mask()), c4)
+    ok, _ = is_contractible_in(c4.full_mask(), c4)
     assert not ok
     ok, _ = is_contractible_in(c4.subset(["q"]), c4)
     assert ok
@@ -162,13 +161,12 @@ def test_contractible_restricts_to_open_subsets(c4, wedge2):
         for mask in space.up_sets():
             if not mask:
                 continue
-            ok, _ = is_contractible_in(space.subset(mask),
-                                       space, with_certificate=False)
+            ok, _ = is_contractible_in(mask, space, with_certificate=False)
             if not ok:
                 continue
             for sub in space.up_sets():
                 if sub and sub & ~mask == 0:
-                    ok2, _ = is_contractible_in(space.subset(sub), space,
+                    ok2, _ = is_contractible_in(sub, space,
                                                 with_certificate=False)
                     assert ok2
 
@@ -178,8 +176,7 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         for mask in space.up_sets():
             if not mask:
                 continue
-            ok, _ = is_contractible_in(space.subset(mask), space,
-                                       with_certificate=False)
+            ok, _ = is_contractible_in(mask, space, with_certificate=False)
             assert ok == oracle_contractible(space, mask), (
                 space.points, space.labels(mask)
             )
@@ -187,7 +184,7 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
     for mask in wedge2.up_sets():
         if not mask or mask.bit_count() > 4:
             continue
-        ok, _ = is_contractible_in(wedge2.subset(mask), wedge2,
+        ok, _ = is_contractible_in(mask, wedge2,
                                    with_certificate=False)
         assert ok == oracle_contractible(wedge2, mask)
 
@@ -330,5 +327,4 @@ def test_closure_properties_random(space, seed):
     closed = space.down_closure(mask)
     assert space.down_closure(closed) == closed
     assert mask & ~closed == 0
-    sub = Subset(space, mask)
-    assert sub.is_open() == (space.up_closure(mask) == mask)
+    assert space.is_up_set(mask) == (space.up_closure(mask) == mask)
