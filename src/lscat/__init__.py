@@ -32,7 +32,6 @@ from .category import (  # noqa: F401
     INFINITE,
     cat,
     cat_classB,
-    cat_closed,
     cat_mod,
     cat_pair,
     cat_semi,

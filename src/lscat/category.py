@@ -27,14 +27,17 @@ is read, by calling ``is_categorical`` again, so it is the fence the set
 would have had if built eagerly; ``CatResult.verify`` decides membership
 again from scratch and reads no stored fence.
 
-The shared infinity token and its comparison conventions
-(inf >= inf, inf >= n, inf >= inf - n, 0 >= n - inf) live here and are
-used by every verifier.
+An infinite category value is the infinite value ``math.inf``, named
+``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
+inf >= inf - n and 0 >= n - inf; only 0 >= inf - inf (nan under IEEE)
+needs ``value_ge_diff``, which every verifier uses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from .action import (
     G_fence_search,
@@ -67,55 +70,22 @@ class HypothesisUnmet(RuntimeError):
         )
 
 
-# -- the shared infinity token ------------------------------------------
+# -- the infinite value ---------------------------------------------------
 
+INFINITE = math.inf
 
-class _Infinity:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-INFINITE = _Infinity()
-
-
-def value_ge(a, b):
-    """a >= b where either side may be INFINITE (inf >= inf, inf >= n)."""
-    if a is INFINITE:
-        return True
-    if b is INFINITE:
-        return False
-    return a >= b
+# Float order and str for callers outside the package.
+value_ge = operator.ge
+value_str = str
 
 
 def value_ge_diff(lhs, x, y):
-    """lhs >= x - y under the conventions inf >= inf - n and 0 >= n - inf.
+    """lhs >= x - y, vacuous when the subtrahend y is INFINITE.
 
-    All left-hand sides in this package are nonnegative, so a
-    subtrahend of INFINITE makes the inequality vacuous.
+    Every left-hand side in this package is nonnegative, so it is at
+    least n - inf for every n, inf included (IEEE gives inf - inf = nan).
     """
-    if y is INFINITE:
-        return True
-    if x is INFINITE:
-        return lhs is INFINITE
-    return value_ge(lhs, x - y)
-
-
-def value_add(*vals):
-    total = 0
-    for v in vals:
-        if v is INFINITE:
-            return INFINITE
-        total += v
-    return total
-
-
-def value_str(v):
-    return "inf" if v is INFINITE else str(v)
+    return y == INFINITE or lhs >= x - y
 
 
 # -- queries and results -------------------------------------------------
@@ -192,11 +162,11 @@ class CatResult:
         self.cover = cover
 
     def __repr__(self):
-        return f"CatResult({value_str(self.value)}, mode={self.query.mode})"
+        return f"CatResult({self.value}, mode={self.query.mode})"
 
     def verify(self):
         """Re-validate the certificate from scratch."""
-        if self.value is INFINITE:
+        if self.value == INFINITE:
             return True
         q = self.query
         space = q.space
@@ -686,12 +656,6 @@ def cat_semi(space, A, Y, action=None, klass=None):
     ).value
 
 
-def cat_closed(space, A=None, action=None, klass=None):
-    return cover_category(
-        CatQuery(space, A=A, mode="closed", action=action, klass=klass)
-    ).value
-
-
 def cat_classB(space, class_b, A=None, action=None):
     return cover_category(
         CatQuery(space, A=A, mode="classB", action=action, class_b=class_b)
@@ -780,8 +744,8 @@ def closed_category_report(A, space, action=None, klass=None):
     ).value
 
     verdicts = {
-        "cat_sub_ge_closed_sub": value_ge(value_in_sub, closed_in_sub),
-        "closed_sub_ge_closed_in_space": value_ge(closed_in_sub, closed_in_x),
+        "cat_sub_ge_closed_sub": value_in_sub >= closed_in_sub,
+        "closed_sub_ge_closed_in_space": closed_in_sub >= closed_in_x,
         "closed_in_space_eq_open_in_space": closed_in_x == open_in_x,
     }
     report = {

@@ -27,10 +27,7 @@ from .category import (
     HypothesisUnmet,
     INFINITE,
     cover_category,
-    value_add,
-    value_ge,
     value_ge_diff,
-    value_str,
     _induced,
 )
 from .poset import (
@@ -41,15 +38,12 @@ from .poset import (
 )
 
 
-PS_CROSSCHECK_CAP = 12  # |Y| up to which the Palais-Smale check enumerates
-
-
 class FenceNotFound(RuntimeError):
     pass
 
 
 class DynamicalPair:
-    """A self-map with a real value per point; caches the fixed set."""
+    """A self-map ``phi`` of a space with a real value ``f`` per point."""
 
     __slots__ = ("space", "phi", "f")
 
@@ -72,8 +66,6 @@ class DynamicalPair:
         )
 
     def sublevel(self, a):
-        if a is INFINITE:
-            return self.space.full_mask()
         return sum(1 << i for i, v in enumerate(self.f) if v <= a)
 
     def level_slice(self, d):
@@ -87,7 +79,7 @@ class DynamicalPair:
         vals = {
             self.f[i]
             for i in bits(fixed)
-            if self.f[i] > a and (b is INFINITE or self.f[i] <= b)
+            if a < self.f[i] <= b
         }
         return sorted(vals)
 
@@ -103,55 +95,24 @@ def is_lyapunov(pair):
     return True, None
 
 
-def check_discrete_palais_smale(pair, Y=None):
-    """Discrete Palais-Smale condition on Y for a finite-space pair.
+def check_discrete_palais_smale(pair):
+    """Discrete Palais-Smale condition for a finite-space pair.
 
     On a finite space the infimum of the decrement f - f o phi over any
     subset is attained, so the condition reduces to the Lyapunov
     property: an attained zero decrement is a fixed point inside the
-    subset, hence inside its closure.  The exhaustive cross-check
-    enumerates the subsets of Y when |Y| is at most PS_CROSSCHECK_CAP.
+    subset, hence inside its closure.
     """
-    Y_mask = pair.space.full_mask() if Y is None else Y
     ok, witness = is_lyapunov(pair)
-    report = {
+    return {
         "holds": ok,
         "witness": witness,
         "analysis": (
             "finite spaces attain the decrement minimum on every subset, "
             "so the condition follows from the Lyapunov property exactly "
             "as it does for compact carriers"
-        ),
-        "exhaustive_crosscheck": None,
+        ) if ok else "not a Lyapunov pair",
     }
-    if not ok:
-        report["analysis"] = "not a Lyapunov pair"
-        return report
-    n_y = Y_mask.bit_count()
-    if n_y <= PS_CROSSCHECK_CAP:
-        checked = 0
-        for sub in _submasks(Y_mask):
-            if not sub:
-                continue
-            gap = min(
-                pair.f[i] - pair.f[pair.phi.images[i]] for i in bits(sub)
-            )
-            if gap == 0 and not pair.space.down_closure(sub) & pair.fixed_mask():
-                report["holds"] = False
-                report["witness"] = sorted(pair.space.labels(sub))
-                return report
-            checked += 1
-        report["exhaustive_crosscheck"] = checked
-    return report
-
-
-def _submasks(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def minimal_escape_power(pair, source_mask, target_mask):
@@ -222,7 +183,7 @@ class TheoremReport:
 
     def to_dict(self):
         def enc(v):
-            if v is INFINITE:
+            if v == INFINITE:
                 return "inf"
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
@@ -239,11 +200,9 @@ class TheoremReport:
         }
 
 
-def persist_violation(kind, payload, directory=None):
+def persist_violation(kind, payload):
     """Write a counterexample bundle to the violations directory."""
-    directory = directory or os.environ.get(
-        "LSCAT_VIOLATIONS_DIR", "lscat-violations"
-    )
+    directory = os.environ.get("LSCAT_VIOLATIONS_DIR", "lscat-violations")
     os.makedirs(directory, exist_ok=True)
     blob = json.dumps(payload, sort_keys=True, default=str)
     digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
@@ -288,7 +247,7 @@ def _slice_sum(pair, a, b, cat):
     for d in pair.critical_levels(a, b):
         val = cat(pair.level_slice(d))
         per_level.append((d, val))
-        total = value_add(total, val)
+        total += val
     return total, per_level
 
 
@@ -332,7 +291,7 @@ def _count_orbit_classes(pair, a, b, action):
     fixed = pair.fixed_mask()
     band = [
         i for i in bits(fixed)
-        if pair.f[i] > a and (b is INFINITE or pair.f[i] <= b)
+        if a < pair.f[i] <= b
     ]
     reps = []
     for i in band:
@@ -353,7 +312,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     """Fixed-point lower bounds for a homotopy equivalence over a finite
     band: slice-category sum, orbit-class count, and slice-space
     category against the sublevel category difference."""
-    if b is INFINITE:
+    if b == INFINITE:
         raise ValueError(
             "unbounded bands need a map homotopic to the identity; "
             "use verify_identity_band_bound"
@@ -370,7 +329,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     cat_fa = _gcat(space, pair.sublevel(a), action, klass)
     cat_fb = _gcat(space, pair.sublevel(b), action, klass)
     report.hypothesis(
-        "sublevel_category_finite", "checked", cat_fa is not INFINITE,
+        "sublevel_category_finite", "checked", cat_fa < INFINITE,
         note="category of the lower sublevel set",
     )
     normality = space.is_discrete()
@@ -392,7 +351,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     })
     checked_ok = not report.checked_failures()
     report.part(
-        "a", lhs, f"{value_str(cat_fb)} - {value_str(cat_fa)}",
+        "a", lhs, f"{cat_fb} - {cat_fa}",
         value_ge_diff(lhs, cat_fb, cat_fa),
         assertable=checked_ok,
         bound=_diff(cat_fb, cat_fa),
@@ -404,7 +363,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     report.hypothesis("orbit_types_admissible", "checked", types_ok)
     report.values["orbit_class_count"] = len(classes)
     report.part(
-        "b", len(classes), f"{value_str(cat_fb)} - {value_str(cat_fa)}",
+        "b", len(classes), f"{cat_fb} - {cat_fa}",
         value_ge_diff(len(classes), cat_fb, cat_fa),
         assertable=normality and checked_ok,
         bound=_diff(cat_fb, cat_fa),
@@ -413,7 +372,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     cat_slice = _fixed_slice_cat(pair, a, b, action, klass)
     report.values["fixed_slice_cat"] = cat_slice
     report.part(
-        "c", cat_slice, f"{value_str(cat_fb)} - {value_str(cat_fa)}",
+        "c", cat_slice, f"{cat_fb} - {cat_fa}",
         value_ge_diff(cat_slice, cat_fb, cat_fa),
         assertable=normality and checked_ok,
         bound=_diff(cat_fb, cat_fa),
@@ -424,10 +383,9 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
 
 
 def _diff(x, y):
-    if y is INFINITE:
-        return 0 if x is not INFINITE else INFINITE
-    if x is INFINITE:
-        return INFINITE
+    """x - y, clamped to 0 for y = INFINITE except inf - inf = inf."""
+    if y == INFINITE:
+        return x if x == INFINITE else 0
     return x - y
 
 
@@ -435,7 +393,7 @@ def _band_mask(pair, a, b):
     return sum(
         1 << i
         for i, v in enumerate(pair.f)
-        if v > a and (b is INFINITE or v <= b)
+        if a < v <= b
     )
 
 
@@ -482,7 +440,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     cat_fa = _gcat(space, fa_mask, action, klass)
     cat_fb = _gcat(space, fb_mask, action, klass)
     report.hypothesis(
-        "sublevel_category_finite", "checked", cat_fa is not INFINITE
+        "sublevel_category_finite", "checked", cat_fa < INFINITE
     )
     normality = space.is_discrete()
     report.hypothesis(
@@ -496,7 +454,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     pair_bound = _gcat(space, fb_mask, action, klass, mode="pair", Y=fa_mask)
     semi_bound = (
         _gcat(space, fb_mask, action, klass, mode="semi", Y=fa_mask)
-        if b is not INFINITE else None
+        if b < INFINITE else None
     )
     mod_bound = _gcat(space, fb_mask, action, klass, mode="mod", Y=fa_mask)
 
@@ -534,7 +492,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
         "pair_bound": pair_bound,
         "semi_bound": semi_bound,
         "mod_bound": mod_bound,
-        "band": [a, "inf" if b is INFINITE else b],
+        "band": [a, b],
     })
 
     core_ok = not report.checked_failures()
@@ -558,31 +516,31 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
         assertable=normality and core_ok, bound=_diff(cat_fb, cat_fa),
     )
     report.part(
-        "II", lhs, "pair category", value_ge(lhs, pair_bound),
+        "II", lhs, "pair category", lhs >= pair_bound,
         assertable=core_ok and hull_ok, bound=pair_bound,
         hypothesis_ok=hull_ok,
     )
     if semi_bound is not None:
         report.part(
-            "semi", lhs, "semi category", value_ge(lhs, semi_bound),
+            "semi", lhs, "semi category", lhs >= semi_bound,
             assertable=False, bound=semi_bound, hypothesis_ok=hull_ok,
             note="report-only: the semi variant is not subadditive on "
                  "finite models",
         )
     report.part(
         "III", lhs, "mod category",
-        value_ge(lhs, mod_bound) if preserving is not None else False,
+        lhs >= mod_bound if preserving is not None else False,
         assertable=False, bound=mod_bound,
         hypothesis_ok=preserving is not None,
         note="report-only: the mod variant is not subadditive on finite "
              "models",
     )
     chain = {
-        "mod_ge_semi": value_ge(mod_bound, semi_bound)
+        "mod_ge_semi": mod_bound >= semi_bound
         if semi_bound is not None else None,
-        "semi_ge_pair": value_ge(semi_bound, pair_bound)
+        "semi_ge_pair": semi_bound >= pair_bound
         if semi_bound is not None else None,
-        "mod_ge_pair": value_ge(mod_bound, pair_bound),
+        "mod_ge_pair": mod_bound >= pair_bound,
         "pair_ge_difference": value_ge_diff(pair_bound, cat_fb, cat_fa),
     }
     report.values["bound_chain"] = chain
@@ -616,7 +574,7 @@ def _deformation_exponents(pair, a, b):
 def verify_global_bound(pair, b, action=None, klass=None):
     """Bounded-below version: the band starts under the whole space."""
     a = min(pair.f) - 1.0
-    if b is INFINITE:
+    if b == INFINITE:
         return verify_identity_band_bound(pair, a, b, action, klass)
     report = verify_band_bound(pair, a, b, action, klass)
     report.values["global_low_cut"] = a
@@ -636,11 +594,11 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
         raise HypothesisUnmet("homotopy_equivalence")
     cat_fa = _gcat(space, pair.sublevel(a), action, klass)
     cat_fb = _gcat(space, pair.sublevel(b), action, klass)
-    if cat_fa is INFINITE:
+    if cat_fa == INFINITE:
         raise HypothesisUnmet("sublevel_category_finite")
     levels = pair.critical_levels(a, b)
     bound = _diff(cat_fb, cat_fa)
-    if not value_ge(bound, len(levels) + 1):
+    if bound < len(levels) + 1:
         return []
     band = _band_mask(pair, a, b)
     orbit_reps = [
@@ -698,19 +656,19 @@ def verify_semiflow(pair, action=None, klass=None):
     total = inner.values["slice_sum"]
     cat_x = inner.values["sublevel_cat_high"]
     report.part(
-        "a", total, "whole-space category", value_ge(total, cat_x),
+        "a", total, "whole-space category", total >= cat_x,
         assertable=not report.checked_failures()
         and not inner.checked_failures(),
         bound=cat_x,
     )
     report.part(
         "b", inner.values["orbit_class_count"], "whole-space category",
-        value_ge(inner.values["orbit_class_count"], cat_x),
+        inner.values["orbit_class_count"] >= cat_x,
         assertable=space.is_discrete(), bound=cat_x,
     )
     report.part(
         "c", inner.values["fixed_slice_cat"], "whole-space category",
-        value_ge(inner.values["fixed_slice_cat"], cat_x),
+        inner.values["fixed_slice_cat"] >= cat_x,
         assertable=space.is_discrete(), bound=cat_x,
     )
     _maybe_persist(report)
@@ -724,7 +682,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     replaces the categorical count; preimages under a homeomorphism stay
     in the class, so the bound is assertable on finite models.
     """
-    if b is INFINITE:
+    if b == INFINITE:
         raise ValueError("the reference-class bound needs a finite band")
     action = action or GroupAction.trivial(pair.space)
     space = pair.space
@@ -746,7 +704,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     cat_fa = bcat(pair.sublevel(a))
     cat_fb = bcat(pair.sublevel(b))
     report.hypothesis(
-        "sublevel_class_count_finite", "checked", cat_fa is not INFINITE
+        "sublevel_class_count_finite", "checked", cat_fa < INFINITE
     )
     total, per_level = _slice_sum(pair, a, b, bcat)
     report.values.update({

@@ -56,7 +56,7 @@ class IndexFunction:
         key = (A, Y)
         if key not in self._cache:
             v = self.evaluate(A, Y)
-            if v is INFINITE or v < 0:
+            if not 0 <= v < INFINITE:
                 raise ValueError("index functions take nonnegative integers")
             self._cache[key] = v
         return self._cache[key]
@@ -95,7 +95,7 @@ def make_truncated_index(kind, cap, action, klass=None):
                 query = CatQuery(space, A=GA, Y=key[1], mode=mode,
                                  action=action, klass=klass)
             value = cover_category(query).value
-            memo[key] = cap if value is INFINITE else min(value, cap)
+            memo[key] = min(value, cap)
         return memo[key]
 
     return IndexFunction(space, evaluate, kind=kind, cap=cap)

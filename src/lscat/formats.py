@@ -3,8 +3,9 @@
 One self-describing JSON dialect covers every input; docs/FORMAT.md in
 the repository root is the normative schema reference.  Structured
 report emission is byte-deterministic: keys sorted, shortest
-round-trip floats, the infinity token rendered as "inf" and non-finite
-floats as "inf", "-inf" or "nan", so the output is strict JSON.
+round-trip floats, and non-finite floats (the infinite category value
+``math.inf`` among them) as "inf", "-inf" or "nan", so the output is
+strict JSON.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def parse_band(doc, location="band"):
     if not _finite(a) or b != "inf" and not _finite(b):
         raise ValidationError(location, f'cuts are finite numbers (the upper '
                                         f'cut may be "inf"), got {doc!r}')
-    a, b = float(a), INFINITE if b == "inf" else float(b)
-    if b is not INFINITE and not a < b:
+    a, b = float(a), float(b)
+    if not a < b:
         raise ValidationError(location, f"need a < b, got [{a}, {b}]")
     return a, b
 
@@ -324,7 +325,7 @@ def parse_scenario(path_or_doc, path=None):
             raise ValidationError(location, "theorem scenarios select "
                                             "at least one theorem")
         finite_only = [t for t in FINITE_BAND_THEOREMS if t in theorems]
-        if finite_only and sc.band[1] is INFINITE:
+        if finite_only and sc.band[1] == INFINITE:
             raise ValidationError(location, f"{finite_only} need a finite "
                                             "band")
         if "homeo_band_bound" in theorems and not sc.reference_spaces:
@@ -337,8 +338,6 @@ def parse_scenario(path_or_doc, path=None):
 
 
 def _encode(value):
-    if value is INFINITE:
-        return "inf"
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     if isinstance(value, dict):

@@ -543,11 +543,11 @@ def annulus_samples(count=64, r_outer=1.0, decay=0.7):
     return out
 
 
-def halffixed_circle_map_samples(count=256):
+def halffixed_circle_map_samples():
     """Sampled circle self-map fixing the right half and sliding the left
     half down toward the bottom pole: the fixed set carries a full
     interval of height values."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     bottom = 1.5 * np.pi
 

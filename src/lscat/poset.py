@@ -46,50 +46,27 @@ class SizeCapExceeded(RuntimeError):
 class FiniteSpace:
     """A finite poset; opens are up-sets, closed sets are down-sets.
 
-    ``points`` is an ordered tuple of string labels, ``leq`` the full
-    order relation as a set of label pairs.  The constructor validates
-    reflexivity, antisymmetry and transitivity and raises
-    :class:`NotAPartialOrder` naming the violated axiom.
+    ``points`` is an ordered tuple of string labels and ``up[i]`` the
+    mask of the points at or above ``points[i]``.  The masks must already
+    form a partial order: build a space from label pairs with
+    :func:`validate_space`, which checks them.
     """
 
     __slots__ = ("points", "index", "up", "down", "_upsets", "_core",
                  "_hash", "_strict_up", "_strict_down")
 
-    def __init__(self, points, leq_pairs):
+    def __init__(self, points, up):
         points = tuple(points)
         if not points:
             raise EmptySpace("a finite space needs at least one point")
-        if len(set(points)) != len(points):
-            raise ValueError(f"duplicate point labels in {points!r}")
-        index = {p: i for i, p in enumerate(points)}
         n = len(points)
-        up = [1 << i for i in range(n)]  # reflexive part
-        for a, b in leq_pairs:
-            if a not in index or b not in index:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) uses unknown points")
-            up[index[a]] |= 1 << index[b]
-        # antisymmetry
-        for i in range(n):
-            for j in range(n):
-                if i != j and up[i] >> j & 1 and up[j] >> i & 1:
-                    raise NotAPartialOrder("antisymmetry", (points[i], points[j]))
-        # transitivity (the relation must already be closed)
-        for i in range(n):
-            for j in range(n):
-                if up[i] >> j & 1 and up[j] & ~up[i]:
-                    k = (up[j] & ~up[i]).bit_length() - 1
-                    raise NotAPartialOrder(
-                        "transitivity", (points[i], points[j], points[k])
-                    )
-        down = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if up[i] >> j & 1:
-                    down[j] |= 1 << i
         self.points = points
-        self.index = index
+        self.index = {p: i for i, p in enumerate(points)}
         self.up = tuple(up)
-        self.down = tuple(down)
+        self.down = tuple(
+            sum(1 << i for i in range(n) if self.up[i] >> j & 1)
+            for j in range(n)
+        )
         self._upsets = None
         self._core = None
         self._hash = hash((points, self.up))
@@ -183,25 +160,24 @@ class FiniteSpace:
     def subspace(self, mask):
         """Induced subspace on ``mask``: (space, parent index per point)."""
         idx = tuple(_bits(mask))
-        pts = tuple(self.points[i] for i in idx)
-        pairs = [
-            (self.points[i], self.points[j])
+        up = [
+            sum(1 << k for k, j in enumerate(idx) if self.up[i] >> j & 1)
             for i in idx
-            for j in idx
-            if i != j and self.leq(i, j)
         ]
-        return FiniteSpace(pts, pairs), idx
+        return FiniteSpace(tuple(self.points[i] for i in idx), up), idx
 
-    def relation_pairs(self, strict=True):
+    def relation_pairs(self):
+        """The strict order as label pairs [lower, upper]."""
         return [
             (self.points[i], self.points[j])
             for i in range(len(self))
-            for j in range(len(self))
-            if self.leq(i, j) and (not strict or i != j)
+            for j in self._strict_up[i]
         ]
 
 
 def _bits(mask):
+    if mask < 0:
+        raise ValueError(f"a mask is a nonnegative int, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -216,13 +192,12 @@ def bits(mask):
 def validate_space(points, relation_pairs):
     """Build a space from generating pairs [lower, upper].
 
-    The pairs generate the order: the reflexive-transitive closure is
-    taken automatically, so the only axiom that can fail is antisymmetry
+    Labels must be unique, and the pairs may name only them.  The pairs
+    generate the order: the reflexive-transitive closure is taken
+    automatically, so the only axiom that can fail is antisymmetry
     (reported with a witness).
     """
     points = tuple(points)
-    if not points:
-        raise EmptySpace("no points given")
     index = {p: i for i, p in enumerate(points)}
     n = len(points)
     up = [1 << i for i in range(n)]
@@ -230,6 +205,8 @@ def validate_space(points, relation_pairs):
         if a not in index or b not in index:
             raise ValueError(f"relation pair ({a!r}, {b!r}) uses unknown points")
         up[index[a]] |= 1 << index[b]
+    if len(index) != n:
+        raise ValueError(f"duplicate point labels in {points!r}")
     changed = True
     while changed:
         changed = False
@@ -240,13 +217,11 @@ def validate_space(points, relation_pairs):
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-    pairs = [
-        (points[i], points[j])
-        for i in range(n)
-        for j in _bits(up[i])
-        if i != j
-    ]
-    return FiniteSpace(points, pairs)
+    for i in range(n):
+        for j in _bits(up[i] & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise NotAPartialOrder("antisymmetry", (points[i], points[j]))
+    return FiniteSpace(points, up)
 
 
 class SpaceMap:

@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths: contractibility is
 decided on the fully materialised hom-set by the components of its
 comparability graph (no cores, no lazy search), minimal covers are found by enumerating
-subsets of the candidates in increasing size (no union-closure table), and
-the cup-length check on the minimal circle enumerates every cochain,
+subsets of the candidates in increasing size (no union-closure table), the
+discrete Palais-Smale condition is checked on every subset, the
+cup-length check on the minimal circle enumerates every cochain,
 and the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile.
 """
@@ -119,6 +120,23 @@ def oracle_cat(space, A_mask=None):
         A_mask = space.full_mask()
     cover = oracle_min_cover(A_mask, oracle_catalog(space))
     return None if cover is None else len(cover)  # None: no finite cover
+
+
+def oracle_palais_smale(pair):
+    """The discrete Palais-Smale condition on every nonempty subset S,
+    enumerated: the decrement f - f o phi is nonnegative on S, and a zero
+    minimum on S is attained at a fixed point of S (so one lies in the
+    closure of S).  Returns (holds, the labels of the first failing S in
+    mask order, or None).
+    """
+    space, images, f = pair.space, pair.phi.images, pair.f
+    for S in range(1, space.full_mask() + 1):
+        idx = [i for i in range(len(space)) if S >> i & 1]
+        gap = min(f[i] - f[images[i]] for i in idx)
+        if gap < 0 or gap == 0 and not any(
+                images[i] == i and f[i] == f[images[i]] for i in idx):
+            return False, space.labels(S)
+    return True, None
 
 
 def oracle_cuplength_minimal_circle(K):

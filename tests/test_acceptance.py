@@ -20,7 +20,6 @@ from lscat.category import (
     cat_mod,
     cat_pair,
     cuplength_lower_bound,
-    value_ge,
     value_ge_diff,
 )
 from lscat.dynamics import DynamicalPair, verify_identity_band_bound
@@ -208,8 +207,7 @@ def test_criterion_07_bound_chain_and_strictness():
         v = report.values
         if v["semi_bound"] is None:
             continue
-        chain_ok &= value_ge(v["mod_bound"], v["semi_bound"])
-        chain_ok &= value_ge(v["semi_bound"], v["pair_bound"])
+        chain_ok &= v["mod_bound"] >= v["semi_bound"] >= v["pair_bound"]
         chain_ok &= value_ge_diff(v["pair_bound"], v["sublevel_cat_high"],
                                   v["sublevel_cat_low"])
         checked += 1

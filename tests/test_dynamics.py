@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import fixtures as fx
@@ -18,6 +20,8 @@ from lscat.dynamics import (
     verify_semiflow,
 )
 from lscat.poset import SpaceMap
+
+from oracles import oracle_palais_smale
 
 
 @pytest.fixture
@@ -50,7 +54,25 @@ def test_is_lyapunov(v_pair, c4):
 def test_discrete_palais_smale_reduction(v_pair):
     report = check_discrete_palais_smale(v_pair)
     assert report["holds"]
-    assert report["exhaustive_crosscheck"]
+    assert oracle_palais_smale(v_pair) == (True, None)
+
+
+def test_palais_smale_matches_subset_enumeration():
+    from lscat.engine import random_instance
+
+    verdicts = set()
+    for seed in range(40):
+        pair = random_instance(seed, max_points=6)[0]
+        f = list(pair.f)
+        random.Random(seed).shuffle(f)
+        for g in (pair.f, f, [0.0] * len(f)):  # Lyapunov, shuffled, flat
+            other = DynamicalPair(pair.space, pair.phi, g)
+            report = check_discrete_palais_smale(other)
+            holds, failing = oracle_palais_smale(other)
+            assert holds == report["holds"]
+            assert failing == (None if holds else (report["witness"],))
+            verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_discrete_palais_smale_negative(c4):
@@ -108,7 +130,7 @@ def test_identity_band_bound_wedge(wedge_pair):
     assert values["difference_bound"] == 0
     assert values["pair_bound"] == 1  # strictly above the difference
     assert values["semi_bound"] == 1
-    assert values["mod_bound"] is INFINITE
+    assert values["mod_bound"] == INFINITE
     assert report.parts["II"]["holds"]
     assert not report.parts["III"]["hypothesis_ok"]
     assert all(v for v in values["bound_chain"].values())
@@ -131,14 +153,14 @@ def test_identity_band_bound_two_level_divergence(two_level_pair):
     report = verify_identity_band_bound(two_level_pair, 0.0, 1.0)
     assert report.verdict() == "HYPOTHESIS_FAILED:sublevel_hull_deformable"
     assert report.values["slice_sum"] == 1
-    assert report.values["mod_bound"] is INFINITE
-    assert report.values["semi_bound"] is INFINITE
+    assert report.values["mod_bound"] == INFINITE
+    assert report.values["semi_bound"] == INFINITE
     assert not report.parts["III"]["holds"]
     assert not report.parts["III"]["assertable"]
 
 
 def test_identity_band_chain_on_generated_instances():
-    from lscat.category import value_ge, value_ge_diff
+    from lscat.category import value_ge_diff
     from lscat.engine import random_instance
 
     checked = 0
@@ -150,8 +172,7 @@ def test_identity_band_chain_on_generated_instances():
         v = report.values
         if v["semi_bound"] is None:
             continue
-        assert value_ge(v["mod_bound"], v["semi_bound"])
-        assert value_ge(v["semi_bound"], v["pair_bound"])
+        assert v["mod_bound"] >= v["semi_bound"] >= v["pair_bound"]
         assert value_ge_diff(v["pair_bound"], v["sublevel_cat_high"],
                              v["sublevel_cat_low"])
         if report.parts["I"]["assertable"]:

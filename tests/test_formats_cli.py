@@ -78,7 +78,7 @@ def test_parse_infinite_band():
         "theorems": ["identity_band_bound"],
     }
     sc = parse_scenario(doc)
-    assert sc.band[1] is INFINITE
+    assert sc.band[1] == INFINITE
 
 
 def test_parse_error_carries_location(tmp_path):

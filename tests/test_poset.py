@@ -1,7 +1,10 @@
+from itertools import islice
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fixtures as fx
+from lscat import poset
 from lscat.poset import (
     EmptySpace,
     NotAPartialOrder,
@@ -34,6 +37,23 @@ def test_validate_antisymmetry_violation():
 def test_validate_empty():
     with pytest.raises(EmptySpace):
         validate_space([], [])
+
+
+def test_validate_rejects_duplicate_and_unknown_labels():
+    with pytest.raises(ValueError, match="duplicate"):
+        validate_space(["a", "a"], [])
+    with pytest.raises(ValueError, match="unknown"):
+        validate_space(["a", "b"], [["a", "z"]])
+
+
+def test_negative_masks_are_rejected(c4, conjugation):
+    # a negative int has infinitely many set bits: rejected, not walked
+    with pytest.raises(ValueError):
+        list(islice(poset._bits(-2), 3))
+    for call in (lambda: bits(-1), lambda: c4.subspace(-1),
+                 lambda: conjugation.saturate(-1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_validate_transitive_closure_is_taken():
@@ -328,3 +348,28 @@ def test_closure_properties_random(space, seed):
     assert space.down_closure(closed) == closed
     assert mask & ~closed == 0
     assert space.is_up_set(mask) == (space.up_closure(mask) == mask)
+
+
+
+@st.composite
+def unsorted_posets(draw):
+    """Random posets on 1..7 points, labels in no linear-extension order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    return validate_space(sorted(labels), pairs)
+
+
+@given(unsorted_posets())
+@settings(max_examples=40, deadline=None)
+def test_subspace_matches_the_space_validated_from_its_pairs(space):
+    for mask in range(1, space.full_mask() + 1):
+        sub, idx = space.subspace(mask)
+        rebuilt = validate_space(space.labels(mask), [
+            (space.points[i], space.points[j])
+            for i in idx for j in idx if space.leq(i, j)
+        ])
+        assert idx == tuple(bits(mask))
+        assert (sub.points, sub.up, sub.down, sub._strict_up) == (
+            rebuilt.points, rebuilt.up, rebuilt.down, rebuilt._strict_up)

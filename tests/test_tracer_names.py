@@ -1,14 +1,18 @@
-"""The benchmark tracer patches lscat by name: every name it lists must
-resolve, or a traced run fails far from the change that renamed it.
+"""The benchmark tracer patches lscat by name, and the benchmark's
+workloads import and call it by name: every such name must resolve, or a
+benchmark run fails far from the change that renamed it.
 
-``perfbench/tracer.py`` is read as text, not imported or executed.
+``perfbench/tracer.py`` and ``perfbench/workloads.py`` are read as text,
+not imported or executed.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _tracer_tables():
@@ -35,3 +39,28 @@ def test_every_traced_name_resolves_on_lscat():
         cls = getattr(importlib.import_module("lscat." + module), cls_name)
         # the tracer wraps __init__ and re-binds the callable it stores
         assert attr in vars(cls)["__init__"].__code__.co_names, key
+
+
+def _resolve(module, name):
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+def test_every_benchmark_import_resolves_on_lscat():
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("lscat"):
+            for alias in node.names:
+                value = _resolve(node.module, alias.name)
+                if node.module == "lscat":
+                    modules[alias.asname or alias.name] = value
+    assert {"category", "cli", "engine", "numeric"} <= set(modules)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), (
+                f"{node.value.id}.{node.attr}")
