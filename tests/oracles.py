@@ -6,8 +6,10 @@ comparability graph (no cores, no lazy search), minimal covers are found by enum
 subsets of the candidates in increasing size (no union-closure table), the
 discrete Palais-Smale condition is checked on every subset, the
 cup-length check on the minimal circle enumerates every cochain,
-and the numeric flow is a plain RK4 loop over the original all-numpy
-truncation profile.
+the numeric flow is a plain RK4 loop over the original all-numpy
+truncation profile, and the Palais-Smale chain is the all-numpy block
+integration that recomputes every gradient, with a start-point
+bisection that flows every trial radius anew for each n.
 """
 
 from itertools import combinations
@@ -189,3 +191,146 @@ def oracle_flow(field, m, tau, n):
             return np.array(states), (k + 1) * h
         states.append(p)
     return np.array(states), None
+
+
+def oracle_default_family(field, tau, ns):
+    """Start points with drop below 0.9 tau/n by radial bisection, each
+    trial radius flowed anew for each n over 200 steps."""
+    direction = np.zeros(field.dim)
+    direction[0] = 1.0
+    family = []
+    for n in ns:
+        budget = tau / n
+        r = 1.0
+        for _ in range(80):
+            p = r * direction
+            if field.domain(p):
+                states, t_exit = oracle_flow(field, p, tau, 200)
+                if (t_exit is None
+                        and field.f(p) - field.f(states[-1]) < budget * 0.9):
+                    break
+            r *= 0.5
+        else:
+            raise AssertionError(f"no start point for n={n}")
+        family.append(p)
+    return family
+
+
+def _oracle_aitken(orbit):
+    z0, z1, z2 = (np.asarray(z, dtype=float) for z in orbit[-3:])
+    denom = z2 - 2.0 * z1 + z0
+    num = (z2 - z1) ** 2
+    safe = np.abs(denom) > 1e-300
+    out = z2.copy()
+    out[safe] = z2[safe] - num[safe] / denom[safe]
+    return out
+
+
+def oracle_verify_prop_app(field, tau, steps, n_max):
+    """The Palais-Smale chain report on the default family, all numpy:
+    the start points move as one block of rows through RK4 with steps
+    of tau/steps, every gradient is recomputed where it is needed, and
+    the rest point is the Aitken limit of 30 flow horizons."""
+    ns = []
+    n = 1
+    while n <= n_max:
+        ns.append(n)
+        n *= 10
+    if ns[-1] != n_max:
+        ns.append(n_max)
+    pts = np.asarray(oracle_default_family(field, tau, ns), dtype=float)
+    c_bound = max(abs(field.f(p)) for p in pts)
+    h = tau / steps
+    state = pts.copy()
+    alive = np.ones(len(ns), dtype=bool)
+    found_t = np.full(len(ns), -1.0)
+    found_state = pts.copy()
+    lengths = np.zeros(len(ns))
+    thresholds = 1.0 / np.asarray(ns, dtype=float)
+
+    def gradnorm2(block):
+        g = np.asarray([field.grad(m) for m in block], dtype=float)
+        return (g * g).sum(axis=1)
+
+    def V(block):
+        g = np.asarray([field.grad(m) for m in block], dtype=float)
+        norms = np.linalg.norm(g, axis=1)
+        return -g / oracle_truncation_g(norms)[:, None]
+
+    live = gradnorm2(state) >= thresholds
+    found_t[~live] = 0.0
+    for k in range(steps):
+        k1 = V(state)
+        k2 = V(state + 0.5 * h * k1)
+        k3 = V(state + 0.5 * h * k2)
+        k4 = V(state + h * k3)
+        nxt = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        speeds = np.linalg.norm(k1, axis=1)
+        inside = np.array([field.domain(m) for m in nxt])
+        step_mask = alive & inside
+        lengths[live & step_mask] += speeds[live & step_mask] * h
+        state = np.where(step_mask[:, None], nxt, state)
+        alive &= inside
+        g2 = gradnorm2(state)
+        newly = live & step_mask & (g2 < thresholds)
+        found_t[newly] = (k + 1) * h
+        found_state[newly] = state[newly]
+        live &= ~newly
+    results = []
+    for idx, n in enumerate(ns):
+        drop = field.f(pts[idx]) - field.f(state[idx])
+        hit = found_t[idx] >= 0
+        b_n = found_state[idx] if hit else state[idx]
+        results.append({
+            "n": int(n),
+            "drop": float(drop),
+            "drop_budget": tau / n,
+            "drop_ok": bool(drop < tau / n + 1e-12),
+            "gradient_time": float(found_t[idx]) if hit else None,
+            "gradient_ok": bool(hit),
+            "value_bound_ok": bool(abs(field.f(b_n)) <= c_bound + tau + 1e-9),
+            "path_length": float(lengths[idx]),
+            "path_budget": float(tau / np.sqrt(n)),
+            "path_ok": bool(lengths[idx] <= 1.1 * tau / np.sqrt(n)),
+            "stayed_in_domain": bool(alive[idx]),
+        })
+    chain_ok = all(
+        r["drop_ok"] and r["gradient_ok"] and r["value_bound_ok"]
+        and r["path_ok"] and r["stayed_in_domain"]
+        for r in results
+    )
+    accumulation = state[-1]
+    limit = accumulation
+    moved = float("inf")
+    inside = bool(alive[-1])
+    if inside:
+        orbit = [accumulation]
+        for _ in range(30):
+            states, t_exit = oracle_flow(field, orbit[-1], tau, steps)
+            if t_exit is not None:
+                inside = False
+                break
+            orbit.append(states[-1])
+        else:
+            limit = _oracle_aitken(orbit)
+            if field.domain(limit):
+                states, t_exit = oracle_flow(field, limit, tau, steps)
+                if t_exit is None:
+                    moved = float(np.linalg.norm(limit - states[-1]))
+                else:
+                    inside = False
+            else:
+                inside = False
+    scale = 1e-6 * (1.0 + float(np.linalg.norm(limit)))
+    at_rest = (moved <= scale
+               and float(np.linalg.norm(field.grad(limit))) <= scale)
+    return {
+        "tau": tau,
+        "chain_ok": bool(chain_ok),
+        "results": results,
+        "accumulation": list(map(float, accumulation)),
+        "rest_point_estimate": list(map(float, limit)),
+        "rest_point_in_domain": inside,
+        "rest_point_moved": moved,
+        "conclusion_ok": bool(inside and at_rest),
+    }

@@ -1,15 +1,16 @@
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lscat import numeric
 from lscat.numeric import (
     FlowConfig,
     LeftDomain,
     ScalarField,
-    annulus_samples,
     check_condition_C,
     check_discrete_palais_smale_sampled,
     check_energy_identity,
@@ -24,7 +25,56 @@ from lscat.numeric import (
     truncation_g,
     verify_prop_app,
 )
-from oracles import oracle_flow, oracle_truncation_g
+from oracles import (
+    oracle_default_family,
+    oracle_flow,
+    oracle_truncation_g,
+    oracle_verify_prop_app,
+)
+
+
+def check_gradient(field, rng, samples=1000, box=2.0, rel_tol=1e-5, h=1e-6):
+    """Central finite differences against the closed-form gradient."""
+    worst = 0.0
+    tried = 0
+    while tried < samples:
+        m = rng.uniform(-box, box, size=field.dim)
+        if not field.domain(m):
+            continue
+        tried += 1
+        g = np.asarray(field.grad(m), dtype=float)
+        fd = np.empty(field.dim)
+        ok = True
+        for k in range(field.dim):
+            e = np.zeros(field.dim)
+            e[k] = h
+            if not (field.domain(m + e) and field.domain(m - e)):
+                ok = False
+                break
+            fd[k] = (field.f(m + e) - field.f(m - e)) / (2 * h)
+        if not ok:
+            continue
+        scale = max(np.linalg.norm(g), 1.0)
+        worst = max(worst, float(np.linalg.norm(fd - g)) / scale)
+    if worst > rel_tol:
+        raise AssertionError(
+            f"gradient inconsistent with finite differences: {worst}"
+        )
+    return worst
+
+
+def annulus_samples(count=64, r_outer=1.0, decay=0.7):
+    """Sample rings shrinking toward the origin."""
+    out = []
+    r = r_outer
+    k = 0
+    while len(out) < count:
+        angle = 2.0 * np.pi * (k % 8) / 8.0
+        out.append(np.array([r * np.cos(angle), r * np.sin(angle)]))
+        k += 1
+        if k % 8 == 0:
+            r *= decay
+    return out
 
 
 def test_truncation_clauses():
@@ -127,6 +177,15 @@ def test_field_v_is_bounded():
         assert np.linalg.norm(v) <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("tau, h_step", [
+    (1.0, -0.5), (1.0, 0.0), (1.0, -0.0), (1.0, math.nan),
+    (math.nan, None), (math.nan, 0.001), (math.inf, None), (math.inf, 1.0),
+])
+def test_flow_config_rejects_bad_values(tau, h_step):
+    with pytest.raises(ValueError):
+        FlowConfig(tau, h_step)
+
+
 def test_flow_zero_field_stays_put():
     still = ScalarField(2, lambda m: 0.0, lambda m: np.zeros(2))
     traj = flow_map(still, [0.4, -0.2], FlowConfig(1.0))
@@ -178,9 +237,9 @@ def test_gradient_finite_difference_consistency():
     rng = np.random.default_rng(3)
     for seed in (0, 1, 2):
         field = random_quadratic_field(seed)
-        field.check_gradient(rng, samples=1000, rel_tol=1e-5)
+        check_gradient(field, rng, samples=1000, rel_tol=1e-5)
     half = half_interval_field()
-    half.check_gradient(np.random.default_rng(4), samples=200, box=0.45)
+    check_gradient(half, np.random.default_rng(4), samples=200, box=0.45)
 
 
 def test_condition_c_branches():
@@ -242,6 +301,49 @@ def test_prop_app_tau_scaling():
     for k in range(len(budgets[0.5])):
         assert budgets[1.0][k] == pytest.approx(2 * budgets[0.5][k])
         assert budgets[2.0][k] == pytest.approx(2 * budgets[1.0][k])
+
+
+def test_prop_app_matches_numpy_oracle_on_random_quadratics():
+    # non-identity matrices, whose products do not round exactly: a
+    # reordered sum or a gradient taken at another state would show
+    for seed in range(20):
+        field = random_quadratic_field(100 + seed, dim=1 + seed % 4)
+        tau = (0.5, 1.0, 2.0)[seed % 3]
+        report = verify_prop_app(field, FlowConfig(tau), n_max=10)
+        expect = oracle_verify_prop_app(field, tau, 100, 10)
+        assert repr(report) == repr(expect), seed
+
+
+def _counted_flows(monkeypatch):
+    starts = Counter()
+    real = numeric.flow_map
+
+    def counted(field, m, config):
+        starts[tuple(np.asarray(m, dtype=float).tolist())] += 1
+        return real(field, m, config)
+
+    monkeypatch.setattr(numeric, "flow_map", counted)
+    return starts
+
+
+@pytest.mark.parametrize("field, tau", [
+    (quadratic_field(), 0.5), (quadratic_field(), 1.0),
+    (quadratic_field(), 2.0), (random_quadratic_field(3), 1.0),
+    (random_quadratic_field(4, dim=3), 0.5),
+])
+def test_default_family_matches_bisection_oracle(monkeypatch, field, tau):
+    # the oracle bisects each n on its own, so a shorter schedule's
+    # family is a prefix of the longest one's
+    expect = oracle_default_family(field, tau, n_schedule(10_000))
+    starts = _counted_flows(monkeypatch)
+    for n_max in (10, 1000, 10_000):
+        ns = n_schedule(n_max)
+        starts.clear()
+        family = numeric._default_family(field, tau, ns)
+        assert (np.array(family).tobytes()
+                == np.array(expect[:len(ns)]).tobytes())
+        # one flow per distinct trial radius, however many n share it
+        assert starts and set(starts.values()) == {1}
 
 
 def test_prop_app_half_interval_conclusion_fails():
