@@ -16,7 +16,6 @@ from .action import GroupAction, HomogeneousClass
 from .category import (
     CatQuery,
     HypothesisUnmet,
-    INFINITE,
     cover_category,
 )
 from .dynamics import (
@@ -41,25 +40,38 @@ AXIOM_MODES = ("exhaustive", "sampled", "assumed")
 
 
 class IndexFunction:
-    """An evaluatable nu(A, Y) with provenance and a value cache."""
+    """An evaluatable nu(A, Y) with provenance and one value cache.
 
-    __slots__ = ("space", "evaluate", "kind", "cap", "_cache")
+    The cache is keyed by ``key(A, Y)``, which must determine the value:
+    ``evaluate(A, Y)`` runs once per distinct key, on the first pair
+    that reaches it, and every other pair with that key reads the cached
+    value.  The key defaults to the pair (A, Y) itself.  A computed value
+    must be a nonnegative integer (``bool`` is not one), or ``ValueError``
+    is raised.
+    """
 
-    def __init__(self, space, evaluate, kind="user", cap=None):
+    __slots__ = ("space", "evaluate", "kind", "cap", "key", "_cache")
+
+    def __init__(self, space, evaluate, kind="user", cap=None, key=None):
         self.space = space
         self.evaluate = evaluate
         self.kind = kind
         self.cap = cap
+        self.key = key or (lambda A, Y: (A, Y))
         self._cache = {}
 
     def __call__(self, A, Y=0):
-        key = (A, Y)
-        if key not in self._cache:
-            v = self.evaluate(A, Y)
-            if not 0 <= v < INFINITE:
-                raise ValueError("index functions take nonnegative integers")
-            self._cache[key] = v
-        return self._cache[key]
+        key = self.key(A, Y)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = self.evaluate(A, Y)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"index functions take nonnegative integers, "
+                             f"got {value!r}")
+        self._cache[key] = value
+        return value
 
     def __repr__(self):
         return f"IndexFunction(kind={self.kind!r}, cap={self.cap})"
@@ -70,35 +82,40 @@ def make_truncated_index(kind, cap, action, klass=None):
 
     kind 'category' uses the plain equivariant category of the saturated
     first argument; 'pair_category' and 'mod_category' use the pair and
-    mod variants against the saturated second argument.
+    mod variants against the saturated second argument.  The value reads
+    only the saturations, so they are the cache key: GA for 'category'
+    and (GA, GY) for the pair kinds, and one cover query serves every
+    (A, Y) with the same key.  For the trivial group the saturation is
+    the identity, so the key is A, or the pair (A, Y) itself.
     """
     if kind not in INDEX_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
-    if cap < 1:
-        raise ValueError("truncation cap must be at least 1")
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"truncation cap must be an integer >= 1, "
+                         f"got {cap!r}")
     space = action.space
     klass = klass or HomogeneousClass.default(action)
-    # The value reads only GA (and GY for the pair kinds), so it is
-    # memoised on those: many (A, Y) pairs share one cover query.
-    memo = {}
+    saturate = action.saturate
+    trivial = action.is_trivial()
+    if kind == "category":
+        key = (lambda A, Y: A) if trivial else (lambda A, Y: saturate(A))
+    else:
+        key = None if trivial else (
+            lambda A, Y: (saturate(A), saturate(Y)))
 
     def evaluate(A, Y):
-        GA = action.saturate(A)
+        GA = saturate(A)
         if GA == 0:
             return 0
-        key = (GA,) if kind == "category" else (GA, action.saturate(Y))
-        if key not in memo:
-            if kind == "category":
-                query = CatQuery(space, A=GA, action=action, klass=klass)
-            else:
-                mode = "pair" if kind == "pair_category" else "mod"
-                query = CatQuery(space, A=GA, Y=key[1], mode=mode,
-                                 action=action, klass=klass)
-            value = cover_category(query).value
-            memo[key] = min(value, cap)
-        return memo[key]
+        if kind == "category":
+            query = CatQuery(space, A=GA, action=action, klass=klass)
+        else:
+            mode = "pair" if kind == "pair_category" else "mod"
+            query = CatQuery(space, A=GA, Y=saturate(Y), mode=mode,
+                             action=action, klass=klass)
+        return min(cover_category(query).value, cap)
 
-    return IndexFunction(space, evaluate, kind=kind, cap=cap)
+    return IndexFunction(space, evaluate, kind=kind, cap=cap, key=key)
 
 
 # -- axiom checking ---------------------------------------------------------
@@ -190,29 +207,31 @@ def _check_axioms_exhaustive(nu):
 
 def _check_axioms_sampled(nu, sample, seed):
     space = nu.space
-    full = space.full_mask()
+    size = space.full_mask() + 1
     rng = random.Random(seed)
+    # randrange(size) after its argument checks: the same stream
+    draw = rng._randbelow
     report = AxiomReport("sampled")
     mono = sub_w = cont_w = None
     for _ in range(sample):
-        B = rng.randrange(full + 1)
-        A = B & rng.randrange(full + 1)
-        Y = rng.randrange(full + 1)
+        B = draw(size)
+        A = B & draw(size)
+        Y = draw(size)
         if nu(A, Y) > nu(B, Y):
             mono = _witness(space, A=A, B=B, Y=Y)
             break
     report.record("monotonicity", mono is None, mono)
     for _ in range(sample):
-        A = rng.randrange(full + 1)
-        B = rng.randrange(full + 1)
-        Y = rng.randrange(full + 1)
+        A = draw(size)
+        B = draw(size)
+        Y = draw(size)
         if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
             sub_w = _witness(space, A=A, B=B, Y=Y)
             break
     report.record("mixed_subadditivity", sub_w is None, sub_w)
     closed = list(space.down_sets())
     rng.shuffle(closed)
-    probe_ys = [rng.randrange(full + 1) for _ in range(16)]
+    probe_ys = [draw(size) for _ in range(16)]
     for A in closed[: max(4, sample // 64)]:
         found = False
         for U in space.up_sets():
@@ -380,16 +399,6 @@ class CriticalValueTable:
 
     def values(self):
         return [lev["value"] for lev in self.levels]
-
-    def in_band(self):
-        return all(self.a < lev["value"] <= self.b for lev in self.levels)
-
-    def nondecreasing(self):
-        vs = self.values()
-        return all(x <= y for x, y in zip(vs, vs[1:]))
-
-    def all_critical(self):
-        return all(lev["is_critical_level"] for lev in self.levels)
 
     def to_dict(self, space):
         return {

@@ -107,9 +107,16 @@ def field_V(field, m):
     m = np.asarray(m, dtype=float)
     if not field.domain(m):
         raise DomainViolation(f"{m!r} outside the field's domain")
-    g = np.asarray(field.grad(m), dtype=float)
-    t = truncation_g(math.sqrt(g @ g))
-    return [-x / t for x in g.tolist()]
+    return _descent(field, m)[0]
+
+
+def _descent(field, x):
+    """The capped descent vector at the ndarray x, inside the domain, with
+    the gradient norm s and its truncation t it was divided by."""
+    g = np.asarray(field.grad(x), dtype=float)
+    s = math.sqrt(g @ g)
+    t = truncation_g(s)
+    return [-v / t for v in g.tolist()], s, t
 
 
 def _grad_block(field, pts):
@@ -124,7 +131,9 @@ def _block_V(g):
 class Trajectory:
     """Dense RK4 output: times, states and descent rates."""
 
-    __slots__ = ("times", "states", "field")
+    # rates: the descent rate at each state but the last, as flow_map's
+    # first RK4 stage found it (set by flow_map)
+    __slots__ = ("times", "states", "field", "rates")
 
     def __init__(self, times, states, field):
         self.times = times
@@ -139,13 +148,10 @@ class Trajectory:
         return np.array([self.field.f(m) for m in self.states])
 
     def descent_rates(self):
-        """h(m) |grad f(m)|^2 along the trajectory."""
-        out = np.empty(len(self.states))
-        for k, m in enumerate(self.states):
-            g = np.asarray(self.field.grad(m), dtype=float)
-            n = float(np.linalg.norm(g))
-            out[k] = n * n / truncation_g(n)
-        return out
+        """|grad f(m)|^2 / truncation_g(|grad f(m)|) along the trajectory;
+        only the last state's gradient is computed here."""
+        _, s, t = _descent(self.field, self.states[-1])
+        return np.array(self.rates + [s * s / t])
 
 
 def _rk4_step(V, m, h, k1):
@@ -171,9 +177,11 @@ def flow_map(field, m, config):
     sixth = h / 6.0
     p = x.tolist()
     states = [p]
+    rates = []
     for k in range(n):
+        k1, s, t = _descent(field, x)  # x passed the domain check
+        rates.append(s * s / t)
         try:
-            k1 = field_V(field, x)
             k2 = field_V(field, [a + half * b for a, b in zip(p, k1)])
             k3 = field_V(field, [a + half * b for a, b in zip(p, k2)])
             k4 = field_V(field, [a + h * b for a, b in zip(p, k3)])
@@ -186,7 +194,9 @@ def flow_map(field, m, config):
             raise LeftDomain((k + 1) * h)
         states.append(p)
     times = np.linspace(0.0, config.tau, n + 1)
-    return Trajectory(times, np.array(states), field)
+    traj = Trajectory(times, np.array(states), field)
+    traj.rates = rates
+    return traj
 
 
 def _simpson(y, h):

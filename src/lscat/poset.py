@@ -317,11 +317,6 @@ class SpaceMap:
                 out |= 1 << i
         return out
 
-    def is_identity(self):
-        return self.domain == self.codomain and self.images == tuple(
-            range(len(self.domain))
-        )
-
 
 class FenceCertificate:
     """A fence of continuous maps; consecutive maps pointwise comparable.

@@ -61,9 +61,6 @@ class SimplicialComplex:
             len(self.simplices_of_dim(d)) for d in range(self.dim() + 1)
         )
 
-    def euler_characteristic(self):
-        return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
-
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
 
@@ -382,10 +379,6 @@ def collapse_sequence(K):
     if len(simplices) == 1:
         return []
     return rec(simplices, [])
-
-
-def is_collapsible(K):
-    return collapse_sequence(K) is not None
 
 
 def star_cover_upper_bound(K):

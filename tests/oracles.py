@@ -9,12 +9,19 @@ cup-length check on the minimal circle enumerates every cochain,
 the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile, and the Palais-Smale chain is the all-numpy block
 integration that recomputes every gradient, with a start-point
-bisection that flows every trial radius anew for each n.
+bisection that flows every trial radius anew for each n.  The sampled
+axiom check draws with ``randrange`` over a truncated index cached at
+two levels, on (A, Y) and on the saturated key, with its own cover
+queries.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
+
+from lscat.action import HomogeneousClass
+from lscat.category import CatQuery, cover_category
 
 
 def all_order_preserving_maps(domain, codomain):
@@ -334,3 +341,81 @@ def oracle_verify_prop_app(field, tau, steps, n_max):
         "rest_point_moved": moved,
         "conclusion_ok": bool(inside and at_rest),
     }
+
+
+def oracle_truncated_index(kind, cap, action):
+    """The truncated index as a plain function, cached at two levels: on
+    (A, Y), over a memo on the saturated key (GA,) or (GA, GY)."""
+    space = action.space
+    klass = HomogeneousClass.default(action)
+    memo = {}
+    cache = {}
+
+    def value(A, Y):
+        GA = action.saturate(A)
+        if GA == 0:
+            return 0
+        key = (GA,) if kind == "category" else (GA, action.saturate(Y))
+        if key not in memo:
+            if kind == "category":
+                query = CatQuery(space, A=GA, action=action, klass=klass)
+            else:
+                mode = "pair" if kind == "pair_category" else "mod"
+                query = CatQuery(space, A=GA, Y=key[1], mode=mode,
+                                 action=action, klass=klass)
+            memo[key] = min(cover_category(query).value, cap)
+        return memo[key]
+
+    def nu(A, Y=0):
+        if (A, Y) not in cache:
+            cache[A, Y] = value(A, Y)
+        return cache[A, Y]
+
+    return nu
+
+
+def _oracle_witness(space, **kw):
+    return {k: sorted(space.labels(v)) if isinstance(v, int) else v
+            for k, v in kw.items()}
+
+
+def oracle_axioms_sampled(nu, space, sample, seed):
+    """The sampled monotonicity, mixed subadditivity and continuity
+    checks, drawing masks with ``randrange``; {axiom: {"ok", "witness"}}
+    in the order checked."""
+    full = space.full_mask()
+    rng = random.Random(seed)
+    axioms = {}
+    mono = sub_w = cont_w = None
+    for _ in range(sample):
+        B = rng.randrange(full + 1)
+        A = B & rng.randrange(full + 1)
+        Y = rng.randrange(full + 1)
+        if nu(A, Y) > nu(B, Y):
+            mono = _oracle_witness(space, A=A, B=B, Y=Y)
+            break
+    axioms["monotonicity"] = {"ok": mono is None, "witness": mono}
+    for _ in range(sample):
+        A = rng.randrange(full + 1)
+        B = rng.randrange(full + 1)
+        Y = rng.randrange(full + 1)
+        if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
+            sub_w = _oracle_witness(space, A=A, B=B, Y=Y)
+            break
+    axioms["mixed_subadditivity"] = {"ok": sub_w is None, "witness": sub_w}
+    closed = list(space.down_sets())
+    rng.shuffle(closed)
+    probe_ys = [rng.randrange(full + 1) for _ in range(16)]
+    for A in closed[: max(4, sample // 64)]:
+        found = False
+        for U in space.up_sets():
+            if A & ~U:
+                continue
+            if all(nu(A, Y) == nu(U, Y) for Y in probe_ys):
+                found = True
+                break
+        if not found:
+            cont_w = _oracle_witness(space, A=A)
+            break
+    axioms["continuity"] = {"ok": cont_w is None, "witness": cont_w}
+    return axioms

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import fixtures as fx
@@ -7,6 +9,7 @@ from lscat.dynamics import DynamicalPair
 from lscat.engine import (
     HypothesisUnmet,
     IndexFunction,
+    _check_axioms_sampled,
     band_escape_exponent,
     check_axioms,
     check_supervariance,
@@ -17,6 +20,21 @@ from lscat.engine import (
     verify_index_bound,
 )
 from lscat.poset import SpaceMap
+
+from oracles import oracle_axioms_sampled, oracle_truncated_index
+
+
+def in_band(table):
+    return all(table.a < lev["value"] <= table.b for lev in table.levels)
+
+
+def nondecreasing(table):
+    vs = table.values()
+    return all(x <= y for x, y in zip(vs, vs[1:]))
+
+
+def all_critical(table):
+    return all(lev["is_critical_level"] for lev in table.levels)
 
 
 @pytest.fixture
@@ -71,6 +89,79 @@ def test_truncated_index_reads_only_saturations(c4, kind, generators):
             GY = 0 if kind == "category" else action.saturate(Y)
             assert by_saturation.setdefault(GY, value) == value, (A, Y)
             assert value == _fresh_index_value(kind, 5, c4, generators, A, Y)
+
+
+@pytest.mark.parametrize("kind", ["category", "pair_category",
+                                  "mod_category"])
+@pytest.mark.parametrize("generators", [[], [fx.conjugation_generator()]],
+                         ids=["trivial", "conjugation"])
+def test_one_evaluation_per_saturated_key(c4, kind, generators):
+    action = validate_action(c4, generators)
+    nu = make_truncated_index(kind, 5, action)
+    evaluate = nu.evaluate
+    calls = []
+    nu.evaluate = lambda A, Y: calls.append((A, Y)) or evaluate(A, Y)
+    keys = set()
+    full = c4.full_mask()
+    for A in range(full + 1):
+        for Y in range(full + 1):
+            nu(A, Y)
+            GY = 0 if kind == "category" else action.saturate(Y)
+            keys.add((action.saturate(A), GY))
+    assert len(calls) == len(keys)
+
+
+@pytest.mark.parametrize("value", [1.5, True, -1, None])
+def test_index_values_must_be_nonnegative_integers(v_space, value):
+    nu = IndexFunction(v_space, lambda A, Y: value)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        nu(v_space.full_mask())
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        check_axioms(nu)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, 0, "3"])
+def test_truncation_cap_must_be_a_positive_integer(c4, cap):
+    with pytest.raises(ValueError, match="truncation cap"):
+        make_truncated_index("category", cap, GroupAction.trivial(c4))
+
+
+@pytest.mark.parametrize("bits", range(1, 8))
+def test_randbelow_draws_the_randrange_stream(bits):
+    """The sampled axiom check calls randrange's internal _randbelow;
+    this pins that both give the same stream on a power of two."""
+    fast, slow = random.Random(bits), random.Random(bits)
+    n = 1 << bits
+    assert ([fast._randbelow(n) for _ in range(2000)]
+            == [slow.randrange(n) for _ in range(2000)])
+
+
+def test_sampled_axioms_match_oracle_on_generated_instances():
+    for seed in range(200):
+        pair, nu, a, b = random_instance(seed)
+        oracle = oracle_truncated_index(
+            "category", nu.cap, GroupAction.trivial(pair.space))
+        report = _check_axioms_sampled(nu, 160, seed)
+        assert report.axioms == oracle_axioms_sampled(
+            oracle, pair.space, 160, seed), seed
+
+
+@pytest.mark.parametrize("kind,generators", [
+    ("mod_category", []),
+    ("pair_category", [fx.conjugation_generator()]),
+], ids=["mod-trivial", "pair-conjugation"])
+def test_sampled_axioms_match_oracle_on_the_circle(kind, generators):
+    failed = 0
+    for seed in range(21):
+        c4 = fx.fix_c4()
+        nu = make_truncated_index(kind, 5, validate_action(c4, generators))
+        oracle = oracle_truncated_index(
+            kind, 5, validate_action(fx.fix_c4(), generators))
+        report = _check_axioms_sampled(nu, 160, seed)
+        assert report.axioms == oracle_axioms_sampled(oracle, c4, 160, seed)
+        failed += not report.all_ok()
+    if kind == "mod_category":  # the pinned divergence: witnesses compared
+        assert failed == 21
 
 
 def test_axioms_pass_for_all_kinds_on_v(v_space):
@@ -190,8 +281,8 @@ def test_entry_margin_examples(v_pair, v_space):
 def test_critical_values_negative_control(c4_const_pair, c4_index):
     table = critical_values(c4_index, c4_const_pair, -1.0, 2.0)
     assert table.values() == [0.0, 1.0]
-    assert table.nondecreasing() and table.in_band()
-    assert not table.all_critical()  # level 1 has no fixed points
+    assert nondecreasing(table) and in_band(table)
+    assert not all_critical(table)  # level 1 has no fixed points
     flags = [lev["is_critical_level"] for lev in table.levels]
     assert flags == [True, False]
     assert all(lev["lower_check"] and lev["upper_check"]
@@ -201,7 +292,7 @@ def test_critical_values_negative_control(c4_const_pair, c4_index):
 def test_critical_values_positive(v_pair, v_index):
     table = critical_values(v_index, v_pair, -1.0, 3.0)
     assert table.values() == [0.0]
-    assert table.all_critical()
+    assert all_critical(table)
 
 
 def test_critical_values_empty_band(v_pair, v_index):
@@ -243,9 +334,9 @@ def test_minmax_levels_are_critical_under_supervariance():
         pair, nu, a, b = random_instance(seed)
         sup = check_supervariance(nu, pair.phi, pair.sublevel(a))
         table = critical_values(nu, pair, a, b)
-        assert table.nondecreasing() and table.in_band()
+        assert nondecreasing(table) and in_band(table)
         if sup["ok"]:
-            assert table.all_critical(), (seed, table.values())
+            assert all_critical(table), (seed, table.values())
 
 
 def test_generator_produces_identity_homotopic_lyapunov_pairs():

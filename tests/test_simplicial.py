@@ -11,10 +11,17 @@ from lscat.simplicial import (
     cuplength,
     Cochain,
     face_poset,
-    is_collapsible,
     order_complex,
     star_cover_upper_bound,
 )
+
+
+def is_collapsible(K):
+    return collapse_sequence(K) is not None
+
+
+def euler_characteristic(K):
+    return sum((-1) ** d * n for d, n in enumerate(K.f_vector()))
 
 
 def triangle_boundary():
@@ -39,7 +46,7 @@ def test_order_complex_v_is_path(v_space):
 def test_order_complex_c4_is_four_cycle(c4):
     K = order_complex(c4)
     assert K.f_vector() == (4, 4)
-    assert K.euler_characteristic() == 0
+    assert euler_characteristic(K) == 0
     assert K.is_connected()
 
 
@@ -62,7 +69,7 @@ def test_face_poset_triangle_boundary_is_hexagon():
     fp = face_poset(triangle_boundary())
     assert len(fp) == 6
     K = order_complex(fp)
-    assert K.euler_characteristic() == 0  # circle model
+    assert euler_characteristic(K) == 0  # circle model
 
 
 def test_face_poset_vertex_is_point():
