@@ -255,12 +255,13 @@ class HomogeneousClass:
     listed subgroup; a transitive G-set G/H is admissible when H is.
     """
 
-    __slots__ = ("action", "subgroup_list", "kind")
+    __slots__ = ("action", "subgroup_list", "kind", "_key")
 
     def __init__(self, action, subgroup_list, kind="explicit"):
         self.action = action
         self.subgroup_list = tuple(subgroup_list)
         self.kind = kind
+        self._key = (kind, tuple(tuple(sorted(h)) for h in self.subgroup_list))
 
     @classmethod
     def all_types(cls, action):
@@ -289,7 +290,7 @@ class HomogeneousClass:
         return any(self.action.are_conjugate(H, K) for K in self.subgroup_list)
 
     def key(self):
-        return (self.kind, tuple(tuple(sorted(h)) for h in self.subgroup_list))
+        return self._key
 
 
 def is_G_map(phi, action):

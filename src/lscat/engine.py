@@ -11,6 +11,9 @@ here looks at separation properties of the space.
 from __future__ import annotations
 
 import random
+from itertools import islice
+
+import numpy as np
 
 from .action import GroupAction, HomogeneousClass
 from .category import (
@@ -205,33 +208,73 @@ def _check_axioms_exhaustive(nu):
     return report
 
 
+def _randrange_draws(rng, size, count):
+    """``[rng.randrange(size) for _ in range(count)]``, read in bulk, and
+    ``seek(k)``, which leaves rng where k such calls would.
+
+    Below 2**32, randrange(size) takes one 32-bit Mersenne Twister word w
+    per try, keeps w >> (32 - size.bit_length()) and tries again when
+    that is >= size; getrandbits(32 * n) returns the next n words, the
+    i-th in bits 32i..32i+31.  So one bulk read, filtered and shifted,
+    gives the draws, and ``seek`` restores the state and skips the words
+    the first k draws used, rejected ones included.  Larger sizes call
+    randrange.
+    """
+    start = rng.getstate()
+    shift = 32 - size.bit_length()
+    if shift < 0:
+        def seek(k):
+            rng.setstate(start)
+            for _ in range(k):
+                rng.randrange(size)
+        return [rng.randrange(size) for _ in range(count)], seek
+    draws, ends, read = [], [], 0
+    while len(draws) < count:
+        n = 2 * (count - len(draws)) + 256
+        raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        words = np.frombuffer(raw, "<u4") >> shift
+        kept = np.flatnonzero(words < size)
+        draws += words[kept].tolist()
+        ends.append(kept + (read + 1))
+        read += n
+    del draws[count:]
+    ends = np.concatenate(ends)
+
+    def seek(k):
+        rng.setstate(start)
+        if k:
+            rng.getrandbits(32 * int(ends[k - 1]))
+    return draws, seek
+
+
 def _check_axioms_sampled(nu, sample, seed):
     space = nu.space
     size = space.full_mask() + 1
     rng = random.Random(seed)
-    # randrange(size) after its argument checks: the same stream
-    draw = rng._randbelow
+    # both loops read one randrange(size) stream; the second starts
+    # where the first stopped
+    draws, seek = _randrange_draws(rng, size, 6 * sample)
+    triples = zip(*[iter(draws)] * 3)
+    used = 0
     report = AxiomReport("sampled")
     mono = sub_w = cont_w = None
-    for _ in range(sample):
-        B = draw(size)
-        A = B & draw(size)
-        Y = draw(size)
+    for B, A, Y in islice(triples, sample):
+        used += 3
+        A &= B
         if nu(A, Y) > nu(B, Y):
             mono = _witness(space, A=A, B=B, Y=Y)
             break
     report.record("monotonicity", mono is None, mono)
-    for _ in range(sample):
-        A = draw(size)
-        B = draw(size)
-        Y = draw(size)
+    for A, B, Y in islice(triples, sample):
+        used += 3
         if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
             sub_w = _witness(space, A=A, B=B, Y=Y)
             break
     report.record("mixed_subadditivity", sub_w is None, sub_w)
+    seek(used)
     closed = list(space.down_sets())
     rng.shuffle(closed)
-    probe_ys = [draw(size) for _ in range(16)]
+    probe_ys = [rng.randrange(size) for _ in range(16)]
     for A in closed[: max(4, sample // 64)]:
         found = False
         for U in space.up_sets():
@@ -265,8 +308,8 @@ def check_supervariance(nu, phi, Z, seed=0):
         masks = range(1 << n)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
-        masks = (rng.randrange(1 << n) for _ in range(CHECK_SAMPLES))
+        masks, _ = _randrange_draws(random.Random(seed), 1 << n,
+                                    CHECK_SAMPLES)
         mode = "sampled"
     for A in masks:
         img = phi.image_mask(A)
@@ -434,6 +477,9 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
     verdict is HYPOTHESIS_FAILED when a checked hypothesis fails,
     INEQUALITY_HOLDS / VIOLATION otherwise; violations are persisted.
     """
+    if axiom_mode not in AXIOM_MODES:
+        raise ValueError(f"unknown axiom mode {axiom_mode!r}; known: "
+                         f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
     hypotheses = {}
     ok, wit = is_lyapunov(pair)

@@ -676,13 +676,16 @@ def is_contractible_in(A, space, with_certificate=True):
     Runs on cores for speed: A is contractible in X iff the conjugated
     inclusion core(A) -> core(X) is fence-connected to a constant.  A is
     collapsed on the space's masks, so deciding builds only core(A) and
-    that one map.  The certificate, when asked for, is a full fence on
-    the original inclusion, built from the same collapse.
+    that one map; when A collapses to one point it is contractible and
+    nothing is built.  The certificate, when asked for, is a full fence
+    on the original inclusion, built from the same collapse.
     """
     if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")
-    core_x = core(space)
     alive, removals = _collapse(space, A)
+    if not with_certificate and alive & (alive - 1) == 0:
+        return True, None
+    core_x = core(space)
     core_a, idx = space.subspace(alive)
     r_x = core_x.retraction.images
     m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))

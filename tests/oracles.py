@@ -419,3 +419,19 @@ def oracle_axioms_sampled(nu, space, sample, seed):
             break
     axioms["continuity"] = {"ok": cont_w is None, "witness": cont_w}
     return axioms
+
+
+def oracle_supervariance_sampled(nu, phi, Z, sample, seed):
+    """Sampled supervariance, drawing masks with ``randrange``: the
+    first A with nu(phi(A), Z) < nu(A, Z), as ``check_supervariance``
+    reports it."""
+    space = nu.space
+    rng = random.Random(seed)
+    for _ in range(sample):
+        A = rng.randrange(1 << len(space))
+        img = phi.image_mask(A)
+        if nu(img, Z) < nu(A, Z):
+            return {"ok": False, "mode": "sampled",
+                    "witness": _oracle_witness(space, A=A, image=img,
+                                               values=(nu(img, Z), nu(A, Z)))}
+    return {"ok": True, "mode": "sampled", "witness": None}

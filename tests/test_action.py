@@ -171,3 +171,16 @@ def test_subgroups_and_classes(conjugation):
     assert kall.admits_stabilizer(stab_p)
     assert kpoint.admits_stabilizer(stab_p)
     assert not kfree.admits_stabilizer(stab_p)
+
+
+def test_class_key_is_kind_and_sorted_subgroups(conjugation):
+    classes = [
+        HomogeneousClass.all_types(conjugation),
+        HomogeneousClass.point_only(conjugation),
+        HomogeneousClass.free_only(conjugation),
+        HomogeneousClass(conjugation, [frozenset([1, 0]), frozenset([0])]),
+    ]
+    for klass in classes:
+        assert klass.key() == (klass.kind, tuple(
+            tuple(sorted(h)) for h in klass.subgroup_list))
+    assert classes[3].key() == ("explicit", ((0, 1), (0,)))

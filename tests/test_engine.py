@@ -7,9 +7,11 @@ from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
 from lscat.dynamics import DynamicalPair
 from lscat.engine import (
+    CHECK_SAMPLES,
     HypothesisUnmet,
     IndexFunction,
     _check_axioms_sampled,
+    _randrange_draws,
     band_escape_exponent,
     check_axioms,
     check_supervariance,
@@ -19,9 +21,13 @@ from lscat.engine import (
     sublevel_entry_margin,
     verify_index_bound,
 )
-from lscat.poset import SpaceMap
+from lscat.poset import SpaceMap, validate_space
 
-from oracles import oracle_axioms_sampled, oracle_truncated_index
+from oracles import (
+    oracle_axioms_sampled,
+    oracle_supervariance_sampled,
+    oracle_truncated_index,
+)
 
 
 def in_band(table):
@@ -128,12 +134,35 @@ def test_truncation_cap_must_be_a_positive_integer(c4, cap):
 
 @pytest.mark.parametrize("bits", range(1, 8))
 def test_randbelow_draws_the_randrange_stream(bits):
-    """The sampled axiom check calls randrange's internal _randbelow;
-    this pins that both give the same stream on a power of two."""
+    """randrange(2**n) is _randbelow(2**n), the rejection sampling on
+    getrandbits(n + 1) that the sampled checks' bulk reader replays."""
     fast, slow = random.Random(bits), random.Random(bits)
     n = 1 << bits
     assert ([fast._randbelow(n) for _ in range(2000)]
             == [slow.randrange(n) for _ in range(2000)])
+
+
+@pytest.mark.parametrize(
+    "size", [1 << m for m in range(1, 17)] + [1, 3, 1000, 1 << 31, 1 << 33],
+    ids=str)
+def test_bulk_draws_are_the_randrange_stream(size):
+    """The draws equal randrange(size)'s, and seek(k) leaves the generator
+    where k randrange calls leave it, so a later shuffle agrees."""
+    for seed in (0, 1, 7, 2024):
+        rng = random.Random(seed)
+        draws, seek = _randrange_draws(rng, size, 600)
+        ref = random.Random(seed)
+        assert draws == [ref.randrange(size) for _ in range(600)]
+        for k in (600, 0, 1, 37, 599):
+            seek(k)
+            ref = random.Random(seed)
+            for _ in range(k):
+                ref.randrange(size)
+            deck, ref_deck = list(range(40)), list(range(40))
+            rng.shuffle(deck)
+            ref.shuffle(ref_deck)
+            assert deck == ref_deck, (seed, k)
+            assert rng.randrange(size) == ref.randrange(size)
 
 
 def test_sampled_axioms_match_oracle_on_generated_instances():
@@ -162,6 +191,44 @@ def test_sampled_axioms_match_oracle_on_the_circle(kind, generators):
         failed += not report.all_ok()
     if kind == "mod_category":  # the pinned divergence: witnesses compared
         assert failed == 21
+
+
+@pytest.mark.parametrize("value", [
+    lambda A, Y: int(A == 0),
+    lambda A, Y: A.bit_count() % 2,
+], ids=["empty-set-largest", "parity"])
+def test_sampled_axioms_match_oracle_after_a_monotonicity_witness(value):
+    """A monotonicity witness found early leaves mixed subadditivity to
+    start mid-stream, and continuity's shuffle and probes after it."""
+    space = fx.fix_wedge()
+    for seed in range(21):
+        nu = IndexFunction(space, value)
+        report = _check_axioms_sampled(nu, 160, seed)
+        assert not report.axioms["monotonicity"]["ok"]
+        assert report.axioms == oracle_axioms_sampled(
+            nu, space, 160, seed), seed
+
+
+def test_sampled_supervariance_matches_oracle_on_thirteen_points():
+    space = validate_space([f"x{i:02}" for i in range(13)], [])
+    M = (1 << 10) - 1
+    nu = IndexFunction(space, lambda A, Z: int(A & M == M))
+    moved = SpaceMap(space, space, (1,) + tuple(range(1, 13)))
+    failed = 0
+    for seed in range(10):
+        for phi in (moved, SpaceMap.identity(space)):
+            out = check_supervariance(nu, phi, 0, seed=seed)
+            assert out["mode"] == "sampled"
+            assert out == oracle_supervariance_sampled(
+                nu, phi, 0, CHECK_SAMPLES, seed)
+            failed += not out["ok"]
+    assert 0 < failed < 10
+
+
+def test_unknown_axiom_mode_is_rejected(v_pair, v_index):
+    with pytest.raises(ValueError, match="AXIOM_MODES"):
+        verify_index_bound(v_index, v_pair, 1.5, 2.5,
+                           axiom_mode="exhastive")
 
 
 def test_axioms_pass_for_all_kinds_on_v(v_space):

@@ -211,6 +211,19 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         ok, _ = is_contractible_in(mask, wedge2,
                                    with_certificate=False)
         assert ok == oracle_contractible(wedge2, mask)
+    # decision-only calls on every subset of fresh spaces: a set that
+    # collapses to one point is contractible, decided without the core
+    for space in (fx.fix_v(), fx.fix_arc3(), fx.fix_c4()):
+        for mask in range(1, space.full_mask() + 1):
+            if poset._collapse(space, mask)[0].bit_count() > 1:
+                continue
+            decided = is_contractible_in(mask, space, with_certificate=False)
+            assert decided == (True, None)
+            assert oracle_contractible(space, mask)
+        assert space._core is None
+        for mask in range(1, space.full_mask() + 1):
+            ok, _ = is_contractible_in(mask, space, with_certificate=False)
+            assert ok == oracle_contractible(space, mask)
 
 
 # The oracle compares every pair of maps in a hom-set, so spaces with a
