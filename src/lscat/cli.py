@@ -112,9 +112,13 @@ def run_numeric_scenario(sc):
         field = get_field(fixture)
         if family == "reciprocal":
             family = [np.array([1.0 / max(n, 2)]) for n in n_schedule(n_max)]
-        rep = verify_prop_app(
-            field, FlowConfig(tau, tau / 1000.0), n_max=n_max, family=family
-        )
+        try:
+            config = FlowConfig(tau, tau / 1000.0)
+        except ValueError as err:  # the step tau/1000 rounded to 0
+            raise ValidationError(
+                sc.name, f"tau {tau!r} is too small for the flow step "
+                         f"tau/1000: {err}")
+        rep = verify_prop_app(field, config, n_max=n_max, family=family)
     elif check == "descent-map":
         samples = [np.array([2.0 ** -j]) for j in range(1, 20)]
         field = half_interval_field()

@@ -10,11 +10,17 @@ suspected violation with a witness cluster, never prove the condition.
 One trajectory (``flow_map``) runs its RK4 stages on Python floats:
 each elementwise sum, product and quotient rounds once to nearest, as
 numpy's elementwise operations do, so the states are bit-identical to
-the all-numpy loop.  The gradient and its norm stay numpy calls:
-``grad`` receives an ndarray, and the norm is ``math.sqrt(g @ g)``,
-because a BLAS dot product can round differently from a Python sum.
-The chain of ``verify_prop_app`` integrates its start points as one
-block of rows, and reuses each state's gradients for the next step.
+the all-numpy loop.  Three numpy calls per stage decide bits, and they
+stay numpy calls: the stage point is built as one ndarray, ``grad``
+receives it, and the norm is ``math.sqrt(g.dot(g))``.  ``g.dot(g)`` is
+the BLAS dot product that ``g @ g`` and ``np.linalg.norm(g)`` reach too,
+and it can round differently from a Python sum, which accumulates in
+another way.  A norm ``s <= 1`` has truncation exactly 1.0, and
+``-v / 1.0`` is ``-v``, so such a stage skips the division; a NaN norm
+fails ``<=`` and takes the full path.  The chain of ``verify_prop_app``
+integrates its start points as one block of rows, reuses each state's
+gradients for the next step, and skips the truncation on a block whose
+row norms are all ``<= 1``.
 """
 
 from __future__ import annotations
@@ -104,17 +110,22 @@ def field_V(field, m):
     the gradient over the truncated gradient norm; equals minus the
     gradient on the short-gradient region and has norm at most 2
     everywhere."""
-    m = np.asarray(m, dtype=float)
-    if not field.domain(m):
-        raise DomainViolation(f"{m!r} outside the field's domain")
-    return _descent(field, m)[0]
+    return _descent(field, np.asarray(m, dtype=float).tolist())[0]
 
 
-def _descent(field, x):
-    """The capped descent vector at the ndarray x, inside the domain, with
-    the gradient norm s and its truncation t it was divided by."""
-    g = np.asarray(field.grad(x), dtype=float)
-    s = math.sqrt(g @ g)
+def _descent(field, q):
+    """The capped descent vector at the point q, a list of floats, as a
+    list of floats, with the gradient norm s and its truncation t it was
+    divided by."""
+    x = np.array(q)
+    if not field.domain(x):
+        raise DomainViolation(f"{x!r} outside the field's domain")
+    g = field.grad(x)
+    if type(g) is not np.ndarray or g.dtype != np.float64:
+        g = np.asarray(g, dtype=float)
+    s = math.sqrt(g.dot(g))
+    if s <= 1.0:  # the truncation is 1.0, and -v / 1.0 is -v
+        return [-v for v in g.tolist()], s, 1.0
     t = truncation_g(s)
     return [-v / t for v in g.tolist()], s, t
 
@@ -125,7 +136,10 @@ def _grad_block(field, pts):
 
 def _block_V(g):
     """The capped descent vectors of a block of gradients, one per row."""
-    return -g / truncation_g(np.linalg.norm(g, axis=1))[:, None]
+    norms = np.linalg.norm(g, axis=1)
+    if (norms <= 1.0).all():  # every truncation is 1.0, and -v / 1.0 is -v
+        return -g
+    return -g / truncation_g(norms)[:, None]
 
 
 class Trajectory:
@@ -150,7 +164,7 @@ class Trajectory:
     def descent_rates(self):
         """|grad f(m)|^2 / truncation_g(|grad f(m)|) along the trajectory;
         only the last state's gradient is computed here."""
-        _, s, t = _descent(self.field, self.states[-1])
+        _, s, t = _descent(self.field, self.states[-1].tolist())
         return np.array(self.rates + [s * s / t])
 
 
@@ -165,9 +179,6 @@ def _rk4_step(V, m, h, k1):
 
 def flow_map(field, m, config):
     """Integrate the capped descent flow for the configured horizon."""
-    # the state as floats (p) for the stage arithmetic, which keeps
-    # numpy's elementwise order, and as the ndarray (x) that domain and
-    # grad receive
     x = np.asarray(m, dtype=float)
     if not field.domain(x):
         raise DomainViolation(f"start point {x!r} outside the domain")
@@ -175,24 +186,29 @@ def flow_map(field, m, config):
     h = config.tau / n
     half = 0.5 * h
     sixth = h / 6.0
+    # the state p is a list of floats, for the stage arithmetic in numpy's
+    # elementwise order; every stage checks its point's domain, so a state
+    # outside it fails the next step's first stage or the final check
     p = x.tolist()
     states = [p]
     rates = []
     for k in range(n):
-        k1, s, t = _descent(field, x)  # x passed the domain check
+        try:
+            k1, s, t = _descent(field, p)
+        except DomainViolation:  # the last step left the domain
+            raise LeftDomain(k * h)
         rates.append(s * s / t)
         try:
-            k2 = field_V(field, [a + half * b for a, b in zip(p, k1)])
-            k3 = field_V(field, [a + half * b for a, b in zip(p, k2)])
-            k4 = field_V(field, [a + h * b for a, b in zip(p, k3)])
+            k2 = _descent(field, [a + half * b for a, b in zip(p, k1)])[0]
+            k3 = _descent(field, [a + half * b for a, b in zip(p, k2)])[0]
+            k4 = _descent(field, [a + h * b for a, b in zip(p, k3)])[0]
         except DomainViolation:
             raise LeftDomain((k + 1) * h)
         p = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(p, k1, k2, k3, k4)]
-        x = np.array(p)
-        if not field.domain(x):
-            raise LeftDomain((k + 1) * h)
         states.append(p)
+    if not field.domain(np.array(p)):
+        raise LeftDomain(n * h)
     times = np.linspace(0.0, config.tau, n + 1)
     traj = Trajectory(times, np.array(states), field)
     traj.rates = rates
@@ -447,8 +463,8 @@ def verify_prop_app(field, config, n_max=10_000, family=None):
     scale = 1e-6 * (1.0 + float(np.linalg.norm(limit)))
     # once the step leaves RK4's stable range a fixed point of the
     # numerical flow map need not be critical, so the gradient must
-    # vanish there too
-    at_rest = (moved <= scale
+    # vanish there too; an overflowed (infinite) scale proves nothing
+    at_rest = (math.isfinite(scale) and moved <= scale
                and float(np.linalg.norm(field.grad(limit))) <= scale)
     return {
         "tau": tau,
@@ -514,7 +530,7 @@ def quadratic_field(matrix=None, dim=2, name="quadratic"):
     return ScalarField(
         A.shape[0],
         lambda m: float(np.asarray(m) @ A @ np.asarray(m)),
-        lambda m: 2.0 * (A @ np.asarray(m)),
+        lambda m: 2.0 * A.dot(np.asarray(m)),
         name=name,
     )
 

@@ -329,7 +329,7 @@ def oracle_verify_prop_app(field, tau, steps, n_max):
             else:
                 inside = False
     scale = 1e-6 * (1.0 + float(np.linalg.norm(limit)))
-    at_rest = (moved <= scale
+    at_rest = (np.isfinite(scale) and moved <= scale
                and float(np.linalg.norm(field.grad(limit))) <= scale)
     return {
         "tau": tau,

@@ -308,6 +308,20 @@ def test_numeric_false_rest_point_is_not_a_conclusion(capsys):
     assert report["conclusion_ok"] is False
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+def test_numeric_overflowed_rest_test_is_not_a_conclusion(capsys):
+    # the flow stalls at [-5e196, 0], where the gradient is (-1e197, 0);
+    # the norms of the limit and of the gradient overflow to inf, and an
+    # infinite tolerance must not pass the rest test
+    assert main(["numeric", "ps-check", "--tau", "1e200", "--n-max", "10",
+                 "--format", "structured"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["rest_point_estimate"] == [-5e196, 0.0]
+    assert report["rest_point_moved"] == 0.0
+    assert report["rest_point_in_domain"] is True
+    assert report["conclusion_ok"] is False
+
+
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -331,11 +345,22 @@ def test_numeric_overflow_report_is_strict_json(capsys):
 @pytest.mark.parametrize("flags", [
     ["--tau", "nan"], ["--tau", "inf"], ["--tau", "-1"], ["--tau", "0"],
     ["--n-max", "0"], ["--n-max", "-5"], ["--fixture", "bogus"],
+    ["--tau", "5e-324"], ["--tau", "2.4e-321"],
 ], ids=["tau-nan", "tau-inf", "tau-negative", "tau-zero", "n-max-zero",
-        "n-max-negative", "unknown-fixture"])
+        "n-max-negative", "unknown-fixture", "tau-step-zero",
+        "tau-step-zero-largest"])
 def test_cli_rejects_bad_numeric_inputs(flags, capsys):
     assert main(["numeric", "ps-check", "--n-max", "10"] + flags) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_tau_rule_is_that_the_step_is_positive(capsys):
+    # the flow step is tau/1000: 2.4e-321 / 1000 rounds to 0 (rejected
+    # above), 2.5e-321 / 1000 to the smallest subnormal, which runs
+    assert 2.4e-321 / 1000.0 == 0.0 < 2.5e-321 / 1000.0
+    assert main(["numeric", "ps-check", "--tau", "2.5e-321", "--n-max", "10",
+                 "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["tau"] == 2.5e-321
 
 
 @pytest.mark.parametrize("edit", [

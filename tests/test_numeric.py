@@ -158,6 +158,77 @@ def test_flow_map_is_bit_exact_against_plain_rk4():
             assert states.tobytes() == expect.tobytes()
 
 
+def _wide_vectors(rng, dim, count):
+    """Vectors across many binary exponents: half share one exponent per
+    vector (sums whose terms are alike, where an FMA would show), half
+    take one exponent per entry."""
+    shared = rng.integers(-120, 120, size=(count // 2, 1))
+    mixed = rng.integers(-120, 120, size=(count - count // 2, dim))
+    exps = np.vstack([np.broadcast_to(shared, (count // 2, dim)), mixed])
+    return rng.uniform(-1.0, 1.0, size=(count, dim)) * np.exp2(exps)
+
+
+def test_quadratic_grad_and_norm_keep_their_bits():
+    # flow_map takes the gradient as A.dot(m) and its square norm as
+    # g.dot(g); the oracles call the same grad, so compare both with the
+    # products they replaced, 2.0 * (A @ m) and g @ g, byte for byte
+    rng = np.random.default_rng(15)
+    for dim in range(1, 9):
+        for seed in range(3):
+            field = random_quadratic_field(seed, dim=dim)
+            B = np.random.default_rng(seed).normal(size=(dim, dim))
+            A = B @ B.T + 0.3 * np.eye(dim)
+            for m in _wide_vectors(rng, dim, 400):
+                g = field.grad(m)
+                assert g.tobytes() == (2.0 * (A @ m)).tobytes(), (dim, m)
+                assert _bits(g.dot(g)) == _bits(g @ g), (dim, g)
+
+
+def _constant_field(grad):
+    return ScalarField(len(grad), lambda m: 0.0, lambda m: grad,
+                       name="constant")
+
+
+@pytest.mark.parametrize("grad", [
+    np.array([1.0]), np.array([0.0, -1.0]),
+    np.array([math.nextafter(1.0, 2.0)]),
+    np.array([0.0, math.nextafter(1.0, 2.0)]),
+    [1, 0],  # a list of ints: converted to float64 before the norm
+], ids=["one", "one-2d", "next-above-one", "next-above-one-2d", "int-list"])
+def test_flow_map_at_gradient_norm_one_is_bit_exact(grad):
+    # every stage has this gradient norm: exactly 1.0 skips the
+    # truncation, the next float above it goes through truncation_g
+    field = _constant_field(grad)
+    start = [0.25] * field.dim
+    states, t_exit = _flow_outcome(field, start, FlowConfig(1.0))
+    expect, expect_exit = oracle_flow(field, start, 1.0, 100)
+    assert t_exit is None and expect_exit is None
+    assert states.tobytes() == expect.tobytes()
+
+
+def test_block_descent_is_bit_exact():
+    # _block_V returns -g when every row norm is <= 1; compare it with the
+    # oracle expression on blocks with all rows <= 1, with one row in the
+    # cubic bridge and with one row past it
+    rng = np.random.default_rng(16)
+    blocks = [np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])]
+    for dim in range(1, 5):
+        for norm in (None, 1.5, 3.0):
+            for _ in range(200):
+                g = rng.uniform(-1.0, 1.0, size=(6, dim)) / dim  # rows <= 1
+                if norm is not None:
+                    i = rng.integers(6)
+                    g[i] *= norm / np.linalg.norm(g[i])
+                blocks.append(g)
+    short = 0
+    for g in blocks:
+        norms = np.linalg.norm(g, axis=1)
+        short += bool((norms <= 1.0).all())
+        expect = -g / oracle_truncation_g(norms)[:, None]
+        assert numeric._block_V(g).tobytes() == expect.tobytes()
+    assert short == 1 + 4 * 200
+
+
 def test_field_v_examples():
     q = quadratic_field()
     assert np.allclose(field_V(q, [1.0, 0.0]), [-1.0, 0.0])
