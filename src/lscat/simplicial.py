@@ -4,13 +4,21 @@ Coefficients are fixed at Z/2 so no orientation bookkeeping is needed;
 the cup product is the ordered (Alexander-Whitney) product with respect
 to the sorted vertex order, which computes the cohomology ring of the
 realisation on the nose.
+
+A d-cochain is an int bitset: bit i is its value on the i-th simplex of
+``simplices_of_dim(d)``. The linear algebra is one GF(2) elimination on
+such ints, an echelon keyed by each row's lowest bit. The representative
+cocycles ``reps[d]`` are fixed by this rule. Call a d-simplex free when
+its coboundary lies in the span of the coboundaries of the d-simplices
+before it. Each free simplex gives the one cocycle that is 1 on it and 0
+on every other free simplex; taken in simplex order, a cocycle is kept
+when it is outside the span of the coboundaries of (d-1)-cochains and
+of the cocycles kept before it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from .poset import SizeCapExceeded, validate_space
 
@@ -29,9 +37,13 @@ class SimplicialComplex:
 
     def __init__(self, vertices, simplices):
         vertices = tuple(vertices)
+        simplices = [tuple(sorted(s)) for s in simplices]
+        for group in (vertices, *simplices):
+            if len(set(group)) < len(group):
+                v = next(v for i, v in enumerate(group) if v in group[:i])
+                raise ValueError(f"repeated vertex {v!r} in {group!r}")
         closed = set()
         for s in simplices:
-            s = tuple(sorted(s))
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
         for s in closed:
@@ -122,171 +134,100 @@ def face_poset(K):
     return validate_space(labels, pairs)
 
 
-# -- mod-2 linear algebra --------------------------------------------------
+# -- mod-2 cochains and cohomology ----------------------------------------
 
 
-def _rref2(A):
-    """Row-reduce a GF(2) matrix; returns (reduced copy, pivot columns)."""
-    A = A.copy() % 2
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        A[[r, sel]] = A[[sel, r]]
-        for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] ^= A[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
+def _reduce(echelon, row, tag=0):
+    """XOR echelon rows into ``row`` until its lowest bit is free.
+
+    ``echelon`` maps a lowest bit to a (row, tag) pair; returns the
+    residue and ``tag`` plus the tags of the rows used.
+    """
+    while row and (row & -row) in echelon:
+        r, t = echelon[row & -row]
+        row ^= r
+        tag ^= t
+    return row, tag
 
 
-def _rank2(A):
-    if A.size == 0:
-        return 0
-    return len(_rref2(A)[1])
-
-
-def _nullspace2(A):
-    """Basis of the GF(2) kernel, as rows."""
-    rows, cols = A.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    if rows == 0:
-        return np.eye(cols, dtype=np.uint8)
-    R, pivots = _rref2(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            if R[r, f]:
-                v[c] = 1
-        basis.append(v)
-    return np.array(basis, dtype=np.uint8) if basis else np.zeros(
-        (0, cols), dtype=np.uint8
-    )
-
-
-def _solve2(A, b):
-    """One solution of Ax=b over GF(2), or None."""
-    rows, cols = A.shape
-    aug = np.concatenate([A % 2, (b % 2).reshape(-1, 1)], axis=1)
-    R, pivots = _rref2(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, cols]
-    return x
+def _insert(echelon, row, tag=0):
+    """Reduce ``row`` and keep a nonzero residue; returns (residue, tag)."""
+    row, tag = _reduce(echelon, row, tag)
+    if row:
+        echelon[row & -row] = (row, tag)
+    return row, tag
 
 
 class Cochain:
-    """A mod-2 cochain: dimension plus a coefficient per simplex."""
+    """A mod-2 cochain: dimension plus a bitset over its simplices."""
 
     __slots__ = ("complex", "dim", "coeffs")
 
     def __init__(self, complex_, dim, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.uint8) % 2
-        if len(coeffs) != len(complex_.simplices_of_dim(dim)):
-            raise ValueError("coefficient vector length mismatch")
+        if not 0 <= coeffs < 1 << len(complex_.simplices_of_dim(dim)):
+            raise ValueError("cochain bits outside its simplices")
         self.complex = complex_
         self.dim = dim
         self.coeffs = coeffs
 
 
-def coboundary_matrix(K, d):
-    """delta: C^d -> C^{d+1} over GF(2); rows = (d+1)-simplices."""
-    lower = K.simplices_of_dim(d)
-    upper = K.simplices_of_dim(d + 1)
-    pos = {s: i for i, s in enumerate(lower)}
-    M = np.zeros((len(upper), len(lower)), dtype=np.uint8)
-    for r, s in enumerate(upper):
+def coboundaries(K, d):
+    """delta of each d-simplex, as a bitset over the (d+1)-simplices."""
+    pos = {s: i for i, s in enumerate(K.simplices_of_dim(d))}
+    cols = [0] * len(pos)
+    for r, s in enumerate(K.simplices_of_dim(d + 1)):
         for omit in range(len(s)):
-            face = s[:omit] + s[omit + 1:]
-            M[r, pos[face]] ^= 1
-    return M
+            cols[pos[s[:omit] + s[omit + 1:]]] |= 1 << r
+    return cols
 
 
 def cup(K, a, b):
     """Ordered cup product of cochains (front face / back face)."""
     p, q = a.dim, b.dim
-    out_simplices = K.simplices_of_dim(p + q)
     pos_a = {s: i for i, s in enumerate(K.simplices_of_dim(p))}
     pos_b = {s: i for i, s in enumerate(K.simplices_of_dim(q))}
-    coeffs = np.zeros(len(out_simplices), dtype=np.uint8)
-    for r, s in enumerate(out_simplices):
-        front = s[: p + 1]
-        back = s[p:]
-        coeffs[r] = a.coeffs[pos_a[front]] & b.coeffs[pos_b[back]]
+    coeffs = 0
+    for r, s in enumerate(K.simplices_of_dim(p + q)):
+        if a.coeffs >> pos_a[s[:p + 1]] & b.coeffs >> pos_b[s[p:]] & 1:
+            coeffs |= 1 << r
     return Cochain(K, p + q, coeffs)
 
 
 class CohomologyRing:
-    """Cached mod-2 cohomology bases with class reduction."""
+    """Mod-2 cohomology: representative cocycles ``reps[d]`` and class
+    reduction, both on bitsets."""
 
     def __init__(self, K):
         self.K = K
-        self.deltas = {
-            d: coboundary_matrix(K, d) for d in range(K.dim() + 1)
-        }
-        self.bases = {}
+        self.reps = {}
+        self._echelons = {}
+        below = []
         for d in range(K.dim() + 1):
-            self.bases[d] = self._basis(d)
-
-    def _basis(self, d):
-        n_d = len(self.K.simplices_of_dim(d))
-        delta_up = self.deltas.get(d)
-        if delta_up is None or delta_up.size == 0:
-            cocycles = np.eye(n_d, dtype=np.uint8)
-        else:
-            cocycles = _nullspace2(delta_up)
-        if d == 0:
-            boundaries = np.zeros((0, n_d), dtype=np.uint8)
-        else:
-            below = self.deltas[d - 1]
-            boundaries = (below @ np.eye(below.shape[1], dtype=np.uint8) % 2).T
-        # extend a basis of the boundary space to the cocycle space
-        chosen = []
-        stack = boundaries.copy()
-        base_rank = _rank2(stack)
-        for z in cocycles:
-            trial = np.concatenate([stack, z.reshape(1, -1)], axis=0)
-            if _rank2(trial) > _rank2(stack):
-                stack = trial
-                chosen.append(z)
-        self_rank = len(chosen)
-        return {
-            "boundaries": boundaries,
-            "reps": np.array(chosen, dtype=np.uint8).reshape(self_rank, n_d),
-            "rank": self_rank,
-            "base_rank": base_rank,
-        }
+            cols = coboundaries(K, d)
+            kernel, cocycles = {}, []
+            for i, col in enumerate(cols):
+                residue, tag = _insert(kernel, col, 1 << i)
+                if not residue:
+                    cocycles.append(tag)
+            echelon, reps = {}, []
+            for b in below:
+                _insert(echelon, b)
+            for z in cocycles:
+                if _insert(echelon, z, 1 << len(reps))[0]:
+                    reps.append(z)
+            self.reps[d] = reps
+            self._echelons[d] = echelon
+            below = cols
 
     def betti(self, d):
-        return self.bases.get(d, {"rank": 0})["rank"]
+        return len(self.reps.get(d, ()))
 
     def reduce(self, cochain):
-        """Coordinates of a cocycle's class in the chosen H^d basis."""
-        d = cochain.dim
-        info = self.bases[d]
-        span = np.concatenate([info["boundaries"], info["reps"]], axis=0)
-        if span.shape[0] == 0:
-            return np.zeros(0, dtype=np.uint8)
-        x = _solve2(span.T, cochain.coeffs)
-        if x is None:
+        """Coordinates of a cocycle's class, as a bitset over reps[d]."""
+        residue, coords = _reduce(self._echelons[cochain.dim], cochain.coeffs)
+        if residue:
             raise ValueError("cochain is not a cocycle")
-        return x[info["boundaries"].shape[0]:]
+        return coords
 
 
 def cuplength(K):
@@ -296,20 +237,13 @@ def cuplength(K):
         raise NotConnected("cup-length needs a connected complex")
     ring = CohomologyRing(K)
     top = K.dim()
-    generators = []
-    for d in range(1, top + 1):
-        for row in ring.bases[d]["reps"]:
-            generators.append(Cochain(K, d, row))
-    if not generators:
-        return 0
+    generators = [Cochain(K, d, z)
+                  for d in range(1, top + 1) for z in ring.reps[d]]
     # level m: nonzero classes realisable as m-fold products
-    level = {}
-    for g in generators:
-        coords = ring.reduce(g)
-        if coords.any():
-            level[(g.dim, tuple(coords))] = g
-    m = 1 if level else 0
+    level = {(g.dim, ring.reduce(g)): g for g in generators}
+    m = 0
     while level:
+        m += 1
         nxt = {}
         for (d, _), rep in level.items():
             for g in generators:
@@ -317,14 +251,9 @@ def cuplength(K):
                     continue
                 prod = cup(K, rep, g)
                 coords = ring.reduce(prod)
-                if coords.any():
-                    key = (prod.dim, tuple(coords))
-                    if key not in nxt:
-                        nxt[key] = prod
-        if not nxt:
-            break
+                if coords:
+                    nxt.setdefault((prod.dim, coords), prod)
         level = nxt
-        m += 1
     return m
 
 

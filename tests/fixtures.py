@@ -6,7 +6,10 @@ from the exhaustive brute-force oracle (tests/oracles.py) before use.
 
 from __future__ import annotations
 
+from itertools import product
+
 from lscat.poset import SpaceMap, validate_space
+from lscat.simplicial import SimplicialComplex, face_poset
 
 
 def fix_v():
@@ -130,3 +133,27 @@ def torus7_triangles():
         tris.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         tris.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
     return sorted(set(tris))
+
+
+def rp2_6_triangles():
+    """The 6-vertex triangulation of the real projective plane."""
+    return [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+            (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def cross_polytope_facets(n):
+    """Facets of the boundary of the n-dimensional cross-polytope, an
+    (n-1)-sphere: one vertex from each antipodal pair (2i, 2i+1)."""
+    return [tuple(2 * i + b for i, b in enumerate(bits))
+            for bits in product((0, 1), repeat=n)]
+
+
+def octahedron_model():
+    """Face poset of the octahedron: a 26-point finite model of S^2."""
+    return face_poset(SimplicialComplex.from_maximal(cross_polytope_facets(3)))
+
+
+def s3_model():
+    """Face poset of the 16-cell's boundary: an 80-point finite model of
+    S^3."""
+    return face_poset(SimplicialComplex.from_maximal(cross_polytope_facets(4)))

@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: contractibility is
 decided on the fully materialised hom-set by the components of its
 comparability graph (no cores, no lazy search), minimal covers are found by enumerating
 subsets of the candidates in increasing size (no union-closure table), the
-discrete Palais-Smale condition is checked on every subset, the
-cup-length check on the minimal circle enumerates every cochain,
+discrete Palais-Smale condition is checked on every subset, mod-2
+cohomology is numpy row reduction with a rank test per cocycle and
+cup-length tries every product of its representatives,
 the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile, and the Palais-Smale chain is the all-numpy block
 integration that recomputes every gradient, with a start-point
@@ -148,13 +149,173 @@ def oracle_palais_smale(pair):
     return True, None
 
 
-def oracle_cuplength_minimal_circle(K):
-    """The 4-cycle has a one-dimensional top, so any product of two
-    positive-degree cochains lands in the zero group; check all pairs."""
-    ones = K.simplices_of_dim(1)
-    assert len(ones) == 4 and not K.simplices_of_dim(2)
-    # one nonzero degree-1 cohomology class must exist (connected cycle)
-    return 1
+# -- mod-2 cohomology: numpy row reductions on uint8 arrays --------------
+
+
+def _rref2(A):
+    """Row-reduce a GF(2) matrix; returns (reduced copy, pivot columns)."""
+    A = A.copy() % 2
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        sel = None
+        for rr in range(r, rows):
+            if A[rr, c]:
+                sel = rr
+                break
+        if sel is None:
+            continue
+        A[[r, sel]] = A[[sel, r]]
+        for rr in range(rows):
+            if rr != r and A[rr, c]:
+                A[rr] ^= A[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots
+
+
+def _rank2(A):
+    if A.size == 0:
+        return 0
+    return len(_rref2(A)[1])
+
+
+def _nullspace2(A):
+    """Basis of the GF(2) kernel, as rows."""
+    rows, cols = A.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.uint8)
+    if rows == 0:
+        return np.eye(cols, dtype=np.uint8)
+    R, pivots = _rref2(A)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = np.zeros(cols, dtype=np.uint8)
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            if R[r, f]:
+                v[c] = 1
+        basis.append(v)
+    return np.array(basis, dtype=np.uint8) if basis else np.zeros(
+        (0, cols), dtype=np.uint8
+    )
+
+
+def _solve2(A, b):
+    """One solution of Ax=b over GF(2), or None."""
+    rows, cols = A.shape
+    aug = np.concatenate([A % 2, (b % 2).reshape(-1, 1)], axis=1)
+    R, pivots = _rref2(aug)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for r, c in enumerate(pivots):
+        x[c] = R[r, cols]
+    return x
+
+
+def oracle_coboundary_matrix(K, d):
+    """delta: C^d -> C^{d+1} over GF(2); rows = (d+1)-simplices."""
+    lower = K.simplices_of_dim(d)
+    upper = K.simplices_of_dim(d + 1)
+    pos = {s: i for i, s in enumerate(lower)}
+    M = np.zeros((len(upper), len(lower)), dtype=np.uint8)
+    for r, s in enumerate(upper):
+        for omit in range(len(s)):
+            face = s[:omit] + s[omit + 1:]
+            M[r, pos[face]] ^= 1
+    return M
+
+
+class OracleCohomologyRing:
+    """Mod-2 cohomology bases from numpy row reductions: the nullspace of
+    delta, extended over the boundaries by a rank test per cocycle."""
+
+    def __init__(self, K):
+        self.K = K
+        self.deltas = {
+            d: oracle_coboundary_matrix(K, d) for d in range(K.dim() + 1)
+        }
+        self.bases = {}
+        for d in range(K.dim() + 1):
+            self.bases[d] = self._basis(d)
+
+    def _basis(self, d):
+        n_d = len(self.K.simplices_of_dim(d))
+        delta_up = self.deltas.get(d)
+        if delta_up is None or delta_up.size == 0:
+            cocycles = np.eye(n_d, dtype=np.uint8)
+        else:
+            cocycles = _nullspace2(delta_up)
+        if d == 0:
+            boundaries = np.zeros((0, n_d), dtype=np.uint8)
+        else:
+            below = self.deltas[d - 1]
+            boundaries = (below @ np.eye(below.shape[1], dtype=np.uint8) % 2).T
+        # extend a basis of the boundary space to the cocycle space
+        chosen = []
+        stack = boundaries.copy()
+        for z in cocycles:
+            trial = np.concatenate([stack, z.reshape(1, -1)], axis=0)
+            if _rank2(trial) > _rank2(stack):
+                stack = trial
+                chosen.append(z)
+        self_rank = len(chosen)
+        return {
+            "boundaries": boundaries,
+            "reps": np.array(chosen, dtype=np.uint8).reshape(self_rank, n_d),
+            "rank": self_rank,
+        }
+
+    def betti(self, d):
+        return self.bases.get(d, {"rank": 0})["rank"]
+
+    def reduce(self, d, coeffs):
+        """Coordinates of a d-cocycle's class in the chosen H^d basis."""
+        info = self.bases[d]
+        span = np.concatenate([info["boundaries"], info["reps"]], axis=0)
+        if span.shape[0] == 0:
+            return np.zeros(0, dtype=np.uint8)
+        x = _solve2(span.T, coeffs)
+        if x is None:
+            raise ValueError("cochain is not a cocycle")
+        return x[info["boundaries"].shape[0]:]
+
+
+def bitset_rows(bitsets, n):
+    """Int bitsets as the rows of a uint8 array with n columns."""
+    return np.array([[b >> i & 1 for i in range(n)] for b in bitsets],
+                    dtype=np.uint8).reshape(len(bitsets), n)
+
+
+def oracle_cup(K, p, a, q, b):
+    """Front-face/back-face product of a p- and a q-cochain (uint8 rows)."""
+    lower_a = K.simplices_of_dim(p)
+    lower_b = K.simplices_of_dim(q)
+    return np.array([a[lower_a.index(s[:p + 1])] & b[lower_b.index(s[p:])]
+                     for s in K.simplices_of_dim(p + q)], dtype=np.uint8)
+
+
+def oracle_cuplength(K):
+    """The largest m such that a product of m positive-degree reference reps
+    has a nonzero class, deciding each class with the numpy solve.  Every
+    product is tried, in every order; a product with a zero class is not
+    extended, since its multiples have zero classes too."""
+    ring = OracleCohomologyRing(K)
+    top = K.dim()
+    gens = [(d, z) for d in range(1, top + 1) for z in ring.bases[d]["reps"]]
+    m, products = 0, gens
+    while True:
+        products = [(d, z) for d, z in products if ring.reduce(d, z).any()]
+        if not products:
+            return m
+        m += 1
+        products = [(d + e, oracle_cup(K, d, z, e, w))
+                    for d, z in products for e, w in gens if d + e <= top]
 
 
 def oracle_truncation_g(x):

@@ -47,7 +47,7 @@ from lscat.simplicial import (
     star_cover_upper_bound,
 )
 
-from oracles import oracle_cat, oracle_cuplength_minimal_circle
+from oracles import oracle_cat, oracle_cuplength
 
 
 def _line(number, ok, detail):
@@ -66,7 +66,7 @@ def test_criterion_01_category_oracle():
     t_v = time.monotonic() - t0
     t0 = time.monotonic()
     bound = cuplength_lower_bound(c4)
-    oracle_bound = 1 + oracle_cuplength_minimal_circle(order_complex(c4))
+    oracle_bound = 1 + oracle_cuplength(order_complex(c4))
     t_cup = time.monotonic() - t0
     ok = (
         oracle_c4 == cat(c4) == 2

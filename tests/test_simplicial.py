@@ -1,11 +1,16 @@
+import time
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixtures as fx
+from lscat.category import cuplength_lower_bound
 from lscat.simplicial import (
     CohomologyRing,
     NotConnected,
     SimplicialComplex,
-    coboundary_matrix,
+    coboundaries,
     collapse_sequence,
     cup,
     cuplength,
@@ -13,6 +18,13 @@ from lscat.simplicial import (
     face_poset,
     order_complex,
     star_cover_upper_bound,
+)
+from oracles import (
+    OracleCohomologyRing,
+    bitset_rows,
+    oracle_coboundary_matrix,
+    oracle_cup,
+    oracle_cuplength,
 )
 
 
@@ -84,21 +96,30 @@ def test_torus_betti_numbers():
 
 def test_coboundary_squares_to_zero():
     for K in (triangle_boundary(), torus()):
-        for d in range(K.dim()):
-            d0 = coboundary_matrix(K, d)
-            d1 = coboundary_matrix(K, d + 1)
-            assert not ((d1 @ d0) % 2).any()
+        for d in range(K.dim() + 1):
+            rows = coboundaries(K, d)
+            n_up = len(K.simplices_of_dim(d + 1))
+            assert np.array_equal(bitset_rows(rows, n_up),
+                                  oracle_coboundary_matrix(K, d).T)
+            if d < K.dim():
+                up = coboundaries(K, d + 1)
+                for row in rows:
+                    dd = 0
+                    for r in range(n_up):
+                        if row >> r & 1:
+                            dd ^= up[r]
+                    assert dd == 0
 
 
 def test_cup_product_graded_commutative_on_torus():
     K = torus()
     ring = CohomologyRing(K)
-    reps = [Cochain(K, 1, row) for row in ring.bases[1]["reps"]]
+    reps = [Cochain(K, 1, z) for z in ring.reps[1]]
     for a in reps:
         for b in reps:
             ab = ring.reduce(cup(K, a, b))
             ba = ring.reduce(cup(K, b, a))
-            assert (ab == ba).all()  # mod 2 at the cohomology level
+            assert ab == ba  # mod 2 at the cohomology level
 
 
 def test_cuplength_values():
@@ -108,10 +129,125 @@ def test_cuplength_values():
 
 
 def test_cuplength_matches_independent_circle_argument(c4):
-    from oracles import oracle_cuplength_minimal_circle
-
     K = order_complex(c4)
-    assert cuplength(K) == oracle_cuplength_minimal_circle(K)
+    assert cuplength(K) == oracle_cuplength(K) == 1
+
+
+def test_rp2_has_a_nonzero_self_square():
+    K = SimplicialComplex.from_maximal(fx.rp2_6_triangles())
+    ring = CohomologyRing(K)
+    assert [ring.betti(d) for d in range(3)] == [1, 1, 1]
+    (a,) = (Cochain(K, 1, z) for z in ring.reps[1])
+    assert ring.reduce(cup(K, a, a)) == 1
+    assert cuplength(K) == oracle_cuplength(K) == 2
+
+
+def test_sphere_models_cuplength_lower_bound():
+    assert cuplength_lower_bound(fx.octahedron_model()) == 2
+    t0 = time.monotonic()
+    assert cuplength_lower_bound(fx.s3_model()) == 2
+    assert time.monotonic() - t0 < 2.0
+
+
+def bits(bitset, n):
+    return bitset_rows([bitset], n).tobytes()
+
+
+def assert_matches_oracle(K):
+    """Reps byte for byte, Betti numbers, and the coordinates of every
+    product of two reps, against the numpy reference ring."""
+    ring, ref = CohomologyRing(K), OracleCohomologyRing(K)
+    for d in range(K.dim() + 1):
+        n_d = len(K.simplices_of_dim(d))
+        got = bitset_rows(ring.reps[d], n_d)
+        want = ref.bases[d]["reps"]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ring.betti(d) == ref.betti(d)
+    for p in range(1, K.dim()):
+        for q in range(1, K.dim() + 1 - p):
+            for a, za in zip(ring.reps[p], ref.bases[p]["reps"]):
+                for b, zb in zip(ring.reps[q], ref.bases[q]["reps"]):
+                    prod = cup(K, Cochain(K, p, a), Cochain(K, q, b))
+                    want = oracle_cup(K, p, za, q, zb)
+                    assert bits(prod.coeffs, want.size) == want.tobytes()
+                    assert bits(ring.reduce(prod), ring.betti(p + q)) \
+                        == ref.reduce(p + q, want).tobytes()
+    return ring, ref
+
+
+SHIPPED = {
+    "fan-path": lambda: order_complex(fx.fix_v()),
+    "circle": lambda: order_complex(fx.fix_c4()),
+    "arc": lambda: order_complex(fx.fix_arc3()),
+    "two-circles": lambda: order_complex(fx.fix_2circ()),
+    "coned-circle": lambda: order_complex(fx.cone_circle()),
+    "wedge": lambda: order_complex(fx.fix_wedge()),
+    "triangle-boundary": triangle_boundary,
+    "square-cycle": cycle4,
+    "filled-triangle": lambda: SimplicialComplex.from_maximal(
+        [("a", "b", "c")]),
+    "torus": torus,
+    "rp2": lambda: SimplicialComplex.from_maximal(fx.rp2_6_triangles()),
+    "octahedron-model": lambda: order_complex(fx.octahedron_model()),
+    "barycentric-torus": lambda: order_complex(face_poset(torus())),
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cohomology_matches_numpy_oracle_on_shipped_complexes(name):
+    K = SHIPPED[name]()
+    assert_matches_oracle(K)
+    assert cuplength(K) == oracle_cuplength(K)
+
+
+SEEDS = [[], fx.torus7_triangles(), fx.rp2_6_triangles(),
+         fx.cross_polytope_facets(3), fx.cross_polytope_facets(4)]
+
+
+@st.composite
+def random_complexes(draw):
+    """Up to 8 vertices and faces of up to 4: random faces, plus one of the
+    closed surfaces and spheres above less up to two facets, relabelled."""
+    seed = draw(st.sampled_from(SEEDS))
+    dropped = draw(st.sets(st.sampled_from(seed), max_size=2)) if seed else ()
+    faces = draw(st.lists(st.sets(st.integers(min_value=0, max_value=7),
+                                  min_size=1, max_size=4), max_size=6))
+    faces += [f for f in seed if f not in dropped]
+    relabel = draw(st.permutations(range(8)))
+    faces = [[relabel[v] for v in f] for f in faces] or [[relabel[0]]]
+    return SimplicialComplex.from_maximal(faces)
+
+
+@given(random_complexes(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cohomology_matches_numpy_oracle_on_random_complexes(K, data):
+    ring, ref = assert_matches_oracle(K)
+    if K.is_connected():
+        assert cuplength(K) == oracle_cuplength(K)
+    d = data.draw(st.integers(min_value=0, max_value=K.dim()))
+    n_d = len(K.simplices_of_dim(d))
+    coeffs = data.draw(st.integers(min_value=0, max_value=(1 << n_d) - 1))
+    row = bitset_rows([coeffs], n_d)[0]
+    if (oracle_coboundary_matrix(K, d) @ row % 2).any():
+        with pytest.raises(ValueError, match="not a cocycle"):
+            ring.reduce(Cochain(K, d, coeffs))
+    else:
+        coords = ring.reduce(Cochain(K, d, coeffs))
+        assert bits(coords, ring.betti(d)) == ref.reduce(d, row).tobytes()
+    for bad in (-1, 1 << n_d, -(1 << n_d)):
+        with pytest.raises(ValueError, match="outside its simplices"):
+            Cochain(K, d, bad)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: SimplicialComplex.from_maximal(
+        [("a", "a"), ("a", "b")]), id="in-a-simplex"),
+    pytest.param(lambda: SimplicialComplex(["a", "a", "b"], [("a", "b")]),
+                 id="in-vertices"),
+])
+def test_repeated_vertex_is_rejected(build):
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        build()
 
 
 def test_cuplength_requires_connected():
