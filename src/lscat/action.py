@@ -304,41 +304,40 @@ def is_G_map(phi, action):
     return True
 
 
-def _equivariant_context(action, domain_parent_indices):
-    dom_index = {p: k for k, p in enumerate(domain_parent_indices)}
-    return (action.elements, tuple(domain_parent_indices), dom_index)
+def G_fence_search(start, action, domain_parent_indices, is_target, *,
+                   stage_ok=None):
+    """Equivariant fence BFS: ``fence_search`` with whole-orbit moves.
 
-
-def equivariant_orbits(action, domain_parent_indices):
-    """Orbits of the domain subspace under the induced action, as
-    domain-local index tuples (requires an invariant domain)."""
-    dom_index = {p: k for k, p in enumerate(domain_parent_indices)}
-    seen = set()
-    out = []
+    ``start`` is an equivariant map from a subspace of the action's
+    space into the space; ``domain_parent_indices`` names the parent
+    index of each domain point, and the domain must be invariant
+    (ValueError otherwise).  One move per domain orbit, least point
+    first: the representative p takes a value v fixed by its stabiliser
+    (so g[v] at gp is well defined), and gp takes g[v].  An orbit is an
+    antichain (x < gx would give x < gx < ... < x), so p's neighbours
+    lie outside it and the move keeps the map comparable and continuous
+    at every gp when it does at p.  For the trivial group these are the
+    one-point moves.
+    """
+    local = {p: k for k, p in enumerate(domain_parent_indices)}
+    moves, seen = [], set()
     for k, p in enumerate(domain_parent_indices):
         if k in seen:
             continue
-        orb = sorted(
-            dom_index[g[p]] for g in action.elements
-        )
-        orb = sorted(set(orb))
-        seen.update(orb)
-        out.append(tuple(orb))
-    return tuple(out)
-
-
-def G_fence_search(start, action, domain_parent_indices, **kw):
-    """Equivariant fence BFS (whole-orbit mutations).
-
-    ``start`` maps a subspace of the action's space into the space;
-    ``domain_parent_indices`` names the parent index of each domain
-    point.  For the trivial group this degenerates to the plain search.
-    """
-    if action.is_trivial():
-        return fence_search(start, **kw)
-    orbits = equivariant_orbits(action, domain_parent_indices)
-    ctx = _equivariant_context(action, domain_parent_indices)
-    return fence_search(start, orbits=orbits, act=ctx, **kw)
+        translates = {}
+        for g in action.elements:
+            j = local.get(g[p])
+            if j is None:
+                labels = [action.space.points[q]
+                          for q in domain_parent_indices]
+                raise ValueError(
+                    f"the domain {labels} is not invariant under the group"
+                )
+            translates.setdefault(j, g)
+        seen.update(translates)
+        moves.append((k, action.fixed_mask(action.stabilizer(p)),
+                      tuple(translates.items())))
+    return fence_search(start, is_target, stage_ok=stage_ok, moves=moves)
 
 
 def G_homotopic(g1, g2, action):
@@ -360,7 +359,7 @@ def G_homotopic(g1, g2, action):
                 raise ValueError("maps must be equivariant")
     if g1 == g2:
         return FenceCertificate([g1])
-    return G_fence_search(g1, action, parents, targets={g2.images})
+    return G_fence_search(g1, action, parents, {g2.images}.__contains__)
 
 
 def _is_equivariant_partial(phi, action, parents):
@@ -380,22 +379,28 @@ def inclusion_map(space, mask):
     return SpaceMap(sub, space, idx), idx
 
 
+def mod_stage_ok(domain_parent_indices, Y_mask):
+    """The stage rule of a deformation mod Y: every stage sends the
+    domain points that lie in Y into Y."""
+    wy = [k for k, p in enumerate(domain_parent_indices) if Y_mask >> p & 1]
+
+    def stage_ok(images):
+        return all(Y_mask >> images[k] & 1 for k in wy)
+
+    return stage_ok
+
+
 def is_G_deformable(action, W_mask, Y_mask, mod=False):
     """Is the open W G-deformable to Y (mod Y)?  Returns a fence or None.
 
     mod: every stage sends W & Y into Y and the final image lies in Y.
+    W must be invariant (ValueError otherwise).
     """
     if W_mask == 0:
         return _EMPTY_DEFORMATION
     if Y_mask == 0:
         return None  # a nonempty set never maps into the empty set
-    space = action.space
-    incl, parents = inclusion_map(space, W_mask)
-    wy = [k for k, p in enumerate(parents) if Y_mask >> p & 1]
-    stage_ok = None
-    if mod:
-        def stage_ok(images):
-            return all(Y_mask >> images[k] & 1 for k in wy)
+    incl, parents = inclusion_map(action.space, W_mask)
 
     def target(images):
         m = 0
@@ -404,7 +409,8 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
         return m & ~Y_mask == 0
 
     return G_fence_search(
-        incl, action, parents, target_pred=target, stage_ok=stage_ok,
+        incl, action, parents, target,
+        stage_ok=mod_stage_ok(parents, Y_mask) if mod else None,
     )
 
 

@@ -45,6 +45,7 @@ from .action import (
     HomogeneousClass,
     inclusion_map,
     is_G_deformable,
+    mod_stage_ok,
     _EMPTY_DEFORMATION,
 )
 from .poset import (
@@ -213,12 +214,8 @@ def _check_deformation_certificate(query, entry):
     if not space.is_up_set(entry.mask):
         raise ValueError("A0 is not open")
     parents = tuple(bits(entry.mask))
-    wy = [k for k, p in enumerate(parents) if query.Y >> p & 1]
-    stage_ok = None
-    if query.mode == "mod":
-        def stage_ok(images):
-            return all(query.Y >> images[k] & 1 for k in wy)
-    fence.validate(stage_ok=stage_ok)
+    fence.validate(stage_ok=mod_stage_ok(parents, query.Y)
+                   if query.mode == "mod" else None)
     if fence.start.images != parents:
         raise ValueError("deformation fence does not start at the inclusion")
     if fence.end.image_mask() & ~query.Y:
@@ -264,7 +261,7 @@ def is_categorical(mask, space, action=None, klass=None,
     if not targets:
         return False, None
     incl, parents = inclusion_map(space, mask)
-    fence = G_fence_search(incl, action, parents, targets=set(targets))
+    fence = G_fence_search(incl, action, parents, set(targets).__contains__)
     if fence is None:
         return False, None
     return True, (fence if with_certificate else None)
@@ -692,7 +689,8 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
     incl_pre, pre_parents = inclusion_map(space, pre_mask)
     # fence 1: incl ~ (psi o phi) o incl, restricted to the preimage
     psiphi = psi.compose(phi)
-    outer = fence_search(SpaceMap.identity(space), targets={psiphi.images})
+    outer = fence_search(SpaceMap.identity(space),
+                         {psiphi.images}.__contains__)
     if outer is None:  # cannot happen for a genuine equivalence
         raise HypothesisUnmet("homotopy_equivalence")
     part1 = outer.compose_right(incl_pre)

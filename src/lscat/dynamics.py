@@ -20,6 +20,7 @@ from .action import (
     HomogeneousClass,
     is_G_deformable,
     is_G_map,
+    mod_stage_ok,
     orbit_equivalent,
 )
 from .category import (
@@ -401,20 +402,12 @@ def find_identity_fence(pair, action, preserve_mask=None):
     """Equivariant fence from the identity to phi, optionally through
     maps preserving a sublevel mask at every stage."""
     space = pair.space
-    ident = SpaceMap.identity(space)
-    stage_ok = None
-    if preserve_mask is not None:
-        keep = preserve_mask
-
-        def stage_ok(images):
-            for i in bits(keep):
-                if not keep >> images[i] & 1:
-                    return False
-            return True
-
+    parents = tuple(range(len(space)))
     return G_fence_search(
-        ident, action, tuple(range(len(space))),
-        targets={pair.phi.images}, stage_ok=stage_ok,
+        SpaceMap.identity(space), action, parents,
+        {pair.phi.images}.__contains__,
+        stage_ok=(None if preserve_mask is None
+                  else mod_stage_ok(parents, preserve_mask)),
     )
 
 

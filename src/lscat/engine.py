@@ -575,7 +575,7 @@ def random_identity_homotopic_map(rng, space):
     images = list(range(len(space)))
     for _ in range(rng.randint(1, 4)):
         i = rng.randrange(len(space))
-        cands = _mutation_candidates(space, space, tuple(images), i)
+        cands = bits(_mutation_candidates(space, space, tuple(images), i))
         if not cands:
             continue
         images[i] = rng.choice(cands)

@@ -433,7 +433,8 @@ def enumerate_maps(domain, codomain):
 
 
 def _mutation_candidates(domain, codomain, images, i):
-    """Values v != images[i], comparable to it, keeping continuity at i.
+    """The mask of values v != images[i], comparable to it, that keep
+    the map continuous at i.
 
     Pure mask arithmetic: v must lie below every image of a strict upper
     neighbour and above every image of a strict lower neighbour.
@@ -441,55 +442,49 @@ def _mutation_candidates(domain, codomain, images, i):
     cur = images[i]
     allowed = (codomain.up[cur] | codomain.down[cur]) & ~(1 << cur)
     if not allowed:
-        return []
+        return 0
     down_c, up_c = codomain.down, codomain.up
     for j in domain._strict_up[i]:
         allowed &= down_c[images[j]]
         if not allowed:
-            return []
+            return 0
     for j in domain._strict_down[i]:
         allowed &= up_c[images[j]]
         if not allowed:
-            return []
-    return list(_bits(allowed))
+            return 0
+    return allowed
 
 
-def fence_search(
-    start,
-    *,
-    targets=None,
-    target_pred=None,
-    stage_ok=None,
-    orbits=None,
-    act=None,
-):
-    """BFS for a fence from ``start`` to a target map.
+def fence_search(start, is_target, *, stage_ok=None, moves=None):
+    """BFS for a fence from ``start`` to a map whose image tuple
+    satisfies ``is_target``; a set of image tuples passes
+    ``targets.__contains__``.
 
-    Moves are single-point mutations to a comparable value that keep the
-    map continuous (for equivariant searches: whole-orbit mutations; see
-    ``orbits``/``act``, supplied by the group_action module).  Single
-    mutations generate the same components as map comparability, so the
-    search is exact.  Deterministic: FIFO BFS with lexicographic move
-    generation returns the first (shortest, then lexicographically
-    earliest) fence.
+    A move changes one orbit of domain points.  ``moves`` lists one
+    ``(i, fixed, translates)`` per orbit: the representative i takes a
+    value v of ``_mutation_candidates`` in the mask ``fixed`` (the values
+    its stabiliser fixes), and each pair ``(j, g)`` of ``translates``
+    sets j to ``g[v]``; on equivariant maps these are the equivariant
+    moves (see ``action.G_fence_search``).  The default, one-point
+    orbits with every value allowed, makes the single-point mutations to
+    a comparable value that keep the map continuous; they generate the
+    same components as map comparability, so the search is exact.
+    Deterministic: FIFO BFS over the moves in order, values ascending,
+    returns the first (shortest, then lexicographically earliest) fence.
 
     ``stage_ok(images)`` restricts every stage (used for mod
-    deformations); ``targets`` is a set of image tuples, ``target_pred``
-    a predicate on image tuples.  Returns a FenceCertificate or None.
+    deformations).  Returns a FenceCertificate or None.
     """
     domain, codomain = start.domain, start.codomain
     cap = FENCE_NODE_CAP
     start_images = start.images
     if stage_ok is not None and not stage_ok(start_images):
         return None
-
-    def is_target(images):
-        if targets is not None and images in targets:
-            return True
-        return target_pred is not None and target_pred(images)
-
     if is_target(start_images):
         return FenceCertificate([start])
+    if moves is None:
+        full, ident = codomain.full_mask(), range(len(codomain))
+        moves = [(i, full, ((i, ident),)) for i in range(len(domain))]
 
     seen = {start_images}
     parent = {}
@@ -503,7 +498,7 @@ def fence_search(
                 f"fence_search: explored more maps than "
                 f"lscat.poset.FENCE_NODE_CAP = {cap}"
             )
-        for nxt in _neighbors(domain, codomain, cur, orbits, act):
+        for nxt in _neighbors(domain, codomain, cur, moves):
             if nxt in seen:
                 continue
             if stage_ok is not None and not stage_ok(nxt):
@@ -522,60 +517,14 @@ def fence_search(
     return None
 
 
-def _neighbors(domain, codomain, images, orbits, act):
-    if orbits is None:
-        for i in range(len(domain)):
-            for v in _mutation_candidates(domain, codomain, images, i):
-                lst = list(images)
-                lst[i] = v
-                yield tuple(lst)
-        return
-    # Equivariant: mutate one domain orbit; images on the orbit are the
-    # group translates of the representative's new value.
-    elements, parent_of, dom_index = act
-    for orbit in orbits:
-        rep = orbit[0]
-        cur = images[rep]
-        cand_mask = (codomain.up[cur] | codomain.down[cur]) & ~(1 << cur)
-        for v in _bits(cand_mask):
+def _neighbors(domain, codomain, images, moves):
+    for i, fixed, translates in moves:
+        for v in _bits(_mutation_candidates(domain, codomain, images, i)
+                       & fixed):
             lst = list(images)
-            ok = True
-            for g in elements:
-                p = g[parent_of[rep]]
-                i2 = dom_index.get(p)
-                if i2 is None:
-                    ok = False
-                    break
-                v2 = g[v]
-                if lst[i2] != images[i2] and lst[i2] != v2:
-                    ok = False  # stabiliser clash: value not well-defined
-                    break
-                lst[i2] = v2
-            if not ok:
-                continue
-            new = tuple(lst)
-            changed = [i for i in range(len(new)) if new[i] != images[i]]
-            if not changed:
-                continue
-            good = True
-            for i in changed:
-                vi = new[i]
-                if not codomain.comparable(vi, images[i]):
-                    good = False
-                    break
-                for j in range(len(domain)):
-                    if j == i:
-                        continue
-                    if domain.leq(i, j) and not codomain.leq(vi, new[j]):
-                        good = False
-                        break
-                    if domain.leq(j, i) and not codomain.leq(new[j], vi):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                yield new
+            for j, g in translates:
+                lst[j] = g[v]
+            yield tuple(lst)
 
 
 def homotopic(g1, g2):
@@ -585,7 +534,7 @@ def homotopic(g1, g2):
     _check_map_space("homotopic", g1.codomain)
     if g1 == g2:
         return FenceCertificate([g1])
-    return fence_search(g1, targets={g2.images})
+    return fence_search(g1, {g2.images}.__contains__)
 
 
 # -- cores and contractibility -----------------------------------------
@@ -689,7 +638,7 @@ def is_contractible_in(A, space, with_certificate=True):
     core_a, idx = space.subspace(alive)
     r_x = core_x.retraction.images
     m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))
-    fence = fence_search(m0, target_pred=lambda im: len(set(im)) == 1)
+    fence = fence_search(m0, lambda im: len(set(im)) == 1)
     if fence is None:
         return False, None
     if not with_certificate:

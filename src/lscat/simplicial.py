@@ -124,8 +124,14 @@ def order_complex(space):
 
 
 def face_poset(K):
-    """Simplices ordered by inclusion, with the up-set topology."""
-    labels = ["|".join(map(str, s)) for s in K.simplices]
+    """Simplices ordered by inclusion, with the up-set topology.
+
+    A simplex is labelled by its vertex names joined with ``|``, each
+    with ``\\`` written ``\\\\`` and ``|`` written ``\\|``, so distinct
+    simplices get distinct labels.
+    """
+    labels = ["|".join(str(v).replace("\\", "\\\\").replace("|", "\\|")
+                       for v in s) for s in K.simplices]
     pairs = []
     for i, s in enumerate(K.simplices):
         for j, t in enumerate(K.simplices):

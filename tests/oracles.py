@@ -13,7 +13,9 @@ integration that recomputes every gradient, with a start-point
 bisection that flows every trial radius anew for each n.  The sampled
 axiom check draws with ``randrange`` over a truncated index cached at
 two levels, on (A, Y) and on the saturated key, with its own cover
-queries.
+queries.  Equivariant fence moves write every translate of a candidate
+value and re-check stabiliser clashes, comparability and continuity
+pair by pair with ``leq`` (no stabiliser fixed masks).
 """
 
 import random
@@ -23,6 +25,7 @@ import numpy as np
 
 from lscat.action import HomogeneousClass
 from lscat.category import CatQuery, cover_category
+from lscat.poset import bits
 
 
 def all_order_preserving_maps(domain, codomain):
@@ -77,6 +80,73 @@ def hom_components(maps):
     for k, m in enumerate(maps):
         groups.setdefault(find(k), []).append(m)
     return list(groups.values())
+
+
+def oracle_orbit_context(action, domain_parent_indices):
+    """(orbits, act) for ``oracle_orbit_neighbors``: the orbits of an
+    invariant domain as domain-local index tuples, and the element
+    table with the domain's parent indices."""
+    dom_index = {p: k for k, p in enumerate(domain_parent_indices)}
+    seen = set()
+    orbits = []
+    for k, p in enumerate(domain_parent_indices):
+        if k in seen:
+            continue
+        orb = sorted(set(dom_index[g[p]] for g in action.elements))
+        seen.update(orb)
+        orbits.append(tuple(orb))
+    act = (action.elements, tuple(domain_parent_indices), dom_index)
+    return tuple(orbits), act
+
+
+def oracle_orbit_neighbors(domain, codomain, images, orbits, act):
+    """Whole-orbit fence moves of an equivariant map, in BFS order."""
+    # Equivariant: mutate one domain orbit; images on the orbit are the
+    # group translates of the representative's new value.
+    elements, parent_of, dom_index = act
+    for orbit in orbits:
+        rep = orbit[0]
+        cur = images[rep]
+        cand_mask = (codomain.up[cur] | codomain.down[cur]) & ~(1 << cur)
+        for v in bits(cand_mask):
+            lst = list(images)
+            ok = True
+            for g in elements:
+                p = g[parent_of[rep]]
+                i2 = dom_index.get(p)
+                if i2 is None:
+                    ok = False
+                    break
+                v2 = g[v]
+                if lst[i2] != images[i2] and lst[i2] != v2:
+                    ok = False  # stabiliser clash: value not well-defined
+                    break
+                lst[i2] = v2
+            if not ok:
+                continue
+            new = tuple(lst)
+            changed = [i for i in range(len(new)) if new[i] != images[i]]
+            if not changed:
+                continue
+            good = True
+            for i in changed:
+                vi = new[i]
+                if not codomain.comparable(vi, images[i]):
+                    good = False
+                    break
+                for j in range(len(domain)):
+                    if j == i:
+                        continue
+                    if domain.leq(i, j) and not codomain.leq(vi, new[j]):
+                        good = False
+                        break
+                    if domain.leq(j, i) and not codomain.leq(new[j], vi):
+                        good = False
+                        break
+                if not good:
+                    break
+            if good:
+                yield new
 
 
 def oracle_contractible(space, mask):
@@ -300,12 +370,13 @@ def oracle_cup(K, p, a, q, b):
                      for s in K.simplices_of_dim(p + q)], dtype=np.uint8)
 
 
-def oracle_cuplength(K):
+def oracle_cuplength(K, ring=None):
     """The largest m such that a product of m positive-degree reference reps
     has a nonzero class, deciding each class with the numpy solve.  Every
     product is tried, in every order; a product with a zero class is not
-    extended, since its multiples have zero classes too."""
-    ring = OracleCohomologyRing(K)
+    extended, since its multiples have zero classes too.  ``ring`` is K's
+    ``OracleCohomologyRing`` when the caller has built it already."""
+    ring = ring or OracleCohomologyRing(K)
     top = K.dim()
     gens = [(d, z) for d in range(1, top + 1) for z in ring.bases[d]["reps"]]
     m, products = 0, gens

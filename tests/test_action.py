@@ -1,5 +1,9 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lscat import action as action_module
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
@@ -10,7 +14,9 @@ from lscat.action import (
     orbit_equivalent,
     validate_action,
 )
-from lscat.poset import SpaceMap, homotopic
+from lscat.poset import SpaceMap, _neighbors, homotopic, validate_space
+
+from oracles import oracle_orbit_context, oracle_orbit_neighbors
 
 
 def test_trivial_action_valid(v_space):
@@ -184,3 +190,86 @@ def test_class_key_is_kind_and_sorted_subgroups(conjugation):
         assert klass.key() == (klass.kind, tuple(
             tuple(sorted(h)) for h in klass.subgroup_list))
     assert classes[3].key() == ("explicit", ((0, 1), (0,)))
+
+
+def test_G_deformable_rejects_a_non_invariant_domain():
+    space = validate_space(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    swap = validate_action(space, [{"a": "b", "b": "a", "c": "c"}])
+    with pytest.raises(ValueError, match=r"\['a'\] is not invariant"):
+        is_G_deformable(swap, 0b001, 0b100)
+
+
+# copy c goes to each generator's image of c; Z2xZ2 reads c as two bits
+_COPY_GROUPS = {
+    "Z2": (2, [lambda c: (c + 1) % 2]),
+    "Z3": (3, [lambda c: (c + 1) % 3]),
+    "Z4": (4, [lambda c: (c + 1) % 4]),
+    "Z2xZ2": (4, [lambda c: c ^ 1, lambda c: c ^ 2]),
+}
+
+
+@st.composite
+def copied_spaces(draw):
+    """An action permuting k copies of a random poset, with optional
+    group-fixed points below and above every copy and, for even k, a
+    pair of points s0, s1 swapped by the group (stabiliser of index 2),
+    s_i above the copies c with c % 2 == i; and an invariant open W."""
+    k, moves = _COPY_GROUPS[draw(st.sampled_from(sorted(_COPY_GROUPS)))]
+    m = draw(st.integers(1, 3))
+    less = [(x, y) for x in range(m) for y in range(x + 1, m)
+            if draw(st.booleans())]
+    copies = [f"{c}.{x}" for c in range(k) for x in range(m)]
+    pairs = [(f"{c}.{x}", f"{c}.{y}") for c in range(k) for x, y in less]
+    labels = list(copies)
+    fixed = {}
+    if k % 2 == 0 and draw(st.booleans()):
+        labels += ["s0", "s1"]
+        pairs += [(f"{c}.{x}", f"s{c % 2}")
+                  for c in range(k) for x in range(m)]
+    if draw(st.booleans()):
+        pairs += [("bot", p) for p in labels]
+        labels.append("bot")
+        fixed["bot"] = "bot"
+    if draw(st.booleans()):
+        pairs += [(p, "top") for p in labels]
+        labels.append("top")
+        fixed["top"] = "top"
+    space = validate_space(labels, pairs)
+    gens = []
+    for move in moves:
+        gen = {f"{c}.{x}": f"{move(c)}.{x}"
+               for c in range(k) for x in range(m)}
+        if "s0" in labels:
+            gen["s0"], gen["s1"] = (f"s{move(0) % 2}", f"s{move(1) % 2}")
+        gens.append({**gen, **fixed})
+    action = validate_action(space, gens)
+    orbits = action.orbits()
+    chosen = draw(st.sets(st.sampled_from(orbits), min_size=1))
+    W = space.up_closure(sum(action.orbit_mask(o[0]) for o in chosen))
+    return action, W
+
+
+@given(copied_spaces())
+@settings(max_examples=120, deadline=None)
+def test_orbit_moves_match_the_pairwise_oracle(acted):
+    """Every map the BFS reaches from the inclusion of W (up to a cap)
+    has the same neighbour sequence under the stabiliser-fixed moves
+    as under the oracle that writes all translates and re-checks
+    clashes, comparability and continuity pair by pair."""
+    action, W = acted
+    space = action.space
+    incl, parents = action_module.inclusion_map(space, W)
+    with mock.patch.object(action_module, "fence_search") as search:
+        action_module.G_fence_search(incl, action, parents, None)
+    moves = search.call_args.kwargs["moves"]
+    orbits, ctx = oracle_orbit_context(action, parents)
+    assert [move[0] for move in moves] == [orb[0] for orb in orbits]
+    queue, seen = [incl.images], {incl.images}
+    for images in queue:
+        got = list(_neighbors(incl.domain, space, images, moves))
+        assert got == list(oracle_orbit_neighbors(
+            incl.domain, space, images, orbits, ctx))
+        for nxt in got:
+            if nxt not in seen and len(seen) < 150:
+                seen.add(nxt)
+                queue.append(nxt)

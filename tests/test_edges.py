@@ -191,7 +191,7 @@ _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
                  lambda: homotopic(*_two_constants(3)), id="homotopic"),
     pytest.param(poset, "FENCE_NODE_CAP", 1, 100,
                  lambda: fence_search(SpaceMap.identity(fx.fix_v()),
-                                      target_pred=lambda im: False),
+                                      lambda im: False),
                  id="fence_search"),
     pytest.param(action, "GROUP_CAP", 5, 6,
                  lambda: GroupAction.from_label_maps(fx.discrete(3), _S3),

@@ -3,7 +3,8 @@ workloads import and call it by name: every such name must resolve, or a
 benchmark run fails far from the change that renamed it.
 
 ``perfbench/tracer.py`` and ``perfbench/workloads.py`` are read as text,
-not imported or executed.
+not imported or executed.  The tracer wraps a function at each module
+that imports it, so the import sites it relies on are checked here too.
 """
 
 import ast
@@ -64,3 +65,12 @@ def test_every_benchmark_import_resolves_on_lscat():
                 and node.value.id in modules):
             assert hasattr(modules[node.value.id], node.attr), (
                 f"{node.value.id}.{node.attr}")
+
+
+def test_traced_import_sites_share_their_function():
+    from lscat import action, category, poset
+
+    assert action.fence_search is poset.fence_search
+    assert category.fence_search is poset.fence_search
+    assert category.is_contractible_in is poset.is_contractible_in
+    assert category.is_G_deformable is action.is_G_deformable
