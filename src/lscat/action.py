@@ -2,8 +2,12 @@
 
 The group is given by generating permutations of the point set; every
 element must act as an order automorphism (continuity of the action).
-Equivariant homotopy is modelled as fence-connectedness through
-equivariant maps, with whole-orbit mutations as the elementary moves.
+Group elements are named by their index in ``GroupAction.elements``
+(the identity is element 0), and products and inverses are read from one
+multiplication table built with the action.  Orbits, like every subset,
+are masks.  Equivariant homotopy is modelled as fence-connectedness
+through equivariant maps, with whole-orbit mutations as the elementary
+moves.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from .poset import (
     SpaceMap,
     bits,
     fence_search,
+    join_labels,
     validate_space,
 )
 
@@ -34,11 +39,12 @@ class GroupAction:
     """A finite group acting on a finite space by order automorphisms.
 
     ``elements`` is the full element table, each a tuple sending point
-    index i to its image; elements[0] is the identity.
+    index i to its image; elements[0] is the identity.  ``_mul[a][b]``
+    is the index of elements[a] after elements[b].
     """
 
-    __slots__ = ("space", "generators", "elements", "_orbits", "_subgroups",
-                 "_caches")
+    __slots__ = ("space", "generators", "elements", "_mul", "_orbits",
+                 "_subgroups", "_caches")
 
     def __init__(self, space, generators):
         self.space = space
@@ -70,6 +76,11 @@ class GroupAction:
                     frontier.append(nxt)
         self.generators = tuple(gens)
         self.elements = tuple(sorted(elements))
+        where = {g: k for k, g in enumerate(self.elements)}
+        self._mul = tuple(
+            tuple(where[tuple(g1[v] for v in g2)] for g2 in self.elements)
+            for g1 in self.elements
+        )
         self._orbits = None
         self._subgroups = None
         self._caches = {}
@@ -100,7 +111,7 @@ class GroupAction:
         return out
 
     def orbits(self):
-        """Orbits as a partition of point indices, each sorted."""
+        """Orbits as masks partitioning the points, by least point."""
         if self._orbits is None:
             seen = 0
             out = []
@@ -109,15 +120,9 @@ class GroupAction:
                     continue
                 mask = self.orbit_mask(i)
                 seen |= mask
-                out.append(tuple(bits(mask)))
+                out.append(mask)
             self._orbits = tuple(out)
         return self._orbits
-
-    def orbit_of(self, i):
-        for orb in self.orbits():
-            if i in orb:
-                return orb
-        raise AssertionError
 
     def saturate(self, A):
         """GA: the union of all orbits meeting A (A itself for the
@@ -142,26 +147,17 @@ class GroupAction:
     # -- subgroup machinery ----------------------------------------------
 
     def compose(self, k1, k2):
-        g1, g2 = self.elements[k1], self.elements[k2]
-        return self.elements.index(tuple(g1[v] for v in g2))
+        return self._mul[k1][k2]
 
     def inverse(self, k):
-        g = self.elements[k]
-        inv = [0] * len(g)
-        for i, v in enumerate(g):
-            inv[v] = i
-        return self.elements.index(tuple(inv))
-
-    def identity_index(self):
-        return self.elements.index(tuple(range(len(self.space))))
+        return self._mul[k].index(0)
 
     def subgroups(self):
         """All subgroups, as frozensets of element indices."""
         if self._subgroups is not None:
             return self._subgroups
-        e = self.identity_index()
-        found = {frozenset([e])}
-        frontier = [frozenset([e])]
+        found = {frozenset([0])}
+        frontier = [frozenset([0])]
         while frontier:
             H = frontier.pop()
             for k in range(len(self.elements)):
@@ -175,20 +171,18 @@ class GroupAction:
         return self._subgroups
 
     def _close(self, seed):
+        """The subgroup generated by ``seed``: the products of its
+        elements (in a finite group, powers give the identity and
+        inverses)."""
         cur = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(cur):
-                ia = self.inverse(a)
-                if ia not in cur:
-                    cur.add(ia)
-                    changed = True
-                for b in list(cur):
-                    c = self.compose(a, b)
-                    if c not in cur:
-                        cur.add(c)
-                        changed = True
+        frontier = list(cur)
+        while frontier:
+            a = frontier.pop()
+            for s in seed:
+                c = self._mul[a][s]
+                if c not in cur:
+                    cur.add(c)
+                    frontier.append(c)
         return frozenset(cur)
 
     def conjugate_subgroup(self, H, k):
@@ -223,23 +217,19 @@ class GroupAction:
         topology and it is T0 here for all shipped fixtures (validated).
         """
         orbs = self.orbits()
-        labels = ["|".join(self.space.points[i] for i in orb) for orb in orbs]
+        labels = [join_labels(self.space.labels(orb)) for orb in orbs]
         pairs = []
         for a, oa in enumerate(orbs):
+            above = self.space.up_closure(oa)
             for b, ob in enumerate(orbs):
-                if a == b:
-                    continue
-                if any(self.space.leq(i, j) for i in oa for j in ob):
+                if a != b and above & ob:
                     pairs.append((labels[a], labels[b]))
         quotient = validate_space(labels, pairs)
-        proj = SpaceMap(
-            self.space,
-            quotient,
-            tuple(
-                next(k for k, orb in enumerate(orbs) if i in orb)
-                for i in range(len(self.space))
-            ),
-        )
+        cls = [0] * len(self.space)
+        for k, orb in enumerate(orbs):
+            for i in bits(orb):
+                cls[i] = k
+        proj = SpaceMap(self.space, quotient, tuple(cls))
         return quotient, proj
 
 
@@ -283,8 +273,7 @@ class HomogeneousClass:
 
     @classmethod
     def free_only(cls, action):
-        e = action.identity_index()
-        return cls(action, [frozenset([e])], kind="free")
+        return cls(action, [frozenset([0])], kind="free")
 
     def admits_stabilizer(self, H):
         return any(self.action.are_conjugate(H, K) for K in self.subgroup_list)
@@ -294,12 +283,21 @@ class HomogeneousClass:
 
 
 def is_G_map(phi, action):
-    """Equivariance check phi(gx) = g phi(x) on all (g, x)."""
-    if phi.domain != action.space or phi.codomain != action.space:
-        raise ValueError("expected a self-map of the action's space")
+    """Equivariance phi(gx) = g phi(x) on all (g, x), for a map into the
+    action's space from the space or from a subspace of it (its points
+    matched by label); False when that domain is not invariant."""
+    if phi.codomain != action.space:
+        raise ValueError("expected a map into the action's space")
+    try:
+        local = {action.space.index[p]: k
+                 for k, p in enumerate(phi.domain.points)}
+    except KeyError as err:
+        raise ValueError(f"{err.args[0]!r} is not a point of the action's "
+                         "space") from None
     for g in action.elements:
-        for i in range(len(action.space)):
-            if phi.images[g[i]] != g[phi.images[i]]:
+        for p, k in local.items():
+            k2 = local.get(g[p])
+            if k2 is None or phi.images[k2] != g[phi.images[k]]:
                 return False
     return True
 
@@ -341,37 +339,16 @@ def G_fence_search(start, action, domain_parent_indices, is_target, *,
 
 
 def G_homotopic(g1, g2, action):
-    """Fence through equivariant maps only, or None."""
-    for g in (g1, g2):
-        if g.codomain != action.space:
-            raise ValueError("maps must land in the action's space")
+    """Fence through equivariant maps only, or None.  The maps' domain is
+    the space or an invariant subspace of it."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
         raise ValueError("maps must share domain and codomain")
-    if g1.domain == action.space:
-        parents = tuple(range(len(action.space)))
-    else:
-        parents = tuple(
-            action.space.index[p] for p in g1.domain.points
-        )
-    if not action.is_trivial():
-        for g in (g1, g2):
-            if not _is_equivariant_partial(g, action, parents):
-                raise ValueError("maps must be equivariant")
+    if not (is_G_map(g1, action) and is_G_map(g2, action)):
+        raise ValueError("maps must be equivariant")
     if g1 == g2:
         return FenceCertificate([g1])
+    parents = tuple(action.space.index[p] for p in g1.domain.points)
     return G_fence_search(g1, action, parents, {g2.images}.__contains__)
-
-
-def _is_equivariant_partial(phi, action, parents):
-    dom_index = {p: k for k, p in enumerate(parents)}
-    for g in action.elements:
-        for k, p in enumerate(parents):
-            k2 = dom_index.get(g[p])
-            if k2 is None:
-                return False  # domain not invariant
-            if phi.images[k2] != g[phi.images[k]]:
-                return False
-    return True
 
 
 def inclusion_map(space, mask):
@@ -430,19 +407,16 @@ _EMPTY_DEFORMATION = _EmptyDeformation()
 def orbit_equivalent(action, i, j, f_values):
     """Orbit equivalence for a function f: equal f-value, same orbit
     type, and each orbit equivariantly deformable into the other."""
-    oi, oj = action.orbit_of(i), action.orbit_of(j)
-    fi = {f_values[k] for k in oi}
-    fj = {f_values[k] for k in oj}
+    oi, oj = action.orbit_mask(i), action.orbit_mask(j)
+    fi = {f_values[k] for k in bits(oi)}
+    fj = {f_values[k] for k in bits(oj)}
     if len(fi) != 1 or fi != fj:
         return False
     if oi == oj:
         return True
     if not action.are_conjugate(action.stabilizer(i), action.stabilizer(j)):
         return False
-    maskj = sum(1 << k for k in oj)
-    maski = sum(1 << k for k in oi)
     return (
-        is_G_deformable(action, maski, maskj) is not None and
-        is_G_deformable(action, maskj, maski) is not None
+        is_G_deformable(action, oi, oj) is not None and
+        is_G_deformable(action, oj, oi) is not None
     )
-

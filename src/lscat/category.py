@@ -261,117 +261,70 @@ def is_categorical(mask, space, action=None, klass=None,
     if not targets:
         return False, None
     incl, parents = inclusion_map(space, mask)
-    fence = G_fence_search(incl, action, parents, set(targets).__contains__)
+    fence = G_fence_search(incl, action, parents, targets.__contains__)
     if fence is None:
         return False, None
     return True, (fence if with_certificate else None)
 
 
-def _comparability_components(sub):
-    n = len(sub)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sub.comparable(i, j):
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    comps = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return [tuple(sorted(c)) for c in sorted(comps.values())]
-
-
 def _factor_targets(mask, action, klass):
     """All composite maps (through an admissible G/H) as image tuples.
 
-    A factoring map is constant on comparability components of the
-    domain, equivariant, with values g.x0 for a point x0 fixed by H; the
-    coset assignment must absorb each component's setwise stabiliser.
+    A factoring map is constant on each comparability component C of the
+    domain (a component's points are joined by comparable pairs, which a
+    map into an antichain G/H identifies) and equivariant, so it is fixed
+    by one value per orbit of components: C goes to gamma.x0 for a point
+    x0 fixed by H and a coset gamma H whose conjugate gamma^-1 S gamma of
+    C's setwise stabiliser S lies in H, and each translate gC goes to
+    g.gamma.x0.  That is well defined: if g1 C = g2 C, then g2^-1 g1 lies
+    in S, so gamma^-1 g2^-1 g1 gamma lies in H and fixes x0, and g1 and
+    g2 send gamma.x0 to the same point.  The coset choices depend on H
+    and S alone, not on x0.
     """
     space = action.space
-    sub, parents = space.subspace(mask)
-    comps = _comparability_components(sub)
-    comp_of = {}
-    for c, comp in enumerate(comps):
-        for k in comp:
-            comp_of[frozenset(parents[k] for k in comp)] = c
-    comp_parent_sets = [frozenset(parents[k] for k in comp) for comp in comps]
-
-    def component_image(g, c):
-        moved = frozenset(g[p] for p in comp_parent_sets[c])
-        return comp_of[moved]
-
-    # orbits of components
-    comp_orbit = {}
-    orbit_reps = []
-    for c in range(len(comps)):
-        if c in comp_orbit:
-            continue
-        orbit_reps.append(c)
+    local = {p: k for k, p in enumerate(bits(mask))}
+    comp_orbits = []  # (setwise stabiliser of a component, its translates)
+    rest = mask
+    while rest:
+        comp = rest & -rest
+        while True:
+            grown = (space.up_closure(comp) | space.down_closure(comp)) & mask
+            if grown == comp:
+                break
+            comp = grown
+        stab, translates = [], {}
         for k, g in enumerate(action.elements):
-            comp_orbit.setdefault(component_image(g, c), c)
-    setwise = {
-        c: [k for k, g in enumerate(action.elements) if component_image(g, c) == c]
-        for c in orbit_reps
-    }
+            moved = 0
+            for p in bits(comp):
+                moved |= 1 << g[p]
+            if moved == comp:
+                stab.append(k)
+            if moved not in translates:
+                translates[moved] = (g, [local[p] for p in bits(moved)])
+            rest &= ~moved
+        comp_orbits.append((stab, tuple(translates.values())))
 
+    mul = action._mul
     targets = set()
     for H in klass.subgroup_list:
-        coset_reps = _coset_reps(action, H)
+        cosets = [gamma for gamma in range(len(mul))  # least of gamma H
+                  if all(mul[gamma][h] >= gamma for h in H)]
+        choices = [
+            [gamma for gamma in cosets
+             if all(mul[mul[action.inverse(gamma)][s]][gamma] in H
+                    for s in stab)]
+            for stab, _ in comp_orbits
+        ]
         for x0 in bits(action.fixed_mask(H)):
-            choices = []
-            for c in orbit_reps:
-                valid = []
-                for gamma in coset_reps:
-                    gi = action.inverse(gamma)
-                    if all(
-                        action.compose(action.compose(gi, s), gamma) in H
-                        for s in setwise[c]
-                    ):
-                        valid.append(gamma)
-                choices.append(valid)
-            if any(not v for v in choices):
-                continue
             for assign in itertools.product(*choices):
-                images = [None] * len(parents)
-                ok = True
-                for c, gamma in zip(orbit_reps, assign):
+                images = [0] * len(local)
+                for (_, translates), gamma in zip(comp_orbits, assign):
                     base = action.elements[gamma][x0]
-                    for k, g in enumerate(action.elements):
-                        c2 = component_image(g, c)
-                        val = g[base]
-                        for local in comps[c2]:
-                            cur = images[local]
-                            if cur is not None and cur != val:
-                                ok = False
-                                break
-                            images[local] = val
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok and all(v is not None for v in images):
-                    targets.add(tuple(images))
-    return sorted(targets)
-
-
-def _coset_reps(action, H):
-    seen = set()
-    reps = []
-    for k in range(len(action.elements)):
-        coset = frozenset(action.compose(k, h) for h in H)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(k)
-    return reps
+                    for g, ks in translates:
+                        for k in ks:
+                            images[k] = g[base]
+                targets.add(tuple(images))
+    return targets
 
 
 # -- catalogues ----------------------------------------------------------
@@ -382,16 +335,6 @@ def _cache(action, key, builder):
     if key not in cache:
         cache[key] = builder()
     return cache[key]
-
-
-def _categorical_decided(space, action, klass, mask):
-    """Memoised is_categorical, the decision alone (no certificate)."""
-    return _cache(
-        action,
-        ("cat", klass.key(), mask),
-        lambda: is_categorical(mask, space, action, klass,
-                               with_certificate=False)[0],
-    )
 
 
 def invariant_up_sets(space, action):
@@ -433,7 +376,8 @@ def categorical_open_catalog(space, action, klass):
     def build():
         return CoverTable(_maximal_members(
             invariant_up_sets(space, action),
-            lambda m: _categorical_decided(space, action, klass, m) or None,
+            lambda m: is_categorical(m, space, action, klass,
+                                     with_certificate=False)[0] or None,
         ))
 
     return _cache(action, key, build)
@@ -446,7 +390,8 @@ def categorical_closed_catalog(space, action, klass):
     def build():
         return CoverTable(_maximal_members(
             invariant_down_sets(space, action),
-            lambda m: _categorical_decided(space, action, klass, m) or None,
+            lambda m: is_categorical(m, space, action, klass,
+                                     with_certificate=False)[0] or None,
         ))
 
     return _cache(action, key, build)
@@ -762,17 +707,18 @@ def closed_category_report(A, space, action=None, klass=None):
 
 
 def _induced(action, klass, sub, idx):
+    """The action and the class restricted to an invariant subspace
+    (``idx`` its parent indices): each subgroup of the class goes to its
+    image under the restriction of the group elements."""
     pos = {p: k for k, p in enumerate(idx)}
-    gens = []
-    for g in action.generators:
-        gens.append(tuple(pos[g[p]] for p in idx))
-    sub_action = GroupAction(sub, gens)
-    if klass.kind == "all":
-        sub_klass = HomogeneousClass.all_types(sub_action)
-    elif klass.kind == "free":
-        sub_klass = HomogeneousClass.free_only(sub_action)
-    else:
-        sub_klass = HomogeneousClass.point_only(sub_action)
+    sub_action = GroupAction(
+        sub, [tuple(pos[g[p]] for p in idx) for g in action.generators])
+    where = {g: k for k, g in enumerate(sub_action.elements)}
+    restricted = [where[tuple(pos[g[p]] for p in idx)]
+                  for g in action.elements]
+    sub_klass = HomogeneousClass(sub_action, dict.fromkeys(
+        frozenset(restricted[k] for k in H) for H in klass.subgroup_list),
+        kind=klass.kind)
     return sub_action, sub_klass
 
 

@@ -278,7 +278,8 @@ def _base_hypotheses(report, pair, action):
             "equivariant_map", "checked", is_G_map(pair.phi, action)
         )
         inv = all(
-            len({pair.f[i] for i in orb}) == 1 for orb in action.orbits()
+            len({pair.f[i] for i in bits(orb)}) == 1
+            for orb in action.orbits()
         )
         report.hypothesis("invariant_function", "checked", inv)
     report.hypothesis(
@@ -296,7 +297,7 @@ def _count_orbit_classes(pair, a, b, action):
     ]
     reps = []
     for i in band:
-        if not any(i in action.orbit_of(j) for j in reps):
+        if not any(action.orbit_mask(j) >> i & 1 for j in reps):
             reps.append(i)
     classes = []
     for i in reps:
@@ -595,8 +596,7 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
         return []
     band = _band_mask(pair, a, b)
     orbit_reps = [
-        orb[0] for orb in action.orbits()
-        if all(band >> i & 1 for i in orb)
+        bits(orb)[0] for orb in action.orbits() if orb & ~band == 0
     ]
     out = []
     for d in levels:

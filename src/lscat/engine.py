@@ -29,13 +29,14 @@ from .dynamics import (
     persist_violation,
 )
 from .poset import (
+    SizeCapExceeded,
     SpaceMap,
     bits,
     validate_space,
     _mutation_candidates,
 )
 
-AXIOM_EXHAUSTIVE_CAP = 7  # points; beyond this check_axioms samples
+AXIOM_EXHAUSTIVE_CAP = 7  # points for an exhaustive axiom check
 SUPERVARIANCE_EXHAUSTIVE_CAP = 12  # points; beyond this supervariance samples
 CHECK_SAMPLES = 512  # random draws of a sampled axiom or supervariance check
 INDEX_KINDS = ("category", "pair_category", "mod_category")
@@ -476,11 +477,19 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
     All hypotheses are checked and reported; failures never abort.  The
     verdict is HYPOTHESIS_FAILED when a checked hypothesis fails,
     INEQUALITY_HOLDS / VIOLATION otherwise; violations are persisted.
+    The exhaustive axiom mode on more than AXIOM_EXHAUSTIVE_CAP points
+    raises SizeCapExceeded before any index value is computed.
     """
     if axiom_mode not in AXIOM_MODES:
         raise ValueError(f"unknown axiom mode {axiom_mode!r}; known: "
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
+    if axiom_mode == "exhaustive" and len(space) > AXIOM_EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(
+            f"verify_index_bound: exhaustive axiom checks on {len(space)} "
+            f"points exceed lscat.engine.AXIOM_EXHAUSTIVE_CAP = "
+            f"{AXIOM_EXHAUSTIVE_CAP}"
+        )
     hypotheses = {}
     ok, wit = is_lyapunov(pair)
     hypotheses["lyapunov"] = {"ok": ok, "witness": wit}

@@ -59,7 +59,6 @@ class Scenario:
         self.numeric = None
         self.expect = raw.get("expect")
         self.models = raw.get("models")
-        self.notes = raw.get("notes")
 
     def __repr__(self):
         return f"Scenario({self.name!r}, kind={self.kind!r})"

@@ -189,6 +189,14 @@ def bits(mask):
     return list(_bits(mask))
 
 
+def join_labels(names):
+    """One label for a set of points: the names joined with ``|``, each
+    with ``\\`` written ``\\\\`` and ``|`` written ``\\|``, so distinct
+    name lists get distinct labels."""
+    return "|".join(str(v).replace("\\", "\\\\").replace("|", "\\|")
+                    for v in names)
+
+
 def validate_space(points, relation_pairs):
     """Build a space from generating pairs [lower, upper].
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .poset import SizeCapExceeded, validate_space
+from .poset import SizeCapExceeded, join_labels, validate_space
 
 COLLAPSE_BUDGET = 50_000  # search nodes per collapse sequence
 STAR_VERTEX_CAP = 12      # vertices of a star-cover search
@@ -126,12 +126,10 @@ def order_complex(space):
 def face_poset(K):
     """Simplices ordered by inclusion, with the up-set topology.
 
-    A simplex is labelled by its vertex names joined with ``|``, each
-    with ``\\`` written ``\\\\`` and ``|`` written ``\\|``, so distinct
-    simplices get distinct labels.
+    A simplex is labelled by ``poset.join_labels`` of its vertex names,
+    so distinct simplices get distinct labels.
     """
-    labels = ["|".join(str(v).replace("\\", "\\\\").replace("|", "\\|")
-                       for v in s) for s in K.simplices]
+    labels = [join_labels(s) for s in K.simplices]
     pairs = []
     for i, s in enumerate(K.simplices):
         for j, t in enumerate(K.simplices):

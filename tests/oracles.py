@@ -15,9 +15,13 @@ axiom check draws with ``randrange`` over a truncated index cached at
 two levels, on (A, Y) and on the saturated key, with its own cover
 queries.  Equivariant fence moves write every translate of a candidate
 value and re-check stabiliser clashes, comparability and continuity
-pair by pair with ``leq`` (no stabiliser fixed masks).
+pair by pair with ``leq`` (no stabiliser fixed masks).  The targets
+an equivariant categorical set may factor through are assigned orbit by
+orbit of comparability components, union-find on ``comparable`` pairs,
+with every translate written and checked against earlier writes.
 """
 
+import itertools
 import random
 from itertools import combinations
 
@@ -147,6 +151,116 @@ def oracle_orbit_neighbors(domain, codomain, images, orbits, act):
                     break
             if good:
                 yield new
+
+
+# The factoring targets of an equivariant categorical set, as first
+# written: orbit-by-orbit coset assignment with a consistency check.
+
+def _comparability_components(sub):
+    n = len(sub)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sub.comparable(i, j):
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[ra] = rb
+    comps = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return [tuple(sorted(c)) for c in sorted(comps.values())]
+
+
+def oracle_factor_targets(mask, action, klass):
+    """All composite maps (through an admissible G/H) as image tuples.
+
+    A factoring map is constant on comparability components of the
+    domain, equivariant, with values g.x0 for a point x0 fixed by H; the
+    coset assignment must absorb each component's setwise stabiliser.
+    """
+    space = action.space
+    sub, parents = space.subspace(mask)
+    comps = _comparability_components(sub)
+    comp_of = {}
+    for c, comp in enumerate(comps):
+        for k in comp:
+            comp_of[frozenset(parents[k] for k in comp)] = c
+    comp_parent_sets = [frozenset(parents[k] for k in comp) for comp in comps]
+
+    def component_image(g, c):
+        moved = frozenset(g[p] for p in comp_parent_sets[c])
+        return comp_of[moved]
+
+    # orbits of components
+    comp_orbit = {}
+    orbit_reps = []
+    for c in range(len(comps)):
+        if c in comp_orbit:
+            continue
+        orbit_reps.append(c)
+        for k, g in enumerate(action.elements):
+            comp_orbit.setdefault(component_image(g, c), c)
+    setwise = {
+        c: [k for k, g in enumerate(action.elements) if component_image(g, c) == c]
+        for c in orbit_reps
+    }
+
+    targets = set()
+    for H in klass.subgroup_list:
+        coset_reps = _coset_reps(action, H)
+        for x0 in bits(action.fixed_mask(H)):
+            choices = []
+            for c in orbit_reps:
+                valid = []
+                for gamma in coset_reps:
+                    gi = action.inverse(gamma)
+                    if all(
+                        action.compose(action.compose(gi, s), gamma) in H
+                        for s in setwise[c]
+                    ):
+                        valid.append(gamma)
+                choices.append(valid)
+            if any(not v for v in choices):
+                continue
+            for assign in itertools.product(*choices):
+                images = [None] * len(parents)
+                ok = True
+                for c, gamma in zip(orbit_reps, assign):
+                    base = action.elements[gamma][x0]
+                    for k, g in enumerate(action.elements):
+                        c2 = component_image(g, c)
+                        val = g[base]
+                        for local in comps[c2]:
+                            cur = images[local]
+                            if cur is not None and cur != val:
+                                ok = False
+                                break
+                            images[local] = val
+                        if not ok:
+                            break
+                    if not ok:
+                        break
+                if ok and all(v is not None for v in images):
+                    targets.add(tuple(images))
+    return sorted(targets)
+
+
+def _coset_reps(action, H):
+    seen = set()
+    reps = []
+    for k in range(len(action.elements)):
+        coset = frozenset(action.compose(k, h) for h in H)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(k)
+    return reps
 
 
 def oracle_contractible(space, mask):

@@ -14,22 +14,25 @@ from lscat.action import (
     orbit_equivalent,
     validate_action,
 )
+from lscat.category import _factor_targets
 from lscat.poset import SpaceMap, _neighbors, homotopic, validate_space
 
-from oracles import oracle_orbit_context, oracle_orbit_neighbors
+from oracles import (
+    oracle_factor_targets,
+    oracle_orbit_context,
+    oracle_orbit_neighbors,
+)
 
 
 def test_trivial_action_valid(v_space):
     act = GroupAction.trivial(v_space)
     assert len(act) == 1
-    assert act.orbits() == ((0,), (1,), (2,))
+    assert act.orbits() == (0b001, 0b010, 0b100)
 
 
 def test_conjugation_action(conjugation, c4):
     assert len(conjugation) == 2
-    orbit_labels = [
-        tuple(c4.points[i] for i in orb) for orb in conjugation.orbits()
-    ]
+    orbit_labels = [c4.labels(orb) for orb in conjugation.orbits()]
     assert ("U", "L") in orbit_labels
 
 
@@ -162,9 +165,28 @@ def test_orbit_space_of_conjugation(conjugation):
 def test_orbit_type(conjugation, c4):
     orbit = conjugation.orbit_mask(c4.index["U"])
     assert sorted(c4.labels(orbit)) == ["L", "U"]
-    assert conjugation.stabilizer(c4.index["U"]) == frozenset(
-        [conjugation.identity_index()]
-    )
+    assert conjugation.stabilizer(c4.index["U"]) == frozenset([0])
+
+
+@pytest.mark.parametrize("generators, count", [
+    ([(1, 0, 2), (1, 2, 0)], 6),                    # S3
+    ([(1, 0, 2, 3), (1, 2, 3, 0)], 30),             # S4
+    ([(1, 2, 3, 0), (0, 3, 2, 1)], 10),             # D4
+    ([(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5),
+      (0, 1, 2, 3, 5, 4)], 98),                     # S4 x Z2
+])
+def test_group_table_matches_permutations(generators, count):
+    n = len(generators[0])
+    action = GroupAction(validate_space([f"d{i}" for i in range(n)], []),
+                         generators)
+    elements = action.elements
+    assert elements[0] == tuple(range(n))
+    for a, ga in enumerate(elements):
+        inverse = elements[action.inverse(a)]
+        assert all(inverse[ga[i]] == i for i in range(n))
+        for b, gb in enumerate(elements):
+            assert elements[action.compose(a, b)] == tuple(ga[v] for v in gb)
+    assert len(action.subgroups()) == count
 
 
 def test_subgroups_and_classes(conjugation):
@@ -245,7 +267,7 @@ def copied_spaces(draw):
     action = validate_action(space, gens)
     orbits = action.orbits()
     chosen = draw(st.sets(st.sampled_from(orbits), min_size=1))
-    W = space.up_closure(sum(action.orbit_mask(o[0]) for o in chosen))
+    W = space.up_closure(sum(chosen))
     return action, W
 
 
@@ -273,3 +295,25 @@ def test_orbit_moves_match_the_pairwise_oracle(acted):
             if nxt not in seen and len(seen) < 150:
                 seen.add(nxt)
                 queue.append(nxt)
+
+
+@given(copied_spaces(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_factor_targets_match_the_oracle(acted, data):
+    """The directly assigned factoring targets equal the oracle's, which
+    writes every translate and checks it against earlier writes, on open
+    and closed invariant sets for the all, point, free and an explicit
+    class."""
+    action, W = acted
+    space = action.space
+    explicit = data.draw(st.lists(st.sampled_from(action.subgroups()),
+                                  min_size=1, max_size=3))
+    classes = [HomogeneousClass.all_types(action),
+               HomogeneousClass.point_only(action),
+               HomogeneousClass.free_only(action),
+               HomogeneousClass(action, explicit)]
+    for mask in (W, space.down_closure(W), space.full_mask() & ~W):
+        for klass in classes:
+            if mask:
+                assert _factor_targets(mask, action, klass) == set(
+                    oracle_factor_targets(mask, action, klass))

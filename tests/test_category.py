@@ -476,6 +476,19 @@ def test_closed_report_full_space(c4):
     assert report["cat_in_space"] == report["cat_of_subspace"] == 2
 
 
+def test_closed_report_restricts_an_explicit_class(conjugation, c4):
+    """The subspace gets the restriction of the given class whatever its
+    kind: the explicit class of the free orbit G/e reads as the free
+    class (not as the point class)."""
+    explicit = HomogeneousClass(conjugation, [frozenset([0])])
+    free = HomogeneousClass.free_only(conjugation)
+    for A in (c4.full_mask(), c4.subset(["p", "q"])):
+        assert closed_category_report(A, c4, conjugation, explicit) == \
+            closed_category_report(A, c4, conjugation, free)
+    report = closed_category_report(c4.full_mask(), c4, conjugation, explicit)
+    assert report["cat_of_subspace"] == INFINITE
+
+
 def test_closed_report_requires_closed(c4):
     with pytest.raises(HypothesisUnmet):
         closed_category_report(c4.subset(["U"]), c4)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import fixtures as fx
+from lscat import engine
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
 from lscat.dynamics import DynamicalPair
@@ -21,7 +22,7 @@ from lscat.engine import (
     sublevel_entry_margin,
     verify_index_bound,
 )
-from lscat.poset import SpaceMap, validate_space
+from lscat.poset import SizeCapExceeded, SpaceMap, validate_space
 
 from oracles import (
     oracle_axioms_sampled,
@@ -229,6 +230,19 @@ def test_unknown_axiom_mode_is_rejected(v_pair, v_index):
     with pytest.raises(ValueError, match="AXIOM_MODES"):
         verify_index_bound(v_index, v_pair, 1.5, 2.5,
                            axiom_mode="exhastive")
+
+
+def test_exhaustive_axiom_mode_past_its_cap_is_refused(v_pair, v_index,
+                                                       monkeypatch):
+    monkeypatch.setattr(engine, "AXIOM_EXHAUSTIVE_CAP", 2)
+    with pytest.raises(SizeCapExceeded,
+                       match=r"lscat\.engine\.AXIOM_EXHAUSTIVE_CAP = 2"):
+        verify_index_bound(v_index, v_pair, -1.0, 3.0,
+                           axiom_mode="exhaustive")
+    assert v_index._cache == {}  # refused before any index call
+    report = verify_index_bound(v_index, v_pair, -1.0, 3.0,
+                                axiom_mode="sampled")
+    assert report["verdict"] == "INEQUALITY_HOLDS"
 
 
 def test_axioms_pass_for_all_kinds_on_v(v_space):

@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lscat import engine
 from lscat.category import INFINITE
 from lscat.cli import (
     builtin_corpus_dir,
@@ -226,6 +227,21 @@ def test_oversized_group_is_an_input_error(tmp_path, capsys):
     assert "GROUP_CAP" in summary["input_errors"][0]["error"]
 
 
+def test_quotient_labels_escape_the_separator(tmp_path, capsys):
+    # orbits {a, b} and {a|b}: joined plainly, both would be labelled a|b
+    doc = {"name": "bar-labels", "kind": "category",
+           "space": {"points": ["a", "b", "a|b"],
+                     "relation": [["a", "a|b"], ["b", "a|b"]]},
+           "action": {"generators": [{"a": "b", "b": "a", "a|b": "a|b"}]},
+           "queries": [{"quotient": True}]}
+    f = tmp_path / "bar_labels.json"
+    f.write_text(json.dumps(doc))
+    assert main(["cat", str(f), "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == 1
+    quotient, _ = parse_scenario(str(f)).action.orbit_space()
+    assert quotient.points == ("a|b", "a\\|b")
+
+
 def test_classb_with_an_action_is_rejected_when_parsed(tmp_path, capsys):
     doc = _load_fixture("conjugation_circle.json")
     reference = {"points": ["c", "a", "b"],
@@ -253,6 +269,21 @@ def test_cli_engine_verify(capsys):
                  "--format", "structured"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["verdict"] == "INEQUALITY_HOLDS"
+
+
+def test_cli_engine_verify_past_the_exhaustive_axiom_cap(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(engine, "AXIOM_EXHAUSTIVE_CAP", 2)
+    path = corpus_file("v_descent_engine.json")
+    assert main(["engine", "verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "lscat.engine.AXIOM_EXHAUSTIVE_CAP = 2" in err
+    (tmp_path / "v.json").write_text(open(path).read())
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert "AXIOM_EXHAUSTIVE_CAP" in summary["input_errors"][0]["error"]
 
 
 def test_cli_engine_expectation_mismatch(tmp_path, capsys):
