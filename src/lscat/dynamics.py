@@ -39,10 +39,6 @@ from .poset import (
 )
 
 
-class FenceNotFound(RuntimeError):
-    pass
-
-
 class DynamicalPair:
     """A self-map ``phi`` of a space with a real value ``f`` per point."""
 
@@ -424,10 +420,9 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     report = TheoremReport("identity_band_bound", space)
     _base_hypotheses(report, pair, action)
     fence = find_identity_fence(pair, action)
-    if fence is None:
-        raise FenceNotFound("no equivariant fence from the identity to phi")
-    report.hypothesis("homotopic_to_identity", "checked", True,
-                      note=f"fence of length {len(fence)}")
+    report.hypothesis("homotopic_to_identity", "checked", fence is not None,
+                      note=None if fence is None else
+                      f"fence of length {len(fence)}")
 
     fa_mask = pair.sublevel(a)
     fb_mask = pair.sublevel(b)
@@ -467,7 +462,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
            " (low cut misses the critical values)"),
     )
     preserving = fence
-    if not all(
+    if fence is not None and not all(
         fa_mask >> m.images[i] & 1 for m in fence.maps for i in bits(fa_mask)
     ):
         preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
@@ -648,21 +643,20 @@ def verify_semiflow(pair, action=None, klass=None):
     report.values["band_report"] = inner.to_dict()
     total = inner.values["slice_sum"]
     cat_x = inner.values["sublevel_cat_high"]
+    ledgers_ok = not (report.checked_failures() or inner.checked_failures())
     report.part(
         "a", total, "whole-space category", total >= cat_x,
-        assertable=not report.checked_failures()
-        and not inner.checked_failures(),
-        bound=cat_x,
+        assertable=ledgers_ok, bound=cat_x,
     )
     report.part(
         "b", inner.values["orbit_class_count"], "whole-space category",
         inner.values["orbit_class_count"] >= cat_x,
-        assertable=space.is_discrete(), bound=cat_x,
+        assertable=space.is_discrete() and ledgers_ok, bound=cat_x,
     )
     report.part(
         "c", inner.values["fixed_slice_cat"], "whole-space category",
         inner.values["fixed_slice_cat"] >= cat_x,
-        assertable=space.is_discrete(), bound=cat_x,
+        assertable=space.is_discrete() and ledgers_ok, bound=cat_x,
     )
     _maybe_persist(report)
     return report
@@ -725,3 +719,20 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     )
     _maybe_persist(report)
     return report
+
+
+# theorem id -> verifier of (pair, band, action, klass, reference spaces);
+# each entry looks its verifier up when called, so a wrapper installed on
+# this module sees every call made through the table
+THEOREMS = {
+    "band_bound": lambda pair, band, action, klass, refs:
+        verify_band_bound(pair, *band, action, klass),
+    "identity_band_bound": lambda pair, band, action, klass, refs:
+        verify_identity_band_bound(pair, *band, action, klass),
+    "global_bound": lambda pair, band, action, klass, refs:
+        verify_global_bound(pair, band[1], action, klass),
+    "semiflow": lambda pair, band, action, klass, refs:
+        verify_semiflow(pair, action, klass),
+    "homeo_band_bound": lambda pair, band, action, klass, refs:
+        verify_homeo_band_bound(pair, refs, *band, action),
+}

@@ -93,7 +93,8 @@ def make_truncated_index(kind, cap, action, klass=None):
     the identity, so the key is A, or the pair (A, Y) itself.
     """
     if kind not in INDEX_KINDS:
-        raise ValueError(f"unknown index kind {kind!r}")
+        raise ValueError(f"unknown index kind {kind!r}; known: "
+                         f"lscat.engine.INDEX_KINDS = {INDEX_KINDS}")
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValueError(f"truncation cap must be an integer >= 1, "
                          f"got {cap!r}")

@@ -15,8 +15,8 @@ import math
 
 from .action import GroupAction, HomogeneousClass
 from .category import INFINITE, MODES, CatQuery
-from .dynamics import DynamicalPair
-from .engine import AXIOM_MODES, INDEX_KINDS
+from .dynamics import THEOREMS, DynamicalPair
+from .engine import AXIOM_MODES, make_truncated_index
 from .numeric import FIELD_REGISTRY
 from .poset import SizeCapExceeded, SpaceMap, validate_space
 
@@ -28,14 +28,6 @@ class ValidationError(ValueError):
 
 
 SCENARIO_KINDS = ("category", "theorem", "engine", "numeric")
-
-THEOREM_IDS = (
-    "band_bound",
-    "identity_band_bound",
-    "global_bound",
-    "semiflow",
-    "homeo_band_bound",
-)
 FINITE_BAND_THEOREMS = ("band_bound", "homeo_band_bound")
 NUMERIC_CHECKS = ("palais-smale-chain", "descent-map", "halffixed-circle")
 
@@ -46,7 +38,6 @@ class Scenario:
     def __init__(self, name, kind, raw, path=None):
         self.name = name
         self.kind = kind
-        self.raw = raw
         self.path = path
         self.space = None
         self.action = None
@@ -54,6 +45,7 @@ class Scenario:
         self.pair = None
         self.band = None
         self.index = None
+        self.theorems = None
         self.reference_spaces = None
         self.queries = None
         self.numeric = None
@@ -74,8 +66,40 @@ def _require(value, kind, location, what):
     return value
 
 
-def _is_labels(space, labels):
-    return all(isinstance(p, str) and p in space.index for p in labels)
+def _per_point(space, doc, location, what, valid, values):
+    """Reject ``doc`` unless it is an object whose keys are exactly the
+    points of ``space`` and whose every value passes ``valid``."""
+    _require(doc, "object", location, what)
+    missing = [p for p in space.points if p not in doc]
+    if missing:
+        raise ValidationError(location, f"{what} misses points {missing}")
+    unknown = [p for p in doc if p not in space.index]
+    if unknown:
+        raise ValidationError(location, f"{what} uses unknown points "
+                                        f"{unknown}")
+    bad = [p for p, v in doc.items() if not valid(v)]
+    if bad:
+        raise ValidationError(location, f"{what} values must be {values}, "
+                                        f"bad at {bad}")
+    return doc
+
+
+def _label_map(space, doc, location, what):
+    """A point-to-label object checked by ``_per_point``."""
+    return _per_point(space, doc, location, what,
+                      lambda v: isinstance(v, str) and v in space.index,
+                      "point labels")
+
+
+def load_json(path):
+    """The JSON document in the file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(path, f"cannot read: {err}")
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{path}:{err.lineno}", err.msg)
 
 
 def parse_space(doc, location="space"):
@@ -106,14 +130,7 @@ def parse_action(space, doc, location="action"):
     _require(doc, "object", location, "an action")
     gens = _require(doc.get("generators", []), "list", location, "generators")
     for g in gens:
-        _require(g, "object", location, "a generator")
-        missing = [p for p in space.points if p not in g]
-        if missing:
-            raise ValidationError(location,
-                                  f"generator misses points {missing}")
-        if not _is_labels(space, g.values()):
-            raise ValidationError(location,
-                                  f"generator uses unknown points: {g!r}")
+        _label_map(space, g, location, "generator")
     try:
         return GroupAction.from_label_maps(space, gens)
     except (ValueError, SizeCapExceeded) as err:
@@ -135,13 +152,7 @@ def parse_class(action, doc, location="class"):
 
 
 def parse_map(space, doc, location="map"):
-    _require(doc, "object", location, "a map")
-    missing = [p for p in space.points if p not in doc]
-    if missing:
-        raise ValidationError(location, f"map misses points {missing}")
-    unknown = [p for p in doc if p not in space.index]
-    if unknown or not _is_labels(space, doc.values()):
-        raise ValidationError(location, f"map uses unknown points: {doc!r}")
+    _label_map(space, doc, location, "map")
     try:
         return SpaceMap.from_dict(space, space, doc)
     except ValueError as err:
@@ -149,18 +160,8 @@ def parse_map(space, doc, location="map"):
 
 
 def parse_function(space, doc, location="function"):
-    _require(doc, "object", location, "a function")
-    missing = [p for p in space.points if p not in doc]
-    if missing:
-        raise ValidationError(location, f"function misses points {missing}")
-    unknown = [p for p in doc if p not in space.index]
-    if unknown:
-        raise ValidationError(location,
-                              f"function uses unknown points {unknown}")
-    bad = [p for p, v in doc.items() if not _finite(v)]
-    if bad:
-        raise ValidationError(location, f"values must be finite numbers, "
-                                        f"bad at {bad}")
+    doc = _per_point(space, doc, location, "function", _finite,
+                     "finite numbers")
     return {p: float(v) for p, v in doc.items()}
 
 
@@ -177,22 +178,19 @@ def parse_band(doc, location="band"):
     return a, b
 
 
-def parse_index(doc, location="index"):
-    """The engine's index block as (kind, cap, axiom_mode)."""
+def parse_index(sc, doc, location):
+    """The engine's index block as (truncated index, axiom_mode)."""
     _require(doc, "object", location, "an index block")
-    kind = doc.get("kind", "category")
-    cap = doc.get("cap", 5)
     axiom_mode = doc.get("axiom_mode", "exhaustive")
-    if kind not in INDEX_KINDS:
-        raise ValidationError(location, f"unknown index kind {kind!r}; "
-                                        f"known: {INDEX_KINDS}")
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValidationError(location, f"cap must be an integer >= 1, "
-                                        f"got {cap!r}")
     if axiom_mode not in AXIOM_MODES:
         raise ValidationError(location, f"unknown axiom_mode {axiom_mode!r}; "
                                         f"known: {AXIOM_MODES}")
-    return kind, cap, axiom_mode
+    try:
+        nu = make_truncated_index(doc.get("kind", "category"),
+                                  doc.get("cap", 5), sc.action, sc.klass)
+    except ValueError as err:
+        raise ValidationError(location, str(err))
+    return nu, axiom_mode
 
 
 def _finite(value):
@@ -221,6 +219,9 @@ def parse_numeric(doc, location):
     if not (_finite(tau) and tau > 0):
         raise ValidationError(location, f"tau must be a finite number > 0, "
                                         f"got {tau!r}")
+    if check == "palais-smale-chain" and not tau / 1000.0 > 0:
+        raise ValidationError(location, f"tau {tau!r} is too small for the "
+                                        f"flow step tau/1000, which is 0")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(location, f"n_max must be an integer >= 1, "
                                         f"got {n_max!r}")
@@ -271,6 +272,33 @@ def parse_subset(space, doc, location="subset"):
     return mask
 
 
+def parse_theorems(sc, doc, location):
+    """A theorem scenario's theorem ids and reference spaces."""
+    refs = _require(doc.get("reference_spaces", []), "list", location,
+                    "reference_spaces")
+    theorems = _require(doc.get("theorems", []), "list", location,
+                        "theorems")
+    bad = [t for t in theorems if not (isinstance(t, str) and t in THEOREMS)]
+    if bad:
+        raise ValidationError(location, f"unknown theorem ids {bad}; "
+                                        f"known: {tuple(THEOREMS)}")
+    if not theorems:
+        raise ValidationError(location, "theorem scenarios select "
+                                        "at least one theorem")
+    finite_only = [t for t in FINITE_BAND_THEOREMS if t in theorems]
+    if finite_only and sc.band[1] == INFINITE:
+        raise ValidationError(location, f"{finite_only} need a finite band")
+    if "homeo_band_bound" in theorems:
+        if not refs:
+            raise ValidationError(location, "homeo_band_bound needs "
+                                            "reference_spaces")
+        if not sc.action.is_trivial():
+            raise ValidationError(location, "homeo_band_bound takes no "
+                                            "group action")
+    return theorems, [parse_space(d, f"{location}.reference_spaces")
+                      for d in refs]
+
+
 def parse_scenario(path_or_doc, path=None):
     """Parse and validate a scenario from a path or a parsed document."""
     if isinstance(path_or_doc, dict):
@@ -278,13 +306,7 @@ def parse_scenario(path_or_doc, path=None):
         location = path or "<doc>"
     else:
         path = location = str(path_or_doc)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as err:
-            raise ValidationError(location, f"cannot read: {err}")
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"{location}:{err.lineno}", err.msg)
+        doc = load_json(path)
     kind = _require(doc, "object", location, "a scenario").get("kind")
     if kind not in SCENARIO_KINDS:
         raise ValidationError(location, f"unknown scenario kind {kind!r}")
@@ -299,37 +321,16 @@ def parse_scenario(path_or_doc, path=None):
     if kind == "category":
         sc.queries = parse_queries(sc, doc.get("queries", []),
                                    f"{location}.queries")
-    if kind in ("theorem", "engine"):
-        phi = parse_map(sc.space, doc.get("map", {}), f"{location}.map")
-        f = parse_function(sc.space, doc.get("function", {}),
-                           f"{location}.function")
-        sc.pair = DynamicalPair(sc.space, phi, f)
-        sc.band = parse_band(doc.get("band"), f"{location}.band")
+        return sc
+    phi = parse_map(sc.space, doc.get("map", {}), f"{location}.map")
+    f = parse_function(sc.space, doc.get("function", {}),
+                       f"{location}.function")
+    sc.pair = DynamicalPair(sc.space, phi, f)
+    sc.band = parse_band(doc.get("band"), f"{location}.band")
     if kind == "engine":
-        sc.index = parse_index(doc.get("index", {}), f"{location}.index")
-    if kind == "theorem":
-        refs = _require(doc.get("reference_spaces", []), "list", location,
-                        "reference_spaces")
-        sc.reference_spaces = [
-            parse_space(d, f"{location}.reference_spaces") for d in refs
-        ]
-        theorems = _require(doc.get("theorems", []), "list", location,
-                            "theorems")
-        bad = [t for t in theorems if t not in THEOREM_IDS]
-        if bad:
-            raise ValidationError(
-                location, f"unknown theorem ids {bad}; known: {THEOREM_IDS}"
-            )
-        if not theorems:
-            raise ValidationError(location, "theorem scenarios select "
-                                            "at least one theorem")
-        finite_only = [t for t in FINITE_BAND_THEOREMS if t in theorems]
-        if finite_only and sc.band[1] == INFINITE:
-            raise ValidationError(location, f"{finite_only} need a finite "
-                                            "band")
-        if "homeo_band_bound" in theorems and not sc.reference_spaces:
-            raise ValidationError(location, "homeo_band_bound needs "
-                                            "reference_spaces")
+        sc.index = parse_index(sc, doc.get("index", {}), f"{location}.index")
+    else:
+        sc.theorems, sc.reference_spaces = parse_theorems(sc, doc, location)
     return sc
 
 

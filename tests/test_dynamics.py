@@ -19,7 +19,7 @@ from lscat.dynamics import (
     verify_identity_band_bound,
     verify_semiflow,
 )
-from lscat.poset import SpaceMap
+from lscat.poset import SpaceMap, validate_space
 
 from oracles import oracle_palais_smale
 
@@ -229,6 +229,31 @@ def test_semiflow_identity(c4):
     assert report.verdict() == "HOLDS"
     assert report.values["rest_set"] == sorted(c4.points)
     assert report.hypotheses["rest_points_match_fixed_points"]["ok"]
+
+
+def test_identity_band_bound_records_a_missing_fence(c4):
+    # swapping the minima reflects the circle: no fence reaches it
+    swap = SpaceMap.from_dict(c4, c4, {"p": "q", "q": "p", "U": "U",
+                                       "L": "L"})
+    pair = DynamicalPair(c4, swap, fx.C4_TWO_LEVEL_HEIGHTS)
+    report = verify_identity_band_bound(pair, -1.0, 1.0)
+    assert report.hypotheses["homotopic_to_identity"]["ok"] is False
+    verdict = report.verdict()
+    assert verdict.startswith("HYPOTHESIS_FAILED:")
+    assert "homotopic_to_identity" in verdict.split(":")[1].split(",")
+
+
+def test_semiflow_without_an_identity_fence_asserts_no_part():
+    # a discrete space has no fence from the identity to another map;
+    # the category 2 of the space exceeds the one fixed point
+    space = validate_space(["a", "b"], [])
+    phi = SpaceMap.from_dict(space, space, {"a": "b", "b": "b"})
+    report = verify_semiflow(DynamicalPair(space, phi, (1.0, 0.0)))
+    inner = report.values["band_report"]
+    assert inner["hypotheses"]["homotopic_to_identity"]["ok"] is False
+    assert report.verdict() == "HOLDS"
+    assert [report.parts[k]["assertable"] for k in "abc"] == [False] * 3
+    assert not report.parts["b"]["holds"]
 
 
 def test_semiflow_rest_points_equal_fixed_points(v_pair, wedge_pair):

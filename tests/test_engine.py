@@ -226,6 +226,11 @@ def test_sampled_supervariance_matches_oracle_on_thirteen_points():
     assert 0 < failed < 10
 
 
+def test_unknown_index_kind_names_the_known_kinds(c4):
+    with pytest.raises(ValueError, match=r"lscat\.engine\.INDEX_KINDS = "):
+        make_truncated_index("bogus", 3, GroupAction.trivial(c4))
+
+
 def test_unknown_axiom_mode_is_rejected(v_pair, v_index):
     with pytest.raises(ValueError, match="AXIOM_MODES"):
         verify_index_bound(v_index, v_pair, 1.5, 2.5,

@@ -255,6 +255,57 @@ def test_classb_with_an_action_is_rejected_when_parsed(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+SWAP_MINIMA = {"p": "q", "q": "p", "U": "U", "L": "L"}
+
+
+@pytest.mark.parametrize("fixture, edit, command, message", [
+    ("homeo_two_level.json",
+     lambda doc, mp: doc.update(action={"generators": [SWAP_MINIMA]}),
+     ["verify"], "homeo_band_bound takes no group action"),
+    ("conjugation_circle.json",
+     lambda doc, mp: doc["action"]["generators"][0].update(typo="p"),
+     ["cat"], "generator uses unknown points ['typo']"),
+    ("v_descent_engine.json",
+     lambda doc, mp: doc["index"].update(cap=0), ["engine", "verify"],
+     "truncation cap must be an integer >= 1"),
+    ("v_descent_engine.json",
+     lambda doc, mp: mp.setattr(engine, "AXIOM_EXHAUSTIVE_CAP", 2),
+     ["engine", "verify"], "lscat.engine.AXIOM_EXHAUSTIVE_CAP = 2"),
+    ("v_descent_bounds.json",
+     lambda doc, mp: doc.update(theorems=[["band_bound"]]), ["verify"],
+     "unknown theorem ids [['band_bound']]"),
+], ids=["homeo-with-action", "generator-unknown-key", "index-cap-zero",
+        "exhaustive-past-its-cap", "theorem-id-not-a-string"])
+def test_bad_document_is_one_input_error_everywhere(
+        tmp_path, capsys, monkeypatch, fixture, edit, command, message):
+    doc = _load_fixture(fixture)
+    edit(doc, monkeypatch)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert main(command + [str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert [e["file"] for e in summary["input_errors"]] == ["bad.json"]
+    assert message in summary["input_errors"][0]["error"]
+    assert summary["rows"] == []
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"kind": "category", "name": "caf\xe9"}')
+    assert main(["cat", str(f)]) == 2
+    assert main(["space", "validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "\ninvalid:" in err
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert [e["file"] for e in summary["input_errors"]] == ["latin1.json"]
+
+
 def test_cli_cat_and_verify(capsys):
     assert main(["cat", corpus_file("boundary_pair_arc.json"),
                  "--format", "structured"]) == 0
@@ -397,10 +448,10 @@ def test_cli_tau_rule_is_that_the_step_is_positive(capsys):
 @pytest.mark.parametrize("edit", [
     {"tau": "1.0"}, {"tau": True}, {"tau": 10 ** 400}, {"n_max": 10.0},
     {"n_max": True}, {"fixture": ["quadratic"]}, {"family": "bogus"},
-    {"family": None}, {"check": "bogus"},
+    {"family": None}, {"check": "bogus"}, {"tau": 2.4e-321},
 ], ids=["tau-string", "tau-bool", "tau-huge-int", "n-max-float",
         "n-max-bool", "fixture-list", "family-unknown", "family-null",
-        "check-unknown"])
+        "check-unknown", "tau-step-zero"])
 def test_parse_rejects_bad_numeric_fields(edit):
     doc = {"kind": "numeric", "check": "palais-smale-chain"}
     assert parse_scenario(dict(doc)).numeric == (
