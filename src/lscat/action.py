@@ -371,10 +371,10 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
     """Is the open W G-deformable to Y (mod Y)?  Returns a fence or None.
 
     mod: every stage sends W & Y into Y and the final image lies in Y.
-    W must be invariant (ValueError otherwise).
+    W must be nonempty and invariant (ValueError otherwise).
     """
     if W_mask == 0:
-        return _EMPTY_DEFORMATION
+        raise ValueError("deformability of the empty set is undefined")
     if Y_mask == 0:
         return None  # a nonempty set never maps into the empty set
     incl, parents = inclusion_map(action.space, W_mask)
@@ -389,19 +389,6 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
         incl, action, parents, target,
         stage_ok=mod_stage_ok(parents, Y_mask) if mod else None,
     )
-
-
-class _EmptyDeformation:
-    """Witness that the empty subspace deforms anywhere, vacuously."""
-
-    def __repr__(self):
-        return "EmptyDeformation()"
-
-    def validate(self, stage_ok=None):
-        return True
-
-
-_EMPTY_DEFORMATION = _EmptyDeformation()
 
 
 def orbit_equivalent(action, i, j, f_values):

@@ -24,8 +24,10 @@ certificate (for the trivial group, by one collapse walk on masks of
 the space: see ``poset.is_contractible_in``).  A categorical cover
 set's fence is assembled the first time its ``CoverEntry.certificate``
 is read, by calling ``is_categorical`` again, so it is the fence the set
-would have had if built eagerly; ``CatResult.verify`` decides membership
-again from scratch and reads no stored fence.
+would have had if built eagerly.  ``CatResult.verify`` re-runs no
+search: ``_check_fence`` checks each categorical or deformable fence
+(it starts at the inclusion, every stage is a G-map, and it ends inside
+Y or through an admissible orbit).
 
 An infinite category value is the infinite value ``math.inf``, named
 ``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
@@ -45,10 +47,11 @@ from .action import (
     HomogeneousClass,
     inclusion_map,
     is_G_deformable,
+    is_G_map,
     mod_stage_ok,
-    _EMPTY_DEFORMATION,
 )
 from .poset import (
+    FenceCertificate,
     SpaceMap,
     bits,
     is_contractible_in,
@@ -166,75 +169,68 @@ class CatResult:
         return f"CatResult({self.value}, mode={self.query.mode})"
 
     def verify(self):
-        """Re-validate the certificate from scratch."""
+        """Re-validate the certificate from scratch, running no search:
+        each set needs a role and the shape (open, or closed in closed
+        mode) of the mode, a classB set a matching reference space, and a
+        categorical or deformable set a fence passing ``_check_fence``."""
         if self.value == INFINITE:
             return True
         q = self.query
         space = q.space
+        allowed = {"iso": q.mode == "classB",
+                   "categorical": q.mode != "classB",
+                   "deformable": q.mode in ("pair", "mod", "semi")}
         covered = 0
-        deformable_seen = 0
         for entry in self.cover:
             covered |= entry.mask
-            if entry.role == "deformable":
-                deformable_seen += 1
+            if not allowed.get(entry.role):
+                raise ValueError(f"{q.mode} mode has no {entry.role!r} sets")
+            if q.mode == "closed":
+                if not space.is_down_set(entry.mask):
+                    raise ValueError("closed-mode cover set is not closed")
+            elif not space.is_up_set(entry.mask):
+                raise ValueError(f"{entry.role} cover set is not open")
+            if entry.role == "iso":
+                sub, _ = space.subspace(entry.mask)
+                if not any(order_isomorphic(sub, ref) for ref in q.class_b):
+                    raise ValueError(
+                        "classB cover set matches no reference space")
+            elif entry.role == "categorical":
+                targets = _factor_targets(entry.mask, q.action, q.klass)
+                _check_fence(q, entry, targets.__contains__, None)
+            else:
                 if q.mode in ("mod", "semi") and (q.A & q.Y) & ~entry.mask:
                     raise ValueError("A0 must contain A & Y")
-                _check_deformation_certificate(q, entry)
-            elif entry.role == "categorical":
-                if q.mode == "closed":
-                    if not space.is_down_set(entry.mask):
-                        raise ValueError("closed-mode cover set is not closed")
-                else:
-                    if not space.is_up_set(entry.mask):
-                        raise ValueError("cover set is not open")
-                _check_categorical_certificate(q, entry)
-            elif entry.role == "iso":
-                if not space.is_up_set(entry.mask):
-                    raise ValueError("classB cover set is not open")
-                _check_iso_certificate(q, entry)
-            else:
-                raise ValueError(f"unknown role {entry.role!r}")
+                _check_fence(
+                    q, entry, lambda images: all(q.Y >> v & 1 for v in images),
+                    mod_stage_ok(tuple(bits(entry.mask)), q.Y)
+                    if q.mode == "mod" else None)
         if q.A & ~covered:
             raise ValueError("cover does not cover A")
-        counted = sum(1 for e in self.cover if e.role != "deformable")
-        if counted != self.value:
+        deformable = sum(e.role == "deformable" for e in self.cover)
+        if len(self.cover) - deformable != self.value:
             raise ValueError("cover size disagrees with the value")
-        if q.mode in ("pair", "mod", "semi") and deformable_seen > 1:
+        if deformable > 1:
             raise ValueError("at most one deformable set allowed")
         return True
 
 
-def _check_deformation_certificate(query, entry):
-    if entry.certificate is _EMPTY_DEFORMATION:
-        if entry.mask != 0:
-            raise ValueError("empty-deformation certificate on a nonempty set")
-        return
+def _check_fence(query, entry, end_ok, stage_ok):
+    """Check the entry's fence: it passes ``validate(stage_ok)``, starts
+    at the inclusion of the entry's set into the space, has only G-maps
+    as stages, and ends at a map whose image tuple passes ``end_ok``."""
     fence = entry.certificate
-    space = query.space
-    if not space.is_up_set(entry.mask):
-        raise ValueError("A0 is not open")
-    parents = tuple(bits(entry.mask))
-    fence.validate(stage_ok=mod_stage_ok(parents, query.Y)
-                   if query.mode == "mod" else None)
-    if fence.start.images != parents:
-        raise ValueError("deformation fence does not start at the inclusion")
-    if fence.end.image_mask() & ~query.Y:
-        raise ValueError("deformation does not end inside Y")
-
-
-def _check_categorical_certificate(query, entry):
-    ok, _ = is_categorical(
-        entry.mask, query.space, query.action, query.klass,
-        with_certificate=False,
-    )
-    if not ok:
-        raise ValueError("cover set is not categorical")
-
-
-def _check_iso_certificate(query, entry):
-    sub, _ = query.space.subspace(entry.mask)
-    if not any(order_isomorphic(sub, ref) for ref in query.class_b):
-        raise ValueError("classB cover set matches no reference space")
+    if not isinstance(fence, FenceCertificate):
+        raise ValueError(f"{entry.role} cover set carries no fence")
+    fence.validate(stage_ok)
+    if fence.start != inclusion_map(query.space, entry.mask)[0]:
+        raise ValueError("fence does not start at the inclusion")
+    if not all(is_G_map(stage, query.action) for stage in fence.maps):
+        raise ValueError("fence has a stage that is not a G-map")
+    if not end_ok(fence.end.images):
+        raise ValueError(f"{entry.role} fence does not end " + (
+            "inside Y" if entry.role == "deformable"
+            else "through an admissible orbit"))
 
 
 # -- categorical sets ----------------------------------------------------
@@ -399,15 +395,14 @@ def categorical_closed_catalog(space, action, klass):
 
 def deformable_open_catalog(space, action, Y_mask, mod):
     """Maximal invariant opens deformable to Y (mod Y when ``mod``), each
-    with its fence; just ``{0: _EMPTY_DEFORMATION}`` when no nonempty
-    open deforms."""
+    with its fence; empty when no nonempty open deforms."""
     key = ("deformable", Y_mask, mod)
 
     def build():
         return _maximal_members(
             invariant_up_sets(space, action),
             lambda m: is_G_deformable(action, m, Y_mask, mod=mod),
-        ) or {0: _EMPTY_DEFORMATION}
+        )
 
     return _cache(action, key, build)
 
@@ -532,8 +527,11 @@ def cover_category(query):
 
     Plain, closed and classB values are one lookup in the catalogue's
     cover table; pair, mod and semi take the least lookup over the
-    admissible deformable A0.
+    admissible deformable A0, with A0 = 0 (no deformable set) only when
+    no nonempty open deforms.  The empty A has value 0 in every mode.
     """
+    if query.A == 0:
+        return CatResult(query, 0, ())
     space, action, klass = query.space, query.action, query.klass
     if query.mode == "classB":
         table, role = classB_catalog(space, action, query.class_b), "iso"
@@ -552,7 +550,8 @@ def cover_category(query):
         )
         required = query.A & query.Y if query.mode in ("mod", "semi") else 0
         best = None
-        for a0 in sorted((m for m in deform if required & ~m == 0),
+        for a0 in sorted((m for m in list(deform) or [0]
+                          if required & ~m == 0),
                          key=lambda m: ((query.A & ~m).bit_count(), m)):
             rest = table.cover(query.A & ~a0)
             if rest is not None and (best is None or len(rest) < len(best[1])):
@@ -562,7 +561,8 @@ def cover_category(query):
         if best is None:
             return CatResult(query, INFINITE, ())
         a0, cover = best
-        entries.append(CoverEntry(a0, "deformable", deform[a0]))
+        if a0:
+            entries.append(CoverEntry(a0, "deformable", deform[a0]))
     if cover is None:
         return CatResult(query, INFINITE, ())
     for m in cover:

@@ -225,8 +225,6 @@ def _context(pair, action, klass):
 
 
 def _gcat(space, mask, action, klass, mode="plain", Y=0):
-    if mask == 0 and mode == "plain":
-        return 0
     # saturation is the identity for invariant masks; for a broken
     # (non-invariant) function the report still carries usable numbers
     mask = action.saturate(mask)
@@ -681,8 +679,6 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
         report.values["note"] = "phi is not invertible"
 
     def bcat(mask):
-        if mask == 0:
-            return 0
         return cover_category(
             CatQuery(space, A=mask, mode="classB", action=action,
                      class_b=class_b)

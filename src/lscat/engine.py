@@ -110,8 +110,6 @@ def make_truncated_index(kind, cap, action, klass=None):
 
     def evaluate(A, Y):
         GA = saturate(A)
-        if GA == 0:
-            return 0
         if kind == "category":
             query = CatQuery(space, A=GA, action=action, klass=klass)
         else:

@@ -92,10 +92,19 @@ def _label_map(space, doc, location, what):
 
 
 def load_json(path):
-    """The JSON document in the file at ``path``."""
+    """The JSON document in the file at ``path``; an object that repeats
+    a key is an input error."""
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(path, f"repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(path, f"cannot read: {err}")
     except json.JSONDecodeError as err:
@@ -285,6 +294,9 @@ def parse_theorems(sc, doc, location):
     if not theorems:
         raise ValidationError(location, "theorem scenarios select "
                                         "at least one theorem")
+    repeated = sorted({t for t in theorems if theorems.count(t) > 1})
+    if repeated:
+        raise ValidationError(location, f"repeated theorem ids {repeated}")
     finite_only = [t for t in FINITE_BAND_THEOREMS if t in theorems]
     if finite_only and sc.band[1] == INFINITE:
         raise ValidationError(location, f"{finite_only} need a finite band")

@@ -10,10 +10,10 @@ from lscat.action import (
     HomogeneousClass,
     is_G_deformable,
     validate_action,
-    _EMPTY_DEFORMATION,
 )
 from lscat.category import (
     CatQuery,
+    CatResult,
     CoverEntry,
     CoverTable,
     HypothesisUnmet,
@@ -35,7 +35,6 @@ from lscat.category import (
     categorical_open_catalog,
     classB_catalog,
     deformable_open_catalog,
-    _check_deformation_certificate,
     _factor_targets,
 )
 from lscat.poset import SpaceMap, bits, validate_space
@@ -319,8 +318,8 @@ def brute_force_value(query):
         required = query.A & query.Y if mode != "pair" else 0
         a0s = [m for m in space.up_sets()
                if action.is_invariant(m) and required & ~m == 0
-               and is_G_deformable(action, m, query.Y,
-                                   mod=mode == "mod") is not None]
+               and (m == 0 or is_G_deformable(
+                   action, m, query.Y, mod=mode == "mod") is not None)]
     sizes = [len(c) for c in (oracle_min_cover(query.A & ~a0, members)
                               for a0 in a0s) if c is not None]
     return min(sizes) if sizes else INFINITE
@@ -385,9 +384,6 @@ def test_catalogues_are_the_maximal_members(acted, data):
                 s in family for s in sets if s & ~m == 0), name
         maximal = [m for m in family
                    if not any(m != f and m & ~f == 0 for f in family)]
-        if name in ("pair", "mod") and not maximal:
-            assert dict(members) == {0: _EMPTY_DEFORMATION}, name
-            continue
         # exactly the maximal members, by decreasing size, then by mask
         assert list(members) == sorted(
             maximal, key=lambda m: (-m.bit_count(), m)), name
@@ -402,8 +398,8 @@ def test_catalogues_are_the_maximal_members(acted, data):
                 # starts at the inclusion, ends in Y (mod Y for mod)
                 query = CatQuery(space, A=m, Y=Y, mode=name, action=action,
                                  klass=klass)
-                _check_deformation_certificate(
-                    query, CoverEntry(m, "deformable", members[m]))
+                assert CatResult(query, 0, [
+                    CoverEntry(m, "deformable", members[m])]).verify()
 
 
 def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
@@ -417,17 +413,165 @@ def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
     categorical_open_catalog(c4, action, klass)
     result = cover_category(CatQuery(c4, action=action, klass=klass))
     assert result.value == 2
-    assert result.verify()
     assert assembled == []
+    assert result.verify()  # reads, so assembles, each fence once
+    assert len(assembled) == len(result.cover) == 2
     for entry in result.cover:
         fence = entry.certificate
         assert entry.certificate is fence
-    assert len(assembled) == len(result.cover) == 2
+    assert len(assembled) == 2
     for entry in result.cover:
         expected = is_categorical(entry.mask, c4, action, klass,
                                   with_certificate=True)[1]
         assert entry.certificate.maps == expected.maps
         entry.certificate.validate()
+
+
+# -- verify rejects each defect ---------------------------------------------
+
+# One-letter labels, so a string names a subset (in the space's point
+# order) or a stage's images (in the subspace's point order).
+FORGE_SPACES = {
+    "V": fx.fix_v(),  # c below a and b
+    "arc": fx.fix_arc3(),  # m below l and r
+    "X": validate_space(["a", "b", "c"], [["a", "c"], ["b", "c"]]),
+    "point": validate_space(["x"], []),
+}
+
+
+def _forged_fence(space, labels, stages):
+    """A fence on the subspace of ``labels`` into the space whose stages
+    are built without any check, so that only ``verify`` judges them."""
+    sub, _ = space.subspace(space.subset(labels))
+    maps = []
+    for stage in stages:
+        m = object.__new__(SpaceMap)
+        m.domain, m.codomain = sub, space
+        m.images = tuple(space.index[p] for p in stage)
+        maps.append(m)
+    return poset.FenceCertificate(maps)
+
+
+def _forged_result(spec):
+    space = FORGE_SPACES[spec["space"]]
+    action = spec.get("action")
+    query = CatQuery(
+        space, A=space.subset(spec["A"]), Y=space.subset(spec.get("Y", "")),
+        mode=spec["mode"],
+        action=action and GroupAction.from_label_maps(space, [action]),
+        class_b=[FORGE_SPACES[r] for r in spec.get("class_b", ())])
+    cover = [CoverEntry(space.subset(m), role,
+                        stages and _forged_fence(space, m, stages))
+             for m, role, stages in spec["cover"]]
+    return CatResult(query, spec["value"], cover)
+
+
+V_PLAIN = {"space": "V", "mode": "plain", "A": "cab", "value": 1,
+           "cover": [("cab", "categorical", ["cab", "ccc"])]}
+
+# (valid result, the one defect added to it, the rejection it must raise)
+VERIFY_DEFECTS = {
+    "categorical set not open": (
+        {**V_PLAIN, "A": "a", "cover": [("a", "categorical", ["a"])]},
+        {"A": "c", "cover": [("c", "categorical", ["c"])]},
+        "categorical cover set is not open"),
+    "deformable set not open": (
+        {"space": "V", "mode": "pair", "A": "a", "Y": "c", "value": 0,
+         "cover": [("a", "deformable", ["a", "c"])]},
+        {"A": "c", "cover": [("c", "deformable", ["c"])]},
+        "deformable cover set is not open"),
+    "set not closed in closed mode": (
+        {**V_PLAIN, "mode": "closed", "A": "c",
+         "cover": [("c", "categorical", ["c"])]},
+        {"A": "a", "cover": [("a", "categorical", ["a"])]},
+        "closed-mode cover set is not closed"),
+    "A0 misses A & Y": (
+        {"space": "arc", "mode": "pair", "A": "l", "Y": "lr", "value": 1,
+         "cover": [("r", "deformable", ["r"]),
+                   ("l", "categorical", ["l"])]},
+        {"mode": "semi"},
+        "A0 must contain A & Y"),
+    "discontinuous stage": (
+        V_PLAIN,
+        {"cover": [("cab", "categorical", ["cab", "aab", "ccc"])]},
+        "not order-preserving"),
+    "non-comparable stages": (
+        V_PLAIN,
+        {"cover": [("cab", "categorical", ["cab", "aaa"])]},
+        "consecutive fence maps are not comparable"),
+    "start is not the inclusion": (
+        V_PLAIN,
+        {"cover": [("cab", "categorical", ["ccc"])]},
+        "does not start at the inclusion"),
+    # a plain deformation of X (the fence the trivial-group search finds)
+    # where no G-map into Y can place c: value 1 with the swap, not 0
+    "stage is not a G-map": (
+        {"space": "X", "mode": "pair", "A": "abc", "Y": "ab", "value": 0,
+         "cover": [("abc", "deformable", ["abc", "cbc", "bbc", "bbb"])]},
+        {"action": {"a": "b", "b": "a", "c": "c"}},
+        "fence has a stage that is not a G-map"),
+    "deformation ends outside Y": (
+        {"space": "V", "mode": "pair", "A": "b", "Y": "a", "value": 0,
+         "cover": [("b", "deformable", ["b", "c", "a"])]},
+        {"cover": [("b", "deformable", ["b"])]},
+        "deformable fence does not end inside Y"),
+    "categorical end is no admissible orbit": (
+        {**V_PLAIN, "A": "ab",
+         "cover": [("ab", "categorical", ["ab", "cb", "cc"])]},
+        {"cover": [("ab", "categorical", ["ab"])]},
+        "categorical fence does not end through an admissible orbit"),
+    "mod stage leaves Y": (
+        {"space": "V", "mode": "mod", "A": "a", "Y": "a", "value": 0,
+         "cover": [("a", "deformable", ["a"])]},
+        {"cover": [("a", "deformable", ["a", "c", "a"])]},
+        "fence stage violates the stage constraint"),
+    "categorical set without a fence": (
+        V_PLAIN,
+        {"cover": [("cab", "categorical", None)]},
+        "categorical cover set carries no fence"),
+    "classB set matches no reference": (
+        {"space": "V", "mode": "classB", "A": "cab", "class_b": ["arc"],
+         "value": 1, "cover": [("cab", "iso", None)]},
+        {"class_b": ["point"]},
+        "classB cover set matches no reference space"),
+    "unknown role": (
+        V_PLAIN,
+        {"cover": [("cab", "bogus", ["cab", "ccc"])]},
+        "plain mode has no 'bogus' sets"),
+    "deformable set in plain mode": (
+        V_PLAIN,
+        {"cover": [("cab", "categorical", ["cab", "ccc"]),
+                   ("ab", "deformable", ["ab", "cc"])]},
+        "plain mode has no 'deformable' sets"),
+    "categorical set in classB mode": (
+        {"space": "V", "mode": "classB", "A": "cab", "class_b": ["arc"],
+         "value": 1, "cover": [("cab", "iso", None)]},
+        {"cover": [("cab", "categorical", ["cab", "ccc"])]},
+        "classB mode has no 'categorical' sets"),
+    "cover misses A": (
+        {**V_PLAIN, "A": "ab",
+         "cover": [("ab", "categorical", ["ab", "cb", "cc"])]},
+        {"A": "cab"},
+        "cover does not cover A"),
+    "wrong count": (
+        V_PLAIN,
+        {"value": 2},
+        "cover size disagrees with the value"),
+    "two deformable sets": (
+        {"space": "V", "mode": "pair", "A": "cab", "Y": "c", "value": 0,
+         "cover": [("cab", "deformable", ["cab", "ccc"])]},
+        {"cover": [("cab", "deformable", ["cab", "ccc"]),
+                   ("ab", "deformable", ["ab", "cc"])]},
+        "at most one deformable set allowed"),
+}
+
+
+@pytest.mark.parametrize("valid, defect, message", VERIFY_DEFECTS.values(),
+                         ids=VERIFY_DEFECTS)
+def test_verify_rejects_each_defect(valid, defect, message):
+    assert _forged_result(valid).verify()
+    with pytest.raises(ValueError, match=message):
+        _forged_result({**valid, **defect}).verify()
 
 
 # -- structural checkers ---------------------------------------------------

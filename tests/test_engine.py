@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -403,6 +404,27 @@ def test_verify_index_bound_negative_control(c4_const_pair, c4_index,
     assert report["lhs"]["total"] == 1
     assert report["rhs"] == 2
     assert not _violations_dir.exists()
+
+
+def test_planted_violation_is_reported_and_persisted(
+        v_pair, tmp_path, monkeypatch):
+    """A supervariant user index under assumed axioms that breaks the
+    counting bound: 2 on the sets holding c and a, 0 elsewhere, so the
+    slices {c} and {a} count 0 against nu(f^3) = 2."""
+    space = v_pair.space
+    ca = space.subset(["c", "a"])
+    nu = IndexFunction(space, lambda A, Y: 2 * (A & ca == ca), kind="user")
+    planted = tmp_path / "planted"
+    monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(planted))
+    report = verify_index_bound(nu, v_pair, -1.0, 3.0, axiom_mode="assumed")
+    assert report["hypotheses"]["axioms"]["mode"] == "assumed"
+    assert report["verdict"] == "VIOLATION"
+    assert (report["lhs"]["total"], report["rhs"]) == (0, 2)
+    bundles = list(planted.glob("index_bound-*.json"))
+    assert len(bundles) == 1
+    saved = json.loads(bundles[0].read_text())["report"]
+    assert saved["verdict"] == "VIOLATION"
+    assert (saved["lhs"], saved["rhs"]) == (report["lhs"], report["rhs"])
 
 
 def test_generated_instances_hold(capsys):

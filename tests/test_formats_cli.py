@@ -274,8 +274,13 @@ SWAP_MINIMA = {"p": "q", "q": "p", "U": "U", "L": "L"}
     ("v_descent_bounds.json",
      lambda doc, mp: doc.update(theorems=[["band_bound"]]), ["verify"],
      "unknown theorem ids [['band_bound']]"),
+    ("v_descent_bounds.json",
+     lambda doc, mp: doc.update(theorems=[
+         "band_bound", "identity_band_bound", "semiflow", "band_bound"]),
+     ["verify"], "repeated theorem ids ['band_bound']"),
 ], ids=["homeo-with-action", "generator-unknown-key", "index-cap-zero",
-        "exhaustive-past-its-cap", "theorem-id-not-a-string"])
+        "exhaustive-past-its-cap", "theorem-id-not-a-string",
+        "theorem-id-repeated"])
 def test_bad_document_is_one_input_error_everywhere(
         tmp_path, capsys, monkeypatch, fixture, edit, command, message):
     doc = _load_fixture(fixture)
@@ -290,6 +295,22 @@ def test_bad_document_is_one_input_error_everywhere(
     assert code == 2
     assert [e["file"] for e in summary["input_errors"]] == ["bad.json"]
     assert message in summary["input_errors"][0]["error"]
+    assert summary["rows"] == []
+
+
+def test_repeated_key_is_an_input_error(tmp_path, capsys):
+    doc = _load_fixture("conjugation_circle.json")
+    doc["action"]["generators"][0]["REPEATED"] = "q"
+    f = tmp_path / "repeated.json"
+    f.write_text(json.dumps(doc).replace('"REPEATED"', '"p"'))
+    assert main(["cat", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "repeated key 'p'" in err
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert [e["file"] for e in summary["input_errors"]] == ["repeated.json"]
+    assert "repeated key 'p'" in summary["input_errors"][0]["error"]
     assert summary["rows"] == []
 
 
