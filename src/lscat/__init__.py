@@ -12,7 +12,6 @@ from .poset import (  # noqa: F401
     SizeCapExceeded,
     SpaceMap,
     core,
-    enumerate_maps,
     homotopic,
     is_contractible_in,
     is_homotopy_equivalence,
@@ -21,7 +20,6 @@ from .poset import (  # noqa: F401
 from .action import (  # noqa: F401
     GroupAction,
     HomogeneousClass,
-    G_homotopic,
     NotAnAutomorphism,
     orbit_equivalent,
     validate_action,
@@ -31,12 +29,8 @@ from .category import (  # noqa: F401
     CatResult,
     INFINITE,
     cat,
-    cat_classB,
     cat_mod,
     cat_pair,
-    cat_semi,
-    check_preimage_categorical,
-    closed_category_report,
     cover_category,
     cuplength_lower_bound,
     is_categorical,
@@ -46,17 +40,14 @@ from .engine import (  # noqa: F401
     band_escape_exponent,
     check_axioms,
     check_supervariance,
-    critical_values,
     make_truncated_index,
     random_instance,
-    sublevel_entry_margin,
     verify_index_bound,
 )
 from .dynamics import (  # noqa: F401
     DynamicalPair,
     TheoremReport,
     check_discrete_palais_smale,
-    detect_nondeformable_slice,
     is_lyapunov,
     verify_band_bound,
     verify_global_bound,
@@ -67,14 +58,12 @@ from .dynamics import (  # noqa: F401
 from .simplicial import (  # noqa: F401
     SimplicialComplex,
     cuplength,
-    face_poset,
     order_complex,
     star_cover_upper_bound,
 )
 from .numeric import (  # noqa: F401
     FlowConfig,
     ScalarField,
-    check_condition_C,
     check_energy_identity,
     field_V,
     flow_map,

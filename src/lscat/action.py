@@ -13,7 +13,6 @@ moves.
 from __future__ import annotations
 
 from .poset import (
-    FenceCertificate,
     SizeCapExceeded,
     SpaceMap,
     bits,
@@ -336,19 +335,6 @@ def G_fence_search(start, action, domain_parent_indices, is_target, *,
         moves.append((k, action.fixed_mask(action.stabilizer(p)),
                       tuple(translates.items())))
     return fence_search(start, is_target, stage_ok=stage_ok, moves=moves)
-
-
-def G_homotopic(g1, g2, action):
-    """Fence through equivariant maps only, or None.  The maps' domain is
-    the space or an invariant subspace of it."""
-    if g1.domain != g2.domain or g1.codomain != g2.codomain:
-        raise ValueError("maps must share domain and codomain")
-    if not (is_G_map(g1, action) and is_G_map(g2, action)):
-        raise ValueError("maps must be equivariant")
-    if g1 == g2:
-        return FenceCertificate([g1])
-    parents = tuple(action.space.index[p] for p in g1.domain.points)
-    return G_fence_search(g1, action, parents, {g2.images}.__contains__)
 
 
 def inclusion_map(space, mask):

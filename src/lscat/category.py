@@ -50,16 +50,9 @@ from .action import (
     is_G_map,
     mod_stage_ok,
 )
-from .poset import (
-    FenceCertificate,
-    SpaceMap,
-    bits,
-    is_contractible_in,
-    is_homotopy_equivalence,
-    homotopy_inverse,
-    concat_fences,
-    fence_search,
-)
+from .poset import FenceCertificate, bits, is_contractible_in
+# Not called here; perfbench/check_tracer.py checks this import site.
+from .poset import fence_search  # noqa: F401
 
 
 class HypothesisUnmet(RuntimeError):
@@ -248,8 +241,8 @@ def is_categorical(mask, space, action=None, klass=None,
     klass = klass or HomogeneousClass.point_only(action)
     if mask == 0:
         raise ValueError("the empty set is not categorical")
-    if not action.is_invariant(mask):
-        return False, None
+    if not klass.subgroup_list or not action.is_invariant(mask):
+        return False, None  # an empty class admits no orbit
     if action.is_trivial():
         return is_contractible_in(mask, space,
                                   with_certificate=with_certificate)
@@ -590,120 +583,6 @@ def cat_mod(space, A, Y, action=None, klass=None):
     return cover_category(
         CatQuery(space, A=A, Y=Y, mode="mod", action=action, klass=klass)
     ).value
-
-
-def cat_semi(space, A, Y, action=None, klass=None):
-    return cover_category(
-        CatQuery(space, A=A, Y=Y, mode="semi", action=action, klass=klass)
-    ).value
-
-
-def cat_classB(space, class_b, A=None, action=None):
-    return cover_category(
-        CatQuery(space, A=A, mode="classB", action=action, class_b=class_b)
-    ).value
-
-
-# -- structural checkers ---------------------------------------------------
-
-
-def check_preimage_categorical(phi, U, action=None, klass=None):
-    """For a homotopy equivalence phi and a categorical open U, certify
-    that the preimage is again an open categorical set.
-
-    The certificate composes the inverse equivalence with U's
-    factorisation and is re-validated stage by stage.
-    """
-    space = phi.domain
-    action = action or GroupAction.trivial(space)
-    klass = klass or HomogeneousClass.point_only(action)
-    if not is_homotopy_equivalence(phi):
-        raise HypothesisUnmet("homotopy_equivalence")
-    if not space.is_up_set(U):
-        raise HypothesisUnmet("open")
-    ok, u_cert = is_categorical(U, space, action, klass)
-    if not ok:
-        raise HypothesisUnmet("categorical")
-    pre_mask = phi.preimage_mask(U)
-    assert space.is_up_set(pre_mask)  # preimage of open under continuous
-    if pre_mask == 0:
-        return {"preimage": pre_mask, "categorical": True,
-                "certificate": None, "note": "empty preimage"}
-
-    psi = homotopy_inverse(phi)
-    incl_pre, pre_parents = inclusion_map(space, pre_mask)
-    # fence 1: incl ~ (psi o phi) o incl, restricted to the preimage
-    psiphi = psi.compose(phi)
-    outer = fence_search(SpaceMap.identity(space),
-                         {psiphi.images}.__contains__)
-    if outer is None:  # cannot happen for a genuine equivalence
-        raise HypothesisUnmet("homotopy_equivalence")
-    part1 = outer.compose_right(incl_pre)
-    # fence 2: psi o (U's factorisation fence) o phi|
-    sub_u, u_parents = space.subspace(U)
-    u_pos = {p: k for k, p in enumerate(u_parents)}
-    phi_restr = SpaceMap(
-        incl_pre.domain, sub_u,
-        tuple(u_pos[phi.images[p]] for p in pre_parents),
-    )
-    part2 = u_cert.compose_left(psi).compose_right(phi_restr)
-    full = concat_fences(part1, part2)
-    full.validate()
-    ok2, _ = is_categorical(pre_mask, space, action, klass,
-                            with_certificate=False)
-    return {
-        "preimage": pre_mask,
-        "categorical": True,
-        "certificate": full,
-        "independent_recheck": ok2,
-    }
-
-
-def closed_category_report(A, space, action=None, klass=None):
-    """Compare the four open/closed category quantities for a closed A.
-
-    Asserting the full chain needs normality; finite non-discrete models
-    are not normal, so the chain is only asserted on discrete spaces and
-    reported elsewhere.
-    """
-    action = action or GroupAction.trivial(space)
-    klass = klass or HomogeneousClass.point_only(action)
-    if not space.is_down_set(A):
-        raise HypothesisUnmet("closed")
-    sub, idx = space.subspace(A)
-    sub_action, sub_klass = _induced(action, klass, sub, idx)
-
-    value_in_sub = cover_category(
-        CatQuery(sub, action=sub_action, klass=sub_klass)
-    ).value
-    closed_in_sub = cover_category(
-        CatQuery(sub, mode="closed", action=sub_action, klass=sub_klass)
-    ).value
-    closed_in_x = cover_category(
-        CatQuery(space, A=A, mode="closed", action=action, klass=klass)
-    ).value
-    open_in_x = cover_category(
-        CatQuery(space, A=A, action=action, klass=klass)
-    ).value
-
-    verdicts = {
-        "cat_sub_ge_closed_sub": value_in_sub >= closed_in_sub,
-        "closed_sub_ge_closed_in_space": closed_in_sub >= closed_in_x,
-        "closed_in_space_eq_open_in_space": closed_in_x == open_in_x,
-    }
-    report = {
-        "cat_of_subspace": value_in_sub,
-        "closed_cat_of_subspace": closed_in_sub,
-        "closed_cat_in_space": closed_in_x,
-        "cat_in_space": open_in_x,
-        "verdicts": verdicts,
-        "asserted": space.is_discrete(),
-    }
-    if space.is_discrete() and not all(verdicts.values()):
-        raise AssertionError(
-            f"closed-category chain failed on a discrete space: {report}"
-        )
-    return report
 
 
 def _induced(action, klass, sub, idx):

@@ -18,14 +18,12 @@ from .action import (
     G_fence_search,
     GroupAction,
     HomogeneousClass,
-    is_G_deformable,
     is_G_map,
     mod_stage_ok,
     orbit_equivalent,
 )
 from .category import (
     CatQuery,
-    HypothesisUnmet,
     INFINITE,
     cover_category,
     value_ge_diff,
@@ -566,55 +564,6 @@ def verify_global_bound(pair, b, action=None, klass=None):
     report = verify_band_bound(pair, a, b, action, klass)
     report.values["global_low_cut"] = a
     return report
-
-
-def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
-    """When the band has fewer critical levels than the category
-    difference, exhibit a fixed slice that no equivariant fence deforms
-    into a single orbit inside the band preimage."""
-    action, klass = _context(pair, action, klass)
-    space = pair.space
-    ok, wit = is_lyapunov(pair)
-    if not ok:
-        raise HypothesisUnmet("lyapunov", wit)
-    if not is_homotopy_equivalence(pair.phi):
-        raise HypothesisUnmet("homotopy_equivalence")
-    cat_fa = _gcat(space, pair.sublevel(a), action, klass)
-    cat_fb = _gcat(space, pair.sublevel(b), action, klass)
-    if cat_fa == INFINITE:
-        raise HypothesisUnmet("sublevel_category_finite")
-    levels = pair.critical_levels(a, b)
-    bound = _diff(cat_fb, cat_fa)
-    if bound < len(levels) + 1:
-        return []
-    band = _band_mask(pair, a, b)
-    orbit_reps = [
-        bits(orb)[0] for orb in action.orbits() if orb & ~band == 0
-    ]
-    out = []
-    for d in levels:
-        slice_mask = pair.level_slice(d)
-        if not slice_mask:
-            out.append({
-                "level": d, "degenerate": True,
-                "note": "empty fixed slice in a deficient band",
-            })
-            continue
-        tried = []
-        for rep in orbit_reps:
-            tried.append(space.points[rep])
-            if is_G_deformable(action, slice_mask,
-                               action.orbit_mask(rep)) is not None:
-                break
-        else:
-            out.append({
-                "level": d,
-                "degenerate": False,
-                "orbits_tried": tried,
-                "note": "exhaustive equivariant fence search reached no "
-                        "single-orbit image",
-            })
-    return out
 
 
 def verify_semiflow(pair, action=None, klass=None):

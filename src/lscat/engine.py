@@ -38,7 +38,7 @@ from .poset import (
 
 AXIOM_EXHAUSTIVE_CAP = 7  # points for an exhaustive axiom check
 SUPERVARIANCE_EXHAUSTIVE_CAP = 12  # points; beyond this supervariance samples
-CHECK_SAMPLES = 512  # random draws of a sampled axiom or supervariance check
+CHECK_SAMPLES = 512  # random draws of a sampled supervariance check
 INDEX_KINDS = ("category", "pair_category", "mod_category")
 AXIOM_MODES = ("exhaustive", "sampled", "assumed")
 
@@ -143,19 +143,16 @@ class AxiomReport:
 
 
 def check_axioms(nu):
-    """Monotonicity, continuity and mixed subadditivity.
-
-    Exhaustive over all subset pairs up to the cap, otherwise randomised
-    sampling (seed 0) with the mode flagged in the report.
-    """
-    if len(nu.space) <= AXIOM_EXHAUSTIVE_CAP:
-        return _check_axioms_exhaustive(nu)
-    return _check_axioms_sampled(nu, CHECK_SAMPLES, 0)
-
-
-def _check_axioms_exhaustive(nu):
+    """Monotonicity, continuity and mixed subadditivity, checked on every
+    subset pair.  A space of more than AXIOM_EXHAUSTIVE_CAP points raises
+    SizeCapExceeded before any index call."""
     space = nu.space
     n = len(space)
+    if n > AXIOM_EXHAUSTIVE_CAP:
+        raise SizeCapExceeded(
+            f"check_axioms: exhaustive axiom checks on {n} points exceed "
+            f"lscat.engine.AXIOM_EXHAUSTIVE_CAP = {AXIOM_EXHAUSTIVE_CAP}"
+        )
     full = (1 << n) - 1
     report = AxiomReport("exhaustive")
 
@@ -354,44 +351,6 @@ def band_escape_exponent(pair, U, a, b):
     return n
 
 
-def sublevel_entry_margin(pair, U, a, eps):
-    """Largest margin d in ]0, eps] with phi(f^{a+d}) inside U.
-
-    Candidates come from the gap structure of the value set; a margin
-    below the first value above the cut always works for Lyapunov pairs
-    since the sublevel set is forward invariant.
-    """
-    ok, wit = is_lyapunov(pair)
-    if not ok:
-        raise HypothesisUnmet("lyapunov", wit)
-    if eps <= 0:
-        raise ValueError("need a positive window")
-    fa = pair.sublevel(a)
-    if fa & ~U:
-        raise HypothesisUnmet(
-            "neighborhood_contains_sublevel",
-            sorted(pair.space.labels(fa & ~U)),
-        )
-    fixed = pair.fixed_mask()
-    for i in bits(fixed):
-        if a < pair.f[i] < a + eps:
-            raise HypothesisUnmet(
-                "fixed_point_free_window", pair.space.points[i]
-            )
-    above = [v for v in pair.values_sorted() if v > a]
-    candidates = [eps]
-    candidates.extend(v - a for v in above if v - a <= eps)
-    if above:
-        candidates.append(min(above[0] - a, eps) / 2)
-    else:
-        candidates.append(eps / 2)
-    for delta in sorted(set(candidates), reverse=True):
-        moved = pair.phi.image_mask(pair.sublevel(a + delta))
-        if moved & ~U == 0:
-            return delta
-    raise AssertionError("no margin worked despite the hypotheses")
-
-
 # -- the critical-value ladder -----------------------------------------------
 
 
@@ -460,10 +419,6 @@ class CriticalValueTable:
         }
 
 
-def critical_values(nu, pair, a, b):
-    return CriticalValueTable(pair, nu, a, b)
-
-
 # -- the main verifier ---------------------------------------------------------
 
 
@@ -477,18 +432,13 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
     verdict is HYPOTHESIS_FAILED when a checked hypothesis fails,
     INEQUALITY_HOLDS / VIOLATION otherwise; violations are persisted.
     The exhaustive axiom mode on more than AXIOM_EXHAUSTIVE_CAP points
-    raises SizeCapExceeded before any index value is computed.
+    raises SizeCapExceeded (from ``check_axioms``) before any index value
+    is computed.
     """
     if axiom_mode not in AXIOM_MODES:
         raise ValueError(f"unknown axiom mode {axiom_mode!r}; known: "
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
-    if axiom_mode == "exhaustive" and len(space) > AXIOM_EXHAUSTIVE_CAP:
-        raise SizeCapExceeded(
-            f"verify_index_bound: exhaustive axiom checks on {len(space)} "
-            f"points exceed lscat.engine.AXIOM_EXHAUSTIVE_CAP = "
-            f"{AXIOM_EXHAUSTIVE_CAP}"
-        )
     hypotheses = {}
     ok, wit = is_lyapunov(pair)
     hypotheses["lyapunov"] = {"ok": ok, "witness": wit}
@@ -502,7 +452,7 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
                                 "witness": None}
     else:
         if axiom_mode == "exhaustive":
-            rep = _check_axioms_exhaustive(nu)
+            rep = check_axioms(nu)
         else:
             rep = _check_axioms_sampled(nu, sample=160, seed=seed)
         hypotheses["axioms"] = {

@@ -3,9 +3,9 @@
 The descent field is the gradient rescaled by the reciprocal of a
 truncation of its norm, which caps the speed at 2 while leaving the
 field untouched where the gradient is short; trajectories are integrated
-with classical fourth-order Runge-Kutta on a fixed step.  The sampling
-based condition checks are explicitly heuristic: they can exhibit a
-suspected violation with a witness cluster, never prove the condition.
+with classical fourth-order Runge-Kutta on a fixed step.  The sampled
+Palais-Smale check is explicitly heuristic: it can exhibit a suspected
+violation with a witness cluster, never prove the condition.
 
 One trajectory (``flow_map``) runs its RK4 stages on Python floats:
 each elementwise sum, product and quotient rounds once to nearest, as
@@ -30,9 +30,6 @@ import math
 import numpy as np
 
 # Thresholds of the heuristic checks.
-GRAD_TOL = 1e-2         # check_condition_C: a vanishing gradient norm
-CRIT_TOL = 1e-3         # check_condition_C: gradient norm at a critical point
-PROBE_TIME = 5.0        # check_condition_C: horizon of the descent probe
 GAP_TOL = 1e-4          # sampled Palais-Smale check: a vanishing decrement
 FIX_TOL = 1e-6          # sampled Palais-Smale check: relative fixed distance
 PROBE_ITERATIONS = 40   # sampled Palais-Smale check: orbit length
@@ -158,9 +155,6 @@ class Trajectory:
     def endpoint(self):
         return self.states[-1]
 
-    def values(self):
-        return np.array([self.field.f(m) for m in self.states])
-
     def descent_rates(self):
         """|grad f(m)|^2 / truncation_g(|grad f(m)|) along the trajectory;
         only the last state's gradient is computed here."""
@@ -234,77 +228,6 @@ def check_energy_identity(field, m, config):
     return abs(drop - integral)
 
 
-def check_condition_C(field, samples):
-    """Empirical Palais-Smale check on a finite sample set.
-
-    Two heuristic triggers: samples with vanishing gradient norm must
-    descend to an interior critical point, and the lowest sample's
-    descent must not escape the domain (escape means the completeness
-    needed to accumulate inside the space fails).  The verdict never
-    feeds an assertion directly.
-    """
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if not samples:
-        raise ValueError("need a nonempty sample set")
-    values = np.array([field.f(s) for s in samples])
-    if not np.isfinite(values).all():
-        raise ValueError("function values must stay bounded on the samples")
-    norms = np.array(
-        [float(np.linalg.norm(field.grad(s))) for s in samples]
-    )
-    order = np.argsort(norms)
-    smallest = norms[order[0]]
-    report = {
-        "heuristic": True,
-        "min_gradient_norm": float(smallest),
-        "verdict": "consistent",
-        "cluster": None,
-    }
-
-    def probe(start):
-        cfg = FlowConfig(PROBE_TIME, PROBE_TIME / 500.0)
-        try:
-            end = flow_map(field, start, cfg).endpoint
-        except LeftDomain as err:
-            return None, err.t_exit
-        return end, None
-
-    if smallest <= GRAD_TOL:
-        k = max(1, len(samples) // 10)
-        cluster = [samples[i] for i in order[:k]]
-        report["cluster"] = [list(map(float, c)) for c in cluster]
-        end, exit_t = probe(cluster[0])
-        if end is not None and float(
-            np.linalg.norm(field.grad(end))
-        ) <= CRIT_TOL:
-            report["critical_estimate"] = list(map(float, end))
-            report["note"] = (
-                "vanishing-gradient samples descend to an interior "
-                "critical point"
-            )
-        else:
-            report["verdict"] = "violation-suspected"
-            report["note"] = (
-                "gradient norms vanish along the samples but descent finds "
-                "no interior critical point"
-            )
-            report["escape_time"] = exit_t
-        return report
-    lowest = samples[int(np.argmin(values))]
-    end, exit_t = probe(lowest)
-    if end is None:
-        report["verdict"] = "violation-suspected"
-        report["cluster"] = [list(map(float, lowest))]
-        report["escape_time"] = exit_t
-        report["note"] = (
-            "descent from the lowest sample escapes the domain: no "
-            "critical point in the closure within the space"
-        )
-    else:
-        report["note"] = "gradient stays away from zero on the samples"
-    return report
-
-
 def _aitken_limit(orbit):
     """Extrapolate the limit of a (near-geometric) orbit tail."""
     z0, z1, z2 = (np.asarray(z, dtype=float) for z in orbit[-3:])
@@ -322,7 +245,7 @@ def check_discrete_palais_smale_sampled(phi, f, samples, domain=None):
     Finds sample subsequences whose decrement f - f o phi vanishes,
     extrapolates the limit of the orbit starting at the accumulation
     estimate, and asks whether that limit is a fixed point inside the
-    domain.  Heuristic, like the gradient version.
+    domain.  Heuristic.
     """
     domain = domain or (lambda x: True)
     samples = [np.asarray(s, dtype=float) for s in samples]

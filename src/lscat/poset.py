@@ -19,10 +19,9 @@ from collections import deque
 
 # Exhaustive-operation guard rails, read at every call: an operation past
 # one raises SizeCapExceeded naming it, and raising the constant lifts it.
-MAP_SPACE_CAP = 12            # |X| cap for hom-set enumeration / homotopic
+MAP_SPACE_CAP = 12            # |X| cap for homotopic
 SUBSET_SPACE_CAP = 16         # |X| cap for subset-exhaustive operations
 FENCE_NODE_CAP = 250_000      # explored maps per fence BFS
-MAP_ENUM_BUDGET = 2_000_000   # maps listed per hom-set enumeration
 
 
 class NotAPartialOrder(ValueError):
@@ -318,13 +317,6 @@ class SpaceMap:
             out |= 1 << self.images[i]
         return out
 
-    def preimage_mask(self, codomain_mask):
-        out = 0
-        for i, v in enumerate(self.images):
-            if codomain_mask >> v & 1:
-                out |= 1 << i
-        return out
-
 
 class FenceCertificate:
     """A fence of continuous maps; consecutive maps pointwise comparable.
@@ -385,59 +377,7 @@ def concat_fences(*fences):
     return FenceCertificate(maps)
 
 
-# -- map enumeration and fence search ----------------------------------
-
-
-def _check_map_space(what, space):
-    if len(space) > MAP_SPACE_CAP:
-        raise SizeCapExceeded(
-            f"{what}: {len(space)} points exceed "
-            f"lscat.poset.MAP_SPACE_CAP = {MAP_SPACE_CAP}"
-        )
-
-
-def enumerate_maps(domain, codomain):
-    """All order-preserving maps domain -> codomain, lexicographic order.
-
-    Backtracking over a linear extension; deterministic.  For maps from
-    a subset, pass its induced subspace, ``space.subspace(mask)[0]``.
-    """
-    _check_map_space("enumerate_maps", codomain)
-    _check_map_space("enumerate_maps", domain)
-    n = len(domain)
-    order = sorted(range(n), key=lambda i: (domain.up[i].bit_count(), i),
-                   reverse=True)  # minimal points first (big up-sets)
-    images = [None] * n
-    out = []
-
-    def assign(k):
-        if len(out) > MAP_ENUM_BUDGET:
-            raise SizeCapExceeded(
-                f"enumerate_maps: more maps than "
-                f"lscat.poset.MAP_ENUM_BUDGET = {MAP_ENUM_BUDGET}"
-            )
-        if k == n:
-            out.append(SpaceMap(domain, codomain, tuple(images)))
-            return
-        i = order[k]
-        for v in range(len(codomain)):
-            ok = True
-            for k2 in range(k):
-                j = order[k2]
-                if domain.leq(j, i) and not codomain.leq(images[j], v):
-                    ok = False
-                    break
-                if domain.leq(i, j) and not codomain.leq(v, images[j]):
-                    ok = False
-                    break
-            if ok:
-                images[i] = v
-                assign(k + 1)
-                images[i] = None
-
-    assign(0)
-    out.sort(key=lambda m: m.images)
-    return out
+# -- fence search --------------------------------------------------------
 
 
 def _mutation_candidates(domain, codomain, images, i):
@@ -539,7 +479,11 @@ def homotopic(g1, g2):
     """A fence linking g1 to g2, or None if they are not homotopic."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
         raise ValueError("maps must share domain and codomain")
-    _check_map_space("homotopic", g1.codomain)
+    if len(g1.codomain) > MAP_SPACE_CAP:
+        raise SizeCapExceeded(
+            f"homotopic: {len(g1.codomain)} points exceed "
+            f"lscat.poset.MAP_SPACE_CAP = {MAP_SPACE_CAP}"
+        )
     if g1 == g2:
         return FenceCertificate([g1])
     return fence_search(g1, {g2.images}.__contains__)
@@ -679,24 +623,11 @@ def automorphism_inverse(phi):
         return None
 
 
-def _core_self_map(phi):
-    """The core of phi's domain and the self-map phi induces on it."""
+def is_homotopy_equivalence(phi):
+    """Finite-space criterion: the self-map phi induces on the core of
+    its domain is an order automorphism."""
     if phi.domain != phi.codomain:
         raise ValueError("expected a self-map")
     c = core(phi.domain)
-    return c, c.retraction.compose(phi).compose(c.inclusion)
-
-
-def is_homotopy_equivalence(phi):
-    """Finite-space criterion: the induced core self-map is an order
-    automorphism."""
-    return automorphism_inverse(_core_self_map(phi)[1]) is not None
-
-
-def homotopy_inverse(phi):
-    """A homotopy inverse of a finite-space homotopy equivalence."""
-    c, induced = _core_self_map(phi)
-    core_inverse = automorphism_inverse(induced)
-    if core_inverse is None:
-        raise ValueError("map is not a homotopy equivalence")
-    return c.inclusion.compose(core_inverse).compose(c.retraction)
+    induced = c.retraction.compose(phi).compose(c.inclusion)
+    return automorphism_inverse(induced) is not None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .poset import SizeCapExceeded, join_labels, validate_space
+from .poset import SizeCapExceeded
 
 COLLAPSE_BUDGET = 50_000  # search nodes per collapse sequence
 STAR_VERTEX_CAP = 12      # vertices of a star-cover search
@@ -121,21 +121,6 @@ def order_complex(space):
         extend([i], i)
     simplices = [tuple(space.points[i] for i in c) for c in chains]
     return SimplicialComplex(space.points, simplices)
-
-
-def face_poset(K):
-    """Simplices ordered by inclusion, with the up-set topology.
-
-    A simplex is labelled by ``poset.join_labels`` of its vertex names,
-    so distinct simplices get distinct labels.
-    """
-    labels = [join_labels(s) for s in K.simplices]
-    pairs = []
-    for i, s in enumerate(K.simplices):
-        for j, t in enumerate(K.simplices):
-            if i != j and set(s) < set(t):
-                pairs.append([labels[i], labels[j]])
-    return validate_space(labels, pairs)
 
 
 # -- mod-2 cochains and cohomology ----------------------------------------

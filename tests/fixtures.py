@@ -8,8 +8,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from lscat.poset import SpaceMap, validate_space
-from lscat.simplicial import SimplicialComplex, face_poset
+from lscat.poset import (
+    SpaceMap,
+    automorphism_inverse,
+    core,
+    join_labels,
+    validate_space,
+)
+from lscat.simplicial import SimplicialComplex
 
 
 def fix_v():
@@ -117,6 +123,17 @@ def c4_swap_map(space=None):
     )
 
 
+def homotopy_inverse(phi):
+    """A homotopy inverse of a finite-space homotopy equivalence: through
+    the core, the inverse of the core self-map phi induces."""
+    c = core(phi.domain)
+    core_inverse = automorphism_inverse(
+        c.retraction.compose(phi).compose(c.inclusion))
+    if core_inverse is None:
+        raise ValueError("map is not a homotopy equivalence")
+    return c.inclusion.compose(core_inverse).compose(c.retraction)
+
+
 def conjugation_generator():
     """Permutation fixing p, q and swapping the two maxima of fix_c4:
     the finite analogue of complex conjugation on the circle."""
@@ -124,6 +141,21 @@ def conjugation_generator():
 
 
 # -- simplicial fixtures -------------------------------------------------
+
+
+def face_poset(K):
+    """Simplices ordered by inclusion, with the up-set topology.
+
+    A simplex is labelled by ``poset.join_labels`` of its vertex names,
+    so distinct simplices get distinct labels.
+    """
+    labels = [join_labels(s) for s in K.simplices]
+    pairs = []
+    for i, s in enumerate(K.simplices):
+        for j, t in enumerate(K.simplices):
+            if i != j and set(s) < set(t):
+                pairs.append([labels[i], labels[j]])
+    return validate_space(labels, pairs)
 
 
 def torus7_triangles():

@@ -7,15 +7,21 @@ from lscat import action as action_module
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
+    G_fence_search,
     NotAnAutomorphism,
-    G_homotopic,
     is_G_deformable,
     is_G_map,
     orbit_equivalent,
     validate_action,
 )
 from lscat.category import _factor_targets
-from lscat.poset import SpaceMap, _neighbors, homotopic, validate_space
+from lscat.poset import (
+    FenceCertificate,
+    SpaceMap,
+    _neighbors,
+    homotopic,
+    validate_space,
+)
 
 from oracles import (
     oracle_factor_targets,
@@ -78,6 +84,19 @@ def test_is_G_map_examples(conjugation, c4):
     assert is_G_map(SpaceMap.identity(c4), conjugation)
     assert is_G_map(SpaceMap.constant(c4, c4, c4.index["p"]), conjugation)
     assert not is_G_map(SpaceMap.constant(c4, c4, c4.index["U"]), conjugation)
+
+
+def G_homotopic(g1, g2, action):
+    """Fence through equivariant maps only, or None.  The maps' domain is
+    the space or an invariant subspace of it."""
+    if g1.domain != g2.domain or g1.codomain != g2.codomain:
+        raise ValueError("maps must share domain and codomain")
+    if not (is_G_map(g1, action) and is_G_map(g2, action)):
+        raise ValueError("maps must be equivariant")
+    if g1 == g2:
+        return FenceCertificate([g1])
+    parents = tuple(action.space.index[p] for p in g1.domain.points)
+    return G_fence_search(g1, action, parents, {g2.images}.__contains__)
 
 
 def test_G_homotopic_trivial_degenerates(v_space):

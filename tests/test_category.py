@@ -8,6 +8,7 @@ from lscat import poset
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
+    inclusion_map,
     is_G_deformable,
     validate_action,
 )
@@ -19,12 +20,8 @@ from lscat.category import (
     HypothesisUnmet,
     INFINITE,
     cat,
-    cat_classB,
     cat_mod,
     cat_pair,
-    cat_semi,
-    check_preimage_categorical,
-    closed_category_report,
     cover_category,
     cuplength_lower_bound,
     is_categorical,
@@ -36,8 +33,16 @@ from lscat.category import (
     classB_catalog,
     deformable_open_catalog,
     _factor_targets,
+    _induced,
 )
-from lscat.poset import SpaceMap, bits, validate_space
+from lscat.poset import (
+    SpaceMap,
+    bits,
+    concat_fences,
+    fence_search,
+    is_homotopy_equivalence,
+    validate_space,
+)
 
 from oracles import oracle_cat, oracle_min_cover
 
@@ -76,6 +81,18 @@ def test_categorical_with_free_class(conjugation, c4):
     ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, point,
                            with_certificate=False)
     assert ok
+
+
+def test_an_empty_class_admits_no_orbit(v_space):
+    # a trivial action decides by contractibility, which must not
+    # bypass a class that lists no subgroup
+    act = GroupAction.trivial(v_space)
+    empty = HomogeneousClass(act, [])
+    assert is_categorical(v_space.full_mask(), v_space, act, empty) == (
+        False, None)
+    result = cover_category(CatQuery(v_space, action=act, klass=empty))
+    assert result.value == INFINITE
+    assert result.verify()
 
 
 # -- the main values -----------------------------------------------------------
@@ -124,7 +141,8 @@ def test_class_monotonicity(conjugation, c4):
 
 
 def test_classB_v_reference(c4, v_space):
-    assert cat_classB(c4, [v_space]) == 2
+    assert cover_category(
+        CatQuery(c4, mode="classB", class_b=[v_space])).value == 2
 
 
 def test_classB_catalogue_is_keyed_by_the_reference_spaces(v_space):
@@ -134,7 +152,8 @@ def test_classB_catalogue_is_keyed_by_the_reference_spaces(v_space):
     action = GroupAction.trivial(v_space)
     for k in range(200):
         ref = validate_space(["x"], []) if k % 2 else fx.fix_v()
-        value = cat_classB(v_space, [ref], action=action)
+        value = cover_category(CatQuery(
+            v_space, mode="classB", action=action, class_b=[ref])).value
         assert value == (INFINITE if k % 2 else 1), k
         del ref
 
@@ -150,7 +169,8 @@ def test_mod_infinite_on_pinned_minima(c4):
     pq = c4.subset(["p", "q"])
     assert cat_mod(c4, pq, pq) == INFINITE
     assert cat_mod(c4, 1 << c4.index["p"], pq) == 0
-    assert cat_semi(c4, c4.full_mask(), pq) == INFINITE
+    assert cover_category(
+        CatQuery(c4, A=c4.full_mask(), Y=pq, mode="semi")).value == INFINITE
     assert cat_pair(c4, c4.full_mask(), pq) == 1
 
 
@@ -172,7 +192,7 @@ def test_ordering_chain_on_fixtures(arc3, c4, wedge2):
     ]
     for space, A, Y in cases:
         mod = cat_mod(space, A, Y)
-        semi = cat_semi(space, A, Y)
+        semi = cover_category(CatQuery(space, A=A, Y=Y, mode="semi")).value
         pair = cat_pair(space, A, Y)
         plain_a = cat(space, A)
         plain_y = cat(space, Y)
@@ -201,8 +221,9 @@ def test_monotonicity_all_modes_random(space, data):
     A = B & data.draw(st.integers(min_value=0, max_value=full))
     Y = data.draw(st.integers(min_value=0, max_value=full))
     assert cat(space, B) >= cat(space, A)
-    for fn in (cat_pair, cat_mod, cat_semi):
-        assert fn(space, B, Y) >= fn(space, A, Y)
+    for mode in ("pair", "mod", "semi"):
+        assert cover_category(CatQuery(space, A=B, Y=Y, mode=mode)).value \
+            >= cover_category(CatQuery(space, A=A, Y=Y, mode=mode)).value
 
 
 @given(small_spaces(), st.data())
@@ -212,7 +233,7 @@ def test_ordering_chain_random(space, data):
     A = data.draw(st.integers(min_value=0, max_value=full))
     Y = data.draw(st.integers(min_value=0, max_value=full))
     mod = cat_mod(space, A, Y)
-    semi = cat_semi(space, A, Y)
+    semi = cover_category(CatQuery(space, A=A, Y=Y, mode="semi")).value
     pair = cat_pair(space, A, Y)
     assert mod >= semi
     assert semi >= pair
@@ -575,6 +596,105 @@ def test_verify_rejects_each_defect(valid, defect, message):
 
 
 # -- structural checkers ---------------------------------------------------
+
+
+def check_preimage_categorical(phi, U, action=None, klass=None):
+    """For a homotopy equivalence phi and a categorical open U, certify
+    that the preimage is again an open categorical set.
+
+    The certificate composes the inverse equivalence with U's
+    factorisation and is re-validated stage by stage.
+    """
+    space = phi.domain
+    action = action or GroupAction.trivial(space)
+    klass = klass or HomogeneousClass.point_only(action)
+    if not is_homotopy_equivalence(phi):
+        raise HypothesisUnmet("homotopy_equivalence")
+    if not space.is_up_set(U):
+        raise HypothesisUnmet("open")
+    ok, u_cert = is_categorical(U, space, action, klass)
+    if not ok:
+        raise HypothesisUnmet("categorical")
+    pre_mask = sum(1 << i for i, v in enumerate(phi.images) if U >> v & 1)
+    assert space.is_up_set(pre_mask)  # preimage of open under continuous
+    if pre_mask == 0:
+        return {"preimage": pre_mask, "categorical": True,
+                "certificate": None, "note": "empty preimage"}
+
+    psi = fx.homotopy_inverse(phi)
+    incl_pre, pre_parents = inclusion_map(space, pre_mask)
+    # fence 1: incl ~ (psi o phi) o incl, restricted to the preimage
+    psiphi = psi.compose(phi)
+    outer = fence_search(SpaceMap.identity(space),
+                         {psiphi.images}.__contains__)
+    if outer is None:  # cannot happen for a genuine equivalence
+        raise HypothesisUnmet("homotopy_equivalence")
+    part1 = outer.compose_right(incl_pre)
+    # fence 2: psi o (U's factorisation fence) o phi|
+    sub_u, u_parents = space.subspace(U)
+    u_pos = {p: k for k, p in enumerate(u_parents)}
+    phi_restr = SpaceMap(
+        incl_pre.domain, sub_u,
+        tuple(u_pos[phi.images[p]] for p in pre_parents),
+    )
+    part2 = u_cert.compose_left(psi).compose_right(phi_restr)
+    full = concat_fences(part1, part2)
+    full.validate()
+    ok2, _ = is_categorical(pre_mask, space, action, klass,
+                            with_certificate=False)
+    return {
+        "preimage": pre_mask,
+        "categorical": True,
+        "certificate": full,
+        "independent_recheck": ok2,
+    }
+
+
+def closed_category_report(A, space, action=None, klass=None):
+    """Compare the four open/closed category quantities for a closed A.
+
+    Asserting the full chain needs normality; finite non-discrete models
+    are not normal, so the chain is only asserted on discrete spaces and
+    reported elsewhere.
+    """
+    action = action or GroupAction.trivial(space)
+    klass = klass or HomogeneousClass.point_only(action)
+    if not space.is_down_set(A):
+        raise HypothesisUnmet("closed")
+    sub, idx = space.subspace(A)
+    sub_action, sub_klass = _induced(action, klass, sub, idx)
+
+    value_in_sub = cover_category(
+        CatQuery(sub, action=sub_action, klass=sub_klass)
+    ).value
+    closed_in_sub = cover_category(
+        CatQuery(sub, mode="closed", action=sub_action, klass=sub_klass)
+    ).value
+    closed_in_x = cover_category(
+        CatQuery(space, A=A, mode="closed", action=action, klass=klass)
+    ).value
+    open_in_x = cover_category(
+        CatQuery(space, A=A, action=action, klass=klass)
+    ).value
+
+    verdicts = {
+        "cat_sub_ge_closed_sub": value_in_sub >= closed_in_sub,
+        "closed_sub_ge_closed_in_space": closed_in_sub >= closed_in_x,
+        "closed_in_space_eq_open_in_space": closed_in_x == open_in_x,
+    }
+    report = {
+        "cat_of_subspace": value_in_sub,
+        "closed_cat_of_subspace": closed_in_sub,
+        "closed_cat_in_space": closed_in_x,
+        "cat_in_space": open_in_x,
+        "verdicts": verdicts,
+        "asserted": space.is_discrete(),
+    }
+    if space.is_discrete() and not all(verdicts.values()):
+        raise AssertionError(
+            f"closed-category chain failed on a discrete space: {report}"
+        )
+    return report
 
 
 def test_preimage_categorical_identity(c4):

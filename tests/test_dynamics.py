@@ -3,13 +3,15 @@ import random
 import pytest
 
 import fixtures as fx
-from lscat.action import GroupAction, HomogeneousClass
-from lscat.category import INFINITE
+from lscat.action import GroupAction, HomogeneousClass, is_G_deformable
+from lscat.category import INFINITE, HypothesisUnmet
 from lscat.dynamics import (
     DynamicalPair,
-    HypothesisUnmet,
+    _band_mask,
+    _context,
+    _diff,
+    _gcat,
     check_discrete_palais_smale,
-    detect_nondeformable_slice,
     find_identity_fence,
     is_lyapunov,
     minimal_escape_power,
@@ -19,7 +21,7 @@ from lscat.dynamics import (
     verify_identity_band_bound,
     verify_semiflow,
 )
-from lscat.poset import SpaceMap, validate_space
+from lscat.poset import SpaceMap, bits, is_homotopy_equivalence, validate_space
 
 from oracles import oracle_palais_smale
 
@@ -194,6 +196,55 @@ def test_global_bound_wrapper(v_pair):
     assert report.verdict() == "HOLDS"
     report_inf = verify_global_bound(v_pair, INFINITE)
     assert report_inf.verdict() == "HOLDS"
+
+
+def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
+    """When the band has fewer critical levels than the category
+    difference, exhibit a fixed slice that no equivariant fence deforms
+    into a single orbit inside the band preimage."""
+    action, klass = _context(pair, action, klass)
+    space = pair.space
+    ok, wit = is_lyapunov(pair)
+    if not ok:
+        raise HypothesisUnmet("lyapunov", wit)
+    if not is_homotopy_equivalence(pair.phi):
+        raise HypothesisUnmet("homotopy_equivalence")
+    cat_fa = _gcat(space, pair.sublevel(a), action, klass)
+    cat_fb = _gcat(space, pair.sublevel(b), action, klass)
+    if cat_fa == INFINITE:
+        raise HypothesisUnmet("sublevel_category_finite")
+    levels = pair.critical_levels(a, b)
+    bound = _diff(cat_fb, cat_fa)
+    if bound < len(levels) + 1:
+        return []
+    band = _band_mask(pair, a, b)
+    orbit_reps = [
+        bits(orb)[0] for orb in action.orbits() if orb & ~band == 0
+    ]
+    out = []
+    for d in levels:
+        slice_mask = pair.level_slice(d)
+        if not slice_mask:
+            out.append({
+                "level": d, "degenerate": True,
+                "note": "empty fixed slice in a deficient band",
+            })
+            continue
+        tried = []
+        for rep in orbit_reps:
+            tried.append(space.points[rep])
+            if is_G_deformable(action, slice_mask,
+                               action.orbit_mask(rep)) is not None:
+                break
+        else:
+            out.append({
+                "level": d,
+                "degenerate": False,
+                "orbits_tried": tried,
+                "note": "exhaustive equivariant fence search reached no "
+                        "single-orbit image",
+            })
+    return out
 
 
 def test_detect_nondeformable_slice_examples(c4, v_space):

@@ -5,31 +5,26 @@ import json
 
 import pytest
 
-from lscat import action, poset, simplicial
+from lscat import action, engine, poset, simplicial
 import fixtures as fx
 from lscat.action import GroupAction, HomogeneousClass
 from lscat.category import CatQuery, cover_category
 from lscat.dynamics import DynamicalPair, verify_band_bound
-from lscat.engine import make_truncated_index, verify_index_bound
+from lscat.engine import (
+    IndexFunction,
+    check_axioms,
+    make_truncated_index,
+    verify_index_bound,
+)
 from lscat.formats import emit_report
 from lscat.poset import (
     SizeCapExceeded,
     SpaceMap,
-    enumerate_maps,
     fence_search,
     homotopic,
     validate_space,
 )
 from lscat.simplicial import SimplicialComplex, star_cover_upper_bound
-
-
-def test_enumerate_maps_cap_and_override(monkeypatch):
-    big = fx.discrete(13)
-    with pytest.raises(SizeCapExceeded):
-        enumerate_maps(big, big)
-    monkeypatch.setattr(poset, "MAP_SPACE_CAP", 13)
-    maps = enumerate_maps(big.subspace(big.subset(["d0"]))[0], big)
-    assert len(maps) == 13
 
 
 def test_subset_cap_on_up_sets():
@@ -185,9 +180,6 @@ _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
     pytest.param(poset, "SUBSET_SPACE_CAP", 2, 3,
                  lambda: fx.discrete(3).up_sets(), id="up_sets"),
     pytest.param(poset, "MAP_SPACE_CAP", 2, 3,
-                 lambda: enumerate_maps(fx.discrete(3), fx.discrete(3)),
-                 id="enumerate_maps"),
-    pytest.param(poset, "MAP_SPACE_CAP", 2, 3,
                  lambda: homotopic(*_two_constants(3)), id="homotopic"),
     pytest.param(poset, "FENCE_NODE_CAP", 1, 100,
                  lambda: fence_search(SpaceMap.identity(fx.fix_v()),
@@ -200,6 +192,10 @@ _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
                  lambda: star_cover_upper_bound(SimplicialComplex.from_maximal(
                      [("a", "b"), ("b", "c"), ("a", "c")])),
                  id="star_cover_upper_bound"),
+    pytest.param(engine, "AXIOM_EXHAUSTIVE_CAP", 2, 3,
+                 lambda: check_axioms(IndexFunction(fx.fix_v(),
+                                                    lambda A, Y: 0)),
+                 id="check_axioms"),
 ])
 def test_size_caps_name_their_override(monkeypatch, module, constant, low,
                                        high, call):

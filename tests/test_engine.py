@@ -7,9 +7,10 @@ import fixtures as fx
 from lscat import engine
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
-from lscat.dynamics import DynamicalPair
+from lscat.dynamics import DynamicalPair, is_lyapunov
 from lscat.engine import (
     CHECK_SAMPLES,
+    CriticalValueTable,
     HypothesisUnmet,
     IndexFunction,
     _check_axioms_sampled,
@@ -17,13 +18,11 @@ from lscat.engine import (
     band_escape_exponent,
     check_axioms,
     check_supervariance,
-    critical_values,
     make_truncated_index,
     random_instance,
-    sublevel_entry_margin,
     verify_index_bound,
 )
-from lscat.poset import SizeCapExceeded, SpaceMap, validate_space
+from lscat.poset import SizeCapExceeded, SpaceMap, bits, validate_space
 
 from oracles import (
     oracle_axioms_sampled,
@@ -351,6 +350,44 @@ def test_escape_exponent_minimality_on_generated_instances():
     assert checked == 200
 
 
+def sublevel_entry_margin(pair, U, a, eps):
+    """Largest margin d in ]0, eps] with phi(f^{a+d}) inside U.
+
+    Candidates come from the gap structure of the value set; a margin
+    below the first value above the cut always works for Lyapunov pairs
+    since the sublevel set is forward invariant.
+    """
+    ok, wit = is_lyapunov(pair)
+    if not ok:
+        raise HypothesisUnmet("lyapunov", wit)
+    if eps <= 0:
+        raise ValueError("need a positive window")
+    fa = pair.sublevel(a)
+    if fa & ~U:
+        raise HypothesisUnmet(
+            "neighborhood_contains_sublevel",
+            sorted(pair.space.labels(fa & ~U)),
+        )
+    fixed = pair.fixed_mask()
+    for i in bits(fixed):
+        if a < pair.f[i] < a + eps:
+            raise HypothesisUnmet(
+                "fixed_point_free_window", pair.space.points[i]
+            )
+    above = [v for v in pair.values_sorted() if v > a]
+    candidates = [eps]
+    candidates.extend(v - a for v in above if v - a <= eps)
+    if above:
+        candidates.append(min(above[0] - a, eps) / 2)
+    else:
+        candidates.append(eps / 2)
+    for delta in sorted(set(candidates), reverse=True):
+        moved = pair.phi.image_mask(pair.sublevel(a + delta))
+        if moved & ~U == 0:
+            return delta
+    raise AssertionError("no margin worked despite the hypotheses")
+
+
 def test_entry_margin_examples(v_pair, v_space):
     assert sublevel_entry_margin(v_pair, v_space.full_mask(), 1.0, 1.0) == 1.0
     delta = sublevel_entry_margin(
@@ -366,7 +403,7 @@ def test_entry_margin_examples(v_pair, v_space):
 
 
 def test_critical_values_negative_control(c4_const_pair, c4_index):
-    table = critical_values(c4_index, c4_const_pair, -1.0, 2.0)
+    table = CriticalValueTable(c4_const_pair, c4_index, -1.0, 2.0)
     assert table.values() == [0.0, 1.0]
     assert nondecreasing(table) and in_band(table)
     assert not all_critical(table)  # level 1 has no fixed points
@@ -377,13 +414,13 @@ def test_critical_values_negative_control(c4_const_pair, c4_index):
 
 
 def test_critical_values_positive(v_pair, v_index):
-    table = critical_values(v_index, v_pair, -1.0, 3.0)
+    table = CriticalValueTable(v_pair, v_index, -1.0, 3.0)
     assert table.values() == [0.0]
     assert all_critical(table)
 
 
 def test_critical_values_empty_band(v_pair, v_index):
-    table = critical_values(v_index, v_pair, 5.0, 6.0)
+    table = CriticalValueTable(v_pair, v_index, 5.0, 6.0)
     assert table.values() == []
 
 
@@ -441,7 +478,7 @@ def test_minmax_levels_are_critical_under_supervariance():
     for seed in range(60):
         pair, nu, a, b = random_instance(seed)
         sup = check_supervariance(nu, pair.phi, pair.sublevel(a))
-        table = critical_values(nu, pair, a, b)
+        table = CriticalValueTable(pair, nu, a, b)
         assert nondecreasing(table) and in_band(table)
         if sup["ok"]:
             assert all_critical(table), (seed, table.values())

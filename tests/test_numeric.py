@@ -11,7 +11,6 @@ from lscat.numeric import (
     FlowConfig,
     LeftDomain,
     ScalarField,
-    check_condition_C,
     check_discrete_palais_smale_sampled,
     check_energy_identity,
     field_V,
@@ -158,6 +157,23 @@ def test_flow_map_is_bit_exact_against_plain_rk4():
             assert states.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("j", [50, 100], ids=["mid-run", "last-step"])
+def test_flow_map_leaves_the_domain_at_a_completed_state(j):
+    # the domain rejects exactly state j, and no stage point equals it:
+    # a mid-run state fails the next step's first stage, the last state
+    # the check after the loop
+    q = quadratic_field()
+    cfg = FlowConfig(1.0)
+    start = [0.3, 0.2]
+    bad = flow_map(q, start, cfg).states[j]
+    field = ScalarField(q.dim, q.f, q.grad,
+                        domain=lambda m: not np.array_equal(m, bad))
+    states, t_exit = _flow_outcome(field, start, cfg)
+    _, expect_exit = oracle_flow(field, start, 1.0, 100)
+    assert states is None
+    assert t_exit == expect_exit == j * 0.01
+
+
 def _wide_vectors(rng, dim, count):
     """Vectors across many binary exponents: half share one exponent per
     vector (sums whose terms are alike, where an FMA would show), half
@@ -263,6 +279,10 @@ def test_flow_zero_field_stays_put():
     assert np.allclose(traj.endpoint, [0.4, -0.2])
 
 
+def trajectory_values(traj):
+    return np.array([traj.field.f(m) for m in traj.states])
+
+
 def test_flow_matches_closed_form():
     q = quadratic_field()
     cfg = FlowConfig(1.0, 1.0 / 1000)
@@ -274,7 +294,7 @@ def test_flow_matches_closed_form():
 def test_flow_half_interval_descends_then_exits():
     hi = half_interval_field()
     traj = flow_map(hi, [0.9], FlowConfig(0.4, 0.4 / 1000))
-    assert np.all(np.diff(traj.values()) < 0)
+    assert np.all(np.diff(trajectory_values(traj)) < 0)
     with pytest.raises(LeftDomain):
         flow_map(hi, [0.2], FlowConfig(1.0, 1.0 / 1000))
 
@@ -282,7 +302,7 @@ def test_flow_half_interval_descends_then_exits():
 def test_lyapunov_along_flow():
     q = random_quadratic_field(11)
     traj = flow_map(q, [1.0, -0.7], FlowConfig(1.0, 1.0 / 500))
-    values = traj.values()
+    values = trajectory_values(traj)
     assert np.all(np.diff(values) < 1e-12)
 
 
@@ -311,6 +331,83 @@ def test_gradient_finite_difference_consistency():
         check_gradient(field, rng, samples=1000, rel_tol=1e-5)
     half = half_interval_field()
     check_gradient(half, np.random.default_rng(4), samples=200, box=0.45)
+
+
+# Thresholds of check_condition_C.
+GRAD_TOL = 1e-2         # a vanishing gradient norm
+CRIT_TOL = 1e-3         # gradient norm at a critical point
+PROBE_TIME = 5.0        # horizon of the descent probe
+
+
+def check_condition_C(field, samples):
+    """Empirical Palais-Smale check on a finite sample set.
+
+    Two heuristic triggers: samples with vanishing gradient norm must
+    descend to an interior critical point, and the lowest sample's
+    descent must not escape the domain (escape means the completeness
+    needed to accumulate inside the space fails).  The verdict never
+    feeds an assertion directly.
+    """
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    if not samples:
+        raise ValueError("need a nonempty sample set")
+    values = np.array([field.f(s) for s in samples])
+    if not np.isfinite(values).all():
+        raise ValueError("function values must stay bounded on the samples")
+    norms = np.array(
+        [float(np.linalg.norm(field.grad(s))) for s in samples]
+    )
+    order = np.argsort(norms)
+    smallest = norms[order[0]]
+    report = {
+        "heuristic": True,
+        "min_gradient_norm": float(smallest),
+        "verdict": "consistent",
+        "cluster": None,
+    }
+
+    def probe(start):
+        cfg = FlowConfig(PROBE_TIME, PROBE_TIME / 500.0)
+        try:
+            end = flow_map(field, start, cfg).endpoint
+        except LeftDomain as err:
+            return None, err.t_exit
+        return end, None
+
+    if smallest <= GRAD_TOL:
+        k = max(1, len(samples) // 10)
+        cluster = [samples[i] for i in order[:k]]
+        report["cluster"] = [list(map(float, c)) for c in cluster]
+        end, exit_t = probe(cluster[0])
+        if end is not None and float(
+            np.linalg.norm(field.grad(end))
+        ) <= CRIT_TOL:
+            report["critical_estimate"] = list(map(float, end))
+            report["note"] = (
+                "vanishing-gradient samples descend to an interior "
+                "critical point"
+            )
+        else:
+            report["verdict"] = "violation-suspected"
+            report["note"] = (
+                "gradient norms vanish along the samples but descent finds "
+                "no interior critical point"
+            )
+            report["escape_time"] = exit_t
+        return report
+    lowest = samples[int(np.argmin(values))]
+    end, exit_t = probe(lowest)
+    if end is None:
+        report["verdict"] = "violation-suspected"
+        report["cluster"] = [list(map(float, lowest))]
+        report["escape_time"] = exit_t
+        report["note"] = (
+            "descent from the lowest sample escapes the domain: no "
+            "critical point in the closure within the space"
+        )
+    else:
+        report["note"] = "gradient stays away from zero on the samples"
+    return report
 
 
 def test_condition_c_branches():

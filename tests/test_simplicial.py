@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures as fx
+from fixtures import face_poset
 from lscat.category import cuplength_lower_bound
 from lscat.simplicial import (
     CohomologyRing,
@@ -15,7 +16,6 @@ from lscat.simplicial import (
     cup,
     cuplength,
     Cochain,
-    face_poset,
     order_complex,
     star_cover_upper_bound,
 )
