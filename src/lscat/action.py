@@ -242,19 +242,21 @@ class HomogeneousClass:
 
     An orbit belongs to the class when its stabiliser is conjugate to a
     listed subgroup; a transitive G-set G/H is admissible when H is.
+    Classes are keyed by their subgroup list alone, so two classes that
+    list the same subgroups (for a trivial action the point, free and
+    all classes) share their catalogues.
     """
 
-    __slots__ = ("action", "subgroup_list", "kind", "_key")
+    __slots__ = ("action", "subgroup_list", "_key")
 
-    def __init__(self, action, subgroup_list, kind="explicit"):
+    def __init__(self, action, subgroup_list):
         self.action = action
         self.subgroup_list = tuple(subgroup_list)
-        self.kind = kind
-        self._key = (kind, tuple(tuple(sorted(h)) for h in self.subgroup_list))
+        self._key = tuple(tuple(sorted(h)) for h in self.subgroup_list)
 
     @classmethod
     def all_types(cls, action):
-        return cls(action, action.subgroups(), kind="all")
+        return cls(action, action.subgroups())
 
     @classmethod
     def default(cls, action):
@@ -268,11 +270,11 @@ class HomogeneousClass:
     def point_only(cls, action):
         """Only the one-point orbit G/G (classical category for trivial G)."""
         full = frozenset(range(len(action.elements)))
-        return cls(action, [full], kind="point")
+        return cls(action, [full])
 
     @classmethod
     def free_only(cls, action):
-        return cls(action, [frozenset([0])], kind="free")
+        return cls(action, [frozenset([0])])
 
     def admits_stabilizer(self, H):
         return any(self.action.are_conjugate(H, K) for K in self.subgroup_list)

@@ -25,9 +25,11 @@ the space: see ``poset.is_contractible_in``).  A categorical cover
 set's fence is assembled the first time its ``CoverEntry.certificate``
 is read, by calling ``is_categorical`` again, so it is the fence the set
 would have had if built eagerly.  ``CatResult.verify`` re-runs no
-search: ``_check_fence`` checks each categorical or deformable fence
-(it starts at the inclusion, every stage is a G-map, and it ends inside
-Y or through an admissible orbit).
+search on a finite value: ``_check_fence`` checks each categorical or
+deformable fence (it starts at the inclusion, every stage is a G-map,
+and it ends inside Y or through an admissible orbit).  An infinite
+plain or closed value is checked by one membership decision per point
+of A, on the least invariant open (closed) set around its orbit.
 
 An infinite category value is the infinite value ``math.inf``, named
 ``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
@@ -162,14 +164,33 @@ class CatResult:
         return f"CatResult({self.value}, mode={self.query.mode})"
 
     def verify(self):
-        """Re-validate the certificate from scratch, running no search:
-        each set needs a role and the shape (open, or closed in closed
-        mode) of the mode, a classB set a matching reference space, and a
-        categorical or deformable set a fence passing ``_check_fence``."""
-        if self.value == INFINITE:
-            return True
+        """Re-validate the certificate from scratch: each set needs a
+        role and the shape (open, or closed in closed mode) of the mode, a
+        classB set a matching reference space, and a categorical or
+        deformable set a fence passing ``_check_fence``.  A finite value
+        runs no search.
+
+        An ``INFINITE`` value needs an empty cover.  In plain and closed
+        mode it also needs a point x of A whose least invariant open
+        up(Gx) (closed: down(Gx)) is not categorical; that is exact,
+        since the categorical family is down-closed among invariant sets,
+        so no categorical set then contains x.  The pair, mod, semi and
+        classB modes accept an infinite value only with an empty cover."""
         q = self.query
         space = q.space
+        if self.value == INFINITE:
+            if self.cover:
+                raise ValueError("an infinite value has a cover")
+            hull = {"plain": space.up_closure,
+                    "closed": space.down_closure}.get(q.mode)
+            if hull and all(
+                    is_categorical(hull(q.action.orbit_mask(x)), space,
+                                   q.action, q.klass,
+                                   with_certificate=False)[0]
+                    for x in bits(q.A)):
+                raise ValueError("infinite value, yet every point of A "
+                                 "lies in a categorical set")
+            return True
         allowed = {"iso": q.mode == "classB",
                    "categorical": q.mode != "classB",
                    "deformable": q.mode in ("pair", "mod", "semi")}
@@ -596,8 +617,7 @@ def _induced(action, klass, sub, idx):
     restricted = [where[tuple(pos[g[p]] for p in idx)]
                   for g in action.elements]
     sub_klass = HomogeneousClass(sub_action, dict.fromkeys(
-        frozenset(restricted[k] for k in H) for H in klass.subgroup_list),
-        kind=klass.kind)
+        frozenset(restricted[k] for k in H) for H in klass.subgroup_list))
     return sub_action, sub_klass
 
 

@@ -6,6 +6,14 @@ and reports a hypothesis ledger; hypothesis failures never abort, since
 the negative fixtures are first-class test content.  Parts whose proofs
 need normality or an ANR hypothesis (unavailable on finite non-discrete
 models) are report-only: their failures are recorded, not persisted.
+
+The theorems share one band core.  A ``DynamicalPair`` holds its fixed
+mask and gives the band mask a < f <= b; the critical levels, the orbit
+classes and the fixed band slice are read from the two.  One
+``check_discrete_palais_smale`` call fills both Lyapunov ledger rows.
+``_band_values`` writes the sublevel categories and the slice sum
+(``_slice_sum``, which the engine shares), and ``_difference_parts`` the
+three counts against their difference.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .poset import (
 class DynamicalPair:
     """A self-map ``phi`` of a space with a real value ``f`` per point."""
 
-    __slots__ = ("space", "phi", "f")
+    __slots__ = ("space", "phi", "f", "_fixed")
 
     def __init__(self, space, phi, f):
         if phi.domain != space or phi.codomain != space:
@@ -54,29 +62,30 @@ class DynamicalPair:
         self.space = space
         self.phi = phi
         self.f = f
+        self._fixed = sum(
+            1 << i for i, v in enumerate(phi.images) if v == i
+        )
 
     def fixed_mask(self):
-        return sum(
-            1 << i for i, v in enumerate(self.phi.images) if v == i
-        )
+        return self._fixed
 
     def sublevel(self, a):
         return sum(1 << i for i, v in enumerate(self.f) if v <= a)
 
+    def _band(self, a, b):
+        """The band a < f <= b."""
+        return sum(1 << i for i, v in enumerate(self.f) if a < v <= b)
+
     def level_slice(self, d):
-        return self.fixed_mask() & sum(
+        return self._fixed & sum(
             1 << i for i, v in enumerate(self.f) if v == d
         )
 
     def critical_levels(self, a, b):
         """Sorted values of f on the fixed set within ]a, b]."""
-        fixed = self.fixed_mask()
-        vals = {
-            self.f[i]
-            for i in bits(fixed)
-            if a < self.f[i] <= b
-        }
-        return sorted(vals)
+        return sorted({
+            self.f[i] for i in bits(self._fixed & self._band(a, b))
+        })
 
     def values_sorted(self):
         return sorted(set(self.f))
@@ -246,7 +255,7 @@ def _slice_sum(pair, a, b, cat):
 
 def _fixed_slice_cat(pair, a, b, action, klass):
     """Category of the fixed band slice as its own space (0 if empty)."""
-    slice_mask = action.saturate(pair.fixed_mask() & _band_mask(pair, a, b))
+    slice_mask = action.saturate(pair.fixed_mask() & pair._band(a, b))
     if not slice_mask:
         return 0
     sub, idx = pair.space.subspace(slice_mask)
@@ -257,9 +266,9 @@ def _fixed_slice_cat(pair, a, b, action, klass):
 
 
 def _base_hypotheses(report, pair, action):
-    ok, wit = is_lyapunov(pair)
-    report.hypothesis("lyapunov", "checked", ok, witness=wit)
     dps = check_discrete_palais_smale(pair)
+    report.hypothesis("lyapunov", "checked", dps["holds"],
+                      witness=dps["witness"])
     report.hypothesis(
         "discrete_palais_smale", "checked", dps["holds"],
         witness=dps["witness"],
@@ -282,13 +291,8 @@ def _base_hypotheses(report, pair, action):
 
 def _count_orbit_classes(pair, a, b, action):
     """Equivalence classes of orbits in the fixed band slice."""
-    fixed = pair.fixed_mask()
-    band = [
-        i for i in bits(fixed)
-        if a < pair.f[i] <= b
-    ]
     reps = []
-    for i in band:
+    for i in bits(pair.fixed_mask() & pair._band(a, b)):
         if not any(action.orbit_mask(j) >> i & 1 for j in reps):
             reps.append(i)
     classes = []
@@ -299,6 +303,56 @@ def _count_orbit_classes(pair, a, b, action):
                 break
         else:
             classes.append([i])
+    return classes
+
+
+def _band_values(report, pair, a, b, action, klass, notes):
+    """Write the band's sublevel categories and slice sum to the report's
+    values, with the two hypotheses on them, noted by ``notes``: the low
+    category is finite, and the sublevels form a binormal ANR pair
+    (checked on a discrete space, else assumed).  Returns the low and
+    high categories and the slice sum."""
+    space = pair.space
+    cat = lambda m: _gcat(space, m, action, klass)  # noqa: E731
+    cat_fa, cat_fb = cat(pair.sublevel(a)), cat(pair.sublevel(b))
+    report.hypothesis("sublevel_category_finite", "checked",
+                      cat_fa < INFINITE, note=notes[0])
+    normal = space.is_discrete()
+    report.hypothesis("binormal_anr", "checked" if normal else "assumed",
+                      True, note=None if normal else notes[1])
+    lhs, per_level = _slice_sum(pair, a, b, cat)
+    report.values.update({
+        "sublevel_cat_low": cat_fa,
+        "sublevel_cat_high": cat_fb,
+        "slice_sum": lhs,
+        "per_level": per_level,
+    })
+    return cat_fa, cat_fb, lhs
+
+
+def _difference_parts(report, pair, a, b, action, klass, names, rhs, notes):
+    """Write the band's three fixed-point counts, each against the
+    sublevel category difference ``_diff(high, low)`` of the report's
+    values: the slice sum, the orbit-class count and the fixed slice's
+    own category.  The first is assertable when the checked ledger
+    passes, the other two also need a discrete (normal) space.  Returns
+    the orbit classes."""
+    low = report.values["sublevel_cat_low"]
+    high = report.values["sublevel_cat_high"]
+    classes = _count_orbit_classes(pair, a, b, action)
+    report.values["orbit_class_count"] = len(classes)
+    report.values["fixed_slice_cat"] = _fixed_slice_cat(
+        pair, a, b, action, klass)
+    ledger_ok = not report.checked_failures()
+    normal = pair.space.is_discrete()
+    counts = (report.values["slice_sum"], len(classes),
+              report.values["fixed_slice_cat"])
+    for k, (name, count, note) in enumerate(zip(names, counts, notes)):
+        report.part(
+            name, count, rhs, value_ge_diff(count, high, low),
+            assertable=ledger_ok and (k == 0 or normal),
+            bound=_diff(high, low), note=note,
+        )
     return classes
 
 
@@ -320,58 +374,23 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     report.hypothesis(
         "homotopy_equivalence", "checked", is_homotopy_equivalence(pair.phi)
     )
-    cat_fa = _gcat(space, pair.sublevel(a), action, klass)
-    cat_fb = _gcat(space, pair.sublevel(b), action, klass)
-    report.hypothesis(
-        "sublevel_category_finite", "checked", cat_fa < INFINITE,
-        note="category of the lower sublevel set",
+    cat_fa, cat_fb, _ = _band_values(
+        report, pair, a, b, action, klass,
+        ("category of the lower sublevel set",
+         "finite non-discrete models are not normal; parts b and c are "
+         "report-only"),
     )
-    normality = space.is_discrete()
-    report.hypothesis(
-        "binormal_anr", "checked" if normality else "assumed", True,
-        note=None if normality else
-        "finite non-discrete models are not normal; parts b and c are "
-        "report-only",
+    report.values["band"] = [a, b]
+    classes = _difference_parts(
+        report, pair, a, b, action, klass, ("a", "b", "c"),
+        f"{cat_fb} - {cat_fa}",
+        (None, "orbit-class count against the category difference",
+         "category of the fixed band slice as its own space"),
     )
-    lhs, per_level = _slice_sum(
-        pair, a, b, lambda m: _gcat(space, m, action, klass)
-    )
-    report.values.update({
-        "sublevel_cat_low": cat_fa,
-        "sublevel_cat_high": cat_fb,
-        "slice_sum": lhs,
-        "per_level": per_level,
-        "band": [a, b],
-    })
-    checked_ok = not report.checked_failures()
-    report.part(
-        "a", lhs, f"{cat_fb} - {cat_fa}",
-        value_ge_diff(lhs, cat_fb, cat_fa),
-        assertable=checked_ok,
-        bound=_diff(cat_fb, cat_fa),
-    )
-    classes = _count_orbit_classes(pair, a, b, action)
     types_ok = all(
         klass.admits_stabilizer(action.stabilizer(cls[0])) for cls in classes
     )
     report.hypothesis("orbit_types_admissible", "checked", types_ok)
-    report.values["orbit_class_count"] = len(classes)
-    report.part(
-        "b", len(classes), f"{cat_fb} - {cat_fa}",
-        value_ge_diff(len(classes), cat_fb, cat_fa),
-        assertable=normality and checked_ok,
-        bound=_diff(cat_fb, cat_fa),
-        note="orbit-class count against the category difference",
-    )
-    cat_slice = _fixed_slice_cat(pair, a, b, action, klass)
-    report.values["fixed_slice_cat"] = cat_slice
-    report.part(
-        "c", cat_slice, f"{cat_fb} - {cat_fa}",
-        value_ge_diff(cat_slice, cat_fb, cat_fa),
-        assertable=normality and checked_ok,
-        bound=_diff(cat_fb, cat_fa),
-        note="category of the fixed band slice as its own space",
-    )
     _maybe_persist(report)
     return report
 
@@ -381,14 +400,6 @@ def _diff(x, y):
     if y == INFINITE:
         return x if x == INFINITE else 0
     return x - y
-
-
-def _band_mask(pair, a, b):
-    return sum(
-        1 << i
-        for i, v in enumerate(pair.f)
-        if a < v <= b
-    )
 
 
 def find_identity_fence(pair, action, preserve_mask=None):
@@ -422,19 +433,9 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
 
     fa_mask = pair.sublevel(a)
     fb_mask = pair.sublevel(b)
-    cat_fa = _gcat(space, fa_mask, action, klass)
-    cat_fb = _gcat(space, fb_mask, action, klass)
-    report.hypothesis(
-        "sublevel_category_finite", "checked", cat_fa < INFINITE
-    )
-    normality = space.is_discrete()
-    report.hypothesis(
-        "binormal_anr", "checked" if normality else "assumed", True,
-        note=None if normality else "parts b and c are report-only",
-    )
-
-    lhs, per_level = _slice_sum(
-        pair, a, b, lambda m: _gcat(space, m, action, klass)
+    cat_fa, cat_fb, lhs = _band_values(
+        report, pair, a, b, action, klass,
+        (None, "parts b and c are report-only"),
     )
     pair_bound = _gcat(space, fb_mask, action, klass, mode="pair", Y=fa_mask)
     semi_bound = (
@@ -469,10 +470,6 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     )
 
     report.values.update({
-        "sublevel_cat_low": cat_fa,
-        "sublevel_cat_high": cat_fb,
-        "slice_sum": lhs,
-        "per_level": per_level,
         "difference_bound": _diff(cat_fb, cat_fa),
         "pair_bound": pair_bound,
         "semi_bound": semi_bound,
@@ -481,24 +478,9 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     })
 
     core_ok = not report.checked_failures()
-    report.part(
-        "I", lhs, "difference", value_ge_diff(lhs, cat_fb, cat_fa),
-        assertable=core_ok, bound=_diff(cat_fb, cat_fa),
-        note="holds for unbounded bands as well",
-    )
-    classes = _count_orbit_classes(pair, a, b, action)
-    report.values["orbit_class_count"] = len(classes)
-    report.part(
-        "I_orbits", len(classes), "difference",
-        value_ge_diff(len(classes), cat_fb, cat_fa),
-        assertable=normality and core_ok, bound=_diff(cat_fb, cat_fa),
-    )
-    cat_slice = _fixed_slice_cat(pair, a, b, action, klass)
-    report.values["fixed_slice_cat"] = cat_slice
-    report.part(
-        "I_slice", cat_slice, "difference",
-        value_ge_diff(cat_slice, cat_fb, cat_fa),
-        assertable=normality and core_ok, bound=_diff(cat_fb, cat_fa),
+    _difference_parts(
+        report, pair, a, b, action, klass, ("I", "I_orbits", "I_slice"),
+        "difference", ("holds for unbounded bands as well", None, None),
     )
     report.part(
         "II", lhs, "pair category", lhs >= pair_bound,
@@ -588,23 +570,16 @@ def verify_semiflow(pair, action=None, klass=None):
     a = min(pair.f) - 1.0
     inner = verify_identity_band_bound(pair, a, INFINITE, action, klass)
     report.values["band_report"] = inner.to_dict()
-    total = inner.values["slice_sum"]
     cat_x = inner.values["sublevel_cat_high"]
     ledgers_ok = not (report.checked_failures() or inner.checked_failures())
-    report.part(
-        "a", total, "whole-space category", total >= cat_x,
-        assertable=ledgers_ok, bound=cat_x,
-    )
-    report.part(
-        "b", inner.values["orbit_class_count"], "whole-space category",
-        inner.values["orbit_class_count"] >= cat_x,
-        assertable=space.is_discrete() and ledgers_ok, bound=cat_x,
-    )
-    report.part(
-        "c", inner.values["fixed_slice_cat"], "whole-space category",
-        inner.values["fixed_slice_cat"] >= cat_x,
-        assertable=space.is_discrete() and ledgers_ok, bound=cat_x,
-    )
+    for name, key in (("a", "slice_sum"), ("b", "orbit_class_count"),
+                      ("c", "fixed_slice_cat")):
+        count = inner.values[key]
+        report.part(
+            name, count, "whole-space category", count >= cat_x,
+            assertable=ledgers_ok and (name == "a" or space.is_discrete()),
+            bound=cat_x,
+        )
     _maybe_persist(report)
     return report
 
@@ -646,22 +621,16 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
         "per_level": per_level,
         "band": [a, b],
     })
-    report.part(
-        "count", total, "difference of reference-class counts",
-        value_ge_diff(total, cat_fb, cat_fa),
-        assertable=not report.checked_failures(),
-        bound=_diff(cat_fb, cat_fa),
-    )
     # flow variant: the iterates of a homeomorphism form a discrete flow
-    rest = pair.fixed_mask()
-    report.values["flow_rest_set"] = sorted(space.labels(rest))
-    report.part(
-        "flow", total, "difference of reference-class counts",
-        value_ge_diff(total, cat_fb, cat_fa),
-        assertable=not report.checked_failures(),
-        bound=_diff(cat_fb, cat_fa),
-        note="rest points of the iterate flow coincide with the fixed set",
-    )
+    report.values["flow_rest_set"] = sorted(space.labels(pair.fixed_mask()))
+    for name, note in (("count", None), ("flow", "rest points of the "
+                       "iterate flow coincide with the fixed set")):
+        report.part(
+            name, total, "difference of reference-class counts",
+            value_ge_diff(total, cat_fb, cat_fa),
+            assertable=not report.checked_failures(),
+            bound=_diff(cat_fb, cat_fa), note=note,
+        )
     _maybe_persist(report)
     return report
 

@@ -27,6 +27,7 @@ from .dynamics import (
     is_lyapunov,
     minimal_escape_power,
     persist_violation,
+    _slice_sum,
 )
 from .poset import (
     SizeCapExceeded,
@@ -188,21 +189,21 @@ def check_axioms(nu):
             break
     report.record("mixed_subadditivity", sub_w is None, sub_w)
 
-    cont_w = None
-    opens = space.up_sets()
-    for A in space.down_sets():
-        found = False
-        for U in opens:
-            if A & ~U:
-                continue
-            if all(nu(A, Y) == nu(U, Y) for Y in range(full + 1)):
-                found = True
-                break
-        if not found:
-            cont_w = _witness(space, A=A)
-            break
+    cont_w = _continuity_witness(nu, space.down_sets(), range(full + 1))
     report.record("continuity", cont_w is None, cont_w)
     return report
+
+
+def _continuity_witness(nu, closed_sets, probe_ys):
+    """The first closed set A with no open U containing it where
+    nu(A, Y) = nu(U, Y) for every probe Y, as a witness; None if none."""
+    space = nu.space
+    opens = space.up_sets()
+    for A in closed_sets:
+        if not any(A & ~U == 0 and all(nu(A, Y) == nu(U, Y) for Y in probe_ys)
+                   for U in opens):
+            return _witness(space, A=A)
+    return None
 
 
 def _randrange_draws(rng, size, count):
@@ -254,7 +255,7 @@ def _check_axioms_sampled(nu, sample, seed):
     triples = zip(*[iter(draws)] * 3)
     used = 0
     report = AxiomReport("sampled")
-    mono = sub_w = cont_w = None
+    mono = sub_w = None
     for B, A, Y in islice(triples, sample):
         used += 3
         A &= B
@@ -272,17 +273,7 @@ def _check_axioms_sampled(nu, sample, seed):
     closed = list(space.down_sets())
     rng.shuffle(closed)
     probe_ys = [rng.randrange(size) for _ in range(16)]
-    for A in closed[: max(4, sample // 64)]:
-        found = False
-        for U in space.up_sets():
-            if A & ~U:
-                continue
-            if all(nu(A, Y) == nu(U, Y) for Y in probe_ys):
-                found = True
-                break
-        if not found:
-            cont_w = _witness(space, A=A)
-            break
+    cont_w = _continuity_witness(nu, closed[: max(4, sample // 64)], probe_ys)
     report.record("continuity", cont_w is None, cont_w)
     return report
 
@@ -367,11 +358,6 @@ class CriticalValueTable:
         values = [v for v in pair.values_sorted() if a < v <= b]
         self.levels = []
         fixed_values = {pair.f[i] for i in bits(pair.fixed_mask())}
-        prev_by_value = {}
-        prev = None
-        for v in values:
-            prev_by_value[v] = prev
-            prev = v
         for k in range(self.mu_low + 1, self.mu_high + 1):
             ck = None
             for v in values:
@@ -379,15 +365,13 @@ class CriticalValueTable:
                     ck = v
                     break
             assert ck is not None, "monotone ladder must reach the top"
-            below = prev_by_value[ck]
-            below_mask = pair.sublevel(below) if below is not None else (
-                pair.sublevel(a)
-            )
+            # {f < ck} is the sublevel of the band value before ck, or of a
+            below = sum(1 << i for i, v in enumerate(pair.f) if v < ck)
             self.levels.append({
                 "k": k,
                 "value": ck,
                 "slice": pair.level_slice(ck),
-                "lower_check": mu(below_mask) < k,
+                "lower_check": mu(below) < k,
                 "upper_check": mu(pair.sublevel(ck)) >= k,
                 "is_critical_level": ck in fixed_values,
             })
@@ -398,9 +382,6 @@ class CriticalValueTable:
             else:
                 self.runs.append({"value": lev["value"], "ks": [lev["k"]],
                                   "slice": lev["slice"]})
-
-    def values(self):
-        return [lev["value"] for lev in self.levels]
 
     def to_dict(self, space):
         return {
@@ -440,12 +421,9 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
     hypotheses = {}
-    ok, wit = is_lyapunov(pair)
-    hypotheses["lyapunov"] = {"ok": ok, "witness": wit}
     dps = check_discrete_palais_smale(pair)
-    hypotheses["discrete_palais_smale"] = {
-        "ok": dps["holds"], "witness": dps["witness"]
-    }
+    for name in ("lyapunov", "discrete_palais_smale"):
+        hypotheses[name] = {"ok": dps["holds"], "witness": dps["witness"]}
     hypotheses["finite_critical_levels"] = {"ok": True, "witness": None}
     if axiom_mode == "assumed":
         hypotheses["axioms"] = {"ok": True, "mode": "assumed",
@@ -466,12 +444,9 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
 
     table = CriticalValueTable(pair, nu, a, b)
     base = nu(pair.sublevel(a), pair.sublevel(a))
-    slices = []
-    total = base
-    for d in pair.critical_levels(a, b):
-        v = nu(pair.level_slice(d), 0)
-        slices.append({"level": d, "value": v})
-        total += v
+    slice_sum, per_level = _slice_sum(pair, a, b, lambda m: nu(m, 0))
+    slices = [{"level": d, "value": v} for d, v in per_level]
+    total = base + slice_sum
     rhs = nu(pair.sublevel(b), pair.sublevel(a))
 
     run_checks = []

@@ -98,9 +98,6 @@ class FiniteSpace:
         """i <= j on point indices."""
         return self.up[i] >> j & 1 == 1
 
-    def comparable(self, i, j):
-        return self.leq(i, j) or self.leq(j, i)
-
     def full_mask(self):
         return (1 << len(self)) - 1
 
@@ -266,10 +263,6 @@ class SpaceMap:
     @classmethod
     def identity(cls, space):
         return cls(space, space, tuple(range(len(space))))
-
-    @classmethod
-    def constant(cls, domain, codomain, value_index):
-        return cls(domain, codomain, (value_index,) * len(domain))
 
     def __call__(self, label):
         return self.codomain.points[self.images[self.domain.index[label]]]

@@ -208,9 +208,6 @@ class CohomologyRing:
             self._echelons[d] = echelon
             below = cols
 
-    def betti(self, d):
-        return len(self.reps.get(d, ()))
-
     def reduce(self, cochain):
         """Coordinates of a cocycle's class, as a bitset over reps[d]."""
         residue, coords = _reduce(self._echelons[cochain.dim], cochain.coeffs)

@@ -110,9 +110,13 @@ C4_CONST_HEIGHTS = {"p": 0.0, "q": 1.0, "U": 2.0, "L": 2.0}
 C4_TWO_LEVEL_HEIGHTS = {"p": 0.0, "q": 0.0, "U": 1.0, "L": 1.0}
 
 
+def constant_map(domain, codomain, value_index):
+    return SpaceMap(domain, codomain, (value_index,) * len(domain))
+
+
 def c4_constant_map(space=None):
     space = space or fix_c4()
-    return SpaceMap.constant(space, space, space.index["p"])
+    return constant_map(space, space, space.index["p"])
 
 
 def c4_swap_map(space=None):

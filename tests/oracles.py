@@ -32,6 +32,10 @@ from lscat.category import CatQuery, cover_category
 from lscat.poset import bits
 
 
+def comparable(space, i, j):
+    return space.leq(i, j) or space.leq(j, i)
+
+
 def all_order_preserving_maps(domain, codomain):
     n = len(domain)
     out = []
@@ -73,7 +77,7 @@ def hom_components(maps):
         cod = m.codomain
         for i, cur in enumerate(m.images):
             for v in range(len(cod)):
-                if v == cur or not cod.comparable(v, cur):
+                if v == cur or not comparable(cod, v, cur):
                     continue
                 k2 = index.get(m.images[:i] + (v,) + m.images[i + 1:])
                 if k2 is not None:
@@ -135,7 +139,7 @@ def oracle_orbit_neighbors(domain, codomain, images, orbits, act):
             good = True
             for i in changed:
                 vi = new[i]
-                if not codomain.comparable(vi, images[i]):
+                if not comparable(codomain, vi, images[i]):
                     good = False
                     break
                 for j in range(len(domain)):
@@ -168,7 +172,7 @@ def _comparability_components(sub):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if sub.comparable(i, j):
+            if comparable(sub, i, j):
                 ra, rb = find(i), find(j)
                 if ra != rb:
                     parent[ra] = rb

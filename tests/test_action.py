@@ -3,6 +3,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures as fx
 from lscat import action as action_module
 from lscat.action import (
     GroupAction,
@@ -82,8 +83,8 @@ def test_saturate_idempotent_monotone_unions(conjugation, c4):
 
 def test_is_G_map_examples(conjugation, c4):
     assert is_G_map(SpaceMap.identity(c4), conjugation)
-    assert is_G_map(SpaceMap.constant(c4, c4, c4.index["p"]), conjugation)
-    assert not is_G_map(SpaceMap.constant(c4, c4, c4.index["U"]), conjugation)
+    assert is_G_map(fx.constant_map(c4, c4, c4.index["p"]), conjugation)
+    assert not is_G_map(fx.constant_map(c4, c4, c4.index["U"]), conjugation)
 
 
 def G_homotopic(g1, g2, action):
@@ -102,7 +103,7 @@ def G_homotopic(g1, g2, action):
 def test_G_homotopic_trivial_degenerates(v_space):
     act = GroupAction.trivial(v_space)
     ident = SpaceMap.identity(v_space)
-    const = SpaceMap.constant(v_space, v_space, v_space.index["a"])
+    const = fx.constant_map(v_space, v_space, v_space.index["a"])
     plain = homotopic(ident, const)
     equiv = G_homotopic(ident, const, act)
     assert (plain is None) == (equiv is None)
@@ -111,13 +112,13 @@ def test_G_homotopic_trivial_degenerates(v_space):
 
 def test_G_homotopic_identity_vs_fixed_constant(conjugation, c4):
     ident = SpaceMap.identity(c4)
-    const = SpaceMap.constant(c4, c4, c4.index["p"])
+    const = fx.constant_map(c4, c4, c4.index["p"])
     assert G_homotopic(ident, const, conjugation) is None
     assert len(G_homotopic(ident, ident, conjugation)) == 1
 
 
 def test_G_homotopic_rejects_nonequivariant(conjugation, c4):
-    bad = SpaceMap.constant(c4, c4, c4.index["U"])
+    bad = fx.constant_map(c4, c4, c4.index["U"])
     with pytest.raises(ValueError):
         G_homotopic(bad, bad, conjugation)
 
@@ -168,7 +169,7 @@ def test_trivial_group_matches_poset_ops(c4):
         assert act.is_invariant(mask)
     maps = [
         SpaceMap.identity(c4),
-        SpaceMap.constant(c4, c4, 0),
+        fx.constant_map(c4, c4, 0),
     ]
     for m in maps:
         assert is_G_map(m, act)
@@ -220,7 +221,7 @@ def test_subgroups_and_classes(conjugation):
     assert not kfree.admits_stabilizer(stab_p)
 
 
-def test_class_key_is_kind_and_sorted_subgroups(conjugation):
+def test_class_key_is_sorted_subgroups(conjugation, trivial_c4):
     classes = [
         HomogeneousClass.all_types(conjugation),
         HomogeneousClass.point_only(conjugation),
@@ -228,9 +229,15 @@ def test_class_key_is_kind_and_sorted_subgroups(conjugation):
         HomogeneousClass(conjugation, [frozenset([1, 0]), frozenset([0])]),
     ]
     for klass in classes:
-        assert klass.key() == (klass.kind, tuple(
-            tuple(sorted(h)) for h in klass.subgroup_list))
-    assert classes[3].key() == ("explicit", ((0, 1), (0,)))
+        assert klass.key() == tuple(
+            tuple(sorted(h)) for h in klass.subgroup_list)
+    assert classes[3].key() == ((0, 1), (0,))
+    # for a trivial action the point, free and all classes list the same
+    # subgroups, so they share one catalogue
+    trivial = {make(trivial_c4).key() for make in (
+        HomogeneousClass.point_only, HomogeneousClass.free_only,
+        HomogeneousClass.all_types)}
+    assert trivial == {((0,),)}
 
 
 def test_G_deformable_rejects_a_non_invariant_domain():

@@ -578,6 +578,15 @@ VERIFY_DEFECTS = {
         V_PLAIN,
         {"value": 2},
         "cover size disagrees with the value"),
+    # V is contractible, so its category is 1
+    "forged infinite value": (
+        V_PLAIN,
+        {"value": INFINITE, "cover": []},
+        "infinite value, yet every point of A lies in a categorical set"),
+    "cover on an infinite value": (
+        V_PLAIN,
+        {"value": INFINITE},
+        "an infinite value has a cover"),
     "two deformable sets": (
         {"space": "V", "mode": "pair", "A": "cab", "Y": "c", "value": 0,
          "cover": [("cab", "deformable", ["cab", "ccc"])]},

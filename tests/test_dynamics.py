@@ -7,7 +7,6 @@ from lscat.action import GroupAction, HomogeneousClass, is_G_deformable
 from lscat.category import INFINITE, HypothesisUnmet
 from lscat.dynamics import (
     DynamicalPair,
-    _band_mask,
     _context,
     _diff,
     _gcat,
@@ -217,7 +216,7 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
     bound = _diff(cat_fb, cat_fa)
     if bound < len(levels) + 1:
         return []
-    band = _band_mask(pair, a, b)
+    band = pair._band(a, b)
     orbit_reps = [
         bits(orb)[0] for orb in action.orbits() if orb & ~band == 0
     ]

@@ -167,8 +167,8 @@ def test_validate_space_rejects_unknown_points():
 
 def _two_constants(n):
     space = fx.discrete(n)
-    return (SpaceMap.constant(space, space, 0),
-            SpaceMap.constant(space, space, 1))
+    return (fx.constant_map(space, space, 0),
+            fx.constant_map(space, space, 1))
 
 
 _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},

@@ -35,8 +35,12 @@ def in_band(table):
     return all(table.a < lev["value"] <= table.b for lev in table.levels)
 
 
+def table_values(table):
+    return [lev["value"] for lev in table.levels]
+
+
 def nondecreasing(table):
-    vs = table.values()
+    vs = table_values(table)
     return all(x <= y for x, y in zip(vs, vs[1:]))
 
 
@@ -404,7 +408,7 @@ def test_entry_margin_examples(v_pair, v_space):
 
 def test_critical_values_negative_control(c4_const_pair, c4_index):
     table = CriticalValueTable(c4_const_pair, c4_index, -1.0, 2.0)
-    assert table.values() == [0.0, 1.0]
+    assert table_values(table) == [0.0, 1.0]
     assert nondecreasing(table) and in_band(table)
     assert not all_critical(table)  # level 1 has no fixed points
     flags = [lev["is_critical_level"] for lev in table.levels]
@@ -415,13 +419,13 @@ def test_critical_values_negative_control(c4_const_pair, c4_index):
 
 def test_critical_values_positive(v_pair, v_index):
     table = CriticalValueTable(v_pair, v_index, -1.0, 3.0)
-    assert table.values() == [0.0]
+    assert table_values(table) == [0.0]
     assert all_critical(table)
 
 
 def test_critical_values_empty_band(v_pair, v_index):
     table = CriticalValueTable(v_pair, v_index, 5.0, 6.0)
-    assert table.values() == []
+    assert table_values(table) == []
 
 
 def test_verify_index_bound_positive(v_pair, v_index):
@@ -481,7 +485,7 @@ def test_minmax_levels_are_critical_under_supervariance():
         table = CriticalValueTable(pair, nu, a, b)
         assert nondecreasing(table) and in_band(table)
         if sup["ok"]:
-            assert all_critical(table), (seed, table.values())
+            assert all_critical(table), (seed, table_values(table))
 
 
 def test_generator_produces_identity_homotopic_lyapunov_pairs():

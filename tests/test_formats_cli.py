@@ -399,6 +399,53 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
     assert digest == NUMERIC_DIGESTS[fixture, tau]
 
 
+# sha256 of the whole stdout of `lscat verify` on each shipped theorem
+# fixture and of `lscat engine verify` on each shipped engine fixture; the
+# corpus digest covers only the summary rows, not these report bytes
+REPORT_DIGESTS = {
+    ("verify", "constant_map_circle", "structured"):
+        "7bbadc0c6e4f976d1d7bd471454f71745a27a4f3ef6f18e4d3f0181ef492de7d",
+    ("verify", "constant_map_circle", "text"):
+        "87b7f6f549e0bc4df7a0c969cfb0ab1e1bf04caa579f02424858e8f8732f3ef1",
+    ("verify", "halfcircle_boundary_band", "structured"):
+        "d97a754b8f595ee33d3eec80113e4957ba15a0006c0a2ff232251ee6e1c95ba3",
+    ("verify", "halfcircle_boundary_band", "text"):
+        "facd0ce2e3c6a75b90d9b214f298bcc4cf3fe918aac1567cd2fe09903ad5f86c",
+    ("verify", "homeo_two_level", "structured"):
+        "d9fbfadf220fd89c01810af6c6119b622d0748ece05e5d3d7bf53f1f5a1cf9e4",
+    ("verify", "homeo_two_level", "text"):
+        "1c70476d6ca0732bdcc5dcc5e9e629295cf6aba38b8f0c39a7c694c76dfbfcb0",
+    ("verify", "two_level_divergence", "structured"):
+        "4efa704019bb6298e99d9cc13f22eb2347f1637a374a59121a785bdf967c42a9",
+    ("verify", "two_level_divergence", "text"):
+        "80dce1149ebeb313c965c6e34ed3c029fd59fd1d379bdf5d41e14adfeacfa989",
+    ("verify", "v_descent_bounds", "structured"):
+        "f8d2b2b5d25065acc44b8dc41e1a40d933f6b89c767c069e0c2835393957c1a9",
+    ("verify", "v_descent_bounds", "text"):
+        "d4f2fe33610e89500485bea2191f35f55c267459a19d80bccb590358c3764fa0",
+    ("verify", "wedge_cone_band", "structured"):
+        "52c6bc7075be359f7fa88abe1ee976b631262a2d91ebe3625f9c8c594acae804",
+    ("verify", "wedge_cone_band", "text"):
+        "31868a178aa7dfee2decae525ee5004ef02f2232b44d85c092adf64552693392",
+    ("engine verify", "engine_negative_constant", "structured"):
+        "f4538fd284591b709df4a635651904b29afb9631d8c0daee1f3ca25217ba1b34",
+    ("engine verify", "engine_negative_constant", "text"):
+        "2b79fd7d800b41f55c1ad8a13c3796dafd6bcbf76de12ea9123efdb5068f264e",
+    ("engine verify", "v_descent_engine", "structured"):
+        "3a683945370bd6cdc0d9481525c0bf54a2cd852302b6d929218c61c9e54cc43e",
+    ("engine verify", "v_descent_engine", "text"):
+        "b7da1462fb06482abb715ac563b6ee0bc0ea2252d508d60b9861eb057eba2f92",
+}
+
+
+@pytest.mark.parametrize("command, fixture, fmt", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned(command, fixture, fmt, capsys):
+    assert main([*command.split(), corpus_file(fixture + ".json"),
+                 "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[command, fixture, fmt]
+
+
 def test_numeric_false_rest_point_is_not_a_conclusion(capsys):
     # at tau 1e6 the step tau/1000 leaves RK4's stable range and the
     # iterated flow stalls at [1, 0], where the gradient is (2, 0)

@@ -130,7 +130,7 @@ def test_map_composition_stays_continuous(v_space):
 
 def test_homotopic_v_identity_to_constant(v_space):
     ident = SpaceMap.identity(v_space)
-    const = SpaceMap.constant(v_space, v_space, v_space.index["a"])
+    const = fx.constant_map(v_space, v_space, v_space.index["a"])
     fence = homotopic(ident, const)
     assert fence is not None
     fence.validate()
@@ -145,7 +145,7 @@ def test_homotopic_self_is_trivial_fence(c4):
 
 def test_homotopic_c4_identity_not_constant(c4):
     ident = SpaceMap.identity(c4)
-    const = SpaceMap.constant(c4, c4, c4.index["p"])
+    const = fx.constant_map(c4, c4, c4.index["p"])
     assert homotopic(ident, const) is None
 
 

@@ -28,6 +28,11 @@ from oracles import (
 )
 
 
+def betti(ring, d):
+    """The mod-2 Betti number of degree d: the number of class reps."""
+    return len(ring.reps.get(d, ()))
+
+
 def is_collapsible(K):
     return collapse_sequence(K) is not None
 
@@ -102,7 +107,7 @@ def test_face_poset_vertex_is_point():
 
 def test_torus_betti_numbers():
     ring = CohomologyRing(torus())
-    assert [ring.betti(d) for d in range(3)] == [1, 2, 1]
+    assert [betti(ring, d) for d in range(3)] == [1, 2, 1]
 
 
 def test_coboundary_squares_to_zero():
@@ -147,7 +152,7 @@ def test_cuplength_matches_independent_circle_argument(c4):
 def test_rp2_has_a_nonzero_self_square():
     K = SimplicialComplex.from_maximal(fx.rp2_6_triangles())
     ring = CohomologyRing(K)
-    assert [ring.betti(d) for d in range(3)] == [1, 1, 1]
+    assert [betti(ring, d) for d in range(3)] == [1, 1, 1]
     (a,) = (Cochain(K, 1, z) for z in ring.reps[1])
     assert ring.reduce(cup(K, a, a)) == 1
     assert cuplength(K) == oracle_cuplength(K) == 2
@@ -173,7 +178,7 @@ def assert_matches_oracle(K):
         got = bitset_rows(ring.reps[d], n_d)
         want = ref.bases[d]["reps"]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert ring.betti(d) == ref.betti(d)
+        assert betti(ring, d) == ref.betti(d)
     for p in range(1, K.dim()):
         for q in range(1, K.dim() + 1 - p):
             for a, za in zip(ring.reps[p], ref.bases[p]["reps"]):
@@ -181,7 +186,7 @@ def assert_matches_oracle(K):
                     prod = cup(K, Cochain(K, p, a), Cochain(K, q, b))
                     want = oracle_cup(K, p, za, q, zb)
                     assert bits(prod.coeffs, want.size) == want.tobytes()
-                    assert bits(ring.reduce(prod), ring.betti(p + q)) \
+                    assert bits(ring.reduce(prod), betti(ring, p + q)) \
                         == ref.reduce(p + q, want).tobytes()
     return ring, ref
 
@@ -244,7 +249,7 @@ def test_cohomology_matches_numpy_oracle_on_random_complexes(K, data):
             ring.reduce(Cochain(K, d, coeffs))
     else:
         coords = ring.reduce(Cochain(K, d, coeffs))
-        assert bits(coords, ring.betti(d)) == ref.reduce(d, row).tobytes()
+        assert bits(coords, betti(ring, d)) == ref.reduce(d, row).tobytes()
     for bad in (-1, 1 << n_d, -(1 << n_d)):
         with pytest.raises(ValueError, match="outside its simplices"):
             Cochain(K, d, bad)
