@@ -8,7 +8,10 @@ in the README); the criterion is asserted as stated and left red
 rather than weakened.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,13 +116,29 @@ def test_criterion_03_equivariant_exceeds_quotient():
     assert _line(3, ok, f"equivariant cat={gcat} >= 2 > 1 = quotient {qcat}")
 
 
+# sha256 of the 1000 reports' ``json.dumps(report, sort_keys=True)``
+CRITERION_04_SHA256 = (
+    "507ad3e607299ac78d494b1604f002a491548b9a0244370d1174a9ba02b03634")
+# the benchmark's per-instance summaries (verdict|lhs total|rhs), read only
+ENGINE_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
+    .read_text())["engine-sweep"]
+
+
 def test_criterion_04_thousand_generated_instances(_violations_dir):
     t0 = time.monotonic()
     holds = ledger_passing = 0
+    digest = hashlib.sha256()
+    unpinned = []
     for seed in range(1000):
         pair, nu, a, b = random_instance(seed)
         report = verify_index_bound(nu, pair, a, b, axiom_mode="sampled",
                                     seed=seed)
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        summary = (f"{report['verdict']}|{report['lhs']['total']}|"
+                   f"{report['rhs']}")
+        if summary != ENGINE_PINS[seed]:
+            unpinned.append(seed)
         if all(h["ok"] for h in report["hypotheses"].values()):
             ledger_passing += 1
             if report["verdict"] == "INEQUALITY_HOLDS":
@@ -133,12 +152,15 @@ def test_criterion_04_thousand_generated_instances(_violations_dir):
         ledger_passing == holds
         and ledger_passing >= 900
         and not persisted
+        and not unpinned
+        and digest.hexdigest() == CRITERION_04_SHA256
         and elapsed < 300.0
     )
     assert _line(
         4, ok,
         f"{holds}/{ledger_passing} ledger-passing instances hold "
-        f"(of 1000), {len(persisted)} persisted, {elapsed:.1f}s",
+        f"(of 1000), {len(persisted)} persisted, unpinned seeds "
+        f"{unpinned[:5]}, sha256 {digest.hexdigest()[:16]}, {elapsed:.1f}s",
     )
 
 
