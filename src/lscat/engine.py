@@ -154,44 +154,39 @@ def check_axioms(nu):
             f"check_axioms: exhaustive axiom checks on {n} points exceed "
             f"lscat.engine.AXIOM_EXHAUSTIVE_CAP = {AXIOM_EXHAUSTIVE_CAP}"
         )
-    full = (1 << n) - 1
+    masks = range(1 << n)
     report = AxiomReport("exhaustive")
-
-    mono = None
-    for B in range(full + 1):
-        sub = B
-        while True:
-            A = sub
-            for Y in range(full + 1):
-                if nu(A, Y) > nu(B, Y):
-                    mono = _witness(space, A=A, B=B, Y=Y,
-                                    values=(nu(A, Y), nu(B, Y)))
-                    break
-            if mono or sub == 0:
-                break
-            sub = (sub - 1) & B
-        if mono:
-            break
+    # submasks A of B in decreasing order, 0 last
+    mono = _monotonicity_witness(nu, (
+        (A, B, Y) for B in masks for A in range(B, -1, -1) if A & ~B == 0
+        for Y in masks))
     report.record("monotonicity", mono is None, mono)
-
-    sub_w = None
-    for A in range(full + 1):
-        for B in range(full + 1):
-            u = A | B
-            for Y in range(full + 1):
-                if nu(u, Y) > nu(A, Y) + nu(B, 0):
-                    sub_w = _witness(space, A=A, B=B, Y=Y,
-                                     values=(nu(u, Y), nu(A, Y), nu(B, 0)))
-                    break
-            if sub_w:
-                break
-        if sub_w:
-            break
+    sub_w = _subadditivity_witness(nu, (
+        (A, B, Y) for A in masks for B in masks for Y in masks))
     report.record("mixed_subadditivity", sub_w is None, sub_w)
-
-    cont_w = _continuity_witness(nu, space.down_sets(), range(full + 1))
+    cont_w = _continuity_witness(nu, space.down_sets(), masks)
     report.record("continuity", cont_w is None, cont_w)
     return report
+
+
+def _monotonicity_witness(nu, triples):
+    """The first (A, B, Y) with nu(A, Y) > nu(B, Y) (A inside B), as a
+    witness with both values; None if none."""
+    for A, B, Y in triples:
+        if nu(A, Y) > nu(B, Y):
+            return _witness(nu.space, A=A, B=B, Y=Y,
+                            values=(nu(A, Y), nu(B, Y)))
+    return None
+
+
+def _subadditivity_witness(nu, triples):
+    """The first (A, B, Y) with nu(A | B, Y) > nu(A, Y) + nu(B, 0), as a
+    witness with the three values; None if none."""
+    for A, B, Y in triples:
+        if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
+            return _witness(nu.space, A=A, B=B, Y=Y,
+                            values=(nu(A | B, Y), nu(A, Y), nu(B, 0)))
+    return None
 
 
 def _continuity_witness(nu, closed_sets, probe_ys):
@@ -252,24 +247,15 @@ def _check_axioms_sampled(nu, sample, seed):
     # both loops read one randrange(size) stream; the second starts
     # where the first stopped
     draws, seek = _randrange_draws(rng, size, 6 * sample)
-    triples = zip(*[iter(draws)] * 3)
-    used = 0
+    stream = iter(draws)
+    triples = zip(stream, stream, stream)
     report = AxiomReport("sampled")
-    mono = sub_w = None
-    for B, A, Y in islice(triples, sample):
-        used += 3
-        A &= B
-        if nu(A, Y) > nu(B, Y):
-            mono = _witness(space, A=A, B=B, Y=Y)
-            break
+    mono = _monotonicity_witness(nu, (
+        (A & B, B, Y) for B, A, Y in islice(triples, sample)))
     report.record("monotonicity", mono is None, mono)
-    for A, B, Y in islice(triples, sample):
-        used += 3
-        if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
-            sub_w = _witness(space, A=A, B=B, Y=Y)
-            break
+    sub_w = _subadditivity_witness(nu, islice(triples, sample))
     report.record("mixed_subadditivity", sub_w is None, sub_w)
-    seek(used)
+    seek(len(draws) - sum(1 for _ in stream))
     closed = list(space.down_sets())
     rng.shuffle(closed)
     probe_ys = [rng.randrange(size) for _ in range(16)]

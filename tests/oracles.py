@@ -732,7 +732,7 @@ def _oracle_witness(space, **kw):
 def oracle_axioms_sampled(nu, space, sample, seed):
     """The sampled monotonicity, mixed subadditivity and continuity
     checks, drawing masks with ``randrange``; {axiom: {"ok", "witness"}}
-    in the order checked."""
+    in the order checked, a failed inequality's witness with its values."""
     full = space.full_mask()
     rng = random.Random(seed)
     axioms = {}
@@ -742,7 +742,8 @@ def oracle_axioms_sampled(nu, space, sample, seed):
         A = B & rng.randrange(full + 1)
         Y = rng.randrange(full + 1)
         if nu(A, Y) > nu(B, Y):
-            mono = _oracle_witness(space, A=A, B=B, Y=Y)
+            mono = _oracle_witness(space, A=A, B=B, Y=Y,
+                                   values=(nu(A, Y), nu(B, Y)))
             break
     axioms["monotonicity"] = {"ok": mono is None, "witness": mono}
     for _ in range(sample):
@@ -750,7 +751,9 @@ def oracle_axioms_sampled(nu, space, sample, seed):
         B = rng.randrange(full + 1)
         Y = rng.randrange(full + 1)
         if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
-            sub_w = _oracle_witness(space, A=A, B=B, Y=Y)
+            sub_w = _oracle_witness(
+                space, A=A, B=B, Y=Y,
+                values=(nu(A | B, Y), nu(A, Y), nu(B, 0)))
             break
     axioms["mixed_subadditivity"] = {"ok": sub_w is None, "witness": sub_w}
     closed = list(space.down_sets())
