@@ -11,9 +11,6 @@ here looks at separation properties of the space.
 from __future__ import annotations
 
 import random
-from itertools import islice
-
-import numpy as np
 
 from .action import GroupAction, HomogeneousClass
 from .category import (
@@ -201,64 +198,28 @@ def _continuity_witness(nu, closed_sets, probe_ys):
     return None
 
 
-def _randrange_draws(rng, size, count):
-    """``[rng.randrange(size) for _ in range(count)]``, read in bulk, and
-    ``seek(k)``, which leaves rng where k such calls would.
-
-    Below 2**32, randrange(size) takes one 32-bit Mersenne Twister word w
-    per try, keeps w >> (32 - size.bit_length()) and tries again when
-    that is >= size; getrandbits(32 * n) returns the next n words, the
-    i-th in bits 32i..32i+31.  So one bulk read, filtered and shifted,
-    gives the draws, and ``seek`` restores the state and skips the words
-    the first k draws used, rejected ones included.  Larger sizes call
-    randrange.
-    """
-    start = rng.getstate()
-    shift = 32 - size.bit_length()
-    if shift < 0:
-        def seek(k):
-            rng.setstate(start)
-            for _ in range(k):
-                rng.randrange(size)
-        return [rng.randrange(size) for _ in range(count)], seek
-    draws, ends, read = [], [], 0
-    while len(draws) < count:
-        n = 2 * (count - len(draws)) + 256
-        raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        words = np.frombuffer(raw, "<u4") >> shift
-        kept = np.flatnonzero(words < size)
-        draws += words[kept].tolist()
-        ends.append(kept + (read + 1))
-        read += n
-    del draws[count:]
-    ends = np.concatenate(ends)
-
-    def seek(k):
-        rng.setstate(start)
-        if k:
-            rng.getrandbits(32 * int(ends[k - 1]))
-    return draws, seek
-
-
 def _check_axioms_sampled(nu, sample, seed):
+    """The axiom checks on ``sample`` drawn triples per inequality and a
+    shuffled share of the closed sets.  Every mask is one
+    ``getrandbits(n)`` of ``random.Random(seed)``, drawn in loop order:
+    the subadditivity triples start where the monotonicity loop stopped,
+    and the shuffle and the 16 continuity probes follow both loops."""
     space = nu.space
-    size = space.full_mask() + 1
     rng = random.Random(seed)
-    # both loops read one randrange(size) stream; the second starts
-    # where the first stopped
-    draws, seek = _randrange_draws(rng, size, 6 * sample)
-    stream = iter(draws)
-    triples = zip(stream, stream, stream)
+    n = len(space)
+
+    def triples():
+        for _ in range(sample):
+            yield rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)
+
     report = AxiomReport("sampled")
-    mono = _monotonicity_witness(nu, (
-        (A & B, B, Y) for B, A, Y in islice(triples, sample)))
+    mono = _monotonicity_witness(nu, ((A & B, B, Y) for B, A, Y in triples()))
     report.record("monotonicity", mono is None, mono)
-    sub_w = _subadditivity_witness(nu, islice(triples, sample))
+    sub_w = _subadditivity_witness(nu, triples())
     report.record("mixed_subadditivity", sub_w is None, sub_w)
-    seek(len(draws) - sum(1 for _ in stream))
     closed = list(space.down_sets())
     rng.shuffle(closed)
-    probe_ys = [rng.randrange(size) for _ in range(16)]
+    probe_ys = [rng.getrandbits(n) for _ in range(16)]
     cont_w = _continuity_witness(nu, closed[: max(4, sample // 64)], probe_ys)
     report.record("continuity", cont_w is None, cont_w)
     return report
@@ -282,8 +243,8 @@ def check_supervariance(nu, phi, Z, seed=0):
         masks = range(1 << n)
         mode = "exhaustive"
     else:
-        masks, _ = _randrange_draws(random.Random(seed), 1 << n,
-                                    CHECK_SAMPLES)
+        rng = random.Random(seed)
+        masks = (rng.getrandbits(n) for _ in range(CHECK_SAMPLES))
         mode = "sampled"
     for A in masks:
         img = phi.image_mask(A)

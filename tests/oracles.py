@@ -11,7 +11,7 @@ the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile, and the Palais-Smale chain is the all-numpy block
 integration that recomputes every gradient, with a start-point
 bisection that flows every trial radius anew for each n.  The sampled
-axiom check draws with ``randrange`` over a truncated index cached at
+axiom check draws with ``getrandbits`` over a truncated index cached at
 two levels, on (A, Y) and on the saturated key, with its own cover
 queries.  Equivariant fence moves write every translate of a candidate
 value and re-check stabiliser clashes, comparability and continuity
@@ -731,25 +731,26 @@ def _oracle_witness(space, **kw):
 
 def oracle_axioms_sampled(nu, space, sample, seed):
     """The sampled monotonicity, mixed subadditivity and continuity
-    checks, drawing masks with ``randrange``; {axiom: {"ok", "witness"}}
-    in the order checked, a failed inequality's witness with its values."""
-    full = space.full_mask()
+    checks, drawing each mask with ``getrandbits(n)``; {axiom: {"ok",
+    "witness"}} in the order checked, a failed inequality's witness with
+    its values."""
+    n = len(space)
     rng = random.Random(seed)
     axioms = {}
     mono = sub_w = cont_w = None
     for _ in range(sample):
-        B = rng.randrange(full + 1)
-        A = B & rng.randrange(full + 1)
-        Y = rng.randrange(full + 1)
+        B = rng.getrandbits(n)
+        A = B & rng.getrandbits(n)
+        Y = rng.getrandbits(n)
         if nu(A, Y) > nu(B, Y):
             mono = _oracle_witness(space, A=A, B=B, Y=Y,
                                    values=(nu(A, Y), nu(B, Y)))
             break
     axioms["monotonicity"] = {"ok": mono is None, "witness": mono}
     for _ in range(sample):
-        A = rng.randrange(full + 1)
-        B = rng.randrange(full + 1)
-        Y = rng.randrange(full + 1)
+        A = rng.getrandbits(n)
+        B = rng.getrandbits(n)
+        Y = rng.getrandbits(n)
         if nu(A | B, Y) > nu(A, Y) + nu(B, 0):
             sub_w = _oracle_witness(
                 space, A=A, B=B, Y=Y,
@@ -758,7 +759,7 @@ def oracle_axioms_sampled(nu, space, sample, seed):
     axioms["mixed_subadditivity"] = {"ok": sub_w is None, "witness": sub_w}
     closed = list(space.down_sets())
     rng.shuffle(closed)
-    probe_ys = [rng.randrange(full + 1) for _ in range(16)]
+    probe_ys = [rng.getrandbits(n) for _ in range(16)]
     for A in closed[: max(4, sample // 64)]:
         found = False
         for U in space.up_sets():
@@ -775,13 +776,13 @@ def oracle_axioms_sampled(nu, space, sample, seed):
 
 
 def oracle_supervariance_sampled(nu, phi, Z, sample, seed):
-    """Sampled supervariance, drawing masks with ``randrange``: the
+    """Sampled supervariance, drawing each mask with ``getrandbits(n)``: the
     first A with nu(phi(A), Z) < nu(A, Z), as ``check_supervariance``
     reports it."""
     space = nu.space
     rng = random.Random(seed)
     for _ in range(sample):
-        A = rng.randrange(1 << len(space))
+        A = rng.getrandbits(len(space))
         img = phi.image_mask(A)
         if nu(img, Z) < nu(A, Z):
             return {"ok": False, "mode": "sampled",

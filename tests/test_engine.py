@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from lscat.engine import (
     HypothesisUnmet,
     IndexFunction,
     _check_axioms_sampled,
-    _randrange_draws,
     band_escape_exponent,
     check_axioms,
     check_supervariance,
@@ -135,39 +133,6 @@ def test_index_values_must_be_nonnegative_integers(v_space, value):
 def test_truncation_cap_must_be_a_positive_integer(c4, cap):
     with pytest.raises(ValueError, match="truncation cap"):
         make_truncated_index("category", cap, GroupAction.trivial(c4))
-
-
-@pytest.mark.parametrize("bits", range(1, 8))
-def test_randbelow_draws_the_randrange_stream(bits):
-    """randrange(2**n) is _randbelow(2**n), the rejection sampling on
-    getrandbits(n + 1) that the sampled checks' bulk reader replays."""
-    fast, slow = random.Random(bits), random.Random(bits)
-    n = 1 << bits
-    assert ([fast._randbelow(n) for _ in range(2000)]
-            == [slow.randrange(n) for _ in range(2000)])
-
-
-@pytest.mark.parametrize(
-    "size", [1 << m for m in range(1, 17)] + [1, 3, 1000, 1 << 31, 1 << 33],
-    ids=str)
-def test_bulk_draws_are_the_randrange_stream(size):
-    """The draws equal randrange(size)'s, and seek(k) leaves the generator
-    where k randrange calls leave it, so a later shuffle agrees."""
-    for seed in (0, 1, 7, 2024):
-        rng = random.Random(seed)
-        draws, seek = _randrange_draws(rng, size, 600)
-        ref = random.Random(seed)
-        assert draws == [ref.randrange(size) for _ in range(600)]
-        for k in (600, 0, 1, 37, 599):
-            seek(k)
-            ref = random.Random(seed)
-            for _ in range(k):
-                ref.randrange(size)
-            deck, ref_deck = list(range(40)), list(range(40))
-            rng.shuffle(deck)
-            ref.shuffle(ref_deck)
-            assert deck == ref_deck, (seed, k)
-            assert rng.randrange(size) == ref.randrange(size)
 
 
 def test_sampled_axioms_match_oracle_on_generated_instances():
