@@ -4,8 +4,13 @@ critical-value ladder and the counting-inequality verifier.
 An index function assigns a natural number to every pair of subsets and
 must satisfy monotonicity, continuity and mixed subadditivity; it is
 supervariant for (phi, Z) when applying phi never decreases the value
-against the reference set Z.  The engine is purely axiomatic: nothing
-here looks at separation properties of the space.
+against the reference set Z.  Each inequality axiom is one loop over
+(A, B, Y) triples, enumerated by ``check_axioms`` or drawn by the
+sampled check, and every drawn mask on n points is one
+``getrandbits(n)`` of ``random.Random(seed)``.  The ladder's c_k is the
+first band value whose sublevel has index at least k, found in one pass
+over the band.  The engine is purely axiomatic: nothing here looks at
+separation properties of the space.
 """
 
 from __future__ import annotations
@@ -199,11 +204,8 @@ def _continuity_witness(nu, closed_sets, probe_ys):
 
 
 def _check_axioms_sampled(nu, sample, seed):
-    """The axiom checks on ``sample`` drawn triples per inequality and a
-    shuffled share of the closed sets.  Every mask is one
-    ``getrandbits(n)`` of ``random.Random(seed)``, drawn in loop order:
-    the subadditivity triples start where the monotonicity loop stopped,
-    and the shuffle and the 16 continuity probes follow both loops."""
+    """The axioms on ``sample`` drawn triples each and a shuffled share of
+    the closed sets, all drawn in loop order from ``seed``."""
     space = nu.space
     rng = random.Random(seed)
     n = len(space)
@@ -294,41 +296,40 @@ def band_escape_exponent(pair, U, a, b):
 
 class CriticalValueTable:
     """Min-max levels between the two cut values, with their runs and
-    fixed slices; the construction checks are recorded, not assumed."""
+    fixed slices.
+
+    With mu(S) = nu(S, f^a), c_k is the first band value v (a < v <= b)
+    with mu(f^v) >= k, for k from mu_low + 1 = mu(f^a) + 1 to
+    mu_high = mu(f^b).  One pass over the band values evaluates each
+    mu(f^v) once and gives every k it reaches its level; a run is the
+    ks that share one value.
+    """
 
     def __init__(self, pair, nu, a, b):
         self.a = a
         self.b = b
-        mu = lambda mask: nu(mask, pair.sublevel(a))  # noqa: E731
-        self.mu_low = mu(pair.sublevel(a))
-        self.mu_high = mu(pair.sublevel(b))
-        values = [v for v in pair.values_sorted() if a < v <= b]
-        self.levels = []
+        low = pair.sublevel(a)
+        self.mu_low = nu(low, low)
+        self.mu_high = nu(pair.sublevel(b), low)
         fixed_values = {pair.f[i] for i in bits(pair.fixed_mask())}
-        for k in range(self.mu_low + 1, self.mu_high + 1):
-            ck = None
-            for v in values:
-                if mu(pair.sublevel(v)) >= k:
-                    ck = v
-                    break
-            assert ck is not None, "monotone ladder must reach the top"
-            # {f < ck} is the sublevel of the band value before ck, or of a
-            below = sum(1 << i for i, v in enumerate(pair.f) if v < ck)
-            self.levels.append({
-                "k": k,
-                "value": ck,
-                "slice": pair.level_slice(ck),
-                "lower_check": mu(below) < k,
-                "upper_check": mu(pair.sublevel(ck)) >= k,
-                "is_critical_level": ck in fixed_values,
-            })
+        self.levels = []
         self.runs = []
-        for lev in self.levels:
-            if self.runs and self.runs[-1]["value"] == lev["value"]:
-                self.runs[-1]["ks"].append(lev["k"])
-            else:
-                self.runs.append({"value": lev["value"], "ks": [lev["k"]],
-                                  "slice": lev["slice"]})
+        k = self.mu_low + 1
+        for v in pair.values_sorted():
+            if k > self.mu_high:
+                break
+            if not a < v <= b:
+                continue
+            ks = list(range(k, min(nu(pair.sublevel(v), low),
+                                   self.mu_high) + 1))
+            if ks:
+                level_slice = pair.level_slice(v)
+                self.levels += [{"k": j, "value": v, "slice": level_slice,
+                                 "is_critical_level": v in fixed_values}
+                                for j in ks]
+                self.runs.append({"value": v, "ks": ks,
+                                  "slice": level_slice})
+                k = ks[-1] + 1
 
     def to_dict(self, space):
         return {
@@ -390,11 +391,10 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
                                    "witness": sup["witness"]}
 
     table = CriticalValueTable(pair, nu, a, b)
-    base = nu(pair.sublevel(a), pair.sublevel(a))
+    base, rhs = table.mu_low, table.mu_high
     slice_sum, per_level = _slice_sum(pair, a, b, lambda m: nu(m, 0))
     slices = [{"level": d, "value": v} for d, v in per_level]
     total = base + slice_sum
-    rhs = nu(pair.sublevel(b), pair.sublevel(a))
 
     run_checks = []
     for run in table.runs:

@@ -378,8 +378,45 @@ def test_critical_values_negative_control(c4_const_pair, c4_index):
     assert not all_critical(table)  # level 1 has no fixed points
     flags = [lev["is_critical_level"] for lev in table.levels]
     assert flags == [True, False]
-    assert all(lev["lower_check"] and lev["upper_check"]
-               for lev in table.levels)
+
+
+def rescan_levels(pair, nu, a, b):
+    """(k, c_k) by the definition: for each k, the first band value v
+    with nu(f^v, f^a) >= k, rescanning the band."""
+    low = pair.sublevel(a)
+    band = [v for v in pair.values_sorted() if a < v <= b]
+    return [(k, next(v for v in band if nu(pair.sublevel(v), low) >= k))
+            for k in range(nu(low, low) + 1, nu(pair.sublevel(b), low) + 1)]
+
+
+def assert_ladder_is_the_rescan(pair, nu, a, b):
+    table = CriticalValueTable(pair, nu, a, b)
+    assert [(lev["k"], lev["value"]) for lev in table.levels] == \
+        rescan_levels(pair, nu, a, b)
+    runs = {}
+    for lev in table.levels:
+        runs.setdefault(lev["value"], []).append(lev["k"])
+    assert [(r["value"], r["ks"]) for r in table.runs] == list(runs.items())
+
+
+@pytest.mark.parametrize("by_sublevel", [
+    {"c": 2, "ca": 1, "cab": 3},  # dips, then passes the earlier value
+    {"c": 3, "ca": 1, "cab": 2},  # starts above the top value
+], ids=["dip", "overshoot"])
+def test_ladder_on_a_non_monotone_index(v_pair, by_sublevel):
+    """The one-pass ladder equals the per-k rescan even when mu is not
+    monotone in the level; b = 2.0 is a value of f, so the top sublevel
+    is a band value."""
+    space = v_pair.space
+    values = {space.subset(k): v for k, v in by_sublevel.items()}
+    nu = IndexFunction(space, lambda A, Y: values.get(A, 0))
+    assert_ladder_is_the_rescan(v_pair, nu, -1.0, 2.0)
+    assert_ladder_is_the_rescan(v_pair, nu, 0.0, 2.0)
+
+
+def test_ladder_is_the_per_k_rescan_on_generated_instances():
+    for seed in range(200):
+        assert_ladder_is_the_rescan(*random_instance(seed))
 
 
 def test_critical_values_positive(v_pair, v_index):

@@ -428,13 +428,13 @@ REPORT_DIGESTS = {
     ("verify", "wedge_cone_band", "text"):
         "31868a178aa7dfee2decae525ee5004ef02f2232b44d85c092adf64552693392",
     ("engine verify", "engine_negative_constant", "structured"):
-        "f4538fd284591b709df4a635651904b29afb9631d8c0daee1f3ca25217ba1b34",
+        "40b47c7e05820eab28d29d85d653295bab1091961434d92b39aa0eb00f7e678f",
     ("engine verify", "engine_negative_constant", "text"):
-        "2b79fd7d800b41f55c1ad8a13c3796dafd6bcbf76de12ea9123efdb5068f264e",
+        "0c082fddb022424d33899c0a13316ec32b03cf78787069debb5fb5894cd9c32d",
     ("engine verify", "v_descent_engine", "structured"):
-        "3a683945370bd6cdc0d9481525c0bf54a2cd852302b6d929218c61c9e54cc43e",
+        "e74b0cf006a746617b0844bcc4c3f82abf7d182837ab9215354f0248df703036",
     ("engine verify", "v_descent_engine", "text"):
-        "b7da1462fb06482abb715ac563b6ee0bc0ea2252d508d60b9861eb057eba2f92",
+        "d10ef2c38de0bad4372924823a61300218ce94c26cfaa3f4b539f8651de9ec42",
 }
 
 
