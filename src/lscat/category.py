@@ -28,8 +28,10 @@ would have had if built eagerly.  ``CatResult.verify`` re-runs no
 search on a finite value: ``_check_fence`` checks each categorical or
 deformable fence (it starts at the inclusion, every stage is a G-map,
 and it ends inside Y or through an admissible orbit).  An infinite
-plain or closed value is checked by one membership decision per point
-of A, on the least invariant open (closed) set around its orbit.
+value is checked without a catalogue: by one membership decision per
+point of A, on the least invariant open (closed) set around its orbit,
+and in pair, mod and semi mode one deformation search; in classB mode
+by the isomorphic opens around each point of A.
 
 An infinite category value is the infinite value ``math.inf``, named
 ``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
@@ -170,26 +172,27 @@ class CatResult:
         deformable set a fence passing ``_check_fence``.  A finite value
         runs no search.
 
-        An ``INFINITE`` value needs an empty cover.  In plain and closed
-        mode it also needs a point x of A whose least invariant open
-        up(Gx) (closed: down(Gx)) is not categorical; that is exact,
-        since the categorical family is down-closed among invariant sets,
-        so no categorical set then contains x.  The pair, mod, semi and
-        classB modes accept an infinite value only with an empty cover."""
+        An ``INFINITE`` value needs an empty cover, and A must have no
+        finite cover.  Outside classB mode, let U be the points x of A
+        whose least invariant open up(Gx) (closed: down(Gx)) is not
+        categorical; the categorical family is down-closed among
+        invariant sets, so x lies in a categorical set exactly when it is
+        not in U.  In plain and closed mode the value is infinite exactly
+        when U is nonempty.  In pair, mod and semi mode let R be A & Y
+        (empty in pair mode): every admissible A0 holds U | R, so it holds
+        W = up(G(U | R)), and the deformable family is down-closed too.
+        So the value is infinite exactly when U | R is nonempty and W
+        does not deform into Y (mod Y in mod mode); else A0 = W leaves the
+        rest of A to categorical opens.  In classB mode (trivial action)
+        it is infinite exactly when some point of A lies in no open
+        isomorphic to a reference space.  These rules read no catalogue."""
         q = self.query
         space = q.space
         if self.value == INFINITE:
             if self.cover:
                 raise ValueError("an infinite value has a cover")
-            hull = {"plain": space.up_closure,
-                    "closed": space.down_closure}.get(q.mode)
-            if hull and all(
-                    is_categorical(hull(q.action.orbit_mask(x)), space,
-                                   q.action, q.klass,
-                                   with_certificate=False)[0]
-                    for x in bits(q.A)):
-                raise ValueError("infinite value, yet every point of A "
-                                 "lies in a categorical set")
+            if _has_finite_cover(q):
+                raise ValueError("infinite value, yet A has a finite cover")
             return True
         allowed = {"iso": q.mode == "classB",
                    "categorical": q.mode != "classB",
@@ -227,6 +230,32 @@ class CatResult:
         if deformable > 1:
             raise ValueError("at most one deformable set allowed")
         return True
+
+
+def _has_finite_cover(q):
+    """Whether A has a finite cover, by ``CatResult.verify``'s rules."""
+    space, action = q.space, q.action
+    if q.mode == "classB":
+        sizes = {len(ref) for ref in q.class_b}
+        covered = 0
+        for m in space.up_sets():
+            if (m & q.A & ~covered and m.bit_count() in sizes
+                    and any(order_isomorphic(space.subspace(m)[0], ref)
+                            for ref in q.class_b)):
+                covered |= m
+        return q.A & ~covered == 0
+    hull = space.down_closure if q.mode == "closed" else space.up_closure
+    stuck = 0
+    for x in bits(q.A):
+        if not is_categorical(hull(action.orbit_mask(x)), space, action,
+                              q.klass, with_certificate=False)[0]:
+            stuck |= 1 << x
+    if q.mode in ("mod", "semi"):
+        stuck |= q.A & q.Y
+    if not stuck or q.mode in ("plain", "closed"):
+        return not stuck
+    W = space.up_closure(action.saturate(stuck))
+    return is_G_deformable(action, W, q.Y, mod=q.mode == "mod") is not None
 
 
 def _check_fence(query, entry, end_ok, stage_ok):

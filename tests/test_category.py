@@ -19,6 +19,7 @@ from lscat.category import (
     CoverTable,
     HypothesisUnmet,
     INFINITE,
+    MODES,
     cat,
     cat_mod,
     cat_pair,
@@ -268,17 +269,18 @@ def test_cover_table_matches_oracle(candidates, targets):
 
 
 @st.composite
-def acted_spaces(draw):
-    """Three to six points with an involution whose orbits are fixed points
-    and swapped pairs (all orbit types admissible), or the trivial action.
+def acted_spaces(draw, max_points=6):
+    """Three to ``max_points`` points with an involution whose orbits are
+    fixed points and swapped pairs (all orbit types admissible), or the
+    trivial action.
 
     Every relation runs from an earlier orbit to a later one and is closed
     under the swap, so the order is antisymmetric and the swap an
     automorphism.
     """
     kinds = draw(st.lists(st.sampled_from(["fixed", "pair"]), min_size=3,
-                          max_size=6).filter(
-        lambda ks: sum(1 if k == "fixed" else 2 for k in ks) <= 6))
+                          max_size=max_points).filter(
+        lambda ks: sum(1 if k == "fixed" else 2 for k in ks) <= max_points))
     orbits = [[f"f{u}"] if k == "fixed" else [f"a{u}", f"b{u}"]
               for u, k in enumerate(kinds)]
     pairs = []
@@ -365,6 +367,39 @@ def test_every_mode_matches_brute_force(acted, data):
         result = cover_category(query)
         assert result.value == brute_force_value(query), mode
         assert result.verify()
+
+
+CLASSES = {"point": HomogeneousClass.point_only,
+           "free": HomogeneousClass.free_only,
+           "all": HomogeneousClass.all_types}
+
+
+@given(acted_spaces(max_points=7), st.sampled_from(sorted(CLASSES)),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_infinite_values_are_exact_in_every_mode(acted, class_name, data):
+    """Every emitted result verifies, and an empty-cover INFINITE result
+    verifies exactly when the emitted value is infinite."""
+    space, action, _ = acted
+    klass = CLASSES[class_name](action)
+    full = space.full_mask()
+    A = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
+    Y = action.saturate(data.draw(st.integers(min_value=0, max_value=full)))
+    class_b = _reference_spaces(data, space) if action.is_trivial() else None
+    for mode in MODES:
+        if mode == "classB" and class_b is None:
+            continue
+        query = CatQuery(space, A=A, Y=Y if mode in ("pair", "mod", "semi")
+                         else 0, mode=mode, action=action, klass=klass,
+                         class_b=class_b if mode == "classB" else None)
+        result = cover_category(query)
+        assert result.verify()
+        forged = CatResult(query, INFINITE, ())
+        if result.value == INFINITE:
+            assert forged.verify()
+        else:
+            with pytest.raises(ValueError, match="A has a finite cover"):
+                forged.verify()
 
 
 @given(acted_spaces(), st.data())
@@ -582,7 +617,20 @@ VERIFY_DEFECTS = {
     "forged infinite value": (
         V_PLAIN,
         {"value": INFINITE, "cover": []},
-        "infinite value, yet every point of A lies in a categorical set"),
+        "infinite value, yet A has a finite cover"),
+    # V deforms into its bottom point c, so the value is 0 in these modes
+    **{f"forged infinite {mode} value": (
+        {"space": "V", "mode": mode, "A": "cab", "Y": "c", "value": 0,
+         "cover": [("cab", "deformable", ["cab", "ccc"])]},
+        {"value": INFINITE, "cover": []},
+        "infinite value, yet A has a finite cover")
+       for mode in ("pair", "mod", "semi")},
+    # V is an open isomorphic to the reference V
+    "forged infinite classB value": (
+        {"space": "V", "mode": "classB", "A": "cab", "class_b": ["V"],
+         "value": 1, "cover": [("cab", "iso", None)]},
+        {"value": INFINITE, "cover": []},
+        "infinite value, yet A has a finite cover"),
     "cover on an infinite value": (
         V_PLAIN,
         {"value": INFINITE},
