@@ -166,6 +166,24 @@ def test_order_isomorphic(v_space, arc3):
     assert not order_isomorphic(v_space, chain)
 
 
+def test_order_isomorphic_looks_past_degree_profiles():
+    """The smallest pair of posets with equal (up, down) degree profiles
+    that are not isomorphic: V + Lambda against zigzag + 2-chain."""
+    labels = [str(i) for i in range(6)]
+    v_lambda = validate_space(labels, [["0", "1"], ["0", "2"], ["3", "5"],
+                                       ["4", "5"]])
+    zigzag_chain = validate_space(labels, [["0", "1"], ["0", "3"],
+                                           ["2", "3"], ["4", "5"]])
+
+    def profile(space):
+        return sorted((space.up[i].bit_count(), space.down[i].bit_count())
+                      for i in range(len(space)))
+
+    assert profile(v_lambda) == profile(zigzag_chain)
+    assert not order_isomorphic(v_lambda, zigzag_chain)
+    assert not order_isomorphic(zigzag_chain, v_lambda)
+
+
 def test_mod_infinite_on_pinned_minima(c4):
     pq = c4.subset(["p", "q"])
     assert cat_mod(c4, pq, pq) == INFINITE

@@ -3,7 +3,12 @@ import random
 import pytest
 
 import fixtures as fx
-from lscat.action import GroupAction, HomogeneousClass, is_G_deformable
+from lscat.action import (
+    GroupAction,
+    HomogeneousClass,
+    is_G_deformable,
+    validate_action,
+)
 from lscat.category import INFINITE, HypothesisUnmet
 from lscat.dynamics import (
     DynamicalPair,
@@ -110,6 +115,50 @@ def test_band_bound_degenerate_band(v_pair):
 def test_band_bound_rejects_unbounded(v_pair):
     with pytest.raises(ValueError):
         verify_band_bound(v_pair, 0.0, INFINITE)
+
+
+def test_band_bound_rejects_an_empty_band(v_pair):
+    with pytest.raises(ValueError, match="need a < b"):
+        verify_band_bound(v_pair, 1.0, 1.0)
+
+
+def swapped_v_pair():
+    """V with a and b swapped, the identity map and f = (0, 1, 1): the
+    free class admits no orbit through the fixed point c, so both
+    sublevel categories of the band (0.5, 2] are infinite."""
+    space = fx.fix_v()
+    action = validate_action(space, [{"c": "c", "a": "b", "b": "a"}])
+    pair = DynamicalPair(space, SpaceMap.identity(space),
+                         {"c": 0.0, "a": 1.0, "b": 1.0})
+    return pair, action, HomogeneousClass.free_only(action)
+
+
+@pytest.mark.parametrize("verify", [verify_band_bound,
+                                    verify_identity_band_bound])
+def test_band_bounds_with_an_infinite_low_sublevel(verify):
+    pair, action, klass = swapped_v_pair()
+    report = verify(pair, 0.5, 2.0, action, klass)
+    assert not report.hypotheses["sublevel_category_finite"]["ok"]
+    assert report.verdict() == "HYPOTHESIS_FAILED:sublevel_category_finite"
+    values = report.values
+    assert values["sublevel_cat_low"] == values["sublevel_cat_high"] \
+        == INFINITE
+    names = (("a", "b", "c") if verify is verify_band_bound
+             else ("I", "I_orbits", "I_slice"))
+    for name in names:
+        assert report.parts[name]["bound"] == INFINITE  # inf - inf = inf
+
+
+def test_homeo_band_bound_with_an_infinite_low_sublevel(v_space):
+    """c lies in no open isomorphic to a point, so both reference-class
+    counts of the band (0.5, 2] are infinite."""
+    pair = DynamicalPair(v_space, SpaceMap.identity(v_space),
+                         {"c": 0.0, "a": 1.0, "b": 1.0})
+    point = validate_space(["x"], [])
+    report = verify_homeo_band_bound(pair, [point], 0.5, 2.0)
+    assert not report.hypotheses["sublevel_class_count_finite"]["ok"]
+    assert report.values["sublevel_count_low"] == INFINITE
+    assert report.parts["count"]["bound"] == INFINITE
 
 
 def test_identity_band_bound_v_unbounded(v_pair):
