@@ -277,26 +277,23 @@ def test_escape_exponent_examples(v_pair, c4):
     with pytest.raises(HypothesisUnmet) as err:
         band_escape_exponent(ident_pair, 0, 0.5, 2.5)
     assert err.value.which == "fixed_point_free_band"
-
-
-def test_escape_exponent_fixed_points_at_the_band_ends(v_pair, v_space):
-    """v_pair fixes c (f = 0) and a (f = 1): a fixed point at a lies in
-    the band [a, b[, and one at b must lie in U."""
+    # v_pair fixes c (f = 0) and a (f = 1): a fixed point at a lies in
+    # the band [a, b[, and one at b must lie in U
     with pytest.raises(HypothesisUnmet) as err:
         band_escape_exponent(v_pair, 0, 1.0, 1.5)
     assert err.value.which == "fixed_point_free_band"
     with pytest.raises(HypothesisUnmet) as err:
         band_escape_exponent(v_pair, 0, 0.5, 1.0)
     assert err.value.which == "neighborhood_covers_top_fixed_points"
-    assert band_escape_exponent(v_pair, v_space.subset(["a"]), 0.5, 1.0) == 0
+    a = v_pair.space.subset(["a"])
+    assert band_escape_exponent(v_pair, a, 0.5, 1.0) == 0
 
 
-@pytest.mark.parametrize("n, mode", [(12, "exhaustive"), (13, "sampled")])
-def test_supervariance_mode_switches_past_twelve_points(n, mode):
-    space = validate_space([f"x{i:02}" for i in range(n)], [])
+def test_supervariance_is_exhaustive_up_to_twelve_points():
+    space = validate_space([f"x{i:02}" for i in range(12)], [])
     nu = IndexFunction(space, lambda A, Z: 0)
     out = check_supervariance(nu, SpaceMap.identity(space), 0)
-    assert out == {"ok": True, "mode": mode, "witness": None}
+    assert out == {"ok": True, "mode": "exhaustive", "witness": None}
 
 
 def test_escape_exponent_minimality_on_generated_instances():
