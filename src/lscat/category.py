@@ -1,23 +1,26 @@
-"""Lusternik-Schnirelmann category variants via exact cover tables.
+"""Lusternik-Schnirelmann category variants via exact minimum covers.
 
 All variants are computed the same way: build, once per space, the
 catalogue of admissible subsets for each cover role (categorical opens,
-categorical closed sets, classB opens, opens deformable to Y).  A
-covering catalogue is a ``CoverTable``, the breadth-first union closure
-of its members, so an exact minimum cover is a lookup; the pair, mod and
-semi modes take the least lookup over the deformable A0.  Every result
-carries a certificate that re-validates from scratch.
+categorical closed sets, classB opens, opens deformable to Y), and
+search it with ``min_cover``, the one exact cover search; the pair, mod
+and semi modes take the least cover over the deformable A0.  Every
+result carries a certificate that re-validates from scratch.
 
 Every catalogue keeps only the maximal members of its family, found by
 one top-down walk (``_maximal_members``), by decreasing size and then by
-mask; that order, with the union closure's, fixes which of several
-equal covers is reported.  Replacing each set of a cover by a maximal
-member containing it keeps the cover, so a minimum cover over the
-maximal members is a minimum cover.  The categorical and deformable
-families are moreover down-closed among invariant sets (a member's fence
-restricts to any invariant sub-open, or closed subset), so a best A0 can
-be taken among the maximal deformable opens too; the classB family need
-not be down-closed, and only its covers are read.
+mask.  A cover is the first smallest combination of members, in
+``itertools.combinations`` order over that walk order, whose union
+contains the target.  That is the cover the union-closure tables of
+earlier versions chose: they reached each union first through its
+lexicographically least combination of indices, and listed each level
+in that order.  Replacing each set of a cover by a maximal member
+containing it keeps the cover, so a minimum cover over the maximal
+members is a minimum cover.  The categorical and deformable families are
+moreover down-closed among invariant sets (a member's fence restricts to
+any invariant sub-open, or closed subset), so a best A0 can be taken
+among the maximal deformable opens too; the classB family need not be
+down-closed, and only its covers are read.
 
 Membership in the categorical catalogues is decided without a
 certificate (for the trivial group, by one collapse walk on masks of
@@ -41,6 +44,7 @@ needs ``value_ge_diff``, which every verifier uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -120,6 +124,8 @@ class CatQuery:
             raise ValueError(f"mode {mode!r} takes no reference subset Y")
         if mode == "classB" and not self.class_b:
             raise ValueError("classB mode needs a reference list")
+        if mode != "classB" and self.class_b:
+            raise ValueError(f"mode {mode!r} takes no reference list")
         if mode == "classB" and not self.action.is_trivial():
             raise ValueError("classB mode takes no group action")
         if (self.A | self.Y) & ~space.full_mask():
@@ -208,8 +214,7 @@ class CatResult:
             elif not space.is_up_set(entry.mask):
                 raise ValueError(f"{entry.role} cover set is not open")
             if entry.role == "iso":
-                sub, _ = space.subspace(entry.mask)
-                if not any(order_isomorphic(sub, ref) for ref in q.class_b):
+                if not _matches_reference(space, entry.mask, q.class_b):
                     raise ValueError(
                         "classB cover set matches no reference space")
             elif entry.role == "categorical":
@@ -236,12 +241,9 @@ def _has_finite_cover(q):
     """Whether A has a finite cover, by ``CatResult.verify``'s rules."""
     space, action = q.space, q.action
     if q.mode == "classB":
-        sizes = {len(ref) for ref in q.class_b}
         covered = 0
         for m in space.up_sets():
-            if (m & q.A & ~covered and m.bit_count() in sizes
-                    and any(order_isomorphic(space.subspace(m)[0], ref)
-                            for ref in q.class_b)):
+            if m & q.A & ~covered and _matches_reference(space, m, q.class_b):
                 covered |= m
         return q.A & ~covered == 0
     hull = space.down_closure if q.mode == "closed" else space.up_closure
@@ -369,10 +371,12 @@ def _factor_targets(mask, action, klass):
 # -- catalogues ----------------------------------------------------------
 
 
-def _cache(action, key, builder):
+def _catalogue(action, key, candidates, test):
+    """The ``_maximal_members`` of ``candidates()`` under ``test``, built
+    on the first request for ``key`` and cached on the action."""
     cache = action._caches
     if key not in cache:
-        cache[key] = builder()
+        cache[key] = _maximal_members(candidates(), test)
     return cache[key]
 
 
@@ -408,62 +412,48 @@ def _maximal_members(candidates, test):
     return found
 
 
+def _categorical_test(space, action, klass):
+    return lambda m: is_categorical(m, space, action, klass,
+                                    with_certificate=False)[0] or None
+
+
 def categorical_open_catalog(space, action, klass):
-    """Cover table of the maximal categorical invariant opens."""
-    key = ("cat-open", klass.key())
-
-    def build():
-        return CoverTable(_maximal_members(
-            invariant_up_sets(space, action),
-            lambda m: is_categorical(m, space, action, klass,
-                                     with_certificate=False)[0] or None,
-        ))
-
-    return _cache(action, key, build)
+    """The maximal categorical invariant opens, in walk order."""
+    return _catalogue(action, ("cat-open", klass.key()),
+                      lambda: invariant_up_sets(space, action),
+                      _categorical_test(space, action, klass))
 
 
 def categorical_closed_catalog(space, action, klass):
-    """Cover table of the maximal categorical invariant closed sets."""
-    key = ("cat-closed", klass.key())
-
-    def build():
-        return CoverTable(_maximal_members(
-            invariant_down_sets(space, action),
-            lambda m: is_categorical(m, space, action, klass,
-                                     with_certificate=False)[0] or None,
-        ))
-
-    return _cache(action, key, build)
+    """The maximal categorical invariant closed sets, in walk order."""
+    return _catalogue(action, ("cat-closed", klass.key()),
+                      lambda: invariant_down_sets(space, action),
+                      _categorical_test(space, action, klass))
 
 
 def deformable_open_catalog(space, action, Y_mask, mod):
-    """Maximal invariant opens deformable to Y (mod Y when ``mod``), each
-    with its fence; empty when no nonempty open deforms."""
-    key = ("deformable", Y_mask, mod)
-
-    def build():
-        return _maximal_members(
-            invariant_up_sets(space, action),
-            lambda m: is_G_deformable(action, m, Y_mask, mod=mod),
-        )
-
-    return _cache(action, key, build)
+    """The maximal invariant opens deformable to Y (mod Y when ``mod``),
+    in walk order, each with its fence; empty when no nonempty open
+    deforms."""
+    return _catalogue(action, ("deformable", Y_mask, mod),
+                      lambda: invariant_up_sets(space, action),
+                      lambda m: is_G_deformable(action, m, Y_mask, mod=mod))
 
 
 def classB_catalog(space, action, class_b):
-    """Cover table of the maximal invariant opens isomorphic to a
-    reference space."""
-    key = ("classB", tuple(class_b))
+    """The maximal invariant opens isomorphic to a reference space, in
+    walk order."""
+    return _catalogue(action, ("classB", tuple(class_b)),
+                      lambda: invariant_up_sets(space, action),
+                      lambda m: _matches_reference(space, m, class_b) or None)
 
-    def is_iso(m):
-        sub, _ = space.subspace(m)
-        return any(order_isomorphic(sub, ref) for ref in class_b) or None
 
-    def build():
-        return CoverTable(_maximal_members(
-            invariant_up_sets(space, action), is_iso))
-
-    return _cache(action, key, build)
+def _matches_reference(space, mask, class_b):
+    """Is the subspace on ``mask`` isomorphic to a reference space?"""
+    if all(len(ref) != mask.bit_count() for ref in class_b):
+        return False
+    sub, _ = space.subspace(mask)
+    return any(order_isomorphic(sub, ref) for ref in class_b)
 
 
 def order_isomorphic(s1, s2):
@@ -509,57 +499,18 @@ def order_isomorphic(s1, s2):
 # -- exact set cover -----------------------------------------------------
 
 
-class CoverTable:
-    """Exact minimum covers by a fixed family of member masks.
-
-    The breadth-first union closure of the members is computed once:
-    level k holds the unions first reached with k members, and each
-    union keeps the parent pointer (previous union, member) through which
-    it was first reached, with the previous level scanned in order and
-    the members in family order.  ``cover(target)`` returns the members
-    of the first union in that order containing the target, which is a
-    minimum cover, or None when no union does; answers are memoised per
-    target.
-    """
-
-    __slots__ = ("members", "_parent", "_memo")
-
-    def __init__(self, members):
-        self.members = tuple(members)
-        self._parent = {0: None}  # insertion order is the BFS order
-        level = [0]
-        while level:
-            reached = []
-            for u in level:
-                for m in self.members:
-                    v = u | m
-                    if v not in self._parent:
-                        self._parent[v] = (u, m)
-                        reached.append(v)
-            level = reached
-        self._memo = {}
-
-    def _search(self, target):
-        for u in self._parent:
-            if target & ~u == 0:
-                members = []
-                while self._parent[u] is not None:
-                    u, m = self._parent[u]
-                    members.append(m)
-                return tuple(reversed(members))
+def min_cover(target, candidates):
+    """The first smallest combination of candidates, in
+    ``itertools.combinations`` order, whose union contains the target, as
+    a list; None at once when the union of all candidates misses a bit
+    of the target."""
+    candidates = tuple(candidates)
+    if target & ~functools.reduce(operator.or_, candidates, 0):
         return None
-
-    def cover(self, target):
-        """Members of a minimum cover of ``target``; None if impossible."""
-        if target not in self._memo:
-            self._memo[target] = self._search(target)
-        return self._memo[target]
-
-
-def min_cover(target_mask, candidate_masks):
-    """Exact minimum cover of target by candidates; None if impossible."""
-    cover = CoverTable(candidate_masks).cover(target_mask)
-    return None if cover is None else list(cover)
+    for k in itertools.count():
+        for combo in itertools.combinations(candidates, k):
+            if target & ~functools.reduce(operator.or_, combo, 0) == 0:
+                return list(combo)
 
 
 # -- the main entry point -------------------------------------------------
@@ -568,8 +519,8 @@ def min_cover(target_mask, candidate_masks):
 def cover_category(query):
     """Compute the requested category variant with certificates.
 
-    Plain, closed and classB values are one lookup in the catalogue's
-    cover table; pair, mod and semi take the least lookup over the
+    Plain, closed and classB values are one ``min_cover`` search of the
+    catalogue; pair, mod and semi take the least search over the
     admissible deformable A0, with A0 = 0 (no deformable set) only when
     no nonempty open deforms.  The empty A has value 0 in every mode.
     """
@@ -577,16 +528,16 @@ def cover_category(query):
         return CatResult(query, 0, ())
     space, action, klass = query.space, query.action, query.klass
     if query.mode == "classB":
-        table, role = classB_catalog(space, action, query.class_b), "iso"
+        catalog, role = classB_catalog(space, action, query.class_b), "iso"
     elif query.mode == "closed":
-        table = categorical_closed_catalog(space, action, klass)
+        catalog = categorical_closed_catalog(space, action, klass)
         role = "categorical"
     else:
-        table = categorical_open_catalog(space, action, klass)
+        catalog = categorical_open_catalog(space, action, klass)
         role = "categorical"
     entries = []
     if query.mode in ("plain", "closed", "classB"):
-        cover = table.cover(query.A)
+        cover = min_cover(query.A, catalog)
     else:
         deform = deformable_open_catalog(
             space, action, query.Y, mod=(query.mode == "mod")
@@ -596,7 +547,7 @@ def cover_category(query):
         for a0 in sorted((m for m in list(deform) or [0]
                           if required & ~m == 0),
                          key=lambda m: ((query.A & ~m).bit_count(), m)):
-            rest = table.cover(query.A & ~a0)
+            rest = min_cover(query.A & ~a0, catalog)
             if rest is not None and (best is None or len(rest) < len(best[1])):
                 best = (a0, rest)
                 if not rest:

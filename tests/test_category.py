@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from lscat.category import (
     CatQuery,
     CatResult,
     CoverEntry,
-    CoverTable,
     HypothesisUnmet,
     INFINITE,
     MODES,
@@ -199,6 +199,19 @@ def test_min_cover_exactness():
     assert min_cover(0, sets) == []
 
 
+def test_pair_cover_keeps_the_first_A0_of_least_cost():
+    # A0 = acdef and A0 = bcdef each leave one categorical open; the
+    # first in (points of A left, mask) order is the one reported
+    space = validate_space(list("abcdef"), [
+        ["a", "c"], ["a", "d"], ["a", "e"], ["b", "d"], ["b", "e"],
+        ["c", "f"]])
+    result = cover_category(
+        CatQuery(space, Y=space.subset(["a", "b", "f"]), mode="pair"))
+    assert [(e.role, e.mask) for e in result.cover] == [
+        ("deformable", space.subset(list("acdef"))),
+        ("categorical", space.subset(list("bcdef")))]
+
+
 def test_ordering_chain_on_fixtures(arc3, c4, wedge2):
     cases = [
         (arc3, arc3.full_mask(), arc3.subset(["l", "r"])),
@@ -256,31 +269,27 @@ def test_ordering_chain_random(space, data):
     assert value_ge_diff(pair, cat(space, A), cat(space, Y))
 
 
-# -- the cover table against brute force ------------------------------------
-
-
-def _covers(cover, target, candidates):
-    union = 0
-    for m in cover:
-        assert m in candidates
-        union |= m
-    return target & ~union == 0
+# -- the cover search against brute force -----------------------------------
 
 
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=9),
        st.lists(st.integers(min_value=0, max_value=255), min_size=1,
                 max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_cover_table_matches_oracle(candidates, targets):
-    table = CoverTable(candidates)  # one table, its memo shared by the targets
+def test_min_cover_matches_oracle(candidates, targets):
+    # the same enumeration as the oracle, so the same tie-break
     for target in targets:
-        expect = oracle_min_cover(target, candidates)
-        for cover in (min_cover(target, candidates), table.cover(target)):
-            if expect is None:
-                assert cover is None
-            else:
-                assert len(cover) == len(expect)
-                assert _covers(cover, target, candidates)
+        assert min_cover(target, candidates) == oracle_min_cover(
+            target, candidates)
+
+
+def test_min_cover_refuses_an_unreachable_bit_at_once():
+    # without the reach check this would try all 2^24 combinations
+    candidates = [1 << k for k in range(24)]
+    start = time.perf_counter()
+    assert min_cover((1 << 24) | 1, candidates) is None
+    assert time.perf_counter() - start < 0.5
+    assert min_cover(1 << 23, candidates) == [1 << 23]
 
 
 @st.composite
@@ -436,9 +445,9 @@ def test_catalogues_are_the_maximal_members(acted, data):
 
     cases = [
         ("open", opens, categorical,
-         categorical_open_catalog(space, action, klass).members),
+         list(categorical_open_catalog(space, action, klass))),
         ("closed", closeds, categorical,
-         categorical_closed_catalog(space, action, klass).members),
+         list(categorical_closed_catalog(space, action, klass))),
         ("pair", opens, deforms(False),
          deformable_open_catalog(space, action, Y, False)),
         ("mod", opens, deforms(True),
@@ -447,7 +456,7 @@ def test_catalogues_are_the_maximal_members(acted, data):
     if action.is_trivial():
         class_b = _reference_spaces(data, space)
         cases.append(("classB", opens, _is_iso_member(space, class_b),
-                      classB_catalog(space, action, class_b).members))
+                      list(classB_catalog(space, action, class_b))))
     for name, sets, test, members in cases:
         family = {m for m in sets if test(m)}
         for m in family:  # all but classB are down-closed among invariant sets

@@ -74,3 +74,38 @@ def test_traced_import_sites_share_their_function():
     assert category.fence_search is poset.fence_search
     assert category.is_contractible_in is poset.is_contractible_in
     assert category.is_G_deformable is action.is_G_deformable
+
+
+def test_cover_searches_and_catalogue_builds_reach_the_traced_names(
+        monkeypatch):
+    """The tracer's ``category.min_cover`` and ``category.catalogue_build``
+    spans wrap these two module globals, so a private search or an
+    uncached build would read 0 there without failing anything else."""
+    from lscat import category
+    from lscat.action import GroupAction
+    from lscat.poset import validate_space
+
+    calls = {"min_cover": 0, "invariant_up_sets": 0}
+
+    def counting(name):
+        original = getattr(category, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(category, name, wrapper)
+
+    counting("min_cover")
+    counting("invariant_up_sets")
+    space = validate_space(["a", "b", "c"], [["c", "a"], ["c", "b"]])
+    action = GroupAction.trivial(space)  # its catalogues are cached on it
+    queries = [dict(mode="plain"),
+               dict(mode="pair", Y=space.subset(["c"]))]
+    for query in queries:
+        for repeat in range(2):
+            before = dict(calls)
+            category.cover_category(
+                category.CatQuery(space, action=action, **query))
+            assert calls["min_cover"] > before["min_cover"], query
+            builds = calls["invariant_up_sets"] - before["invariant_up_sets"]
+            assert builds == (0 if repeat else 1), (query, repeat)
