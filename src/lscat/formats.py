@@ -66,6 +66,15 @@ def _require(value, kind, location, what):
     return value
 
 
+def _only_keys(doc, allowed, location, what):
+    """Reject an object ``doc`` with a key outside ``allowed``."""
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ValidationError(location, f"{what} has unknown keys {unknown}; "
+                                        f"allowed: {list(allowed)}")
+    return doc
+
+
 def _per_point(space, doc, location, what, valid, values):
     """Reject ``doc`` unless it is an object whose keys are exactly the
     points of ``space`` and whose every value passes ``valid``."""
@@ -112,7 +121,8 @@ def load_json(path):
 
 
 def parse_space(doc, location="space"):
-    _require(doc, "object", location, "a space")
+    _only_keys(_require(doc, "object", location, "a space"),
+               ("points", "relation"), location, "a space")
     try:
         points = doc["points"]
         relation = doc.get("relation", [])
@@ -136,7 +146,8 @@ def parse_space(doc, location="space"):
 def parse_action(space, doc, location="action"):
     if doc is None:
         return GroupAction.trivial(space)
-    _require(doc, "object", location, "an action")
+    _only_keys(_require(doc, "object", location, "an action"),
+               ("generators",), location, "an action")
     gens = _require(doc.get("generators", []), "list", location, "generators")
     for g in gens:
         _label_map(space, g, location, "generator")
@@ -149,7 +160,8 @@ def parse_action(space, doc, location="action"):
 def parse_class(action, doc, location="class"):
     if doc is None:
         return HomogeneousClass.default(action)
-    _require(doc, "object", location, "an orbit class")
+    _only_keys(_require(doc, "object", location, "an orbit class"),
+               ("kind",), location, "an orbit class")
     kind = doc.get("kind", "point")
     if kind == "all":
         return HomogeneousClass.all_types(action)
@@ -189,7 +201,8 @@ def parse_band(doc, location="band"):
 
 def parse_index(sc, doc, location):
     """The engine's index block as (truncated index, axiom_mode)."""
-    _require(doc, "object", location, "an index block")
+    _only_keys(_require(doc, "object", location, "an index block"),
+               ("kind", "cap", "axiom_mode"), location, "an index block")
     axiom_mode = doc.get("axiom_mode", "exhaustive")
     if axiom_mode not in AXIOM_MODES:
         raise ValidationError(location, f"unknown axiom_mode {axiom_mode!r}; "
@@ -245,7 +258,9 @@ def parse_queries(sc, doc, location):
     out = []
     for k, q in enumerate(_require(doc, "list", location, "queries")):
         loc = f"{location}[{k}]"
-        _require(q, "object", loc, "a query")
+        _only_keys(_require(q, "object", loc, "a query"),
+                   ("mode", "A", "Y", "class_b", "quotient", "expect"),
+                   loc, "a query")
         if _require(q.get("quotient", False), "boolean", loc, "quotient"):
             quotient, _ = sc.action.orbit_space()
             out.append((q, CatQuery(quotient)))
@@ -322,6 +337,13 @@ def parse_scenario(path_or_doc, path=None):
     kind = _require(doc, "object", location, "a scenario").get("kind")
     if kind not in SCENARIO_KINDS:
         raise ValidationError(location, f"unknown scenario kind {kind!r}")
+    pair = ("space", "action", "class", "map", "function", "band")
+    _only_keys(doc, ("kind", "name", "notes", "models", "expect") + {
+        "category": ("space", "action", "class", "queries"),
+        "theorem": pair + ("theorems", "reference_spaces"),
+        "engine": pair + ("index",),
+        "numeric": ("check", "fixture", "tau", "n_max", "family"),
+    }[kind], location, f"a {kind} scenario")
     name = _require(doc.get("name", ""), "string", location, "name")
     sc = Scenario(name or path or "scenario", kind, doc, path=path)
     if kind == "numeric":

@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lscat import engine
 from lscat.category import INFINITE
@@ -278,9 +278,12 @@ SWAP_MINIMA = {"p": "q", "q": "p", "U": "U", "L": "L"}
      lambda doc, mp: doc.update(theorems=[
          "band_bound", "identity_band_bound", "semiflow", "band_bound"]),
      ["verify"], "repeated theorem ids ['band_bound']"),
+    ("v_descent_bounds.json",
+     lambda doc, mp: doc.update(thoerems=["band_bound"]), ["verify"],
+     "a theorem scenario has unknown keys ['thoerems']"),
 ], ids=["homeo-with-action", "generator-unknown-key", "index-cap-zero",
         "exhaustive-past-its-cap", "theorem-id-not-a-string",
-        "theorem-id-repeated"])
+        "theorem-id-repeated", "scenario-unknown-key"])
 def test_bad_document_is_one_input_error_everywhere(
         tmp_path, capsys, monkeypatch, fixture, edit, command, message):
     doc = _load_fixture(fixture)
@@ -699,23 +702,53 @@ def _bad_index(draw, doc, kind):
 
 def _bad_query(draw, doc, kind):
     query = doc["queries"][0]
-    edit = draw(st.sampled_from(["mode", "Y-without-pair", "classB-alone"]))
+    edit = draw(st.sampled_from(["mode", "Y-without-pair", "classB-alone",
+                                 "class_b-without-classB"]))
     if edit == "mode":
         query["mode"] = draw(st.sampled_from(("bogus", "Plain", "")))
     elif edit == "Y-without-pair":  # these modes take no reference subset
         query.update(mode=draw(st.sampled_from(("plain", "closed"))), Y="all")
-    else:  # classB needs a class_b reference list
+    elif edit == "classB-alone":  # classB needs a class_b reference list
         query.pop("Y", None)
         query["mode"] = "classB"
+    else:  # and only classB takes one
+        query.pop("Y", None)
+        query.update(mode="plain", class_b=[doc["space"]])
+
+
+def _unknown_key(draw, doc, kind):
+    # keys allowed nowhere, and top-level blocks the kind does not read
+    blocks = [b for b in ("space", "action", "class", "index") if b in doc]
+    if kind == "category":
+        blocks.append("query")
+    where = draw(st.sampled_from([None] + blocks))
+    if where is None:
+        block = doc
+    elif where == "query":
+        block = doc["queries"][0]
+    else:
+        block = doc[where]
+    stray = ["relaiton", "mdoe", "thoerems"]
+    if where is None:
+        stray += {"theorem": ["index", "queries"], "engine": ["theorems"],
+                  "category": ["map", "band", "index"]}[kind]
+    block[draw(st.sampled_from(stray))] = {}
 
 
 PAIR_MALFORMATIONS = (_drop, _wrong_type, _non_finite, _unknown_label,
-                      _not_order_preserving)
+                      _not_order_preserving, _unknown_key)
 MALFORMATIONS = {
     "theorem": PAIR_MALFORMATIONS,
     "engine": PAIR_MALFORMATIONS + (_bad_index,),
-    "category": (_drop, _wrong_type, _unknown_label, _bad_query),
+    "category": (_drop, _wrong_type, _unknown_label, _bad_query,
+                 _unknown_key),
 }
+
+
+def _edited(name, edit):
+    doc = _load_fixture(name)
+    edit(doc)
+    return doc
 
 
 @st.composite
@@ -726,6 +759,17 @@ def malformed_scenarios(draw):
     return doc, COMMANDS[kind]
 
 
+# stray keys that were once read past without a word
+@example(({"points": ["a", "b"], "relaiton": [["a", "b"]]},
+          ["space", "validate"]))
+@example((_edited("boundary_pair_arc.json", lambda d: d.update(
+    queries=[{"mdoe": "mod", "A": "all"}])), ["cat"]))
+@example((_edited("boundary_pair_arc.json", lambda d: d.update(
+    queries=[{"A": "all", "class_b": [d["space"]]}])), ["cat"]))
+@example((_edited("v_descent_bounds.json",
+                  lambda d: d.update(thoerems=["band_bound"])), ["verify"]))
+@example((_edited("v_descent_bounds.json",
+                  lambda d: d.update(index={"cap": 2})), ["verify"]))
 @settings(max_examples=300, deadline=None)
 @given(malformed_scenarios())
 def test_cli_rejects_malformed_scenarios(case):
