@@ -399,3 +399,28 @@ def test_subspace_matches_the_space_validated_from_its_pairs(space):
         assert idx == tuple(bits(mask))
         assert (sub.points, sub.up, sub.down, sub._strict_up) == (
             rebuilt.points, rebuilt.up, rebuilt.down, rebuilt._strict_up)
+
+
+def test_space_map_rejects_an_image_past_the_codomain(v_space):
+    with pytest.raises(ValueError, match="out of codomain range"):
+        SpaceMap(v_space, v_space, (0, 1, len(v_space)))
+
+
+def test_image_mask_reads_only_the_given_points(v_space):
+    ident = SpaceMap.identity(v_space)
+    for mask in range(1 << len(v_space)):
+        assert ident.image_mask(mask) == mask
+    assert ident.image_mask() == v_space.full_mask()
+
+
+def test_fence_cap_bounds_the_maps_explored(v_space, monkeypatch):
+    # V is contractible, so its self-maps form one component, and a
+    # search that never hits its target explores each of them once
+    explored = len(enumerate_maps(v_space, v_space))
+    ident = SpaceMap.identity(v_space)
+    monkeypatch.setattr(poset, "FENCE_NODE_CAP", explored)
+    assert poset.fence_search(ident, lambda images: False) is None
+    monkeypatch.setattr(poset, "FENCE_NODE_CAP", explored - 1)
+    with pytest.raises(poset.SizeCapExceeded,
+                       match=f"FENCE_NODE_CAP = {explored - 1}"):
+        poset.fence_search(ident, lambda images: False)
