@@ -359,12 +359,18 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
     """Is the open W G-deformable to Y (mod Y)?  Returns a fence or None.
 
     mod: every stage sends W & Y into Y and the final image lies in Y.
-    W must be nonempty and invariant (ValueError otherwise).
+    W must be nonempty and invariant (ValueError otherwise).  No search
+    runs when a component of the space meets W but misses Y: every
+    fence stage sends each point into its own component (the degree-0
+    case of McCord's weak equivalence), so no final image lies in Y.
     """
     if W_mask == 0:
         raise ValueError("deformability of the empty set is undefined")
-    if Y_mask == 0:
-        return None  # a nonempty set never maps into the empty set
+    if not action.is_invariant(W_mask):
+        raise ValueError(f"the domain {list(action.space.labels(W_mask))} "
+                         "is not invariant under the group")
+    if any(W_mask & c and not Y_mask & c for c in action.space.components):
+        return None
     incl, parents = inclusion_map(action.space, W_mask)
 
     def target(images):

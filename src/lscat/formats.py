@@ -262,6 +262,7 @@ def parse_queries(sc, doc, location):
                    ("mode", "A", "Y", "class_b", "quotient", "expect"),
                    loc, "a query")
         if _require(q.get("quotient", False), "boolean", loc, "quotient"):
+            _only_keys(q, ("quotient", "expect"), loc, "a quotient query")
             quotient, _ = sc.action.orbit_space()
             out.append((q, CatQuery(quotient)))
             continue

@@ -52,7 +52,7 @@ class FiniteSpace:
     """
 
     __slots__ = ("points", "index", "up", "down", "_upsets", "_core",
-                 "_hash", "_strict_up", "_strict_down")
+                 "_components", "_hash", "_strict_up", "_strict_down")
 
     def __init__(self, points, up):
         points = tuple(points)
@@ -68,6 +68,7 @@ class FiniteSpace:
         )
         self._upsets = None
         self._core = None
+        self._components = None
         self._hash = hash((points, self.up))
         self._strict_up = tuple(
             tuple(_bits(self.up[i] & ~(1 << i))) for i in range(n)
@@ -136,6 +137,22 @@ class FiniteSpace:
                 m for m in range(1 << n) if self.is_up_set(m)
             )
         return self._upsets
+
+    @property
+    def components(self):
+        """The connected components (of the comparability graph) as
+        masks, by least point; computed on the first request."""
+        if self._components is None:
+            out, rest = [], self.full_mask()
+            while rest:
+                comp, grown = 0, rest & -rest
+                while grown != comp:
+                    comp = grown
+                    grown = self.up_closure(comp) | self.down_closure(comp)
+                out.append(comp)
+                rest &= ~comp
+            self._components = tuple(out)
+        return self._components
 
     def down_sets(self):
         full = self.full_mask()
@@ -567,15 +584,21 @@ def is_contractible_in(A, space, with_certificate=True):
     """Is the inclusion of the subset A (a mask) fence-homotopic to a
     constant map into X?
 
-    Runs on cores for speed: A is contractible in X iff the conjugated
-    inclusion core(A) -> core(X) is fence-connected to a constant.  A is
-    collapsed on the space's masks, so deciding builds only core(A) and
-    that one map; when A collapses to one point it is contractible and
-    nothing is built.  The certificate, when asked for, is a full fence
-    on the original inclusion, built from the same collapse.
+    A that meets two components of X is not: every stage of a fence
+    sends each point into its own component (the degree-0 case of
+    McCord's weak equivalence), and a constant map does not, so no
+    search runs.  Otherwise runs on cores for speed: A is contractible
+    in X iff the conjugated inclusion core(A) -> core(X) is
+    fence-connected to a constant.  A is collapsed on the space's masks,
+    so deciding builds only core(A) and that one map; when A collapses
+    to one point it is contractible and nothing is built.  The
+    certificate, when asked for, is a full fence on the original
+    inclusion, built from the same collapse.
     """
     if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")
+    if any(A & c and A & ~c for c in space.components):
+        return False, None
     alive, removals = _collapse(space, A)
     if not with_certificate and alive & (alive - 1) == 0:
         return True, None

@@ -251,7 +251,8 @@ def collapse_sequence(K):
 
     Greedy free-face collapsing with backtracking up to COLLAPSE_BUDGET
     search nodes; failure to certify within the budget returns None
-    (conservative).
+    (conservative).  A complex with nonzero reduced mod-2 homology is
+    not collapsible, so it gets None before any search (``_acyclic``).
     """
     simplices = frozenset(K.simplices)
     nodes = [0]
@@ -293,7 +294,16 @@ def collapse_sequence(K):
 
     if len(simplices) == 1:
         return []
+    if not _acyclic(K):
+        return None
     return rec(simplices, [])
+
+
+def _acyclic(K):
+    """Whether K has zero reduced mod-2 homology: one class in degree 0
+    and none above (mod-2 cohomology has the same ranks), which the
+    empty complex, with no class at all, fails."""
+    return sum(map(len, CohomologyRing(K).reps.values())) == 1
 
 
 def star_cover_upper_bound(K):

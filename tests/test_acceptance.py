@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 import fixtures as fx
+import lscat.action
+import lscat.engine
+import lscat.poset
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import (
     cat,
@@ -125,7 +128,30 @@ ENGINE_PINS = json.loads(
     .read_text())["engine-sweep"]
 
 
-def test_criterion_04_thousand_generated_instances(_violations_dir):
+# searches per pass, as the benchmark's tracer counts them: one cover
+# query per open hull, and fence searches only within one component
+CRITERION_04_COVER_QUERIES = 13_245
+CRITERION_04_FENCE_SEARCHES = 124
+
+
+def _count_calls(monkeypatch, counts, key, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_criterion_04_thousand_generated_instances(_violations_dir,
+                                                   monkeypatch):
+    counts = {"cover_category": 0, "fence_search": 0}
+    _count_calls(monkeypatch, counts, "cover_category", lscat.engine,
+                 "cover_category")
+    for module in (lscat.poset, lscat.action):
+        _count_calls(monkeypatch, counts, "fence_search", module,
+                     "fence_search")
     t0 = time.monotonic()
     holds = ledger_passing = 0
     digest = hashlib.sha256()
@@ -154,13 +180,17 @@ def test_criterion_04_thousand_generated_instances(_violations_dir):
         and not persisted
         and not unpinned
         and digest.hexdigest() == CRITERION_04_SHA256
+        and counts["cover_category"] == CRITERION_04_COVER_QUERIES
+        and counts["fence_search"] == CRITERION_04_FENCE_SEARCHES
         and elapsed < 300.0
     )
     assert _line(
         4, ok,
         f"{holds}/{ledger_passing} ledger-passing instances hold "
         f"(of 1000), {len(persisted)} persisted, unpinned seeds "
-        f"{unpinned[:5]}, sha256 {digest.hexdigest()[:16]}, {elapsed:.1f}s",
+        f"{unpinned[:5]}, sha256 {digest.hexdigest()[:16]}, "
+        f"{counts['cover_category']} cover queries, "
+        f"{counts['fence_search']} fence searches, {elapsed:.1f}s",
     )
 
 

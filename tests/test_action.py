@@ -247,6 +247,17 @@ def test_G_deformable_rejects_a_non_invariant_domain():
         is_G_deformable(swap, 0b001, 0b100)
 
 
+def test_G_deformable_checks_the_domain_before_the_component_rule():
+    # on the discrete space the component {a} misses Y, so the rule
+    # alone would answer None
+    space = validate_space(["a", "b", "c"], [])
+    swap = validate_action(space, [{"a": "b", "b": "a", "c": "c"}])
+    for Y in (0b100, 0):
+        with pytest.raises(ValueError, match=r"\['a'\] is not invariant"):
+            is_G_deformable(swap, 0b001, Y)
+    assert is_G_deformable(swap, 0b011, 0b100) is None
+
+
 # copy c goes to each generator's image of c; Z2xZ2 reads c as two bits
 _COPY_GROUPS = {
     "Z2": (2, [lambda c: (c + 1) % 2]),

@@ -1,16 +1,19 @@
 import math
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures as fx
-from lscat import poset
+from lscat import action as action_module, poset
 from lscat.action import (
+    G_fence_search,
     GroupAction,
     HomogeneousClass,
     inclusion_map,
     is_G_deformable,
+    mod_stage_ok,
     validate_action,
 )
 from lscat.category import (
@@ -36,6 +39,7 @@ from lscat.category import (
     _factor_targets,
     _induced,
 )
+from lscat.engine import make_truncated_index
 from lscat.poset import (
     SpaceMap,
     bits,
@@ -45,7 +49,7 @@ from lscat.poset import (
     validate_space,
 )
 
-from oracles import oracle_cat, oracle_min_cover
+from oracles import oracle_cat, oracle_min_cover, oracle_truncated_index
 
 
 # -- infinity conventions ---------------------------------------------------
@@ -293,23 +297,27 @@ def test_min_cover_refuses_an_unreachable_bit_at_once():
 
 
 @st.composite
-def acted_spaces(draw, max_points=6):
+def acted_spaces(draw, max_points=6, split=False):
     """Three to ``max_points`` points with an involution whose orbits are
     fixed points and swapped pairs (all orbit types admissible), or the
     trivial action.
 
     Every relation runs from an earlier orbit to a later one and is closed
     under the swap, so the order is antisymmetric and the swap an
-    automorphism.
+    automorphism.  With ``split``, a drawn cut (none when it is 0) keeps
+    every relation on one side of it, so the space is disconnected.
     """
     kinds = draw(st.lists(st.sampled_from(["fixed", "pair"]), min_size=3,
                           max_size=max_points).filter(
         lambda ks: sum(1 if k == "fixed" else 2 for k in ks) <= max_points))
     orbits = [[f"f{u}"] if k == "fixed" else [f"a{u}", f"b{u}"]
               for u, k in enumerate(kinds)]
+    cut = draw(st.integers(0, len(orbits) - 1)) if split else 0
     pairs = []
     for u, low in enumerate(orbits):
-        for high in orbits[u + 1:]:
+        for v, high in enumerate(orbits[u + 1:], u + 1):
+            if u < cut <= v:
+                continue
             if len(low) == len(high) == 2:
                 families = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
             else:
@@ -505,6 +513,53 @@ def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
                                   with_certificate=True)[1]
         assert entry.certificate.maps == expected.maps
         entry.certificate.validate()
+
+
+# -- the component rule and the open hull against unguarded searches ---------
+
+
+@given(acted_spaces(max_points=7, split=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
+    """``is_G_deformable`` returns the unguarded ``G_fence_search``'s
+    fence, or None with it, and searches nothing when a component of the
+    space meets W but misses Y."""
+    space, action, _ = acted
+    full = space.full_mask()
+    for _ in range(3):
+        W = action.saturate(data.draw(st.integers(1, full)))
+        Y = data.draw(st.integers(0, full))
+        refuted = any(W & c and not Y & c for c in space.components)
+        incl, parents = inclusion_map(space, W)
+        for mod in (False, True):
+            direct = G_fence_search(
+                incl, action, parents,
+                lambda images: all(Y >> v & 1 for v in images),
+                stage_ok=mod_stage_ok(parents, Y) if mod else None)
+            with mock.patch.object(action_module, "fence_search",
+                                   wraps=action_module.fence_search) as search:
+                fence = is_G_deformable(action, W, Y, mod=mod)
+            if refuted:
+                assert direct is None and search.call_count == 0
+            assert (fence is None) == (direct is None), (W, Y, mod)
+            if fence is not None:
+                assert fence.maps == direct.maps
+
+
+@given(acted_spaces(max_points=7, split=True),
+       st.sampled_from(["category", "pair_category"]),
+       st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_index_reads_the_open_hull(acted, kind, cap, data):
+    space, action, _ = acted
+    nu = make_truncated_index(kind, cap, action)
+    oracle = oracle_truncated_index(kind, cap, action)
+    full = space.full_mask()
+    for _ in range(4):
+        A = data.draw(st.integers(0, full))
+        Y = data.draw(st.integers(0, full))
+        hull = space.up_closure(action.saturate(A))
+        assert nu(A, Y) == oracle(A, Y) == nu(hull, Y), (A, Y)
 
 
 # -- verify rejects each defect ---------------------------------------------

@@ -100,6 +100,18 @@ def test_truncated_index_reads_only_saturations(c4, kind, generators):
             assert value == _fresh_index_value(kind, 5, c4, generators, A, Y)
 
 
+def test_mod_index_reads_A_not_only_its_hull():
+    # x1 < x2 < x3 and x0 < x3: up(A) is the whole space, whose mod value
+    # is infinite, while A = {x0, x1} deforms into Y = {x0, x2} mod Y
+    space = validate_space(["x0", "x1", "x2", "x3"],
+                           [("x0", "x3"), ("x1", "x2"), ("x2", "x3")])
+    nu = make_truncated_index("mod_category", 5, GroupAction.trivial(space))
+    A, Y = space.subset(["x0", "x1"]), space.subset(["x0", "x2"])
+    assert space.up_closure(A) == space.full_mask()
+    assert nu(A, Y) == 1
+    assert nu(space.full_mask(), Y) == 5
+
+
 @pytest.mark.parametrize("kind", ["category", "pair_category",
                                   "mod_category"])
 @pytest.mark.parametrize("generators", [[], [fx.conjugation_generator()]],

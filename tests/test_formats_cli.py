@@ -766,6 +766,9 @@ def malformed_scenarios(draw):
     queries=[{"mdoe": "mod", "A": "all"}])), ["cat"]))
 @example((_edited("boundary_pair_arc.json", lambda d: d.update(
     queries=[{"A": "all", "class_b": [d["space"]]}])), ["cat"]))
+@example((_edited("conjugation_circle.json", lambda d: d.update(
+    queries=[{"quotient": True, "mode": "bogus", "A": ["nope"],
+              "expect": 1}])), ["cat"]))
 @example((_edited("v_descent_bounds.json",
                   lambda d: d.update(thoerems=["band_bound"])), ["verify"]))
 @example((_edited("v_descent_bounds.json",

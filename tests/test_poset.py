@@ -1,4 +1,5 @@
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,7 @@ from lscat.poset import (
 )
 
 from oracles import (
+    _comparability_components,
     all_order_preserving_maps,
     hom_components,
     oracle_contractible,
@@ -295,6 +297,49 @@ def test_contractibility_decision_matches_oracle_on_every_subset(space):
             fence.validate()
             assert fence.start.images == tuple(bits(mask))
             assert len(set(fence.end.images)) == 1
+
+
+@st.composite
+def split_posets(draw):
+    """Two random posets side by side on 2..7 points, so at least two
+    components, with labels in no linear-extension order and every
+    hom-set into them small enough for the oracle."""
+    sizes = draw(st.tuples(st.integers(min_value=1, max_value=4),
+                           st.integers(min_value=1, max_value=3)))
+    labels = draw(st.permutations([f"x{i}" for i in range(sum(sizes))]))
+    blocks = (labels[:sizes[0]], labels[sizes[0]:])
+    pairs = [[b[i], b[j]] for b in blocks for i in range(len(b))
+             for j in range(i + 1, len(b))
+             if draw(st.integers(min_value=0, max_value=2))]
+    space = validate_space(sorted(labels), pairs)
+    assume(not any(_hom_set_exceeds(space, mask, ORACLE_HOM_SET_CAP)
+                   for mask in range(1, space.full_mask() + 1)))
+    return space
+
+
+@given(split_posets())
+@settings(max_examples=20, deadline=None)
+def test_a_set_across_components_is_refuted_without_a_search(space):
+    assert space.components == tuple(
+        sum(1 << i for i in comp)
+        for comp in _comparability_components(space))
+    assert len(space.components) >= 2
+    for mask in range(1, space.full_mask() + 1):
+        with mock.patch.object(poset, "fence_search",
+                               wraps=poset.fence_search) as search:
+            decided, _ = is_contractible_in(mask, space,
+                                            with_certificate=False)
+        assert decided == oracle_contractible(space, mask), (
+            space.points, space.labels(mask))
+        if any(mask & c and mask & ~c for c in space.components):
+            assert not decided and search.call_count == 0
+
+
+def test_empty_set_is_rejected_before_the_component_rule():
+    space = validate_space(["a", "b"], [])
+    with pytest.raises(ValueError, match="empty subset"):
+        is_contractible_in(0, space)
+    assert is_contractible_in(0b11, space) == (False, None)
 
 
 def test_core_is_computed_once_per_space(c4, wedge2):

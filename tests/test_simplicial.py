@@ -1,4 +1,6 @@
 import time
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures as fx
 from fixtures import face_poset
+from lscat import simplicial
 from lscat.category import cuplength_lower_bound
 from lscat.simplicial import (
     CohomologyRing,
     NotConnected,
     SimplicialComplex,
+    _acyclic,
     coboundaries,
     collapse_sequence,
     cup,
@@ -277,6 +281,45 @@ def test_collapsibility():
     assert not is_collapsible(triangle_boundary())
     seq = collapse_sequence(SimplicialComplex.from_maximal([("a", "b")]))
     assert seq is not None and len(seq) == 1
+
+
+@st.composite
+def small_complexes(draw):
+    """Up to six random faces of up to three of 7 vertices."""
+    faces = draw(st.lists(st.sets(st.integers(min_value=0, max_value=6),
+                                  min_size=1, max_size=3),
+                          min_size=1, max_size=6))
+    return SimplicialComplex.from_maximal([sorted(f) for f in faces])
+
+
+@given(small_complexes())
+@settings(max_examples=50, deadline=None)
+def test_homology_refutes_only_what_the_search_refutes(K):
+    with mock.patch.object(simplicial, "_acyclic", lambda K: True):
+        unguarded = collapse_sequence(K)
+    assert collapse_sequence(K) == unguarded
+    if not _acyclic(K):
+        assert unguarded is None
+
+
+@pytest.mark.parametrize("maximal,acyclic", [
+    ([], False),
+    ([("a",)], True),
+    ([("a",), ("b",)], False),
+    ([("a", "b", "c", "d")], True),
+    (list(combinations("abcd", 3)), False),
+], ids=["empty", "point", "two-points", "tetrahedron", "sphere"])
+def test_acyclic_on_small_complexes(maximal, acyclic):
+    K = SimplicialComplex.from_maximal(maximal)
+    assert _acyclic(K) == acyclic
+    assert (collapse_sequence(K) is not None) == acyclic
+
+
+def test_homology_refutes_the_torus_star_cover_searches_at_once():
+    # without the check, the six-vertex spans alone search about 2 s
+    start = time.perf_counter()
+    assert star_cover_upper_bound(torus())[0] == 3
+    assert time.perf_counter() - start < 0.5
 
 
 def test_star_cover_values():
