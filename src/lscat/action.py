@@ -13,8 +13,11 @@ moves.
 from __future__ import annotations
 
 from .poset import (
+    FenceCertificate,
     SizeCapExceeded,
     SpaceMap,
+    _collapse,
+    _lift,
     bits,
     fence_search,
     join_labels,
@@ -363,15 +366,30 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
     runs when a component of the space meets W but misses Y: every
     fence stage sends each point into its own component (the degree-0
     case of McCord's weak equivalence), so no final image lies in Y.
+
+    Otherwise the question is decided on the relative G-core W' of W:
+    W is collapsed on the space's masks (``poset._collapse``), a whole
+    orbit of beat points at a time, and in mod mode only orbits outside
+    Y are removed, so W & Y stays.  With r: W -> W' the retraction and i
+    its inclusion, i o r is G-homotopic to the identity of W through
+    stages that fix W & Y, and r is the identity on W & Y; so the
+    inclusion of W deforms into Y (mod Y) exactly when that of W' does
+    (Stong, "Group actions on finite spaces", 1984).  The fence found on
+    W' is lifted to W the first time its maps are read: the collapse
+    stages (one per removed orbit), then each searched stage composed
+    with r.
     """
     if W_mask == 0:
         raise ValueError("deformability of the empty set is undefined")
     if not action.is_invariant(W_mask):
         raise ValueError(f"the domain {list(action.space.labels(W_mask))} "
                          "is not invariant under the group")
-    if any(W_mask & c and not Y_mask & c for c in action.space.components):
+    space = action.space
+    if any(W_mask & c and not Y_mask & c for c in space.components):
         return None
-    incl, parents = inclusion_map(action.space, W_mask)
+    keep = action.saturate(W_mask & Y_mask) if mod else 0
+    alive, removals = _collapse(space, W_mask, keep, action.elements)
+    incl, parents = inclusion_map(space, alive)
 
     def target(images):
         m = 0
@@ -379,10 +397,14 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
             m |= 1 << v
         return m & ~Y_mask == 0
 
-    return G_fence_search(
+    fence = G_fence_search(
         incl, action, parents, target,
         stage_ok=mod_stage_ok(parents, Y_mask) if mod else None,
     )
+    if fence is None or not removals:
+        return fence
+    return FenceCertificate(
+        lambda: _lift(space, W_mask, alive, removals, fence).maps)
 
 
 def orbit_equivalent(action, i, j, f_values):

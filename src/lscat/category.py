@@ -25,9 +25,12 @@ down-closed, and only its covers are read.
 Membership in the categorical catalogues is decided without a
 certificate (for the trivial group, by one collapse walk on masks of
 the space: see ``poset.is_contractible_in``).  A categorical cover
-set's fence is assembled the first time its ``CoverEntry.certificate``
-is read, by calling ``is_categorical`` again, so it is the fence the set
-would have had if built eagerly.  ``CatResult.verify`` re-runs no
+set's fence is assembled the first time its maps are read, by calling
+``is_categorical`` again, so it is the fence the set would have had if
+built eagerly.  The deformable catalogue keeps the fence each member's
+one ``is_G_deformable`` search found on the relative G-core of the
+member, and that fence is lifted to the member, with no second search,
+the first time its maps are read.  ``CatResult.verify`` re-runs no
 search on a finite value: ``_check_fence`` checks each categorical or
 deformable fence (it starts at the inclusion, every stage is a G-map,
 and it ends inside Y or through an admissible orbit).  An infinite
@@ -137,25 +140,14 @@ class CatQuery:
 
 
 class CoverEntry:
-    """One set of a cover, in its role, with its certificate.
+    """One set of a cover, in its role, with its certificate."""
 
-    A categorical set may be given a function that assembles its fence
-    instead of the fence: it is called on the first read of
-    ``certificate``, and its result kept.
-    """
-
-    __slots__ = ("mask", "role", "_certificate")
+    __slots__ = ("mask", "role", "certificate")
 
     def __init__(self, mask, role, certificate):
         self.mask = mask
         self.role = role
-        self._certificate = certificate
-
-    @property
-    def certificate(self):
-        if callable(self._certificate):
-            self._certificate = self._certificate()
-        return self._certificate
+        self.certificate = certificate
 
 
 class CatResult:
@@ -560,8 +552,8 @@ def cover_category(query):
     if cover is None:
         return CatResult(query, INFINITE, ())
     for m in cover:
-        cert = None if role == "iso" else (
-            lambda m=m: is_categorical(m, space, action, klass)[1])
+        cert = None if role == "iso" else FenceCertificate(
+            lambda m=m: is_categorical(m, space, action, klass)[1].maps)
         entries.append(CoverEntry(m, role, cert))
     return CatResult(query, len(cover), entries)
 

@@ -88,11 +88,18 @@ class FlowConfig:
 def truncation_g(x):
     """Monotone interpolant: 1 below 1, the identity above 2, and a cubic
     bridge matching values and slopes (1,0) and (2,1) in between."""
-    # one float off the cubic bridge; NaN and arrays take the numpy path
-    if type(x) is float and (x <= 1.0 or x >= 2.0):
+    # One float on Python floats: -t**3 + 2.0 * t**2 + 1.0 gives the bits
+    # of numpy's 0-d expression (t*t*t does not).  NaN and arrays take
+    # the numpy path.
+    if type(x) is float and x == x:
         if x < 0:
             raise ValueError("the truncation profile takes nonnegative input")
-        return 1.0 if x <= 1.0 else x
+        if x <= 1.0:
+            return 1.0
+        if x >= 2.0:
+            return x
+        t = min(max(x - 1.0, 0.0), 1.0)
+        return -t**3 + 2.0 * t**2 + 1.0
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("the truncation profile takes nonnegative input")

@@ -332,16 +332,21 @@ class FenceCertificate:
     """A fence of continuous maps; consecutive maps pointwise comparable.
 
     A one-element fence witnesses homotopy of a map with itself.  The
+    maps may be given as a function that returns them instead: it is
+    called on the first read of ``maps``, and its result kept.  The
     certificate re-validates from scratch via :meth:`validate`.
     """
 
-    __slots__ = ("maps",)
+    __slots__ = ("_maps",)
 
     def __init__(self, maps):
-        maps = tuple(maps)
-        if not maps:
-            raise ValueError("a fence needs at least one map")
-        self.maps = maps
+        self._maps = maps if callable(maps) else _fence_maps(maps)
+
+    @property
+    def maps(self):
+        if callable(self._maps):
+            self._maps = _fence_maps(self._maps())
+        return self._maps
 
     def __len__(self):
         return len(self.maps)
@@ -376,6 +381,13 @@ class FenceCertificate:
 
     def compose_right(self, inner):
         return FenceCertificate([m.compose(inner) for m in self.maps])
+
+
+def _fence_maps(maps):
+    maps = tuple(maps)
+    if not maps:
+        raise ValueError("a fence needs at least one map")
+    return maps
 
 
 def concat_fences(*fences):
@@ -520,9 +532,10 @@ class CoreResult:
         self.fence = fence
 
 
-def _find_beat(space, alive_mask):
-    """First beat point (index, partner) in label order, or None."""
-    for i in _bits(alive_mask):
+def _find_beat(space, alive_mask, keep):
+    """First beat point (index, partner) of the subspace on
+    ``alive_mask`` outside ``keep``, in label order, or None."""
+    for i in _bits(alive_mask & ~keep):
         strict_up = space.up[i] & alive_mask & ~(1 << i)
         if strict_up:
             for m in _bits(strict_up):
@@ -536,32 +549,61 @@ def _find_beat(space, alive_mask):
     return None
 
 
-def _collapse(space, mask):
-    """Collapse the subspace on ``mask`` to its core inside the space.
+def _collapse(space, mask, keep=0, group=None):
+    """Collapse the subspace on ``mask`` to its core inside the space,
+    keeping the points of ``keep``.
 
-    Removes the first beat point in label order until none is left, and
-    returns (core mask, removals) with removals the (point, partner)
-    pairs in order, all on the space's indices.  The subspace keeps the
-    label order, so this is the walk ``core`` makes on the subspace.
+    Removes the first beat point in label order outside ``keep`` until
+    none is left, and returns (core mask, removals): one tuple of (point,
+    partner) pairs per removal, all on the space's indices.  The subspace
+    keeps the label order, so with ``keep`` empty this is the walk
+    ``core`` makes on the subspace.
+
+    ``group``, when given, lists automorphisms of the space (image
+    tuples) that leave ``mask`` and ``keep`` invariant, and each removal
+    takes the beat point's whole orbit: g(x) goes to g(partner), which is
+    well defined because the stabiliser of x fixes its partner.  Every
+    translate of a beat point is one, an orbit is an antichain, and the
+    partners lie outside it, so sending the orbit to its partners is one
+    equivariant stage comparable with the identity.
     """
     removals = []
     while True:
-        found = _find_beat(space, mask)
+        found = _find_beat(space, mask, keep)
         if found is None:
             return mask, removals
-        removals.append(found)
-        mask &= ~(1 << found[0])
+        i, m = found
+        stage = (found,) if group is None else tuple(
+            {g[i]: g[m] for g in group}.items())
+        removals.append(stage)
+        for j, _ in stage:
+            mask &= ~(1 << j)
 
 
 def _collapse_stages(domain, codomain, send, removals):
     """The beat-point fence from the map ``send`` (images on the
-    codomain): one more stage per removal, sending the removed point to
+    codomain): one more stage per removal, sending each removed point to
     its partner, so the last stage lands in the collapsed core."""
     stages = [SpaceMap(domain, codomain, send)]
-    for i, partner in removals:
-        send = tuple(partner if v == i else v for v in send)
+    for stage in removals:
+        partner = dict(stage)
+        send = tuple(partner.get(v, v) for v in send)
         stages.append(SpaceMap(domain, codomain, send))
     return FenceCertificate(stages)
+
+
+def _lift(space, mask, alive, removals, *fences):
+    """A fence from the inclusion of ``mask`` into the space, lifted from
+    fences on its collapsed core ``alive``: the collapse stages of
+    ``removals`` to i o r, then each stage of ``fences`` (maps from the
+    core's subspace, the first starting at its inclusion i) composed
+    with the retraction r onto the core."""
+    sub, parents = space.subspace(mask)
+    collapse = _collapse_stages(sub, space, parents, removals)
+    to_core = {p: k for k, p in enumerate(_bits(alive))}
+    r = SpaceMap(sub, fences[0].start.domain,
+                 tuple(to_core[v] for v in collapse.end.images))
+    return concat_fences(collapse, *(f.compose_right(r) for f in fences))
 
 
 def core(space):
@@ -613,14 +655,9 @@ def is_contractible_in(A, space, with_certificate=True):
         return True, None
     # With rA: A -> core_a the collapse of A, and incl its inclusion:
     #   incl ~ incl o iA o rA ~ (iX o rX) o incl o iA o rA ~ iX o m_k o rA
-    sub, parents = space.subspace(A)
-    part1 = _collapse_stages(sub, space, parents, removals)
-    tail = part1.end  # incl o iA o rA
-    part2 = core_x.fence.compose_right(tail)
-    to_core_a = {p: k for k, p in enumerate(idx)}
-    r_a = SpaceMap(sub, core_a, tuple(to_core_a[v] for v in tail.images))
-    part3 = fence.compose_left(core_x.inclusion).compose_right(r_a)
-    full = concat_fences(part1, part2, part3)
+    full = _lift(space, A, alive, removals,
+                 core_x.fence.compose_right(SpaceMap(core_a, space, idx)),
+                 fence.compose_left(core_x.inclusion))
     full.validate()
     assert len(set(full.end.images)) == 1
     return True, full

@@ -292,6 +292,35 @@ def oracle_contractible(space, mask):
     return bool((reach & constant).any())
 
 
+def oracle_relative_G_core(action, W, keep):
+    """The mask left of the invariant W after removing, while one is
+    left, the first point x outside ``keep`` (in label order) whose
+    strictly larger points in what is left have a least element, or whose
+    strictly smaller points have a greatest, together with its orbit."""
+    space = action.space
+    alive = [i for i in range(len(space)) if W >> i & 1]
+
+    def has_least(pts):
+        return any(all(space.leq(m, p) for p in pts) for m in pts)
+
+    def has_greatest(pts):
+        return any(all(space.leq(p, m) for p in pts) for m in pts)
+
+    while True:
+        for x in alive:
+            if keep >> x & 1:
+                continue
+            above = [y for y in alive if y != x and space.leq(x, y)]
+            below = [y for y in alive if y != x and space.leq(y, x)]
+            if (above and has_least(above)) or (
+                    below and has_greatest(below)):
+                orbit = {g[x] for g in action.elements}
+                alive = [y for y in alive if y not in orbit]
+                break
+        else:
+            return sum(1 << i for i in alive)
+
+
 def oracle_catalog(space):
     return [
         m for m in space.up_sets()

@@ -13,6 +13,7 @@ from lscat.action import (
     HomogeneousClass,
     inclusion_map,
     is_G_deformable,
+    is_G_map,
     mod_stage_ok,
     validate_action,
 )
@@ -49,7 +50,12 @@ from lscat.poset import (
     validate_space,
 )
 
-from oracles import oracle_cat, oracle_min_cover, oracle_truncated_index
+from oracles import (
+    oracle_cat,
+    oracle_min_cover,
+    oracle_relative_G_core,
+    oracle_truncated_index,
+)
 
 
 # -- infinity conventions ---------------------------------------------------
@@ -515,27 +521,66 @@ def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
         entry.certificate.validate()
 
 
+def test_deformable_fences_are_lifted_only_when_read(monkeypatch):
+    v = fx.fix_v()  # c below a and b; its relative cores are single points
+    action = GroupAction.trivial(v)
+    Y = v.subset(["a"])
+    lifted = []
+    lift = action_module._lift
+    monkeypatch.setattr(action_module, "_lift",
+                        lambda *a: lifted.append(a) or lift(*a))
+    for mode in ("pair", "mod"):
+        result = cover_category(CatQuery(v, Y=Y, mode=mode, action=action))
+        assert result.value == 0
+        (entry,) = result.cover
+        assert entry.role == "deformable" and entry.mask == v.full_mask()
+        assert lifted == []
+        with mock.patch.object(action_module, "G_fence_search") as search:
+            assert result.verify()  # reads, so lifts, the fence once
+            assert entry.certificate.maps[0].images == (0, 1, 2)
+        assert search.call_count == 0
+        assert len(lifted) == 1
+        assert_deforms(action, v.full_mask(), Y, mode == "mod",
+                       entry.certificate)
+        lifted.clear()
+
+
 # -- the component rule and the open hull against unguarded searches ---------
+
+
+def unguarded_deformation(action, W, Y, mod):
+    """The equivariant fence search from the inclusion of all of W into
+    Y (mod Y), with no component rule and no core."""
+    incl, parents = inclusion_map(action.space, W)
+    return G_fence_search(
+        incl, action, parents, lambda images: all(Y >> v & 1 for v in images),
+        stage_ok=mod_stage_ok(parents, Y) if mod else None)
+
+
+def assert_deforms(action, W, Y, mod, fence):
+    """The fence passes ``_check_fence``'s rules for a deformable W: it
+    validates (under the mod stage rule in mod mode), starts at the
+    inclusion of W, has only G-maps as stages, and ends inside Y."""
+    fence.validate(mod_stage_ok(tuple(bits(W)), Y) if mod else None)
+    assert fence.start == inclusion_map(action.space, W)[0]
+    assert all(is_G_map(stage, action) for stage in fence.maps)
+    assert fence.end.image_mask() & ~Y == 0
 
 
 @given(acted_spaces(max_points=7, split=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
-    """``is_G_deformable`` returns the unguarded ``G_fence_search``'s
-    fence, or None with it, and searches nothing when a component of the
-    space meets W but misses Y."""
+    """``is_G_deformable`` decides as the unguarded ``G_fence_search``
+    does, with a fence that deforms W into Y, and searches nothing when a
+    component of the space meets W but misses Y."""
     space, action, _ = acted
     full = space.full_mask()
     for _ in range(3):
         W = action.saturate(data.draw(st.integers(1, full)))
         Y = data.draw(st.integers(0, full))
         refuted = any(W & c and not Y & c for c in space.components)
-        incl, parents = inclusion_map(space, W)
         for mod in (False, True):
-            direct = G_fence_search(
-                incl, action, parents,
-                lambda images: all(Y >> v & 1 for v in images),
-                stage_ok=mod_stage_ok(parents, Y) if mod else None)
+            direct = unguarded_deformation(action, W, Y, mod)
             with mock.patch.object(action_module, "fence_search",
                                    wraps=action_module.fence_search) as search:
                 fence = is_G_deformable(action, W, Y, mod=mod)
@@ -543,7 +588,33 @@ def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
                 assert direct is None and search.call_count == 0
             assert (fence is None) == (direct is None), (W, Y, mod)
             if fence is not None:
-                assert fence.maps == direct.maps
+                assert_deforms(action, W, Y, mod, fence)
+
+
+@given(acted_spaces(max_points=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_deformations_are_decided_on_the_relative_G_core(acted, data):
+    """On invariant W and Y, ``is_G_deformable`` searches from the
+    relative G-core of W (the oracle's point count) and decides as the
+    unguarded search on all of W, with a fence that deforms W into Y."""
+    space, action, _ = acted
+    full = space.full_mask()
+    for _ in range(3):
+        W = action.saturate(data.draw(st.integers(1, full)))
+        Y = action.saturate(data.draw(st.integers(0, full)))
+        for mod in (False, True):
+            with mock.patch.object(action_module, "G_fence_search",
+                                   wraps=G_fence_search) as search:
+                fence = is_G_deformable(action, W, Y, mod=mod)
+            assert (fence is None) == (
+                unguarded_deformation(action, W, Y, mod) is None), (W, Y, mod)
+            if search.call_count:
+                start = search.call_args.args[0]
+                keep = W & Y if mod else 0
+                assert len(start.domain) == oracle_relative_G_core(
+                    action, W, keep).bit_count()
+            if fence is not None:
+                assert_deforms(action, W, Y, mod, fence)
 
 
 @given(acted_spaces(max_points=7, split=True),

@@ -112,10 +112,22 @@ def test_truncation_scalar_is_bit_exact(x):
 
 
 def test_truncation_bridge_is_bit_exact():
-    # a Python rewrite of the cubic, -t**3 + 2.0*t*t + 1.0, differs from
-    # the numpy expression in the last bit on a few of these inputs
-    for x in np.random.default_rng(0).uniform(1.0, 2.0, 30_000).tolist():
-        assert _bits(truncation_g(x)) == _bits(oracle_truncation_g(x)), x
+    # the scalar path evaluates the cubic on Python floats; other
+    # spellings of it (t*t*t, 2.0*t*t) differ from the numpy expression
+    # in the last bit on some of these inputs
+    ends = []
+    for end in (1.0, 2.0):
+        for d in (0.0, 4.0):  # the ends and the 49 floats on each side
+            x = end
+            for _ in range(50):
+                ends.append(x)
+                x = math.nextafter(x, d)
+    grid = np.linspace(1.0, 2.0, 20_001).tolist()
+    draws = np.random.default_rng(0).uniform(1.0, 2.0, 30_000).tolist()
+    for x in ends + grid + draws:
+        got = truncation_g(x)
+        assert type(got) is float
+        assert _bits(got) == _bits(oracle_truncation_g(x)), x
 
 
 def test_truncation_rejects_negative():
