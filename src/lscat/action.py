@@ -13,11 +13,10 @@ moves.
 from __future__ import annotations
 
 from .poset import (
-    FenceCertificate,
     SizeCapExceeded,
     SpaceMap,
-    _collapse,
-    _lift,
+    _deform,
+    _orbit_moves,
     bits,
     fence_search,
     join_labels,
@@ -308,38 +307,23 @@ def is_G_map(phi, action):
 
 def G_fence_search(start, action, domain_parent_indices, is_target, *,
                    stage_ok=None):
-    """Equivariant fence BFS: ``fence_search`` with whole-orbit moves.
+    """Equivariant fence BFS: ``fence_search`` with whole-orbit moves
+    (``poset._orbit_moves``).
 
     ``start`` is an equivariant map from a subspace of the action's
     space into the space; ``domain_parent_indices`` names the parent
     index of each domain point, and the domain must be invariant
-    (ValueError otherwise).  One move per domain orbit, least point
-    first: the representative p takes a value v fixed by its stabiliser
-    (so g[v] at gp is well defined), and gp takes g[v].  An orbit is an
-    antichain (x < gx would give x < gx < ... < x), so p's neighbours
-    lie outside it and the move keeps the map comparable and continuous
-    at every gp when it does at p.  For the trivial group these are the
+    (ValueError otherwise).  For the trivial group these are the
     one-point moves.
     """
-    local = {p: k for k, p in enumerate(domain_parent_indices)}
-    moves, seen = [], set()
-    for k, p in enumerate(domain_parent_indices):
-        if k in seen:
-            continue
-        translates = {}
-        for g in action.elements:
-            j = local.get(g[p])
-            if j is None:
-                labels = [action.space.points[q]
-                          for q in domain_parent_indices]
-                raise ValueError(
-                    f"the domain {labels} is not invariant under the group"
-                )
-            translates.setdefault(j, g)
-        seen.update(translates)
-        moves.append((k, action.fixed_mask(action.stabilizer(p)),
-                      tuple(translates.items())))
-    return fence_search(start, is_target, stage_ok=stage_ok, moves=moves)
+    space = action.space
+    domain = sum(1 << p for p in domain_parent_indices)
+    if not action.is_invariant(domain):
+        raise ValueError(f"the domain {list(space.labels(domain))} is not "
+                         "invariant under the group")
+    return fence_search(start, is_target, stage_ok=stage_ok,
+                        moves=_orbit_moves(space, action.elements,
+                                           domain_parent_indices))
 
 
 def inclusion_map(space, mask):
@@ -367,17 +351,8 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
     fence stage sends each point into its own component (the degree-0
     case of McCord's weak equivalence), so no final image lies in Y.
 
-    Otherwise the question is decided on the relative G-core W' of W:
-    W is collapsed on the space's masks (``poset._collapse``), a whole
-    orbit of beat points at a time, and in mod mode only orbits outside
-    Y are removed, so W & Y stays.  With r: W -> W' the retraction and i
-    its inclusion, i o r is G-homotopic to the identity of W through
-    stages that fix W & Y, and r is the identity on W & Y; so the
-    inclusion of W deforms into Y (mod Y) exactly when that of W' does
-    (Stong, "Group actions on finite spaces", 1984).  The fence found on
-    W' is lifted to W the first time its maps are read: the collapse
-    stages (one per removed orbit), then each searched stage composed
-    with r.
+    Otherwise ``poset._deform`` decides on the relative G-core of W,
+    which keeps G(W & Y) in mod mode, so that the collapse fixes W & Y.
     """
     if W_mask == 0:
         raise ValueError("deformability of the empty set is undefined")
@@ -387,24 +362,13 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
     space = action.space
     if any(W_mask & c and not Y_mask & c for c in space.components):
         return None
+
+    def question(core):
+        return (lambda images: all(Y_mask >> v & 1 for v in images),
+                mod_stage_ok(tuple(bits(core)), Y_mask) if mod else None)
+
     keep = action.saturate(W_mask & Y_mask) if mod else 0
-    alive, removals = _collapse(space, W_mask, keep, action.elements)
-    incl, parents = inclusion_map(space, alive)
-
-    def target(images):
-        m = 0
-        for v in images:
-            m |= 1 << v
-        return m & ~Y_mask == 0
-
-    fence = G_fence_search(
-        incl, action, parents, target,
-        stage_ok=mod_stage_ok(parents, Y_mask) if mod else None,
-    )
-    if fence is None or not removals:
-        return fence
-    return FenceCertificate(
-        lambda: _lift(space, W_mask, alive, removals, fence).maps)
+    return _deform(space, W_mask, question, keep, action.elements)
 
 
 def orbit_equivalent(action, i, j, f_values):

@@ -22,22 +22,20 @@ any invariant sub-open, or closed subset), so a best A0 can be taken
 among the maximal deformable opens too; the classB family need not be
 down-closed, and only its covers are read.
 
-Membership in the categorical catalogues is decided without a
-certificate (for the trivial group, by one collapse walk on masks of
-the space: see ``poset.is_contractible_in``).  A categorical cover
-set's fence is assembled the first time its maps are read, by calling
-``is_categorical`` again, so it is the fence the set would have had if
-built eagerly.  The deformable catalogue keeps the fence each member's
-one ``is_G_deformable`` search found on the relative G-core of the
-member, and that fence is lifted to the member, with no second search,
-the first time its maps are read.  ``CatResult.verify`` re-runs no
-search on a finite value: ``_check_fence`` checks each categorical or
-deformable fence (it starts at the inclusion, every stage is a G-map,
-and it ends inside Y or through an admissible orbit).  An infinite
-value is checked without a catalogue: by one membership decision per
-point of A, on the least invariant open (closed) set around its orbit,
-and in pair, mod and semi mode one deformation search; in classB mode
-by the isomorphic opens around each point of A.
+Every categorical or deformable membership question that the
+component rule does not refute is one ``poset._deform`` call: the set
+is collapsed to its relative G-core, and at most one fence search runs
+there.  Each catalogue keeps the fence its member's question found, and
+a cover entry carries that fence, which is lifted from the core to the
+member, with no second search, the first time its maps are read.
+``CatResult.verify`` re-runs no search on a finite value:
+``_check_fence`` checks each categorical or deformable fence (it starts
+at the inclusion, every stage is a G-map, and it ends inside Y or
+through an admissible orbit).  An infinite value is checked without a
+catalogue: by one membership decision per point of A, on the least
+invariant open (closed) set around its orbit, and in pair, mod and semi
+mode one deformation search; in classB mode by the isomorphic opens
+around each point of A.
 
 An infinite category value is the infinite value ``math.inf``, named
 ``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
@@ -53,7 +51,6 @@ import math
 import operator
 
 from .action import (
-    G_fence_search,
     GroupAction,
     HomogeneousClass,
     inclusion_map,
@@ -61,7 +58,7 @@ from .action import (
     is_G_map,
     mod_stage_ok,
 )
-from .poset import FenceCertificate, bits, is_contractible_in
+from .poset import FenceCertificate, _deform, bits, is_contractible_in
 # Not called here; perfbench/check_tracer.py checks this import site.
 from .poset import fence_search  # noqa: F401
 
@@ -210,8 +207,8 @@ class CatResult:
                     raise ValueError(
                         "classB cover set matches no reference space")
             elif entry.role == "categorical":
-                targets = _factor_targets(entry.mask, q.action, q.klass)
-                _check_fence(q, entry, targets.__contains__, None)
+                _check_fence(q, entry, lambda images: images in (
+                    _factor_targets(entry.mask, q.action, q.klass)), None)
             else:
                 if q.mode in ("mod", "semi") and (q.A & q.Y) & ~entry.mask:
                     raise ValueError("A0 must contain A & Y")
@@ -242,7 +239,7 @@ def _has_finite_cover(q):
     stuck = 0
     for x in bits(q.A):
         if not is_categorical(hull(action.orbit_mask(x)), space, action,
-                              q.klass, with_certificate=False)[0]:
+                              q.klass)[0]:
             stuck |= 1 << x
     if q.mode in ("mod", "semi"):
         stuck |= q.A & q.Y
@@ -273,13 +270,15 @@ def _check_fence(query, entry, end_ok, stage_ok):
 # -- categorical sets ----------------------------------------------------
 
 
-def is_categorical(mask, space, action=None, klass=None,
-                   with_certificate=True):
+def is_categorical(mask, space, action=None, klass=None):
     """Does the inclusion factor, up to equivariant fence, through an
-    admissible homogeneous orbit?
+    admissible homogeneous orbit?  Returns (decision, fence or None).
 
     For the trivial group with the point class this is exactly
-    contractibility within the space.
+    contractibility within the space (``is_contractible_in``).
+    Otherwise ``poset._deform`` decides on the relative G-core of the
+    set, with its ``_factor_targets`` as targets (no search when there
+    are none).
     """
     action = action or GroupAction.trivial(space)
     klass = klass or HomogeneousClass.point_only(action)
@@ -288,16 +287,14 @@ def is_categorical(mask, space, action=None, klass=None,
     if not klass.subgroup_list or not action.is_invariant(mask):
         return False, None  # an empty class admits no orbit
     if action.is_trivial():
-        return is_contractible_in(mask, space,
-                                  with_certificate=with_certificate)
-    targets = _factor_targets(mask, action, klass)
-    if not targets:
-        return False, None
-    incl, parents = inclusion_map(space, mask)
-    fence = G_fence_search(incl, action, parents, targets.__contains__)
-    if fence is None:
-        return False, None
-    return True, (fence if with_certificate else None)
+        return is_contractible_in(mask, space)
+
+    def question(core):
+        targets = _factor_targets(core, action, klass)
+        return (targets.__contains__, None) if targets else None
+
+    fence = _deform(space, mask, question, group=action.elements)
+    return fence is not None, fence
 
 
 def _factor_targets(mask, action, klass):
@@ -405,19 +402,20 @@ def _maximal_members(candidates, test):
 
 
 def _categorical_test(space, action, klass):
-    return lambda m: is_categorical(m, space, action, klass,
-                                    with_certificate=False)[0] or None
+    return lambda m: is_categorical(m, space, action, klass)[1]
 
 
 def categorical_open_catalog(space, action, klass):
-    """The maximal categorical invariant opens, in walk order."""
+    """The maximal categorical invariant opens, in walk order, each with
+    its fence."""
     return _catalogue(action, ("cat-open", klass.key()),
                       lambda: invariant_up_sets(space, action),
                       _categorical_test(space, action, klass))
 
 
 def categorical_closed_catalog(space, action, klass):
-    """The maximal categorical invariant closed sets, in walk order."""
+    """The maximal categorical invariant closed sets, in walk order, each
+    with its fence."""
     return _catalogue(action, ("cat-closed", klass.key()),
                       lambda: invariant_down_sets(space, action),
                       _categorical_test(space, action, klass))
@@ -552,9 +550,8 @@ def cover_category(query):
     if cover is None:
         return CatResult(query, INFINITE, ())
     for m in cover:
-        cert = None if role == "iso" else FenceCertificate(
-            lambda m=m: is_categorical(m, space, action, klass)[1].maps)
-        entries.append(CoverEntry(m, role, cert))
+        entries.append(CoverEntry(m, role, None if role == "iso"
+                                  else catalog[m]))
     return CatResult(query, len(cover), entries)
 
 

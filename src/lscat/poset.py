@@ -375,28 +375,12 @@ class FenceCertificate:
                 raise ValueError("consecutive fence maps are not comparable")
         return True
 
-    def compose_left(self, outer):
-        """outer o (each stage); preserves comparability of stages."""
-        return FenceCertificate([outer.compose(m) for m in self.maps])
-
-    def compose_right(self, inner):
-        return FenceCertificate([m.compose(inner) for m in self.maps])
-
 
 def _fence_maps(maps):
     maps = tuple(maps)
     if not maps:
         raise ValueError("a fence needs at least one map")
     return maps
-
-
-def concat_fences(*fences):
-    maps = []
-    for f in fences:
-        for m in f.maps:
-            if not maps or maps[-1] != m:
-                maps.append(m)
-    return FenceCertificate(maps)
 
 
 # -- fence search --------------------------------------------------------
@@ -435,7 +419,7 @@ def fence_search(start, is_target, *, stage_ok=None, moves=None):
     value v of ``_mutation_candidates`` in the mask ``fixed`` (the values
     its stabiliser fixes), and each pair ``(j, g)`` of ``translates``
     sets j to ``g[v]``; on equivariant maps these are the equivariant
-    moves (see ``action.G_fence_search``).  The default, one-point
+    moves (see ``_orbit_moves``).  The default, one-point
     orbits with every value allowed, makes the single-point mutations to
     a comparable value that keep the map continuous; they generate the
     same components as map comparability, so the search is exact.
@@ -485,6 +469,35 @@ def fence_search(start, is_target, *, stage_ok=None, moves=None):
                 )
             queue.append(nxt)
     return None
+
+
+def _orbit_moves(space, group, parents):
+    """``fence_search``'s moves on the maps that commute with ``group``
+    (automorphisms of the space as image tuples) from the invariant
+    subspace on ``parents`` (its space indices, ascending) into the
+    space; None, the one-point moves, when ``group`` is None.
+
+    One move per orbit, least point first: the representative p takes a
+    value v fixed by its stabiliser (so g[v] at gp is well defined), and
+    gp takes g[v].  An orbit is an antichain (x < gx would give x < gx <
+    ... < x), so p's neighbours lie outside it and the move keeps the
+    map comparable and continuous at every gp when it does at p.
+    """
+    if group is None:
+        return None
+    local = {p: k for k, p in enumerate(parents)}
+    moves, seen = [], set()
+    for k, p in enumerate(parents):
+        if k in seen:
+            continue
+        translates, fixed = {}, space.full_mask()
+        for g in group:
+            translates.setdefault(local[g[p]], g)
+            if g[p] == p:
+                fixed &= sum(1 << i for i, v in enumerate(g) if v == i)
+        seen.update(translates)
+        moves.append((k, fixed, tuple(translates.items())))
+    return moves
 
 
 def _neighbors(domain, codomain, images, moves):
@@ -592,18 +605,60 @@ def _collapse_stages(domain, codomain, send, removals):
     return FenceCertificate(stages)
 
 
-def _lift(space, mask, alive, removals, *fences):
+def _lift(space, mask, alive, removals, fence=None):
     """A fence from the inclusion of ``mask`` into the space, lifted from
-    fences on its collapsed core ``alive``: the collapse stages of
-    ``removals`` to i o r, then each stage of ``fences`` (maps from the
-    core's subspace, the first starting at its inclusion i) composed
-    with the retraction r onto the core."""
+    a fence on its collapsed core ``alive``: the collapse stages of
+    ``removals`` to i o r, with i the core's inclusion and r the
+    retraction onto the core, then each stage of ``fence`` (maps from
+    the core's subspace, starting at i; None when i is its own end)
+    composed with r."""
     sub, parents = space.subspace(mask)
     collapse = _collapse_stages(sub, space, parents, removals)
+    if fence is None:
+        return collapse
     to_core = {p: k for k, p in enumerate(_bits(alive))}
-    r = SpaceMap(sub, fences[0].start.domain,
+    r = SpaceMap(sub, fence.start.domain,
                  tuple(to_core[v] for v in collapse.end.images))
-    return concat_fences(collapse, *(f.compose_right(r) for f in fences))
+    # i o r is the last collapse stage
+    return FenceCertificate(collapse.maps + tuple(
+        m.compose(r) for m in fence.maps[1:]))
+
+
+def _deform(space, W, question, keep=0, group=None):
+    """Does the inclusion of the subset W (a mask) deform, through maps
+    that commute with ``group``, to a map that ``question`` accepts?
+    Returns a FenceCertificate or None.
+
+    ``group`` (automorphisms as image tuples, None for the trivial
+    group) must leave W and ``keep`` invariant.  ``_collapse`` takes W to
+    its relative core W', keeping ``keep``; the retraction r: W -> W' is
+    G-homotopic to the identity through stages that fix ``keep`` (Stong,
+    "Group actions on finite spaces", 1984), so W deforms exactly when W'
+    does, for each question asked here: to a constant, into Y (mod Y),
+    or through an admissible orbit.  ``question`` gets the mask of W'
+    and returns ``(is_target, stage_ok)`` on the image tuples of maps W'
+    -> X (the inclusion must pass ``stage_ok``), or None when nothing is
+    a target.
+    No search runs when the inclusion of W' is a target; else one
+    ``fence_search`` decides.  The fence is lifted to W (``_lift``) when
+    its maps are first read.
+    """
+    alive, removals = _collapse(space, W, keep, group)
+    asked = question(alive)
+    if asked is None:
+        return None
+    is_target, stage_ok = asked
+    parents = tuple(_bits(alive))
+    fence = None
+    if not is_target(parents):
+        fence = fence_search(SpaceMap(space.subspace(alive)[0], space,
+                                      parents),
+                             is_target, stage_ok=stage_ok,
+                             moves=_orbit_moves(space, group, parents))
+        if fence is None:
+            return None
+    return FenceCertificate(
+        lambda: _lift(space, W, alive, removals, fence).maps)
 
 
 def core(space):
@@ -622,45 +677,23 @@ def core(space):
     return space._core
 
 
-def is_contractible_in(A, space, with_certificate=True):
+def is_contractible_in(A, space):
     """Is the inclusion of the subset A (a mask) fence-homotopic to a
-    constant map into X?
+    constant map into X?  Returns (decision, fence or None).
 
-    A that meets two components of X is not: every stage of a fence
-    sends each point into its own component (the degree-0 case of
-    McCord's weak equivalence), and a constant map does not, so no
-    search runs.  Otherwise runs on cores for speed: A is contractible
-    in X iff the conjugated inclusion core(A) -> core(X) is
-    fence-connected to a constant.  A is collapsed on the space's masks,
-    so deciding builds only core(A) and that one map; when A collapses
-    to one point it is contractible and nothing is built.  The
-    certificate, when asked for, is a full fence on the original
-    inclusion, built from the same collapse.
+    A that meets two components of X is not (every fence stage sends
+    each point into its own component: the degree-0 case of McCord's
+    weak equivalence), and no search runs.  Otherwise ``_deform`` decides
+    on the core of A: nothing is built when it is one point, and else
+    one fence search runs from its inclusion into X.
     """
     if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")
     if any(A & c and A & ~c for c in space.components):
         return False, None
-    alive, removals = _collapse(space, A)
-    if not with_certificate and alive & (alive - 1) == 0:
-        return True, None
-    core_x = core(space)
-    core_a, idx = space.subspace(alive)
-    r_x = core_x.retraction.images
-    m0 = SpaceMap(core_a, core_x.core, tuple(r_x[p] for p in idx))
-    fence = fence_search(m0, lambda im: len(set(im)) == 1)
-    if fence is None:
-        return False, None
-    if not with_certificate:
-        return True, None
-    # With rA: A -> core_a the collapse of A, and incl its inclusion:
-    #   incl ~ incl o iA o rA ~ (iX o rX) o incl o iA o rA ~ iX o m_k o rA
-    full = _lift(space, A, alive, removals,
-                 core_x.fence.compose_right(SpaceMap(core_a, space, idx)),
-                 fence.compose_left(core_x.inclusion))
-    full.validate()
-    assert len(set(full.end.images)) == 1
-    return True, full
+    fence = _deform(space, A, lambda core: (
+        lambda images: len(set(images)) == 1, None))
+    return fence is not None, fence
 
 
 def automorphism_inverse(phi):

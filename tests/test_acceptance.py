@@ -12,19 +12,30 @@ import hashlib
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fixtures as fx
 import lscat.action
+import lscat.category
 import lscat.engine
 import lscat.poset
-from lscat.action import GroupAction, HomogeneousClass, validate_action
+from lscat.action import (
+    GroupAction,
+    HomogeneousClass,
+    inclusion_map,
+    validate_action,
+)
 from lscat.category import (
+    CatQuery,
+    CatResult,
+    CoverEntry,
     cat,
     cat_mod,
     cat_pair,
+    cover_category,
     cuplength_lower_bound,
     value_ge_diff,
 )
@@ -45,7 +56,7 @@ from lscat.numeric import (
     random_quadratic_field,
     verify_prop_app,
 )
-from lscat.poset import SpaceMap
+from lscat.poset import FenceCertificate, SpaceMap
 from lscat.simplicial import (
     SimplicialComplex,
     cuplength,
@@ -134,21 +145,43 @@ CRITERION_04_COVER_QUERIES = 13_245
 CRITERION_04_FENCE_SEARCHES = 124
 
 
-def _count_calls(monkeypatch, counts, key, module, name):
+def _count_calls(monkeypatch, counts, key, module, name, results=None):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[key] += 1
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        if results is not None:
+            results.append(result)
+        return result
 
     monkeypatch.setattr(module, name, counted)
+
+
+def _verify_results(results):
+    """``verify`` every CatResult, checking each distinct fence object
+    once (a catalogue's fence serves every cover that uses its member,
+    under the same end test); returns the number of fences checked."""
+    checked = set()
+    check = lscat.category._check_fence
+
+    def check_once(query, entry, end_ok, stage_ok):
+        if entry.certificate not in checked:
+            check(query, entry, end_ok, stage_ok)
+            checked.add(entry.certificate)
+
+    with mock.patch.object(lscat.category, "_check_fence", check_once):
+        for result in results:
+            result.verify()
+    return len(checked)
 
 
 def test_criterion_04_thousand_generated_instances(_violations_dir,
                                                    monkeypatch):
     counts = {"cover_category": 0, "fence_search": 0}
+    results = []
     _count_calls(monkeypatch, counts, "cover_category", lscat.engine,
-                 "cover_category")
+                 "cover_category", results)
     for module in (lscat.poset, lscat.action):
         _count_calls(monkeypatch, counts, "fence_search", module,
                      "fence_search")
@@ -170,6 +203,11 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
             if report["verdict"] == "INEQUALITY_HOLDS":
                 holds += 1
     elapsed = time.monotonic() - t0
+    searched = counts["fence_search"]
+    # the instances read values only, so no fence was assembled
+    unread = all(callable(entry.certificate._maps)
+                 for result in results for entry in result.cover)
+    fences = _verify_results(results)  # raises on the first defect
     persisted = (
         list(_violations_dir.glob("*.json")) if _violations_dir.exists()
         else []
@@ -180,8 +218,9 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         and not persisted
         and not unpinned
         and digest.hexdigest() == CRITERION_04_SHA256
-        and counts["cover_category"] == CRITERION_04_COVER_QUERIES
-        and counts["fence_search"] == CRITERION_04_FENCE_SEARCHES
+        and len(results) == CRITERION_04_COVER_QUERIES
+        and searched == CRITERION_04_FENCE_SEARCHES
+        and unread
         and elapsed < 300.0
     )
     assert _line(
@@ -189,9 +228,46 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         f"{holds}/{ledger_passing} ledger-passing instances hold "
         f"(of 1000), {len(persisted)} persisted, unpinned seeds "
         f"{unpinned[:5]}, sha256 {digest.hexdigest()[:16]}, "
-        f"{counts['cover_category']} cover queries, "
-        f"{counts['fence_search']} fence searches, {elapsed:.1f}s",
+        f"{len(results)} cover queries, each verified ({fences} fences), "
+        f"{searched} fence searches, {elapsed:.1f}s",
     )
+
+
+def test_criterion_04_certificate_check_rejects_planted_defects(
+        monkeypatch):
+    """The check behind criterion 04's values rejects a value one less
+    than its cover, and a fence with a stage that is not a G-map, even
+    after it has checked sound results."""
+    results = []
+    _count_calls(monkeypatch, {"cover_category": 0}, "cover_category",
+                 lscat.engine, "cover_category", results)
+    for seed in range(20):
+        pair, nu, a, b = random_instance(seed)
+        verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=seed)
+    short = next(r for r in results if r.value)
+    short = CatResult(short.query, short.value - 1, short.cover)
+
+    c4 = fx.fix_c4()  # conjugation swaps U and L; every class admits p
+    action = validate_action(c4, [fx.conjugation_generator()])
+    sound = cover_category(CatQuery(c4, action=action,
+                                    klass=HomogeneousClass.all_types(action)))
+    entry = next(e for e in sound.cover
+                 if e.mask == c4.subset(["p", "U", "L"]))
+    sub = inclusion_map(c4, entry.mask)[0]
+    p = c4.index["p"]
+    # p, U, L: L alone moves down to p, so the middle stage commutes with
+    # no swap of U and L
+    stages = [sub.images, (p, c4.index["U"], p), (p, p, p)]
+    forged = CoverEntry(entry.mask, "categorical", FenceCertificate(
+        [SpaceMap(sub.domain, c4, images) for images in stages]))
+    not_G = CatResult(sound.query, sound.value, [
+        forged if e is entry else e for e in sound.cover])
+
+    assert _verify_results(results + [sound]) > 0
+    with pytest.raises(ValueError, match="disagrees with the value"):
+        _verify_results(results + [short])
+    with pytest.raises(ValueError, match="not a G-map"):
+        _verify_results(results + [sound, not_G])
 
 
 def test_criterion_05_negative_control():

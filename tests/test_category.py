@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures as fx
-from lscat import action as action_module, poset
+from lscat import poset
 from lscat.action import (
     G_fence_search,
     GroupAction,
@@ -37,14 +37,15 @@ from lscat.category import (
     categorical_open_catalog,
     classB_catalog,
     deformable_open_catalog,
+    _check_fence,
     _factor_targets,
     _induced,
 )
 from lscat.engine import make_truncated_index
 from lscat.poset import (
+    FenceCertificate,
     SpaceMap,
     bits,
-    concat_fences,
     fence_search,
     is_homotopy_equivalence,
     validate_space,
@@ -85,12 +86,10 @@ def test_categorical_matches_contractible_for_trivial_group(c4):
 
 def test_categorical_with_free_class(conjugation, c4):
     free = HomogeneousClass.free_only(conjugation)
-    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, free,
-                           with_certificate=False)
+    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, free)
     assert not ok  # a fixed point cannot factor through a free orbit
     point = HomogeneousClass.point_only(conjugation)
-    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, point,
-                           with_certificate=False)
+    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, point)
     assert ok
 
 
@@ -370,8 +369,7 @@ def brute_force_value(query):
         member = _is_iso_member(space, query.class_b)
     else:
         def member(m):
-            return is_categorical(m, space, action, klass,
-                                  with_certificate=False)[0]
+            return is_categorical(m, space, action, klass)[0]
     members = [m for m in sets if m and action.is_invariant(m)
                and member(m)]
     a0s = [0]
@@ -451,8 +449,7 @@ def test_catalogues_are_the_maximal_members(acted, data):
     closeds = [m for m in space.down_sets() if m and action.is_invariant(m)]
 
     def categorical(m):
-        return is_categorical(m, space, action, klass,
-                              with_certificate=False)[0]
+        return is_categorical(m, space, action, klass)[0]
 
     def deforms(mod):
         return lambda m: is_G_deformable(action, m, Y, mod=mod) is not None
@@ -497,28 +494,32 @@ def test_catalogues_are_the_maximal_members(acted, data):
 
 
 def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
-    c4 = fx.fix_c4()  # a fresh space: no catalogue or fence cached yet
-    action = GroupAction.trivial(c4)
-    klass = HomogeneousClass.point_only(action)
-    assembled = []
-    concat_fences = poset.concat_fences
-    monkeypatch.setattr(poset, "concat_fences",
-                        lambda *f: assembled.append(f) or concat_fences(*f))
-    categorical_open_catalog(c4, action, klass)
-    result = cover_category(CatQuery(c4, action=action, klass=klass))
-    assert result.value == 2
-    assert assembled == []
-    assert result.verify()  # reads, so assembles, each fence once
-    assert len(assembled) == len(result.cover) == 2
-    for entry in result.cover:
-        fence = entry.certificate
-        assert entry.certificate is fence
-    assert len(assembled) == 2
-    for entry in result.cover:
-        expected = is_categorical(entry.mask, c4, action, klass,
-                                  with_certificate=True)[1]
-        assert entry.certificate.maps == expected.maps
-        entry.certificate.validate()
+    """A categorical cover entry carries its catalogue member's fence,
+    which is lifted the first time its maps are read, with no search."""
+    lifted = []
+    lift = poset._lift
+    monkeypatch.setattr(poset, "_lift",
+                        lambda *a: lifted.append(a) or lift(*a))
+    for equivariant in (False, True):
+        c4 = fx.fix_c4()  # a fresh space: no catalogue or fence cached yet
+        action = (validate_action(c4, [fx.conjugation_generator()])
+                  if equivariant else GroupAction.trivial(c4))
+        klass = HomogeneousClass.default(action)
+        catalog = categorical_open_catalog(c4, action, klass)
+        result = cover_category(CatQuery(c4, action=action, klass=klass))
+        assert result.value == 2
+        assert lifted == []
+        for entry in result.cover:
+            assert entry.certificate is catalog[entry.mask]
+        with mock.patch.object(poset, "fence_search") as search:
+            assert result.verify()  # reads, so lifts, each fence once
+            assert result.verify()
+        assert search.call_count == 0
+        assert len(lifted) == len(result.cover) == 2
+        for entry in result.cover:
+            expected = is_categorical(entry.mask, c4, action, klass)[1]
+            assert entry.certificate.maps == expected.maps
+        lifted.clear()
 
 
 def test_deformable_fences_are_lifted_only_when_read(monkeypatch):
@@ -526,8 +527,8 @@ def test_deformable_fences_are_lifted_only_when_read(monkeypatch):
     action = GroupAction.trivial(v)
     Y = v.subset(["a"])
     lifted = []
-    lift = action_module._lift
-    monkeypatch.setattr(action_module, "_lift",
+    lift = poset._lift
+    monkeypatch.setattr(poset, "_lift",
                         lambda *a: lifted.append(a) or lift(*a))
     for mode in ("pair", "mod"):
         result = cover_category(CatQuery(v, Y=Y, mode=mode, action=action))
@@ -535,7 +536,7 @@ def test_deformable_fences_are_lifted_only_when_read(monkeypatch):
         (entry,) = result.cover
         assert entry.role == "deformable" and entry.mask == v.full_mask()
         assert lifted == []
-        with mock.patch.object(action_module, "G_fence_search") as search:
+        with mock.patch.object(poset, "fence_search") as search:
             assert result.verify()  # reads, so lifts, the fence once
             assert entry.certificate.maps[0].images == (0, 1, 2)
         assert search.call_count == 0
@@ -581,8 +582,8 @@ def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
         refuted = any(W & c and not Y & c for c in space.components)
         for mod in (False, True):
             direct = unguarded_deformation(action, W, Y, mod)
-            with mock.patch.object(action_module, "fence_search",
-                                   wraps=action_module.fence_search) as search:
+            with mock.patch.object(poset, "fence_search",
+                                   wraps=fence_search) as search:
                 fence = is_G_deformable(action, W, Y, mod=mod)
             if refuted:
                 assert direct is None and search.call_count == 0
@@ -603,8 +604,8 @@ def test_deformations_are_decided_on_the_relative_G_core(acted, data):
         W = action.saturate(data.draw(st.integers(1, full)))
         Y = action.saturate(data.draw(st.integers(0, full)))
         for mod in (False, True):
-            with mock.patch.object(action_module, "G_fence_search",
-                                   wraps=G_fence_search) as search:
+            with mock.patch.object(poset, "fence_search",
+                                   wraps=fence_search) as search:
                 fence = is_G_deformable(action, W, Y, mod=mod)
             assert (fence is None) == (
                 unguarded_deformation(action, W, Y, mod) is None), (W, Y, mod)
@@ -615,6 +616,65 @@ def test_deformations_are_decided_on_the_relative_G_core(acted, data):
                     action, W, keep).bit_count()
             if fence is not None:
                 assert_deforms(action, W, Y, mod, fence)
+
+
+@given(acted_spaces(max_points=7), st.sampled_from(sorted(CLASSES)),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_categorical_questions_are_decided_on_the_relative_G_core(
+        acted, class_name, data):
+    """On invariant W, ``is_categorical`` decides as the unguarded
+    ``G_fence_search`` from all of W to its ``_factor_targets``, searches
+    only from the relative G-core of W (the oracle's point count), and
+    returns a fence that passes ``_check_fence``; the space's own core is
+    never built."""
+    space, action, _ = acted
+    klass = CLASSES[class_name](action)
+    full = space.full_mask()
+    for _ in range(3):
+        W = action.saturate(data.draw(st.integers(1, full)))
+        with mock.patch.object(poset, "fence_search",
+                               wraps=fence_search) as search:
+            ok, fence = is_categorical(W, space, action, klass)
+        targets = _factor_targets(W, action, klass)
+        incl, parents = inclusion_map(space, W)
+        assert ok == (bool(targets) and G_fence_search(
+            incl, action, parents, targets.__contains__) is not None), W
+        core = oracle_relative_G_core(action, W, 0)
+        if search.call_count:
+            (start,) = {c.args[0] for c in search.call_args_list}
+            assert len(start.domain) == core.bit_count()
+        if ok:
+            query = CatQuery(space, A=W, action=action, klass=klass)
+            _check_fence(query, CoverEntry(W, "categorical", fence),
+                         targets.__contains__, None)
+        else:
+            assert fence is None
+    assert space._core is None
+
+
+def test_a_core_that_already_passes_is_answered_with_nothing_built():
+    """When the inclusion of the relative G-core is already a target, no
+    fence search runs, the space's core is not built, and no fence map
+    is made until the fence is read."""
+    c4 = fx.fix_c4()
+    conj = validate_action(c4, [fx.conjugation_generator()])
+    W = c4.subset(["p", "U", "L"])  # its relative cores are single points
+    questions = [
+        lambda: is_categorical(W, c4)[1],  # trivial: is_contractible_in
+        lambda: is_categorical(W, c4, conj,
+                               HomogeneousClass.point_only(conj))[1],
+        lambda: is_G_deformable(conj, W, c4.subset(["p"])),
+        lambda: is_G_deformable(conj, W, c4.subset(["p", "q"]), mod=True),
+    ]
+    for ask in questions:
+        with mock.patch.object(poset, "fence_search") as search:
+            fence = ask()
+        assert search.call_count == 0 and callable(fence._maps)
+        assert c4._core is None
+        fence.validate()
+        assert fence.start == inclusion_map(c4, W)[0]
+        assert fence.end.image_mask().bit_count() == 1
 
 
 @given(acted_spaces(max_points=7, split=True),
@@ -836,7 +896,7 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
                          {psiphi.images}.__contains__)
     if outer is None:  # cannot happen for a genuine equivalence
         raise HypothesisUnmet("homotopy_equivalence")
-    part1 = outer.compose_right(incl_pre)
+    part1 = [m.compose(incl_pre) for m in outer.maps]
     # fence 2: psi o (U's factorisation fence) o phi|
     sub_u, u_parents = space.subspace(U)
     u_pos = {p: k for k, p in enumerate(u_parents)}
@@ -844,11 +904,10 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
         incl_pre.domain, sub_u,
         tuple(u_pos[phi.images[p]] for p in pre_parents),
     )
-    part2 = u_cert.compose_left(psi).compose_right(phi_restr)
-    full = concat_fences(part1, part2)
+    part2 = [psi.compose(m).compose(phi_restr) for m in u_cert.maps]
+    full = FenceCertificate(part1 + part2)
     full.validate()
-    ok2, _ = is_categorical(pre_mask, space, action, klass,
-                            with_certificate=False)
+    ok2, _ = is_categorical(pre_mask, space, action, klass)
     return {
         "preimage": pre_mask,
         "categorical": True,

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lscat import action, engine
+from lscat import action, engine, poset
 from lscat.category import INFINITE
 from lscat.cli import (
     builtin_corpus_dir,
@@ -31,9 +31,11 @@ CORPUS_DIGEST = (
     "647fd5a70907c107b2bfb06f01418ccf9a7a0cea0100aa8f36b452ee51d3335b"
 )
 
-# domain points of the deformation searches of one corpus run: 144 on the
-# relative G-cores, 203 when every search runs on all of its domain
-CORPUS_DEFORMATION_POINTS_SEARCHED = 144
+# fence searches of one corpus run and their domain points, counted at
+# every call of poset.fence_search: (47, 229) with every deformation
+# question decided on the relative G-core of its domain, (57, 251) when
+# categorical questions searched from core(A) into core(X)
+CORPUS_FENCE_SEARCHES = (47, 229)
 
 
 def corpus_file(name):
@@ -127,14 +129,15 @@ def test_expectation_mismatches_subset_semantics():
 
 
 def test_corpus_runs_clean(tmp_path, monkeypatch):
-    searched = []  # domain points of each deformation search
-    search = action.G_fence_search
-    monkeypatch.setattr(action, "G_fence_search", lambda start, *a, **k: (
-        searched.append(len(start.domain)) or search(start, *a, **k)))
+    searched = []  # domain points of each fence search
+    search = poset.fence_search
+    for module in (poset, action):  # the two modules that call it
+        monkeypatch.setattr(module, "fence_search", lambda start, *a, **k: (
+            searched.append(len(start.domain)) or search(start, *a, **k)))
     buf = io.StringIO()
     code, summary = run_corpus(fmt="structured", out=buf)
     # each question is searched on the relative G-core of its domain
-    assert sum(searched) == CORPUS_DEFORMATION_POINTS_SEARCHED
+    assert (len(searched), sum(searched)) == CORPUS_FENCE_SEARCHES
     assert code == 0
     assert summary["mismatched"] == 0
     assert summary["fixtures"] == 14

@@ -75,3 +75,23 @@ def test_every_public_method_is_reached_outside_unit_tests():
                        if used[name] <= 0
                        and not re.search(rf"\.{name}\b", text))
     assert unreached == [], f"only unit tests reach: {unreached}"
+
+
+def test_every_parameter_of_a_named_function_is_read():
+    """A parameter that its function never reads is a flag that does
+    nothing.  Lambdas are left out: a callback may take an argument its
+    caller's interface fixes."""
+    unread = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({a.arg})" for a in params
+                       if a.arg not in read]
+    assert unread == [], f"parameters never read: {unread}"
