@@ -307,23 +307,18 @@ def is_G_map(phi, action):
 
 def G_fence_search(start, action, domain_parent_indices, is_target, *,
                    stage_ok=None):
-    """Equivariant fence BFS: ``fence_search`` with whole-orbit moves
-    (``poset._orbit_moves``).
-
-    ``start`` is an equivariant map from a subspace of the action's
-    space into the space; ``domain_parent_indices`` names the parent
-    index of each domain point, and the domain must be invariant
-    (ValueError otherwise).  For the trivial group these are the
-    one-point moves.
-    """
+    """``fence_search`` with whole-orbit moves (``poset._orbit_moves``)
+    from ``start``, an equivariant map into the action's space from the
+    subspace on ``domain_parent_indices``, which must be invariant
+    (ValueError otherwise)."""
     space = action.space
     domain = sum(1 << p for p in domain_parent_indices)
     if not action.is_invariant(domain):
         raise ValueError(f"the domain {list(space.labels(domain))} is not "
                          "invariant under the group")
-    return fence_search(start, is_target, stage_ok=stage_ok,
-                        moves=_orbit_moves(space, action.elements,
-                                           domain_parent_indices))
+    moves = _orbit_moves(space, action.elements, domain_parent_indices,
+                         space.full_mask())
+    return fence_search(start, is_target, stage_ok=stage_ok, moves=moves)
 
 
 def inclusion_map(space, mask):
@@ -368,7 +363,8 @@ def is_G_deformable(action, W_mask, Y_mask, mod=False):
                 mod_stage_ok(tuple(bits(core)), Y_mask) if mod else None)
 
     keep = action.saturate(W_mask & Y_mask) if mod else 0
-    return _deform(space, W_mask, question, keep, action.elements)
+    return _deform(space, W_mask, question, keep, action.elements,
+                   action.saturate(Y_mask))
 
 
 def orbit_equivalent(action, i, j, f_values):

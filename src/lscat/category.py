@@ -23,11 +23,9 @@ among the maximal deformable opens too; the classB family need not be
 down-closed, and only its covers are read.
 
 Every categorical or deformable membership question that the
-component rule does not refute is one ``poset._deform`` call: the set
-is collapsed to its relative G-core, and at most one fence search runs
-there.  Each catalogue keeps the fence its member's question found, and
-a cover entry carries that fence, which is lifted from the core to the
-member, with no second search, the first time its maps are read.
+component rule does not refute is one ``poset._deform`` call, and each
+catalogue keeps the fence its member's question found: a cover entry
+carries it, lifted to the member with no second search when first read.
 ``CatResult.verify`` re-runs no search on a finite value:
 ``_check_fence`` checks each categorical or deformable fence (it starts
 at the inclusion, every stage is a G-map, and it ends inside Y or

@@ -51,8 +51,8 @@ class FiniteSpace:
     :func:`validate_space`, which checks them.
     """
 
-    __slots__ = ("points", "index", "up", "down", "_upsets", "_core",
-                 "_components", "_hash", "_strict_up", "_strict_down")
+    __slots__ = ("points", "index", "up", "down", "_upsets", "_core", "_hash",
+                 "_reaches", "_components", "_strict_up", "_strict_down")
 
     def __init__(self, points, up):
         points = tuple(points)
@@ -68,6 +68,7 @@ class FiniteSpace:
         )
         self._upsets = None
         self._core = None
+        self._reaches = {}
         self._components = None
         self._hash = hash((points, self.up))
         self._strict_up = tuple(
@@ -471,27 +472,22 @@ def fence_search(start, is_target, *, stage_ok=None, moves=None):
     return None
 
 
-def _orbit_moves(space, group, parents):
+def _orbit_moves(space, group, parents, values):
     """``fence_search``'s moves on the maps that commute with ``group``
-    (automorphisms of the space as image tuples) from the invariant
-    subspace on ``parents`` (its space indices, ascending) into the
-    space; None, the one-point moves, when ``group`` is None.
-
-    One move per orbit, least point first: the representative p takes a
-    value v fixed by its stabiliser (so g[v] at gp is well defined), and
-    gp takes g[v].  An orbit is an antichain (x < gx would give x < gx <
-    ... < x), so p's neighbours lie outside it and the move keeps the
-    map comparable and continuous at every gp when it does at p.
-    """
-    if group is None:
-        return None
+    (image tuples; None for the trivial group) from the invariant
+    subspace on ``parents`` into the space, with values in the mask
+    ``values``: one per orbit, least point p first, where p takes a
+    value v fixed by its stabiliser (so g[v] at gp is well defined) and
+    gp takes g[v].  An orbit is an antichain, so p's neighbours lie
+    outside it and the move keeps the map comparable and continuous at
+    every gp when it does at p."""
     local = {p: k for k, p in enumerate(parents)}
     moves, seen = [], set()
     for k, p in enumerate(parents):
         if k in seen:
             continue
-        translates, fixed = {}, space.full_mask()
-        for g in group:
+        translates, fixed = {}, values
+        for g in group or (range(len(space)),):
             translates.setdefault(local[g[p]], g)
             if g[p] == p:
                 fixed &= sum(1 << i for i, v in enumerate(g) if v == i)
@@ -595,23 +591,24 @@ def _collapse(space, mask, keep=0, group=None):
 
 def _collapse_stages(domain, codomain, send, removals):
     """The beat-point fence from the map ``send`` (images on the
-    codomain): one more stage per removal, sending each removed point to
-    its partner, so the last stage lands in the collapsed core."""
+    codomain): one more stage per removal that moves an image, sending
+    each removed point to its partner, so the last stage lands in the
+    collapsed core."""
     stages = [SpaceMap(domain, codomain, send)]
     for stage in removals:
         partner = dict(stage)
         send = tuple(partner.get(v, v) for v in send)
-        stages.append(SpaceMap(domain, codomain, send))
+        if send != stages[-1].images:
+            stages.append(SpaceMap(domain, codomain, send))
     return FenceCertificate(stages)
 
 
-def _lift(space, mask, alive, removals, fence=None):
-    """A fence from the inclusion of ``mask`` into the space, lifted from
-    a fence on its collapsed core ``alive``: the collapse stages of
-    ``removals`` to i o r, with i the core's inclusion and r the
-    retraction onto the core, then each stage of ``fence`` (maps from
-    the core's subspace, starting at i; None when i is its own end)
-    composed with r."""
+def _lift(space, mask, alive, removals, pushes=(), fence=None):
+    """The fence from the inclusion of ``mask`` lifted from a fence on
+    its collapsed core ``alive``: the stages of ``removals`` to i o r (i
+    the core's inclusion, r the retraction onto it), then those of
+    ``pushes`` on the images, then each stage of ``fence`` (maps from
+    the core, starting at i pushed; None when i is the end) with r."""
     sub, parents = space.subspace(mask)
     collapse = _collapse_stages(sub, space, parents, removals)
     if fence is None:
@@ -619,29 +616,28 @@ def _lift(space, mask, alive, removals, fence=None):
     to_core = {p: k for k, p in enumerate(_bits(alive))}
     r = SpaceMap(sub, fence.start.domain,
                  tuple(to_core[v] for v in collapse.end.images))
-    # i o r is the last collapse stage
-    return FenceCertificate(collapse.maps + tuple(
+    pushed = _collapse_stages(sub, space, collapse.end.images, pushes)
+    # the fence's first stage composed with r is the last pushed stage
+    return FenceCertificate(collapse.maps + pushed.maps[1:] + tuple(
         m.compose(r) for m in fence.maps[1:]))
 
 
-def _deform(space, W, question, keep=0, group=None):
+def _deform(space, W, question, keep=0, group=None, hold=0):
     """Does the inclusion of the subset W (a mask) deform, through maps
-    that commute with ``group``, to a map that ``question`` accepts?
-    Returns a FenceCertificate or None.
+    that commute with ``group`` (image tuples; None for the trivial
+    group), to a map that ``question`` accepts?  A FenceCertificate or
+    None.  ``question(W')`` gives ``(is_target, stage_ok)`` on image
+    tuples of maps W' -> X, or None when nothing is a target.
 
-    ``group`` (automorphisms as image tuples, None for the trivial
-    group) must leave W and ``keep`` invariant.  ``_collapse`` takes W to
-    its relative core W', keeping ``keep``; the retraction r: W -> W' is
-    G-homotopic to the identity through stages that fix ``keep`` (Stong,
-    "Group actions on finite spaces", 1984), so W deforms exactly when W'
-    does, for each question asked here: to a constant, into Y (mod Y),
-    or through an admissible orbit.  ``question`` gets the mask of W'
-    and returns ``(is_target, stage_ok)`` on the image tuples of maps W'
-    -> X (the inclusion must pass ``stage_ok``), or None when nothing is
-    a target.
-    No search runs when the inclusion of W' is a target; else one
-    ``fence_search`` decides.  The fence is lifted to W (``_lift``) when
-    its maps are first read.
+    W, ``keep`` and ``hold`` must be invariant.  ``_collapse`` takes W to
+    its relative core W' keeping ``keep``, and ``_reach`` takes X to X'
+    keeping ``hold``; each retraction is G-homotopic to the identity
+    through stages that fix what it keeps (Stong, "Group actions on
+    finite spaces", 1984), so W deforms exactly when W' followed by
+    X -> X' does inside X': to a constant, through an orbit, or into Y
+    (mod Y) with Y in ``hold``.  No search runs when the inclusion of W'
+    is a target, else one ``fence_search``; the fence is lifted to W
+    (``_lift``) when its maps are first read.
     """
     alive, removals = _collapse(space, W, keep, group)
     asked = question(alive)
@@ -649,31 +645,46 @@ def _deform(space, W, question, keep=0, group=None):
         return None
     is_target, stage_ok = asked
     parents = tuple(_bits(alive))
-    fence = None
+    fence, pushes = None, ()
     if not is_target(parents):
-        fence = fence_search(SpaceMap(space.subspace(alive)[0], space,
-                                      parents),
-                             is_target, stage_ok=stage_ok,
-                             moves=_orbit_moves(space, group, parents))
+        reach, pushes, s = _reach(space, hold, group)
+        fence = fence_search(
+            SpaceMap(space.subspace(alive)[0], space,
+                     tuple(s[p] for p in parents)),
+            is_target, stage_ok=stage_ok,
+            moves=_orbit_moves(space, group, parents, reach))
         if fence is None:
             return None
     return FenceCertificate(
-        lambda: _lift(space, W, alive, removals, fence).maps)
+        lambda: _lift(space, W, alive, removals, pushes, fence).maps)
+
+
+def _reach(space, hold=0, group=None):
+    """The relative core of the whole space keeping ``hold``: its mask,
+    the ``_collapse`` removals, and the retraction's image of each
+    point; computed once per (hold, group) and kept on the space."""
+    key = (hold, group)
+    if key not in space._reaches:
+        alive, removals = _collapse(space, space.full_mask(), hold, group)
+        s = range(len(space))
+        for stage in removals:
+            partner = dict(stage)
+            s = tuple(partner.get(v, v) for v in s)
+        space._reaches[key] = alive, removals, tuple(s)
+    return space._reaches[key]
 
 
 def core(space):
     """Iteratively remove beat points; returns a CoreResult, computed
     once per space and kept on it."""
-    if space._core is not None:
-        return space._core
-    alive, removals = _collapse(space, space.full_mask())
-    fence = _collapse_stages(space, space, range(len(space)), removals)
-    core_space, idx = space.subspace(alive)
-    to_core = {p: k for k, p in enumerate(idx)}
-    retraction = SpaceMap(space, core_space,
-                          tuple(to_core[v] for v in fence.end.images))
-    inclusion = SpaceMap(core_space, space, idx)
-    space._core = CoreResult(space, core_space, retraction, inclusion, fence)
+    if space._core is None:
+        alive, removals, s = _reach(space)
+        fence = _collapse_stages(space, space, range(len(space)), removals)
+        sub, idx = space.subspace(alive)
+        to_core = {p: k for k, p in enumerate(idx)}
+        space._core = CoreResult(
+            space, sub, SpaceMap(space, sub, tuple(to_core[v] for v in s)),
+            SpaceMap(sub, space, idx), fence)
     return space._core
 
 
@@ -685,7 +696,7 @@ def is_contractible_in(A, space):
     each point into its own component: the degree-0 case of McCord's
     weak equivalence), and no search runs.  Otherwise ``_deform`` decides
     on the core of A: nothing is built when it is one point, and else
-    one fence search runs from its inclusion into X.
+    one fence search runs from its inclusion pushed into the core of X.
     """
     if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")

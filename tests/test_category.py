@@ -568,6 +568,17 @@ def assert_deforms(action, W, Y, mod, fence):
     assert fence.end.image_mask() & ~Y == 0
 
 
+def assert_searched_on_cores(search, action, core, hold):
+    """The one search ran from a map on the core (a mask) of the
+    question's domain into the relative G-core of the space that keeps
+    ``hold``, and moved only to values in it."""
+    (call,) = search.call_args_list
+    reach = oracle_relative_G_core(action, action.space.full_mask(), hold)
+    assert len(call.args[0].domain) == core.bit_count()
+    assert call.args[0].image_mask() & ~reach == 0
+    assert all(fixed & ~reach == 0 for _, fixed, _ in call.kwargs["moves"])
+
+
 @given(acted_spaces(max_points=7, split=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
@@ -610,10 +621,8 @@ def test_deformations_are_decided_on_the_relative_G_core(acted, data):
             assert (fence is None) == (
                 unguarded_deformation(action, W, Y, mod) is None), (W, Y, mod)
             if search.call_count:
-                start = search.call_args.args[0]
-                keep = W & Y if mod else 0
-                assert len(start.domain) == oracle_relative_G_core(
-                    action, W, keep).bit_count()
+                core = oracle_relative_G_core(action, W, W & Y if mod else 0)
+                assert_searched_on_cores(search, action, core, Y)
             if fence is not None:
                 assert_deforms(action, W, Y, mod, fence)
 
@@ -642,8 +651,7 @@ def test_categorical_questions_are_decided_on_the_relative_G_core(
             incl, action, parents, targets.__contains__) is not None), W
         core = oracle_relative_G_core(action, W, 0)
         if search.call_count:
-            (start,) = {c.args[0] for c in search.call_args_list}
-            assert len(start.domain) == core.bit_count()
+            assert_searched_on_cores(search, action, core, 0)
         if ok:
             query = CatQuery(space, A=W, action=action, klass=klass)
             _check_fence(query, CoverEntry(W, "categorical", fence),
@@ -655,8 +663,8 @@ def test_categorical_questions_are_decided_on_the_relative_G_core(
 
 def test_a_core_that_already_passes_is_answered_with_nothing_built():
     """When the inclusion of the relative G-core is already a target, no
-    fence search runs, the space's core is not built, and no fence map
-    is made until the fence is read."""
+    fence search runs, the space is not collapsed, and no fence map is
+    made until the fence is read."""
     c4 = fx.fix_c4()
     conj = validate_action(c4, [fx.conjugation_generator()])
     W = c4.subset(["p", "U", "L"])  # its relative cores are single points
@@ -671,7 +679,7 @@ def test_a_core_that_already_passes_is_answered_with_nothing_built():
         with mock.patch.object(poset, "fence_search") as search:
             fence = ask()
         assert search.call_count == 0 and callable(fence._maps)
-        assert c4._core is None
+        assert c4._core is None and c4._reaches == {}
         fence.validate()
         assert fence.start == inclusion_map(c4, W)[0]
         assert fence.end.image_mask().bit_count() == 1

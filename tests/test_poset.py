@@ -221,8 +221,8 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         ok, _ = is_contractible_in(mask, wedge2)
         assert ok == oracle_contractible(wedge2, mask)
     # every subset of fresh spaces: a set that collapses to one point is
-    # contractible, decided with nothing built (no search, no fence map),
-    # and no question builds the core of the space
+    # contractible, decided with nothing built (no search, no collapse of
+    # the space, no fence map), and no question calls core()
     for space in (fx.fix_v(), fx.fix_arc3(), fx.fix_c4()):
         for mask in range(1, space.full_mask() + 1):
             if poset._collapse(space, mask)[0].bit_count() > 1:
@@ -232,6 +232,7 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
             assert decided and search.call_count == 0
             assert callable(fence._maps)  # not lifted yet
             assert oracle_contractible(space, mask)
+        assert space._reaches == {}
         for mask in range(1, space.full_mask() + 1):
             ok, _ = is_contractible_in(mask, space)
             assert ok == oracle_contractible(space, mask)
