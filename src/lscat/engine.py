@@ -7,17 +7,20 @@ supervariant for (phi, Z) when applying phi never decreases the value
 against the reference set Z.  Each inequality axiom is one loop over
 (A, B, Y) triples, enumerated by ``check_axioms`` or drawn by the
 sampled check, and every drawn mask on n points is one
-``getrandbits(n)`` of ``random.Random(seed)``.  The ladder's c_k is the
-first band value whose sublevel has index at least k, found in one pass
-over the band.  The engine is purely axiomatic: nothing here looks at
-separation properties of the space.
+``getrandbits(n)`` of ``random.Random(seed)``.  A 'category' index
+reads only the invariant open up(GA), so ``_holds_on_opens`` decides its
+axioms and supervariance on those opens, and the loops run only when
+that decision fails (for the witness) or is not available.  The
+ladder's c_k is the first band value whose sublevel has index at least
+k, found in one pass over the band.  The engine is purely axiomatic:
+nothing here looks at separation properties of the space.
 """
 
 from __future__ import annotations
 
 import random
 
-from .action import GroupAction, HomogeneousClass
+from .action import GroupAction, HomogeneousClass, is_G_map
 from .category import (
     CatQuery,
     HypothesisUnmet,
@@ -55,9 +58,14 @@ class IndexFunction:
     value.  The key defaults to the pair (A, Y) itself.  A computed value
     must be a nonnegative integer (``bool`` is not one), or ``ValueError``
     is raised.
+
+    ``_hull_action`` is set only by ``make_truncated_index``, on a
+    'category' index: its value is then that of the invariant open
+    up(GA) under this action, for every Y (``_holds_on_opens``).
     """
 
-    __slots__ = ("space", "evaluate", "kind", "cap", "key", "_cache")
+    __slots__ = ("space", "evaluate", "kind", "cap", "key", "_cache",
+                 "_hull_action")
 
     def __init__(self, space, evaluate, kind="user", cap=None, key=None):
         self.space = space
@@ -66,6 +74,7 @@ class IndexFunction:
         self.cap = cap
         self.key = key or (lambda A, Y: (A, Y))
         self._cache = {}
+        self._hull_action = None
 
     def __call__(self, A, Y=0):
         key = self.key(A, Y)
@@ -131,6 +140,8 @@ def make_truncated_index(kind, cap, action, klass=None):
         return min(cover_category(query).value, cap)
 
     nu = IndexFunction(space, evaluate, kind=kind, cap=cap, key=key)
+    if kind == "category":
+        nu._hull_action = action
     return nu
 
 
@@ -155,9 +166,63 @@ class AxiomReport:
         return f"AxiomReport({self.mode}, {flags})"
 
 
+def _passed(mode):
+    """The report of three axiom loops that found no witness."""
+    report = AxiomReport(mode)
+    for name in ("monotonicity", "mixed_subadditivity", "continuity"):
+        report.record(name, True)
+    return report
+
+
+def _holds_on_opens(nu, phi=None):
+    """Decide a 'category' index on its invariant opens: True when it is
+    monotone and mixed-subadditive (and continuous), or, given the
+    self-map ``phi``, when nu(phi(U)) >= nu(U) on every invariant open U;
+    False when that fails or cannot be decided here.
+
+    The value is f(up(GA)) for every Y, so each property holds exactly
+    when it holds on the invariant opens U = up(GA), evaluated once
+    each: A inside B gives up(GA) inside up(GB), and up(G(A | B)) is
+    up(GA) | up(GB).  Monotonicity is checked on the covers of their
+    lattice, U minus one orbit of minimal points of U (the orbits O
+    inside U with U - O open).  Given monotonicity, f(U | V) <= f(X), so
+    subadditivity is checked only on pairs with f(U) + f(V) < f(X).
+    Continuity cannot fail: up(GA) is an open around A with the value
+    of A for every Y.  Supervariance is exact for a G-map phi (any
+    continuous self-map under the trivial action): up(G phi(A)) =
+    up(phi(up(GA))), since phi(up S) lies in up(phi(S)), so nu(phi(A))
+    = nu(phi(U)) for U = up(GA).  Any other index or map gives False.
+    """
+    action = nu._hull_action
+    if action is None:
+        return False
+    space = nu.space
+    if phi is not None and not (
+            phi.domain == space == phi.codomain
+            and (action.is_trivial() or is_G_map(phi, action))):
+        return False
+    value = {U: nu(U) for U in space.up_sets() if action.is_invariant(U)}
+    if phi is not None:
+        return all(nu(phi.image_mask(U)) >= v for U, v in value.items())
+    orbits = action.orbits()
+    for U, v in value.items():
+        for O in orbits:
+            if O & ~U == 0 and value.get(U ^ O, v) > v:
+                return False
+    top = value[space.full_mask()]
+    small = [(U, v) for U, v in value.items() if v < top]
+    for i, (U, a) in enumerate(small):
+        for V, b in small[i + 1:]:
+            if a + b < top and value[U | V] > a + b:
+                return False
+    return True
+
+
 def check_axioms(nu):
     """Monotonicity, continuity and mixed subadditivity, checked on every
-    subset pair.  A space of more than AXIOM_EXHAUSTIVE_CAP points raises
+    subset pair, or decided on the invariant opens of a 'category' index
+    (``_holds_on_opens``, the enumeration then runs only on a failure).
+    A space of more than AXIOM_EXHAUSTIVE_CAP points raises
     SizeCapExceeded before any index call."""
     space = nu.space
     n = len(space)
@@ -166,6 +231,8 @@ def check_axioms(nu):
             f"check_axioms: exhaustive axiom checks on {n} points exceed "
             f"lscat.engine.AXIOM_EXHAUSTIVE_CAP = {AXIOM_EXHAUSTIVE_CAP}"
         )
+    if _holds_on_opens(nu):
+        return _passed("exhaustive")
     masks = range(1 << n)
     report = AxiomReport("exhaustive")
     # submasks A of B in decreasing order, 0 last
@@ -220,10 +287,14 @@ def _continuity_witness(nu, closed_sets, probe_ys):
 
 def _check_axioms_sampled(nu, sample, seed):
     """The axioms on ``sample`` drawn triples each and a shuffled share of
-    the closed sets, all drawn in loop order from ``seed``."""
+    the closed sets, all drawn in loop order from ``seed``.  Nothing is
+    drawn when ``_holds_on_opens`` decides that the axioms hold, on at
+    most AXIOM_EXHAUSTIVE_CAP points: no draw could then fail."""
     space = nu.space
-    rng = random.Random(seed)
     n = len(space)
+    if n <= AXIOM_EXHAUSTIVE_CAP and _holds_on_opens(nu):
+        return _passed("sampled")
+    rng = random.Random(seed)
 
     def triples():
         for _ in range(sample):
@@ -253,10 +324,15 @@ def _witness(space, **kw):
 
 
 def check_supervariance(nu, phi, Z, seed=0):
-    """nu(phi(A), Z) >= nu(A, Z) for all A; witness on failure."""
+    """nu(phi(A), Z) >= nu(A, Z) for all A; witness on failure.  In
+    exhaustive mode a 'category' index and a G-map phi are decided on the
+    invariant opens first (``_holds_on_opens``), and every A is tried
+    only when that fails."""
     space = nu.space
     n = len(space)
     if n <= SUPERVARIANCE_EXHAUSTIVE_CAP:
+        if _holds_on_opens(nu, phi):
+            return {"ok": True, "mode": "exhaustive", "witness": None}
         masks = range(1 << n)
         mode = "exhaustive"
     else:

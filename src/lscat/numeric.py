@@ -455,12 +455,22 @@ def _radial_drop(field, p, cfg):
 
 
 def quadratic_field(matrix=None, dim=2, name="quadratic"):
-    """f(m) = m . A m with positive definite A (identity by default)."""
+    """f(m) = m . A m with positive definite A (identity by default).
+
+    The gradient 2 A m is taken as g = A m, then g += g: x + x is 2.0 * x
+    exactly in IEEE arithmetic (signed zeros, infinities, NaN and
+    subnormals included), without the temporary of the product."""
     A = np.eye(dim) if matrix is None else np.asarray(matrix, dtype=float)
+
+    def grad(m):
+        g = A.dot(np.asarray(m))
+        g += g
+        return g
+
     return ScalarField(
         A.shape[0],
         lambda m: float(np.asarray(m) @ A @ np.asarray(m)),
-        lambda m: 2.0 * A.dot(np.asarray(m)),
+        grad,
         name=name,
     )
 

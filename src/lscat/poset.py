@@ -627,7 +627,8 @@ def _deform(space, W, question, keep=0, group=None, hold=0):
     that commute with ``group`` (image tuples; None for the trivial
     group), to a map that ``question`` accepts?  A FenceCertificate or
     None.  ``question(W')`` gives ``(is_target, stage_ok)`` on image
-    tuples of maps W' -> X, or None when nothing is a target.
+    tuples of maps W' -> X, None when nothing is a target, or True when
+    the inclusion of W' is one (so nothing is searched).
 
     W, ``keep`` and ``hold`` must be invariant.  ``_collapse`` takes W to
     its relative core W' keeping ``keep``, and ``_reach`` takes X to X'
@@ -643,18 +644,19 @@ def _deform(space, W, question, keep=0, group=None, hold=0):
     asked = question(alive)
     if asked is None:
         return None
-    is_target, stage_ok = asked
-    parents = tuple(_bits(alive))
     fence, pushes = None, ()
-    if not is_target(parents):
-        reach, pushes, s = _reach(space, hold, group)
-        fence = fence_search(
-            SpaceMap(space.subspace(alive)[0], space,
-                     tuple(s[p] for p in parents)),
-            is_target, stage_ok=stage_ok,
-            moves=_orbit_moves(space, group, parents, reach))
-        if fence is None:
-            return None
+    if asked is not True:
+        is_target, stage_ok = asked
+        parents = tuple(_bits(alive))
+        if not is_target(parents):
+            reach, pushes, s = _reach(space, hold, group)
+            fence = fence_search(
+                SpaceMap(space.subspace(alive)[0], space,
+                         tuple(s[p] for p in parents)),
+                is_target, stage_ok=stage_ok,
+                moves=_orbit_moves(space, group, parents, reach))
+            if fence is None:
+                return None
     return FenceCertificate(
         lambda: _lift(space, W, alive, removals, pushes, fence).maps)
 
@@ -702,9 +704,18 @@ def is_contractible_in(A, space):
         raise ValueError("contractibility of the empty subset is undefined")
     if any(A & c and A & ~c for c in space.components):
         return False, None
-    fence = _deform(space, A, lambda core: (
-        lambda images: len(set(images)) == 1, None))
+    fence = _deform(space, A, _to_a_point)
     return fence is not None, fence
+
+
+def _to_a_point(core):
+    """The contractibility question for ``_deform``: the inclusion of a
+    one-point core is constant, else constant maps are the targets."""
+    return core & (core - 1) == 0 or (_is_constant, None)
+
+
+def _is_constant(images):
+    return len(set(images)) == 1
 
 
 def automorphism_inverse(phi):

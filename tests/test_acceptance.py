@@ -12,14 +12,12 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import fixtures as fx
 import lscat.action
-import lscat.category
 import lscat.engine
 import lscat.poset
 from lscat.action import (
@@ -64,6 +62,7 @@ from lscat.simplicial import (
     star_cover_upper_bound,
 )
 
+from certify import count_calls, verify_results
 from oracles import oracle_cat, oracle_cuplength
 
 
@@ -145,46 +144,18 @@ CRITERION_04_COVER_QUERIES = 13_245
 CRITERION_04_FENCE_SEARCHES = 124
 
 
-def _count_calls(monkeypatch, counts, key, module, name, results=None):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        result = original(*args, **kwargs)
-        if results is not None:
-            results.append(result)
-        return result
-
-    monkeypatch.setattr(module, name, counted)
-
-
-def _verify_results(results):
-    """``verify`` every CatResult, checking each distinct fence object
-    once (a catalogue's fence serves every cover that uses its member,
-    under the same end test); returns the number of fences checked."""
-    checked = set()
-    check = lscat.category._check_fence
-
-    def check_once(query, entry, end_ok, stage_ok):
-        if entry.certificate not in checked:
-            check(query, entry, end_ok, stage_ok)
-            checked.add(entry.certificate)
-
-    with mock.patch.object(lscat.category, "_check_fence", check_once):
-        for result in results:
-            result.verify()
-    return len(checked)
-
-
 def test_criterion_04_thousand_generated_instances(_violations_dir,
                                                    monkeypatch):
-    counts = {"cover_category": 0, "fence_search": 0}
+    counts = {"cover_category": 0, "fence_search": 0, "sampled_loops": 0}
     results = []
-    _count_calls(monkeypatch, counts, "cover_category", lscat.engine,
-                 "cover_category", results)
+    count_calls(monkeypatch, counts, "cover_category", lscat.engine,
+                "cover_category", results)
     for module in (lscat.poset, lscat.action):
-        _count_calls(monkeypatch, counts, "fence_search", module,
-                     "fence_search")
+        count_calls(monkeypatch, counts, "fence_search", module,
+                    "fence_search")
+    # a sampled triple is drawn only inside these two loops
+    for name in ("_monotonicity_witness", "_subadditivity_witness"):
+        count_calls(monkeypatch, counts, "sampled_loops", lscat.engine, name)
     t0 = time.monotonic()
     holds = ledger_passing = 0
     digest = hashlib.sha256()
@@ -207,7 +178,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
     # the instances read values only, so no fence was assembled
     unread = all(callable(entry.certificate._maps)
                  for result in results for entry in result.cover)
-    fences = _verify_results(results)  # raises on the first defect
+    fences = verify_results(results)  # raises on the first defect
     persisted = (
         list(_violations_dir.glob("*.json")) if _violations_dir.exists()
         else []
@@ -220,6 +191,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         and digest.hexdigest() == CRITERION_04_SHA256
         and len(results) == CRITERION_04_COVER_QUERIES
         and searched == CRITERION_04_FENCE_SEARCHES
+        and counts["sampled_loops"] == 0
         and unread
         and elapsed < 300.0
     )
@@ -229,7 +201,8 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         f"(of 1000), {len(persisted)} persisted, unpinned seeds "
         f"{unpinned[:5]}, sha256 {digest.hexdigest()[:16]}, "
         f"{len(results)} cover queries, each verified ({fences} fences), "
-        f"{searched} fence searches, {elapsed:.1f}s",
+        f"{searched} fence searches, {counts['sampled_loops']} sampled "
+        f"axiom loops, {elapsed:.1f}s",
     )
 
 
@@ -239,8 +212,8 @@ def test_criterion_04_certificate_check_rejects_planted_defects(
     than its cover, and a fence with a stage that is not a G-map, even
     after it has checked sound results."""
     results = []
-    _count_calls(monkeypatch, {"cover_category": 0}, "cover_category",
-                 lscat.engine, "cover_category", results)
+    count_calls(monkeypatch, {"cover_category": 0}, "cover_category",
+                lscat.engine, "cover_category", results)
     for seed in range(20):
         pair, nu, a, b = random_instance(seed)
         verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=seed)
@@ -263,11 +236,11 @@ def test_criterion_04_certificate_check_rejects_planted_defects(
     not_G = CatResult(sound.query, sound.value, [
         forged if e is entry else e for e in sound.cover])
 
-    assert _verify_results(results + [sound]) > 0
+    assert verify_results(results + [sound]) > 0
     with pytest.raises(ValueError, match="disagrees with the value"):
-        _verify_results(results + [short])
+        verify_results(results + [short])
     with pytest.raises(ValueError, match="not a G-map"):
-        _verify_results(results + [sound, not_G])
+        verify_results(results + [sound, not_G])
 
 
 def test_criterion_05_negative_control():

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lscat import action, engine, poset
+from lscat import action, cli, dynamics, engine, poset
 from lscat.category import INFINITE
 from lscat.cli import (
     builtin_corpus_dir,
@@ -22,6 +22,7 @@ from lscat.formats import (
     parse_scenario,
 )
 
+from certify import count_calls, verify_results
 
 CORPUS = builtin_corpus_dir()
 
@@ -134,10 +135,16 @@ def test_corpus_runs_clean(tmp_path, monkeypatch):
     for module in (poset, action):  # the two modules that call it
         monkeypatch.setattr(module, "fence_search", lambda start, *a, **k: (
             searched.append(len(start.domain)) or search(start, *a, **k)))
+    results = []  # every CatResult behind a theorem, engine or query row
+    for module in (cli, dynamics, engine):
+        count_calls(monkeypatch, {"cover_category": 0}, "cover_category",
+                    module, "cover_category", results)
     buf = io.StringIO()
     code, summary = run_corpus(fmt="structured", out=buf)
     # each question is searched on the relative G-core of its domain
     assert (len(searched), sum(searched)) == CORPUS_FENCE_SEARCHES
+    first = list(results)
+    assert first and verify_results(first) > 0
     assert code == 0
     assert summary["mismatched"] == 0
     assert summary["fixtures"] == 14

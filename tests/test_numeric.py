@@ -196,10 +196,22 @@ def _wide_vectors(rng, dim, count):
     return rng.uniform(-1.0, 1.0, size=(count, dim)) * np.exp2(exps)
 
 
+# signed zeros, infinities, NaNs of both signs, the extreme subnormals
+# and normals, and 1.0
+SPECIAL_FLOATS = np.array([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, -2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN entries
 def test_quadratic_grad_and_norm_keep_their_bits():
-    # flow_map takes the gradient as A.dot(m) and its square norm as
-    # g.dot(g); the oracles call the same grad, so compare both with the
-    # products they replaced, 2.0 * (A @ m) and g @ g, byte for byte
+    # flow_map takes the gradient as A.dot(m) doubled by g += g and its
+    # square norm as g.dot(g); the oracles call the same grad, so compare
+    # both with the products they replaced, 2.0 * (A @ m) and g @ g, byte
+    # for byte.  On vectors of special entries, A.dot and A @ can differ
+    # in the sign of an underflowed zero, so the doubling is compared with
+    # 2.0 * A.dot(m) there.
     rng = np.random.default_rng(15)
     for dim in range(1, 9):
         for seed in range(3):
@@ -210,6 +222,13 @@ def test_quadratic_grad_and_norm_keep_their_bits():
                 g = field.grad(m)
                 assert g.tobytes() == (2.0 * (A @ m)).tobytes(), (dim, m)
                 assert _bits(g.dot(g)) == _bits(g @ g), (dim, g)
+            for m in rng.choice(SPECIAL_FLOATS, size=(100, dim)):
+                g = field.grad(m)
+                assert g.tobytes() == (2.0 * A.dot(m)).tobytes(), (dim, m)
+    # with A = I the gradient is each special entry doubled
+    for x in SPECIAL_FLOATS:
+        g = quadratic_field(dim=1).grad([x])
+        assert g.tobytes() == np.array([2.0 * x]).tobytes(), x
 
 
 def _constant_field(grad):
