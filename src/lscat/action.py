@@ -16,6 +16,7 @@ from .poset import (
     SizeCapExceeded,
     SpaceMap,
     _deform,
+    _negative,
     _orbit_moves,
     bits,
     fence_search,
@@ -44,8 +45,8 @@ class GroupAction:
     is the index of elements[a] after elements[b].
     """
 
-    __slots__ = ("space", "generators", "elements", "_mul", "_orbits",
-                 "_subgroups", "_caches")
+    __slots__ = ("space", "generators", "elements", "_mul", "_orbit_of",
+                 "_orbits", "_subgroups", "_caches")
 
     def __init__(self, space, generators):
         self.space = space
@@ -79,10 +80,16 @@ class GroupAction:
         self.elements = tuple(sorted(elements))
         where = {g: k for k, g in enumerate(self.elements)}
         self._mul = tuple(
-            tuple(where[tuple(g1[v] for v in g2)] for g2 in self.elements)
+            tuple(where[tuple(map(g1.__getitem__, g2))]
+                  for g2 in self.elements)
             for g1 in self.elements
         )
-        self._orbits = None
+        orbit_of = [1 << i for i in range(n)]
+        for g in self.elements[1:]:  # elements[0] is the identity
+            for i, v in enumerate(g):
+                orbit_of[i] |= 1 << v
+        self._orbit_of = tuple(orbit_of)
+        self._orbits = tuple(dict.fromkeys(orbit_of))  # by least point
         self._subgroups = None
         self._caches = {}
 
@@ -106,38 +113,28 @@ class GroupAction:
     # -- orbits ----------------------------------------------------------
 
     def orbit_mask(self, i):
-        out = 0
-        for g in self.elements:
-            out |= 1 << g[i]
-        return out
+        return self._orbit_of[i]
 
     def orbits(self):
         """Orbits as masks partitioning the points, by least point."""
-        if self._orbits is None:
-            seen = 0
-            out = []
-            for i in range(len(self.space)):
-                if seen >> i & 1:
-                    continue
-                mask = self.orbit_mask(i)
-                seen |= mask
-                out.append(mask)
-            self._orbits = tuple(out)
         return self._orbits
 
     def saturate(self, A):
         """GA: the union of all orbits meeting A (A itself for the
         trivial group)."""
-        if self.is_trivial():
+        if len(self.elements) == 1:
             return A
+        if A < 0:
+            raise _negative(A)
         out = 0
-        for i in bits(A):
-            out |= self.orbit_mask(i)
+        for orbit in self._orbits:
+            if A & orbit:
+                out |= orbit
         return out
 
     def is_invariant(self, A):
         """Is the mask A a union of orbits?"""
-        return self.saturate(A) == A
+        return len(self.elements) == 1 or self.saturate(A) == A
 
     def stabilizer(self, i):
         """Point stabiliser as a frozenset of element indices."""

@@ -278,8 +278,10 @@ def is_categorical(mask, space, action=None, klass=None):
     set, with its ``_factor_targets`` as targets (no search when there
     are none).
     """
-    action = action or GroupAction.trivial(space)
-    klass = klass or HomogeneousClass.point_only(action)
+    if action is None:  # not ``action or``: that calls its __len__
+        action = GroupAction.trivial(space)
+    if klass is None:
+        klass = HomogeneousClass.point_only(action)
     if mask == 0:
         raise ValueError("the empty set is not categorical")
     if not klass.subgroup_list or not action.is_invariant(mask):
@@ -358,16 +360,24 @@ def _factor_targets(mask, action, klass):
 # -- catalogues ----------------------------------------------------------
 
 
-def _catalogue(action, key, candidates, test):
-    """The ``_maximal_members`` of ``candidates()`` under ``test``, built
-    on the first request for ``key`` and cached on the action."""
+def _catalogue(key, space, action, candidates, test, *args):
+    """The ``_maximal_members`` of ``candidates(space, action)`` under
+    ``test(m, *args)``, built on the first request for ``key`` and cached
+    on the action; a request for a built key reads the cache and builds
+    nothing."""
     cache = action._caches
-    if key not in cache:
-        cache[key] = _maximal_members(candidates(), test)
-    return cache[key]
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    found = cache[key] = _maximal_members(candidates(space, action),
+                                          lambda m: test(m, *args))
+    return found
 
 
 def invariant_up_sets(space, action):
+    if action.is_trivial():  # every open, less the empty set listed first
+        return space.up_sets()[1:]
     return [m for m in space.up_sets() if m and action.is_invariant(m)]
 
 
@@ -399,41 +409,48 @@ def _maximal_members(candidates, test):
     return found
 
 
-def _categorical_test(space, action, klass):
-    return lambda m: is_categorical(m, space, action, klass)[1]
+def _categorical_fence(m, space, action, klass):
+    return is_categorical(m, space, action, klass)[1]
+
+
+def _deformable_fence(m, action, Y_mask, mod):
+    return is_G_deformable(action, m, Y_mask, mod=mod)
+
+
+def _reference_match(m, space, class_b):
+    return _matches_reference(space, m, class_b) or None
 
 
 def categorical_open_catalog(space, action, klass):
     """The maximal categorical invariant opens, in walk order, each with
     its fence."""
-    return _catalogue(action, ("cat-open", klass.key()),
-                      lambda: invariant_up_sets(space, action),
-                      _categorical_test(space, action, klass))
+    return _catalogue(("cat-open", klass.key()), space, action,
+                      invariant_up_sets, _categorical_fence,
+                      space, action, klass)
 
 
 def categorical_closed_catalog(space, action, klass):
     """The maximal categorical invariant closed sets, in walk order, each
     with its fence."""
-    return _catalogue(action, ("cat-closed", klass.key()),
-                      lambda: invariant_down_sets(space, action),
-                      _categorical_test(space, action, klass))
+    return _catalogue(("cat-closed", klass.key()), space, action,
+                      invariant_down_sets, _categorical_fence,
+                      space, action, klass)
 
 
 def deformable_open_catalog(space, action, Y_mask, mod):
     """The maximal invariant opens deformable to Y (mod Y when ``mod``),
     in walk order, each with its fence; empty when no nonempty open
     deforms."""
-    return _catalogue(action, ("deformable", Y_mask, mod),
-                      lambda: invariant_up_sets(space, action),
-                      lambda m: is_G_deformable(action, m, Y_mask, mod=mod))
+    return _catalogue(("deformable", Y_mask, mod), space, action,
+                      invariant_up_sets, _deformable_fence,
+                      action, Y_mask, mod)
 
 
 def classB_catalog(space, action, class_b):
     """The maximal invariant opens isomorphic to a reference space, in
     walk order."""
-    return _catalogue(action, ("classB", tuple(class_b)),
-                      lambda: invariant_up_sets(space, action),
-                      lambda m: _matches_reference(space, m, class_b) or None)
+    return _catalogue(("classB", tuple(class_b)), space, action,
+                      invariant_up_sets, _reference_match, space, class_b)
 
 
 def _matches_reference(space, mask, class_b):
@@ -495,7 +512,12 @@ def min_cover(target, candidates):
     candidates = tuple(candidates)
     if target & ~functools.reduce(operator.or_, candidates, 0):
         return None
-    for k in itertools.count():
+    if not target:
+        return []
+    for m in candidates:  # the combinations of one, with no reduce each
+        if target & ~m == 0:
+            return [m]
+    for k in itertools.count(2):
         for combo in itertools.combinations(candidates, k):
             if target & ~functools.reduce(operator.or_, combo, 0) == 0:
                 return list(combo)

@@ -78,10 +78,9 @@ class IndexFunction:
 
     def __call__(self, A, Y=0):
         key = self.key(A, Y)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
+        value = self._cache.get(key)  # a miss costs no KeyError
+        if value is not None:
+            return value
         value = self.evaluate(A, Y)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"index functions take nonnegative integers, "
@@ -126,7 +125,7 @@ def make_truncated_index(kind, cap, action, klass=None):
             lambda A, Y: (saturate(A), saturate(Y)))
 
     def evaluate(A, Y):
-        GA = saturate(A)
+        GA = A if trivial else saturate(A)
         if kind != "mod_category":
             hull = space.up_closure(GA)
             if hull != GA:
@@ -135,8 +134,8 @@ def make_truncated_index(kind, cap, action, klass=None):
             query = CatQuery(space, A=GA, action=action, klass=klass)
         else:
             mode = "pair" if kind == "pair_category" else "mod"
-            query = CatQuery(space, A=GA, Y=saturate(Y), mode=mode,
-                             action=action, klass=klass)
+            query = CatQuery(space, A=GA, Y=Y if trivial else saturate(Y),
+                             mode=mode, action=action, klass=klass)
         return min(cover_category(query).value, cap)
 
     nu = IndexFunction(space, evaluate, kind=kind, cap=cap, key=key)
@@ -201,19 +200,25 @@ def _holds_on_opens(nu, phi=None):
             phi.domain == space == phi.codomain
             and (action.is_trivial() or is_G_map(phi, action))):
         return False
-    value = {U: nu(U) for U in space.up_sets() if action.is_invariant(U)}
+    opens = space.up_sets()
+    if not action.is_trivial():
+        opens = [U for U in opens if action.is_invariant(U)]
+    index = nu.__call__  # a bound method, as in _monotonicity_witness
+    value = {U: index(U) for U in opens}
     if phi is not None:
-        return all(nu(phi.image_mask(U)) >= v for U, v in value.items())
+        return all(index(phi.image_mask(U)) >= v for U, v in value.items())
     orbits = action.orbits()
     for U, v in value.items():
         for O in orbits:
             if O & ~U == 0 and value.get(U ^ O, v) > v:
                 return False
     top = value[space.full_mask()]
-    small = [(U, v) for U, v in value.items() if v < top]
-    for i, (U, a) in enumerate(small):
-        for V, b in small[i + 1:]:
-            if a + b < top and value[U | V] > a + b:
+    small = sorted((v, U) for U, v in value.items() if v < top)
+    for i, (a, U) in enumerate(small):
+        for b, V in small[i + 1:]:  # b ascending
+            if a + b >= top:
+                break
+            if value[U | V] > a + b:
                 return False
     return True
 

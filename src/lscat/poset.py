@@ -61,22 +61,30 @@ class FiniteSpace:
         n = len(points)
         self.points = points
         self.index = {p: i for i, p in enumerate(points)}
-        self.up = tuple(up)
-        self.down = tuple(
-            sum(1 << i for i in range(n) if self.up[i] >> j & 1)
-            for j in range(n)
-        )
+        self.up = up = tuple(up)
+        # one pass over the pairs with i strictly below j transposes up
+        # into down and lists each point's strict neighbours
+        down = [1 << j for j in range(n)]
+        strict_up, strict_down = [], [[] for _ in range(n)]
+        for i, m in enumerate(up):
+            m &= ~(1 << i)
+            row = []
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                row.append(j)
+                down[j] |= 1 << i
+                strict_down[j].append(i)
+                m ^= low
+            strict_up.append(tuple(row))
+        self.down = tuple(down)
         self._upsets = None
         self._core = None
         self._reaches = {}
         self._components = None
-        self._hash = hash((points, self.up))
-        self._strict_up = tuple(
-            tuple(_bits(self.up[i] & ~(1 << i))) for i in range(n)
-        )
-        self._strict_down = tuple(
-            tuple(_bits(self.down[i] & ~(1 << i))) for i in range(n)
-        )
+        self._hash = hash((points, up))
+        self._strict_up = tuple(strict_up)
+        self._strict_down = tuple(map(tuple, strict_down))
 
     # -- basic order queries -------------------------------------------
 
@@ -84,7 +92,7 @@ class FiniteSpace:
         return len(self.points)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteSpace)
             and self.points == other.points
             and self.up == other.up
@@ -101,19 +109,13 @@ class FiniteSpace:
         return self.up[i] >> j & 1 == 1
 
     def full_mask(self):
-        return (1 << len(self)) - 1
+        return (1 << len(self.points)) - 1
 
     def up_closure(self, mask):
-        out = 0
-        for i in _bits(mask):
-            out |= self.up[i]
-        return out
+        return _closure(self.up, mask)
 
     def down_closure(self, mask):
-        out = 0
-        for i in _bits(mask):
-            out |= self.down[i]
-        return out
+        return _closure(self.down, mask)
 
     def is_up_set(self, mask):
         return self.up_closure(mask) == mask
@@ -126,7 +128,17 @@ class FiniteSpace:
         return all(self.up[i] == 1 << i for i in range(len(self)))
 
     def up_sets(self):
-        """All open subsets as masks, ascending; cached."""
+        """All open subsets as masks, ascending; cached.
+
+        The lattice is grown point by point, never by testing all 2^n
+        masks.  Points are taken by ascending ``up[i].bit_count()``, so
+        each point comes after every point strictly above it (a strictly
+        smaller up-set), and the points taken so far form an up-set P.
+        The opens inside P plus a point i are then those inside P, and
+        those joined with i whose bits hold the points strictly above i
+        (i is minimal there, so removing it leaves an open).  One sort of
+        the masks gives the ascending order.
+        """
         if self._upsets is None:
             n = len(self)
             if n > SUBSET_SPACE_CAP:
@@ -134,9 +146,13 @@ class FiniteSpace:
                     f"up_sets: {n} points exceed "
                     f"lscat.poset.SUBSET_SPACE_CAP = {SUBSET_SPACE_CAP}"
                 )
-            self._upsets = tuple(
-                m for m in range(1 << n) if self.is_up_set(m)
-            )
+            opens = [0]
+            for i in sorted(range(n), key=lambda i: self.up[i].bit_count()):
+                bit = 1 << i
+                above = self.up[i] ^ bit
+                opens += [U | bit for U in opens if U & above == above]
+            opens.sort()
+            self._upsets = tuple(opens)
         return self._upsets
 
     @property
@@ -189,9 +205,25 @@ class FiniteSpace:
         ]
 
 
+def _negative(mask):
+    return ValueError(f"a mask is a nonnegative int, got {mask}")
+
+
+def _closure(rows, mask):
+    """The union of ``rows[i]`` over the bits i of the mask."""
+    if mask < 0:
+        raise _negative(mask)
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _bits(mask):
     if mask < 0:
-        raise ValueError(f"a mask is a nonnegative int, got {mask}")
+        raise _negative(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -229,21 +261,19 @@ def validate_space(points, relation_pairs):
         up[index[a]] |= 1 << index[b]
     if len(index) != n:
         raise ValueError(f"duplicate point labels in {points!r}")
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):  # Warshall: after step k, paths through 0..k
+        above, bit = up[k], 1 << k
         for i in range(n):
-            acc = up[i]
-            for j in _bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] & bit:
+                up[i] |= above
+    space = FiniteSpace(points, up)
     for i in range(n):
-        for j in _bits(up[i] & ~(1 << i)):
-            if up[j] >> i & 1:
-                raise NotAPartialOrder("antisymmetry", (points[i], points[j]))
-    return FiniteSpace(points, up)
+        # the least j != i with i <= j <= i
+        both = up[i] & space.down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPartialOrder("antisymmetry", (points[i], points[j]))
+    return space
 
 
 class SpaceMap:
@@ -258,14 +288,21 @@ class SpaceMap:
         for v in images:
             if not 0 <= v < len(codomain):
                 raise ValueError("image index out of codomain range")
-        for i in range(len(domain)):
-            for j in range(len(domain)):
-                if domain.leq(i, j) and not codomain.leq(images[i], images[j]):
+        # i <= j must give images[i] <= images[j]: the images of up[i]
+        # lie in the codomain's up-set of images[i]
+        cod_up = codomain.up
+        for i, above in enumerate(domain.up):
+            allowed = cod_up[images[i]]
+            while above:
+                low = above & -above
+                j = low.bit_length() - 1
+                if not allowed >> images[j] & 1:
                     raise ValueError(
                         "not order-preserving: "
                         f"{domain.points[i]} <= {domain.points[j]} but "
                         f"{codomain.points[images[i]]} !<= {codomain.points[images[j]]}"
                     )
+                above ^= low
         self.domain = domain
         self.codomain = codomain
         self.images = images
@@ -323,9 +360,13 @@ class SpaceMap:
     def image_mask(self, domain_mask=None):
         if domain_mask is None:
             domain_mask = self.domain.full_mask()
-        out = 0
-        for i in _bits(domain_mask):
-            out |= 1 << self.images[i]
+        if domain_mask < 0:
+            raise _negative(domain_mask)
+        images, out = self.images, 0
+        while domain_mask:
+            low = domain_mask & -domain_mask
+            out |= 1 << images[low.bit_length() - 1]
+            domain_mask ^= low
         return out
 
 
@@ -702,8 +743,9 @@ def is_contractible_in(A, space):
     """
     if A == 0:
         raise ValueError("contractibility of the empty subset is undefined")
-    if any(A & c and A & ~c for c in space.components):
-        return False, None
+    for c in space.components:
+        if A & c and A & ~c:
+            return False, None
     fence = _deform(space, A, _to_a_point)
     return fence is not None, fence
 

@@ -19,6 +19,12 @@ pair by pair with ``leq`` (no stabiliser fixed masks).  The targets
 an equivariant categorical set may factor through are assigned orbit by
 orbit of comparability components, union-find on ``comparable`` pairs,
 with every translate written and checked against earlier writes.
+The order facts of a space are read pair by pair with ``leq``: its
+opens filter all 2^n masks, its down-sets and strict neighbours list
+the points below or above each point, a map's order check walks every
+pair in row-major order, the order a relation generates is a fixpoint
+of repeated passes, and orbits and saturations loop over the group
+elements.
 """
 
 import itertools
@@ -34,6 +40,86 @@ from lscat.poset import bits
 
 def comparable(space, i, j):
     return space.leq(i, j) or space.leq(j, i)
+
+
+def oracle_up_sets(space):
+    """Every open as a mask, ascending: the 2^n masks m in which i in m
+    and i <= j put j in m."""
+    n = len(space)
+    return [m for m in range(1 << n)
+            if all(m >> j & 1 for i in range(n) if m >> i & 1
+                   for j in range(n) if space.leq(i, j))]
+
+
+def oracle_down(space):
+    """down[j], the mask of the points i <= j, for every j."""
+    n = len(space)
+    return tuple(sum(1 << i for i in range(n) if space.leq(i, j))
+                 for j in range(n))
+
+
+def oracle_strict_neighbours(space):
+    """(strict_up, strict_down): for every point, the indices strictly
+    above and strictly below it, ascending."""
+    n = len(space)
+    return (tuple(tuple(j for j in range(n) if j != i and space.leq(i, j))
+                  for i in range(n)),
+            tuple(tuple(j for j in range(n) if j != i and space.leq(j, i))
+                  for i in range(n)))
+
+
+def oracle_order_violation(domain, codomain, images):
+    """The message for the first pair (i, j) in row-major order with
+    i <= j but images[i] !<= images[j]; None when the image tuple is
+    order-preserving."""
+    for i in range(len(domain)):
+        for j in range(len(domain)):
+            if domain.leq(i, j) and not codomain.leq(images[i], images[j]):
+                return ("not order-preserving: "
+                        f"{domain.points[i]} <= {domain.points[j]} but "
+                        f"{codomain.points[images[i]]} !<= "
+                        f"{codomain.points[images[j]]}")
+    return None
+
+
+def oracle_generated_order(points, relation_pairs):
+    """The reflexive-transitive closure of the pairs as up-masks, by
+    passes that add the up-set of every point above until none changes,
+    and the antisymmetry witness: the first (i, j) in row-major order
+    with i != j, i <= j and j <= i, as labels (None when there is
+    none)."""
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    up = [{i} for i in range(n)]
+    for a, b in relation_pairs:
+        up[index[a]].add(index[b])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = set(up[i])
+            for j in up[i]:
+                grown |= up[j]
+            if grown != up[i]:
+                up[i], changed = grown, True
+    witness = next(((points[i], points[j]) for i in range(n)
+                    for j in range(n) if i != j and j in up[i]
+                    and i in up[j]), None)
+    return [sum(1 << j for j in row) for row in up], witness
+
+
+def oracle_orbit_masks(action):
+    """Each point's orbit, as the mask of its images under every group
+    element."""
+    return tuple(sum(1 << v for v in {g[i] for g in action.elements})
+                 for i in range(len(action.space)))
+
+
+def oracle_saturate(action, A):
+    """GA: the images of the points of A under every group element."""
+    return sum(1 << v for v in {g[i] for g in action.elements
+                                for i in range(len(action.space))
+                                if A >> i & 1})
 
 
 def all_order_preserving_maps(domain, codomain):

@@ -27,7 +27,9 @@ from lscat.poset import (
 from oracles import (
     oracle_factor_targets,
     oracle_orbit_context,
+    oracle_orbit_masks,
     oracle_orbit_neighbors,
+    oracle_saturate,
 )
 
 
@@ -306,6 +308,24 @@ def copied_spaces(draw):
     chosen = draw(st.sets(st.sampled_from(orbits), min_size=1))
     W = space.up_closure(sum(chosen))
     return action, W
+
+
+@given(copied_spaces(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_orbit_masks_and_saturation_match_the_element_loop(acted, data):
+    """The orbit masks kept on the action, the orbits by least point and
+    the saturation of drawn masks are those of a loop over the group
+    elements."""
+    action, _ = acted
+    space = action.space
+    masks = oracle_orbit_masks(action)
+    assert tuple(map(action.orbit_mask, range(len(space)))) == masks
+    assert action.orbits() == tuple(dict.fromkeys(masks))
+    for A in data.draw(st.lists(st.integers(0, space.full_mask()),
+                                max_size=12)) + [0, space.full_mask()]:
+        GA = oracle_saturate(action, A)
+        assert action.saturate(A) == GA
+        assert action.is_invariant(A) == (GA == A)
 
 
 @given(copied_spaces())

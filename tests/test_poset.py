@@ -1,3 +1,4 @@
+import itertools
 from itertools import islice
 from unittest import mock
 
@@ -23,6 +24,11 @@ from oracles import (
     all_order_preserving_maps,
     hom_components,
     oracle_contractible,
+    oracle_down,
+    oracle_generated_order,
+    oracle_order_violation,
+    oracle_strict_neighbours,
+    oracle_up_sets,
 )
 
 
@@ -65,8 +71,11 @@ def test_negative_masks_are_rejected(c4, conjugation):
     # a negative int has infinitely many set bits: rejected, not walked
     with pytest.raises(ValueError):
         list(islice(poset._bits(-2), 3))
+    ident = SpaceMap.identity(c4)
     for call in (lambda: bits(-1), lambda: c4.subspace(-1),
-                 lambda: conjugation.saturate(-1)):
+                 lambda: conjugation.saturate(-1),
+                 lambda: c4.up_closure(-1), lambda: c4.down_closure(-1),
+                 lambda: ident.image_mask(-1)):
         with pytest.raises(ValueError):
             call()
 
@@ -468,6 +477,103 @@ def test_subspace_matches_the_space_validated_from_its_pairs(space):
         assert idx == tuple(bits(mask))
         assert (sub.points, sub.up, sub.down, sub._strict_up) == (
             rebuilt.points, rebuilt.up, rebuilt.down, rebuilt._strict_up)
+
+
+@st.composite
+def scrambled_posets(draw, max_points):
+    """Random posets on 1..max_points points, labels in no
+    linear-extension order, each pair related with probability 1/3."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n)
+             if draw(st.integers(min_value=0, max_value=2)) == 0]
+    return validate_space(sorted(labels), pairs)
+
+
+# ten points, every relation running from a higher label to a lower one
+SCRAMBLED_10 = validate_space(
+    [f"x{i}" for i in range(10)],
+    [["x9", "x6"], ["x6", "x3"], ["x3", "x0"], ["x8", "x5"], ["x5", "x2"],
+     ["x9", "x5"], ["x7", "x4"], ["x4", "x1"], ["x8", "x4"], ["x6", "x1"]])
+
+
+@given(scrambled_posets(max_points=10))
+@example(SCRAMBLED_10)
+@settings(max_examples=25, deadline=None)
+def test_up_sets_match_the_pairwise_filter(space):
+    """The grown lattice lists the 2^n masks that the pairwise definition
+    and ``is_up_set`` keep, ascending, and the down-sets are their
+    complements."""
+    opens = oracle_up_sets(space)
+    assert space.up_sets() == tuple(opens)
+    assert [m for m in range(1 << len(space)) if space.is_up_set(m)] == opens
+    full = space.full_mask()
+    assert space.down_sets() == tuple(sorted(full ^ m for m in opens))
+
+
+def test_up_sets_past_the_cap_raise_naming_it(monkeypatch):
+    chain = validate_space([f"x{i:02}" for i in range(17)],
+                           [[f"x{i:02}", f"x{i + 1:02}"] for i in range(16)])
+    with pytest.raises(poset.SizeCapExceeded,
+                       match="lscat.poset.SUBSET_SPACE_CAP = 16"):
+        chain.up_sets()
+    # the cap is read at call time; the chain's opens are its 18 tails
+    monkeypatch.setattr(poset, "SUBSET_SPACE_CAP", 17)
+    full = chain.full_mask()
+    assert chain.up_sets() == tuple(sorted(full >> k << k
+                                           for k in range(18)))
+
+
+@given(scrambled_posets(max_points=8))
+@settings(max_examples=30, deadline=None)
+def test_down_and_neighbours_match_the_pairwise_definition(space):
+    assert space.down == oracle_down(space)
+    assert (space._strict_up, space._strict_down) == \
+        oracle_strict_neighbours(space)
+
+
+@given(st.integers(min_value=1, max_value=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                max_size=8))
+@example(3, [(0, 1), (1, 2), (2, 0)])  # x0 meets two points of its cycle
+@settings(max_examples=60, deadline=None)
+def test_validate_space_matches_the_fixpoint_closure(n, pairs):
+    """Any relation, cycles included: the generated order, or the
+    antisymmetry witness, is the fixpoint loop's."""
+    points = [f"x{i}" for i in range(n)]
+    pairs = [(points[a % n], points[b % n]) for a, b in pairs]
+    up, witness = oracle_generated_order(points, pairs)
+    if witness is None:
+        assert list(validate_space(points, pairs).up) == up
+    else:
+        with pytest.raises(NotAPartialOrder) as err:
+            validate_space(points, pairs)
+        assert err.value.witness == witness
+
+
+@given(scrambled_posets(max_points=4), scrambled_posets(max_points=4))
+@settings(max_examples=40, deadline=None)
+def test_space_map_accepts_exactly_the_order_preserving_tuples(domain,
+                                                               codomain):
+    """Every image tuple: accepted when the pairwise loop finds no
+    violation, else rejected with the loop's message for its first
+    pair."""
+    for images in itertools.product(range(len(codomain)),
+                                    repeat=len(domain)):
+        message = oracle_order_violation(domain, codomain, images)
+        if message is None:
+            assert SpaceMap(domain, codomain, images).images == images
+        else:
+            with pytest.raises(ValueError) as err:
+                SpaceMap(domain, codomain, images)
+            assert str(err.value) == message
+
+
+def test_space_equality_reads_points_and_order(c4, v_space):
+    rebuilt = validate_space(c4.points, c4.relation_pairs())
+    assert rebuilt is not c4 and rebuilt == c4 and c4 == c4
+    assert c4 != v_space and c4 != None  # noqa: E711
+    assert c4 != validate_space(c4.points, [])
 
 
 def test_space_map_rejects_an_image_past_the_codomain(v_space):
