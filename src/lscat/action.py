@@ -28,8 +28,7 @@ GROUP_CAP = 48  # elements of a group
 
 
 class NotAnAutomorphism(ValueError):
-    def __init__(self, perm, x, y):
-        self.perm = perm
+    def __init__(self, x, y):
         self.witness = (x, y)
         super().__init__(
             f"group element is not an order automorphism: {x} <= {y} "
@@ -58,9 +57,8 @@ class GroupAction:
             for i in range(n):
                 for j in range(n):
                     if space.leq(i, j) and not space.leq(g[i], g[j]):
-                        raise NotAnAutomorphism(
-                            g, space.points[i], space.points[j]
-                        )
+                        raise NotAnAutomorphism(space.points[i],
+                                                space.points[j])
         ident = tuple(range(n))
         elements = {ident}
         frontier = [ident]

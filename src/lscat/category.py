@@ -201,7 +201,7 @@ class CatResult:
             elif not space.is_up_set(entry.mask):
                 raise ValueError(f"{entry.role} cover set is not open")
             if entry.role == "iso":
-                if not _matches_reference(space, entry.mask, q.class_b):
+                if not _matches_reference(entry.mask, space, q.class_b):
                     raise ValueError(
                         "classB cover set matches no reference space")
             elif entry.role == "categorical":
@@ -230,14 +230,14 @@ def _has_finite_cover(q):
     if q.mode == "classB":
         covered = 0
         for m in space.up_sets():
-            if m & q.A & ~covered and _matches_reference(space, m, q.class_b):
+            if m & q.A & ~covered and _matches_reference(m, space, q.class_b):
                 covered |= m
         return q.A & ~covered == 0
     hull = space.down_closure if q.mode == "closed" else space.up_closure
     stuck = 0
     for x in bits(q.A):
-        if not is_categorical(hull(action.orbit_mask(x)), space, action,
-                              q.klass)[0]:
+        if is_categorical(hull(action.orbit_mask(x)), space, action,
+                          q.klass) is None:
             stuck |= 1 << x
     if q.mode in ("mod", "semi"):
         stuck |= q.A & q.Y
@@ -270,7 +270,8 @@ def _check_fence(query, entry, end_ok, stage_ok):
 
 def is_categorical(mask, space, action=None, klass=None):
     """Does the inclusion factor, up to equivariant fence, through an
-    admissible homogeneous orbit?  Returns (decision, fence or None).
+    admissible homogeneous orbit?  Returns the fence that shows it, or
+    None.
 
     For the trivial group with the point class this is exactly
     contractibility within the space (``is_contractible_in``).
@@ -285,7 +286,7 @@ def is_categorical(mask, space, action=None, klass=None):
     if mask == 0:
         raise ValueError("the empty set is not categorical")
     if not klass.subgroup_list or not action.is_invariant(mask):
-        return False, None  # an empty class admits no orbit
+        return None  # an empty class admits no orbit
     if action.is_trivial():
         return is_contractible_in(mask, space)
 
@@ -293,8 +294,7 @@ def is_categorical(mask, space, action=None, klass=None):
         targets = _factor_targets(core, action, klass)
         return (targets.__contains__, None) if targets else None
 
-    fence = _deform(space, mask, question, group=action.elements)
-    return fence is not None, fence
+    return _deform(space, mask, question, group=action.elements)
 
 
 def _factor_targets(mask, action, klass):
@@ -409,23 +409,15 @@ def _maximal_members(candidates, test):
     return found
 
 
-def _categorical_fence(m, space, action, klass):
-    return is_categorical(m, space, action, klass)[1]
-
-
 def _deformable_fence(m, action, Y_mask, mod):
     return is_G_deformable(action, m, Y_mask, mod=mod)
-
-
-def _reference_match(m, space, class_b):
-    return _matches_reference(space, m, class_b) or None
 
 
 def categorical_open_catalog(space, action, klass):
     """The maximal categorical invariant opens, in walk order, each with
     its fence."""
     return _catalogue(("cat-open", klass.key()), space, action,
-                      invariant_up_sets, _categorical_fence,
+                      invariant_up_sets, is_categorical,
                       space, action, klass)
 
 
@@ -433,7 +425,7 @@ def categorical_closed_catalog(space, action, klass):
     """The maximal categorical invariant closed sets, in walk order, each
     with its fence."""
     return _catalogue(("cat-closed", klass.key()), space, action,
-                      invariant_down_sets, _categorical_fence,
+                      invariant_down_sets, is_categorical,
                       space, action, klass)
 
 
@@ -450,15 +442,16 @@ def classB_catalog(space, action, class_b):
     """The maximal invariant opens isomorphic to a reference space, in
     walk order."""
     return _catalogue(("classB", tuple(class_b)), space, action,
-                      invariant_up_sets, _reference_match, space, class_b)
+                      invariant_up_sets, _matches_reference, space, class_b)
 
 
-def _matches_reference(space, mask, class_b):
-    """Is the subspace on ``mask`` isomorphic to a reference space?"""
+def _matches_reference(mask, space, class_b):
+    """True when the subspace on ``mask`` is isomorphic to a reference
+    space, else None (a ``_maximal_members`` test)."""
     if all(len(ref) != mask.bit_count() for ref in class_b):
-        return False
+        return None
     sub, _ = space.subspace(mask)
-    return any(order_isomorphic(sub, ref) for ref in class_b)
+    return any(order_isomorphic(sub, ref) for ref in class_b) or None
 
 
 def order_isomorphic(s1, s2):

@@ -100,7 +100,8 @@ def is_lyapunov(pair):
 
 
 def check_discrete_palais_smale(pair):
-    """Discrete Palais-Smale condition for a finite-space pair.
+    """Discrete Palais-Smale condition for a finite-space pair, as the
+    ledger row {"ok", "witness"}.
 
     On a finite space the infimum of the decrement f - f o phi over any
     subset is attained, so the condition reduces to the Lyapunov
@@ -108,15 +109,7 @@ def check_discrete_palais_smale(pair):
     subset, hence inside its closure.
     """
     ok, witness = is_lyapunov(pair)
-    return {
-        "holds": ok,
-        "witness": witness,
-        "analysis": (
-            "finite spaces attain the decrement minimum on every subset, "
-            "so the condition follows from the Lyapunov property exactly "
-            "as it does for compact carriers"
-        ) if ok else "not a Lyapunov pair",
-    }
+    return {"ok": ok, "witness": witness}
 
 
 def minimal_escape_power(pair, source_mask, target_mask):
@@ -140,9 +133,8 @@ def minimal_escape_power(pair, source_mask, target_mask):
 class TheoremReport:
     """Hypothesis ledger, both sides of each inequality, verdicts."""
 
-    def __init__(self, theorem, space):
+    def __init__(self, theorem):
         self.theorem = theorem
-        self.space = space
         self.hypotheses = {}
         self.values = {}
         self.parts = {}
@@ -267,10 +259,10 @@ def _fixed_slice_cat(pair, a, b, action, klass):
 
 def _base_hypotheses(report, pair, action):
     dps = check_discrete_palais_smale(pair)
-    report.hypothesis("lyapunov", "checked", dps["holds"],
+    report.hypothesis("lyapunov", "checked", dps["ok"],
                       witness=dps["witness"])
     report.hypothesis(
-        "discrete_palais_smale", "checked", dps["holds"],
+        "discrete_palais_smale", "checked", dps["ok"],
         witness=dps["witness"],
         note="reduces to the Lyapunov property on finite spaces",
     )
@@ -368,8 +360,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     if not a < b:
         raise ValueError("need a < b")
     action, klass = _context(pair, action, klass)
-    space = pair.space
-    report = TheoremReport("band_bound", space)
+    report = TheoremReport("band_bound")
     _base_hypotheses(report, pair, action)
     report.hypothesis(
         "homotopy_equivalence", "checked", is_homotopy_equivalence(pair.phi)
@@ -424,7 +415,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     """
     action, klass = _context(pair, action, klass)
     space = pair.space
-    report = TheoremReport("identity_band_bound", space)
+    report = TheoremReport("identity_band_bound")
     _base_hypotheses(report, pair, action)
     fence = find_identity_fence(pair, action)
     report.hypothesis("homotopic_to_identity", "checked", fence is not None,
@@ -553,7 +544,7 @@ def verify_semiflow(pair, action=None, klass=None):
     and the global bounds through the identity-band verifier."""
     action, klass = _context(pair, action, klass)
     space = pair.space
-    report = TheoremReport("semiflow", space)
+    report = TheoremReport("semiflow")
     fixed = pair.fixed_mask()
     rest = space.full_mask()
     current = tuple(range(len(space)))
@@ -595,7 +586,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
         raise ValueError("the reference-class bound needs a finite band")
     action = action or GroupAction.trivial(pair.space)
     space = pair.space
-    report = TheoremReport("homeo_band_bound", space)
+    report = TheoremReport("homeo_band_bound")
     _base_hypotheses(report, pair, action)
     homeo = automorphism_inverse(pair.phi) is not None
     report.hypothesis("homeomorphism", "checked", homeo)

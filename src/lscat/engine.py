@@ -45,6 +45,7 @@ from .poset import (
 AXIOM_EXHAUSTIVE_CAP = 7  # points for an exhaustive axiom check
 SUPERVARIANCE_EXHAUSTIVE_CAP = 12  # points; beyond this supervariance samples
 CHECK_SAMPLES = 512  # random draws of a sampled supervariance check
+AXIOM_SAMPLES = 160  # random draws per axiom of a sampled axiom check
 INDEX_KINDS = ("category", "pair_category", "mod_category")
 AXIOM_MODES = ("exhaustive", "sampled", "assumed")
 
@@ -147,30 +148,14 @@ def make_truncated_index(kind, cap, action, klass=None):
 # -- axiom checking ---------------------------------------------------------
 
 
-class AxiomReport:
-    """Per-axiom verdicts with re-checkable witnesses."""
-
-    def __init__(self, mode):
-        self.mode = mode  # exhaustive | sampled
-        self.axioms = {}
-
-    def record(self, name, ok, witness=None):
-        self.axioms[name] = {"ok": bool(ok), "witness": witness}
-
-    def all_ok(self):
-        return all(a["ok"] for a in self.axioms.values())
-
-    def __repr__(self):
-        flags = {k: v["ok"] for k, v in self.axioms.items()}
-        return f"AxiomReport({self.mode}, {flags})"
-
-
-def _passed(mode):
-    """The report of three axiom loops that found no witness."""
-    report = AxiomReport(mode)
-    for name in ("monotonicity", "mixed_subadditivity", "continuity"):
-        report.record(name, True)
-    return report
+def _axiom_row(mode, mono=None, sub=None, cont=None):
+    """The ledger row of the three axiom loops from their witnesses:
+    ``witness`` maps each failing axiom, in loop order, to {"ok": False,
+    "witness": w}, and is None when every loop passed."""
+    failed = {name: {"ok": False, "witness": w} for name, w in (
+        ("monotonicity", mono), ("mixed_subadditivity", sub),
+        ("continuity", cont)) if w is not None}
+    return {"ok": not failed, "mode": mode, "witness": failed or None}
 
 
 def _holds_on_opens(nu, phi=None):
@@ -226,9 +211,10 @@ def _holds_on_opens(nu, phi=None):
 def check_axioms(nu):
     """Monotonicity, continuity and mixed subadditivity, checked on every
     subset pair, or decided on the invariant opens of a 'category' index
-    (``_holds_on_opens``, the enumeration then runs only on a failure).
-    A space of more than AXIOM_EXHAUSTIVE_CAP points raises
-    SizeCapExceeded before any index call."""
+    (``_holds_on_opens``, the enumeration then runs only on a failure),
+    as the ledger row of ``_axiom_row``.  A space of more than
+    AXIOM_EXHAUSTIVE_CAP points raises SizeCapExceeded before any index
+    call."""
     space = nu.space
     n = len(space)
     if n > AXIOM_EXHAUSTIVE_CAP:
@@ -237,20 +223,16 @@ def check_axioms(nu):
             f"lscat.engine.AXIOM_EXHAUSTIVE_CAP = {AXIOM_EXHAUSTIVE_CAP}"
         )
     if _holds_on_opens(nu):
-        return _passed("exhaustive")
+        return _axiom_row("exhaustive")
     masks = range(1 << n)
-    report = AxiomReport("exhaustive")
     # submasks A of B in decreasing order, 0 last
     mono = _monotonicity_witness(nu, (
         (A, B, Y) for B in masks for A in range(B, -1, -1) if A & ~B == 0
         for Y in masks))
-    report.record("monotonicity", mono is None, mono)
-    sub_w = _subadditivity_witness(nu, (
+    sub = _subadditivity_witness(nu, (
         (A, B, Y) for A in masks for B in masks for Y in masks))
-    report.record("mixed_subadditivity", sub_w is None, sub_w)
-    cont_w = _continuity_witness(nu, space.down_sets(), masks)
-    report.record("continuity", cont_w is None, cont_w)
-    return report
+    cont = _continuity_witness(nu, space.down_sets(), masks)
+    return _axiom_row("exhaustive", mono, sub, cont)
 
 
 def _monotonicity_witness(nu, triples):
@@ -290,32 +272,29 @@ def _continuity_witness(nu, closed_sets, probe_ys):
     return None
 
 
-def _check_axioms_sampled(nu, sample, seed):
-    """The axioms on ``sample`` drawn triples each and a shuffled share of
-    the closed sets, all drawn in loop order from ``seed``.  Nothing is
+def _check_axioms_sampled(nu, seed):
+    """The axioms on AXIOM_SAMPLES drawn triples each and a shuffled share
+    of the closed sets, all drawn in loop order from ``seed``.  Nothing is
     drawn when ``_holds_on_opens`` decides that the axioms hold, on at
     most AXIOM_EXHAUSTIVE_CAP points: no draw could then fail."""
     space = nu.space
     n = len(space)
     if n <= AXIOM_EXHAUSTIVE_CAP and _holds_on_opens(nu):
-        return _passed("sampled")
+        return _axiom_row("sampled")
     rng = random.Random(seed)
 
     def triples():
-        for _ in range(sample):
+        for _ in range(AXIOM_SAMPLES):
             yield rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)
 
-    report = AxiomReport("sampled")
     mono = _monotonicity_witness(nu, ((A & B, B, Y) for B, A, Y in triples()))
-    report.record("monotonicity", mono is None, mono)
-    sub_w = _subadditivity_witness(nu, triples())
-    report.record("mixed_subadditivity", sub_w is None, sub_w)
+    sub = _subadditivity_witness(nu, triples())
     closed = list(space.down_sets())
     rng.shuffle(closed)
     probe_ys = [rng.getrandbits(n) for _ in range(16)]
-    cont_w = _continuity_witness(nu, closed[: max(4, sample // 64)], probe_ys)
-    report.record("continuity", cont_w is None, cont_w)
-    return report
+    cont = _continuity_witness(nu, closed[: max(4, AXIOM_SAMPLES // 64)],
+                               probe_ys)
+    return _axiom_row("sampled", mono, sub, cont)
 
 
 def _witness(space, **kw):
@@ -329,7 +308,8 @@ def _witness(space, **kw):
 
 
 def check_supervariance(nu, phi, Z, seed=0):
-    """nu(phi(A), Z) >= nu(A, Z) for all A; witness on failure.  In
+    """nu(phi(A), Z) >= nu(A, Z) for all A, as the ledger row {"ok",
+    "mode", "witness"}, with the first failing A as the witness.  In
     exhaustive mode a 'category' index and a G-map phi are decided on the
     invariant opens first (``_holds_on_opens``), and every A is tried
     only when that fails."""
@@ -454,7 +434,8 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
         nu(f^a, f^a) + sum over critical levels of nu(slice)
             >= nu(f^b, f^a).
 
-    All hypotheses are checked and reported; failures never abort.  The
+    All hypotheses are checked and reported, each as the ledger row its
+    check returns; failures never abort.  The
     verdict is HYPOTHESIS_FAILED when a checked hypothesis fails,
     INEQUALITY_HOLDS / VIOLATION otherwise; violations are persisted.
     The exhaustive axiom mode on more than AXIOM_EXHAUSTIVE_CAP points
@@ -465,27 +446,18 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
         raise ValueError(f"unknown axiom mode {axiom_mode!r}; known: "
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
-    hypotheses = {}
     dps = check_discrete_palais_smale(pair)
-    for name in ("lyapunov", "discrete_palais_smale"):
-        hypotheses[name] = {"ok": dps["holds"], "witness": dps["witness"]}
-    hypotheses["finite_critical_levels"] = {"ok": True, "witness": None}
+    hypotheses = {"lyapunov": dps, "discrete_palais_smale": dps,
+                  "finite_critical_levels": {"ok": True, "witness": None}}
     if axiom_mode == "assumed":
         hypotheses["axioms"] = {"ok": True, "mode": "assumed",
                                 "witness": None}
+    elif axiom_mode == "exhaustive":
+        hypotheses["axioms"] = check_axioms(nu)
     else:
-        if axiom_mode == "exhaustive":
-            rep = check_axioms(nu)
-        else:
-            rep = _check_axioms_sampled(nu, sample=160, seed=seed)
-        hypotheses["axioms"] = {
-            "ok": rep.all_ok(), "mode": rep.mode,
-            "witness": {k: v for k, v in rep.axioms.items() if not v["ok"]}
-            or None,
-        }
-    sup = check_supervariance(nu, pair.phi, pair.sublevel(a), seed=seed)
-    hypotheses["supervariance"] = {"ok": sup["ok"], "mode": sup["mode"],
-                                   "witness": sup["witness"]}
+        hypotheses["axioms"] = _check_axioms_sampled(nu, seed)
+    hypotheses["supervariance"] = check_supervariance(
+        nu, pair.phi, pair.sublevel(a), seed=seed)
 
     table = CriticalValueTable(pair, nu, a, b)
     base, rhs = table.mu_low, table.mu_high
@@ -534,8 +506,8 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
 # -- random instances ---------------------------------------------------------
 
 
-def random_space(rng, max_points=7):
-    n = rng.randint(2, max_points)
+def random_space(rng):
+    n = rng.randint(2, 7)
     labels = [f"x{i}" for i in range(n)]
     pairs = []
     for i in range(n):
@@ -559,20 +531,32 @@ def random_identity_homotopic_map(rng, space):
     return SpaceMap(space, space, tuple(images))
 
 
-def _eventually_fixed(space, phi):
-    """No periodic orbits of length > 1 (a Lyapunov function can exist)."""
-    for i in range(len(space)):
-        seen = []
+def _steps_to_fixation(phi):
+    """Each point's number of steps to a fixed point of phi, or None when
+    phi has a periodic orbit of length > 1 (no Lyapunov function then
+    exists).  A walk stops at the first point already counted, so each
+    point is walked once."""
+    images = phi.images
+    steps = [None] * len(images)
+    for i in range(len(images)):
+        path = []
         cur = i
-        while cur not in seen:
-            seen.append(cur)
-            cur = phi.images[cur]
-        if len(seen) - seen.index(cur) > 1:
-            return False
-    return True
+        while steps[cur] is None:
+            if images[cur] == cur:
+                steps[cur] = 0
+                break
+            if cur in path:
+                return None
+            path.append(cur)
+            cur = images[cur]
+        n = steps[cur]
+        for p in reversed(path):
+            n += 1
+            steps[p] = n
+    return steps
 
 
-def random_instance(seed, max_points=7):
+def random_instance(seed):
     """A full engine instance: pair, truncated index (cap 3, 4 or 5), band.
 
     The map is fence-homotopic to the identity by construction and the
@@ -581,20 +565,13 @@ def random_instance(seed, max_points=7):
     """
     rng = random.Random(seed)
     for _ in range(64):
-        space = random_space(rng, max_points)
+        space = random_space(rng)
         phi = random_identity_homotopic_map(rng, space)
-        if _eventually_fixed(space, phi):
+        steps = _steps_to_fixation(phi)
+        if steps is not None:
             break
     else:
         raise RuntimeError("generator failed to produce an acyclic map")
-    steps = []
-    for i in range(len(space)):
-        n = 0
-        cur = i
-        while phi.images[cur] != cur:
-            cur = phi.images[cur]
-            n += 1
-        steps.append(n)
     levels = [0.0]
     for _ in range(max(steps) + 1):
         levels.append(levels[-1] + rng.uniform(0.5, 2.0))

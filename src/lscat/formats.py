@@ -23,8 +23,7 @@ from .poset import SizeCapExceeded, SpaceMap, validate_space
 
 class ValidationError(ValueError):
     def __init__(self, location, message):
-        self.location = location
-        super().__init__(f"{location}: {message}")
+        ValueError.__init__(self, f"{location}: {message}")
 
 
 SCENARIO_KINDS = ("category", "theorem", "engine", "numeric")

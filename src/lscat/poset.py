@@ -733,7 +733,7 @@ def core(space):
 
 def is_contractible_in(A, space):
     """Is the inclusion of the subset A (a mask) fence-homotopic to a
-    constant map into X?  Returns (decision, fence or None).
+    constant map into X?  Returns the fence that shows it, or None.
 
     A that meets two components of X is not (every fence stage sends
     each point into its own component: the degree-0 case of McCord's
@@ -745,9 +745,8 @@ def is_contractible_in(A, space):
         raise ValueError("contractibility of the empty subset is undefined")
     for c in space.components:
         if A & c and A & ~c:
-            return False, None
-    fence = _deform(space, A, _to_a_point)
-    return fence is not None, fence
+            return None
+    return _deform(space, A, _to_a_point)
 
 
 def _to_a_point(core):

@@ -150,12 +150,11 @@ def _insert(echelon, row, tag=0):
 class Cochain:
     """A mod-2 cochain: dimension plus a bitset over its simplices."""
 
-    __slots__ = ("complex", "dim", "coeffs")
+    __slots__ = ("dim", "coeffs")
 
     def __init__(self, complex_, dim, coeffs):
         if not 0 <= coeffs < 1 << len(complex_.simplices_of_dim(dim)):
             raise ValueError("cochain bits outside its simplices")
-        self.complex = complex_
         self.dim = dim
         self.coeffs = coeffs
 

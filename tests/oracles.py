@@ -15,10 +15,11 @@ axiom check draws with ``getrandbits`` over a truncated index cached at
 two levels, on (A, Y) and on the saturated key, with its own cover
 queries.  Equivariant fence moves write every translate of a candidate
 value and re-check stabiliser clashes, comparability and continuity
-pair by pair with ``leq`` (no stabiliser fixed masks).  The targets
-an equivariant categorical set may factor through are assigned orbit by
-orbit of comparability components, union-find on ``comparable`` pairs,
-with every translate written and checked against earlier writes.
+pair by pair with ``leq`` (no stabiliser fixed masks), and a
+deformation is decided by walking every map those moves reach.  The
+targets an equivariant categorical set may factor through are assigned
+orbit by orbit of comparability components, union-find on ``comparable``
+pairs, with every translate written and checked against earlier writes.
 The order facts of a space are read pair by pair with ``leq``: its
 opens filter all 2^n masks, its down-sets and strict neighbours list
 the points below or above each point, a map's order check walks every
@@ -241,6 +242,30 @@ def oracle_orbit_neighbors(domain, codomain, images, orbits, act):
                     break
             if good:
                 yield new
+
+
+def oracle_G_deformation(action, W, is_target, stage_ok=None):
+    """Whether whole-orbit moves (``oracle_orbit_neighbors``) lead the
+    inclusion of the invariant W, through stages that pass ``stage_ok``,
+    to a map whose image tuple passes ``is_target``: a breadth-first walk
+    over every map they reach, with no core and no component rule."""
+    space = action.space
+    sub, idx = space.subspace(W)
+    orbits, act = oracle_orbit_context(action, idx)
+    seen = {tuple(idx)}
+    frontier = [tuple(idx)]
+    while frontier:
+        if any(is_target(images) for images in frontier):
+            return True
+        reached = []
+        for images in frontier:
+            for new in oracle_orbit_neighbors(sub, space, images, orbits,
+                                              act):
+                if new not in seen and (stage_ok is None or stage_ok(new)):
+                    seen.add(new)
+                    reached.append(new)
+        frontier = reached
+    return False
 
 
 # The factoring targets of an equivariant categorical set, as first

@@ -303,7 +303,7 @@ def test_criterion_07_bound_chain_and_strictness():
     chain_ok = True
     while checked < 25:
         seed += 1
-        pair, nu, a, b = random_instance(seed, max_points=6)
+        pair, nu, a, b = random_instance(seed)
         report = verify_identity_band_bound(pair, a, b)
         v = report.values
         if v["semi_bound"] is None:
@@ -386,10 +386,9 @@ def test_criterion_09_axiom_suite():
         for kind in ("category", "pair_category", "mod_category"):
             nu = make_truncated_index(kind, 5, action)
             report = check_axioms(nu)
-            assert report.mode == "exhaustive"
-            for axiom, row in report.axioms.items():
-                if not row["ok"]:
-                    failures.append((name, kind, axiom, row["witness"]))
+            assert report["mode"] == "exhaustive"
+            for axiom, row in (report["witness"] or {}).items():
+                failures.append((name, kind, axiom, row["witness"]))
     ok = not failures
     assert _line(
         9, ok,

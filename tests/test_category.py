@@ -47,12 +47,16 @@ from lscat.poset import (
     SpaceMap,
     bits,
     fence_search,
+    is_contractible_in,
     is_homotopy_equivalence,
     validate_space,
 )
 
 from oracles import (
+    oracle_G_deformation,
     oracle_cat,
+    oracle_contractible,
+    oracle_factor_targets,
     oracle_min_cover,
     oracle_relative_G_core,
     oracle_truncated_index,
@@ -78,19 +82,17 @@ def test_infinity_conventions():
 
 
 def test_categorical_matches_contractible_for_trivial_group(c4):
-    good, _ = is_categorical(c4.subset(["p", "U", "L"]), c4)
-    assert good
-    bad, _ = is_categorical(c4.full_mask(), c4)
-    assert not bad
+    assert is_categorical(c4.subset(["p", "U", "L"]), c4) is not None
+    assert is_categorical(c4.full_mask(), c4) is None
 
 
 def test_categorical_with_free_class(conjugation, c4):
     free = HomogeneousClass.free_only(conjugation)
-    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, free)
-    assert not ok  # a fixed point cannot factor through a free orbit
+    # a fixed point cannot factor through a free orbit
+    assert is_categorical(1 << c4.index["p"], c4, conjugation, free) is None
     point = HomogeneousClass.point_only(conjugation)
-    ok, _ = is_categorical(1 << c4.index["p"], c4, conjugation, point)
-    assert ok
+    assert is_categorical(1 << c4.index["p"], c4, conjugation,
+                          point) is not None
 
 
 def test_an_empty_class_admits_no_orbit(v_space):
@@ -98,8 +100,7 @@ def test_an_empty_class_admits_no_orbit(v_space):
     # bypass a class that lists no subgroup
     act = GroupAction.trivial(v_space)
     empty = HomogeneousClass(act, [])
-    assert is_categorical(v_space.full_mask(), v_space, act, empty) == (
-        False, None)
+    assert is_categorical(v_space.full_mask(), v_space, act, empty) is None
     result = cover_category(CatQuery(v_space, action=act, klass=empty))
     assert result.value == INFINITE
     assert result.verify()
@@ -369,7 +370,7 @@ def brute_force_value(query):
         member = _is_iso_member(space, query.class_b)
     else:
         def member(m):
-            return is_categorical(m, space, action, klass)[0]
+            return is_categorical(m, space, action, klass) is not None
     members = [m for m in sets if m and action.is_invariant(m)
                and member(m)]
     a0s = [0]
@@ -449,7 +450,7 @@ def test_catalogues_are_the_maximal_members(acted, data):
     closeds = [m for m in space.down_sets() if m and action.is_invariant(m)]
 
     def categorical(m):
-        return is_categorical(m, space, action, klass)[0]
+        return is_categorical(m, space, action, klass) is not None
 
     def deforms(mod):
         return lambda m: is_G_deformable(action, m, Y, mod=mod) is not None
@@ -480,8 +481,7 @@ def test_catalogues_are_the_maximal_members(acted, data):
             maximal, key=lambda m: (-m.bit_count(), m)), name
         for m in members:
             if name in ("open", "closed"):
-                ok, fence = is_categorical(m, space, action, klass)
-                assert ok
+                fence = is_categorical(m, space, action, klass)
                 fence.validate()
                 assert fence.start.images == tuple(bits(m))
                 assert fence.end.images in _factor_targets(m, action, klass)
@@ -517,7 +517,7 @@ def test_categorical_fences_are_assembled_only_when_read(monkeypatch):
         assert search.call_count == 0
         assert len(lifted) == len(result.cover) == 2
         for entry in result.cover:
-            expected = is_categorical(entry.mask, c4, action, klass)[1]
+            expected = is_categorical(entry.mask, c4, action, klass)
             assert entry.certificate.maps == expected.maps
         lifted.clear()
 
@@ -577,6 +577,50 @@ def assert_searched_on_cores(search, action, core, hold):
     assert len(call.args[0].domain) == core.bit_count()
     assert call.args[0].image_mask() & ~reach == 0
     assert all(fixed & ~reach == 0 for _, fixed, _ in call.kwargs["moves"])
+
+
+@given(acted_spaces(), st.sampled_from(sorted(CLASSES)), st.data())
+@settings(max_examples=50, deadline=None)
+def test_membership_decisions_answer_with_a_checked_fence_or_None(
+        acted, class_name, data):
+    """``is_contractible_in``, ``is_categorical`` and ``is_G_deformable``
+    each answer with a ``FenceCertificate`` that passes ``_check_fence``,
+    or with None, and decide as the oracles do: ``oracle_contractible``,
+    and ``oracle_G_deformation`` to the oracle's factoring targets or into
+    Y (mod Y)."""
+    space, action, _ = acted
+    klass = CLASSES[class_name](action)
+    full = space.full_mask()
+    for _ in range(2):
+        W = action.saturate(data.draw(st.integers(1, full)))
+        Y = action.saturate(data.draw(st.integers(0, full)))
+        questions = [
+            (is_contractible_in(W, space), CatQuery(space, A=W),
+             "categorical", lambda images: len(set(images)) == 1, None,
+             oracle_contractible(space, W)),
+        ]
+        targets = oracle_factor_targets(W, action, klass)
+        questions.append((
+            is_categorical(W, space, action, klass),
+            CatQuery(space, A=W, action=action, klass=klass), "categorical",
+            targets.__contains__, None,
+            oracle_G_deformation(action, W, targets.__contains__)))
+        def into_Y(images):
+            return all(Y >> v & 1 for v in images)
+
+        for mode in ("pair", "mod"):
+            stage_ok = (mod_stage_ok(tuple(bits(W)), Y) if mode == "mod"
+                        else None)
+            questions.append((
+                is_G_deformable(action, W, Y, mod=mode == "mod"),
+                CatQuery(space, A=W, Y=Y, mode=mode, action=action,
+                         klass=klass), "deformable", into_Y, stage_ok,
+                oracle_G_deformation(action, W, into_Y, stage_ok)))
+        for fence, query, role, end_ok, stage_ok, decided in questions:
+            assert (fence is not None) == decided, (W, Y, query.mode, role)
+            if fence is not None:
+                _check_fence(query, CoverEntry(W, role, fence), end_ok,
+                             stage_ok)
 
 
 @given(acted_spaces(max_points=7, split=True), st.data())
@@ -644,20 +688,18 @@ def test_categorical_questions_are_decided_on_the_relative_G_core(
         W = action.saturate(data.draw(st.integers(1, full)))
         with mock.patch.object(poset, "fence_search",
                                wraps=fence_search) as search:
-            ok, fence = is_categorical(W, space, action, klass)
+            fence = is_categorical(W, space, action, klass)
         targets = _factor_targets(W, action, klass)
         incl, parents = inclusion_map(space, W)
-        assert ok == (bool(targets) and G_fence_search(
+        assert (fence is not None) == (bool(targets) and G_fence_search(
             incl, action, parents, targets.__contains__) is not None), W
         core = oracle_relative_G_core(action, W, 0)
         if search.call_count:
             assert_searched_on_cores(search, action, core, 0)
-        if ok:
+        if fence is not None:
             query = CatQuery(space, A=W, action=action, klass=klass)
             _check_fence(query, CoverEntry(W, "categorical", fence),
                          targets.__contains__, None)
-        else:
-            assert fence is None
     assert space._core is None
 
 
@@ -669,9 +711,9 @@ def test_a_core_that_already_passes_is_answered_with_nothing_built():
     conj = validate_action(c4, [fx.conjugation_generator()])
     W = c4.subset(["p", "U", "L"])  # its relative cores are single points
     questions = [
-        lambda: is_categorical(W, c4)[1],  # trivial: is_contractible_in
+        lambda: is_categorical(W, c4),  # trivial: is_contractible_in
         lambda: is_categorical(W, c4, conj,
-                               HomogeneousClass.point_only(conj))[1],
+                               HomogeneousClass.point_only(conj)),
         lambda: is_G_deformable(conj, W, c4.subset(["p"])),
         lambda: is_G_deformable(conj, W, c4.subset(["p", "q"]), mod=True),
     ]
@@ -887,8 +929,8 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
         raise HypothesisUnmet("homotopy_equivalence")
     if not space.is_up_set(U):
         raise HypothesisUnmet("open")
-    ok, u_cert = is_categorical(U, space, action, klass)
-    if not ok:
+    u_cert = is_categorical(U, space, action, klass)
+    if u_cert is None:
         raise HypothesisUnmet("categorical")
     pre_mask = sum(1 << i for i, v in enumerate(phi.images) if U >> v & 1)
     assert space.is_up_set(pre_mask)  # preimage of open under continuous
@@ -915,12 +957,12 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
     part2 = [psi.compose(m).compose(phi_restr) for m in u_cert.maps]
     full = FenceCertificate(part1 + part2)
     full.validate()
-    ok2, _ = is_categorical(pre_mask, space, action, klass)
     return {
         "preimage": pre_mask,
         "categorical": True,
         "certificate": full,
-        "independent_recheck": ok2,
+        "independent_recheck": is_categorical(pre_mask, space, action,
+                                              klass) is not None,
     }
 
 

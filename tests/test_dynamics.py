@@ -59,7 +59,7 @@ def test_is_lyapunov(v_pair, c4):
 
 def test_discrete_palais_smale_reduction(v_pair):
     report = check_discrete_palais_smale(v_pair)
-    assert report["holds"]
+    assert report == {"ok": True, "witness": None}
     assert oracle_palais_smale(v_pair) == (True, None)
 
 
@@ -68,14 +68,14 @@ def test_palais_smale_matches_subset_enumeration():
 
     verdicts = set()
     for seed in range(40):
-        pair = random_instance(seed, max_points=6)[0]
+        pair = random_instance(seed)[0]
         f = list(pair.f)
         random.Random(seed).shuffle(f)
         for g in (pair.f, f, [0.0] * len(f)):  # Lyapunov, shuffled, flat
             other = DynamicalPair(pair.space, pair.phi, g)
             report = check_discrete_palais_smale(other)
             holds, failing = oracle_palais_smale(other)
-            assert holds == report["holds"]
+            assert holds == report["ok"]
             assert failing == (None if holds else (report["witness"],))
             verdicts.add(holds)
     assert verdicts == {True, False}
@@ -85,7 +85,7 @@ def test_discrete_palais_smale_negative(c4):
     flat = DynamicalPair(c4, fx.c4_constant_map(c4),
                          {p: 0.0 for p in c4.points})
     report = check_discrete_palais_smale(flat)
-    assert not report["holds"]
+    assert not report["ok"]
 
 
 def test_band_bound_v_holds(v_pair):
@@ -217,7 +217,7 @@ def test_identity_band_chain_on_generated_instances():
     seed = 100
     while checked < 25:
         seed += 1
-        pair, nu, a, b = random_instance(seed, max_points=6)
+        pair, nu, a, b = random_instance(seed)
         report = verify_identity_band_bound(pair, a, b)
         v = report.values
         if v["semi_bound"] is None:

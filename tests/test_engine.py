@@ -1,3 +1,4 @@
+import contextlib
 import json
 from types import SimpleNamespace
 from unittest import mock
@@ -9,8 +10,13 @@ import fixtures as fx
 from lscat import engine
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
-from lscat.dynamics import DynamicalPair, is_lyapunov
+from lscat.dynamics import (
+    DynamicalPair,
+    check_discrete_palais_smale,
+    is_lyapunov,
+)
 from lscat.engine import (
+    AXIOM_SAMPLES,
     CHECK_SAMPLES,
     CriticalValueTable,
     HypothesisUnmet,
@@ -31,6 +37,18 @@ from oracles import (
     oracle_truncated_index,
 )
 from test_category import CLASSES, acted_spaces
+
+
+def axiom_row(axioms, mode="sampled"):
+    """The oracle's per-axiom rows folded into the engine's ledger row:
+    the failing axioms in order as the witness, None when none fails."""
+    failed = {name: row for name, row in axioms.items() if not row["ok"]}
+    return {"ok": not failed, "mode": mode, "witness": failed or None}
+
+
+def failed_axioms(row):
+    """The names of the axioms a ledger row reports as failing."""
+    return list(row["witness"] or ())
 
 
 def in_band(table):
@@ -156,9 +174,9 @@ def test_sampled_axioms_match_oracle_on_generated_instances():
         pair, nu, a, b = random_instance(seed)
         oracle = oracle_truncated_index(
             "category", nu.cap, GroupAction.trivial(pair.space))
-        report = _check_axioms_sampled(nu, 160, seed)
-        assert report.axioms == oracle_axioms_sampled(
-            oracle, pair.space, 160, seed), seed
+        assert _check_axioms_sampled(nu, seed) == axiom_row(
+            oracle_axioms_sampled(oracle, pair.space, AXIOM_SAMPLES,
+                                  seed)), seed
 
 
 @pytest.mark.parametrize("kind,generators", [
@@ -172,9 +190,10 @@ def test_sampled_axioms_match_oracle_on_the_circle(kind, generators):
         nu = make_truncated_index(kind, 5, validate_action(c4, generators))
         oracle = oracle_truncated_index(
             kind, 5, validate_action(fx.fix_c4(), generators))
-        report = _check_axioms_sampled(nu, 160, seed)
-        assert report.axioms == oracle_axioms_sampled(oracle, c4, 160, seed)
-        failed += not report.all_ok()
+        row = _check_axioms_sampled(nu, seed)
+        assert row == axiom_row(
+            oracle_axioms_sampled(oracle, c4, AXIOM_SAMPLES, seed))
+        failed += not row["ok"]
     if kind == "mod_category":  # the pinned divergence: witnesses compared
         assert failed == 21
 
@@ -189,10 +208,10 @@ def test_sampled_axioms_match_oracle_after_a_monotonicity_witness(value):
     space = fx.fix_wedge()
     for seed in range(21):
         nu = IndexFunction(space, value)
-        report = _check_axioms_sampled(nu, 160, seed)
-        assert not report.axioms["monotonicity"]["ok"]
-        assert report.axioms == oracle_axioms_sampled(
-            nu, space, 160, seed), seed
+        row = _check_axioms_sampled(nu, seed)
+        assert failed_axioms(row)[0] == "monotonicity"
+        assert row == axiom_row(
+            oracle_axioms_sampled(nu, space, AXIOM_SAMPLES, seed)), seed
 
 
 def test_sampled_supervariance_matches_oracle_on_thirteen_points():
@@ -236,16 +255,16 @@ def _planted(target, change):
 
 
 def _assert_same_checks(nu, phi=None, seeds=range(3)):
-    """The exhaustive and sampled axiom reports of nu equal those of its
+    """The exhaustive and sampled axiom rows of nu equal those of its
     loops and of the oracle's draws, byte for byte, and so does the
-    supervariance report for phi; returns the exhaustive report."""
+    supervariance row for phi; returns the exhaustive row."""
     looped = _looped(nu)
     report = check_axioms(nu)
-    assert json.dumps(report.axioms) == json.dumps(
-        check_axioms(looped).axioms)
+    assert json.dumps(report) == json.dumps(check_axioms(looped))
     for seed in seeds:
-        assert json.dumps(_check_axioms_sampled(nu, 160, seed).axioms) == \
-            json.dumps(oracle_axioms_sampled(looped, nu.space, 160, seed))
+        drawn = oracle_axioms_sampled(looped, nu.space, AXIOM_SAMPLES, seed)
+        assert json.dumps(_check_axioms_sampled(nu, seed)) == \
+            json.dumps(axiom_row(drawn))
     if phi is not None:
         Z = nu.space.subset(nu.space.points[:1])
         assert check_supervariance(nu, phi, Z) == \
@@ -285,7 +304,7 @@ def test_axioms_decided_on_opens_match_the_loops(acted, class_name, where,
                                   CLASSES[class_name](action))
         decided = engine._holds_on_opens(nu)
         report = _assert_same_checks(nu, phi=constant)
-    assert decided == report.all_ok()
+    assert decided == report["ok"]
     if not shift:
         assert decided
 
@@ -296,8 +315,8 @@ def test_planted_monotonicity_defect_is_caught_with_its_witness(c4):
     with _planted(c4.subset(["p", "U", "L"]), lambda v: 3):
         assert not engine._holds_on_opens(nu)
         report = _assert_same_checks(nu)
-    assert report.axioms["monotonicity"]["witness"]["values"] == (3, 2)
-    assert report.axioms["mixed_subadditivity"]["ok"]
+    assert failed_axioms(report) == ["monotonicity"]
+    assert report["witness"]["monotonicity"]["witness"]["values"] == (3, 2)
 
 
 def test_planted_subadditivity_defect_is_caught_with_its_witness(c4):
@@ -306,8 +325,8 @@ def test_planted_subadditivity_defect_is_caught_with_its_witness(c4):
     with _planted(c4.full_mask(), lambda v: 3):
         assert not engine._holds_on_opens(nu)
         report = _assert_same_checks(nu)
-    assert report.axioms["monotonicity"]["ok"]
-    witness = report.axioms["mixed_subadditivity"]["witness"]
+    assert failed_axioms(report) == ["mixed_subadditivity"]
+    witness = report["witness"]["mixed_subadditivity"]["witness"]
     assert witness["values"] == (3, 1, 1)
 
 
@@ -381,39 +400,34 @@ def test_exhaustive_axiom_mode_past_its_cap_is_refused(v_pair, v_index,
 def test_axioms_pass_for_all_kinds_on_v(v_space):
     act = GroupAction.trivial(v_space)
     for kind in ("category", "pair_category", "mod_category"):
-        rep = check_axioms(make_truncated_index(kind, 5, act))
-        assert rep.mode == "exhaustive"
-        assert rep.all_ok(), (kind, rep.axioms)
+        row = check_axioms(make_truncated_index(kind, 5, act))
+        assert row == {"ok": True, "mode": "exhaustive", "witness": None}, \
+            (kind, row)
 
 
 def test_axioms_category_kind_on_c4(c4_index):
-    rep = check_axioms(c4_index)
-    assert rep.all_ok()
+    assert check_axioms(c4_index)["ok"]
 
 
 def test_axioms_cardinality_counterexample(v_space):
     nu = IndexFunction(v_space, lambda A, Y: A.bit_count(), kind="user")
-    rep = check_axioms(nu)
-    assert rep.axioms["monotonicity"]["ok"]
-    assert rep.axioms["mixed_subadditivity"]["ok"]
-    assert not rep.axioms["continuity"]["ok"]
-    assert rep.axioms["continuity"]["witness"]["A"] == ["c"]
+    row = check_axioms(nu)
+    assert failed_axioms(row) == ["continuity"]
+    assert row["witness"]["continuity"]["witness"]["A"] == ["c"]
 
 
 def test_axioms_zero_function(v_space):
     nu = IndexFunction(v_space, lambda A, Y: 0)
-    assert check_axioms(nu).all_ok()
+    assert check_axioms(nu)["ok"]
 
 
 def test_mod_kind_subadditivity_fails_on_circle(trivial_c4):
     """The pinned finite-model divergence: the truncated mod variant is
     not mixed-subadditive on the minimal circle."""
     nu = make_truncated_index("mod_category", 5, trivial_c4)
-    rep = check_axioms(nu)
-    assert rep.axioms["monotonicity"]["ok"]
-    assert rep.axioms["continuity"]["ok"]
-    assert not rep.axioms["mixed_subadditivity"]["ok"]
-    witness = rep.axioms["mixed_subadditivity"]["witness"]
+    row = check_axioms(nu)
+    assert failed_axioms(row) == ["mixed_subadditivity"]
+    witness = row["witness"]["mixed_subadditivity"]["witness"]
     assert witness["Y"] == ["p", "q"]
 
 
@@ -625,6 +639,48 @@ def test_verify_index_bound_negative_control(c4_const_pair, c4_index,
     assert not _violations_dir.exists()
 
 
+@pytest.mark.parametrize("planted", [False, True],
+                         ids=["passing", "monotonicity-defect"])
+def test_index_bound_ledger_holds_the_rows_of_its_checks(v_pair, planted):
+    """Each ledger row of ``verify_index_bound`` is the row its check
+    returns, byte for byte: the discrete Palais-Smale row (twice), the
+    axiom row of every mode and the supervariance row.  The defect gives
+    {a} the value 3, above its open superset {a, b}."""
+    space = v_pair.space
+    a, b = -1.0, 3.0
+    with (_planted(space.subset(["a"]), lambda v: 3) if planted
+          else contextlib.nullcontext()):
+        for mode in ("exhaustive", "sampled", "assumed"):
+            for seed in range(3):
+                nu = make_truncated_index("category", 5,
+                                          GroupAction.trivial(space))
+                report = verify_index_bound(nu, v_pair, a, b,
+                                            axiom_mode=mode, seed=seed)
+                dps = check_discrete_palais_smale(v_pair)
+                if mode == "exhaustive":
+                    axioms = check_axioms(nu)
+                elif mode == "sampled":
+                    axioms = _check_axioms_sampled(nu, seed)
+                else:
+                    axioms = {"ok": True, "mode": "assumed", "witness": None}
+                rows = {
+                    "lyapunov": dps,
+                    "discrete_palais_smale": dps,
+                    "finite_critical_levels": {"ok": True, "witness": None},
+                    "axioms": axioms,
+                    "supervariance": check_supervariance(
+                        nu, v_pair.phi, v_pair.sublevel(a), seed=seed),
+                }
+                assert json.dumps(report["hypotheses"]) == json.dumps(rows)
+                assert dps == {"ok": True, "witness": None}
+                if planted and mode != "assumed":
+                    assert report["verdict"] == "HYPOTHESIS_FAILED:axioms"
+                    assert failed_axioms(axioms)[0] == "monotonicity"
+                else:
+                    assert report["verdict"] == "INEQUALITY_HOLDS"
+                    assert axioms["witness"] is None
+
+
 def test_planted_violation_is_reported_and_persisted(
         v_pair, tmp_path, monkeypatch):
     """A supervariant user index under assumed axioms that breaks the
@@ -664,6 +720,24 @@ def test_minmax_levels_are_critical_under_supervariance():
         assert nondecreasing(table) and in_band(table)
         if sup["ok"]:
             assert all_critical(table), (seed, table_values(table))
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=7))
+def test_steps_to_fixation_walk_each_orbit(targets):
+    """Each point's steps to a fixed point, walked from that point alone,
+    or None once some walk enters a cycle of more than one point."""
+    images = tuple(t % len(targets) for t in targets)
+    expected = []
+    for i in range(len(images)):
+        seen = [i]
+        while images[seen[-1]] not in seen:
+            seen.append(images[seen[-1]])
+        if images[seen[-1]] != seen[-1]:  # the walk closed a longer cycle
+            expected = None
+            break
+        expected.append(len(seen) - 1)
+    assert engine._steps_to_fixation(SimpleNamespace(images=images)) == \
+        expected
 
 
 def test_generator_produces_identity_homotopic_lyapunov_pairs():

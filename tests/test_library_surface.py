@@ -95,3 +95,37 @@ def test_every_parameter_of_a_named_function_is_read():
             unread += [f"{path.stem}.{fn.name}({a.arg})" for a in params
                        if a.arg not in read]
     assert unread == [], f"parameters never read: {unread}"
+
+
+READERS = [*sorted((ROOT / "src" / "lscat").glob("*.py")),
+           *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def test_every_attribute_set_on_self_is_read():
+    """An attribute that a class of ``src/lscat`` sets on ``self`` is read
+    somewhere: in the package, a test or the benchmark as a loaded
+    attribute ``x.name``, or in README.md or docs/FORMAT.md as the word
+    after a dot.  The scan goes by name, like the method scan, so an
+    attribute that shares its name with one read elsewhere (a
+    ``TheoremReport.space`` beside every other ``.space``) is not seen."""
+    stored = {}
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.Attribute) \
+                            and isinstance(node.ctx, ast.Store) \
+                            and getattr(node.value, "id", None) == "self":
+                        stored[f"{path.stem}.{cls.name}.{node.attr}"] = \
+                            node.attr
+    read = {node.attr for path in READERS
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    text = "\n".join(p.read_text() for p in (ROOT / "README.md",
+                                              ROOT / "docs" / "FORMAT.md"))
+    unread = sorted(q for q, name in stored.items()
+                    if name not in read
+                    and not re.search(rf"\.{name}\b", text))
+    assert unread == [], f"attributes set and never read: {unread}"

@@ -190,14 +190,11 @@ def test_homotopic_agrees_with_materialised_components(c4):
 
 
 def test_contractible_examples(c4):
-    ok, cert = is_contractible_in(c4.subset(["p", "U", "L"]), c4)
-    assert ok
+    cert = is_contractible_in(c4.subset(["p", "U", "L"]), c4)
     cert.validate()
     assert len(set(cert.end.images)) == 1
-    ok, _ = is_contractible_in(c4.full_mask(), c4)
-    assert not ok
-    ok, _ = is_contractible_in(c4.subset(["q"]), c4)
-    assert ok
+    assert is_contractible_in(c4.full_mask(), c4) is None
+    assert is_contractible_in(c4.subset(["q"]), c4) is not None
 
 
 def test_contractible_restricts_to_open_subsets(c4, wedge2):
@@ -205,13 +202,11 @@ def test_contractible_restricts_to_open_subsets(c4, wedge2):
         for mask in space.up_sets():
             if not mask:
                 continue
-            ok, _ = is_contractible_in(mask, space)
-            if not ok:
+            if is_contractible_in(mask, space) is None:
                 continue
             for sub in space.up_sets():
                 if sub and sub & ~mask == 0:
-                    ok2, _ = is_contractible_in(sub, space)
-                    assert ok2
+                    assert is_contractible_in(sub, space) is not None
 
 
 def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
@@ -219,7 +214,7 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
         for mask in space.up_sets():
             if not mask:
                 continue
-            ok, _ = is_contractible_in(mask, space)
+            ok = is_contractible_in(mask, space) is not None
             assert ok == oracle_contractible(space, mask), (
                 space.points, space.labels(mask)
             )
@@ -227,7 +222,7 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
     for mask in wedge2.up_sets():
         if not mask or mask.bit_count() > 4:
             continue
-        ok, _ = is_contractible_in(mask, wedge2)
+        ok = is_contractible_in(mask, wedge2) is not None
         assert ok == oracle_contractible(wedge2, mask)
     # every subset of fresh spaces: a set that collapses to one point is
     # contractible, decided with nothing built (no search, no collapse of
@@ -237,13 +232,13 @@ def test_contractibility_matches_oracle(c4, v_space, arc3, wedge2):
             if poset._collapse(space, mask)[0].bit_count() > 1:
                 continue
             with mock.patch.object(poset, "fence_search") as search:
-                decided, fence = is_contractible_in(mask, space)
-            assert decided and search.call_count == 0
+                fence = is_contractible_in(mask, space)
+            assert fence is not None and search.call_count == 0
             assert callable(fence._maps)  # not lifted yet
             assert oracle_contractible(space, mask)
         assert space._reaches == {}
         for mask in range(1, space.full_mask() + 1):
-            ok, _ = is_contractible_in(mask, space)
+            ok = is_contractible_in(mask, space) is not None
             assert ok == oracle_contractible(space, mask)
         assert space._core is None
 
@@ -310,16 +305,14 @@ NEAR_CHAIN_7 = validate_space(
 @settings(max_examples=30, deadline=None)
 def test_contractibility_decision_matches_oracle_on_every_subset(space):
     for mask in range(1, space.full_mask() + 1):
-        ok, fence = is_contractible_in(mask, space)
-        assert ok == oracle_contractible(space, mask), (
+        fence = is_contractible_in(mask, space)
+        assert (fence is not None) == oracle_contractible(space, mask), (
             space.points, space.labels(mask))
-        if ok:
+        if fence is not None:
             assert callable(fence._maps)  # deciding built no fence map
             fence.validate()
             assert fence.start.images == tuple(bits(mask))
             assert len(set(fence.end.images)) == 1
-        else:
-            assert fence is None
     assert space._core is None
 
 
@@ -361,7 +354,7 @@ def test_a_set_across_components_is_refuted_without_a_search(space):
     for mask in range(1, space.full_mask() + 1):
         with mock.patch.object(poset, "fence_search",
                                wraps=poset.fence_search) as search:
-            decided, _ = is_contractible_in(mask, space)
+            decided = is_contractible_in(mask, space) is not None
         assert decided == oracle_contractible(space, mask), (
             space.points, space.labels(mask))
         if any(mask & c and mask & ~c for c in space.components):
@@ -372,7 +365,7 @@ def test_empty_set_is_rejected_before_the_component_rule():
     space = validate_space(["a", "b"], [])
     with pytest.raises(ValueError, match="empty subset"):
         is_contractible_in(0, space)
-    assert is_contractible_in(0b11, space) == (False, None)
+    assert is_contractible_in(0b11, space) is None
 
 
 def test_core_is_computed_once_per_space(c4, wedge2):
