@@ -48,7 +48,6 @@ from .dynamics import (  # noqa: F401
     DynamicalPair,
     TheoremReport,
     check_discrete_palais_smale,
-    is_lyapunov,
     verify_band_bound,
     verify_global_bound,
     verify_homeo_band_bound,

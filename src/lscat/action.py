@@ -95,13 +95,6 @@ class GroupAction:
     def trivial(cls, space):
         return cls(space, [])
 
-    @classmethod
-    def from_label_maps(cls, space, label_maps):
-        gens = []
-        for mp in label_maps:
-            gens.append(tuple(space.index[mp[p]] for p in space.points))
-        return cls(space, gens)
-
     def is_trivial(self):
         return len(self.elements) == 1
 
@@ -230,8 +223,10 @@ class GroupAction:
 
 
 def validate_action(space, generators):
-    """Spec entry point; generators given as label->label dicts."""
-    return GroupAction.from_label_maps(space, generators)
+    """The action generated by label->label dicts."""
+    return GroupAction(space, [
+        tuple(space.index[mp[p]] for p in space.points) for mp in generators
+    ])
 
 
 class HomogeneousClass:

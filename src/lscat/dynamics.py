@@ -91,25 +91,20 @@ class DynamicalPair:
         return sorted(set(self.f))
 
 
-def is_lyapunov(pair):
-    """f(phi(x)) < f(x) off the fixed set; returns (ok, witness label)."""
-    for i, v in enumerate(pair.phi.images):
-        if v != i and not pair.f[v] < pair.f[i]:
-            return False, pair.space.points[i]
-    return True, None
-
-
 def check_discrete_palais_smale(pair):
     """Discrete Palais-Smale condition for a finite-space pair, as the
-    ledger row {"ok", "witness"}.
+    ledger row {"ok", "witness"}: the Lyapunov property f(phi(x)) <
+    f(x) off the fixed set, with the first point where it fails.
 
     On a finite space the infimum of the decrement f - f o phi over any
     subset is attained, so the condition reduces to the Lyapunov
     property: an attained zero decrement is a fixed point inside the
     subset, hence inside its closure.
     """
-    ok, witness = is_lyapunov(pair)
-    return {"ok": ok, "witness": witness}
+    for i, v in enumerate(pair.phi.images):
+        if v != i and not pair.f[v] < pair.f[i]:
+            return {"ok": False, "witness": pair.space.points[i]}
+    return {"ok": True, "witness": None}
 
 
 def minimal_escape_power(pair, source_mask, target_mask):
@@ -141,7 +136,7 @@ class TheoremReport:
 
     def hypothesis(self, name, status, ok, witness=None, note=None):
         self.hypotheses[name] = {
-            "status": status,  # checked | assumed | derived
+            "status": status,  # checked | assumed
             "ok": bool(ok),
             "witness": witness,
             "note": note,
@@ -155,7 +150,7 @@ class TheoremReport:
             "rhs": rhs_kind,
             "holds": bool(holds),
             "assertable": bool(assertable),
-            "hypothesis_ok": bool(hypothesis_ok),
+            "hypothesis_ok": bool(hypothesis_ok),  # printed, not read
             "note": note,
         }
 
@@ -171,7 +166,7 @@ class TheoremReport:
             return "HYPOTHESIS_FAILED:" + ",".join(sorted(failed))
         bad = [
             k for k, p in self.parts.items()
-            if p["assertable"] and p["hypothesis_ok"] and not p["holds"]
+            if p["assertable"] and not p["holds"]
         ]
         if bad:
             return "VIOLATION:" + ",".join(sorted(bad))
@@ -196,11 +191,22 @@ class TheoremReport:
         }
 
 
-def persist_violation(kind, payload):
-    """Write a counterexample bundle to the violations directory."""
+def persist_violation(kind, pair, report):
+    """Write the counterexample bundle {space, phi, f, report} to the
+    violations directory: the pair by labels, which ``validate_space``,
+    ``SpaceMap.from_dict`` and ``DynamicalPair`` rebuild, and the
+    report's dict."""
+    space = pair.space
+    bundle = {
+        "space": {"points": list(space.points),
+                  "relation": space.relation_pairs()},
+        "phi": {p: pair.phi(p) for p in space.points},
+        "f": dict(zip(space.points, pair.f)),
+        "report": report,
+    }
     directory = os.environ.get("LSCAT_VIOLATIONS_DIR", "lscat-violations")
     os.makedirs(directory, exist_ok=True)
-    blob = json.dumps(payload, sort_keys=True, default=str)
+    blob = json.dumps(bundle, sort_keys=True, default=str)
     digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
     path = os.path.join(directory, f"{kind}-{digest}.json")
     with open(path, "w") as fh:
@@ -208,11 +214,9 @@ def persist_violation(kind, payload):
     return path
 
 
-def _maybe_persist(report):
-    verdict = report.verdict()
-    if verdict.startswith("VIOLATION"):
-        persist_violation(report.theorem, report.to_dict())
-    return verdict
+def _maybe_persist(pair, report):
+    if report.verdict().startswith("VIOLATION"):
+        persist_violation(report.theorem, pair, report.to_dict())
 
 
 # -- shared pieces -----------------------------------------------------------
@@ -382,7 +386,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
         klass.admits_stabilizer(action.stabilizer(cls[0])) for cls in classes
     )
     report.hypothesis("orbit_types_admissible", "checked", types_ok)
-    _maybe_persist(report)
+    _maybe_persist(pair, report)
     return report
 
 
@@ -503,7 +507,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     }
     report.values["bound_chain"] = chain
     report.values["deformation_exponents"] = _deformation_exponents(pair, a, b)
-    _maybe_persist(report)
+    _maybe_persist(pair, report)
     return report
 
 
@@ -545,16 +549,12 @@ def verify_semiflow(pair, action=None, klass=None):
     action, klass = _context(pair, action, klass)
     space = pair.space
     report = TheoremReport("semiflow")
-    fixed = pair.fixed_mask()
-    rest = space.full_mask()
-    current = tuple(range(len(space)))
-    for _ in range(len(space)):
-        current = tuple(pair.phi.images[v] for v in current)
-        rest &= sum(1 << i for i in range(len(space)) if current[i] == i)
-    report.values["fixed_set"] = sorted(space.labels(fixed))
-    report.values["rest_set"] = sorted(space.labels(rest))
+    # the points at rest under every iterate phi^k are those of phi^1
+    fixed = sorted(space.labels(pair.fixed_mask()))
+    report.values["fixed_set"] = fixed
+    report.values["rest_set"] = fixed
     report.hypothesis(
-        "rest_points_match_fixed_points", "checked", rest == fixed,
+        "rest_points_match_fixed_points", "checked", True,
         note="rest points of every iterate equal the fixed points of the "
              "generator",
     )
@@ -571,7 +571,7 @@ def verify_semiflow(pair, action=None, klass=None):
             assertable=ledgers_ok and (name == "a" or space.is_discrete()),
             bound=cat_x,
         )
-    _maybe_persist(report)
+    _maybe_persist(pair, report)
     return report
 
 
@@ -622,7 +622,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
             assertable=not report.checked_failures(),
             bound=_diff(cat_fb, cat_fa), note=note,
         )
-    _maybe_persist(report)
+    _maybe_persist(pair, report)
     return report
 
 

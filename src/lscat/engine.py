@@ -29,7 +29,6 @@ from .category import (
 from .dynamics import (
     DynamicalPair,
     check_discrete_palais_smale,
-    is_lyapunov,
     minimal_escape_power,
     persist_violation,
     _slice_sum,
@@ -347,9 +346,9 @@ def band_escape_exponent(pair, U, a, b):
     fixed points at the top level); the iteration terminates because the
     decrement is bounded below by the minimal positive gap on the band.
     """
-    ok, wit = is_lyapunov(pair)
-    if not ok:
-        raise HypothesisUnmet("lyapunov", wit)
+    dps = check_discrete_palais_smale(pair)
+    if not dps["ok"]:
+        raise HypothesisUnmet("lyapunov", dps["witness"])
     fixed = pair.fixed_mask()
     for i in bits(fixed):
         if a <= pair.f[i] < b:
@@ -492,14 +491,7 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
         "verdict": verdict,
     }
     if verdict == "VIOLATION":
-        bundle = {
-            "space": {"points": list(space.points),
-                      "relation": space.relation_pairs()},
-            "phi": {p: pair.phi(p) for p in space.points},
-            "f": {p: pair.f[i] for i, p in enumerate(space.points)},
-            "report": report,
-        }
-        persist_violation("index_bound", bundle)
+        persist_violation("index_bound", pair, report)
     return report
 
 

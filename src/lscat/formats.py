@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-from .action import GroupAction, HomogeneousClass
+from .action import GroupAction, HomogeneousClass, validate_action
 from .category import INFINITE, MODES, CatQuery
 from .dynamics import THEOREMS, DynamicalPair
 from .engine import AXIOM_MODES, make_truncated_index
@@ -151,7 +151,7 @@ def parse_action(space, doc, location="action"):
     for g in gens:
         _label_map(space, g, location, "generator")
     try:
-        return GroupAction.from_label_maps(space, gens)
+        return validate_action(space, gens)
     except (ValueError, SizeCapExceeded) as err:
         raise ValidationError(location, str(err))
 

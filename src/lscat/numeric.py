@@ -77,7 +77,9 @@ class FlowConfig:
         if not (math.isfinite(self.h_step) and self.h_step > 0):
             raise ValueError(f"step must be finite and positive, "
                              f"got {h_step!r}")
-        if self.h_step > tau / 100.0 + 1e-15:
+        # the rounding slack is relative: an absolute one admits every
+        # step below it once tau / 100 is smaller still
+        if self.h_step > tau / 100.0 * (1.0 + 1e-12):
             raise ValueError("step must not exceed a hundredth of the horizon")
 
     def steps(self):
@@ -147,16 +149,17 @@ def _block_V(g):
 
 
 class Trajectory:
-    """Dense RK4 output: times, states and descent rates."""
+    """Dense RK4 output on a fixed step: states and descent rates.
 
-    # rates: the descent rate at each state but the last, as flow_map's
-    # first RK4 stage found it (set by flow_map)
-    __slots__ = ("times", "states", "field", "rates")
+    ``rates`` holds the descent rate at each state but the last, as
+    ``flow_map``'s first RK4 stage found it."""
 
-    def __init__(self, times, states, field):
-        self.times = times
+    __slots__ = ("states", "field", "rates")
+
+    def __init__(self, states, field, rates):
         self.states = states
         self.field = field
+        self.rates = rates
 
     @property
     def endpoint(self):
@@ -210,10 +213,7 @@ def flow_map(field, m, config):
         states.append(p)
     if not field.domain(np.array(p)):
         raise LeftDomain(n * h)
-    times = np.linspace(0.0, config.tau, n + 1)
-    traj = Trajectory(times, np.array(states), field)
-    traj.rates = rates
-    return traj
+    return Trajectory(np.array(states), field, rates)
 
 
 def _simpson(y, h):
@@ -231,7 +231,7 @@ def check_energy_identity(field, m, config):
     """Residual of: value drop equals the integrated descent rate."""
     traj = flow_map(field, m, config)
     drop = field.f(traj.states[0]) - field.f(traj.endpoint)
-    integral = _simpson(traj.descent_rates(), traj.times[1] - traj.times[0])
+    integral = _simpson(traj.descent_rates(), config.tau / config.steps())
     return abs(drop - integral)
 
 
@@ -518,7 +518,6 @@ def halffixed_circle_map_samples():
 FIELD_REGISTRY = {
     "quadratic": lambda: quadratic_field(),
     "half-interval": half_interval_field,
-    "annulus": lambda: quadratic_field(name="annulus"),
 }
 
 

@@ -19,7 +19,6 @@ from collections import deque
 
 # Exhaustive-operation guard rails, read at every call: an operation past
 # one raises SizeCapExceeded naming it, and raising the constant lifts it.
-MAP_SPACE_CAP = 12            # |X| cap for homotopic
 SUBSET_SPACE_CAP = 16         # |X| cap for subset-exhaustive operations
 FENCE_NODE_CAP = 250_000      # explored maps per fence BFS
 
@@ -551,13 +550,6 @@ def homotopic(g1, g2):
     """A fence linking g1 to g2, or None if they are not homotopic."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
         raise ValueError("maps must share domain and codomain")
-    if len(g1.codomain) > MAP_SPACE_CAP:
-        raise SizeCapExceeded(
-            f"homotopic: {len(g1.codomain)} points exceed "
-            f"lscat.poset.MAP_SPACE_CAP = {MAP_SPACE_CAP}"
-        )
-    if g1 == g2:
-        return FenceCertificate([g1])
     return fence_search(g1, {g2.images}.__contains__)
 
 

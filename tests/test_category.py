@@ -774,7 +774,7 @@ def _forged_result(spec):
     query = CatQuery(
         space, A=space.subset(spec["A"]), Y=space.subset(spec.get("Y", "")),
         mode=spec["mode"],
-        action=action and GroupAction.from_label_maps(space, [action]),
+        action=action and validate_action(space, [action]),
         class_b=[FORGE_SPACES[r] for r in spec.get("class_b", ())])
     cover = [CoverEntry(space.subset(m), role,
                         stages and _forged_fence(space, m, stages))

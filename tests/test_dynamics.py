@@ -1,8 +1,11 @@
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import fixtures as fx
+from lscat import dynamics
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
@@ -17,7 +20,6 @@ from lscat.dynamics import (
     _gcat,
     check_discrete_palais_smale,
     find_identity_fence,
-    is_lyapunov,
     minimal_escape_power,
     verify_band_bound,
     verify_global_bound,
@@ -48,13 +50,15 @@ def two_level_pair(c4):
 
 
 def test_is_lyapunov(v_pair, c4):
-    assert is_lyapunov(v_pair) == (True, None)
+    holds = {"ok": True, "witness": None}
+    assert check_discrete_palais_smale(v_pair) == holds
     ident = DynamicalPair(c4, SpaceMap.identity(c4), fx.C4_CONST_HEIGHTS)
-    assert is_lyapunov(ident) == (True, None)  # vacuous off the fixed set
+    # vacuous off the fixed set
+    assert check_discrete_palais_smale(ident) == holds
     flat = DynamicalPair(c4, fx.c4_constant_map(c4),
                          {p: 0.0 for p in c4.points})
-    ok, witness = is_lyapunov(flat)
-    assert not ok and witness in set(c4.points)
+    row = check_discrete_palais_smale(flat)
+    assert not row["ok"] and row["witness"] in set(c4.points)
 
 
 def test_discrete_palais_smale_reduction(v_pair):
@@ -110,6 +114,40 @@ def test_band_bound_degenerate_band(v_pair):
     assert report.verdict() == "HOLDS"
     assert report.values["slice_sum"] == 0
     assert report.parts["a"]["bound"] == 0
+
+
+def test_planted_theorem_violation_bundle_replays(
+        v_pair, tmp_path, monkeypatch):
+    """A theorem violation is persisted with its pair: undercounting
+    every fixed slice (category 0 through a patched cover_category)
+    breaks part a on the V space, and the bundle rebuilds the same pair,
+    which replays to the saved report."""
+    planted = tmp_path / "planted"
+    monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(planted))
+    fixed = v_pair.fixed_mask()
+    real = dynamics.cover_category
+
+    def undercount(query):
+        if query.space == v_pair.space and query.A & ~fixed == 0:
+            return SimpleNamespace(value=0)
+        return real(query)
+
+    monkeypatch.setattr(dynamics, "cover_category", undercount)
+    report = verify_band_bound(v_pair, -1.0, 3.0)
+    assert report.verdict() == "VIOLATION:a"
+    (path,) = planted.glob("band_bound-*.json")
+    bundle = json.loads(path.read_text())
+    assert sorted(bundle) == ["f", "phi", "report", "space"]
+    assert bundle["report"]["verdict"].startswith("VIOLATION")
+    space = validate_space(bundle["space"]["points"],
+                           bundle["space"]["relation"])
+    pair = DynamicalPair(space, SpaceMap.from_dict(space, space,
+                                                   bundle["phi"]),
+                         bundle["f"])
+    assert space == v_pair.space
+    assert pair.phi == v_pair.phi and pair.f == v_pair.f
+    replayed = verify_band_bound(pair, -1.0, 3.0)
+    assert json.loads(json.dumps(replayed.to_dict())) == bundle["report"]
 
 
 def test_band_bound_rejects_unbounded(v_pair):
@@ -252,9 +290,9 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
     into a single orbit inside the band preimage."""
     action, klass = _context(pair, action, klass)
     space = pair.space
-    ok, wit = is_lyapunov(pair)
-    if not ok:
-        raise HypothesisUnmet("lyapunov", wit)
+    dps = check_discrete_palais_smale(pair)
+    if not dps["ok"]:
+        raise HypothesisUnmet("lyapunov", dps["witness"])
     if not is_homotopy_equivalence(pair.phi):
         raise HypothesisUnmet("homotopy_equivalence")
     cat_fa = _gcat(space, pair.sublevel(a), action, klass)

@@ -1,13 +1,16 @@
 """Cap handling, certificate re-validation, equivariant end-to-end runs,
 and the engine's routing of the known mod-variant divergence."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from lscat import action, engine, poset, simplicial
 import fixtures as fx
-from lscat.action import GroupAction, HomogeneousClass
+from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
 from lscat.dynamics import DynamicalPair, verify_band_bound
 from lscat.engine import (
@@ -21,7 +24,6 @@ from lscat.poset import (
     SizeCapExceeded,
     SpaceMap,
     fence_search,
-    homotopic,
     validate_space,
 )
 from lscat.simplicial import SimplicialComplex, star_cover_upper_bound
@@ -39,12 +41,12 @@ def test_group_cap():
     cycle = {f"d{i}": f"d{(i + 1) % 5}" for i in range(5)}
     swap = {"d0": "d1", "d1": "d0", "d2": "d2", "d3": "d3", "d4": "d4"}
     with pytest.raises(SizeCapExceeded):
-        GroupAction.from_label_maps(space, [cycle, swap])
+        validate_action(space, [cycle, swap])
 
 
 def test_invariance_validation():
     c4 = fx.fix_c4()
-    action = GroupAction.from_label_maps(c4, [fx.conjugation_generator()])
+    action = validate_action(c4, [fx.conjugation_generator()])
     with pytest.raises(ValueError):
         CatQuery(c4, A=1 << c4.index["U"], action=action)
 
@@ -61,8 +63,7 @@ def test_query_masks_must_lie_in_the_space(A, Y, mode):
         CatQuery(c4, A=A, Y=Y, mode=mode)
     with pytest.raises(ValueError, match="points of the space"):
         CatQuery(c4, A=A, Y=Y, mode=mode,
-                 action=GroupAction.from_label_maps(
-                     c4, [fx.conjugation_generator()]))
+                 action=validate_action(c4, [fx.conjugation_generator()]))
 
 
 def test_classb_requires_trivial_action(conjugation, c4, v_space):
@@ -158,17 +159,13 @@ def test_flow_config_guards():
     with pytest.raises(ValueError):
         FlowConfig(1.0, 0.5)  # step above a hundredth of the horizon
     assert FlowConfig(2.0).steps() == 100  # default step is tau/100
+    for tau in (1.0, 1e-14, 1e-300):  # a step of tau/100 at any scale
+        assert FlowConfig(tau, tau / 100).steps() == 100
 
 
 def test_validate_space_rejects_unknown_points():
     with pytest.raises(ValueError):
         validate_space(["a"], [["a", "b"]])
-
-
-def _two_constants(n):
-    space = fx.discrete(n)
-    return (fx.constant_map(space, space, 0),
-            fx.constant_map(space, space, 1))
 
 
 _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
@@ -179,14 +176,12 @@ _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
 @pytest.mark.parametrize("module,constant,low,high,call", [
     pytest.param(poset, "SUBSET_SPACE_CAP", 2, 3,
                  lambda: fx.discrete(3).up_sets(), id="up_sets"),
-    pytest.param(poset, "MAP_SPACE_CAP", 2, 3,
-                 lambda: homotopic(*_two_constants(3)), id="homotopic"),
     pytest.param(poset, "FENCE_NODE_CAP", 1, 100,
                  lambda: fence_search(SpaceMap.identity(fx.fix_v()),
                                       lambda im: False),
                  id="fence_search"),
     pytest.param(action, "GROUP_CAP", 5, 6,
-                 lambda: GroupAction.from_label_maps(fx.discrete(3), _S3),
+                 lambda: validate_action(fx.discrete(3), _S3),
                  id="GroupAction"),
     pytest.param(simplicial, "STAR_VERTEX_CAP", 2, 3,
                  lambda: star_cover_upper_bound(SimplicialComplex.from_maximal(
@@ -205,3 +200,25 @@ def test_size_caps_name_their_override(monkeypatch, module, constant, low,
         call()
     monkeypatch.setattr(module, constant, high)
     call()
+
+
+def test_caps_are_listed_once_in_code_tests_and_readme():
+    """The caps that a SizeCapExceeded message names in the source, the
+    cases of test_size_caps_name_their_override and README's cap list
+    are the same set."""
+    root = Path(__file__).resolve().parents[1]
+    named = set()
+    for path in (root / "src" / "lscat").glob("*.py"):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "SizeCapExceeded"):
+                named.update(re.findall(r"lscat\.\w+\.[A-Z_]+",
+                                        ast.get_source_segment(text, node)))
+    (mark,) = test_size_caps_name_their_override.pytestmark
+    tested = {f"{case.values[0].__name__}.{case.values[1]}"
+              for case in mark.args[1]}
+    listed = set(re.findall(r"^\s*\* `(lscat\.\w+\.[A-Z_]+)`:",
+                            (root / "README.md").read_text(), re.M))
+    assert named == tested == listed, (named, tested, listed)
+    assert named

@@ -10,11 +10,7 @@ import fixtures as fx
 from lscat import engine
 from lscat.action import GroupAction, HomogeneousClass, validate_action
 from lscat.category import CatQuery, cover_category
-from lscat.dynamics import (
-    DynamicalPair,
-    check_discrete_palais_smale,
-    is_lyapunov,
-)
+from lscat.dynamics import DynamicalPair, check_discrete_palais_smale
 from lscat.engine import (
     AXIOM_SAMPLES,
     CHECK_SAMPLES,
@@ -516,9 +512,9 @@ def sublevel_entry_margin(pair, U, a, eps):
     below the first value above the cut always works for Lyapunov pairs
     since the sublevel set is forward invariant.
     """
-    ok, wit = is_lyapunov(pair)
-    if not ok:
-        raise HypothesisUnmet("lyapunov", wit)
+    dps = check_discrete_palais_smale(pair)
+    if not dps["ok"]:
+        raise HypothesisUnmet("lyapunov", dps["witness"])
     if eps <= 0:
         raise ValueError("need a positive window")
     fa = pair.sublevel(a)
@@ -741,13 +737,11 @@ def test_steps_to_fixation_walk_each_orbit(targets):
 
 
 def test_generator_produces_identity_homotopic_lyapunov_pairs():
-    from lscat.dynamics import is_lyapunov
     from lscat.poset import SpaceMap, fence_search
 
     for seed in (3, 17, 41):
         pair, nu, a, b = random_instance(seed)
-        ok, _ = is_lyapunov(pair)
-        assert ok
+        assert check_discrete_palais_smale(pair)["ok"]
         fence = fence_search(
             SpaceMap.identity(pair.space), {pair.phi.images}.__contains__
         )

@@ -298,6 +298,8 @@ def test_field_v_is_bounded():
 @pytest.mark.parametrize("tau, h_step", [
     (1.0, -0.5), (1.0, 0.0), (1.0, -0.0), (1.0, math.nan),
     (math.nan, None), (math.nan, 0.001), (math.inf, None), (math.inf, 1.0),
+    # a step above a hundredth of the horizon, at any scale
+    (1.0, 1.0 / 99), (1e-14, 1e-15), (1e-300, 1e-300 / 99),
 ])
 def test_flow_config_rejects_bad_values(tau, h_step):
     with pytest.raises(ValueError):
