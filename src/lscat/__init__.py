@@ -12,7 +12,6 @@ from .poset import (  # noqa: F401
     SizeCapExceeded,
     SpaceMap,
     core,
-    homotopic,
     is_contractible_in,
     is_homotopy_equivalence,
     validate_space,

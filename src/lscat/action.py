@@ -17,12 +17,12 @@ from .poset import (
     SpaceMap,
     _deform,
     _negative,
-    _orbit_moves,
     bits,
-    fence_search,
     join_labels,
     validate_space,
 )
+# Not called here; perfbench/check_tracer.py checks this import site.
+from .poset import fence_search  # noqa: F401
 
 GROUP_CAP = 48  # elements of a group
 
@@ -293,22 +293,6 @@ def is_G_map(phi, action):
             if k2 is None or phi.images[k2] != g[phi.images[k]]:
                 return False
     return True
-
-
-def G_fence_search(start, action, domain_parent_indices, is_target, *,
-                   stage_ok=None):
-    """``fence_search`` with whole-orbit moves (``poset._orbit_moves``)
-    from ``start``, an equivariant map into the action's space from the
-    subspace on ``domain_parent_indices``, which must be invariant
-    (ValueError otherwise)."""
-    space = action.space
-    domain = sum(1 << p for p in domain_parent_indices)
-    if not action.is_invariant(domain):
-        raise ValueError(f"the domain {list(space.labels(domain))} is not "
-                         "invariant under the group")
-    moves = _orbit_moves(space, action.elements, domain_parent_indices,
-                         space.full_mask())
-    return fence_search(start, is_target, stage_ok=stage_ok, moves=moves)
 
 
 def inclusion_map(space, mask):

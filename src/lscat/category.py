@@ -82,6 +82,20 @@ value_ge = operator.ge
 value_str = str
 
 
+def strict_json(value):
+    """The value with non-finite floats as "inf", "-inf" or "nan", dict
+    keys as str and sets sorted, so a report or bundle is strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {str(k): strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(strict_json(v) for v in value)
+    return value
+
+
 def value_ge_diff(lhs, x, y):
     """lhs >= x - y, vacuous when the subtrahend y is INFINITE.
 

@@ -23,7 +23,6 @@ import json
 import os
 
 from .action import (
-    G_fence_search,
     GroupAction,
     HomogeneousClass,
     is_G_map,
@@ -34,11 +33,15 @@ from .category import (
     CatQuery,
     INFINITE,
     cover_category,
+    strict_json,
     value_ge_diff,
     _induced,
 )
 from .poset import (
-    SpaceMap,
+    FenceCertificate,
+    _collapse_stages,
+    _deform,
+    _reach,
     automorphism_inverse,
     bits,
     is_homotopy_equivalence,
@@ -173,20 +176,11 @@ class TheoremReport:
         return "HOLDS"
 
     def to_dict(self):
-        def enc(v):
-            if v == INFINITE:
-                return "inf"
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            return v
-
         return {
             "theorem": self.theorem,
-            "hypotheses": enc(self.hypotheses),
-            "values": enc(self.values),
-            "parts": enc(self.parts),
+            "hypotheses": strict_json(self.hypotheses),
+            "values": strict_json(self.values),
+            "parts": strict_json(self.parts),
             "verdict": self.verdict(),
         }
 
@@ -206,7 +200,7 @@ def persist_violation(kind, pair, report):
     }
     directory = os.environ.get("LSCAT_VIOLATIONS_DIR", "lscat-violations")
     os.makedirs(directory, exist_ok=True)
-    blob = json.dumps(bundle, sort_keys=True, default=str)
+    blob = json.dumps(strict_json(bundle), sort_keys=True, allow_nan=False)
     digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
     path = os.path.join(directory, f"{kind}-{digest}.json")
     with open(path, "w") as fh:
@@ -398,16 +392,42 @@ def _diff(x, y):
 
 
 def find_identity_fence(pair, action, preserve_mask=None):
-    """Equivariant fence from the identity to phi, optionally through
-    maps preserving a sublevel mask at every stage."""
-    space = pair.space
-    parents = tuple(range(len(space)))
-    return G_fence_search(
-        SpaceMap.identity(space), action, parents,
-        {pair.phi.images}.__contains__,
-        stage_ok=(None if preserve_mask is None
-                  else mod_stage_ok(parents, preserve_mask)),
-    )
+    """A fence of G-maps from the identity to phi whose stages keep F =
+    ``preserve_mask`` inside F, or None: one ``_deform`` question on the
+    space keeping GF, accepted unsearched when s o phi is the identity on
+    the relative G-core c (s the retraction).  Else, with F empty, c is
+    minimal and phi is not G-homotopic to the identity (Barmak, LNM 2032,
+    Cor. 1.3.7); with F, one search runs on c to s o phi.  The fence
+    goes on from s o phi o s by h o phi o h for the collapse stages h
+    from s back to the identity, and drops the loop of a repeated map."""
+    space, phi, F = pair.space, pair.phi.images, preserve_mask or 0
+    if pair.phi.image_mask(F) & ~F or not is_G_map(pair.phi, action):
+        return None
+    hold = action.saturate(F)
+    _, removals, s = _reach(space, hold, action.elements)
+
+    def question(core):
+        parents = tuple(bits(core))
+        target = tuple(s[phi[p]] for p in parents)
+        if target == parents:
+            return True
+        if F:
+            return {target}.__contains__, mod_stage_ok(parents, F)
+        return None
+
+    def maps():
+        chain = []
+        back = _collapse_stages(space, space, range(len(space)), removals)
+        for m in fence.maps + tuple(h.compose(pair.phi).compose(h)
+                                    for h in back.maps[::-1]):
+            if m in chain:
+                del chain[chain.index(m):]
+            chain.append(m)
+        return chain
+
+    fence = _deform(space, space.full_mask(), question, hold,
+                    action.elements, hold)
+    return None if fence is None else FenceCertificate(maps)
 
 
 def verify_identity_band_bound(pair, a, b, action=None, klass=None):
@@ -453,11 +473,7 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
         + ("" if a in fixed_levels else
            " (low cut misses the critical values)"),
     )
-    preserving = fence
-    if fence is not None and not all(
-        fa_mask >> m.images[i] & 1 for m in fence.maps for i in bits(fa_mask)
-    ):
-        preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
+    preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
     report.hypothesis(
         "sublevel_preserving_homotopy", "checked", preserving is not None,
         note="a fence to the identity whose stages keep the low sublevel "

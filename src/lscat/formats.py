@@ -14,7 +14,7 @@ import json
 import math
 
 from .action import GroupAction, HomogeneousClass, validate_action
-from .category import INFINITE, MODES, CatQuery
+from .category import INFINITE, MODES, CatQuery, strict_json
 from .dynamics import THEOREMS, DynamicalPair
 from .engine import AXIOM_MODES, make_truncated_index
 from .numeric import FIELD_REGISTRY
@@ -371,21 +371,9 @@ def parse_scenario(path_or_doc, path=None):
 # -- report emission ---------------------------------------------------------
 
 
-def _encode(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_encode(v) for v in value)
-    return value
-
-
 def emit_report(report, fmt="structured"):
     """Render a report dict; structured output is byte-deterministic."""
-    doc = _encode(report)
+    doc = strict_json(report)
     if fmt == "structured":
         return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                           ensure_ascii=True, allow_nan=False) + "\n"
@@ -425,8 +413,8 @@ def _render_text(doc, lines, indent=0):
 def expectation_mismatches(expect, actual, prefix=""):
     """Leaves of ``expect`` that disagree with ``actual`` (subset match)."""
     out = []
-    expect = _encode(expect)
-    actual = _encode(actual)
+    expect = strict_json(expect)
+    actual = strict_json(actual)
     if isinstance(expect, dict) and isinstance(actual, dict):
         for k, v in expect.items():
             if k not in actual:

@@ -73,14 +73,18 @@ class FlowConfig:
             raise ValueError(f"flow time must be finite and positive, "
                              f"got {tau!r}")
         self.tau = float(tau)
-        self.h_step = float(h_step) if h_step is not None else tau / 100.0
+        self.h_step = float(tau / 100.0 if h_step is None else h_step)
         if not (math.isfinite(self.h_step) and self.h_step > 0):
             raise ValueError(f"step must be finite and positive, "
-                             f"got {h_step!r}")
+                             f"got {self.h_step!r}")
         # the rounding slack is relative: an absolute one admits every
         # step below it once tau / 100 is smaller still
         if self.h_step > tau / 100.0 * (1.0 + 1e-12):
             raise ValueError("step must not exceed a hundredth of the horizon")
+        # tau / 100 rounds too coarsely at subnormal horizons
+        if h_step is None and self.steps() != 100:
+            raise ValueError(f"the default step {self.h_step!r} gives "
+                             f"{self.steps()} steps, not 100")
 
     def steps(self):
         n = int(round(self.tau / self.h_step))

@@ -546,13 +546,6 @@ def _neighbors(domain, codomain, images, moves):
             yield tuple(lst)
 
 
-def homotopic(g1, g2):
-    """A fence linking g1 to g2, or None if they are not homotopic."""
-    if g1.domain != g2.domain or g1.codomain != g2.codomain:
-        raise ValueError("maps must share domain and codomain")
-    return fence_search(g1, {g2.images}.__contains__)
-
-
 # -- cores and contractibility -----------------------------------------
 
 
@@ -668,8 +661,8 @@ def _deform(space, W, question, keep=0, group=None, hold=0):
     keeping ``hold``; each retraction is G-homotopic to the identity
     through stages that fix what it keeps (Stong, "Group actions on
     finite spaces", 1984), so W deforms exactly when W' followed by
-    X -> X' does inside X': to a constant, through an orbit, or into Y
-    (mod Y) with Y in ``hold``.  No search runs when the inclusion of W'
+    X -> X' does inside X': to a constant, through an orbit, into Y (mod
+    Y) with Y in ``hold``, or to phi.  No search runs when the inclusion of W'
     is a target, else one ``fence_search``; the fence is lifted to W
     (``_lift``) when its maps are first read.
     """

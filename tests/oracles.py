@@ -30,13 +30,14 @@ elements.
 
 import itertools
 import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from lscat.action import HomogeneousClass
 from lscat.category import CatQuery, cover_category
-from lscat.poset import bits
+from lscat.poset import FenceCertificate, SpaceMap, bits
 
 
 def comparable(space, i, j):
@@ -244,28 +245,42 @@ def oracle_orbit_neighbors(domain, codomain, images, orbits, act):
                 yield new
 
 
+def oracle_G_fence(start, action, is_target, stage_ok=None):
+    """The reference BFS with whole-orbit moves: the first shortest fence
+    of equivariant maps (``oracle_orbit_neighbors``) from ``start``, a
+    map into the action's space from the space or an invariant subspace,
+    through stages that pass ``stage_ok`` to a map whose image tuple
+    passes ``is_target``; a FenceCertificate, or None.  It walks every
+    map those moves reach, with no core, no cap and no component rule."""
+    space, domain = action.space, start.domain
+    orbits, act = oracle_orbit_context(
+        action, [space.index[p] for p in domain.points])
+    if stage_ok is not None and not stage_ok(start.images):
+        return None
+    parent = {start.images: None}
+    queue = deque([start.images])
+    while queue:
+        images = queue.popleft()
+        if is_target(images):
+            chain = []
+            while images is not None:
+                chain.append(SpaceMap(domain, space, images))
+                images = parent[images]
+            return FenceCertificate(chain[::-1])
+        for new in oracle_orbit_neighbors(domain, space, images, orbits,
+                                          act):
+            if new not in parent and (stage_ok is None or stage_ok(new)):
+                parent[new] = images
+                queue.append(new)
+    return None
+
+
 def oracle_G_deformation(action, W, is_target, stage_ok=None):
-    """Whether whole-orbit moves (``oracle_orbit_neighbors``) lead the
-    inclusion of the invariant W, through stages that pass ``stage_ok``,
-    to a map whose image tuple passes ``is_target``: a breadth-first walk
-    over every map they reach, with no core and no component rule."""
-    space = action.space
-    sub, idx = space.subspace(W)
-    orbits, act = oracle_orbit_context(action, idx)
-    seen = {tuple(idx)}
-    frontier = [tuple(idx)]
-    while frontier:
-        if any(is_target(images) for images in frontier):
-            return True
-        reached = []
-        for images in frontier:
-            for new in oracle_orbit_neighbors(sub, space, images, orbits,
-                                              act):
-                if new not in seen and (stage_ok is None or stage_ok(new)):
-                    seen.add(new)
-                    reached.append(new)
-        frontier = reached
-    return False
+    """Whether ``oracle_G_fence`` leads the inclusion of the invariant W
+    to a target."""
+    sub, idx = action.space.subspace(W)
+    return oracle_G_fence(SpaceMap(sub, action.space, idx), action,
+                          is_target, stage_ok) is not None
 
 
 # The factoring targets of an equivariant categorical set, as first

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +6,6 @@ from lscat import action as action_module
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
-    G_fence_search,
     NotAnAutomorphism,
     is_G_deformable,
     is_G_map,
@@ -16,15 +13,16 @@ from lscat.action import (
     validate_action,
 )
 from lscat.category import _factor_targets
+from lscat.dynamics import DynamicalPair, find_identity_fence
 from lscat.poset import (
-    FenceCertificate,
     SpaceMap,
     _neighbors,
-    homotopic,
+    _orbit_moves,
     validate_space,
 )
 
 from oracles import (
+    oracle_G_fence,
     oracle_factor_targets,
     oracle_orbit_context,
     oracle_orbit_masks,
@@ -90,26 +88,23 @@ def test_is_G_map_examples(conjugation, c4):
 
 
 def G_homotopic(g1, g2, action):
-    """Fence through equivariant maps only, or None.  The maps' domain is
-    the space or an invariant subspace of it."""
+    """Fence through equivariant maps only, or None: the reference BFS.
+    The maps' domain is the space or an invariant subspace of it."""
     if g1.domain != g2.domain or g1.codomain != g2.codomain:
         raise ValueError("maps must share domain and codomain")
     if not (is_G_map(g1, action) and is_G_map(g2, action)):
         raise ValueError("maps must be equivariant")
-    if g1 == g2:
-        return FenceCertificate([g1])
-    parents = tuple(action.space.index[p] for p in g1.domain.points)
-    return G_fence_search(g1, action, parents, {g2.images}.__contains__)
+    return oracle_G_fence(g1, action, {g2.images}.__contains__)
 
 
 def test_G_homotopic_trivial_degenerates(v_space):
     act = GroupAction.trivial(v_space)
     ident = SpaceMap.identity(v_space)
     const = fx.constant_map(v_space, v_space, v_space.index["a"])
-    plain = homotopic(ident, const)
+    plain = find_identity_fence(DynamicalPair(v_space, const, (0, 0, 0)), act)
     equiv = G_homotopic(ident, const, act)
     assert (plain is None) == (equiv is None)
-    assert equiv is not None and equiv.end == const
+    assert equiv is not None and equiv.end == const == plain.end
 
 
 def test_G_homotopic_identity_vs_fixed_constant(conjugation, c4):
@@ -338,9 +333,7 @@ def test_orbit_moves_match_the_pairwise_oracle(acted):
     action, W = acted
     space = action.space
     incl, parents = action_module.inclusion_map(space, W)
-    with mock.patch.object(action_module, "fence_search") as search:
-        action_module.G_fence_search(incl, action, parents, None)
-    moves = search.call_args.kwargs["moves"]
+    moves = _orbit_moves(space, action.elements, parents, space.full_mask())
     orbits, ctx = oracle_orbit_context(action, parents)
     assert [move[0] for move in moves] == [orb[0] for orb in orbits]
     queue, seen = [incl.images], {incl.images}

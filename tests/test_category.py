@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import fixtures as fx
 from lscat import poset
 from lscat.action import (
-    G_fence_search,
     GroupAction,
     HomogeneousClass,
     inclusion_map,
@@ -54,6 +53,7 @@ from lscat.poset import (
 
 from oracles import (
     oracle_G_deformation,
+    oracle_G_fence,
     oracle_cat,
     oracle_contractible,
     oracle_factor_targets,
@@ -553,8 +553,8 @@ def unguarded_deformation(action, W, Y, mod):
     """The equivariant fence search from the inclusion of all of W into
     Y (mod Y), with no component rule and no core."""
     incl, parents = inclusion_map(action.space, W)
-    return G_fence_search(
-        incl, action, parents, lambda images: all(Y >> v & 1 for v in images),
+    return oracle_G_fence(
+        incl, action, lambda images: all(Y >> v & 1 for v in images),
         stage_ok=mod_stage_ok(parents, Y) if mod else None)
 
 
@@ -626,8 +626,8 @@ def test_membership_decisions_answer_with_a_checked_fence_or_None(
 @given(acted_spaces(max_points=7, split=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_component_rule_refutes_only_what_the_search_refutes(acted, data):
-    """``is_G_deformable`` decides as the unguarded ``G_fence_search``
-    does, with a fence that deforms W into Y, and searches nothing when a
+    """``is_G_deformable`` decides as the unguarded reference BFS
+    ``oracle_G_fence`` does, with a fence that deforms W into Y, and searches nothing when a
     component of the space meets W but misses Y."""
     space, action, _ = acted
     full = space.full_mask()
@@ -677,7 +677,7 @@ def test_deformations_are_decided_on_the_relative_G_core(acted, data):
 def test_categorical_questions_are_decided_on_the_relative_G_core(
         acted, class_name, data):
     """On invariant W, ``is_categorical`` decides as the unguarded
-    ``G_fence_search`` from all of W to its ``_factor_targets``, searches
+    ``oracle_G_deformation`` from all of W to its ``_factor_targets``, searches
     only from the relative G-core of W (the oracle's point count), and
     returns a fence that passes ``_check_fence``; the space's own core is
     never built."""
@@ -690,9 +690,8 @@ def test_categorical_questions_are_decided_on_the_relative_G_core(
                                wraps=fence_search) as search:
             fence = is_categorical(W, space, action, klass)
         targets = _factor_targets(W, action, klass)
-        incl, parents = inclusion_map(space, W)
-        assert (fence is not None) == (bool(targets) and G_fence_search(
-            incl, action, parents, targets.__contains__) is not None), W
+        assert (fence is not None) == (bool(targets) and oracle_G_deformation(
+            action, W, targets.__contains__)), W
         core = oracle_relative_G_core(action, W, 0)
         if search.call_count:
             assert_searched_on_cores(search, action, core, 0)

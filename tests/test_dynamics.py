@@ -1,15 +1,18 @@
 import json
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fixtures as fx
-from lscat import dynamics
+from lscat import dynamics, poset
 from lscat.action import (
     GroupAction,
     HomogeneousClass,
     is_G_deformable,
+    is_G_map,
     validate_action,
 )
 from lscat.category import INFINITE, HypothesisUnmet
@@ -29,7 +32,8 @@ from lscat.dynamics import (
 )
 from lscat.poset import SpaceMap, bits, is_homotopy_equivalence, validate_space
 
-from oracles import oracle_palais_smale
+from oracles import oracle_G_fence, oracle_palais_smale
+from test_category import acted_spaces
 
 
 @pytest.fixture
@@ -437,6 +441,114 @@ def test_identity_fence_preservation_search(two_level_pair):
         preserve_mask=two_level_pair.sublevel(0.0),
     )
     assert fence is not None  # identity map: the trivial fence preserves
+    # F = {a1, f2} is not invariant under the swaps a1 <-> b1, a3 <-> b3:
+    # the collapse keeps all of GF, so the fence to phi (a3 -> a1, b3 ->
+    # b1) keeps F, where keeping F alone would collapse the orbit of b1
+    space = validate_space(
+        ["f0", "a1", "b1", "f2", "a3", "b3"],
+        [("f0", "a1"), ("f0", "b1"), ("f0", "f2"), ("f0", "a3"),
+         ("f0", "b3"), ("a1", "f2"), ("a1", "a3"), ("b1", "f2"),
+         ("b1", "b3")])
+    action = validate_action(space, [{"f0": "f0", "a1": "b1", "b1": "a1",
+                                      "f2": "f2", "a3": "b3", "b3": "a3"}])
+    phi = SpaceMap(space, space, (0, 1, 2, 3, 1, 2))
+    F = space.subset(["a1", "f2"])
+    fence = find_identity_fence(DynamicalPair(space, phi, [0] * 6), action, F)
+    assert fence.validate(lambda images: images[1] in (1, 3)
+                          and images[3] in (1, 3))
+    assert fence.end == phi
+    # a map that sends a to c keeps no F = {a}, though it induces the
+    # identity on the relative core {a}
+    v = fx.fix_v()
+    drop = SpaceMap.from_dict(v, v, {"c": "c", "a": "c", "b": "b"})
+    assert find_identity_fence(DynamicalPair(v, drop, [0] * 3),
+                               GroupAction.trivial(v), v.subset(["a"])) is None
+
+
+@st.composite
+def acted_maps(draw):
+    """An acted space (``acted_spaces``) with a G-map phi, drawn orbit by
+    orbit among the values that keep the map so far continuous and
+    equivariant, and a 0/1 function f."""
+    space, action, _ = draw(acted_spaces())
+    images = {}
+    for orbit in action.orbits():
+        p = next(iter(bits(orbit)))
+        fits = []
+        for v in range(len(space)):
+            trial = dict(images)
+            for g in action.elements:
+                if trial.setdefault(g[p], g[v]) != g[v]:
+                    break
+            else:
+                if all(space.leq(trial[i], trial[j]) for i in trial
+                       for j in trial if space.leq(i, j)):
+                    fits.append(trial)
+        assume(fits)
+        images = draw(st.sampled_from(fits))
+    phi = SpaceMap(space, space, tuple(images[i] for i in range(len(space))))
+    f = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(space),
+                      max_size=len(space)))
+    return DynamicalPair(space, phi, f), action
+
+
+@given(acted_maps(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_identity_fence_decides_as_the_reference_search(acted, preserve):
+    """``find_identity_fence`` decides as the reference BFS from the
+    identity to phi, with no sublevel or keeping the sublevel F = {f <=
+    0} inside itself at every stage, and its fence validates, runs from
+    the identity to phi through G-maps only and, given F, keeps F."""
+    pair, action = acted
+    space = pair.space
+    F = pair.sublevel(0.0) if preserve else None
+
+    def keeps_F(images):
+        return all(F >> images[i] & 1 for i in bits(F))
+
+    fence = find_identity_fence(pair, action, F)
+    reference = oracle_G_fence(SpaceMap.identity(space), action,
+                               {pair.phi.images}.__contains__,
+                               keeps_F if preserve else None)
+    assert (fence is None) == (reference is None)
+    if fence is not None:
+        assert fence.validate(keeps_F if preserve else None)
+        assert fence.start == SpaceMap.identity(space)
+        assert fence.end == pair.phi
+        assert all(is_G_map(stage, action) for stage in fence.maps)
+
+
+def test_identity_fence_refutes_a_constant_on_the_circle_at_once():
+    """A 12-point circle model, the four-point circle a, b < c, d with
+    eight beat points below it, and phi constant at a: the core of the
+    space is the circle, where s o phi is not the identity, so the
+    answer is None with no fence search (a search over all maps from
+    the identity passes ``FENCE_NODE_CAP`` on this space)."""
+    lows = {"x0": "c", "x1": "d", "x2": "c", "x3": "d",
+            "x4": "a", "x5": "b", "x6": "a", "x7": "b"}
+    space = validate_space(
+        ["a", "b", "c", "d", *lows],
+        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+         *lows.items()])
+    phi = SpaceMap.from_dict(space, space, {p: "a" for p in space.points})
+    pair = DynamicalPair(space, phi,
+                         {p: 0.0 if p == "a" else 1.0 for p in space.points})
+    with mock.patch.object(poset, "fence_search") as search:
+        assert find_identity_fence(pair, GroupAction.trivial(space)) is None
+    assert search.call_count == 0
+
+
+def test_identity_fence_refuses_a_map_that_is_not_equivariant():
+    """Under the swap of a and b, V's G-core is the point c, where the
+    constant map at a induces the identity; it is not a G-map, so no
+    fence of G-maps reaches it."""
+    pair, action, _ = swapped_v_pair()
+    const = SpaceMap.from_dict(pair.space, pair.space,
+                               {p: "a" for p in pair.space.points})
+    bad = DynamicalPair(pair.space, const, pair.f)
+    assert find_identity_fence(bad, action) is None
+    assert find_identity_fence(bad, GroupAction.trivial(pair.space)) \
+        is not None
 
 
 def test_deformation_exponents_emitted(c4_const_pair):

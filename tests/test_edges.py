@@ -161,6 +161,14 @@ def test_flow_config_guards():
     assert FlowConfig(2.0).steps() == 100  # default step is tau/100
     for tau in (1.0, 1e-14, 1e-300):  # a step of tau/100 at any scale
         assert FlowConfig(tau, tau / 100).steps() == 100
+    # an accepted horizon takes 100 default steps, down to the subnormals;
+    # a rejected one names the step it computed
+    for tau in (1e-300, 2.2250738585072014e-308, 1e-319):
+        assert FlowConfig(tau).steps() == 100
+    with pytest.raises(ValueError, match="step 5e-324 gives 101 steps"):
+        FlowConfig(5e-322)
+    with pytest.raises(ValueError, match="got 0.0"):
+        FlowConfig(1e-323)
 
 
 def test_validate_space_rejects_unknown_points():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import fixtures as fx
 from lscat import engine
 from lscat.action import GroupAction, HomogeneousClass, validate_action
-from lscat.category import CatQuery, cover_category
+from lscat.category import INFINITE, CatQuery, cover_category
 from lscat.dynamics import DynamicalPair, check_discrete_palais_smale
 from lscat.engine import (
     AXIOM_SAMPLES,
@@ -697,6 +697,18 @@ def test_planted_violation_is_reported_and_persisted(
     assert saved["verdict"] == "VIOLATION"
     assert (saved["lhs"], saved["rhs"]) == (report["lhs"], report["rhs"])
 
+    # on an unbounded band the bundle is strict JSON, the end read "inf"
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(tmp_path / "unbounded"))
+    report = verify_index_bound(nu, v_pair, -1.0, INFINITE,
+                                axiom_mode="assumed")
+    assert report["verdict"] == "VIOLATION"
+    (path,) = (tmp_path / "unbounded").glob("index_bound-*.json")
+    saved = json.loads(path.read_text(), parse_constant=refuse)["report"]
+    assert saved["band"] == [-1.0, "inf"]
+
 
 def test_generated_instances_hold(capsys):
     for seed in range(80):
@@ -747,3 +759,4 @@ def test_generator_produces_identity_homotopic_lyapunov_pairs():
         )
         assert fence is not None
         assert a < b
+

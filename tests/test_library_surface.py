@@ -129,3 +129,22 @@ def test_every_attribute_set_on_self_is_read():
                     if name not in read
                     and not re.search(rf"\.{name}\b", text))
     assert unread == [], f"attributes set and never read: {unread}"
+
+
+def test_only_deform_calls_the_fence_search():
+    """Every homotopy question of ``src/lscat`` goes through
+    ``poset._deform``: no other function, method or nested function
+    calls ``fence_search``, by name or as an attribute."""
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for fn in ast.walk(top):
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(
+                            node.func, USE.get(type(node.func), ""),
+                            None) == "fence_search":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"poset._deform"}, f"fence_search callers: {callers}"

@@ -300,6 +300,10 @@ def test_field_v_is_bounded():
     (math.nan, None), (math.nan, 0.001), (math.inf, None), (math.inf, 1.0),
     # a step above a hundredth of the horizon, at any scale
     (1.0, 1.0 / 99), (1e-14, 1e-15), (1e-300, 1e-300 / 99),
+    # subnormal horizons whose default step tau / 100 does not give 100
+    # steps, or is 0
+    (4e-322, None), (5e-322, None), (1e-321, None), (1e-320, None),
+    (1e-323, None),
 ])
 def test_flow_config_rejects_bad_values(tau, h_step):
     with pytest.raises(ValueError):

@@ -13,16 +13,18 @@ from lscat.poset import (
     SpaceMap,
     bits,
     core,
-    homotopic,
     is_contractible_in,
     is_homotopy_equivalence,
     validate_space,
 )
+from lscat.action import GroupAction
+from lscat.dynamics import DynamicalPair, find_identity_fence
 
 from oracles import (
     _comparability_components,
     all_order_preserving_maps,
     hom_components,
+    oracle_G_fence,
     oracle_contractible,
     oracle_down,
     oracle_generated_order,
@@ -139,25 +141,39 @@ def test_map_composition_stays_continuous(v_space):
             m1.compose(m2)  # constructor re-validates
 
 
+def homotopic(g1, g2):
+    """The reference BFS's fence from g1 to g2 under the trivial group,
+    or None."""
+    return oracle_G_fence(g1, GroupAction.trivial(g1.codomain),
+                          {g2.images}.__contains__)
+
+
+def identity_fence(phi):
+    """``find_identity_fence`` under the trivial group."""
+    space = phi.domain
+    return find_identity_fence(DynamicalPair(space, phi, [0] * len(space)),
+                               GroupAction.trivial(space))
+
+
 def test_homotopic_v_identity_to_constant(v_space):
     ident = SpaceMap.identity(v_space)
     const = fx.constant_map(v_space, v_space, v_space.index["a"])
-    fence = homotopic(ident, const)
-    assert fence is not None
-    fence.validate()
-    assert fence.start == ident and fence.end == const
+    for fence in (homotopic(ident, const), identity_fence(const)):
+        assert fence is not None
+        fence.validate()
+        assert fence.start == ident and fence.end == const
 
 
 def test_homotopic_self_is_trivial_fence(c4):
     ident = SpaceMap.identity(c4)
-    fence = homotopic(ident, ident)
-    assert len(fence) == 1
+    assert len(homotopic(ident, ident)) == len(identity_fence(ident)) == 1
 
 
 def test_homotopic_c4_identity_not_constant(c4):
     ident = SpaceMap.identity(c4)
     const = fx.constant_map(c4, c4, c4.index["p"])
     assert homotopic(ident, const) is None
+    assert identity_fence(const) is None
 
 
 def test_homotopic_is_equivalence_relation_small():
@@ -177,6 +193,8 @@ def test_homotopic_is_equivalence_relation_small():
 
 
 def test_homotopic_agrees_with_materialised_components(c4):
+    """The reference BFS and ``find_identity_fence`` (from the identity)
+    decide as the components of the materialised hom-set."""
     maps = enumerate_maps(c4, c4)
     groups = hom_components(maps)
     component_of = {}
@@ -187,6 +205,10 @@ def test_homotopic_agrees_with_materialised_components(c4):
         for m2 in maps[::5]:
             same = component_of[m1.images] == component_of[m2.images]
             assert (homotopic(m1, m2) is not None) == same
+    ident = tuple(range(len(c4)))
+    for m in maps:
+        same = component_of[m.images] == component_of[ident]
+        assert (identity_fence(m) is not None) == same
 
 
 def test_contractible_examples(c4):
@@ -408,8 +430,9 @@ def test_homotopy_equivalence_examples(v_space, c4):
 
 def test_homotopy_equivalence_crosscheck_fence(v_space):
     phi = fx.v_descent_map(v_space)
-    fence = homotopic(SpaceMap.identity(v_space), phi)
+    fence = identity_fence(phi)
     assert fence is not None  # core is a point: everything is homotopic
+    assert fence.validate() and fence.end == phi
 
 
 def test_homotopy_inverse_composes_to_identity_up_to_fence(c4):
