@@ -31,7 +31,6 @@ from .category import (  # noqa: F401
     cat_mod,
     cat_pair,
     cover_category,
-    cuplength_lower_bound,
     is_categorical,
 )
 from .engine import (  # noqa: F401
@@ -56,6 +55,7 @@ from .dynamics import (  # noqa: F401
 from .simplicial import (  # noqa: F401
     SimplicialComplex,
     cuplength,
+    cuplength_lower_bound,
     order_complex,
     star_cover_upper_bound,
 )

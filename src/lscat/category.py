@@ -615,11 +615,3 @@ def _induced(action, klass, sub, idx):
     sub_klass = HomogeneousClass(sub_action, dict.fromkeys(
         frozenset(restricted[k] for k in H) for H in klass.subgroup_list))
     return sub_action, sub_klass
-
-
-def cuplength_lower_bound(space):
-    """1 + mod-2 cup-length of the order complex; a lower bound for the
-    plain category of the space (non-equivariant)."""
-    from .simplicial import cuplength, order_complex
-
-    return 1 + cuplength(order_complex(space))

@@ -32,10 +32,10 @@ from .formats import (
     parse_space,
 )
 from .numeric import (
+    FIELD_REGISTRY,
     FixtureUnconstructible,
     FlowConfig,
     check_discrete_palais_smale_sampled,
-    get_field,
     half_interval_field,
     halffixed_circle_map_samples,
     n_schedule,
@@ -90,8 +90,8 @@ def run_scenario(sc, seed=0):
         if family == "reciprocal":
             family = [np.array([1.0 / max(n, 2)]) for n in n_schedule(n_max)]
         outcome["report"] = verify_prop_app(
-            get_field(fixture), FlowConfig(tau, tau / 1000.0), n_max=n_max,
-            family=family)
+            FIELD_REGISTRY[fixture](), FlowConfig(tau, tau / 1000.0),
+            n_max=n_max, family=family)
     elif sc.numeric[0] == "descent-map":
         outcome["report"] = check_discrete_palais_smale_sampled(
             lambda x: x / 2.0,

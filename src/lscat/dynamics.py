@@ -118,10 +118,7 @@ def minimal_escape_power(pair, source_mask, target_mask):
     for n in range(cap + 1):
         if current & ~target_mask == 0:
             return n
-        nxt = 0
-        for i in bits(current):
-            nxt |= 1 << pair.phi.images[i]
-        current = nxt
+        current = pair.phi.image_mask(current)
     return None
 
 
@@ -473,7 +470,9 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
         + ("" if a in fixed_levels else
            " (low cut misses the critical values)"),
     )
-    preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
+    preserving = fence  # a preserving fence is a fence; F = {} asks the same
+    if fence is not None and fa_mask:
+        preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
     report.hypothesis(
         "sublevel_preserving_homotopy", "checked", preserving is not None,
         note="a fence to the identity whose stages keep the low sublevel "

@@ -230,6 +230,9 @@ def parse_numeric(doc, location):
     if check not in NUMERIC_CHECKS:
         raise ValidationError(location, f"numeric scenarios need a check in "
                                         f"{NUMERIC_CHECKS}, got {check!r}")
+    unread = [k for k in ("fixture", "tau", "n_max", "family") if k in doc]
+    if unread and check != "palais-smale-chain":
+        raise ValidationError(location, f"{check} takes none of {unread}")
     fixture = doc.get("fixture", "quadratic")
     tau = doc.get("tau", 1.0)
     n_max = doc.get("n_max", 1000)
@@ -288,12 +291,10 @@ def parse_queries(sc, doc, location):
 def parse_subset(space, doc, location="subset"):
     if doc == "all" or doc is None:
         return space.full_mask()
-    mask = 0
     for lab in _require(doc, "list", location, "a subset"):
         if not (isinstance(lab, str) and lab in space.index):
             raise ValidationError(location, f"unknown point {lab!r}")
-        mask |= 1 << space.index[lab]
-    return mask
+    return space.subset(doc)
 
 
 def parse_theorems(sc, doc, location):
@@ -322,6 +323,9 @@ def parse_theorems(sc, doc, location):
         if not sc.action.is_trivial():
             raise ValidationError(location, "homeo_band_bound takes no "
                                             "group action")
+    elif "reference_spaces" in doc:
+        raise ValidationError(location, "only homeo_band_bound reads "
+                                        "reference_spaces")
     return theorems, [parse_space(d, f"{location}.reference_spaces")
                       for d in refs]
 
@@ -391,7 +395,8 @@ def _render_text(doc, lines, indent=0):
             flag = "ok" if doc["ok"] else "FAILED"
             extra = f" [{doc['status']}]"
             wit = f" witness={doc['witness']}" if doc.get("witness") else ""
-            lines.append(f"{pad}{flag}{extra}{wit}")
+            note = f" - {doc['note']}" if doc.get("note") else ""
+            lines.append(f"{pad}{flag}{extra}{wit}{note}")
             return
         for key in doc:
             value = doc[key]
@@ -402,8 +407,10 @@ def _render_text(doc, lines, indent=0):
                 lines.append(f"{pad}{key}: {value}")
     elif isinstance(doc, list):
         for item in doc:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, dict):
                 _render_text(item, lines, indent)
+            elif isinstance(item, list):  # a tuple such as (level, value)
+                lines.append(f"{pad}- [{', '.join(map(str, item))}]")
             else:
                 lines.append(f"{pad}- {item}")
     else:

@@ -450,7 +450,7 @@ def _mutation_candidates(domain, codomain, images, i):
     return allowed
 
 
-def fence_search(start, is_target, *, stage_ok=None, moves=None):
+def fence_search(start, is_target, *, moves, stage_ok=None):
     """BFS for a fence from ``start`` to a map whose image tuple
     satisfies ``is_target``; a set of image tuples passes
     ``targets.__contains__``.
@@ -460,12 +460,12 @@ def fence_search(start, is_target, *, stage_ok=None, moves=None):
     value v of ``_mutation_candidates`` in the mask ``fixed`` (the values
     its stabiliser fixes), and each pair ``(j, g)`` of ``translates``
     sets j to ``g[v]``; on equivariant maps these are the equivariant
-    moves (see ``_orbit_moves``).  The default, one-point
-    orbits with every value allowed, makes the single-point mutations to
-    a comparable value that keep the map continuous; they generate the
-    same components as map comparability, so the search is exact.
-    Deterministic: FIFO BFS over the moves in order, values ascending,
-    returns the first (shortest, then lexicographically earliest) fence.
+    moves (see ``_orbit_moves``).  For the trivial group they are the
+    single-point mutations to a comparable value that keep the map
+    continuous; they generate the same components as map comparability,
+    so the search is exact.  Deterministic: FIFO BFS over the moves in
+    order, values ascending, returns the first (shortest, then
+    lexicographically earliest) fence.
 
     ``stage_ok(images)`` restricts every stage (used for mod
     deformations).  Returns a FenceCertificate or None.
@@ -477,9 +477,6 @@ def fence_search(start, is_target, *, stage_ok=None, moves=None):
         return None
     if is_target(start_images):
         return FenceCertificate([start])
-    if moves is None:
-        full, ident = codomain.full_mask(), range(len(codomain))
-        moves = [(i, full, ((i, ident),)) for i in range(len(domain))]
 
     seen = {start_images}
     parent = {}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .category import _maximal_members, min_cover
 from .poset import SizeCapExceeded
 
 COLLAPSE_BUDGET = 50_000  # search nodes per collapse sequence
@@ -31,7 +32,7 @@ class NotConnected(ValueError):
 
 
 class SimplicialComplex:
-    """Simplices as sorted vertex tuples, closed under taking faces."""
+    """Sorted vertex tuples closed under faces; each vertex a 0-simplex."""
 
     __slots__ = ("vertices", "simplices", "_by_dim")
 
@@ -42,7 +43,7 @@ class SimplicialComplex:
             if len(set(group)) < len(group):
                 v = next(v for i, v in enumerate(group) if v in group[:i])
                 raise ValueError(f"repeated vertex {v!r} in {group!r}")
-        closed = set()
+        closed = {(v,) for v in vertices}
         for s in simplices:
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
@@ -75,25 +76,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
-
-    def is_connected(self):
-        verts = list(self.vertices)
-        if not verts:
-            return True
-        pos = {v: i for i, v in enumerate(verts)}
-        parent = list(range(len(verts)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.simplices_of_dim(1):
-            ra, rb = find(pos[a]), find(pos[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(len(verts))}) == 1
 
     def induced(self, vertex_subset):
         vs = set(vertex_subset)
@@ -218,9 +200,9 @@ class CohomologyRing:
 def cuplength(K):
     """Largest m with a nonzero m-fold product of positive-degree
     classes; exact via multilinearity over the chosen bases."""
-    if not K.is_connected():
-        raise NotConnected("cup-length needs a connected complex")
     ring = CohomologyRing(K)
+    if len(ring.reps.get(0, ())) > 1:  # rank H^0 counts the components
+        raise NotConnected("cup-length needs a connected complex")
     top = K.dim()
     generators = [Cochain(K, d, z)
                   for d in range(1, top + 1) for z in ring.reps[d]]
@@ -240,6 +222,11 @@ def cuplength(K):
                     nxt.setdefault((prod.dim, coords), prod)
         level = nxt
     return m
+
+
+def cuplength_lower_bound(space):
+    """1 + mod-2 cup-length of the order complex; a lower bound for cat."""
+    return 1 + cuplength(order_complex(space))
 
 
 # -- collapsibility and star covers ---------------------------------------
@@ -320,7 +307,6 @@ def star_cover_upper_bound(K):
             f"star_cover_upper_bound: {nv} vertices exceed "
             f"lscat.simplicial.STAR_VERTEX_CAP = {STAR_VERTEX_CAP}"
         )
-    from .category import _maximal_members, min_cover
 
     def span(mask):
         return tuple(v for k, v in enumerate(K.vertices) if mask >> k & 1)

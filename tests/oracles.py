@@ -6,7 +6,8 @@ comparability graph (no cores, no lazy search), minimal covers are found by enum
 subsets of the candidates in increasing size (no union-closure table), the
 discrete Palais-Smale condition is checked on every subset, mod-2
 cohomology is numpy row reduction with a rank test per cocycle and
-cup-length tries every product of its representatives,
+cup-length tries every product of its representatives, a complex is
+connected when union-find over its edges leaves one class,
 the numeric flow is a plain RK4 loop over the original all-numpy
 truncation profile, and the Palais-Smale chain is the all-numpy block
 integration that recomputes every gradient, with a start-point
@@ -37,7 +38,7 @@ import numpy as np
 
 from lscat.action import HomogeneousClass
 from lscat.category import CatQuery, cover_category
-from lscat.poset import FenceCertificate, SpaceMap, bits
+from lscat.poset import FenceCertificate, SpaceMap, _orbit_moves, bits
 
 
 def comparable(space, i, j):
@@ -273,6 +274,13 @@ def oracle_G_fence(start, action, is_target, stage_ok=None):
                 parent[new] = images
                 queue.append(new)
     return None
+
+
+def point_moves(space):
+    """``fence_search``'s moves on the self-maps of ``space`` for the
+    trivial group: every point alone, with every value allowed."""
+    return _orbit_moves(space, None, tuple(range(len(space))),
+                        space.full_mask())
 
 
 def oracle_G_deformation(action, W, is_target, stage_ok=None):
@@ -660,6 +668,24 @@ def oracle_cuplength(K, ring=None):
         m += 1
         products = [(d + e, oracle_cup(K, d, z, e, w))
                     for d, z in products for e, w in gens if d + e <= top]
+
+
+def oracle_is_connected(K):
+    """Whether K's vertices form one class under its edges, by union-find;
+    the empty complex counts as connected."""
+    verts = list(K.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in K.simplices_of_dim(1):
+        parent[find(pos[a])] = find(pos[b])
+    return len({find(i) for i in range(len(verts))}) <= 1
 
 
 def oracle_truncation_g(x):

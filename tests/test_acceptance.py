@@ -34,7 +34,6 @@ from lscat.category import (
     cat_mod,
     cat_pair,
     cover_category,
-    cuplength_lower_bound,
     value_ge_diff,
 )
 from lscat.dynamics import DynamicalPair, verify_identity_band_bound
@@ -58,6 +57,7 @@ from lscat.poset import FenceCertificate, SpaceMap
 from lscat.simplicial import (
     SimplicialComplex,
     cuplength,
+    cuplength_lower_bound,
     order_complex,
     star_cover_upper_bound,
 )

@@ -27,7 +27,6 @@ from lscat.category import (
     cat_mod,
     cat_pair,
     cover_category,
-    cuplength_lower_bound,
     is_categorical,
     min_cover,
     order_isomorphic,
@@ -50,6 +49,7 @@ from lscat.poset import (
     is_homotopy_equivalence,
     validate_space,
 )
+from lscat.simplicial import cuplength_lower_bound
 
 from oracles import (
     oracle_G_deformation,
@@ -60,6 +60,7 @@ from oracles import (
     oracle_min_cover,
     oracle_relative_G_core,
     oracle_truncated_index,
+    point_moves,
 )
 
 
@@ -942,7 +943,8 @@ def check_preimage_categorical(phi, U, action=None, klass=None):
     # fence 1: incl ~ (psi o phi) o incl, restricted to the preimage
     psiphi = psi.compose(phi)
     outer = fence_search(SpaceMap.identity(space),
-                         {psiphi.images}.__contains__)
+                         {psiphi.images}.__contains__,
+                         moves=point_moves(space))
     if outer is None:  # cannot happen for a genuine equivalence
         raise HypothesisUnmet("homotopy_equivalence")
     part1 = [m.compose(incl_pre) for m in outer.maps]

@@ -518,12 +518,10 @@ def test_identity_fence_decides_as_the_reference_search(acted, preserve):
         assert all(is_G_map(stage, action) for stage in fence.maps)
 
 
-def test_identity_fence_refutes_a_constant_on_the_circle_at_once():
+def constant_on_the_circle():
     """A 12-point circle model, the four-point circle a, b < c, d with
-    eight beat points below it, and phi constant at a: the core of the
-    space is the circle, where s o phi is not the identity, so the
-    answer is None with no fence search (a search over all maps from
-    the identity passes ``FENCE_NODE_CAP`` on this space)."""
+    eight beat points below it, phi constant at a, and f = 0 at a and 1
+    elsewhere."""
     lows = {"x0": "c", "x1": "d", "x2": "c", "x3": "d",
             "x4": "a", "x5": "b", "x6": "a", "x7": "b"}
     space = validate_space(
@@ -531,11 +529,34 @@ def test_identity_fence_refutes_a_constant_on_the_circle_at_once():
         [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
          *lows.items()])
     phi = SpaceMap.from_dict(space, space, {p: "a" for p in space.points})
-    pair = DynamicalPair(space, phi,
+    return DynamicalPair(space, phi,
                          {p: 0.0 if p == "a" else 1.0 for p in space.points})
+
+
+def test_identity_fence_refutes_a_constant_on_the_circle_at_once():
+    """The core of ``constant_on_the_circle`` is the circle, where s o
+    phi is not the identity, so the answer is None with no fence search
+    (a search over all maps from the identity passes ``FENCE_NODE_CAP``
+    on this space)."""
+    pair = constant_on_the_circle()
     with mock.patch.object(poset, "fence_search") as search:
-        assert find_identity_fence(pair, GroupAction.trivial(space)) is None
+        assert find_identity_fence(
+            pair, GroupAction.trivial(pair.space)) is None
     assert search.call_count == 0
+
+
+def test_identity_band_bound_keeps_the_plain_answer_when_it_is_none():
+    """A sublevel-preserving fence is a fence, so once the plain question
+    answers None the preserving one is not asked: one identity question
+    on ``constant_on_the_circle`` with the band (0.5, 2], whose low
+    sublevel {a} is nonempty."""
+    pair = constant_on_the_circle()
+    with mock.patch.object(dynamics, "find_identity_fence",
+                           wraps=find_identity_fence) as ask:
+        report = verify_identity_band_bound(pair, 0.5, 2.0)
+    assert ask.call_count == 1
+    assert not report.hypotheses["homotopic_to_identity"]["ok"]
+    assert not report.hypotheses["sublevel_preserving_homotopy"]["ok"]
 
 
 def test_identity_fence_refuses_a_map_that_is_not_equivariant():

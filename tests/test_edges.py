@@ -27,6 +27,7 @@ from lscat.poset import (
     validate_space,
 )
 from lscat.simplicial import SimplicialComplex, star_cover_upper_bound
+from oracles import point_moves
 
 
 def test_subset_cap_on_up_sets():
@@ -186,7 +187,8 @@ _S3 = [{"d0": "d1", "d1": "d2", "d2": "d0"},
                  lambda: fx.discrete(3).up_sets(), id="up_sets"),
     pytest.param(poset, "FENCE_NODE_CAP", 1, 100,
                  lambda: fence_search(SpaceMap.identity(fx.fix_v()),
-                                      lambda im: False),
+                                      lambda im: False,
+                                      moves=point_moves(fx.fix_v())),
                  id="fence_search"),
     pytest.param(action, "GROUP_CAP", 5, 6,
                  lambda: validate_action(fx.discrete(3), _S3),

@@ -31,6 +31,7 @@ from oracles import (
     oracle_axioms_sampled,
     oracle_supervariance_sampled,
     oracle_truncated_index,
+    point_moves,
 )
 from test_category import CLASSES, acted_spaces
 
@@ -755,7 +756,8 @@ def test_generator_produces_identity_homotopic_lyapunov_pairs():
         pair, nu, a, b = random_instance(seed)
         assert check_discrete_palais_smale(pair)["ok"]
         fence = fence_search(
-            SpaceMap.identity(pair.space), {pair.phi.images}.__contains__
+            SpaceMap.identity(pair.space), {pair.phi.images}.__contains__,
+            moves=point_moves(pair.space),
         )
         assert fence is not None
         assert a < b

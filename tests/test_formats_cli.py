@@ -113,12 +113,21 @@ def test_emit_report_text_renders_ledger():
         "hypotheses": {
             "lyapunov": {"status": "checked", "ok": True, "witness": None,
                          "note": None},
+            "homotopic_to_identity": {"status": "checked", "ok": False,
+                                      "witness": "c",
+                                      "note": "fence of length 5"},
         },
+        "values": {"per_level": [(0.0, 1), (1.0, float("inf"))]},
         "verdict": "HOLDS",
     }
-    text = emit_report(report, "text")
-    assert "lyapunov" in text
-    assert "HOLDS" in text
+    lines = emit_report(report, "text").splitlines()
+    assert "lyapunov" in lines[1]
+    assert lines[2].strip() == "ok [checked]"
+    assert lines[4].strip() == \
+        "FAILED [checked] witness=c - fence of length 5"
+    # one line per (level, value) pair
+    assert [line.strip() for line in lines[7:]] == \
+        ["- [0.0, 1]", "- [1.0, inf]", "verdict: HOLDS"]
 
 
 def test_expectation_mismatches_subset_semantics():
@@ -429,27 +438,27 @@ REPORT_DIGESTS = {
     ("verify", "constant_map_circle", "structured"):
         "7bbadc0c6e4f976d1d7bd471454f71745a27a4f3ef6f18e4d3f0181ef492de7d",
     ("verify", "constant_map_circle", "text"):
-        "87b7f6f549e0bc4df7a0c969cfb0ab1e1bf04caa579f02424858e8f8732f3ef1",
+        "9ce1239f176dcd7df46610050a2396950e8a51cab7b0122cabc3e6c0e5afde57",
     ("verify", "halfcircle_boundary_band", "structured"):
         "d97a754b8f595ee33d3eec80113e4957ba15a0006c0a2ff232251ee6e1c95ba3",
     ("verify", "halfcircle_boundary_band", "text"):
-        "facd0ce2e3c6a75b90d9b214f298bcc4cf3fe918aac1567cd2fe09903ad5f86c",
+        "aaab89dd79774883f0227aecb91a21395cb47bd4b5dc31963325e8210337447e",
     ("verify", "homeo_two_level", "structured"):
         "d9fbfadf220fd89c01810af6c6119b622d0748ece05e5d3d7bf53f1f5a1cf9e4",
     ("verify", "homeo_two_level", "text"):
-        "1c70476d6ca0732bdcc5dcc5e9e629295cf6aba38b8f0c39a7c694c76dfbfcb0",
+        "f39b793e660909c835e5c836f9c5b13ab2c46dcc99970664d3bc23cf0f97bbb0",
     ("verify", "two_level_divergence", "structured"):
         "4efa704019bb6298e99d9cc13f22eb2347f1637a374a59121a785bdf967c42a9",
     ("verify", "two_level_divergence", "text"):
-        "80dce1149ebeb313c965c6e34ed3c029fd59fd1d379bdf5d41e14adfeacfa989",
+        "e06547d05a0c3f64608ef86f51be16908c29738a61f030821335503cdeda19f2",
     ("verify", "v_descent_bounds", "structured"):
         "59e1ed9d358232b6645f6c38ffb4ec976ca4a8422152be42a03c803494adf555",
     ("verify", "v_descent_bounds", "text"):
-        "d4f2fe33610e89500485bea2191f35f55c267459a19d80bccb590358c3764fa0",
+        "8071b8c287908d98cf369226804dee3466e8ffa25c3194785c1048fe3686ec3a",
     ("verify", "wedge_cone_band", "structured"):
         "a1d09912f8f76fd78ff5e2ca820efdb56b9b890f48d892c1dd3027091742015a",
     ("verify", "wedge_cone_band", "text"):
-        "31868a178aa7dfee2decae525ee5004ef02f2232b44d85c092adf64552693392",
+        "efff2041a6625c504f9cc56babb1db32c1e717e4b6c2309db406cee35e48c41f",
     ("engine verify", "engine_negative_constant", "structured"):
         "40b47c7e05820eab28d29d85d653295bab1091961434d92b39aa0eb00f7e678f",
     ("engine verify", "engine_negative_constant", "text"):
@@ -540,14 +549,20 @@ def test_cli_tau_rule_is_that_the_step_is_positive(capsys):
     {"tau": "1.0"}, {"tau": True}, {"tau": 10 ** 400}, {"n_max": 10.0},
     {"n_max": True}, {"fixture": ["quadratic"]}, {"family": "bogus"},
     {"family": None}, {"check": "bogus"}, {"tau": 2.4e-321},
+    {"check": "descent-map", "tau": 1.0},
+    {"check": "descent-map", "n_max": 10},
+    {"check": "halffixed-circle", "fixture": "quadratic"},
+    {"check": "halffixed-circle", "family": "reciprocal"},
 ], ids=["tau-string", "tau-bool", "tau-huge-int", "n-max-float",
         "n-max-bool", "fixture-list", "family-unknown", "family-null",
-        "check-unknown", "tau-step-zero"])
+        "check-unknown", "tau-step-zero", "descent-map-tau",
+        "descent-map-n-max", "halffixed-circle-fixture",
+        "halffixed-circle-family"])
 def test_parse_rejects_bad_numeric_fields(edit):
     doc = {"kind": "numeric", "check": "palais-smale-chain"}
     assert parse_scenario(dict(doc)).numeric == (
         "palais-smale-chain", "quadratic", 1.0, 1000, None)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^<doc>: "):
         parse_scenario({**doc, **edit})
 
 
@@ -567,14 +582,15 @@ def _load_fixture(name):
 
 
 def _run_doc(doc, command):
-    """Exit code of ``lscat <command> FILE`` on a scenario document."""
+    """Exit code of ``lscat <command> FILE`` on a scenario document; for
+    ``corpus run`` the argument is a directory holding the file alone."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)  # NaN and Infinity are written as such
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return main(command + [path])
+            return main(command + [tmp if command[0] == "corpus" else path])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -793,6 +809,14 @@ def malformed_scenarios(draw):
                   lambda d: d.update(thoerems=["band_bound"])), ["verify"]))
 @example((_edited("v_descent_bounds.json",
                   lambda d: d.update(index={"cap": 2})), ["verify"]))
+# keys that nothing reads for the selected theorems or numeric check
+@example((_edited("v_descent_bounds.json", lambda d: d.update(
+    reference_spaces=[d["space"]])), ["verify"]))
+@example((_edited("shrinking_halfline.json",
+                  lambda d: d.update(tau=1.0)), ["corpus", "run"]))
+@example((_edited("halffixed_circle.json",
+                  lambda d: d.update(fixture="quadratic")),
+          ["corpus", "run"]))
 @settings(max_examples=300, deadline=None)
 @given(malformed_scenarios())
 def test_cli_rejects_malformed_scenarios(case):

@@ -148,3 +148,16 @@ def test_only_deform_calls_the_fence_search():
                             None) == "fence_search":
                         callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"poset._deform"}, f"fence_search callers: {callers}"
+
+
+def test_no_import_inside_a_function():
+    """Every import of ``src/lscat`` sits at module level, so the import
+    graph between its modules is read from their heads and no call hides
+    a cycle."""
+    nested = []
+    for path in sorted((ROOT / "src" / "lscat").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == [], f"imports inside functions: {nested}"

@@ -15,7 +15,6 @@ from lscat.numeric import (
     check_energy_identity,
     field_V,
     flow_map,
-    get_field,
     half_interval_field,
     halffixed_circle_map_samples,
     n_schedule,
@@ -558,10 +557,3 @@ def test_prop_app_half_interval_conclusion_fails():
                              n_max=1000, family=family)
     assert not report["conclusion_ok"]
     assert not report["rest_point_in_domain"]
-
-
-def test_field_registry():
-    assert get_field("quadratic").name == "quadratic"
-    assert get_field("half-interval").name == "half-interval"
-    with pytest.raises(KeyError):
-        get_field("nope")

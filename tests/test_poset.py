@@ -31,6 +31,7 @@ from oracles import (
     oracle_order_violation,
     oracle_strict_neighbours,
     oracle_up_sets,
+    point_moves,
 )
 
 
@@ -608,10 +609,11 @@ def test_fence_cap_bounds_the_maps_explored(v_space, monkeypatch):
     # V is contractible, so its self-maps form one component, and a
     # search that never hits its target explores each of them once
     explored = len(enumerate_maps(v_space, v_space))
-    ident = SpaceMap.identity(v_space)
+    ident, moves = SpaceMap.identity(v_space), point_moves(v_space)
     monkeypatch.setattr(poset, "FENCE_NODE_CAP", explored)
-    assert poset.fence_search(ident, lambda images: False) is None
+    assert poset.fence_search(ident, lambda images: False,
+                              moves=moves) is None
     monkeypatch.setattr(poset, "FENCE_NODE_CAP", explored - 1)
     with pytest.raises(poset.SizeCapExceeded,
                        match=f"FENCE_NODE_CAP = {explored - 1}"):
-        poset.fence_search(ident, lambda images: False)
+        poset.fence_search(ident, lambda images: False, moves=moves)

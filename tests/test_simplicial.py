@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import fixtures as fx
 from fixtures import face_poset
 from lscat import simplicial
-from lscat.category import cuplength_lower_bound
 from lscat.simplicial import (
     CohomologyRing,
     NotConnected,
@@ -19,6 +18,7 @@ from lscat.simplicial import (
     collapse_sequence,
     cup,
     cuplength,
+    cuplength_lower_bound,
     Cochain,
     order_complex,
     star_cover_upper_bound,
@@ -29,6 +29,7 @@ from oracles import (
     oracle_coboundary_matrix,
     oracle_cup,
     oracle_cuplength,
+    oracle_is_connected,
 )
 
 
@@ -68,7 +69,7 @@ def test_order_complex_c4_is_four_cycle(c4):
     K = order_complex(c4)
     assert K.f_vector() == (4, 4)
     assert euler_characteristic(K) == 0
-    assert K.is_connected()
+    assert oracle_is_connected(K)
 
 
 def test_order_complex_antichain():
@@ -242,8 +243,11 @@ def random_complexes(draw):
 @settings(max_examples=80, deadline=None)
 def test_cohomology_matches_numpy_oracle_on_random_complexes(K, data):
     ring, ref = assert_matches_oracle(K)
-    if K.is_connected():
+    if oracle_is_connected(K):
         assert cuplength(K) == oracle_cuplength(K, ref)
+    else:
+        with pytest.raises(NotConnected):
+            cuplength(K)
     d = data.draw(st.integers(min_value=0, max_value=K.dim()))
     n_d = len(K.simplices_of_dim(d))
     coeffs = data.draw(st.integers(min_value=0, max_value=(1 << n_d) - 1))
@@ -274,6 +278,25 @@ def test_cuplength_requires_connected():
     K = SimplicialComplex.from_maximal([("a",), ("b",)])
     with pytest.raises(NotConnected):
         cuplength(K)
+
+
+@pytest.mark.parametrize("K, f, connected", [
+    pytest.param(SimplicialComplex(["a", "b"], [("a",)]), (2,), False,
+                 id="listed-vertex"),
+    pytest.param(SimplicialComplex.from_maximal([("a", "b"), ("c", "d")]),
+                 (4, 2), False, id="two-edges"),
+    pytest.param(SimplicialComplex([], []), (), True, id="empty"),
+])
+def test_cuplength_connectivity_agrees_with_union_find(K, f, connected):
+    # each listed vertex is a 0-simplex, so H^0 and the edges see the
+    # same components
+    assert K.f_vector() == f
+    assert oracle_is_connected(K) is connected
+    if connected:
+        assert cuplength(K) == 0
+    else:
+        with pytest.raises(NotConnected):
+            cuplength(K)
 
 
 def test_collapsibility():
