@@ -56,7 +56,13 @@ from .action import (
     is_G_map,
     mod_stage_ok,
 )
-from .poset import FenceCertificate, _deform, bits, is_contractible_in
+from .poset import (
+    FenceCertificate,
+    _component_masks,
+    _deform,
+    bits,
+    is_contractible_in,
+)
 # Not called here; perfbench/check_tracer.py checks this import site.
 from .poset import fence_search  # noqa: F401
 
@@ -329,13 +335,9 @@ def _factor_targets(mask, action, klass):
     local = {p: k for k, p in enumerate(bits(mask))}
     comp_orbits = []  # (setwise stabiliser of a component, its translates)
     rest = mask
-    while rest:
-        comp = rest & -rest
-        while True:
-            grown = (space.up_closure(comp) | space.down_closure(comp)) & mask
-            if grown == comp:
-                break
-            comp = grown
+    for comp in _component_masks(space, mask):
+        if not comp & rest:
+            continue  # a translate of an earlier component
         stab, translates = [], {}
         for k, g in enumerate(action.elements):
             moved = 0

@@ -42,7 +42,6 @@ from .poset import (
     _collapse_stages,
     _deform,
     _reach,
-    automorphism_inverse,
     bits,
     is_homotopy_equivalence,
 )
@@ -143,14 +142,13 @@ class TheoremReport:
         }
 
     def part(self, name, lhs, rhs_kind, holds, assertable, note=None,
-             hypothesis_ok=True, bound=None):
+             bound=None):
         self.parts[name] = {
             "lhs": lhs,
             "bound": bound,
             "rhs": rhs_kind,
             "holds": bool(holds),
             "assertable": bool(assertable),
-            "hypothesis_ok": bool(hypothesis_ok),  # printed, not read
             "note": note,
         }
 
@@ -270,10 +268,6 @@ def _base_hypotheses(report, pair, action):
             for orb in action.orbits()
         )
         report.hypothesis("invariant_function", "checked", inv)
-    report.hypothesis(
-        "finite_critical_levels", "checked", True,
-        note="finite spaces have finite value sets",
-    )
 
 
 def _count_orbit_classes(pair, a, b, action):
@@ -495,12 +489,11 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     report.part(
         "II", lhs, "pair category", lhs >= pair_bound,
         assertable=core_ok and hull_ok, bound=pair_bound,
-        hypothesis_ok=hull_ok,
     )
     if semi_bound is not None:
         report.part(
             "semi", lhs, "semi category", lhs >= semi_bound,
-            assertable=False, bound=semi_bound, hypothesis_ok=hull_ok,
+            assertable=False, bound=semi_bound,
             note="report-only: the semi variant is not subadditive on "
                  "finite models",
         )
@@ -508,7 +501,6 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
         "III", lhs, "mod category",
         lhs >= mod_bound if preserving is not None else False,
         assertable=False, bound=mod_bound,
-        hypothesis_ok=preserving is not None,
         note="report-only: the mod variant is not subadditive on finite "
              "models",
     )
@@ -565,19 +557,12 @@ def verify_semiflow(pair, action=None, klass=None):
     space = pair.space
     report = TheoremReport("semiflow")
     # the points at rest under every iterate phi^k are those of phi^1
-    fixed = sorted(space.labels(pair.fixed_mask()))
-    report.values["fixed_set"] = fixed
-    report.values["rest_set"] = fixed
-    report.hypothesis(
-        "rest_points_match_fixed_points", "checked", True,
-        note="rest points of every iterate equal the fixed points of the "
-             "generator",
-    )
+    report.values["fixed_set"] = sorted(space.labels(pair.fixed_mask()))
     a = min(pair.f) - 1.0
     inner = verify_identity_band_bound(pair, a, INFINITE, action, klass)
     report.values["band_report"] = inner.to_dict()
     cat_x = inner.values["sublevel_cat_high"]
-    ledgers_ok = not (report.checked_failures() or inner.checked_failures())
+    ledgers_ok = not inner.checked_failures()
     for name, key in (("a", "slice_sum"), ("b", "orbit_class_count"),
                       ("c", "fixed_slice_cat")):
         count = inner.values[key]
@@ -603,7 +588,9 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     space = pair.space
     report = TheoremReport("homeo_band_bound")
     _base_hypotheses(report, pair, action)
-    homeo = automorphism_inverse(pair.phi) is not None
+    # a bijective self-map of a finite poset is an automorphism, as in
+    # is_homotopy_equivalence
+    homeo = len(set(pair.phi.images)) == len(space)
     report.hypothesis("homeomorphism", "checked", homeo)
     if not homeo:
         report.values["note"] = "phi is not invertible"
@@ -628,15 +615,14 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
         "band": [a, b],
     })
     # flow variant: the iterates of a homeomorphism form a discrete flow
+    # whose rest points are the fixed points
     report.values["flow_rest_set"] = sorted(space.labels(pair.fixed_mask()))
-    for name, note in (("count", None), ("flow", "rest points of the "
-                       "iterate flow coincide with the fixed set")):
-        report.part(
-            name, total, "difference of reference-class counts",
-            value_ge_diff(total, cat_fb, cat_fa),
-            assertable=not report.checked_failures(),
-            bound=_diff(cat_fb, cat_fa), note=note,
-        )
+    report.part(
+        "count", total, "difference of reference-class counts",
+        value_ge_diff(total, cat_fb, cat_fa),
+        assertable=not report.checked_failures(),
+        bound=_diff(cat_fb, cat_fa),
+    )
     _maybe_persist(pair, report)
     return report
 

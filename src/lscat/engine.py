@@ -446,8 +446,7 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
     space = pair.space
     dps = check_discrete_palais_smale(pair)
-    hypotheses = {"lyapunov": dps, "discrete_palais_smale": dps,
-                  "finite_critical_levels": {"ok": True, "witness": None}}
+    hypotheses = {"lyapunov": dps, "discrete_palais_smale": dps}
     if axiom_mode == "assumed":
         hypotheses["axioms"] = {"ok": True, "mode": "assumed",
                                 "witness": None}

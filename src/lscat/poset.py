@@ -159,15 +159,7 @@ class FiniteSpace:
         """The connected components (of the comparability graph) as
         masks, by least point; computed on the first request."""
         if self._components is None:
-            out, rest = [], self.full_mask()
-            while rest:
-                comp, grown = 0, rest & -rest
-                while grown != comp:
-                    comp = grown
-                    grown = self.up_closure(comp) | self.down_closure(comp)
-                out.append(comp)
-                rest &= ~comp
-            self._components = tuple(out)
+            self._components = tuple(_component_masks(self, self.full_mask()))
         return self._components
 
     def down_sets(self):
@@ -206,6 +198,20 @@ class FiniteSpace:
 
 def _negative(mask):
     return ValueError(f"a mask is a nonnegative int, got {mask}")
+
+
+def _component_masks(space, mask):
+    """The connected components of the comparability graph of the
+    subspace on ``mask``, as masks, by least point."""
+    out = []
+    while mask:
+        comp, grown = 0, mask & -mask
+        while grown != comp:
+            comp = grown
+            grown = (space.up_closure(comp) | space.down_closure(comp)) & mask
+        out.append(comp)
+        mask &= ~comp
+    return out
 
 
 def _closure(rows, mask):
@@ -661,9 +667,12 @@ def _deform(space, W, question, keep=0, group=None, hold=0):
     X -> X' does inside X': to a constant, through an orbit, into Y (mod
     Y) with Y in ``hold``, or to phi.  No search runs when the inclusion of W'
     is a target, else one ``fence_search``; the fence is lifted to W
-    (``_lift``) when its maps are first read.
+    (``_lift``) when its maps are first read.  A whole-space W whose
+    ``_reach`` entry is already kept reads its walk from there.
     """
-    alive, removals = _collapse(space, W, keep, group)
+    walk = space._reaches.get((hold, group)) if (
+        W == space.full_mask() and keep == hold) else None
+    alive, removals = walk[:2] if walk else _collapse(space, W, keep, group)
     asked = question(alive)
     if asked is None:
         return None
@@ -741,24 +750,14 @@ def _is_constant(images):
     return len(set(images)) == 1
 
 
-def automorphism_inverse(phi):
-    """The inverse of phi when phi is an order automorphism, else None."""
-    if phi.domain != phi.codomain or len(set(phi.images)) != len(phi.domain):
-        return None
-    inv = [0] * len(phi.domain)
-    for i, v in enumerate(phi.images):
-        inv[v] = i
-    try:
-        return SpaceMap(phi.domain, phi.domain, tuple(inv))
-    except ValueError:
-        return None
-
-
 def is_homotopy_equivalence(phi):
     """Finite-space criterion: the self-map phi induces on the core of
-    its domain is an order automorphism."""
+    its domain is an order automorphism, that is, a bijection.  A
+    bijective order-preserving self-map of a finite poset sends the
+    finite set of pairs x <= y into itself injectively, hence onto it,
+    so its inverse preserves order too."""
     if phi.domain != phi.codomain:
         raise ValueError("expected a self-map")
     c = core(phi.domain)
     induced = c.retraction.compose(phi).compose(c.inclusion)
-    return automorphism_inverse(induced) is not None
+    return len(set(induced.images)) == len(c.core)

@@ -10,7 +10,6 @@ from itertools import product
 
 from lscat.poset import (
     SpaceMap,
-    automorphism_inverse,
     core,
     join_labels,
     validate_space,
@@ -127,14 +126,22 @@ def c4_swap_map(space=None):
     )
 
 
+def inverse_images(images):
+    """The image tuple of the inverse of a bijective self-map."""
+    inv = [0] * len(images)
+    for i, v in enumerate(images):
+        inv[v] = i
+    return tuple(inv)
+
+
 def homotopy_inverse(phi):
     """A homotopy inverse of a finite-space homotopy equivalence: through
     the core, the inverse of the core self-map phi induces."""
     c = core(phi.domain)
-    core_inverse = automorphism_inverse(
-        c.retraction.compose(phi).compose(c.inclusion))
-    if core_inverse is None:
+    induced = c.retraction.compose(phi).compose(c.inclusion)
+    if len(set(induced.images)) != len(c.core):
         raise ValueError("map is not a homotopy equivalence")
+    core_inverse = SpaceMap(c.core, c.core, inverse_images(induced.images))
     return c.inclusion.compose(core_inverse).compose(c.retraction)
 
 

@@ -64,6 +64,7 @@ from lscat.simplicial import (
 
 from certify import count_calls, verify_results
 from oracles import oracle_cat, oracle_cuplength
+from removed_rows import CRITERION_04_SHA256_BEFORE, with_removed_rows
 
 
 def _line(number, ok, detail):
@@ -129,9 +130,10 @@ def test_criterion_03_equivariant_exceeds_quotient():
     assert _line(3, ok, f"equivariant cat={gcat} >= 2 > 1 = quotient {qcat}")
 
 
-# sha256 of the 1000 reports' ``json.dumps(report, sort_keys=True)``
+# sha256 of the 1000 reports' ``json.dumps(report, sort_keys=True)``;
+# with the removed constant row put back, CRITERION_04_SHA256_BEFORE
 CRITERION_04_SHA256 = (
-    "1363e1e2677cd90ea24e60f7686790183f33d0a1ec5b0aaf417628c782383cdc")
+    "8d1b1de7a83cd77b4c38f7118803bedad881a64903b1ebd4b87e588ac3d21fb7")
 # the benchmark's per-instance summaries (verdict|lhs total|rhs), read only
 ENGINE_PINS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
@@ -158,7 +160,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         count_calls(monkeypatch, counts, "sampled_loops", lscat.engine, name)
     t0 = time.monotonic()
     holds = ledger_passing = 0
-    digest = hashlib.sha256()
+    digest, before = hashlib.sha256(), hashlib.sha256()
     unpinned = []
     for seed in range(1000):
         pair, nu, a, b = random_instance(seed)
@@ -173,6 +175,9 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
             ledger_passing += 1
             if report["verdict"] == "INEQUALITY_HOLDS":
                 holds += 1
+        # last: this puts the removed row back into the report
+        before.update(json.dumps(with_removed_rows(report),
+                                 sort_keys=True).encode())
     elapsed = time.monotonic() - t0
     searched = counts["fence_search"]
     # the instances read values only, so no fence was assembled
@@ -189,6 +194,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         and not persisted
         and not unpinned
         and digest.hexdigest() == CRITERION_04_SHA256
+        and before.hexdigest() == CRITERION_04_SHA256_BEFORE
         and len(results) == CRITERION_04_COVER_QUERIES
         and searched == CRITERION_04_FENCE_SEARCHES
         and counts["sampled_loops"] == 0

@@ -224,7 +224,7 @@ def test_identity_band_bound_wedge(wedge_pair):
     assert values["semi_bound"] == 1
     assert values["mod_bound"] == INFINITE
     assert report.parts["II"]["holds"]
-    assert not report.parts["III"]["hypothesis_ok"]
+    assert not report.hypotheses["sublevel_preserving_homotopy"]["ok"]
     assert all(v for v in values["bound_chain"].values())
 
 
@@ -359,7 +359,7 @@ def test_detect_nondeformable_requires_equivalence(c4_const_pair):
 def test_semiflow_v(v_pair):
     report = verify_semiflow(v_pair)
     assert report.verdict() == "HOLDS"
-    assert report.values["rest_set"] == ["a", "c"]
+    assert report.values["fixed_set"] == ["a", "c"]
     assert report.parts["a"]["lhs"] == 2
     assert report.parts["a"]["bound"] == 1
 
@@ -368,8 +368,8 @@ def test_semiflow_identity(c4):
     pair = DynamicalPair(c4, SpaceMap.identity(c4), fx.C4_TWO_LEVEL_HEIGHTS)
     report = verify_semiflow(pair)
     assert report.verdict() == "HOLDS"
-    assert report.values["rest_set"] == sorted(c4.points)
-    assert report.hypotheses["rest_points_match_fixed_points"]["ok"]
+    assert report.values["fixed_set"] == sorted(c4.points)
+    assert report.hypotheses == {}  # the parts read the inner ledger
 
 
 def test_identity_band_bound_records_a_missing_fence(c4):
@@ -397,20 +397,16 @@ def test_semiflow_without_an_identity_fence_asserts_no_part():
     assert not report.parts["b"]["holds"]
 
 
-def test_semiflow_rest_points_equal_fixed_points(v_pair, wedge_pair):
-    for pair in (v_pair, wedge_pair):
-        report = verify_semiflow(pair)
-        assert report.values["rest_set"] == report.values["fixed_set"]
-
-
 def test_homeo_band_bound_two_level(two_level_pair, v_space):
     report = verify_homeo_band_bound(two_level_pair, [v_space], -1.0, 1.0)
     assert report.verdict() == "HOLDS"
     assert report.values["slice_sum"] == 3
     assert report.values["sublevel_count_high"] == 2
     assert report.values["sublevel_count_low"] == 0
+    assert list(report.parts) == ["count"]
     assert report.parts["count"]["holds"]
-    assert report.parts["flow"]["holds"]
+    assert report.values["flow_rest_set"] == sorted(
+        two_level_pair.space.labels(two_level_pair.fixed_mask()))
 
 
 def test_homeo_band_bound_rejects_noninvertible(c4_const_pair, v_space):

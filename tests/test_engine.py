@@ -663,7 +663,6 @@ def test_index_bound_ledger_holds_the_rows_of_its_checks(v_pair, planted):
                 rows = {
                     "lyapunov": dps,
                     "discrete_palais_smale": dps,
-                    "finite_critical_levels": {"ok": True, "witness": None},
                     "axioms": axioms,
                     "supervariance": check_supervariance(
                         nu, v_pair.phi, v_pair.sublevel(a), seed=seed),

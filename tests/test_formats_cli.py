@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,14 +24,15 @@ from lscat.formats import (
 )
 
 from certify import count_calls, verify_results
+from removed_rows import STRUCTURED_DIGESTS_BEFORE, with_removed_rows
 
 CORPUS = builtin_corpus_dir()
 
-# sha256 of `lscat corpus run --format structured` on the shipped corpus;
-# perfbench/pins.json pins the same digest
-CORPUS_DIGEST = (
-    "647fd5a70907c107b2bfb06f01418ccf9a7a0cea0100aa8f36b452ee51d3335b"
-)
+# sha256 of `lscat corpus run --format structured` on the shipped corpus,
+# read from the benchmark's pins
+CORPUS_DIGEST = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
+    .read_text())["corpus-cli"]
 
 # fence searches of one corpus run and their domain points, counted at
 # every call of poset.fence_search: (42, 205) with homotopy to the
@@ -436,37 +438,37 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
 # corpus digest covers only the summary rows, not these report bytes
 REPORT_DIGESTS = {
     ("verify", "constant_map_circle", "structured"):
-        "7bbadc0c6e4f976d1d7bd471454f71745a27a4f3ef6f18e4d3f0181ef492de7d",
+        "8a94a48437beeb72ac281a3c932edc1c46602e03f8ccced88b4e9a3e5fcd455b",
     ("verify", "constant_map_circle", "text"):
-        "9ce1239f176dcd7df46610050a2396950e8a51cab7b0122cabc3e6c0e5afde57",
+        "7de4bb4134159519efacc4e81c34fcc15e7d0f93a461be4b5fcbbce1ccc5b49d",
     ("verify", "halfcircle_boundary_band", "structured"):
-        "d97a754b8f595ee33d3eec80113e4957ba15a0006c0a2ff232251ee6e1c95ba3",
+        "7a3471f1b42cc7733aa17094463ea075665a88a3acad0f4579eb9f19a2516c13",
     ("verify", "halfcircle_boundary_band", "text"):
-        "aaab89dd79774883f0227aecb91a21395cb47bd4b5dc31963325e8210337447e",
+        "1762fdd3bbc5d1f0227bed374031f9620b896087225fdc16160f00fd4a538386",
     ("verify", "homeo_two_level", "structured"):
-        "d9fbfadf220fd89c01810af6c6119b622d0748ece05e5d3d7bf53f1f5a1cf9e4",
+        "19e1f1ec78cf68e063d140f2e42e5c6830636c9d6ed2f1ce1665005971143b22",
     ("verify", "homeo_two_level", "text"):
-        "f39b793e660909c835e5c836f9c5b13ab2c46dcc99970664d3bc23cf0f97bbb0",
+        "20710c14eb436108ef36c9c2f952c0ced280616ff3c905ffb6b168091a09945e",
     ("verify", "two_level_divergence", "structured"):
-        "4efa704019bb6298e99d9cc13f22eb2347f1637a374a59121a785bdf967c42a9",
+        "aeb951a77966433d7f6fc6f9d0eb3eff3be23dcd616cd133bb9a3e06efec7f19",
     ("verify", "two_level_divergence", "text"):
-        "e06547d05a0c3f64608ef86f51be16908c29738a61f030821335503cdeda19f2",
+        "9386e856bb8ac6fb03ba02a57d5ba38c86c08f2406167ac641090d5b702a8945",
     ("verify", "v_descent_bounds", "structured"):
-        "59e1ed9d358232b6645f6c38ffb4ec976ca4a8422152be42a03c803494adf555",
+        "182f1f8508ebbaf2283af73ed2f00e78be594f61968c81a049e05d3ab5d9db5a",
     ("verify", "v_descent_bounds", "text"):
-        "8071b8c287908d98cf369226804dee3466e8ffa25c3194785c1048fe3686ec3a",
+        "677d1df0338735a73a3dc90ce381bc250e8caf476d5ad8857229b20ab3bdce1e",
     ("verify", "wedge_cone_band", "structured"):
-        "a1d09912f8f76fd78ff5e2ca820efdb56b9b890f48d892c1dd3027091742015a",
+        "bde92f1e0781a98db271078202de335376ffcd2ae98135beadc713795ba4c119",
     ("verify", "wedge_cone_band", "text"):
-        "efff2041a6625c504f9cc56babb1db32c1e717e4b6c2309db406cee35e48c41f",
+        "43fa4022913210f9f61400e2644c56adc3abf4b1ea276c3f4838250575529b33",
     ("engine verify", "engine_negative_constant", "structured"):
-        "40b47c7e05820eab28d29d85d653295bab1091961434d92b39aa0eb00f7e678f",
+        "64ff0bcf41c41377dd5c446341c56f1b8b8818e6444041ba214602cf0f6947e3",
     ("engine verify", "engine_negative_constant", "text"):
-        "0c082fddb022424d33899c0a13316ec32b03cf78787069debb5fb5894cd9c32d",
+        "8956a6f3d9f76799e0bd0da91b2cf6b1f30e349e596b22b9d3b7439855ca7518",
     ("engine verify", "v_descent_engine", "structured"):
-        "e74b0cf006a746617b0844bcc4c3f82abf7d182837ab9215354f0248df703036",
+        "b25eb16fb1b230c8084b9455a471a5483aaa7d18ff77b738d07da0847dd19be6",
     ("engine verify", "v_descent_engine", "text"):
-        "d10ef2c38de0bad4372924823a61300218ce94c26cfaa3f4b539f8651de9ec42",
+        "18a3ea6a1e56bf0bf3d58e69e8125827d487fedb2ff982ad4c9d8834c6831d87",
 }
 
 
@@ -476,6 +478,23 @@ def test_report_bytes_pinned(command, fixture, fmt, capsys):
                  "--format", fmt]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REPORT_DIGESTS[command, fixture, fmt]
+
+
+@pytest.mark.parametrize("command, fixture", sorted(STRUCTURED_DIGESTS_BEFORE))
+def test_reports_differ_from_the_old_bytes_only_by_the_removed_rows(
+        command, fixture, capsys):
+    """Putting the deleted constant rows, copied fields and the repeated
+    part back into today's structured report gives the old bytes."""
+    assert main([*command.split(), corpus_file(fixture + ".json"),
+                 "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert emit_report(doc, "structured") == out
+    reports = doc["reports"].values() if "reports" in doc else [doc["report"]]
+    for report in reports:
+        with_removed_rows(report)
+    digest = hashlib.sha256(emit_report(doc, "structured").encode())
+    assert digest.hexdigest() == STRUCTURED_DIGESTS_BEFORE[command, fixture]
 
 
 def test_numeric_false_rest_point_is_not_a_conclusion(capsys):

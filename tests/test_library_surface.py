@@ -161,3 +161,41 @@ def test_no_import_inside_a_function():
                 nested += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == [], f"imports inside functions: {nested}"
+
+
+def _is_literal(node, value):
+    return isinstance(node, ast.Constant) and type(node.value) is type(
+        value) and node.value == value
+
+
+def test_no_ledger_row_is_checked_and_ok_by_a_constant():
+    """A ledger row reads "checked" and ok only when a check ran: no
+    ``report.hypothesis(...)`` call passes the literal status "checked"
+    with a literal True, and no row of ``engine.verify_index_bound``'s
+    ledger is a dict literal with "ok": True, except the axiom row of
+    ``axiom_mode="assumed"``, which says that it is assumed."""
+    constant = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) == "hypothesis":
+                keywords = {kw.arg: kw.value for kw in node.keywords}
+                status = node.args[1] if len(node.args) > 1 \
+                    else keywords.get("status")
+                ok = node.args[2] if len(node.args) > 2 \
+                    else keywords.get("ok")
+                if _is_literal(status, "checked") and _is_literal(ok, True):
+                    constant.append(f"{path.stem}:{node.lineno}")
+    engine = ast.parse((ROOT / "src" / "lscat" / "engine.py").read_text())
+    verify = next(fn for fn in ast.walk(engine)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "verify_index_bound")
+    for node in ast.walk(verify):
+        if isinstance(node, ast.Dict):
+            row = {key.value: value for key, value in zip(node.keys,
+                                                          node.values)
+                   if isinstance(key, ast.Constant)}
+            if _is_literal(row.get("ok"), True) \
+                    and not _is_literal(row.get("mode"), "assumed"):
+                constant.append(f"engine:{node.lineno}")
+    assert constant == [], f"ledger rows that no check wrote: {constant}"

@@ -454,6 +454,33 @@ def random_posets(draw):
     return validate_space(labels, pairs)
 
 
+def _is_automorphism(space, images):
+    """Whether the self-map with these images is bijective with an
+    inverse, built by ``fixtures.inverse_images``, that preserves order."""
+    if len(set(images)) != len(space):
+        return False
+    inv = fx.inverse_images(images)
+    return all(space.leq(inv[i], inv[j])
+               for i in range(len(space)) for j in bits(space.up[i]))
+
+
+@given(random_posets())
+@settings(max_examples=40, deadline=None)
+def test_bijective_continuous_self_maps_are_automorphisms(space):
+    """A continuous self-map is bijective exactly when its inverse
+    preserves order, so ``is_homotopy_equivalence``, which asks only
+    whether the core map is bijective, answers as the automorphism test
+    on the core map does."""
+    c = core(space)
+    for images in all_order_preserving_maps(space, space):
+        assert (len(set(images)) == len(space)) == \
+            _is_automorphism(space, images)
+        phi = SpaceMap(space, space, images)
+        induced = c.retraction.compose(phi).compose(c.inclusion)
+        assert is_homotopy_equivalence(phi) == \
+            _is_automorphism(c.core, induced.images)
+
+
 @given(random_posets())
 @settings(max_examples=40, deadline=None)
 def test_core_idempotent_random(space):
