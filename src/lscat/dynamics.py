@@ -13,7 +13,10 @@ classes and the fixed band slice are read from the two.  One
 ``check_discrete_palais_smale`` call fills both Lyapunov ledger rows.
 ``_band_values`` writes the sublevel categories and the slice sum
 (``_slice_sum``, which the engine shares), and ``_difference_parts`` the
-three counts against their difference.
+three counts against their difference.  ``global_bound`` and
+``semiflow`` return the band report over a band whose low cut lies
+under every value of f, under their own theorem id; each public
+verifier persists at most one bundle, for the report it returns.
 """
 
 from __future__ import annotations
@@ -204,8 +207,10 @@ def persist_violation(kind, pair, report):
 
 
 def _maybe_persist(pair, report):
+    """Persist a violated report's bundle; returns the report."""
     if report.verdict().startswith("VIOLATION"):
         persist_violation(report.theorem, pair, report.to_dict())
+    return report
 
 
 # -- shared pieces -----------------------------------------------------------
@@ -341,6 +346,12 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     """Fixed-point lower bounds for a homotopy equivalence over a finite
     band: slice-category sum, orbit-class count, and slice-space
     category against the sublevel category difference."""
+    return _maybe_persist(
+        pair, _band_report("band_bound", pair, a, b, action, klass))
+
+
+def _band_report(theorem, pair, a, b, action, klass):
+    """The report of ``verify_band_bound`` under ``theorem``, unpersisted."""
     if b == INFINITE:
         raise ValueError(
             "unbounded bands need a map homotopic to the identity; "
@@ -349,7 +360,7 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
     if not a < b:
         raise ValueError("need a < b")
     action, klass = _context(pair, action, klass)
-    report = TheoremReport("band_bound")
+    report = TheoremReport(theorem)
     _base_hypotheses(report, pair, action)
     report.hypothesis(
         "homotopy_equivalence", "checked", is_homotopy_equivalence(pair.phi)
@@ -371,7 +382,6 @@ def verify_band_bound(pair, a, b, action=None, klass=None):
         klass.admits_stabilizer(action.stabilizer(cls[0])) for cls in classes
     )
     report.hypothesis("orbit_types_admissible", "checked", types_ok)
-    _maybe_persist(pair, report)
     return report
 
 
@@ -428,9 +438,16 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     and allows an unbounded band; also emits the deformation exponents
     realising the sublevel absorption.
     """
+    return _maybe_persist(pair, _identity_band_report(
+        "identity_band_bound", pair, a, b, action, klass))
+
+
+def _identity_band_report(theorem, pair, a, b, action, klass):
+    """The report of ``verify_identity_band_bound`` under ``theorem``,
+    unpersisted."""
     action, klass = _context(pair, action, klass)
     space = pair.space
-    report = TheoremReport("identity_band_bound")
+    report = TheoremReport(theorem)
     _base_hypotheses(report, pair, action)
     fence = find_identity_fence(pair, action)
     report.hypothesis("homotopic_to_identity", "checked", fence is not None,
@@ -514,7 +531,6 @@ def verify_identity_band_bound(pair, a, b, action=None, klass=None):
     }
     report.values["bound_chain"] = chain
     report.values["deformation_exponents"] = _deformation_exponents(pair, a, b)
-    _maybe_persist(pair, report)
     return report
 
 
@@ -541,38 +557,33 @@ def _deformation_exponents(pair, a, b):
 
 
 def verify_global_bound(pair, b, action=None, klass=None):
-    """Bounded-below version: the band starts under the whole space."""
+    """Bounded-below version: the band report over a band that starts
+    under the whole space."""
+    return _maybe_persist(
+        pair, _global_report("global_bound", pair, b, action, klass))
+
+
+def _global_report(theorem, pair, b, action, klass):
+    """The band report over ]min f - 1, b] under ``theorem``, with its
+    ``global_low_cut``: of ``verify_band_bound`` for a finite b, of
+    ``verify_identity_band_bound`` for b = INFINITE."""
     a = min(pair.f) - 1.0
-    if b == INFINITE:
-        return verify_identity_band_bound(pair, a, b, action, klass)
-    report = verify_band_bound(pair, a, b, action, klass)
+    build = _identity_band_report if b == INFINITE else _band_report
+    report = build(theorem, pair, a, b, action, klass)
     report.values["global_low_cut"] = a
     return report
 
 
 def verify_semiflow(pair, action=None, klass=None):
-    """Discrete semiflow (iterates of one map): rest-point identification
-    and the global bounds through the identity-band verifier."""
-    action, klass = _context(pair, action, klass)
-    space = pair.space
-    report = TheoremReport("semiflow")
+    """Discrete semiflow (iterates of one map): the global bound over the
+    unbounded band, whose low sublevel is empty, so each part bounds a
+    fixed-point count by the whole space's category; ``fixed_set`` lists
+    the rest points."""
+    report = _global_report("semiflow", pair, INFINITE, action, klass)
     # the points at rest under every iterate phi^k are those of phi^1
-    report.values["fixed_set"] = sorted(space.labels(pair.fixed_mask()))
-    a = min(pair.f) - 1.0
-    inner = verify_identity_band_bound(pair, a, INFINITE, action, klass)
-    report.values["band_report"] = inner.to_dict()
-    cat_x = inner.values["sublevel_cat_high"]
-    ledgers_ok = not inner.checked_failures()
-    for name, key in (("a", "slice_sum"), ("b", "orbit_class_count"),
-                      ("c", "fixed_slice_cat")):
-        count = inner.values[key]
-        report.part(
-            name, count, "whole-space category", count >= cat_x,
-            assertable=ledgers_ok and (name == "a" or space.is_discrete()),
-            bound=cat_x,
-        )
-    _maybe_persist(pair, report)
-    return report
+    report.values["fixed_set"] = sorted(
+        pair.space.labels(pair.fixed_mask()))
+    return _maybe_persist(pair, report)
 
 
 def verify_homeo_band_bound(pair, class_b, a, b, action=None):
@@ -623,8 +634,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
         assertable=not report.checked_failures(),
         bound=_diff(cat_fb, cat_fa),
     )
-    _maybe_persist(pair, report)
-    return report
+    return _maybe_persist(pair, report)
 
 
 # theorem id -> verifier of (pair, band, action, klass, reference spaces);

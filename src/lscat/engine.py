@@ -46,7 +46,7 @@ SUPERVARIANCE_EXHAUSTIVE_CAP = 12  # points; beyond this supervariance samples
 CHECK_SAMPLES = 512  # random draws of a sampled supervariance check
 AXIOM_SAMPLES = 160  # random draws per axiom of a sampled axiom check
 INDEX_KINDS = ("category", "pair_category", "mod_category")
-AXIOM_MODES = ("exhaustive", "sampled", "assumed")
+AXIOM_MODES = ("exhaustive", "sampled")
 
 
 class IndexFunction:
@@ -370,58 +370,33 @@ def band_escape_exponent(pair, U, a, b):
 # -- the critical-value ladder -----------------------------------------------
 
 
-class CriticalValueTable:
-    """Min-max levels between the two cut values, with their runs and
-    fixed slices.
+def _runs(pair, nu, a, b, base, rhs):
+    """The min-max levels between the two cut values, one entry per run.
 
     With mu(S) = nu(S, f^a), c_k is the first band value v (a < v <= b)
-    with mu(f^v) >= k, for k from mu_low + 1 = mu(f^a) + 1 to
-    mu_high = mu(f^b).  One pass over the band values evaluates each
-    mu(f^v) once and gives every k it reaches its level; a run is the
-    ks that share one value.
+    with mu(f^v) >= k, for k from base + 1 = mu(f^a) + 1 to rhs =
+    mu(f^b).  One pass over the band values evaluates each mu(f^v) once
+    and gives every k it reaches its level; a run is the ks that share
+    one value, with its fixed slice (empty when v is not a critical
+    level), that slice's index, and whether it reaches the run's length.
     """
-
-    def __init__(self, pair, nu, a, b):
-        self.a = a
-        self.b = b
-        low = pair.sublevel(a)
-        self.mu_low = nu(low, low)
-        self.mu_high = nu(pair.sublevel(b), low)
-        fixed_values = {pair.f[i] for i in bits(pair.fixed_mask())}
-        self.levels = []
-        self.runs = []
-        k = self.mu_low + 1
-        for v in pair.values_sorted():
-            if k > self.mu_high:
-                break
-            if not a < v <= b:
-                continue
-            ks = list(range(k, min(nu(pair.sublevel(v), low),
-                                   self.mu_high) + 1))
-            if ks:
-                level_slice = pair.level_slice(v)
-                self.levels += [{"k": j, "value": v, "slice": level_slice,
-                                 "is_critical_level": v in fixed_values}
-                                for j in ks]
-                self.runs.append({"value": v, "ks": ks,
-                                  "slice": level_slice})
-                k = ks[-1] + 1
-
-    def to_dict(self, space):
-        return {
-            "band": [self.a, self.b],
-            "mu_low": self.mu_low,
-            "mu_high": self.mu_high,
-            "levels": [
-                {**lev, "slice": sorted(space.labels(lev["slice"]))}
-                for lev in self.levels
-            ],
-            "runs": [
-                {"value": r["value"], "ks": r["ks"],
-                 "slice": sorted(space.labels(r["slice"]))}
-                for r in self.runs
-            ],
-        }
+    low = pair.sublevel(a)
+    runs = []
+    k = base + 1
+    for v in pair.values_sorted():
+        if k > rhs:
+            break
+        if not a < v <= b:
+            continue
+        ks = list(range(k, min(nu(pair.sublevel(v), low), rhs) + 1))
+        if ks:
+            level_slice = pair.level_slice(v)
+            got = nu(level_slice, 0)
+            runs.append({"value": v, "ks": ks,
+                         "slice": sorted(pair.space.labels(level_slice)),
+                         "slice_index": got, "ok": got >= len(ks)})
+            k = ks[-1] + 1
+    return runs
 
 
 # -- the main verifier ---------------------------------------------------------
@@ -444,33 +419,20 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
     if axiom_mode not in AXIOM_MODES:
         raise ValueError(f"unknown axiom mode {axiom_mode!r}; known: "
                          f"lscat.engine.AXIOM_MODES = {AXIOM_MODES}")
-    space = pair.space
     dps = check_discrete_palais_smale(pair)
     hypotheses = {"lyapunov": dps, "discrete_palais_smale": dps}
-    if axiom_mode == "assumed":
-        hypotheses["axioms"] = {"ok": True, "mode": "assumed",
-                                "witness": None}
-    elif axiom_mode == "exhaustive":
+    if axiom_mode == "exhaustive":
         hypotheses["axioms"] = check_axioms(nu)
     else:
         hypotheses["axioms"] = _check_axioms_sampled(nu, seed)
+    low = pair.sublevel(a)
     hypotheses["supervariance"] = check_supervariance(
-        nu, pair.phi, pair.sublevel(a), seed=seed)
+        nu, pair.phi, low, seed=seed)
 
-    table = CriticalValueTable(pair, nu, a, b)
-    base, rhs = table.mu_low, table.mu_high
+    base, rhs = nu(low, low), nu(pair.sublevel(b), low)
     slice_sum, per_level = _slice_sum(pair, a, b, lambda m: nu(m, 0))
     slices = [{"level": d, "value": v} for d, v in per_level]
     total = base + slice_sum
-
-    run_checks = []
-    for run in table.runs:
-        need = len(run["ks"])
-        got = nu(run["slice"], 0)
-        run_checks.append({
-            "value": run["value"], "multiplicity": need,
-            "slice_index": got, "ok": got >= need,
-        })
 
     failed = sorted(k for k, h in hypotheses.items() if not h["ok"])
     if failed:
@@ -485,8 +447,7 @@ def verify_index_bound(nu, pair, a, b, axiom_mode="sampled", seed=0):
         "hypotheses": hypotheses,
         "lhs": {"base": base, "slices": slices, "total": total},
         "rhs": rhs,
-        "table": table.to_dict(space),
-        "run_checks": run_checks,
+        "runs": _runs(pair, nu, a, b, base, rhs),
         "verdict": verdict,
     }
     if verdict == "VIOLATION":

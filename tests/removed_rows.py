@@ -1,17 +1,45 @@
-"""The report content that encoded no check and was deleted: a constant
+"""Report content that was deleted, in two layers, and the code that
+puts it back so that a test can show a report differs from the bytes
+pinned before each deletion by that content alone.
+
+The later layer deleted copies.  ``global_bound`` and ``semiflow`` now
+return the band report they wrap: the semiflow report lost its nested
+``band_report`` value, its parts ``a``, ``b`` and ``c`` (copies of
+``I``, ``I_orbits`` and ``I_slice`` against the whole-space category)
+and its empty ledger.  The engine report lost ``table`` (the band, the
+low and high index, one level per k and the runs) and ``run_checks``
+(each run's value, length, slice index and ok), which ``runs``, ``lhs``,
+``rhs`` and ``band`` hold.  ``with_copies`` puts them back.
+
+The earlier layer deleted content that encoded no check: a constant
 ``finite_critical_levels`` row in every theorem and engine ledger, the
 semiflow's constant ``rest_points_match_fixed_points`` row and its
 ``rest_set`` (a copy of ``fixed_set``), each theorem part's
 ``hypothesis_ok`` (a copy of one ledger row, else True) and the homeo
 report's ``flow`` part (a copy of ``count`` with another note).
-
-``with_removed_rows`` puts it back into a structured report, so a test
-can show that a report differs from the bytes pinned before the deletion
-by that content alone.
+``with_removed_rows`` puts it back into a report that ``with_copies``
+has rebuilt.
 """
 
+from lscat.dynamics import TheoremReport
+
+# sha256 of `lscat verify` / `lscat engine verify --format structured`
+# before the copies were deleted, where those bytes moved
+STRUCTURED_DIGESTS_BEFORE_COPIES = {
+    ("verify", "v_descent_bounds"):
+        "182f1f8508ebbaf2283af73ed2f00e78be594f61968c81a049e05d3ab5d9db5a",
+    ("engine verify", "engine_negative_constant"):
+        "64ff0bcf41c41377dd5c446341c56f1b8b8818e6444041ba214602cf0f6947e3",
+    ("engine verify", "v_descent_engine"):
+        "b25eb16fb1b230c8084b9455a471a5483aaa7d18ff77b738d07da0847dd19be6",
+}
+
+# sha256 of criterion 04's 1000 reports before the copies were deleted
+CRITERION_04_SHA256_BEFORE_COPIES = (
+    "8d1b1de7a83cd77b4c38f7118803bedad881a64903b1ebd4b87e588ac3d21fb7")
+
 # sha256 of `lscat verify` / `lscat engine verify --format structured` on
-# each shipped theorem and engine fixture before the deletion
+# each shipped theorem and engine fixture before the rows were deleted
 STRUCTURED_DIGESTS_BEFORE = {
     ("verify", "constant_map_circle"):
         "7bbadc0c6e4f976d1d7bd471454f71745a27a4f3ef6f18e4d3f0181ef492de7d",
@@ -31,7 +59,7 @@ STRUCTURED_DIGESTS_BEFORE = {
         "e74b0cf006a746617b0844bcc4c3f82abf7d182837ab9215354f0248df703036",
 }
 
-# sha256 of criterion 04's 1000 reports before the deletion
+# sha256 of criterion 04's 1000 reports before the rows were deleted
 CRITERION_04_SHA256_BEFORE = (
     "1363e1e2677cd90ea24e60f7686790183f33d0a1ec5b0aaf417628c782383cdc")
 
@@ -41,13 +69,52 @@ _PART_ROWS = {"II": "sublevel_hull_deformable",
               "III": "sublevel_preserving_homotopy"}
 
 
+def with_copies(report):
+    """Put the deleted copies back into a structured theorem report
+    (``TheoremReport.to_dict``) or engine report, in place; returns it."""
+    if "theorem" not in report:  # an engine report
+        runs = report.pop("runs")
+        report["table"] = {
+            "band": report["band"],
+            "mu_low": report["lhs"]["base"],
+            "mu_high": report["rhs"],
+            "levels": [{"k": k, "value": run["value"], "slice": run["slice"],
+                        "is_critical_level": bool(run["slice"])}
+                       for run in runs for k in run["ks"]],
+            "runs": [{"value": run["value"], "ks": run["ks"],
+                      "slice": run["slice"]} for run in runs],
+        }
+        report["run_checks"] = [
+            {"value": run["value"], "multiplicity": len(run["ks"]),
+             "slice_index": run["slice_index"], "ok": run["ok"]}
+            for run in runs]
+        return report
+    if report["theorem"] != "semiflow":
+        return report
+    values = dict(report["values"])
+    fixed_set = values.pop("fixed_set")
+    del values["global_low_cut"]
+    band_report = {**report, "theorem": "identity_band_bound",
+                   "values": values}
+    parts = {
+        old: {**band_report["parts"][new], "rhs": "whole-space category",
+              "note": None}
+        for old, new in (("a", "I"), ("b", "I_orbits"), ("c", "I_slice"))}
+    ledgerless = TheoremReport("semiflow")
+    ledgerless.parts = parts
+    report.update(hypotheses={}, parts=parts,
+                  values={"fixed_set": fixed_set, "band_report": band_report},
+                  verdict=ledgerless.verdict())
+    return report
+
+
 def _checked_true(note):
     return {"status": "checked", "ok": True, "witness": None, "note": note}
 
 
 def with_removed_rows(report):
-    """Put the deleted content back into a structured theorem report
-    (``TheoremReport.to_dict``) or engine report, in place; returns it."""
+    """Put the deleted rows back into a structured theorem report or
+    engine report that ``with_copies`` rebuilt, in place; returns it."""
     hyp = report["hypotheses"]
     if "theorem" not in report:  # an engine report
         hyp["finite_critical_levels"] = {"ok": True, "witness": None}

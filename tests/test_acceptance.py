@@ -64,7 +64,12 @@ from lscat.simplicial import (
 
 from certify import count_calls, verify_results
 from oracles import oracle_cat, oracle_cuplength
-from removed_rows import CRITERION_04_SHA256_BEFORE, with_removed_rows
+from removed_rows import (
+    CRITERION_04_SHA256_BEFORE,
+    CRITERION_04_SHA256_BEFORE_COPIES,
+    with_copies,
+    with_removed_rows,
+)
 
 
 def _line(number, ok, detail):
@@ -131,9 +136,10 @@ def test_criterion_03_equivariant_exceeds_quotient():
 
 
 # sha256 of the 1000 reports' ``json.dumps(report, sort_keys=True)``;
-# with the removed constant row put back, CRITERION_04_SHA256_BEFORE
+# with the deleted copies put back, CRITERION_04_SHA256_BEFORE_COPIES,
+# and with the removed constant row too, CRITERION_04_SHA256_BEFORE
 CRITERION_04_SHA256 = (
-    "8d1b1de7a83cd77b4c38f7118803bedad881a64903b1ebd4b87e588ac3d21fb7")
+    "73f7f83f2ca46aa8c4c93f9b4fa8c44e575f4e4bd015590517be5135b25d5ae6")
 # the benchmark's per-instance summaries (verdict|lhs total|rhs), read only
 ENGINE_PINS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json")
@@ -160,7 +166,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         count_calls(monkeypatch, counts, "sampled_loops", lscat.engine, name)
     t0 = time.monotonic()
     holds = ledger_passing = 0
-    digest, before = hashlib.sha256(), hashlib.sha256()
+    digest, copied, before = (hashlib.sha256() for _ in range(3))
     unpinned = []
     for seed in range(1000):
         pair, nu, a, b = random_instance(seed)
@@ -175,7 +181,10 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
             ledger_passing += 1
             if report["verdict"] == "INEQUALITY_HOLDS":
                 holds += 1
-        # last: this puts the removed row back into the report
+        # last: these put the deleted copies, then the removed row, back
+        # into the report
+        copied.update(json.dumps(with_copies(report),
+                                 sort_keys=True).encode())
         before.update(json.dumps(with_removed_rows(report),
                                  sort_keys=True).encode())
     elapsed = time.monotonic() - t0
@@ -194,6 +203,7 @@ def test_criterion_04_thousand_generated_instances(_violations_dir,
         and not persisted
         and not unpinned
         and digest.hexdigest() == CRITERION_04_SHA256
+        and copied.hexdigest() == CRITERION_04_SHA256_BEFORE_COPIES
         and before.hexdigest() == CRITERION_04_SHA256_BEFORE
         and len(results) == CRITERION_04_COVER_QUERIES
         and searched == CRITERION_04_FENCE_SEARCHES

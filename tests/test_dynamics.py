@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from types import SimpleNamespace
 from unittest import mock
@@ -16,7 +17,9 @@ from lscat.action import (
     validate_action,
 )
 from lscat.category import INFINITE, HypothesisUnmet
+from lscat.cli import builtin_corpus_dir
 from lscat.dynamics import (
+    THEOREMS,
     DynamicalPair,
     _context,
     _diff,
@@ -30,6 +33,8 @@ from lscat.dynamics import (
     verify_identity_band_bound,
     verify_semiflow,
 )
+from lscat.engine import random_instance
+from lscat.formats import parse_scenario
 from lscat.poset import SpaceMap, bits, is_homotopy_equivalence, validate_space
 
 from oracles import oracle_G_fence, oracle_palais_smale
@@ -122,12 +127,11 @@ def test_band_bound_degenerate_band(v_pair):
 
 def test_planted_theorem_violation_bundle_replays(
         v_pair, tmp_path, monkeypatch):
-    """A theorem violation is persisted with its pair: undercounting
-    every fixed slice (category 0 through a patched cover_category)
-    breaks part a on the V space, and the bundle rebuilds the same pair,
-    which replays to the saved report."""
-    planted = tmp_path / "planted"
-    monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(planted))
+    """A theorem violation is persisted with its pair, once, named by the
+    theorem id: undercounting every fixed slice (category 0 through a
+    patched cover_category) breaks the slice-sum part on the V space for
+    the band, global and semiflow bounds, and each bundle rebuilds the
+    same pair, which replays to the returned report."""
     fixed = v_pair.fixed_mask()
     real = dynamics.cover_category
 
@@ -137,21 +141,81 @@ def test_planted_theorem_violation_bundle_replays(
         return real(query)
 
     monkeypatch.setattr(dynamics, "cover_category", undercount)
-    report = verify_band_bound(v_pair, -1.0, 3.0)
-    assert report.verdict() == "VIOLATION:a"
-    (path,) = planted.glob("band_bound-*.json")
-    bundle = json.loads(path.read_text())
-    assert sorted(bundle) == ["f", "phi", "report", "space"]
-    assert bundle["report"]["verdict"].startswith("VIOLATION")
-    space = validate_space(bundle["space"]["points"],
-                           bundle["space"]["relation"])
-    pair = DynamicalPair(space, SpaceMap.from_dict(space, space,
-                                                   bundle["phi"]),
-                         bundle["f"])
-    assert space == v_pair.space
-    assert pair.phi == v_pair.phi and pair.f == v_pair.f
-    replayed = verify_band_bound(pair, -1.0, 3.0)
-    assert json.loads(json.dumps(replayed.to_dict())) == bundle["report"]
+    for theorem, verify, verdict in (
+            ("band_bound", lambda p: verify_band_bound(p, -1.0, 3.0),
+             "VIOLATION:a"),
+            ("global_bound", lambda p: verify_global_bound(p, 3.0),
+             "VIOLATION:a"),
+            ("semiflow", verify_semiflow, "VIOLATION:I,II")):
+        planted = tmp_path / theorem
+        monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(planted))
+        report = verify(v_pair)
+        assert report.verdict() == verdict
+        (path,) = planted.glob("*.json")
+        assert path.name.startswith(theorem + "-")
+        bundle = json.loads(path.read_text())
+        assert sorted(bundle) == ["f", "phi", "report", "space"]
+        assert bundle["report"] == json.loads(json.dumps(report.to_dict()))
+        space = validate_space(bundle["space"]["points"],
+                               bundle["space"]["relation"])
+        pair = DynamicalPair(space, SpaceMap.from_dict(space, space,
+                                                       bundle["phi"]),
+                             bundle["f"])
+        assert space == v_pair.space
+        assert pair.phi == v_pair.phi and pair.f == v_pair.f
+        replayed = verify(pair)
+        assert json.loads(json.dumps(replayed.to_dict())) == bundle["report"]
+
+
+def _ledger_cases():
+    """(pair, band, action, klass, reference spaces) of every shipped
+    theorem fixture, the constant map of ``constant_map_circle.json``
+    among them, and of the first 200 criterion 04 instances."""
+    corpus = builtin_corpus_dir()
+    for name in sorted(os.listdir(corpus)):
+        sc = parse_scenario(os.path.join(corpus, name))
+        if sc.kind == "theorem":
+            yield (sc.pair, sc.band, sc.action, sc.klass,
+                   sc.reference_spaces)
+    for seed in range(200):
+        pair, _, a, b = random_instance(seed)
+        yield pair, (a, b), None, None, None
+
+
+def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
+    """Every theorem report names its own id and carries the band
+    ledger, and its verdict is HYPOTHESIS_FAILED exactly when a checked
+    row of that ledger fails; ``global_bound`` and ``semiflow`` report
+    their low cut.  A semiflow whose map is not homotopic to the
+    identity fails that row (the constant map on the circle)."""
+    checked = set()
+    for pair, band, action, klass, refs in _ledger_cases():
+        a, b = band
+        questions = [(t, band) for t in ("identity_band_bound", "semiflow")]
+        questions += [("global_bound", (a, INFINITE))]
+        if b < INFINITE:
+            questions += [("band_bound", band), ("global_bound", band)]
+            if refs and (action is None or action.is_trivial()):
+                questions += [("homeo_band_bound", band)]
+        for theorem, cut in questions:
+            report = THEOREMS[theorem](pair, cut, action, klass,
+                                       refs).to_dict()
+            assert report["theorem"] == theorem
+            assert {"lyapunov", "discrete_palais_smale"} <= set(
+                report["hypotheses"])
+            failed = any(h["status"] == "checked" and not h["ok"]
+                         for h in report["hypotheses"].values())
+            assert report["verdict"].startswith("HYPOTHESIS_FAILED") \
+                == failed, (theorem, report["verdict"])
+            if theorem in ("global_bound", "semiflow"):
+                assert report["values"]["global_low_cut"] == min(pair.f) - 1
+            checked.add(theorem)
+    assert checked == set(THEOREMS)
+    constant = parse_scenario(
+        os.path.join(builtin_corpus_dir(), "constant_map_circle.json"))
+    verdict = verify_semiflow(constant.pair).verdict()
+    assert verdict.startswith("HYPOTHESIS_FAILED:")
+    assert "homotopic_to_identity" in verdict.split(":")[1].split(",")
 
 
 def test_band_bound_rejects_unbounded(v_pair):
@@ -360,16 +424,22 @@ def test_semiflow_v(v_pair):
     report = verify_semiflow(v_pair)
     assert report.verdict() == "HOLDS"
     assert report.values["fixed_set"] == ["a", "c"]
-    assert report.parts["a"]["lhs"] == 2
-    assert report.parts["a"]["bound"] == 1
+    assert report.parts["I"]["lhs"] == 2
+    assert report.parts["I"]["bound"] == 1
 
 
 def test_semiflow_identity(c4):
+    """The semiflow report is the identity band report over ]min f - 1,
+    inf] under its own id, with the low cut and the fixed set."""
     pair = DynamicalPair(c4, SpaceMap.identity(c4), fx.C4_TWO_LEVEL_HEIGHTS)
     report = verify_semiflow(pair)
     assert report.verdict() == "HOLDS"
     assert report.values["fixed_set"] == sorted(c4.points)
-    assert report.hypotheses == {}  # the parts read the inner ledger
+    low = min(pair.f) - 1.0
+    band = verify_identity_band_bound(pair, low, INFINITE).to_dict()
+    band["values"].update(global_low_cut=low,
+                          fixed_set=report.values["fixed_set"])
+    assert report.to_dict() == {**band, "theorem": "semiflow"}
 
 
 def test_identity_band_bound_records_a_missing_fence(c4):
@@ -390,11 +460,10 @@ def test_semiflow_without_an_identity_fence_asserts_no_part():
     space = validate_space(["a", "b"], [])
     phi = SpaceMap.from_dict(space, space, {"a": "b", "b": "b"})
     report = verify_semiflow(DynamicalPair(space, phi, (1.0, 0.0)))
-    inner = report.values["band_report"]
-    assert inner["hypotheses"]["homotopic_to_identity"]["ok"] is False
-    assert report.verdict() == "HOLDS"
-    assert [report.parts[k]["assertable"] for k in "abc"] == [False] * 3
-    assert not report.parts["b"]["holds"]
+    assert report.hypotheses["homotopic_to_identity"]["ok"] is False
+    assert report.verdict().startswith("HYPOTHESIS_FAILED:")
+    assert not any(part["assertable"] for part in report.parts.values())
+    assert not report.parts["I_orbits"]["holds"]
 
 
 def test_homeo_band_bound_two_level(two_level_pair, v_space):

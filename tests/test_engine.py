@@ -14,7 +14,6 @@ from lscat.dynamics import DynamicalPair, check_discrete_palais_smale
 from lscat.engine import (
     AXIOM_SAMPLES,
     CHECK_SAMPLES,
-    CriticalValueTable,
     HypothesisUnmet,
     IndexFunction,
     _check_axioms_sampled,
@@ -48,21 +47,33 @@ def failed_axioms(row):
     return list(row["witness"] or ())
 
 
-def in_band(table):
-    return all(table.a < lev["value"] <= table.b for lev in table.levels)
+def ladder(pair, nu, a, b):
+    """The engine's runs between the cut values a and b."""
+    low = pair.sublevel(a)
+    return engine._runs(pair, nu, a, b, nu(low, low),
+                        nu(pair.sublevel(b), low))
 
 
-def table_values(table):
-    return [lev["value"] for lev in table.levels]
+def levels(runs):
+    """(k, c_k) for every k of the runs."""
+    return [(k, run["value"]) for run in runs for k in run["ks"]]
 
 
-def nondecreasing(table):
-    vs = table_values(table)
+def level_values(runs):
+    return [v for _, v in levels(runs)]
+
+
+def nondecreasing(runs):
+    vs = level_values(runs)
     return all(x <= y for x, y in zip(vs, vs[1:]))
 
 
-def all_critical(table):
-    return all(lev["is_critical_level"] for lev in table.levels)
+def in_band(runs, a, b):
+    return all(a < v <= b for v in level_values(runs))
+
+
+def all_critical(runs):
+    return all(run["slice"] for run in runs)
 
 
 @pytest.fixture
@@ -376,9 +387,9 @@ def test_unknown_index_kind_names_the_known_kinds(c4):
 
 
 def test_unknown_axiom_mode_is_rejected(v_pair, v_index):
-    with pytest.raises(ValueError, match="AXIOM_MODES"):
-        verify_index_bound(v_index, v_pair, 1.5, 2.5,
-                           axiom_mode="exhastive")
+    for mode in ("exhastive", "assumed"):
+        with pytest.raises(ValueError, match="AXIOM_MODES"):
+            verify_index_bound(v_index, v_pair, 1.5, 2.5, axiom_mode=mode)
 
 
 def test_exhaustive_axiom_mode_past_its_cap_is_refused(v_pair, v_index,
@@ -559,12 +570,13 @@ def test_entry_margin_examples(v_pair, v_space):
 
 
 def test_critical_values_negative_control(c4_const_pair, c4_index):
-    table = CriticalValueTable(c4_const_pair, c4_index, -1.0, 2.0)
-    assert table_values(table) == [0.0, 1.0]
-    assert nondecreasing(table) and in_band(table)
-    assert not all_critical(table)  # level 1 has no fixed points
-    flags = [lev["is_critical_level"] for lev in table.levels]
-    assert flags == [True, False]
+    runs = ladder(c4_const_pair, c4_index, -1.0, 2.0)
+    assert level_values(runs) == [0.0, 1.0]
+    assert nondecreasing(runs) and in_band(runs, -1.0, 2.0)
+    assert not all_critical(runs)  # level 1 has no fixed points
+    assert [run["slice"] for run in runs] == [["p"], []]
+    assert [(run["slice_index"], run["ok"]) for run in runs] == \
+        [(1, True), (0, False)]
 
 
 def rescan_levels(pair, nu, a, b):
@@ -577,13 +589,17 @@ def rescan_levels(pair, nu, a, b):
 
 
 def assert_ladder_is_the_rescan(pair, nu, a, b):
-    table = CriticalValueTable(pair, nu, a, b)
-    assert [(lev["k"], lev["value"]) for lev in table.levels] == \
-        rescan_levels(pair, nu, a, b)
-    runs = {}
-    for lev in table.levels:
-        runs.setdefault(lev["value"], []).append(lev["k"])
-    assert [(r["value"], r["ks"]) for r in table.runs] == list(runs.items())
+    """The runs hold the rescan's levels, one run per value, each with
+    its fixed slice and that slice's index against the run's length."""
+    runs = ladder(pair, nu, a, b)
+    assert levels(runs) == rescan_levels(pair, nu, a, b)
+    values = [run["value"] for run in runs]
+    assert values == sorted(set(values))
+    for run in runs:
+        level_slice = pair.level_slice(run["value"])
+        assert run["slice"] == sorted(pair.space.labels(level_slice))
+        assert run["slice_index"] == nu(level_slice, 0)
+        assert run["ok"] == (run["slice_index"] >= len(run["ks"]))
 
 
 @pytest.mark.parametrize("by_sublevel", [
@@ -607,14 +623,13 @@ def test_ladder_is_the_per_k_rescan_on_generated_instances():
 
 
 def test_critical_values_positive(v_pair, v_index):
-    table = CriticalValueTable(v_pair, v_index, -1.0, 3.0)
-    assert table_values(table) == [0.0]
-    assert all_critical(table)
+    runs = ladder(v_pair, v_index, -1.0, 3.0)
+    assert level_values(runs) == [0.0]
+    assert all_critical(runs)
 
 
 def test_critical_values_empty_band(v_pair, v_index):
-    table = CriticalValueTable(v_pair, v_index, 5.0, 6.0)
-    assert table_values(table) == []
+    assert ladder(v_pair, v_index, 5.0, 6.0) == []
 
 
 def test_verify_index_bound_positive(v_pair, v_index):
@@ -623,7 +638,8 @@ def test_verify_index_bound_positive(v_pair, v_index):
     assert report["verdict"] == "INEQUALITY_HOLDS"
     assert report["lhs"]["total"] == 2
     assert report["rhs"] == 1
-    assert all(rc["ok"] for rc in report["run_checks"])
+    assert report["runs"] == [{"value": 0.0, "ks": [1], "slice": ["c"],
+                               "slice_index": 1, "ok": True}]
 
 
 def test_verify_index_bound_negative_control(c4_const_pair, c4_index,
@@ -636,30 +652,39 @@ def test_verify_index_bound_negative_control(c4_const_pair, c4_index,
     assert not _violations_dir.exists()
 
 
+def _passing_axioms():
+    """``engine._check_axioms_sampled`` planted to pass: the ledger row
+    of a sampled check whose draws all passed, whatever the index."""
+    return mock.patch.object(engine, "_check_axioms_sampled",
+                             lambda nu, seed: engine._axiom_row("sampled"))
+
+
 @pytest.mark.parametrize("planted", [False, True],
                          ids=["passing", "monotonicity-defect"])
 def test_index_bound_ledger_holds_the_rows_of_its_checks(v_pair, planted):
     """Each ledger row of ``verify_index_bound`` is the row its check
     returns, byte for byte: the discrete Palais-Smale row (twice), the
-    axiom row of every mode and the supervariance row.  The defect gives
-    {a} the value 3, above its open superset {a, b}."""
+    axiom row of each mode (and of a sampled check planted to pass) and
+    the supervariance row.  The defect gives {a} the value 3, above its
+    open superset {a, b}."""
     space = v_pair.space
     a, b = -1.0, 3.0
     with (_planted(space.subset(["a"]), lambda v: 3) if planted
           else contextlib.nullcontext()):
-        for mode in ("exhaustive", "sampled", "assumed"):
+        for mode, forced in (("exhaustive", False), ("sampled", False),
+                             ("sampled", True)):
             for seed in range(3):
                 nu = make_truncated_index("category", 5,
                                           GroupAction.trivial(space))
-                report = verify_index_bound(nu, v_pair, a, b,
-                                            axiom_mode=mode, seed=seed)
+                with (_passing_axioms() if forced
+                      else contextlib.nullcontext()):
+                    report = verify_index_bound(nu, v_pair, a, b,
+                                                axiom_mode=mode, seed=seed)
+                    if mode == "exhaustive":
+                        axioms = check_axioms(nu)
+                    else:
+                        axioms = engine._check_axioms_sampled(nu, seed)
                 dps = check_discrete_palais_smale(v_pair)
-                if mode == "exhaustive":
-                    axioms = check_axioms(nu)
-                elif mode == "sampled":
-                    axioms = _check_axioms_sampled(nu, seed)
-                else:
-                    axioms = {"ok": True, "mode": "assumed", "witness": None}
                 rows = {
                     "lyapunov": dps,
                     "discrete_palais_smale": dps,
@@ -669,7 +694,7 @@ def test_index_bound_ledger_holds_the_rows_of_its_checks(v_pair, planted):
                 }
                 assert json.dumps(report["hypotheses"]) == json.dumps(rows)
                 assert dps == {"ok": True, "witness": None}
-                if planted and mode != "assumed":
+                if planted and not forced:
                     assert report["verdict"] == "HYPOTHESIS_FAILED:axioms"
                     assert failed_axioms(axioms)[0] == "monotonicity"
                 else:
@@ -679,16 +704,18 @@ def test_index_bound_ledger_holds_the_rows_of_its_checks(v_pair, planted):
 
 def test_planted_violation_is_reported_and_persisted(
         v_pair, tmp_path, monkeypatch):
-    """A supervariant user index under assumed axioms that breaks the
-    counting bound: 2 on the sets holding c and a, 0 elsewhere, so the
-    slices {c} and {a} count 0 against nu(f^3) = 2."""
+    """A supervariant user index, with a sampled axiom check planted to
+    pass, that breaks the counting bound: 2 on the sets holding c and
+    a, 0 elsewhere, so the slices {c} and {a} count 0 against nu(f^3) =
+    2."""
     space = v_pair.space
     ca = space.subset(["c", "a"])
     nu = IndexFunction(space, lambda A, Y: 2 * (A & ca == ca), kind="user")
     planted = tmp_path / "planted"
     monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(planted))
-    report = verify_index_bound(nu, v_pair, -1.0, 3.0, axiom_mode="assumed")
-    assert report["hypotheses"]["axioms"]["mode"] == "assumed"
+    with _passing_axioms():
+        report = verify_index_bound(nu, v_pair, -1.0, 3.0)
+    assert report["hypotheses"]["axioms"]["ok"] is True
     assert report["verdict"] == "VIOLATION"
     assert (report["lhs"]["total"], report["rhs"]) == (0, 2)
     bundles = list(planted.glob("index_bound-*.json"))
@@ -702,8 +729,8 @@ def test_planted_violation_is_reported_and_persisted(
         raise ValueError(f"not strict JSON: {name}")
 
     monkeypatch.setenv("LSCAT_VIOLATIONS_DIR", str(tmp_path / "unbounded"))
-    report = verify_index_bound(nu, v_pair, -1.0, INFINITE,
-                                axiom_mode="assumed")
+    with _passing_axioms():
+        report = verify_index_bound(nu, v_pair, -1.0, INFINITE)
     assert report["verdict"] == "VIOLATION"
     (path,) = (tmp_path / "unbounded").glob("index_bound-*.json")
     saved = json.loads(path.read_text(), parse_constant=refuse)["report"]
@@ -724,10 +751,10 @@ def test_minmax_levels_are_critical_under_supervariance():
     for seed in range(60):
         pair, nu, a, b = random_instance(seed)
         sup = check_supervariance(nu, pair.phi, pair.sublevel(a))
-        table = CriticalValueTable(pair, nu, a, b)
-        assert nondecreasing(table) and in_band(table)
+        runs = ladder(pair, nu, a, b)
+        assert nondecreasing(runs) and in_band(runs, a, b)
         if sup["ok"]:
-            assert all_critical(table), (seed, table_values(table))
+            assert all_critical(runs), (seed, level_values(runs))
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=7))

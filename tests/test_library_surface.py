@@ -172,8 +172,7 @@ def test_no_ledger_row_is_checked_and_ok_by_a_constant():
     """A ledger row reads "checked" and ok only when a check ran: no
     ``report.hypothesis(...)`` call passes the literal status "checked"
     with a literal True, and no row of ``engine.verify_index_bound``'s
-    ledger is a dict literal with "ok": True, except the axiom row of
-    ``axiom_mode="assumed"``, which says that it is assumed."""
+    ledger is a dict literal with "ok": True."""
     constant = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -195,7 +194,6 @@ def test_no_ledger_row_is_checked_and_ok_by_a_constant():
             row = {key.value: value for key, value in zip(node.keys,
                                                           node.values)
                    if isinstance(key, ast.Constant)}
-            if _is_literal(row.get("ok"), True) \
-                    and not _is_literal(row.get("mode"), "assumed"):
+            if _is_literal(row.get("ok"), True):
                 constant.append(f"engine:{node.lineno}")
     assert constant == [], f"ledger rows that no check wrote: {constant}"
