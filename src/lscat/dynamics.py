@@ -458,7 +458,7 @@ def _identity_band_report(theorem, pair, a, b, action, klass):
     fb_mask = pair.sublevel(b)
     cat_fa, cat_fb, lhs = _band_values(
         report, pair, a, b, action, klass,
-        (None, "parts b and c are report-only"),
+        (None, "parts I_orbits and I_slice are report-only"),
     )
     pair_bound = _gcat(space, fb_mask, action, klass, mode="pair", Y=fa_mask)
     semi_bound = (

@@ -157,30 +157,6 @@ def _block_V(g):
     return -g / truncation_g(norms)[:, None]
 
 
-class Trajectory:
-    """Dense RK4 output on a fixed step: states and descent rates.
-
-    ``rates`` holds the descent rate at each state but the last, as
-    ``flow_map``'s first RK4 stage found it."""
-
-    __slots__ = ("states", "field", "rates")
-
-    def __init__(self, states, field, rates):
-        self.states = states
-        self.field = field
-        self.rates = rates
-
-    @property
-    def endpoint(self):
-        return self.states[-1]
-
-    def descent_rates(self):
-        """|grad f(m)|^2 / truncation_g(|grad f(m)|) along the trajectory;
-        only the last state's gradient is computed here."""
-        _, s, t = _descent(self.field, self.states[-1].tolist())
-        return np.array(self.rates + [s * s / t])
-
-
 def _rk4_step(V, m, h, k1):
     """One classical Runge-Kutta step of m' = V(m) for a block of points,
     one per row, given its first stage k1 = V(m)."""
@@ -191,7 +167,12 @@ def _rk4_step(V, m, h, k1):
 
 
 def flow_map(field, m, config):
-    """Integrate the capped descent flow for the configured horizon."""
+    """Integrate the capped descent flow for the configured horizon.
+
+    Returns the states, one row each, and the descent rate
+    |grad f|^2 / truncation_g(|grad f|) at every state, which the first
+    RK4 stage at that state gives; the last state's stage starts no
+    step."""
     x = np.asarray(m, dtype=float)
     if not field.domain(x):
         raise DomainViolation(f"start point {x!r} outside the domain")
@@ -201,16 +182,18 @@ def flow_map(field, m, config):
     sixth = h / 6.0
     # the state p is a list of floats, for the stage arithmetic in numpy's
     # elementwise order; every stage checks its point's domain, so a state
-    # outside it fails the next step's first stage or the final check
+    # outside it fails its own first stage
     p = x.tolist()
     states = [p]
     rates = []
-    for k in range(n):
+    for k in range(n + 1):
         try:
             k1, s, t = _descent(field, p)
         except DomainViolation:  # the last step left the domain
             raise LeftDomain(k * h)
         rates.append(s * s / t)
+        if k == n:
+            break
         try:
             k2 = _descent(field, [a + half * b for a, b in zip(p, k1)])[0]
             k3 = _descent(field, [a + half * b for a, b in zip(p, k2)])[0]
@@ -220,9 +203,7 @@ def flow_map(field, m, config):
         p = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(p, k1, k2, k3, k4)]
         states.append(p)
-    if not field.domain(np.array(p)):
-        raise LeftDomain(n * h)
-    return Trajectory(np.array(states), field, rates)
+    return np.array(states), np.array(rates)
 
 
 def _simpson(y, h):
@@ -238,9 +219,9 @@ def _simpson(y, h):
 
 def check_energy_identity(field, m, config):
     """Residual of: value drop equals the integrated descent rate."""
-    traj = flow_map(field, m, config)
-    drop = field.f(traj.states[0]) - field.f(traj.endpoint)
-    integral = _simpson(traj.descent_rates(), config.tau / config.steps())
+    states, rates = flow_map(field, m, config)
+    drop = field.f(states[0]) - field.f(states[-1])
+    integral = _simpson(rates, config.tau / config.steps())
     return abs(drop - integral)
 
 
@@ -389,11 +370,11 @@ def verify_prop_app(field, config, n_max=10_000, family=None):
         orbit = [accumulation]
         try:
             for _ in range(30):
-                orbit.append(flow_map(field, orbit[-1], config).endpoint)
+                orbit.append(flow_map(field, orbit[-1], config)[0][-1])
             limit = _aitken_limit(orbit)
             if field.domain(limit):
                 moved = float(np.linalg.norm(
-                    limit - flow_map(field, limit, config).endpoint
+                    limit - flow_map(field, limit, config)[0][-1]
                 ))
             else:
                 inside = False
@@ -455,7 +436,7 @@ def _radial_drop(field, p, cfg):
     if not field.domain(p):
         return None
     try:
-        return field.f(p) - field.f(flow_map(field, p, cfg).endpoint)
+        return field.f(p) - field.f(flow_map(field, p, cfg)[0][-1])
     except LeftDomain:
         return None
 

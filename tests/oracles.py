@@ -689,7 +689,21 @@ def oracle_is_connected(K):
 
 
 def oracle_truncation_g(x):
-    """The truncation profile as numpy expressions only, for any input."""
+    """The truncation profile as numpy expressions only, for any input.
+    One value takes numpy's float64 scalar arithmetic, which is what the
+    array expressions reduce to on a 0-d input after ``np.clip``: on
+    (1, 2) the clip keeps x - 1.0, and a NaN fails every comparison and
+    stays NaN."""
+    if np.ndim(x) == 0:
+        x = np.float64(x)
+        if x < 0:
+            raise ValueError("the truncation profile takes nonnegative input")
+        if x <= 1.0:
+            return 1.0
+        if x >= 2.0:
+            return float(x)
+        t = x - 1.0
+        return float(-t**3 + 2.0 * t**2 + 1.0)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("the truncation profile takes nonnegative input")

@@ -1,15 +1,23 @@
-"""Report content that was deleted, in two layers, and the code that
-puts it back so that a test can show a report differs from the bytes
-pinned before each deletion by that content alone.
+"""Report content that was changed or deleted, in three layers, and the
+code that puts it back so that a test can show a report differs from
+the bytes pinned before each change by that content alone.
 
-The later layer deleted copies.  ``global_bound`` and ``semiflow`` now
+The latest layer mended a note.  The ``binormal_anr`` row of an
+identity band report (and so of ``semiflow`` and an unbounded
+``global_bound``) read "parts b and c are report-only", but that report
+has no parts ``b`` or ``c``: its report-only counterparts are
+``I_orbits`` and ``I_slice``, and the note now names them.
+``with_old_note`` puts the old note back.
+
+The middle layer deleted copies.  ``global_bound`` and ``semiflow`` now
 return the band report they wrap: the semiflow report lost its nested
 ``band_report`` value, its parts ``a``, ``b`` and ``c`` (copies of
 ``I``, ``I_orbits`` and ``I_slice`` against the whole-space category)
 and its empty ledger.  The engine report lost ``table`` (the band, the
 low and high index, one level per k and the runs) and ``run_checks``
 (each run's value, length, slice index and ok), which ``runs``, ``lhs``,
-``rhs`` and ``band`` hold.  ``with_copies`` puts them back.
+``rhs`` and ``band`` hold.  ``with_copies`` puts them back into a
+report that ``with_old_note`` has rebuilt.
 
 The earlier layer deleted content that encoded no check: a constant
 ``finite_critical_levels`` row in every theorem and engine ledger, the
@@ -22,6 +30,19 @@ has rebuilt.
 """
 
 from lscat.dynamics import TheoremReport
+
+# sha256 of `lscat verify --format structured` before the note was
+# mended, on each shipped fixture whose bytes it moved
+STRUCTURED_DIGESTS_BEFORE_NOTE = {
+    ("verify", "halfcircle_boundary_band"):
+        "7a3471f1b42cc7733aa17094463ea075665a88a3acad0f4579eb9f19a2516c13",
+    ("verify", "two_level_divergence"):
+        "aeb951a77966433d7f6fc6f9d0eb3eff3be23dcd616cd133bb9a3e06efec7f19",
+    ("verify", "v_descent_bounds"):
+        "f23c544ded2bce88ae8cb2e7cd456012c601131c5b3fc4566c70d042e4bc6afd",
+    ("verify", "wedge_cone_band"):
+        "bde92f1e0781a98db271078202de335376ffcd2ae98135beadc713795ba4c119",
+}
 
 # sha256 of `lscat verify` / `lscat engine verify --format structured`
 # before the copies were deleted, where those bytes moved
@@ -67,6 +88,19 @@ CRITERION_04_SHA256_BEFORE = (
 _PART_ROWS = {"II": "sublevel_hull_deformable",
               "semi": "sublevel_hull_deformable",
               "III": "sublevel_preserving_homotopy"}
+
+
+_MENDED_NOTES = {"parts I_orbits and I_slice are report-only":
+                 "parts b and c are report-only"}
+
+
+def with_old_note(report):
+    """Put the old ``binormal_anr`` note back into a structured theorem
+    or engine report, in place; returns it."""
+    row = report["hypotheses"].get("binormal_anr")
+    if row is not None and row["note"] in _MENDED_NOTES:
+        row["note"] = _MENDED_NOTES[row["note"]]
+    return report
 
 
 def with_copies(report):

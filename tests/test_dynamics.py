@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,7 +18,7 @@ from lscat.action import (
     validate_action,
 )
 from lscat.category import INFINITE, HypothesisUnmet
-from lscat.cli import builtin_corpus_dir
+from lscat.cli import builtin_corpus_dir, run_scenario
 from lscat.dynamics import (
     THEOREMS,
     DynamicalPair,
@@ -216,6 +217,32 @@ def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
     verdict = verify_semiflow(constant.pair).verdict()
     assert verdict.startswith("HYPOTHESIS_FAILED:")
     assert "homotopic_to_identity" in verdict.split(":")[1].split(",")
+
+
+def test_report_only_notes_name_parts_that_are_not_assertable():
+    """A ledger note that calls parts report-only names parts of the
+    report it sits in, and each is not assertable; so is a part whose own
+    note says report-only.  Over every report of the shipped theorem
+    fixtures."""
+    corpus = builtin_corpus_dir()
+    named = 0
+    for name in sorted(os.listdir(corpus)):
+        sc = parse_scenario(os.path.join(corpus, name))
+        if sc.kind != "theorem":
+            continue
+        for theorem, report in run_scenario(sc)["reports"].items():
+            parts = report["parts"]
+            for row in report["hypotheses"].values():
+                for found in re.finditer(r"parts (\S+) and (\S+) are "
+                                         r"report-only", row["note"] or ""):
+                    for part in found.groups():
+                        assert part in parts, (name, theorem, part)
+                        assert parts[part]["assertable"] is False
+                        named += 1
+            for part, row in parts.items():
+                if (row["note"] or "").startswith("report-only"):
+                    assert row["assertable"] is False, (name, theorem, part)
+    assert named
 
 
 def test_band_bound_rejects_unbounded(v_pair):

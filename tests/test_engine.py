@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import json
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -8,9 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import fixtures as fx
 from lscat import engine
-from lscat.action import GroupAction, HomogeneousClass, validate_action
-from lscat.category import INFINITE, CatQuery, cover_category
-from lscat.dynamics import DynamicalPair, check_discrete_palais_smale
+from lscat.action import (
+    GroupAction,
+    HomogeneousClass,
+    is_G_map,
+    validate_action,
+)
+from lscat.category import INFINITE, CatQuery, CatResult, cover_category
+from lscat.dynamics import (
+    DynamicalPair,
+    check_discrete_palais_smale,
+    find_identity_fence,
+)
 from lscat.engine import (
     AXIOM_SAMPLES,
     CHECK_SAMPLES,
@@ -26,6 +37,8 @@ from lscat.engine import (
 )
 from lscat.poset import SizeCapExceeded, SpaceMap, bits, validate_space
 
+from certify import count_calls, verify_results
+from equivariant import random_equivariant_instance
 from oracles import (
     oracle_axioms_sampled,
     oracle_supervariance_sampled,
@@ -743,6 +756,40 @@ def test_generated_instances_hold(capsys):
         report = verify_index_bound(nu, pair, a, b, axiom_mode="sampled",
                                     seed=seed)
         assert report["verdict"] == "INEQUALITY_HOLDS", (seed, report)
+
+
+# verdict counts and sha256 of the 200 reports of the equivariant sweep
+EQUIVARIANT_SWEEP_VERDICTS = {"INEQUALITY_HOLDS": 200}
+EQUIVARIANT_SWEEP_SHA256 = (
+    "f2dc98483c45f9cc1f78ea8b9d0ea8beaca1d10096463890a9000b38eee40040")
+
+
+def test_equivariant_sweep_holds_and_certifies(monkeypatch):
+    """Criterion 04's sweep under a real involution (tests/equivariant.py):
+    each map is a G-map G-homotopic to the identity, the verdicts and
+    reports are pinned, every CatResult behind them verifies, and an
+    invariant open whose value is shifted by one is caught."""
+    results = []
+    count_calls(monkeypatch, {"cover_category": 0}, "cover_category",
+                engine, "cover_category", results)
+    verdicts = Counter()
+    digest = hashlib.sha256()
+    for seed in range(200):
+        pair, nu, a, b, action = random_equivariant_instance(seed)
+        assert not action.is_trivial() and is_G_map(pair.phi, action)
+        assert find_identity_fence(pair, action) is not None
+        report = verify_index_bound(nu, pair, a, b, axiom_mode="sampled",
+                                    seed=seed)
+        verdicts[report["verdict"]] += 1
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert verdicts == EQUIVARIANT_SWEEP_VERDICTS
+    assert digest.hexdigest() == EQUIVARIANT_SWEEP_SHA256
+    assert verify_results(results) > 0
+    sound = next(r for r in results
+                 if r.value and r.query.space.is_up_set(r.query.A))
+    shifted = CatResult(sound.query, sound.value + 1, sound.cover)
+    with pytest.raises(ValueError, match="disagrees with the value"):
+        verify_results([shifted])
 
 
 def test_minmax_levels_are_critical_under_supervariance():

@@ -27,7 +27,9 @@ from certify import count_calls, verify_results
 from removed_rows import (
     STRUCTURED_DIGESTS_BEFORE,
     STRUCTURED_DIGESTS_BEFORE_COPIES,
+    STRUCTURED_DIGESTS_BEFORE_NOTE,
     with_copies,
+    with_old_note,
     with_removed_rows,
 )
 
@@ -447,25 +449,25 @@ REPORT_DIGESTS = {
     ("verify", "constant_map_circle", "text"):
         "7de4bb4134159519efacc4e81c34fcc15e7d0f93a461be4b5fcbbce1ccc5b49d",
     ("verify", "halfcircle_boundary_band", "structured"):
-        "7a3471f1b42cc7733aa17094463ea075665a88a3acad0f4579eb9f19a2516c13",
+        "72db8656e8f59a4a241b802c95dff87bc4248acba398c14b48ab5637480963d0",
     ("verify", "halfcircle_boundary_band", "text"):
-        "1762fdd3bbc5d1f0227bed374031f9620b896087225fdc16160f00fd4a538386",
+        "f6132a0043792a9e130a64835ee9f668f63e6252bed310e05cef62c529d7b581",
     ("verify", "homeo_two_level", "structured"):
         "19e1f1ec78cf68e063d140f2e42e5c6830636c9d6ed2f1ce1665005971143b22",
     ("verify", "homeo_two_level", "text"):
         "20710c14eb436108ef36c9c2f952c0ced280616ff3c905ffb6b168091a09945e",
     ("verify", "two_level_divergence", "structured"):
-        "aeb951a77966433d7f6fc6f9d0eb3eff3be23dcd616cd133bb9a3e06efec7f19",
+        "e6f4dac4a348c40ebd14904270a9a859e92dbbe71b3314c9e479d4a1439fa6ae",
     ("verify", "two_level_divergence", "text"):
-        "9386e856bb8ac6fb03ba02a57d5ba38c86c08f2406167ac641090d5b702a8945",
+        "8c0ea761b811c0424331b9f921191773214c46051daf9597634c0f09b508f15e",
     ("verify", "v_descent_bounds", "structured"):
-        "f23c544ded2bce88ae8cb2e7cd456012c601131c5b3fc4566c70d042e4bc6afd",
+        "be1916ffb17de559e6f77f9330fff6aa2f3725e87873468e8659388e6c85df99",
     ("verify", "v_descent_bounds", "text"):
-        "441ac25cf9861e288ff004ddb504a388ff36d0daf663efa80a95557c3c5d6489",
+        "09425c192e8118a32af428c49fdfb7f4860d2406dc402f6e5d3d8ce01d270f66",
     ("verify", "wedge_cone_band", "structured"):
-        "bde92f1e0781a98db271078202de335376ffcd2ae98135beadc713795ba4c119",
+        "8d33831733e5e6a096eb914e698187efeed4a6271a04592079b56a0b31b667fb",
     ("verify", "wedge_cone_band", "text"):
-        "43fa4022913210f9f61400e2644c56adc3abf4b1ea276c3f4838250575529b33",
+        "b8e6445b884454257dbfe4c02aeb154c2ac8cb9bf54506c561fb75d8d5c2d185",
     ("engine verify", "engine_negative_constant", "structured"):
         "670ab82140cb8ce9fcd700916e459a1d5859f9671d05ad339f64dcb3c0148a5e",
     ("engine verify", "engine_negative_constant", "text"):
@@ -488,23 +490,25 @@ def test_report_bytes_pinned(command, fixture, fmt, capsys):
 @pytest.mark.parametrize("command, fixture", sorted(STRUCTURED_DIGESTS_BEFORE))
 def test_reports_differ_from_the_old_bytes_only_by_the_removed_rows(
         command, fixture, capsys):
-    """Putting the deleted copies back into today's structured report
-    gives the bytes from before their deletion (today's bytes where none
-    moved), and putting the deleted constant rows, copied fields and the
-    repeated part back as well gives the bytes from before theirs."""
+    """Putting the old note back into today's structured report gives
+    the bytes from before it was mended, putting the deleted copies back
+    as well gives the bytes from before their deletion, and putting the
+    deleted constant rows, copied fields and the repeated part back too
+    gives the bytes from before theirs (each layer keeps the bytes before
+    it where it moved none)."""
     assert main([*command.split(), corpus_file(fixture + ".json"),
                  "--format", "structured"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert emit_report(doc, "structured") == out
     reports = doc["reports"].values() if "reports" in doc else [doc["report"]]
-    for layer, pinned in (
-            (with_copies, STRUCTURED_DIGESTS_BEFORE_COPIES.get(
-                (command, fixture),
-                REPORT_DIGESTS[command, fixture, "structured"])),
-            (with_removed_rows, STRUCTURED_DIGESTS_BEFORE[command, fixture])):
+    pinned = REPORT_DIGESTS[command, fixture, "structured"]
+    for layer, before in ((with_old_note, STRUCTURED_DIGESTS_BEFORE_NOTE),
+                          (with_copies, STRUCTURED_DIGESTS_BEFORE_COPIES),
+                          (with_removed_rows, STRUCTURED_DIGESTS_BEFORE)):
         for report in reports:
             layer(report)
+        pinned = before.get((command, fixture), pinned)
         digest = hashlib.sha256(emit_report(doc, "structured").encode())
         assert digest.hexdigest() == pinned, layer.__name__
 

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 from collections import Counter
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lscat import numeric
+from lscat.cli import builtin_corpus_dir, run_scenario
+from lscat.formats import parse_scenario
 from lscat.numeric import (
     FlowConfig,
     LeftDomain,
@@ -137,7 +140,7 @@ def test_truncation_rejects_negative():
 
 def _flow_outcome(field, m, config):
     try:
-        return flow_map(field, m, config).states, None
+        return flow_map(field, m, config)[0], None
     except LeftDomain as err:
         return None, err.t_exit
 
@@ -176,13 +179,38 @@ def test_flow_map_leaves_the_domain_at_a_completed_state(j):
     q = quadratic_field()
     cfg = FlowConfig(1.0)
     start = [0.3, 0.2]
-    bad = flow_map(q, start, cfg).states[j]
+    bad = flow_map(q, start, cfg)[0][j]
     field = ScalarField(q.dim, q.f, q.grad,
                         domain=lambda m: not np.array_equal(m, bad))
     states, t_exit = _flow_outcome(field, start, cfg)
     _, expect_exit = oracle_flow(field, start, 1.0, 100)
     assert states is None
     assert t_exit == expect_exit == j * 0.01
+
+
+def test_flow_map_gives_a_rate_for_every_state():
+    # each rate is s * s / truncation_g(s) at its state, s = |grad f|, the
+    # last state's too; half the starts have s in the cubic bridge (1, 2)
+    rng = np.random.default_rng(17)
+    bridge = 0
+    for seed in range(24):
+        dim = 1 + seed % 4
+        field = random_quadratic_field(200 + seed, dim=dim)
+        if seed % 2:
+            m = rng.uniform(-1.5, 1.5, size=dim)
+        else:  # the gradient is linear: scale a direction to norm 1.1 to 1.9
+            u = rng.normal(size=dim)
+            m = u * rng.uniform(1.1, 1.9) / np.linalg.norm(field.grad(u))
+        states, rates = flow_map(field, m, FlowConfig(0.5))
+        expect, t_exit = oracle_flow(field, m, 0.5, 100)
+        assert t_exit is None
+        assert states.tobytes() == expect.tobytes()
+        assert len(rates) == len(states) == 101
+        norms = [np.linalg.norm(field.grad(x)) for x in expect]
+        expect_rates = [s * s / oracle_truncation_g(s) for s in norms]
+        assert rates.tobytes() == np.array(expect_rates).tobytes(), seed
+        bridge += 1.0 < norms[0] < 2.0
+    assert bridge >= 12
 
 
 def _wide_vectors(rng, dim, count):
@@ -311,35 +339,31 @@ def test_flow_config_rejects_bad_values(tau, h_step):
 
 def test_flow_zero_field_stays_put():
     still = ScalarField(2, lambda m: 0.0, lambda m: np.zeros(2))
-    traj = flow_map(still, [0.4, -0.2], FlowConfig(1.0))
-    assert np.allclose(traj.endpoint, [0.4, -0.2])
-
-
-def trajectory_values(traj):
-    return np.array([traj.field.f(m) for m in traj.states])
+    states, rates = flow_map(still, [0.4, -0.2], FlowConfig(1.0))
+    assert np.allclose(states[-1], [0.4, -0.2])
+    assert not rates.any()
 
 
 def test_flow_matches_closed_form():
     q = quadratic_field()
     cfg = FlowConfig(1.0, 1.0 / 1000)
-    traj = flow_map(q, [0.3, 0.0], cfg)
+    states, _ = flow_map(q, [0.3, 0.0], cfg)
     exact = 0.3 * np.exp(-2.0)
-    assert abs(traj.endpoint[0] - exact) <= 1e-8
+    assert abs(states[-1][0] - exact) <= 1e-8
 
 
 def test_flow_half_interval_descends_then_exits():
     hi = half_interval_field()
-    traj = flow_map(hi, [0.9], FlowConfig(0.4, 0.4 / 1000))
-    assert np.all(np.diff(trajectory_values(traj)) < 0)
+    states, _ = flow_map(hi, [0.9], FlowConfig(0.4, 0.4 / 1000))
+    assert np.all(np.diff([hi.f(m) for m in states]) < 0)
     with pytest.raises(LeftDomain):
         flow_map(hi, [0.2], FlowConfig(1.0, 1.0 / 1000))
 
 
 def test_lyapunov_along_flow():
     q = random_quadratic_field(11)
-    traj = flow_map(q, [1.0, -0.7], FlowConfig(1.0, 1.0 / 500))
-    values = trajectory_values(traj)
-    assert np.all(np.diff(values) < 1e-12)
+    states, _ = flow_map(q, [1.0, -0.7], FlowConfig(1.0, 1.0 / 500))
+    assert np.all(np.diff([q.f(m) for m in states]) < 1e-12)
 
 
 def test_energy_identity_examples():
@@ -405,7 +429,7 @@ def check_condition_C(field, samples):
     def probe(start):
         cfg = FlowConfig(PROBE_TIME, PROBE_TIME / 500.0)
         try:
-            end = flow_map(field, start, cfg).endpoint
+            end = flow_map(field, start, cfg)[0][-1]
         except LeftDomain as err:
             return None, err.t_exit
         return end, None
@@ -519,11 +543,13 @@ def test_prop_app_matches_numpy_oracle_on_random_quadratics():
 
 
 def _counted_flows(monkeypatch):
+    """Count ``flow_map`` calls by step count and start point."""
     starts = Counter()
     real = numeric.flow_map
 
     def counted(field, m, config):
-        starts[tuple(np.asarray(m, dtype=float).tolist())] += 1
+        start = tuple(np.asarray(m, dtype=float).tolist())
+        starts[config.steps(), start] += 1
         return real(field, m, config)
 
     monkeypatch.setattr(numeric, "flow_map", counted)
@@ -548,6 +574,21 @@ def test_default_family_matches_bisection_oracle(monkeypatch, field, tau):
                 == np.array(expect[:len(ns)]).tobytes())
         # one flow per distinct trial radius, however many n share it
         assert starts and set(starts.values()) == {1}
+
+
+def test_corpus_numeric_work_is_pinned(monkeypatch):
+    # ps_chain_quadratic flows its 7 trial radii over 200 steps each, then
+    # 30 Aitken horizons and one rest check over 1000 steps each
+    starts = _counted_flows(monkeypatch)
+    scenario = parse_scenario(
+        os.path.join(builtin_corpus_dir(), "ps_chain_quadratic.json"))
+    run_scenario(scenario)
+    per_steps = Counter()
+    for (steps, _), calls in starts.items():
+        per_steps[steps] += calls
+    assert per_steps == {200: 7, 1000: 31}
+    radii = {start for steps, start in starts if steps == 200}
+    assert radii == {(0.5 ** k, 0.0) for k in range(7)}
 
 
 def test_prop_app_half_interval_conclusion_fails():
