@@ -37,8 +37,8 @@ around each point of A.
 
 An infinite category value is the infinite value ``math.inf``, named
 ``INFINITE``.  Float order gives the conventions inf >= inf, inf >= n,
-inf >= inf - n and 0 >= n - inf; only 0 >= inf - inf (nan under IEEE)
-needs ``value_ge_diff``, which every verifier uses.
+inf >= inf - n and 0 >= n - inf; only inf - inf (nan under IEEE) needs
+``value_diff``, the one difference every verifier takes.
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ def strict_json(value):
     return value
 
 
-def value_ge_diff(lhs, x, y):
-    """lhs >= x - y, vacuous when the subtrahend y is INFINITE.
+def value_diff(x, y):
+    """x - y, and 0 when the subtrahend y is INFINITE.
 
-    Every left-hand side in this package is nonnegative, so it is at
-    least n - inf for every n, inf included (IEEE gives inf - inf = nan).
+    A bound x - y with y = INFINITE is vacuous: every left-hand side in
+    this package is nonnegative, so it is at least n - inf for every n,
+    inf included (IEEE gives inf - inf = nan).
     """
-    return y == INFINITE or lhs >= x - y
+    return 0 if y == INFINITE else x - y
 
 
 # -- queries and results -------------------------------------------------

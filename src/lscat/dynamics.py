@@ -13,7 +13,9 @@ classes and the fixed band slice are read from the two.  One
 ``check_discrete_palais_smale`` call fills both Lyapunov ledger rows.
 ``_band_values`` writes the sublevel categories and the slice sum
 (``_slice_sum``, which the engine shares), and ``_difference_parts`` the
-three counts against their difference.  ``global_bound`` and
+orbit-type hypothesis and the three counts against their difference.
+Each ledger row is a check that ran, and each part holds exactly when
+its lhs is at least its bound.  ``global_bound`` and
 ``semiflow`` return the band report over a band whose low cut lies
 under every value of f, under their own theorem id; each public
 verifier persists at most one bundle, for the report it returns.
@@ -37,7 +39,7 @@ from .category import (
     INFINITE,
     cover_category,
     strict_json,
-    value_ge_diff,
+    value_diff,
     _induced,
 )
 from .poset import (
@@ -136,33 +138,26 @@ class TheoremReport:
         self.values = {}
         self.parts = {}
 
-    def hypothesis(self, name, status, ok, witness=None, note=None):
-        self.hypotheses[name] = {
-            "status": status,  # checked | assumed
-            "ok": bool(ok),
-            "witness": witness,
-            "note": note,
-        }
+    def hypothesis(self, name, ok, witness=None, note=None):
+        self.hypotheses[name] = {"ok": bool(ok), "witness": witness,
+                                 "note": note}
 
-    def part(self, name, lhs, rhs_kind, holds, assertable, note=None,
-             bound=None):
+    def part(self, name, lhs, bound, rhs, assertable, note=None):
+        """The inequality lhs >= bound, whose bound reads as ``rhs``."""
         self.parts[name] = {
             "lhs": lhs,
             "bound": bound,
-            "rhs": rhs_kind,
-            "holds": bool(holds),
+            "rhs": rhs,
+            "holds": lhs >= bound,
             "assertable": bool(assertable),
             "note": note,
         }
 
-    def checked_failures(self):
-        return [
-            k for k, h in self.hypotheses.items()
-            if h["status"] == "checked" and not h["ok"]
-        ]
+    def failures(self):
+        return [k for k, h in self.hypotheses.items() if not h["ok"]]
 
     def verdict(self):
-        failed = self.checked_failures()
+        failed = self.failures()
         if failed:
             return "HYPOTHESIS_FAILED:" + ",".join(sorted(failed))
         bad = [
@@ -257,22 +252,19 @@ def _fixed_slice_cat(pair, a, b, action, klass):
 
 def _base_hypotheses(report, pair, action):
     dps = check_discrete_palais_smale(pair)
-    report.hypothesis("lyapunov", "checked", dps["ok"],
-                      witness=dps["witness"])
+    report.hypothesis("lyapunov", dps["ok"], witness=dps["witness"])
     report.hypothesis(
-        "discrete_palais_smale", "checked", dps["ok"],
+        "discrete_palais_smale", dps["ok"],
         witness=dps["witness"],
         note="reduces to the Lyapunov property on finite spaces",
     )
     if not action.is_trivial():
-        report.hypothesis(
-            "equivariant_map", "checked", is_G_map(pair.phi, action)
-        )
+        report.hypothesis("equivariant_map", is_G_map(pair.phi, action))
         inv = all(
             len({pair.f[i] for i in bits(orb)}) == 1
             for orb in action.orbits()
         )
-        report.hypothesis("invariant_function", "checked", inv)
+        report.hypothesis("invariant_function", inv)
 
 
 def _count_orbit_classes(pair, a, b, action):
@@ -292,20 +284,16 @@ def _count_orbit_classes(pair, a, b, action):
     return classes
 
 
-def _band_values(report, pair, a, b, action, klass, notes):
+def _band_values(report, pair, a, b, action, klass, note):
     """Write the band's sublevel categories and slice sum to the report's
-    values, with the two hypotheses on them, noted by ``notes``: the low
-    category is finite, and the sublevels form a binormal ANR pair
-    (checked on a discrete space, else assumed).  Returns the low and
-    high categories and the slice sum."""
+    values, with the hypothesis that the low category is finite, noted
+    by ``note``.  Returns the low and high categories and the slice
+    sum."""
     space = pair.space
     cat = lambda m: _gcat(space, m, action, klass)  # noqa: E731
     cat_fa, cat_fb = cat(pair.sublevel(a)), cat(pair.sublevel(b))
-    report.hypothesis("sublevel_category_finite", "checked",
-                      cat_fa < INFINITE, note=notes[0])
-    normal = space.is_discrete()
-    report.hypothesis("binormal_anr", "checked" if normal else "assumed",
-                      True, note=None if normal else notes[1])
+    report.hypothesis("sublevel_category_finite", cat_fa < INFINITE,
+                      note=note)
     lhs, per_level = _slice_sum(pair, a, b, cat)
     report.values.update({
         "sublevel_cat_low": cat_fa,
@@ -317,29 +305,30 @@ def _band_values(report, pair, a, b, action, klass, notes):
 
 
 def _difference_parts(report, pair, a, b, action, klass, names, rhs, notes):
-    """Write the band's three fixed-point counts, each against the
-    sublevel category difference ``_diff(high, low)`` of the report's
-    values: the slice sum, the orbit-class count and the fixed slice's
-    own category.  The first is assertable when the checked ledger
-    passes, the other two also need a discrete (normal) space.  Returns
-    the orbit classes."""
-    low = report.values["sublevel_cat_low"]
-    high = report.values["sublevel_cat_high"]
+    """Write the hypothesis that the class admits the orbit type of each
+    orbit class in the fixed band slice, then the band's three
+    fixed-point counts, each against the sublevel category difference
+    ``value_diff(high, low)`` of the report's values: the slice sum, the
+    orbit-class count and the fixed slice's own category.  The first is
+    assertable when the ledger passes; the other two also need a
+    discrete space, the only finite T1 space (their proofs need normal
+    sublevels that form a binormal ANR pair)."""
     classes = _count_orbit_classes(pair, a, b, action)
+    report.hypothesis("orbit_types_admissible", all(
+        klass.admits_stabilizer(action.stabilizer(cls[0])) for cls in classes
+    ))
+    bound = value_diff(report.values["sublevel_cat_high"],
+                       report.values["sublevel_cat_low"])
     report.values["orbit_class_count"] = len(classes)
     report.values["fixed_slice_cat"] = _fixed_slice_cat(
         pair, a, b, action, klass)
-    ledger_ok = not report.checked_failures()
+    ledger_ok = not report.failures()
     normal = pair.space.is_discrete()
     counts = (report.values["slice_sum"], len(classes),
               report.values["fixed_slice_cat"])
     for k, (name, count, note) in enumerate(zip(names, counts, notes)):
-        report.part(
-            name, count, rhs, value_ge_diff(count, high, low),
-            assertable=ledger_ok and (k == 0 or normal),
-            bound=_diff(high, low), note=note,
-        )
-    return classes
+        report.part(name, count, bound, rhs,
+                    assertable=ledger_ok and (k == 0 or normal), note=note)
 
 
 def verify_band_bound(pair, a, b, action=None, klass=None):
@@ -362,34 +351,18 @@ def _band_report(theorem, pair, a, b, action, klass):
     action, klass = _context(pair, action, klass)
     report = TheoremReport(theorem)
     _base_hypotheses(report, pair, action)
-    report.hypothesis(
-        "homotopy_equivalence", "checked", is_homotopy_equivalence(pair.phi)
-    )
-    cat_fa, cat_fb, _ = _band_values(
-        report, pair, a, b, action, klass,
-        ("category of the lower sublevel set",
-         "finite non-discrete models are not normal; parts b and c are "
-         "report-only"),
-    )
+    report.hypothesis("homotopy_equivalence",
+                      is_homotopy_equivalence(pair.phi))
+    cat_fa, cat_fb, _ = _band_values(report, pair, a, b, action, klass,
+                                     "category of the lower sublevel set")
     report.values["band"] = [a, b]
-    classes = _difference_parts(
+    _difference_parts(
         report, pair, a, b, action, klass, ("a", "b", "c"),
         f"{cat_fb} - {cat_fa}",
         (None, "orbit-class count against the category difference",
          "category of the fixed band slice as its own space"),
     )
-    types_ok = all(
-        klass.admits_stabilizer(action.stabilizer(cls[0])) for cls in classes
-    )
-    report.hypothesis("orbit_types_admissible", "checked", types_ok)
     return report
-
-
-def _diff(x, y):
-    """x - y, clamped to 0 for y = INFINITE except inf - inf = inf."""
-    if y == INFINITE:
-        return x if x == INFINITE else 0
-    return x - y
 
 
 def find_identity_fence(pair, action, preserve_mask=None):
@@ -450,16 +423,14 @@ def _identity_band_report(theorem, pair, a, b, action, klass):
     report = TheoremReport(theorem)
     _base_hypotheses(report, pair, action)
     fence = find_identity_fence(pair, action)
-    report.hypothesis("homotopic_to_identity", "checked", fence is not None,
+    report.hypothesis("homotopic_to_identity", fence is not None,
                       note=None if fence is None else
                       f"fence of length {len(fence)}")
 
     fa_mask = pair.sublevel(a)
     fb_mask = pair.sublevel(b)
-    cat_fa, cat_fb, lhs = _band_values(
-        report, pair, a, b, action, klass,
-        (None, "parts I_orbits and I_slice are report-only"),
-    )
+    cat_fa, cat_fb, lhs = _band_values(report, pair, a, b, action, klass,
+                                       None)
     pair_bound = _gcat(space, fb_mask, action, klass, mode="pair", Y=fa_mask)
     semi_bound = (
         _gcat(space, fb_mask, action, klass, mode="semi", Y=fa_mask)
@@ -475,8 +446,7 @@ def _identity_band_report(theorem, pair, a, b, action, klass):
     )
     fixed_levels = {pair.f[i] for i in bits(pair.fixed_mask())}
     report.hypothesis(
-        "sublevel_hull_deformable",
-        "checked", hull_ok,
+        "sublevel_hull_deformable", hull_ok,
         note="open hull of the low sublevel deforms into it"
         + ("" if a in fixed_levels else
            " (low cut misses the critical values)"),
@@ -485,39 +455,33 @@ def _identity_band_report(theorem, pair, a, b, action, klass):
     if fence is not None and fa_mask:
         preserving = find_identity_fence(pair, action, preserve_mask=fa_mask)
     report.hypothesis(
-        "sublevel_preserving_homotopy", "checked", preserving is not None,
+        "sublevel_preserving_homotopy", preserving is not None,
         note="a fence to the identity whose stages keep the low sublevel "
              "inside itself",
     )
 
     report.values.update({
-        "difference_bound": _diff(cat_fb, cat_fa),
+        "difference_bound": value_diff(cat_fb, cat_fa),
         "pair_bound": pair_bound,
         "semi_bound": semi_bound,
         "mod_bound": mod_bound,
         "band": [a, b],
     })
 
-    core_ok = not report.checked_failures()
     _difference_parts(
         report, pair, a, b, action, klass, ("I", "I_orbits", "I_slice"),
         "difference", ("holds for unbounded bands as well", None, None),
     )
-    report.part(
-        "II", lhs, "pair category", lhs >= pair_bound,
-        assertable=core_ok and hull_ok, bound=pair_bound,
-    )
+    report.part("II", lhs, pair_bound, "pair category",
+                assertable=not report.failures())
     if semi_bound is not None:
         report.part(
-            "semi", lhs, "semi category", lhs >= semi_bound,
-            assertable=False, bound=semi_bound,
+            "semi", lhs, semi_bound, "semi category", assertable=False,
             note="report-only: the semi variant is not subadditive on "
                  "finite models",
         )
     report.part(
-        "III", lhs, "mod category",
-        lhs >= mod_bound if preserving is not None else False,
-        assertable=False, bound=mod_bound,
+        "III", lhs, mod_bound, "mod category", assertable=False,
         note="report-only: the mod variant is not subadditive on finite "
              "models",
     )
@@ -527,7 +491,7 @@ def _identity_band_report(theorem, pair, a, b, action, klass):
         "semi_ge_pair": semi_bound >= pair_bound
         if semi_bound is not None else None,
         "mod_ge_pair": mod_bound >= pair_bound,
-        "pair_ge_difference": value_ge_diff(pair_bound, cat_fb, cat_fa),
+        "pair_ge_difference": pair_bound >= report.values["difference_bound"],
     }
     report.values["bound_chain"] = chain
     report.values["deformation_exponents"] = _deformation_exponents(pair, a, b)
@@ -602,9 +566,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     # a bijective self-map of a finite poset is an automorphism, as in
     # is_homotopy_equivalence
     homeo = len(set(pair.phi.images)) == len(space)
-    report.hypothesis("homeomorphism", "checked", homeo)
-    if not homeo:
-        report.values["note"] = "phi is not invertible"
+    report.hypothesis("homeomorphism", homeo)
 
     def bcat(mask):
         return cover_category(
@@ -614,9 +576,7 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
 
     cat_fa = bcat(pair.sublevel(a))
     cat_fb = bcat(pair.sublevel(b))
-    report.hypothesis(
-        "sublevel_class_count_finite", "checked", cat_fa < INFINITE
-    )
+    report.hypothesis("sublevel_class_count_finite", cat_fa < INFINITE)
     total, per_level = _slice_sum(pair, a, b, bcat)
     report.values.update({
         "sublevel_count_low": cat_fa,
@@ -628,12 +588,9 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     # flow variant: the iterates of a homeomorphism form a discrete flow
     # whose rest points are the fixed points
     report.values["flow_rest_set"] = sorted(space.labels(pair.fixed_mask()))
-    report.part(
-        "count", total, "difference of reference-class counts",
-        value_ge_diff(total, cat_fb, cat_fa),
-        assertable=not report.checked_failures(),
-        bound=_diff(cat_fb, cat_fa),
-    )
+    report.part("count", total, value_diff(cat_fb, cat_fa),
+                "difference of reference-class counts",
+                assertable=not report.failures())
     return _maybe_persist(pair, report)
 
 

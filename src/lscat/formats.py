@@ -391,12 +391,11 @@ def emit_report(report, fmt="structured"):
 def _render_text(doc, lines, indent=0):
     pad = "  " * indent
     if isinstance(doc, dict):
-        if set(doc) >= {"status", "ok"}:  # hypothesis ledger row
+        if set(doc) == {"ok", "witness", "note"}:  # theorem ledger row
             flag = "ok" if doc["ok"] else "FAILED"
-            extra = f" [{doc['status']}]"
-            wit = f" witness={doc['witness']}" if doc.get("witness") else ""
-            note = f" - {doc['note']}" if doc.get("note") else ""
-            lines.append(f"{pad}{flag}{extra}{wit}{note}")
+            wit = f" witness={doc['witness']}" if doc["witness"] else ""
+            note = f" - {doc['note']}" if doc["note"] else ""
+            lines.append(f"{pad}{flag}{wit}{note}")
             return
         for key in doc:
             value = doc[key]

@@ -1,8 +1,23 @@
-"""Report content that was changed or deleted, in three layers, and the
+"""Report content that was changed or deleted, in four layers, and the
 code that puts it back so that a test can show a report differs from
 the bytes pinned before each change by that content alone.
 
-The latest layer mended a note.  The ``binormal_anr`` row of an
+The latest layer made each theorem ledger row a check that ran and each
+part's ``holds`` its own inequality.  Every row lost its ``status``
+("checked" on every row but one), and the ``binormal_anr`` row went: it
+was ok on every space, "checked" with no note on a discrete space and
+"assumed" with a note naming the report-only parts otherwise.  A bound
+x - y with x and y both infinite reads 0, as does every bound whose
+subtrahend is infinite; it read inf in the parts and in
+``difference_bound``.  Part ``III``'s ``holds`` no longer folds in the
+``sublevel_preserving_homotopy`` row, and a homeo report whose phi is
+not bijective lost the value ``note`` that repeated the failed
+``homeomorphism`` row.  The identity band report (and so ``semiflow``
+and an unbounded ``global_bound``) gained the ``orbit_types_admissible``
+row of ``band_bound``.  ``with_status`` puts all of it back and takes
+that row out.
+
+The next layer mended a note.  The ``binormal_anr`` row of an
 identity band report (and so of ``semiflow`` and an unbounded
 ``global_bound``) read "parts b and c are report-only", but that report
 has no parts ``b`` or ``c``: its report-only counterparts are
@@ -30,6 +45,23 @@ has rebuilt.
 """
 
 from lscat.dynamics import TheoremReport
+
+# sha256 of `lscat verify --format structured` on each shipped theorem
+# fixture before the status field and the binormal_anr row were deleted
+STRUCTURED_DIGESTS_BEFORE_STATUS = {
+    ("verify", "constant_map_circle"):
+        "8a94a48437beeb72ac281a3c932edc1c46602e03f8ccced88b4e9a3e5fcd455b",
+    ("verify", "halfcircle_boundary_band"):
+        "72db8656e8f59a4a241b802c95dff87bc4248acba398c14b48ab5637480963d0",
+    ("verify", "homeo_two_level"):
+        "19e1f1ec78cf68e063d140f2e42e5c6830636c9d6ed2f1ce1665005971143b22",
+    ("verify", "two_level_divergence"):
+        "e6f4dac4a348c40ebd14904270a9a859e92dbbe71b3314c9e479d4a1439fa6ae",
+    ("verify", "v_descent_bounds"):
+        "be1916ffb17de559e6f77f9330fff6aa2f3725e87873468e8659388e6c85df99",
+    ("verify", "wedge_cone_band"):
+        "8d33831733e5e6a096eb914e698187efeed4a6271a04592079b56a0b31b667fb",
+}
 
 # sha256 of `lscat verify --format structured` before the note was
 # mended, on each shipped fixture whose bytes it moved
@@ -88,6 +120,49 @@ CRITERION_04_SHA256_BEFORE = (
 _PART_ROWS = {"II": "sublevel_hull_deformable",
               "semi": "sublevel_hull_deformable",
               "III": "sublevel_preserving_homotopy"}
+
+
+# the binormal_anr note on a space that is not discrete, by the parts
+# its report has
+_ANR_NOTES = {"a": "finite non-discrete models are not normal; parts b "
+                   "and c are report-only",
+              "I": "parts I_orbits and I_slice are report-only"}
+
+
+def with_status(report, discrete):
+    """Put the status field, the ``binormal_anr`` row (on a space that is
+    ``discrete`` or not), the infinite bound of inf - inf, part ``III``'s
+    folded ``holds`` and the homeo value note back into a structured
+    theorem report, and take the identity band report's
+    ``orbit_types_admissible`` row out, in place; returns it.  An engine
+    report is left as it is."""
+    if "theorem" not in report:
+        return report
+    values, parts, old = report["values"], report["parts"], {}
+    if "I" in parts:
+        del report["hypotheses"]["orbit_types_admissible"]
+    for name, row in report["hypotheses"].items():
+        old[name] = {"status": "checked", **row}
+        if name == "sublevel_category_finite":
+            old["binormal_anr"] = {
+                "status": "checked" if discrete else "assumed", "ok": True,
+                "witness": None,
+                "note": None if discrete
+                else _ANR_NOTES["a" if "a" in parts else "I"]}
+    report["hypotheses"] = old
+    low, high = ("sublevel_count_low", "sublevel_count_high") \
+        if "count" in parts else ("sublevel_cat_low", "sublevel_cat_high")
+    if values[low] == values[high] == "inf":
+        for name in ("a", "b", "c", "I", "I_orbits", "I_slice", "count"):
+            if name in parts:
+                parts[name]["bound"] = "inf"
+        if "difference_bound" in values:
+            values["difference_bound"] = "inf"
+    if "III" in parts:
+        parts["III"]["holds"] &= old["sublevel_preserving_homotopy"]["ok"]
+    if "homeomorphism" in old and not old["homeomorphism"]["ok"]:
+        values["note"] = "phi is not invertible"
+    return report
 
 
 _MENDED_NOTES = {"parts I_orbits and I_slice are report-only":

@@ -34,7 +34,7 @@ from lscat.category import (
     cat_mod,
     cat_pair,
     cover_category,
-    value_ge_diff,
+    value_diff,
 )
 from lscat.dynamics import DynamicalPair, verify_identity_band_bound
 from lscat.engine import (
@@ -325,8 +325,8 @@ def test_criterion_07_bound_chain_and_strictness():
         if v["semi_bound"] is None:
             continue
         chain_ok &= v["mod_bound"] >= v["semi_bound"] >= v["pair_bound"]
-        chain_ok &= value_ge_diff(v["pair_bound"], v["sublevel_cat_high"],
-                                  v["sublevel_cat_low"])
+        chain_ok &= v["pair_bound"] >= value_diff(v["sublevel_cat_high"],
+                                                  v["sublevel_cat_low"])
         checked += 1
 
     wedge = fx.fix_wedge()

@@ -30,7 +30,7 @@ from lscat.category import (
     is_categorical,
     min_cover,
     order_isomorphic,
-    value_ge_diff,
+    value_diff,
     categorical_closed_catalog,
     categorical_open_catalog,
     classB_catalog,
@@ -72,10 +72,11 @@ def test_infinity_conventions():
     assert INFINITE >= INFINITE
     assert INFINITE >= 7
     assert not 7 >= INFINITE
-    assert value_ge_diff(0, INFINITE, INFINITE)  # inf >= inf - inf
-    assert value_ge_diff(0, 5, INFINITE)         # 0 >= n - inf
-    assert value_ge_diff(INFINITE, INFINITE, 3)  # inf >= inf - n
-    assert not value_ge_diff(5, INFINITE, 3)
+    assert value_diff(INFINITE, INFINITE) == 0   # 0 >= inf - inf
+    assert value_diff(5, INFINITE) == 0          # 0 >= n - inf
+    assert INFINITE >= value_diff(INFINITE, 3)   # inf >= inf - n
+    assert not 5 >= value_diff(INFINITE, 3)
+    assert value_diff(5, 3) == 2
     assert 2 + INFINITE == INFINITE
 
 
@@ -238,7 +239,7 @@ def test_ordering_chain_on_fixtures(arc3, c4, wedge2):
         plain_y = cat(space, Y)
         assert mod >= semi
         assert semi >= pair
-        assert value_ge_diff(pair, plain_a, plain_y)
+        assert pair >= value_diff(plain_a, plain_y)
 
 
 @st.composite
@@ -277,7 +278,7 @@ def test_ordering_chain_random(space, data):
     pair = cat_pair(space, A, Y)
     assert mod >= semi
     assert semi >= pair
-    assert value_ge_diff(pair, cat(space, A), cat(space, Y))
+    assert pair >= value_diff(cat(space, A), cat(space, Y))
 
 
 # -- the cover search against brute force -----------------------------------

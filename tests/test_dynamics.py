@@ -1,7 +1,6 @@
 import json
 import os
 import random
-import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,13 +16,12 @@ from lscat.action import (
     is_G_map,
     validate_action,
 )
-from lscat.category import INFINITE, HypothesisUnmet
+from lscat.category import INFINITE, HypothesisUnmet, value_diff
 from lscat.cli import builtin_corpus_dir, run_scenario
 from lscat.dynamics import (
     THEOREMS,
     DynamicalPair,
     _context,
-    _diff,
     _gcat,
     check_discrete_palais_smale,
     find_identity_fence,
@@ -38,6 +36,7 @@ from lscat.engine import random_instance
 from lscat.formats import parse_scenario
 from lscat.poset import SpaceMap, bits, is_homotopy_equivalence, validate_space
 
+from equivariant import random_equivariant_instance
 from oracles import oracle_G_fence, oracle_palais_smale
 from test_category import acted_spaces
 
@@ -171,7 +170,11 @@ def test_planted_theorem_violation_bundle_replays(
 def _ledger_cases():
     """(pair, band, action, klass, reference spaces) of every shipped
     theorem fixture, the constant map of ``constant_map_circle.json``
-    among them, and of the first 200 criterion 04 instances."""
+    among them, of the first 200 criterion 04 instances, of the swapped
+    V on a band with infinite sublevel categories and on one whose orbit
+    types the free class refuses, of 20 instances under an involution
+    with the point, free and all classes, and of a constant map checked
+    for the homeomorphism bound."""
     corpus = builtin_corpus_dir()
     for name in sorted(os.listdir(corpus)):
         sc = parse_scenario(os.path.join(corpus, name))
@@ -181,14 +184,33 @@ def _ledger_cases():
     for seed in range(200):
         pair, _, a, b = random_instance(seed)
         yield pair, (a, b), None, None, None
+    pair, action, klass = swapped_v_pair()
+    for band in ((0.5, 2.0), (-0.5, 2.0)):
+        yield pair, band, action, klass, None
+    for seed in range(20):
+        pair, _, a, b, action = random_equivariant_instance(seed)
+        for klass in (HomogeneousClass.point_only(action),
+                      HomogeneousClass.free_only(action),
+                      HomogeneousClass.all_types(action)):
+            yield pair, (a, b), action, klass, None
+    c4 = fx.fix_c4()
+    yield (DynamicalPair(c4, fx.c4_constant_map(c4), fx.C4_CONST_HEIGHTS),
+           (-1.0, 2.0), None, None, [fx.fix_v()])
+
+
+# the parts bounded by the difference of the report's two sublevel values
+_DIFFERENCE_PARTS = {"a", "b", "c", "I", "I_orbits", "I_slice", "count"}
 
 
 def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
     """Every theorem report names its own id and carries the band
-    ledger, and its verdict is HYPOTHESIS_FAILED exactly when a checked
-    row of that ledger fails; ``global_bound`` and ``semiflow`` report
-    their low cut.  A semiflow whose map is not homotopic to the
-    identity fails that row (the constant map on the circle)."""
+    ledger, and its verdict is HYPOTHESIS_FAILED exactly when a row of
+    that ledger fails, and then no part is assertable; ``global_bound``
+    and ``semiflow`` report their low cut.  Each part holds exactly when its
+    lhs is at least its bound, a difference bound is ``value_diff`` of
+    the report's sublevel values, and no value repeats a row as a note.
+    A semiflow whose map is not homotopic to the identity fails that row
+    (the constant map on the circle)."""
     checked = set()
     for pair, band, action, klass, refs in _ledger_cases():
         a, b = band
@@ -199,17 +221,30 @@ def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
             if refs and (action is None or action.is_trivial()):
                 questions += [("homeo_band_bound", band)]
         for theorem, cut in questions:
-            report = THEOREMS[theorem](pair, cut, action, klass,
-                                       refs).to_dict()
-            assert report["theorem"] == theorem
-            assert {"lyapunov", "discrete_palais_smale"} <= set(
-                report["hypotheses"])
-            failed = any(h["status"] == "checked" and not h["ok"]
-                         for h in report["hypotheses"].values())
-            assert report["verdict"].startswith("HYPOTHESIS_FAILED") \
-                == failed, (theorem, report["verdict"])
+            report = THEOREMS[theorem](pair, cut, action, klass, refs)
+            assert report.theorem == theorem
+            rows = report.hypotheses
+            assert {"lyapunov", "discrete_palais_smale"} <= set(rows)
+            assert all(set(row) == {"ok", "witness", "note"}
+                       for row in rows.values())
+            failed = any(not row["ok"] for row in rows.values())
+            assert report.verdict().startswith("HYPOTHESIS_FAILED") \
+                == failed, (theorem, report.verdict())
+            values = report.values
+            low, high = (values.get("sublevel_cat_low",
+                                    values.get("sublevel_count_low")),
+                         values.get("sublevel_cat_high",
+                                    values.get("sublevel_count_high")))
+            for name, part in report.parts.items():
+                assert part["holds"] == (part["lhs"] >= part["bound"])
+                assert not (failed and part["assertable"]), (theorem, name)
+                if name in _DIFFERENCE_PARTS:
+                    assert part["bound"] == value_diff(high, low)
+            if "difference_bound" in values:
+                assert values["difference_bound"] == value_diff(high, low)
+            assert "note" not in values
             if theorem in ("global_bound", "semiflow"):
-                assert report["values"]["global_low_cut"] == min(pair.f) - 1
+                assert values["global_low_cut"] == min(pair.f) - 1
             checked.add(theorem)
     assert checked == set(THEOREMS)
     constant = parse_scenario(
@@ -220,10 +255,8 @@ def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
 
 
 def test_report_only_notes_name_parts_that_are_not_assertable():
-    """A ledger note that calls parts report-only names parts of the
-    report it sits in, and each is not assertable; so is a part whose own
-    note says report-only.  Over every report of the shipped theorem
-    fixtures."""
+    """A part whose own note says report-only is not assertable, over
+    every report of the shipped theorem fixtures."""
     corpus = builtin_corpus_dir()
     named = 0
     for name in sorted(os.listdir(corpus)):
@@ -231,17 +264,10 @@ def test_report_only_notes_name_parts_that_are_not_assertable():
         if sc.kind != "theorem":
             continue
         for theorem, report in run_scenario(sc)["reports"].items():
-            parts = report["parts"]
-            for row in report["hypotheses"].values():
-                for found in re.finditer(r"parts (\S+) and (\S+) are "
-                                         r"report-only", row["note"] or ""):
-                    for part in found.groups():
-                        assert part in parts, (name, theorem, part)
-                        assert parts[part]["assertable"] is False
-                        named += 1
-            for part, row in parts.items():
+            for part, row in report["parts"].items():
                 if (row["note"] or "").startswith("report-only"):
                     assert row["assertable"] is False, (name, theorem, part)
+                    named += 1
     assert named
 
 
@@ -279,7 +305,7 @@ def test_band_bounds_with_an_infinite_low_sublevel(verify):
     names = (("a", "b", "c") if verify is verify_band_bound
              else ("I", "I_orbits", "I_slice"))
     for name in names:
-        assert report.parts[name]["bound"] == INFINITE  # inf - inf = inf
+        assert report.parts[name]["bound"] == 0  # inf - inf bounds nothing
 
 
 def test_homeo_band_bound_with_an_infinite_low_sublevel(v_space):
@@ -291,7 +317,8 @@ def test_homeo_band_bound_with_an_infinite_low_sublevel(v_space):
     report = verify_homeo_band_bound(pair, [point], 0.5, 2.0)
     assert not report.hypotheses["sublevel_class_count_finite"]["ok"]
     assert report.values["sublevel_count_low"] == INFINITE
-    assert report.parts["count"]["bound"] == INFINITE
+    assert report.values["sublevel_count_high"] == INFINITE
+    assert report.parts["count"]["bound"] == 0  # inf - inf bounds nothing
 
 
 def test_identity_band_bound_v_unbounded(v_pair):
@@ -343,7 +370,6 @@ def test_identity_band_bound_two_level_divergence(two_level_pair):
 
 
 def test_identity_band_chain_on_generated_instances():
-    from lscat.category import value_ge_diff
     from lscat.engine import random_instance
 
     checked = 0
@@ -356,8 +382,8 @@ def test_identity_band_chain_on_generated_instances():
         if v["semi_bound"] is None:
             continue
         assert v["mod_bound"] >= v["semi_bound"] >= v["pair_bound"]
-        assert value_ge_diff(v["pair_bound"], v["sublevel_cat_high"],
-                             v["sublevel_cat_low"])
+        assert v["pair_bound"] >= value_diff(v["sublevel_cat_high"],
+                                             v["sublevel_cat_low"])
         if report.parts["I"]["assertable"]:
             assert report.parts["I"]["holds"]
         if report.parts["II"]["assertable"]:
@@ -395,7 +421,7 @@ def detect_nondeformable_slice(pair, a, b, action=None, klass=None):
     if cat_fa == INFINITE:
         raise HypothesisUnmet("sublevel_category_finite")
     levels = pair.critical_levels(a, b)
-    bound = _diff(cat_fb, cat_fa)
+    bound = value_diff(cat_fb, cat_fa)
     if bound < len(levels) + 1:
         return []
     band = pair._band(a, b)

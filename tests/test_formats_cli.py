@@ -28,9 +28,11 @@ from removed_rows import (
     STRUCTURED_DIGESTS_BEFORE,
     STRUCTURED_DIGESTS_BEFORE_COPIES,
     STRUCTURED_DIGESTS_BEFORE_NOTE,
+    STRUCTURED_DIGESTS_BEFORE_STATUS,
     with_copies,
     with_old_note,
     with_removed_rows,
+    with_status,
 )
 
 CORPUS = builtin_corpus_dir()
@@ -120,10 +122,8 @@ def test_emit_report_deterministic():
 def test_emit_report_text_renders_ledger():
     report = {
         "hypotheses": {
-            "lyapunov": {"status": "checked", "ok": True, "witness": None,
-                         "note": None},
-            "homotopic_to_identity": {"status": "checked", "ok": False,
-                                      "witness": "c",
+            "lyapunov": {"ok": True, "witness": None, "note": None},
+            "homotopic_to_identity": {"ok": False, "witness": "c",
                                       "note": "fence of length 5"},
         },
         "values": {"per_level": [(0.0, 1), (1.0, float("inf"))]},
@@ -131,9 +131,8 @@ def test_emit_report_text_renders_ledger():
     }
     lines = emit_report(report, "text").splitlines()
     assert "lyapunov" in lines[1]
-    assert lines[2].strip() == "ok [checked]"
-    assert lines[4].strip() == \
-        "FAILED [checked] witness=c - fence of length 5"
+    assert lines[2].strip() == "ok"
+    assert lines[4].strip() == "FAILED witness=c - fence of length 5"
     # one line per (level, value) pair
     assert [line.strip() for line in lines[7:]] == \
         ["- [0.0, 1]", "- [1.0, inf]", "verdict: HOLDS"]
@@ -445,29 +444,29 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
 # corpus digest covers only the summary rows, not these report bytes
 REPORT_DIGESTS = {
     ("verify", "constant_map_circle", "structured"):
-        "8a94a48437beeb72ac281a3c932edc1c46602e03f8ccced88b4e9a3e5fcd455b",
+        "b6427a7e12ac9e2915305385d029719bd8dd24af7f3b4a9696ffe6b554dfab40",
     ("verify", "constant_map_circle", "text"):
-        "7de4bb4134159519efacc4e81c34fcc15e7d0f93a461be4b5fcbbce1ccc5b49d",
+        "bc0e39c698d3ff159110690551b8808bfa0244a742fa8de523f60f78eddcb985",
     ("verify", "halfcircle_boundary_band", "structured"):
-        "72db8656e8f59a4a241b802c95dff87bc4248acba398c14b48ab5637480963d0",
+        "a4761f2df2fa0ae6269da90981a7fce172d442df86f8d99da67fdec1303eae11",
     ("verify", "halfcircle_boundary_band", "text"):
-        "f6132a0043792a9e130a64835ee9f668f63e6252bed310e05cef62c529d7b581",
+        "79c0670bc8f44aaa3cdf377820b453afa4a6f868da87cfcce1d10f4fe0dce9c8",
     ("verify", "homeo_two_level", "structured"):
-        "19e1f1ec78cf68e063d140f2e42e5c6830636c9d6ed2f1ce1665005971143b22",
+        "4bf1b8ec94b6e076ed627f261463154069247d4110a235ff7705d32e0ca4c0ad",
     ("verify", "homeo_two_level", "text"):
-        "20710c14eb436108ef36c9c2f952c0ced280616ff3c905ffb6b168091a09945e",
+        "76865bbbaa198f6e33d637d3f9ae6696795a032978882feb3972eba87c86e843",
     ("verify", "two_level_divergence", "structured"):
-        "e6f4dac4a348c40ebd14904270a9a859e92dbbe71b3314c9e479d4a1439fa6ae",
+        "c21156a31a75b9e3664d1dd8da0cbcedb0bc99ac85900e4889bee980cea30d67",
     ("verify", "two_level_divergence", "text"):
-        "8c0ea761b811c0424331b9f921191773214c46051daf9597634c0f09b508f15e",
+        "9910bf79cd2557c30db1928ee3dd8a39134dc4be2ae4a32c07c2f8863811a6c1",
     ("verify", "v_descent_bounds", "structured"):
-        "be1916ffb17de559e6f77f9330fff6aa2f3725e87873468e8659388e6c85df99",
+        "8e3054a88fffe812a72cac01c316c8a53c531dbda412816868198690c380ff29",
     ("verify", "v_descent_bounds", "text"):
-        "09425c192e8118a32af428c49fdfb7f4860d2406dc402f6e5d3d8ce01d270f66",
+        "8bca1f3574dc38fde2e50927965879f78daf3e659f903ed66688d7bc07e7ea83",
     ("verify", "wedge_cone_band", "structured"):
-        "8d33831733e5e6a096eb914e698187efeed4a6271a04592079b56a0b31b667fb",
+        "72e16df1e9000bb93b1c56d39f2ee7f97ac9b52c760369f39d928652567ed240",
     ("verify", "wedge_cone_band", "text"):
-        "b8e6445b884454257dbfe4c02aeb154c2ac8cb9bf54506c561fb75d8d5c2d185",
+        "ecda1099c4a52d642a928970dbe5de9867b8e377f589c9f90d6ddfc5abf746fe",
     ("engine verify", "engine_negative_constant", "structured"):
         "670ab82140cb8ce9fcd700916e459a1d5859f9671d05ad339f64dcb3c0148a5e",
     ("engine verify", "engine_negative_constant", "text"):
@@ -490,22 +489,32 @@ def test_report_bytes_pinned(command, fixture, fmt, capsys):
 @pytest.mark.parametrize("command, fixture", sorted(STRUCTURED_DIGESTS_BEFORE))
 def test_reports_differ_from_the_old_bytes_only_by_the_removed_rows(
         command, fixture, capsys):
-    """Putting the old note back into today's structured report gives
+    """Putting the status field, the binormal_anr row and the old
+    inf - inf bound back into today's structured report gives the bytes
+    from before their deletion, putting the old note back as well gives
     the bytes from before it was mended, putting the deleted copies back
-    as well gives the bytes from before their deletion, and putting the
-    deleted constant rows, copied fields and the repeated part back too
+    too gives the bytes from before their deletion, and putting the
+    deleted constant rows, copied fields and the repeated part back last
     gives the bytes from before theirs (each layer keeps the bytes before
     it where it moved none)."""
-    assert main([*command.split(), corpus_file(fixture + ".json"),
-                 "--format", "structured"]) == 0
+    path = corpus_file(fixture + ".json")
+    assert main([*command.split(), path, "--format", "structured"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert emit_report(doc, "structured") == out
     reports = doc["reports"].values() if "reports" in doc else [doc["report"]]
+    sc = parse_scenario(path)
+
+    def with_status_on_this_space(report):
+        return with_status(report, sc.kind == "theorem"
+                           and sc.pair.space.is_discrete())
+
     pinned = REPORT_DIGESTS[command, fixture, "structured"]
-    for layer, before in ((with_old_note, STRUCTURED_DIGESTS_BEFORE_NOTE),
-                          (with_copies, STRUCTURED_DIGESTS_BEFORE_COPIES),
-                          (with_removed_rows, STRUCTURED_DIGESTS_BEFORE)):
+    for layer, before in (
+            (with_status_on_this_space, STRUCTURED_DIGESTS_BEFORE_STATUS),
+            (with_old_note, STRUCTURED_DIGESTS_BEFORE_NOTE),
+            (with_copies, STRUCTURED_DIGESTS_BEFORE_COPIES),
+            (with_removed_rows, STRUCTURED_DIGESTS_BEFORE)):
         for report in reports:
             layer(report)
         pinned = before.get((command, fixture), pinned)

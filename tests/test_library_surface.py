@@ -169,21 +169,24 @@ def _is_literal(node, value):
 
 
 def test_no_ledger_row_is_checked_and_ok_by_a_constant():
-    """A ledger row reads "checked" and ok only when a check ran: no
-    ``report.hypothesis(...)`` call passes the literal status "checked"
-    with a literal True, and no row of ``engine.verify_index_bound``'s
-    ledger is a dict literal with "ok": True."""
+    """A ledger row reads ok only when a check ran: no
+    ``report.hypothesis(...)`` call passes a constant as its ``ok``
+    argument, found by its place in ``TheoremReport.hypothesis``, and no
+    row of ``engine.verify_index_bound``'s ledger is a dict literal with
+    "ok": True."""
+    dynamics = ast.parse((ROOT / "src" / "lscat" / "dynamics.py").read_text())
+    define = next(fn for fn in ast.walk(dynamics)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "hypothesis")
+    place = [arg.arg for arg in define.args.args].index("ok") - 1  # self
     constant = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) \
                     and getattr(node.func, "attr", None) == "hypothesis":
-                keywords = {kw.arg: kw.value for kw in node.keywords}
-                status = node.args[1] if len(node.args) > 1 \
-                    else keywords.get("status")
-                ok = node.args[2] if len(node.args) > 2 \
-                    else keywords.get("ok")
-                if _is_literal(status, "checked") and _is_literal(ok, True):
+                ok = node.args[place] if len(node.args) > place else {
+                    kw.arg: kw.value for kw in node.keywords}.get("ok")
+                if isinstance(ok, ast.Constant):
                     constant.append(f"{path.stem}:{node.lineno}")
     engine = ast.parse((ROOT / "src" / "lscat" / "engine.py").read_text())
     verify = next(fn for fn in ast.walk(engine)
