@@ -89,16 +89,14 @@ value_str = str
 
 
 def strict_json(value):
-    """The value with non-finite floats as "inf", "-inf" or "nan", dict
-    keys as str and sets sorted, so a report or bundle is strict JSON."""
+    """The value with non-finite floats as "inf", "-inf" or "nan" and dict
+    keys as str, so a report or bundle is strict JSON."""
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     if isinstance(value, dict):
         return {str(k): strict_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [strict_json(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(strict_json(v) for v in value)
     return value
 
 

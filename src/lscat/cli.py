@@ -18,8 +18,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .category import cover_category
 from .dynamics import THEOREMS
 from .engine import verify_index_bound
@@ -31,16 +29,7 @@ from .formats import (
     parse_scenario,
     parse_space,
 )
-from .numeric import (
-    FIELD_REGISTRY,
-    FixtureUnconstructible,
-    FlowConfig,
-    check_discrete_palais_smale_sampled,
-    half_interval_field,
-    halffixed_circle_map_samples,
-    n_schedule,
-    verify_prop_app,
-)
+from .numeric import NUMERIC_CHECKS, FixtureUnconstructible
 from .poset import SizeCapExceeded
 
 INPUT_ERRORS = (ValueError, SizeCapExceeded, FixtureUnconstructible)
@@ -85,32 +74,9 @@ def run_scenario(sc, seed=0):
         nu, axiom_mode = sc.index
         outcome["report"] = verify_index_bound(
             nu, sc.pair, *sc.band, axiom_mode=axiom_mode, seed=seed)
-    elif sc.numeric[0] == "palais-smale-chain":
-        _, fixture, tau, n_max, family = sc.numeric
-        if family == "reciprocal":
-            family = [np.array([1.0 / max(n, 2)]) for n in n_schedule(n_max)]
-        outcome["report"] = verify_prop_app(
-            FIELD_REGISTRY[fixture](), FlowConfig(tau, tau / 1000.0),
-            n_max=n_max, family=family)
-    elif sc.numeric[0] == "descent-map":
-        outcome["report"] = check_discrete_palais_smale_sampled(
-            lambda x: x / 2.0,
-            lambda x: float(np.asarray(x).reshape(-1)[0]),
-            [np.array([2.0 ** -j]) for j in range(1, 20)],
-            domain=half_interval_field().domain,
-        )
-    else:  # halffixed-circle
-        phi, height, samples = halffixed_circle_map_samples()
-        rep = outcome["report"] = check_discrete_palais_smale_sampled(
-            phi, height, samples)
-        fixed = [s for s in samples
-                 if float(np.linalg.norm(s - phi(s))) <= 1e-9]
-        values = sorted(float(s[1]) for s in fixed)
-        rep["fixed_sample_count"] = len(fixed)
-        rep["fixed_value_range"] = [values[0], values[-1]] if values else None
-        rep["fixed_values_nondiscrete"] = bool(
-            values and values[-1] - values[0] > 0.5
-        )
+    else:
+        check, *params = sc.numeric
+        outcome["report"] = NUMERIC_CHECKS[check][1](*params)
     return outcome
 
 
@@ -205,18 +171,14 @@ def _scenario_command(kind):
 
 
 def cmd_numeric_ps_check(args):
-    doc = {
-        "name": f"ps-check-{args.fixture}",
-        "kind": "numeric",
-        "check": "palais-smale-chain",
-        "fixture": args.fixture,
-        "tau": args.tau,
-        "n_max": args.n_max,
-    }
-    if args.fixture == "half-interval":
-        doc["family"] = "reciprocal"
+    chain = next(iter(NUMERIC_CHECKS))  # the first check is the flow chain
+    flags = {"fixture": args.fixture, "tau": args.tau, "n_max": args.n_max}
+    doc = {"kind": "numeric", "check": chain,
+           **{k: v for k, v in flags.items() if v is not None}}
     try:
-        outcome = run_scenario(parse_scenario(doc))
+        sc = parse_scenario(doc)
+        sc.name = f"ps-check-{sc.numeric[1]}"
+        outcome = run_scenario(sc)
     except INPUT_ERRORS as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
@@ -269,9 +231,10 @@ def build_parser():
     numeric_sub = p_numeric.add_subparsers(dest="subcommand", required=True)
     p_ps = numeric_sub.add_parser("ps-check", parents=[common],
                                   help="descent-flow chain check")
-    p_ps.add_argument("--fixture", default="quadratic")
-    p_ps.add_argument("--tau", type=float, default=1.0)
-    p_ps.add_argument("--n-max", type=int, default=1000)
+    # an absent flag takes the chain's default from numeric.NUMERIC_CHECKS
+    p_ps.add_argument("--fixture")
+    p_ps.add_argument("--tau", type=float)
+    p_ps.add_argument("--n-max", type=int)
     p_ps.set_defaults(func=cmd_numeric_ps_check)
 
     p_corpus = sub.add_parser("corpus", help="pinned fixture corpus")

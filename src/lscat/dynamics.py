@@ -550,7 +550,7 @@ def verify_semiflow(pair, action=None, klass=None):
     return _maybe_persist(pair, report)
 
 
-def verify_homeo_band_bound(pair, class_b, a, b, action=None):
+def verify_homeo_band_bound(pair, class_b, a, b):
     """Band bound for homeomorphisms with reference-class covers.
 
     The cover count by opens isomorphic to members of the reference list
@@ -559,8 +559,8 @@ def verify_homeo_band_bound(pair, class_b, a, b, action=None):
     """
     if b == INFINITE:
         raise ValueError("the reference-class bound needs a finite band")
-    action = action or GroupAction.trivial(pair.space)
     space = pair.space
+    action = GroupAction.trivial(space)
     report = TheoremReport("homeo_band_bound")
     _base_hypotheses(report, pair, action)
     # a bijective self-map of a finite poset is an automorphism, as in
@@ -607,5 +607,5 @@ THEOREMS = {
     "semiflow": lambda pair, band, action, klass, refs:
         verify_semiflow(pair, action, klass),
     "homeo_band_bound": lambda pair, band, action, klass, refs:
-        verify_homeo_band_bound(pair, refs, *band, action),
+        verify_homeo_band_bound(pair, refs, *band),
 }

@@ -17,7 +17,7 @@ from .action import GroupAction, HomogeneousClass, validate_action
 from .category import INFINITE, MODES, CatQuery, strict_json
 from .dynamics import THEOREMS, DynamicalPair
 from .engine import AXIOM_MODES, make_truncated_index
-from .numeric import FIELD_REGISTRY
+from .numeric import FIELD_REGISTRY, NUMERIC_CHECKS
 from .poset import SizeCapExceeded, SpaceMap, validate_space
 
 
@@ -28,7 +28,6 @@ class ValidationError(ValueError):
 
 SCENARIO_KINDS = ("category", "theorem", "engine", "numeric")
 FINITE_BAND_THEOREMS = ("band_bound", "homeo_band_bound")
-NUMERIC_CHECKS = ("palais-smale-chain", "descent-map", "halffixed-circle")
 
 
 class Scenario:
@@ -225,34 +224,35 @@ def _finite(value):
 
 
 def parse_numeric(doc, location):
-    """A numeric scenario's (check, fixture, tau, n_max, family)."""
+    """A numeric scenario's (check, fixture, tau, n_max), each of the last
+    three None when the check does not read it."""
     check = doc.get("check")
-    if check not in NUMERIC_CHECKS:
+    if not (isinstance(check, str) and check in NUMERIC_CHECKS):
         raise ValidationError(location, f"numeric scenarios need a check in "
-                                        f"{NUMERIC_CHECKS}, got {check!r}")
-    unread = [k for k in ("fixture", "tau", "n_max", "family") if k in doc]
-    if unread and check != "palais-smale-chain":
+                                        f"{tuple(NUMERIC_CHECKS)}, got "
+                                        f"{check!r}")
+    reads = NUMERIC_CHECKS[check][0]
+    unread = [k for k in ("fixture", "tau", "n_max")
+              if k in doc and k not in reads]
+    if unread:
         raise ValidationError(location, f"{check} takes none of {unread}")
-    fixture = doc.get("fixture", "quadratic")
-    tau = doc.get("tau", 1.0)
-    n_max = doc.get("n_max", 1000)
-    family = doc.get("family")
+    if not reads:
+        return check, None, None, None
+    fixture, tau, n_max = (doc.get(k, reads[k])
+                           for k in ("fixture", "tau", "n_max"))
     if not (isinstance(fixture, str) and fixture in FIELD_REGISTRY):
         raise ValidationError(location, f"unknown field fixture {fixture!r}; "
                                         f"known: {sorted(FIELD_REGISTRY)}")
     if not (_finite(tau) and tau > 0):
         raise ValidationError(location, f"tau must be a finite number > 0, "
                                         f"got {tau!r}")
-    if check == "palais-smale-chain" and not tau / 1000.0 > 0:
+    if not tau / 1000.0 > 0:
         raise ValidationError(location, f"tau {tau!r} is too small for the "
                                         f"flow step tau/1000, which is 0")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(location, f"n_max must be an integer >= 1, "
                                         f"got {n_max!r}")
-    if "family" in doc and family != "reciprocal":
-        raise ValidationError(location, f'family must be "reciprocal" when '
-                                        f'given, got {family!r}')
-    return check, fixture, float(tau), n_max, family
+    return check, fixture, float(tau), n_max
 
 
 def parse_queries(sc, doc, location):
@@ -346,7 +346,7 @@ def parse_scenario(path_or_doc, path=None):
         "category": ("space", "action", "class", "queries"),
         "theorem": pair + ("theorems", "reference_spaces"),
         "engine": pair + ("index",),
-        "numeric": ("check", "fixture", "tau", "n_max", "family"),
+        "numeric": ("check", "fixture", "tau", "n_max"),
     }[kind], location, f"a {kind} scenario")
     name = _require(doc.get("name", ""), "string", location, "name")
     sc = Scenario(name or path or "scenario", kind, doc, path=path)

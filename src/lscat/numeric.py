@@ -58,14 +58,13 @@ class FixtureUnconstructible(RuntimeError):
 class ScalarField:
     """A smooth function with closed-form gradient on an open domain."""
 
-    __slots__ = ("dim", "f", "grad", "domain", "name")
+    __slots__ = ("dim", "f", "grad", "domain")
 
-    def __init__(self, dim, f, grad, domain=None, name="field"):
+    def __init__(self, dim, f, grad, domain=None):
         self.dim = dim
         self.f = f
         self.grad = grad
         self.domain = domain if domain is not None else (lambda m: True)
-        self.name = name
 
 
 class FlowConfig:
@@ -444,7 +443,7 @@ def _radial_drop(field, p, cfg):
 # -- the fixture registry ----------------------------------------------------
 
 
-def quadratic_field(matrix=None, dim=2, name="quadratic"):
+def quadratic_field(matrix=None, dim=2):
     """f(m) = m . A m with positive definite A (identity by default).
 
     The gradient 2 A m is taken as g = A m, then g += g: x + x is 2.0 * x
@@ -457,19 +456,15 @@ def quadratic_field(matrix=None, dim=2, name="quadratic"):
         g += g
         return g
 
-    return ScalarField(
-        A.shape[0],
-        lambda m: float(np.asarray(m) @ A @ np.asarray(m)),
-        grad,
-        name=name,
-    )
+    return ScalarField(A.shape[0],
+                       lambda m: float(np.asarray(m) @ A @ np.asarray(m)), grad)
 
 
 def random_quadratic_field(seed, dim=2):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(dim, dim))
     A = B @ B.T + 0.3 * np.eye(dim)
-    return quadratic_field(A, dim=dim, name=f"quadratic-{seed}")
+    return quadratic_field(A, dim=dim)
 
 
 def half_interval_field():
@@ -479,7 +474,6 @@ def half_interval_field():
         lambda m: float(np.asarray(m).reshape(-1)[0]),
         lambda m: np.array([1.0]),
         domain=lambda m: 0.0 < float(np.asarray(m).reshape(-1)[0]) < 1.0,
-        name="half-interval",
     )
 
 
@@ -505,7 +499,52 @@ def halffixed_circle_map_samples():
     return phi, height, list(pts)
 
 
+# fixture -> (its field, its start family from (field, tau, n schedule)):
+# the radial bisection for the quadratic well, and the points 1/max(n, 2)
+# on the open unit interval, where the bisection finds no start point
 FIELD_REGISTRY = {
-    "quadratic": lambda: quadratic_field(),
-    "half-interval": half_interval_field,
+    "quadratic": (quadratic_field, _default_family),
+    "half-interval": (half_interval_field, lambda field, tau, ns: [
+        np.array([1.0 / max(n, 2)]) for n in ns]),
+}
+
+
+def _palais_smale_chain(fixture, tau, n_max):
+    make, family = FIELD_REGISTRY[fixture]
+    field = make()
+    return verify_prop_app(field, FlowConfig(tau, tau / 1000.0), n_max=n_max,
+                           family=family(field, tau, n_schedule(n_max)))
+
+
+def _halving_map():
+    """The halving map on the open unit interval, height the coordinate."""
+    return check_discrete_palais_smale_sampled(
+        lambda x: x / 2.0, lambda x: float(np.asarray(x).reshape(-1)[0]),
+        [np.array([2.0 ** -j]) for j in range(1, 20)],
+        domain=half_interval_field().domain)
+
+
+def _halffixed_circle():
+    """The sampled check of the half-fixed circle map, with the heights of
+    its fixed samples."""
+    phi, height, samples = halffixed_circle_map_samples()
+    report = check_discrete_palais_smale_sampled(phi, height, samples)
+    fixed = [s for s in samples if float(np.linalg.norm(s - phi(s))) <= 1e-9]
+    values = sorted(float(s[1]) for s in fixed)
+    report["fixed_sample_count"] = len(fixed)
+    report["fixed_value_range"] = [values[0], values[-1]] if values else None
+    report["fixed_values_nondiscrete"] = bool(
+        values and values[-1] - values[0] > 0.5
+    )
+    return report
+
+
+# numeric check -> (the scenario keys it reads, with their defaults, and
+# its run from (fixture, tau, n_max), each None when the check does not
+# read it); the first is the chain that `lscat numeric ps-check` runs
+NUMERIC_CHECKS = {
+    "palais-smale-chain": ({"fixture": "quadratic", "tau": 1.0,
+                            "n_max": 1000}, _palais_smale_chain),
+    "descent-map": ({}, lambda fixture, tau, n_max: _halving_map()),
+    "halffixed-circle": ({}, lambda fixture, tau, n_max: _halffixed_circle()),
 }

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -32,8 +33,8 @@ from lscat.dynamics import (
     verify_identity_band_bound,
     verify_semiflow,
 )
-from lscat.engine import random_instance
-from lscat.formats import parse_scenario
+from lscat.engine import random_instance, verify_index_bound
+from lscat.formats import FINITE_BAND_THEOREMS, parse_scenario
 from lscat.poset import SpaceMap, bits, is_homotopy_equivalence, validate_space
 
 from equivariant import random_equivariant_instance
@@ -252,6 +253,81 @@ def test_each_verdict_reads_the_ledger_of_the_report_it_heads():
     verdict = verify_semiflow(constant.pair).verdict()
     assert verdict.startswith("HYPOTHESIS_FAILED:")
     assert "homotopic_to_identity" in verdict.split(":")[1].split(",")
+
+
+FORMAT_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "FORMAT.md")
+
+
+def _documented_ledgers():
+    """docs/FORMAT.md's ledger lists as (shared rows, rows added under a
+    non-trivial action, theorem id -> its bullet's rows, engine rows).
+    The rows are the backticked names outside parentheses in a bullet's
+    first sentence; a bullet that gives "the rows of" the reports it wraps
+    lists their ids, the finite band's first."""
+    text = " ".join(open(FORMAT_MD).read().split())
+
+    def names(sentence):
+        return re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", sentence))
+
+    block = text.split("ledger rows of each theorem, in report order: ")[1]
+    block = block.split(" The band theorems also assume")[0]
+    shared, *bullets = re.split(r"(?:^| )\* ", block)[1:]
+    always, under_action = map(names,
+                               shared.split("under a non-trivial action"))
+    own = {}
+    for bullet in bullets:
+        first = bullet.split(". ")[0]
+        theorem, *rows = names(first)
+        own[theorem] = ("the rows of" in first, rows)
+    engine = names(text.split("The ledger rows are ")[1].split(". ")[0])
+    return always, under_action, own, engine
+
+
+def _documented_rows(ledgers, theorem, band, action):
+    always, under_action, own, _ = ledgers
+    wraps, rows = own[theorem]
+    if wraps:
+        wrapped = rows[0] if band[1] < INFINITE else rows[-1]
+        return _documented_rows(ledgers, wrapped, band, action)
+    acted = action is not None and not action.is_trivial()
+    return always + (under_action if acted else []) + rows
+
+
+def test_format_ledger_lists_match_the_reports():
+    """The ledger rows of every theorem report, in report order, are the
+    rows docs/FORMAT.md lists for it: on every shipped theorem fixture,
+    and on the swapped V under its involution with a finite and an
+    unbounded band; and the engine's are its four rows, on the shipped
+    engine fixtures and on an instance under an involution."""
+    ledgers = _documented_ledgers()
+    corpus = builtin_corpus_dir()
+    cases, engine_reports = [], []
+    for name in sorted(os.listdir(corpus)):
+        sc = parse_scenario(os.path.join(corpus, name))
+        if sc.kind == "theorem":
+            cases.append((sc.pair, sc.band, sc.action, sc.klass,
+                          sc.reference_spaces))
+        elif sc.kind == "engine":
+            engine_reports.append(run_scenario(sc)["report"])
+    pair, action, klass = swapped_v_pair()
+    cases += [(pair, (0.5, 2.0), action, klass, []),
+              (pair, (0.5, INFINITE), action, klass, [])]
+    checked = set()
+    for pair, band, action, klass, refs in cases:
+        for theorem in THEOREMS:
+            if theorem in FINITE_BAND_THEOREMS and band[1] == INFINITE \
+                    or theorem == "homeo_band_bound" and not refs:
+                continue
+            report = THEOREMS[theorem](pair, band, action, klass, refs)
+            assert list(report.hypotheses) == _documented_rows(
+                ledgers, theorem, band, action), (theorem, band)
+            checked.add(theorem)
+    assert checked == set(THEOREMS) == set(ledgers[2])
+    pair, nu, a, b, action = random_equivariant_instance(0)
+    assert not action.is_trivial()
+    engine_reports.append(verify_index_bound(nu, pair, a, b))
+    for report in engine_reports:
+        assert list(report["hypotheses"]) == ledgers[3]
 
 
 def test_report_only_notes_name_parts_that_are_not_assertable():

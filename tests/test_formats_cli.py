@@ -15,6 +15,7 @@ from lscat.cli import (
     builtin_corpus_dir,
     main,
     run_corpus,
+    run_scenario,
 )
 from lscat.formats import (
     ValidationError,
@@ -439,6 +440,35 @@ def test_numeric_report_bytes_pinned(fixture, tau, capsys):
     assert digest == NUMERIC_DIGESTS[fixture, tau]
 
 
+def test_half_interval_chain_scenario_brings_its_start_family(tmp_path,
+                                                              capsys):
+    """A chain scenario on the half-interval names no start family: the
+    fixture brings its own, and the report is that of ps-check."""
+    assert main(["numeric", "ps-check", "--fixture", "half-interval",
+                 "--tau", "1.0", "--n-max", "1000",
+                 "--format", "structured"]) == 0
+    ps_check = capsys.readouterr().out
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({
+        "name": "ps-check-half-interval", "kind": "numeric",
+        "check": "palais-smale-chain", "fixture": "half-interval",
+        "tau": 1.0, "n_max": 1000}))
+    out = emit_report(run_scenario(parse_scenario(str(path))), "structured")
+    assert out == ps_check
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        NUMERIC_DIGESTS["half-interval", "1.0"]
+
+
+def test_a_family_key_is_an_input_error(tmp_path):
+    (tmp_path / "half.json").write_text(json.dumps({
+        "kind": "numeric", "check": "palais-smale-chain",
+        "fixture": "half-interval", "family": "reciprocal"}))
+    code, summary = run_corpus(str(tmp_path), fmt="structured",
+                               out=io.StringIO())
+    assert code == 2
+    assert "['family']" in summary["input_errors"][0]["error"]
+
+
 # sha256 of the whole stdout of `lscat verify` on each shipped theorem
 # fixture and of `lscat engine verify` on each shipped engine fixture; the
 # corpus digest covers only the summary rows, not these report bytes
@@ -605,7 +635,7 @@ def test_cli_tau_rule_is_that_the_step_is_positive(capsys):
 def test_parse_rejects_bad_numeric_fields(edit):
     doc = {"kind": "numeric", "check": "palais-smale-chain"}
     assert parse_scenario(dict(doc)).numeric == (
-        "palais-smale-chain", "quadratic", 1.0, 1000, None)
+        "palais-smale-chain", "quadratic", 1.0, 1000)
     with pytest.raises(ValidationError, match="^<doc>: "):
         parse_scenario({**doc, **edit})
 

@@ -22,6 +22,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from lscat.numeric import FIELD_REGISTRY, NUMERIC_CHECKS
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [p for p in sorted((ROOT / "src" / "lscat").glob("*.py"))
            if p.name != "__init__.py"]
@@ -200,3 +202,25 @@ def test_no_ledger_row_is_checked_and_ok_by_a_constant():
             if _is_literal(row.get("ok"), True):
                 constant.append(f"engine:{node.lineno}")
     assert constant == [], f"ledger rows that no check wrote: {constant}"
+
+
+def test_only_numeric_names_the_numeric_checks_and_fixtures():
+    """``numeric.NUMERIC_CHECKS`` and ``numeric.FIELD_REGISTRY`` are the one
+    place that names a numeric check or field fixture: no string literal
+    of ``cli.py`` or ``formats.py`` is one of those names, and ``cli.py``
+    imports no numpy."""
+    names = {*NUMERIC_CHECKS, *FIELD_REGISTRY}
+    trees = {module: ast.parse((ROOT / "src" / "lscat" / f"{module}.py")
+                               .read_text())
+             for module in ("cli", "formats")}
+    named = [f"{module}:{node.lineno} {node.value}"
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in names]
+    assert named == []
+    imported = set()
+    for node in ast.walk(trees["cli"]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}

@@ -259,8 +259,7 @@ def test_quadratic_grad_and_norm_keep_their_bits():
 
 
 def _constant_field(grad):
-    return ScalarField(len(grad), lambda m: 0.0, lambda m: grad,
-                       name="constant")
+    return ScalarField(len(grad), lambda m: 0.0, lambda m: grad)
 
 
 @pytest.mark.parametrize("grad", [
